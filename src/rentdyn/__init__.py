@@ -14,10 +14,7 @@ from rentdyn.engine import (
     LogisticCurve,
     SimClock,
     SimulationError,
-    SmoothState,
-    StepInput,
     Trajectory,
-    advance_smooth,
     euler_step,
     simulate,
 )
@@ -57,10 +54,7 @@ __all__ = [
     "LogisticCurve",
     "SimClock",
     "SimulationError",
-    "SmoothState",
-    "StepInput",
     "Trajectory",
-    "advance_smooth",
     "euler_step",
     "simulate",
     "ModelParams",

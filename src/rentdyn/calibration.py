@@ -158,7 +158,10 @@ def load_calibration_spec(
     """
     scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise CalibrationError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise CalibrationError("calibration spec must be a mapping")
     unknown = set(raw) - {"parameters", "targets", "options"}
@@ -179,7 +182,7 @@ def load_calibration_spec(
     unknown = set(options) - {"max_iterations"}
     if unknown:
         raise CalibrationError(f"unknown option keys {sorted(unknown)}")
-    max_iterations = int(options.get("max_iterations", 400))
+    max_iterations = int(options.get("max_iterations", CalibrationSpec.max_iterations))
     if max_iterations < 1:
         raise CalibrationError("max_iterations must be at least 1")
     return CalibrationSpec(parameters=parameters, targets=targets,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from rentdyn import __version__
 from rentdyn.calibration import CalibrationError, calibrate, load_calibration_spec
@@ -42,8 +43,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="parameter file (default: built-in calibration)")
     parser.add_argument("--scenarios", metavar="FILE",
                         help="scenario file (default: built-in scenario set)")
-    parser.add_argument("--dt", type=float, default=0.25, metavar="MONTHS",
-                        help="integration step in months (default 0.25)")
+    parser.add_argument("--dt", type=float, default=SimClock.dt, metavar="MONTHS",
+                        help=f"integration step in months (default {SimClock.dt:g})")
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="run seed, recorded in the manifest (the model is "
                              "deterministic; the seed only labels outputs)")
@@ -119,6 +120,11 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
             raise CliError(f"cannot load scenarios: {err}") from err
     else:
         scenarios = dict(BUILTIN_SCENARIOS)
+    for scenario in scenarios.values():
+        try:
+            scenario.apply(params)
+        except (KeyError, ParamError) as err:
+            raise CliError(f"scenario {scenario.name!r}: {err.args[0]}") from err
     try:
         clock = SimClock(dt=args.dt)
     except ValueError as err:
@@ -150,6 +156,19 @@ def _metric_lines(result: RunResult) -> list[str]:
     ]
 
 
+def _write_outputs(args, command: str, params: ModelParams, clock: SimClock,
+                   params_file: str | None, scenario_names: list[str],
+                   write_artifacts: Callable[[Path], list[Path]]) -> None:
+    """With ``--out``, write the artifacts, then the manifest that digests them."""
+    if not args.out:
+        return
+    out = Path(args.out)
+    artifacts = write_artifacts(out)
+    write_manifest(out, command, params, clock, artifacts, scenario_names,
+                   params_file, args.seed)
+    print(f"wrote {len(artifacts)} artifact(s) + manifest to {out}")
+
+
 def _write_run_artifacts(result: RunResult, out: Path, fmt: str,
                          columns: list[str] | None) -> list[Path]:
     header, rows = emit_timeseries(result, columns)
@@ -179,12 +198,9 @@ def _cmd_simulate(args) -> int:
     print(f"{scenario.name}: {scenario.description}")
     for line in _metric_lines(result):
         print("  " + line)
-    if args.out:
-        out = Path(args.out)
-        artifacts = _write_run_artifacts(result, out, args.format, columns)
-        write_manifest(out, f"simulate --scenario {scenario.name}", params, clock,
-                       artifacts, [scenario.name], params_file, args.seed)
-        print(f"wrote {len(artifacts)} artifact(s) + manifest to {out}")
+    _write_outputs(args, f"simulate --scenario {scenario.name}", params, clock,
+                   params_file, [scenario.name],
+                   lambda out: _write_run_artifacts(result, out, args.format, columns))
     return 0
 
 
@@ -199,14 +215,9 @@ def _cmd_suite(args) -> int:
         print(f"{name:<{name_w}}  {m.evictions_total:>12,.0f}  "
               f"${m.arrears_end/1e9:>10.2f}B  {m.homeless_end:>10,.0f}  "
               f"{m.crowding_mean:>8.3f}  {m.assistance_disbursed_fraction*100:>9.1f}%")
-    if args.out:
-        out = Path(args.out)
-        artifacts = []
-        for result in results.values():
-            artifacts.extend(_write_run_artifacts(result, out, args.format, None))
-        write_manifest(out, "suite", params, clock, artifacts,
-                       list(results), params_file, args.seed)
-        print(f"wrote {len(artifacts)} artifact(s) + manifest to {out}")
+    _write_outputs(args, "suite", params, clock, params_file, list(results),
+                   lambda out: [path for result in results.values() for path in
+                                _write_run_artifacts(result, out, args.format, None)])
     return 0
 
 
@@ -227,13 +238,10 @@ def _cmd_compare(args) -> int:
         pct = "" if row["pct_change"] is None else f"  ({row['pct_change']:+.1f}%)"
         print(f"  {key:<{key_w}}  {row['baseline']:>14,.4g} -> "
               f"{row['variant']:>14,.4g}{pct}")
-    if args.out:
-        out = Path(args.out)
-        artifact = write_json(out / f"compare_{args.baseline}_vs_{args.variant}.json", table)
-        write_manifest(out, f"compare --baseline {args.baseline} --variant {args.variant}",
-                       params, clock, [artifact], [args.baseline, args.variant],
-                       params_file, args.seed)
-        print(f"wrote comparison + manifest to {out}")
+    _write_outputs(args, f"compare --baseline {args.baseline} --variant {args.variant}",
+                   params, clock, params_file, [args.baseline, args.variant],
+                   lambda out: [write_json(
+                       out / f"compare_{args.baseline}_vs_{args.variant}.json", table)])
     return 0
 
 
@@ -253,26 +261,21 @@ def _cmd_sweep(args) -> int:
         flag = " (clamped)" if entry.clamped else ""
         print(f"  {entry.parameter:<40} {entry.direction:<4} "
               f"{name} {value:+.3f}{flag}")
-    if args.out:
-        out = Path(args.out)
-        header = ["parameter", "direction", "baseline_value", "requested_value",
-                  "applied_value", "clamped"]
-        header += [f"metric_{m}" for m in metric_names]
-        header += [f"elasticity_{m}" for m in metric_names]
-        rows = []
-        for e in entries:
-            row: list = [e.parameter, e.direction, e.baseline_value,
-                         e.requested_value, e.applied_value, e.clamped]
-            row += [e.metrics[m] for m in metric_names]
-            row += [e.elasticities[m] for m in metric_names]
-            rows.append(row)
-        artifacts = [
-            write_csv(out / "sweep.csv", header, rows),
-            write_json(out / "sweep_baseline.json", base_metrics),
-        ]
-        write_manifest(out, f"sweep --scenario {scenario.name} --fraction {args.fraction}",
-                       params, clock, artifacts, [scenario.name], params_file, args.seed)
-        print(f"wrote sweep table + manifest to {out}")
+    header = ["parameter", "direction", "baseline_value", "requested_value",
+              "applied_value", "clamped"]
+    header += [f"metric_{m}" for m in metric_names]
+    header += [f"elasticity_{m}" for m in metric_names]
+    rows = []
+    for e in entries:
+        row: list = [e.parameter, e.direction, e.baseline_value,
+                     e.requested_value, e.applied_value, e.clamped]
+        row += [e.metrics[m] for m in metric_names]
+        row += [e.elasticities[m] for m in metric_names]
+        rows.append(row)
+    _write_outputs(args, f"sweep --scenario {scenario.name} --fraction {args.fraction}",
+                   params, clock, params_file, [scenario.name],
+                   lambda out: [write_csv(out / "sweep.csv", header, rows),
+                                write_json(out / "sweep_baseline.json", base_metrics)])
     return 0
 
 
@@ -295,17 +298,13 @@ def _cmd_validate(args) -> int:
         mark = "PASS" if c.passed else "FAIL"
         failed += 0 if c.passed else 1
         print(f"  [{mark}] {c.name}: {c.detail}")
-    if args.out:
-        out = Path(args.out)
-        payload = {
-            "references": [vars(r) for r in results],
-            "extreme_conditions": [vars(c) for c in checks],
-        }
-        artifact = write_json(out / "validation.json", payload)
-        write_manifest(out, "validate", params, clock, [artifact],
-                       sorted({r.scenario for r in results if r.scenario}),
-                       params_file, args.seed)
-        print(f"wrote validation report + manifest to {out}")
+    payload = {
+        "references": [vars(r) for r in results],
+        "extreme_conditions": [vars(c) for c in checks],
+    }
+    _write_outputs(args, "validate", params, clock, params_file,
+                   sorted({r.scenario for r in results if r.scenario}),
+                   lambda out: [write_json(out / "validation.json", payload)])
     return 1 if failed else 0
 
 
@@ -353,7 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
+        # messages from the loaders may span lines (YAML marks, bound lists)
+        print(f"error: {' '.join(str(err).split())}", file=sys.stderr)
         return 1
     except SimulationError as err:
         print(f"simulation failed: {err}", file=sys.stderr)

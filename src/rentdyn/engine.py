@@ -1,9 +1,9 @@
 """Fixed-step system-dynamics engine.
 
 Building blocks for stock-and-flow simulation: a simulation clock with a
-calendar anchor, saturating effect curves (logistic and Gompertz), exogenous
-step inputs, first-order exponential smoothing, and forward-Euler integration
-with non-negativity clamping on declared stocks.
+calendar anchor, saturating effect curves (logistic and Gompertz), and
+forward-Euler integration with non-negativity clamping on declared stocks.
+A first-order smooth is integrated as one more stock of the model.
 
 The integrator is deliberately fixed-step (no adaptive error control): model
 results must be reproducible bit-for-bit for a given grid, and time-step
@@ -14,7 +14,7 @@ a solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -24,11 +24,8 @@ EPS = 1e-9
 __all__ = [
     "EPS",
     "SimClock",
-    "StepInput",
     "LogisticCurve",
     "GompertzCurve",
-    "SmoothState",
-    "advance_smooth",
     "ClampEvent",
     "euler_step",
     "Trajectory",
@@ -57,8 +54,8 @@ class SimClock:
     start_month: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (0.0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         steps = self.horizon / self.dt
@@ -96,17 +93,6 @@ class SimClock:
         year = self.start_year + total // 12
         month = total % 12 + 1
         return f"{year:04d}-{month:02d}"
-
-
-@dataclass(frozen=True)
-class StepInput:
-    """Exogenous step: 0 before ``start_time``, ``magnitude`` from then on."""
-
-    magnitude: float
-    start_time: float
-
-    def __call__(self, t: float) -> float:
-        return self.magnitude if t >= self.start_time else 0.0
 
 
 @dataclass(frozen=True)
@@ -171,28 +157,6 @@ class GompertzCurve:
         else:
             decay = math.exp(-arg)
         return max(self.floor, self.y_final + (self.y_initial - self.y_final) * decay)
-
-
-@dataclass(frozen=True)
-class SmoothState:
-    """First-order exponential smoothing state with time constant ``delay``."""
-
-    level: float
-    delay: float
-
-    def __post_init__(self) -> None:
-        if not (self.delay > 0.0):
-            raise ValueError(f"delay must be positive, got {self.delay}")
-
-
-def smooth_rate(level: float, target: float, delay: float) -> float:
-    """Instantaneous rate of change of a first-order smooth toward ``target``."""
-    return (target - level) / delay
-
-
-def advance_smooth(state: SmoothState, target: float, dt: float) -> SmoothState:
-    """One Euler step of the smoothing state toward ``target``."""
-    return replace(state, level=state.level + dt * smooth_rate(state.level, target, state.delay))
 
 
 @dataclass(frozen=True)
@@ -300,26 +264,21 @@ def simulate(
     n = len(times)
     state = dict(initial)
     events: list[ClampEvent] = []
-
-    columns: dict[str, np.ndarray] = {}
-
-    def record(k: int, values: Mapping[str, float]) -> None:
-        for name, value in values.items():
-            col = columns.get(name)
-            if col is None:
-                col = np.zeros(n)
-                columns[name] = col
-            if not math.isfinite(value):
-                raise SimulationError(
-                    f"non-finite value for '{name}' at t={times[k]:.4g}: {value}"
-                )
-            col[k] = value
+    rows: list[list[float]] = []
 
     for k, t in enumerate(times):
         rates, aux = deriv(state, float(t))
-        record(k, state)
-        record(k, aux)
+        rows.append([*state.values(), *aux.values()])
         if k < n - 1:
             state = euler_step(state, rates, clock.dt, nonneg, time=float(t), events=events)
 
-    return Trajectory(clock=clock, times=times, series=columns, clamp_events=events)
+    names = [*state, *aux]
+    data = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        k, j = bad[0]  # row-major: earliest time first, then series order
+        raise SimulationError(
+            f"non-finite value for '{names[j]}' at t={times[k]:.4g}: {data[k, j]}"
+        )
+    series = dict(zip(names, data.T.copy()))
+    return Trajectory(clock=clock, times=times, series=series, clamp_events=events)

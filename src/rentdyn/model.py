@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from rentdyn.engine import EPS, SimClock, StepInput, Trajectory, simulate
+from rentdyn.engine import EPS, SimClock, Trajectory, simulate
 from rentdyn.params import ModelParams
 
 __all__ = [
@@ -174,8 +174,7 @@ def build_derivative(params: ModelParams, dt: float):
     m = p.moratorium
     era = p.assistance
 
-    shock_step = StepInput(cv.magnitude, cv.start_time)
-    rebound_step = StepInput(m.filing_reduction, m.start_time + m.duration + m.filing_rebound_lag)
+    rebound_time = m.start_time + m.duration + m.filing_rebound_lag
 
     def deriv(state: Mapping[str, float], t: float) -> tuple[dict[str, float], dict[str, float]]:
         rent_owed = state["rent_owed"]
@@ -291,10 +290,10 @@ def build_derivative(params: ModelParams, dt: float):
                 - homeless_exits - homeless_doubling - homeless_stabilizing,
             "assistance_funds": -payment,
             "assistance_disbursed": payment,
-            "shock_recovery_level": ((shock_step(t) if cv.enabled else 0.0) - recovery)
-                / cv.recovery_time,
-            "filing_recovery_level": ((rebound_step(t) if m.enabled else 0.0)
-                - filing_recovery) / m.filing_recovery_delay,
+            "shock_recovery_level": ((cv.magnitude if cv.enabled and t >= cv.start_time
+                                      else 0.0) - recovery) / cv.recovery_time,
+            "filing_recovery_level": ((m.filing_reduction if m.enabled and t >= rebound_time
+                                       else 0.0) - filing_recovery) / m.filing_recovery_delay,
         }
 
         aux = {

@@ -31,6 +31,7 @@ __all__ = [
     "with_value",
     "sweepable_parameters",
     "bounds_for",
+    "clamp_to_bounds",
     "validate_params",
     "load_params",
     "save_params",
@@ -351,6 +352,7 @@ def bounds_for(path: str) -> tuple[float, float | None]:
 
 
 def clamp_to_bounds(path: str, value: float) -> float:
+    """``value`` limited to the documented bounds of ``path``."""
     lo, hi = bounds_for(path)
     if value < lo:
         return lo
@@ -390,7 +392,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ParamFileError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict) or "params" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("params"), dict):
         raise ParamFileError(f"{path}: expected a top-level 'params' mapping")
     entries = raw["params"]
 

@@ -88,7 +88,10 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     parameter paths to values. Unknown fields are errors.
     """
     path = Path(path)
-    raw = yaml.safe_load(path.read_text())
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a mapping of scenario names")
     known = {"description", "covid", "moratorium", "assistance",

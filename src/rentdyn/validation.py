@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
-from rentdyn.params import ModelParams, default_params, get_value, bounds_for, \
+from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
     sweepable_parameters, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, \
     compute_metrics, run_scenario
@@ -341,14 +341,9 @@ def sensitivity_sweep(
     entries: list[SweepEntry] = []
     for path in sweepable_parameters():
         base = float(get_value(params, path))
-        lo, hi = bounds_for(path)
         for direction, sign in (("down", -1.0), ("up", +1.0)):
             requested = base * (1.0 + sign * fraction)
-            applied = requested
-            if applied < lo:
-                applied = lo
-            if hi is not None and applied > hi:
-                applied = hi
+            applied = clamp_to_bounds(path, requested)
             clamped = applied != requested
             if applied == base:
                 entries.append(SweepEntry(

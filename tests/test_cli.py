@@ -195,3 +195,25 @@ def test_bad_sweep_fraction_fails_cleanly(capsys):
     rc = main(["sweep", "--fraction", "1.5"])
     assert rc == 1
     assert "--fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["suite", "--scenarios"], "scen.yaml", "x: [\n"),
+    (["calibrate", "--spec"], "spec.yaml", "x: [\n"),
+    (["suite", "--params"], "params.yaml", "params: 3\n"),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitud: 0.2}\n"),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitude: 9.0}\n"),
+    (["suite", "--dt", "inf"], None, None),
+], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
+        "override-out-of-bounds", "dt-inf"])
+def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):
+    if name is not None:
+        (tmp_path / name).write_text(text)
+        argv = argv + [str(tmp_path / name)]
+    out = tmp_path / "nothing"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -1,4 +1,4 @@
-"""Engine-level tests: clock, effect curves, step inputs, smoothing, Euler integration.
+"""Engine-level tests: clock, effect curves, Euler integration.
 
 Expected values are frozen literals computed independently from the closed-form
 definitions (not by calling the code under test).
@@ -15,10 +15,7 @@ from rentdyn.engine import (
     LogisticCurve,
     SimClock,
     SimulationError,
-    SmoothState,
-    StepInput,
     Trajectory,
-    advance_smooth,
     euler_step,
     simulate,
 )
@@ -63,23 +60,11 @@ def test_clock_rejects_bad_grid():
     with pytest.raises(ValueError):
         SimClock(dt=-0.25)
     with pytest.raises(ValueError):
+        SimClock(dt=math.inf)
+    with pytest.raises(ValueError):
         SimClock(dt=0.3, horizon=50.0)  # horizon not a multiple of dt
     with pytest.raises(ValueError):
         SimClock(burn_in=60.0)
-
-
-# ---------------------------------------------------------------- step input
-
-def test_step_input_before_at_after():
-    step = StepInput(magnitude=0.35, start_time=24.0)
-    assert step(23.75) == 0.0
-    assert step(24.0) == 0.35
-    assert step(40.0) == 0.35
-
-
-def test_step_input_zero_magnitude():
-    step = StepInput(magnitude=0.0, start_time=10.0)
-    assert step(20.0) == 0.0
 
 
 # ---------------------------------------------------------------- logistic curve
@@ -161,33 +146,6 @@ def test_gompertz_validates_parameters():
         GompertzCurve(y_final=0.5, y_initial=-108.2, steepness=1.4, floor=1.0)
 
 
-# ---------------------------------------------------------------- smoothing
-
-def test_smooth_eight_steps_toward_unit_target():
-    state = SmoothState(level=0.0, delay=2.0)
-    for _ in range(8):
-        state = advance_smooth(state, 1.0, 0.25)
-    assert state.level == pytest.approx(0.6563910841941833, rel=1e-12)
-
-
-def test_smooth_converges_to_constant_target():
-    state = SmoothState(level=0.0, delay=2.0)
-    for _ in range(400):
-        state = advance_smooth(state, 5.0, 0.25)
-    assert state.level == pytest.approx(5.0, rel=1e-4)
-
-
-def test_smooth_at_target_is_fixed_point():
-    state = SmoothState(level=3.0, delay=4.0)
-    out = advance_smooth(state, 3.0, 0.25)
-    assert out.level == 3.0
-
-
-def test_smooth_requires_positive_delay():
-    with pytest.raises(ValueError):
-        SmoothState(level=0.0, delay=0.0)
-
-
 # ---------------------------------------------------------------- euler_step
 
 def test_euler_step_applies_rates():
@@ -243,10 +201,10 @@ def test_simulate_constant_state_stays_constant():
 def test_simulate_step_through_smooth_reaches_63pct_after_one_delay():
     # first-order response to a step reaches ~63% of magnitude one delay after onset
     delay, magnitude, start = 2.0, 0.35, 10.0
-    step = StepInput(magnitude=magnitude, start_time=start)
 
     def deriv(state, t):
-        return {"level": (step(t) - state["level"]) / delay}, {}
+        step = magnitude if t >= start else 0.0
+        return {"level": (step - state["level"]) / delay}, {}
 
     clock = SimClock(dt=0.25, horizon=20.0, burn_in=0.0)
     traj = simulate(deriv, clock, {"level": 0.0})
@@ -266,7 +224,7 @@ def test_simulate_raises_on_nonfinite_state():
     def deriv(state, t):
         return {"x": state["x"] * state["x"]}, {}
     clock = SimClock(dt=0.25, horizon=50.0, burn_in=0.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match=r"'x' at t=2\.5"):
         simulate(deriv, clock, {"x": 10.0})
 
 
