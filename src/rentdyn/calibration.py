@@ -167,18 +167,21 @@ def load_calibration_spec(
     unknown = set(raw) - {"parameters", "targets", "options"}
     if unknown:
         raise CalibrationError(f"unknown top-level keys {sorted(unknown)}")
-    if not raw.get("parameters"):
-        raise CalibrationError("calibration spec lists no parameters")
-    if not raw.get("targets"):
-        raise CalibrationError("calibration spec lists no targets")
-    parameters = tuple(_check_parameter(dict(e)) for e in raw["parameters"])
+    for key in ("parameters", "targets"):
+        if not raw.get(key):
+            raise CalibrationError(f"calibration spec lists no {key}")
+        if not isinstance(raw[key], list) or not all(isinstance(e, dict) for e in raw[key]):
+            raise CalibrationError(f"calibration spec {key!r} must be a list of mappings")
+    parameters = tuple(_check_parameter(e) for e in raw["parameters"])
     seen = set()
     for p in parameters:
         if p.path in seen:
             raise CalibrationError(f"duplicate parameter {p.path!r}")
         seen.add(p.path)
-    targets = tuple(_check_target(dict(e), scenarios) for e in raw["targets"])
+    targets = tuple(_check_target(e, scenarios) for e in raw["targets"])
     options = raw.get("options") or {}
+    if not isinstance(options, dict):
+        raise CalibrationError("calibration spec 'options' must be a mapping")
     unknown = set(options) - {"max_iterations"}
     if unknown:
         raise CalibrationError(f"unknown option keys {sorted(unknown)}")

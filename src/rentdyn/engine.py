@@ -43,8 +43,8 @@ class SimClock:
     """Simulation grid in months with a calendar anchor.
 
     ``t`` counts months since the anchor (default January 2018, so ``t=24``
-    opens January 2020). ``burn_in`` marks the start of the analysis window;
-    samples with ``t >= burn_in`` are the reporting period.
+    opens January 2020). ``horizon`` and ``burn_in`` lie on the grid; samples
+    with ``t >= burn_in`` are the reporting (analysis) window.
     """
 
     dt: float = 0.25
@@ -58,15 +58,14 @@ class SimClock:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(
-                f"horizon {self.horizon} is not a whole number of steps of dt {self.dt}"
-            )
         if not (0.0 <= self.burn_in < self.horizon):
             raise ValueError(
                 f"burn_in must lie in [0, horizon), got {self.burn_in}"
             )
+        for name, value in (("horizon", self.horizon), ("burn_in", self.burn_in)):
+            steps = value / self.dt
+            if abs(steps - round(steps)) > 1e-9:
+                raise ValueError(f"{name} {value} is not a whole number of steps of dt {self.dt}")
         if not (1 <= self.start_month <= 12):
             raise ValueError(f"start_month must be 1..12, got {self.start_month}")
 

@@ -3,10 +3,11 @@
 Given anchor stocks, prices, and behavioral rates, solve for the flow
 constants and initial dollar stocks that make the no-policy baseline
 stationary: occupied/pending/foreclosed units and both household pools sit
-exactly at their initial values, and arrears settle at the fixed point where
-accrual balances payment plus write-off. Vacant units alone drift, at the
-slow stock-decline rate (a conserved-minus-decline system cannot be flat
-everywhere; the loss shows up as vacancy).
+exactly at their initial values, and arrears settle where accrual balances
+payment plus write-off. Vacant units alone drift, at the slow stock-decline
+rate (a conserved-minus-decline system cannot be flat everywhere). No flow is
+restated here: each derived constant is solved from the net rate of its own
+stock in the model's derivative at t=0, so the two cannot drift apart.
 
 The derived fields are written back into the parameter set so a saved file
 carries explicit values; nothing is re-solved behind a loaded file's back.
@@ -14,20 +15,15 @@ carries explicit values; nothing is re-solved behind a loaded file's back.
 
 from __future__ import annotations
 
+import sys
+
 from rentdyn.engine import EPS
+from rentdyn.model import build_derivative, initial_state
 from rentdyn.params import ModelParams, with_value
-from rentdyn.model import (
-    crowding_effect,
-    crowding_ratio,
-    overdue_pressure,
-    rent_burden,
-    rent_delay_effect,
-    stress_effect,
-)
 
 __all__ = ["EquilibriumError", "equilibrate", "DERIVED_FIELDS"]
 
-# fields equilibrate() overwrites; a calibrator re-tags these as calibrated
+# fields equilibrate() overwrites; the shipped defaults are its own output
 DERIVED_FIELDS: tuple[str, ...] = (
     "rent_owed_initial",
     "mortgage_owed_initial",
@@ -39,106 +35,89 @@ DERIVED_FIELDS: tuple[str, ...] = (
     "landlord_income_per_unit",
 )
 
+# stock/dt overflows for any positive stock, so no one-step drain cap can bind
+_UNCAPPED_DT = sys.float_info.min
+_TOLERANCE = 1e-14
+_MAX_ITERATIONS = 200
+
 
 class EquilibriumError(ValueError):
     """The anchor parameters admit no stationary baseline (a derived flow
-    constant would be non-positive)."""
+    constant would be non-positive, or the dollar stocks do not settle)."""
 
 
-def equilibrate(params: ModelParams, iterations: int = 200) -> ModelParams:
+def _balance(stock: float, inflow: float, outflow: float) -> float:
+    """Level at which a stock's first-order outflow would match its inflow."""
+    return stock * inflow / outflow if inflow > 0.0 else 0.0
+
+
+def equilibrate(params: ModelParams) -> ModelParams:
     """Return ``params`` with the derived balancing fields recomputed."""
-    p = params
-    occupied = p.units_occupied_initial
-    pending = p.units_pending_initial
-    vacant = p.units_vacant_initial
-    insecure = p.households_insecure_initial
-    homeless = p.households_homeless_initial
-    tenanted = occupied + pending
-    if tenanted <= EPS:
+    if params.units_occupied_initial + params.units_pending_initial <= EPS:
         raise EquilibriumError("no tenanted units: cannot anchor a rental market baseline")
+    # policies off; linear constants and stocks at probe values whose flows are read back
+    base = params
+    for path, value in (("covid.enabled", False), ("moratorium.enabled", False),
+                        ("assistance.enabled", False), ("baseline_filing_fraction", 1.0),
+                        ("move_in_time", 1.0), ("rate_new_homelessness", 0.0),
+                        ("rate_new_insecurity", 0.0)):
+        base = with_value(base, path, value)
+    state = initial_state(base)
+    state.update(rent_owed=1.0, mortgage_owed=1.0, units_foreclosed=1.0)
 
-    rent_due = p.avg_monthly_rent * tenanted
-    burden = rent_burden(p, covid_effect=0.0)
-    at_rent = p.at_rent_base * rent_delay_effect(p, burden)
+    # dollar stocks drain nonlinearly in their own level: iterate to the fixed point
+    deriv = build_derivative(base, _UNCAPPED_DT)
+    for _ in range(_MAX_ITERATIONS):
+        _, aux = deriv(state, 0.0)
+        balanced = {
+            "rent_owed": _balance(state["rent_owed"], aux["rent_due"],
+                                  aux["rent_paid"] + aux["arrears_writeoff"]),
+            "mortgage_owed": _balance(state["mortgage_owed"], aux["mortgage_due"],
+                                      aux["mortgage_paid"]),
+        }
+        settled = all(abs(v - state[k]) <= _TOLERANCE * abs(v) for k, v in balanced.items())
+        state.update(balanced)
+        if settled:
+            break
+    else:
+        raise EquilibriumError(f"arrears did not settle within {_MAX_ITERATIONS} iterations")
 
-    # arrears fixed point: accrual = amortization + write-off from churn
-    evictions = (p.eviction_proportion / p.processing_time) * pending
-    rent_owed = rent_due * at_rent
-    for _ in range(iterations):
-        stress = stress_effect(p, rent_owed, insecure)
-        moveouts = p.baseline_turnover_fraction * occupied * stress
-        rent_owed = rent_due / (1.0 / at_rent + (evictions + moveouts) / tenanted)
-    stress = stress_effect(p, rent_owed, insecure)
-    moveouts = p.baseline_turnover_fraction * occupied * stress
-    rent_paid = rent_owed / at_rent
+    # foreclosure pipeline sized so sales balance intake (sales are linear in the stock)
+    rates, aux = deriv(state, 0.0)
+    intake = aux["foreclosures_tenanted"] + aux["foreclosures_vacant"]
+    foreclosed = _balance(state["units_foreclosed"], intake, aux["foreclosure_sales"])
 
-    # mortgage fixed point against realized rental income
-    mortgaged = tenanted + vacant
-    mortgage_due = p.avg_monthly_mortgage * mortgaged
-    income = max(rent_paid, EPS)
-    mortgage_owed = mortgage_due * p.at_mortgage_base
-    for _ in range(iterations):
-        delay = p.mortgage_delay_curve(mortgage_owed / income)
-        mortgage_owed = mortgage_due * p.at_mortgage_base * delay
-    mortgage_delay = p.mortgage_delay_curve(mortgage_owed / income)
-
-    # filing rate that keeps the pending pool level
-    resolutions = pending / p.filing_resolution_time
-    fore_occ = p.foreclosure_fraction_occupied * occupied * mortgage_delay
-    fore_pend = p.foreclosure_fraction_occupied * pending * mortgage_delay
-    filings = evictions + resolutions + fore_pend
-    conflict = crowding_effect(p, crowding_ratio(insecure, tenanted, p.crowding_reference)) \
-        * stress
-    overdue = overdue_pressure(p, rent_owed / tenanted)
-    filing_base = occupied * overdue * mortgage_delay * conflict
-    if filing_base <= EPS:
+    # filing rate that keeps the pending pool level; inflows that hold both household pools
+    if aux["eviction_filings"] <= EPS:
         raise EquilibriumError("filing pressure base is zero: cannot balance the court pipeline")
-    filing_fraction = filings / filing_base
-
-    # vacancy refill pace that keeps occupancy level
-    moveins = moveouts + fore_occ + filings - resolutions
-    if moveins <= EPS:
-        raise EquilibriumError(
-            "occupied-unit outflows do not exceed case resolutions: "
-            "no positive move-in rate can hold occupancy level"
-        )
-    if vacant <= EPS:
-        raise EquilibriumError("no vacant units to supply the required move-in flow")
-    move_in_time = vacant / moveins
-
-    # foreclosure pipeline sized so sales balance intake
-    fore_vac = p.foreclosure_fraction_vacant * vacant
-    foreclosed = (fore_occ + fore_pend + fore_vac) * p.foreclosure_sale_time
-
-    # household balance
-    hpu = insecure / tenanted
-    displaced = (evictions + fore_occ + fore_pend) * hpu
-    entries = p.homeless_entry_fraction * displaced + p.fr_direct_homeless * insecure
-    homeless_out = (p.fr_exit_homeless + p.fr_double_up_homeless + p.fr_stabilize_homeless) \
-        * homeless
-    new_homeless = homeless_out - entries
+    filing_fraction = 1.0 - rates["units_pending_eviction"] / aux["eviction_filings"]
+    new_homeless = -rates["households_homeless"]
     if new_homeless < 0.0:
         raise EquilibriumError(
             "displacement alone exceeds homeless outflows: reduce homeless_entry_fraction "
-            "or raise exit/stabilization rates"
-        )
-    new_insecure = entries + p.fr_stabilize_insecure * insecure \
-        - (p.fr_exit_homeless + p.fr_double_up_homeless) * homeless
+            "or raise exit/stabilization rates")
+    new_insecure = -rates["households_insecure"]
     if new_insecure < 0.0:
         raise EquilibriumError(
-            "homeless returns exceed insecure-pool outflows: no stationary inflow exists"
-        )
+            "homeless returns exceed insecure-pool outflows: no stationary inflow exists")
 
+    # vacancy refill pace that keeps occupancy level under those filings
+    base = with_value(base, "baseline_filing_fraction", filing_fraction)
+    rates, aux = build_derivative(base, _UNCAPPED_DT)(state, 0.0)
+    supply = aux["tenant_moveins"]
+    moveins = supply - rates["units_occupied"]
+    if moveins <= EPS:
+        raise EquilibriumError(
+            "occupied-unit outflows do not exceed case resolutions: "
+            "no positive move-in rate can hold occupancy level")
+    if supply <= EPS:
+        raise EquilibriumError("no vacant units or insecure households to supply move-ins")
+
+    mortgaged = state["units_occupied"] + state["units_pending_eviction"] + state["units_vacant"]
     out = params
-    for path, value in (
-        ("rent_owed_initial", rent_owed),
-        ("mortgage_owed_initial", mortgage_owed),
-        ("units_foreclosed_initial", foreclosed),
-        ("baseline_filing_fraction", filing_fraction),
-        ("move_in_time", move_in_time),
-        ("rate_new_homelessness", new_homeless),
-        ("rate_new_insecurity", new_insecure),
-        ("landlord_income_per_unit", rent_paid / max(mortgaged, EPS)),
-    ):
+    for path, value in zip(DERIVED_FIELDS, (
+        state["rent_owed"], state["mortgage_owed"], foreclosed, filing_fraction,
+        supply / moveins, new_homeless, new_insecure, aux["rent_paid"] / max(mortgaged, EPS),
+    )):
         out = with_value(out, path, value)
     return out

@@ -24,7 +24,7 @@ import yaml
 
 from rentdyn.engine import SimClock, Trajectory
 from rentdyn.model import run_model
-from rentdyn.params import ModelParams, validate_params, with_value
+from rentdyn.params import FIELDS, ModelParams, validate_params, with_value
 
 __all__ = [
     "Scenario",
@@ -79,13 +79,23 @@ BUILTIN_SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
 })
 
 
+def _number(path: Path, name: str, key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: scenario '{name}' field '{key}' is not a number: {value!r}"
+        ) from exc
+
+
 def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     """Load scenario definitions from a YAML file.
 
     Each top-level key names a scenario; recognized fields are
     ``description``, ``covid``, ``moratorium``, ``assistance``,
     ``assistance_rate_multiplier``, and an ``overrides`` mapping of dotted
-    parameter paths to values. Unknown fields are errors.
+    parameter paths to values. Unknown fields, override paths that are not
+    registry fields, and non-numeric values are errors.
     """
     path = Path(path)
     try:
@@ -96,6 +106,7 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
         raise ValueError(f"{path}: expected a mapping of scenario names")
     known = {"description", "covid", "moratorium", "assistance",
              "assistance_rate_multiplier", "overrides"}
+    paths = {f.path for f in FIELDS}
     out: dict[str, Scenario] = {}
     for name, spec in raw.items():
         spec = spec or {}
@@ -109,14 +120,21 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
         overrides = spec.get("overrides") or {}
         if not isinstance(overrides, dict):
             raise ValueError(f"{path}: scenario '{name}' overrides must be a mapping")
+        unknown = sorted(str(k) for k in overrides if k not in paths)
+        if unknown:
+            raise ValueError(f"{path}: scenario '{name}' overrides unknown parameter "
+                             f"paths: {', '.join(unknown)}")
         out[name] = Scenario(
             name=name,
             description=str(spec.get("description", "")),
             covid=bool(spec.get("covid", False)),
             moratorium=bool(spec.get("moratorium", False)),
             assistance=bool(spec.get("assistance", False)),
-            assistance_rate_multiplier=float(spec.get("assistance_rate_multiplier", 1.0)),
-            overrides={str(k): float(v) for k, v in overrides.items()},
+            assistance_rate_multiplier=_number(
+                path, name, "assistance_rate_multiplier",
+                spec.get("assistance_rate_multiplier", 1.0)),
+            overrides={k: _number(path, name, f"overrides.{k}", v)
+                       for k, v in overrides.items()},
         )
     return out
 

@@ -204,8 +204,17 @@ def test_bad_sweep_fraction_fails_cleanly(capsys):
     (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitud: 0.2}\n"),
     (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitude: 9.0}\n"),
     (["suite", "--dt", "inf"], None, None),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid: 0.5}\n"),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  assistance_rate_multiplier: [1]\n"),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitude: [0.2]}\n"),
+    (["calibrate", "--spec"], "spec.yaml", "parameters: 3\ntargets: 3\n"),
+    (["calibrate", "--spec"], "spec.yaml",
+     "parameters: [{path: covid.magnitude}]\ntargets: [run2]\n"),
+    (["suite", "--dt", "2.5"], None, None),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
-        "override-out-of-bounds", "dt-inf"])
+        "override-out-of-bounds", "dt-inf", "override-names-group", "non-scalar-field",
+        "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
+        "burn-in-off-grid"])
 def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):
     if name is not None:
         (tmp_path / name).write_text(text)

@@ -65,6 +65,8 @@ def test_clock_rejects_bad_grid():
         SimClock(dt=0.3, horizon=50.0)  # horizon not a multiple of dt
     with pytest.raises(ValueError):
         SimClock(burn_in=60.0)
+    with pytest.raises(ValueError):
+        SimClock(dt=2.5)  # burn_in 24 is not a whole number of steps
 
 
 # ---------------------------------------------------------------- logistic curve

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 import yaml
 
-from rentdyn.equilibrium import DERIVED_FIELDS, equilibrate
+from rentdyn.equilibrium import DERIVED_FIELDS, EquilibriumError, equilibrate
+from rentdyn.model import STOCKS, build_derivative, initial_state
 from rentdyn.params import (
     FIELDS,
     PROVENANCE_TAGS,
@@ -235,3 +236,31 @@ def test_equilibrate_recomputes_after_perturbation():
     for path in DERIVED_FIELDS:
         assert get_value(again, path) == pytest.approx(
             get_value(balanced, path), rel=1e-9), path
+
+
+@pytest.mark.parametrize("overrides", [{}, {"units_vacant_initial": 15e6}],
+                         ids=["defaults", "vacancy-exceeds-insecure"])
+def test_equilibrated_baseline_is_stationary(overrides):
+    """Every stock but vacancy (which declines by design) starts at rest."""
+    params = dataclasses.replace(default_params(), **overrides)
+    balanced = equilibrate(params)
+    state = initial_state(balanced)
+    rates, _ = build_derivative(balanced, dt=0.25)(state, 0.0)
+    for name in STOCKS:
+        if name != "units_vacant":
+            assert abs(rates[name]) <= 1e-12 * abs(state[name]), name
+
+
+@pytest.mark.parametrize("overrides", [
+    {"units_occupied_initial": 0.0, "units_pending_initial": 0.0},
+    {"units_occupied_initial": 0.0},
+    {"units_vacant_initial": 0.0},
+    {"households_insecure_initial": 4e5},
+    {"households_insecure_initial": 0.0},
+    {"fr_direct_homeless": 0.01},
+], ids=["no-tenanted", "no-occupied", "no-vacant", "few-insecure", "no-insecure",
+        "direct-homeless-too-high"])
+def test_equilibrate_refuses_anchors_without_a_baseline(overrides):
+    params = dataclasses.replace(default_params(), **overrides)
+    with pytest.raises(EquilibriumError):
+        equilibrate(params)
