@@ -22,8 +22,7 @@ import yaml
 from scipy.optimize import Bounds, minimize
 
 from rentdyn.engine import SimClock, SimulationError
-from rentdyn.params import FIELDS, ModelParams, bounds_for, default_params, \
-    get_value, with_value
+from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
@@ -233,8 +232,8 @@ def calibration_loss(
 
 
 def calibrate(
-    params: ModelParams | None = None,
-    spec: CalibrationSpec | None = None,
+    params: ModelParams,
+    spec: CalibrationSpec,
     clock: SimClock | None = None,
     scenarios: dict[str, Scenario] | None = None,
 ) -> CalibrationResult:
@@ -245,9 +244,6 @@ def calibrate(
     simplex equally, and treats any simulation blow-up as an effectively
     infinite loss so the simplex retreats from pathological corners.
     """
-    params = params if params is not None else default_params()
-    if spec is None:
-        raise CalibrationError("a calibration spec is required")
     clock = clock if clock is not None else SimClock()
     scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
 

@@ -38,7 +38,7 @@ class CliError(Exception):
     """A user-input problem that should exit with status 1."""
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_format: bool = False) -> None:
     parser.add_argument("--params", metavar="FILE",
                         help="parameter file (default: built-in calibration)")
     parser.add_argument("--scenarios", metavar="FILE",
@@ -50,8 +50,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "deterministic; the seed only labels outputs)")
     parser.add_argument("--out", metavar="DIR",
                         help="directory for output artifacts (created if needed)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="time-series artifact format (default csv)")
+    if with_format:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="time-series artifact format (default csv)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="scenario name (default run1)")
     p.add_argument("--series", metavar="A,B,C",
                    help="comma-separated series selection for the time-series file")
-    _add_common(p)
+    _add_common(p, with_format=True)
 
     p = sub.add_parser("suite", help="run every scenario and summarize")
-    _add_common(p)
+    _add_common(p, with_format=True)
 
     p = sub.add_parser("compare", help="compare two scenarios metric by metric")
     p.add_argument("--baseline", default="run1", metavar="NAME")
@@ -94,10 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit parameters against scenario targets")
     p.add_argument("--spec", required=True, metavar="FILE",
                    help="YAML calibration spec (parameters, targets, options)")
-    p.add_argument("--out-params", metavar="FILE",
-                   help="write the fitted parameter file here")
-    p.add_argument("--max-iterations", type=int, default=None, metavar="N",
-                   help="override the spec's simplex iteration budget")
     _add_common(p)
     return parser
 
@@ -314,9 +311,6 @@ def _cmd_calibrate(args) -> int:
         spec = load_calibration_spec(args.spec, scenarios)
     except (OSError, CalibrationError) as err:
         raise CliError(f"cannot load calibration spec: {err}") from err
-    if args.max_iterations is not None:
-        from dataclasses import replace as _replace
-        spec = _replace(spec, max_iterations=args.max_iterations)
     result = calibrate(params, spec, clock=clock, scenarios=scenarios)
     print(f"loss {result.initial_loss:.6g} -> {result.loss:.6g} "
           f"after {result.evaluations} evaluations "
@@ -329,10 +323,12 @@ def _cmd_calibrate(args) -> int:
         got = result.achieved[target.key]
         off = abs(got - target.value) / abs(target.value) * 100 if target.value else 0.0
         print(f"  {target.key:<40} {got:.6g} vs {target.value:.6g} ({off:.2f}% off)")
-    if args.out_params:
-        save_params(result.params, args.out_params, name="calibrated",
-                    provenance_overrides={p: "calibrated" for p in result.fitted})
-        print(f"wrote fitted parameter file to {args.out_params}")
+    retag = {path: "calibrated" for path in result.fitted}
+    _write_outputs(args, f"calibrate --spec {args.spec}", params, clock, params_file,
+                   sorted({target.scenario for target in spec.targets}),
+                   lambda out: [save_params(result.params, out / "params.yaml",
+                                            name="calibrated",
+                                            provenance_overrides=retag)])
     return 0
 
 

@@ -442,12 +442,14 @@ def save_params(
     path: str | Path,
     name: str = "custom",
     provenance_overrides: dict[str, str] | None = None,
-) -> None:
-    """Write a parameter file in registry order.
+) -> Path:
+    """Write a parameter file in registry order, atomically; return its path.
 
     ``provenance_overrides`` re-tags entries (the calibrator marks the fields
     it moved as ``calibrated``).
     """
+    from rentdyn.output import atomic_write_text  # output imports this module
+
     overrides = provenance_overrides or {}
     for tag in overrides.values():
         if tag not in PROVENANCE_TAGS:
@@ -463,7 +465,4 @@ def save_params(
             entry["note"] = f.note
         entries[f.path] = entry
     doc = {"name": name, "params": entries}
-    text = yaml.safe_dump(doc, sort_keys=False, width=100)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    return atomic_write_text(path, yaml.safe_dump(doc, sort_keys=False, width=100))

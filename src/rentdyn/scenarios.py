@@ -49,7 +49,6 @@ class Scenario:
     covid: bool = False
     moratorium: bool = False
     assistance: bool = False
-    assistance_rate_multiplier: float = 1.0
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def apply(self, params: ModelParams) -> ModelParams:
@@ -57,9 +56,6 @@ class Scenario:
         out = with_value(params, "covid.enabled", self.covid)
         out = with_value(out, "moratorium.enabled", self.moratorium)
         out = with_value(out, "assistance.enabled", self.assistance)
-        if self.assistance:
-            out = with_value(out, "assistance.rate_multiplier",
-                             self.assistance_rate_multiplier)
         for path in sorted(self.overrides):
             out = with_value(out, path, float(self.overrides[path]))
         validate_params(out)
@@ -75,7 +71,7 @@ BUILTIN_SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
                      covid=True, moratorium=True, assistance=True),
     "run4a": Scenario("run4a", "run4 with disbursement three times faster",
                       covid=True, moratorium=True, assistance=True,
-                      assistance_rate_multiplier=3.0),
+                      overrides={"assistance.rate_multiplier": 3.0}),
 })
 
 
@@ -92,10 +88,11 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     """Load scenario definitions from a YAML file.
 
     Each top-level key names a scenario; recognized fields are
-    ``description``, ``covid``, ``moratorium``, ``assistance``,
-    ``assistance_rate_multiplier``, and an ``overrides`` mapping of dotted
-    parameter paths to values. Unknown fields, override paths that are not
-    registry fields, and non-numeric values are errors.
+    ``description``, the policy switches ``covid``, ``moratorium`` and
+    ``assistance`` (YAML booleans), and an ``overrides`` mapping of dotted
+    parameter paths to values. Unknown fields, non-boolean switches,
+    override paths that are not registry fields, and non-numeric values are
+    errors.
     """
     path = Path(path)
     try:
@@ -104,8 +101,8 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
         raise ValueError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a mapping of scenario names")
-    known = {"description", "covid", "moratorium", "assistance",
-             "assistance_rate_multiplier", "overrides"}
+    switches = ("covid", "moratorium", "assistance")
+    known = {"description", "overrides", *switches}
     paths = {f.path for f in FIELDS}
     out: dict[str, Scenario] = {}
     for name, spec in raw.items():
@@ -124,15 +121,16 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
         if unknown:
             raise ValueError(f"{path}: scenario '{name}' overrides unknown parameter "
                              f"paths: {', '.join(unknown)}")
+        for key in switches:
+            if not isinstance(spec.get(key, False), bool):
+                raise ValueError(f"{path}: scenario '{name}' field '{key}' is not "
+                                 f"a boolean (true or false): {spec[key]!r}")
         out[name] = Scenario(
             name=name,
             description=str(spec.get("description", "")),
-            covid=bool(spec.get("covid", False)),
-            moratorium=bool(spec.get("moratorium", False)),
-            assistance=bool(spec.get("assistance", False)),
-            assistance_rate_multiplier=_number(
-                path, name, "assistance_rate_multiplier",
-                spec.get("assistance_rate_multiplier", 1.0)),
+            covid=spec.get("covid", False),
+            moratorium=spec.get("moratorium", False),
+            assistance=spec.get("assistance", False),
             overrides={k: _number(path, name, f"overrides.{k}", v)
                        for k, v in overrides.items()},
         )

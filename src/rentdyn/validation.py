@@ -305,8 +305,8 @@ class SweepEntry:
     elasticities: dict[str, float]
 
 
-def _metric_values(metrics: MetricSet, names: tuple[str, ...]) -> dict[str, float]:
-    return {name: float(getattr(metrics, name)) for name in names}
+def _metric_values(metrics: MetricSet) -> dict[str, float]:
+    return {name: float(getattr(metrics, name)) for name in _SWEEP_METRICS}
 
 
 def sensitivity_sweep(
@@ -314,7 +314,6 @@ def sensitivity_sweep(
     scenario: Scenario | None = None,
     clock: SimClock | None = None,
     fraction: float = 0.15,
-    metrics: tuple[str, ...] = _SWEEP_METRICS,
 ) -> tuple[dict[str, float], list[SweepEntry]]:
     """Perturb every registered numeric parameter one at a time by ±fraction.
 
@@ -335,8 +334,7 @@ def sensitivity_sweep(
     scenario = scenario if scenario is not None else BUILTIN_SCENARIOS["run2"]
     clock = clock if clock is not None else SimClock()
 
-    base_metrics = _metric_values(
-        run_scenario(params, scenario, clock=clock).metrics, metrics)
+    base_metrics = _metric_values(run_scenario(params, scenario, clock=clock).metrics)
 
     entries: list[SweepEntry] = []
     for path in sweepable_parameters():
@@ -350,15 +348,15 @@ def sensitivity_sweep(
                     parameter=path, direction=direction, baseline_value=base,
                     requested_value=requested, applied_value=applied, clamped=clamped,
                     metrics=dict(base_metrics),
-                    elasticities={name: 0.0 for name in metrics},
+                    elasticities={name: 0.0 for name in _SWEEP_METRICS},
                 ))
                 continue
             perturbed = with_value(params, path, applied)
             run = run_scenario(perturbed, scenario, clock=clock)
-            values = _metric_values(run.metrics, metrics)
+            values = _metric_values(run.metrics)
             rel_dp = (applied - base) / base if base != 0.0 else math.inf
             elasticities = {}
-            for name in metrics:
+            for name in _SWEEP_METRICS:
                 m0 = base_metrics[name]
                 if m0 == 0.0 or not math.isfinite(rel_dp):
                     elasticities[name] = 0.0

@@ -1,12 +1,13 @@
 """Command-line interface: artifacts, manifests, determinism, failure modes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from rentdyn.cli import main
+from rentdyn.cli import _build_parser, main
 from rentdyn.output import file_sha256
 from rentdyn.params import default_params, save_params
 
@@ -27,6 +28,27 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "evictions (window total)" in proc.stdout
+
+
+# 41 options in all: each is read by the command that registers it
+_COMMON_OPTIONS = {"--params", "--scenarios", "--dt", "--seed", "--out"}
+_OWN_OPTIONS = {
+    "simulate": {"--scenario", "--series", "--format"},
+    "suite": {"--format"},
+    "compare": {"--baseline", "--variant"},
+    "sweep": {"--scenario", "--fraction", "--top"},
+    "validate": {"--references"},
+    "calibrate": {"--spec"},
+}
+
+
+@pytest.mark.parametrize("command", _OWN_OPTIONS)
+def test_each_command_registers_only_the_options_it_reads(command):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_OWN_OPTIONS)
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == _COMMON_OPTIONS | _OWN_OPTIONS[command]
 
 
 def test_simulate_prints_summary_without_out_dir(capsys, tmp_path):
@@ -121,13 +143,19 @@ def test_calibrate_writes_retagged_params(tmp_path):
         "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"
         "options: {max_iterations: 40}\n"
     )
-    fitted_file = tmp_path / "fitted.yaml"
-    rc = main(["calibrate", "--spec", str(spec), "--out-params", str(fitted_file)])
+    out = tmp_path / "fit"
+    rc = main(["calibrate", "--spec", str(spec), "--out", str(out), "--seed", "5"])
     assert rc == 0
     from rentdyn.params import load_params
-    fitted, meta = load_params(fitted_file)
+    fitted, meta = load_params(out / "params.yaml")
     assert 0.5 <= fitted.covid.magnitude <= 0.7
     assert meta["provenance"]["covid.magnitude"] == "calibrated"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == {"params.yaml": file_sha256(out / "params.yaml")}
+    assert manifest["seed"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--spec", str(spec), "--out-params", str(tmp_path / "f.yaml")])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------- inputs
@@ -205,14 +233,14 @@ def test_bad_sweep_fraction_fails_cleanly(capsys):
     (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitude: 9.0}\n"),
     (["suite", "--dt", "inf"], None, None),
     (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid: 0.5}\n"),
-    (["suite", "--scenarios"], "scen.yaml", "x:\n  assistance_rate_multiplier: [1]\n"),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  covid: \"false\"\n"),
     (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitude: [0.2]}\n"),
     (["calibrate", "--spec"], "spec.yaml", "parameters: 3\ntargets: 3\n"),
     (["calibrate", "--spec"], "spec.yaml",
      "parameters: [{path: covid.magnitude}]\ntargets: [run2]\n"),
     (["suite", "--dt", "2.5"], None, None),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
-        "override-out-of-bounds", "dt-inf", "override-names-group", "non-scalar-field",
+        "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
         "burn-in-off-grid"])
 def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):

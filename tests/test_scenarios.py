@@ -30,7 +30,7 @@ def test_builtin_ladder_switches():
     assert BUILTIN_SCENARIOS["run2"].covid and not BUILTIN_SCENARIOS["run2"].moratorium
     assert BUILTIN_SCENARIOS["run3"].moratorium and not BUILTIN_SCENARIOS["run3"].assistance
     assert BUILTIN_SCENARIOS["run4"].assistance
-    assert BUILTIN_SCENARIOS["run4a"].assistance_rate_multiplier == 3.0
+    assert BUILTIN_SCENARIOS["run4a"].overrides == {"assistance.rate_multiplier": 3.0}
 
 
 def test_builtins_are_read_only():
@@ -173,15 +173,25 @@ def test_shipped_scenario_file_matches_builtins():
         assert scenario.covid == built.covid, name
         assert scenario.moratorium == built.moratorium, name
         assert scenario.assistance == built.assistance, name
-        assert scenario.assistance_rate_multiplier == built.assistance_rate_multiplier
+        assert scenario.overrides == built.overrides, name
 
 
 def test_load_scenarios_rejects_unknown_fields(tmp_path):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("custom:\n  covid: true\n  moratorum: true\n")
+    bad.write_text("custom:\n  covid: true\n  moratorum: true\n"
+                   "  assistance_rate_multiplier: 3.0\n")
     with pytest.raises(ValueError) as err:
         load_scenarios(bad)
-    assert "moratorum" in str(err.value)
+    assert "assistance_rate_multiplier, moratorum" in str(err.value)
+
+
+@pytest.mark.parametrize("value", ['"false"', "[0]", "1", ""],
+                         ids=["quoted", "list", "integer", "null"])
+def test_load_scenarios_rejects_non_boolean_switch(tmp_path, value):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"custom:\n  covid: true\n  moratorium: {value}\n")
+    with pytest.raises(ValueError, match="scenario 'custom' field 'moratorium'"):
+        load_scenarios(bad)
 
 
 def test_load_scenarios_rejects_non_mapping(tmp_path):

@@ -4,6 +4,10 @@ Theil oracles are frozen literals computed by hand from the definitions.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,17 @@ GOOD_CSV = """calendar_month,value,scenario,series,units,source
 2021-01,590000,run1,households_homeless,households,test fixture
 2022-01,600000,run1,households_homeless,households,test fixture
 """
+
+
+def test_import_loads_neither_calibration_nor_scipy():
+    import rentdyn
+    env = dict(os.environ, PYTHONPATH=str(Path(rentdyn.__file__).parents[1]))
+    code = ("import sys, rentdyn.validation\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'rentdyn.calibration' or m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- Theil U
