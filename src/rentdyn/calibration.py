@@ -1,11 +1,13 @@
-"""Derivative-free calibration of model constants against scenario metrics.
+"""Least-squares calibration of model constants against scenario metrics.
 
 A calibration spec names a handful of free parameters (with bounds) and a
-set of weighted targets, each target being one metric of one scenario. The
-loss is the weighted sum of squared relative misses, and the search is a
-bounded Nelder-Mead simplex: the model is far too nonlinear for gradients
-and cheap enough (a few milliseconds per run) that a few hundred simplex
-evaluations are nothing.
+set of weighted targets, each target being one metric of one scenario. Each
+target contributes one weighted relative residual; the loss is their sum of
+squares, and the search is bounded trust-region reflective least squares
+(Branch, Coleman & Li, SIAM J. Sci. Comput. 21(1), 1999) with a
+finite-difference Jacobian. A spec may free no more parameters than it has
+targets: with more, the exact fits form a ridge and the answer would depend
+on the start.
 
 The search is fully deterministic: same spec, same starting parameters,
 same result.
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import least_squares
 
 from rentdyn.engine import SimClock, SimulationError
 from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, with_value
@@ -70,11 +72,21 @@ class CalibrationParameter:
 
 @dataclass(frozen=True)
 class CalibrationSpec:
-    """Free parameters plus weighted targets plus search options."""
+    """Free parameters plus weighted targets plus search options.
+
+    ``max_iterations`` caps the residual evaluations the solver may make
+    (finite-difference Jacobian evaluations come on top).
+    """
 
     parameters: tuple[CalibrationParameter, ...]
     targets: tuple[CalibrationTarget, ...]
     max_iterations: int = 400
+
+    def __post_init__(self) -> None:
+        if len(self.parameters) > len(self.targets):
+            raise CalibrationError(
+                f"{len(self.parameters)} free parameters but only "
+                f"{len(self.targets)} targets: the fit would not be unique")
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,9 @@ class CalibrationResult:
     converged: bool
     fitted: dict[str, float]
     achieved: dict[str, float]
+    # of the relative-coordinate Jacobian at the fit; a value near zero
+    # marks a direction the targets barely constrain
+    singular_values: tuple[float, ...]
 
 
 def _check_target(entry: dict, scenarios: dict[str, Scenario]) -> CalibrationTarget:
@@ -213,6 +228,21 @@ def _achieved_metrics(
     return out
 
 
+def _residuals(
+    params: ModelParams,
+    spec: CalibrationSpec,
+    clock: SimClock,
+    scenarios: dict[str, Scenario],
+) -> np.ndarray:
+    """One weighted relative miss per target, in spec order."""
+    achieved = _achieved_metrics(params, spec, clock, scenarios)
+    out = np.empty(len(spec.targets))
+    for i, target in enumerate(spec.targets):
+        scale = abs(target.value) if target.value != 0.0 else 1.0
+        out[i] = math.sqrt(target.weight) * (achieved[target.key] - target.value) / scale
+    return out
+
+
 def calibration_loss(
     params: ModelParams,
     spec: CalibrationSpec,
@@ -222,13 +252,7 @@ def calibration_loss(
     """Weighted sum of squared relative target misses (lower is better)."""
     clock = clock if clock is not None else SimClock()
     scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
-    achieved = _achieved_metrics(params, spec, clock, scenarios)
-    loss = 0.0
-    for target in spec.targets:
-        scale = abs(target.value) if target.value != 0.0 else 1.0
-        miss = (achieved[target.key] - target.value) / scale
-        loss += target.weight * miss * miss
-    return loss
+    return float(np.sum(_residuals(params, spec, clock, scenarios) ** 2))
 
 
 def calibrate(
@@ -237,12 +261,13 @@ def calibrate(
     clock: SimClock | None = None,
     scenarios: dict[str, Scenario] | None = None,
 ) -> CalibrationResult:
-    """Fit the spec'd parameters with a bounded Nelder-Mead simplex search.
+    """Fit the spec'd parameters by bounded trust-region least squares.
 
     Starts from ``params`` (clipping each free value into its bounds), works
     in relative coordinates so differently-scaled parameters condition the
-    simplex equally, and treats any simulation blow-up as an effectively
-    infinite loss so the simplex retreats from pathological corners.
+    finite-difference Jacobian equally, and treats any simulation blow-up as
+    a residual vector of effectively infinite loss so the trust region
+    shrinks away from pathological corners.
     """
     clock = clock if clock is not None else SimClock()
     scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
@@ -254,6 +279,7 @@ def calibrate(
     x0 = np.clip(x0, lower, upper)
     # relative coordinates: unit step = the starting magnitude (or 1 if zero)
     scale = np.where(np.abs(x0) > 0.0, np.abs(x0), 1.0)
+    failure = np.full(len(spec.targets), math.sqrt(_FAILURE_LOSS / len(spec.targets)))
 
     evaluations = 0
 
@@ -263,36 +289,35 @@ def calibrate(
             candidate = with_value(candidate, path, float(value))
         return candidate
 
-    def objective(z: np.ndarray) -> float:
+    def residuals(z: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
         try:
-            return calibration_loss(apply(z), spec, clock, scenarios)
+            return _residuals(apply(z), spec, clock, scenarios)
         except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
-            return _FAILURE_LOSS
+            return failure
 
-    initial_loss = objective(x0 / scale)
+    initial_loss = float(np.sum(residuals(x0 / scale) ** 2))
     evaluations = 0
-    result = minimize(
-        objective,
+    result = least_squares(
+        residuals,
         x0 / scale,
-        method="Nelder-Mead",
-        bounds=Bounds(lower / scale, upper / scale),
-        options={
-            "maxiter": spec.max_iterations,
-            "xatol": 1e-6,
-            "fatol": 1e-10,
-        },
+        method="trf",
+        bounds=(lower / scale, upper / scale),
+        max_nfev=spec.max_iterations,
     )
+    loss = float(np.sum(result.fun ** 2))
     fitted_params = apply(np.asarray(result.x))
     achieved = _achieved_metrics(fitted_params, spec, clock, scenarios)
     return CalibrationResult(
         params=fitted_params,
-        loss=float(result.fun),
-        initial_loss=float(initial_loss),
+        loss=loss,
+        initial_loss=initial_loss,
         evaluations=evaluations,
-        iterations=int(result.nit),
-        converged=bool(result.success),
+        iterations=int(result.nfev),
+        converged=bool(result.status > 0) and loss < _FAILURE_LOSS,
         fitted={path: float(get_value(fitted_params, path)) for path in paths},
         achieved=achieved,
+        singular_values=tuple(float(v) for v in
+                              np.linalg.svd(result.jac, compute_uv=False)),
     )

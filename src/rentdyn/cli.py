@@ -314,7 +314,9 @@ def _cmd_calibrate(args) -> int:
     result = calibrate(params, spec, clock=clock, scenarios=scenarios)
     print(f"loss {result.initial_loss:.6g} -> {result.loss:.6g} "
           f"after {result.evaluations} evaluations "
-          f"({'converged' if result.converged else 'iteration budget hit'})")
+          f"({'converged' if result.converged else 'not converged'})")
+    print("singular values of the scaled Jacobian: "
+          + " ".join(f"{v:.3g}" for v in result.singular_values))
     print("fitted parameters:")
     for path, value in result.fitted.items():
         print(f"  {path:<40} {value:.6g}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,7 @@ import numpy as np
 from rentdyn.engine import SimClock, Trajectory
 from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
     sweepable_parameters, with_value
-from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, \
-    compute_metrics, run_scenario
+from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
     "theils_u",

@@ -1,4 +1,4 @@
-"""Calibration spec loading, loss, and simplex recovery of known optima."""
+"""Calibration spec loading, loss, and least-squares recovery of known optima."""
 
 import pytest
 
@@ -39,7 +39,7 @@ def _recovery_spec():
 
 def test_shipped_spec_loads_and_is_already_optimal():
     spec = load_calibration_spec("params/calibration.yaml")
-    assert len(spec.parameters) == 5
+    assert len(spec.parameters) == 4
     assert len(spec.targets) == 4
     assert spec.max_iterations == 600
     loss = calibration_loss(default_params(), spec)
@@ -97,6 +97,23 @@ def test_spec_rejects_empty_sections_and_unknown_keys(tmp_path):
     ))
     with pytest.raises(CalibrationError):
         load_calibration_spec(path)
+
+
+def test_spec_refuses_more_parameters_than_targets(tmp_path):
+    path = _write_spec(tmp_path, (
+        "parameters:\n"
+        "  - path: covid.magnitude\n  - path: covid.recovery_time\n"
+        "  - path: rent_delay_curve.steepness\n  - path: moratorium.filing_reduction\n"
+        "  - path: assistance.disbursement_time\n"
+        "targets:\n"
+        "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"
+        "  - {scenario: run2, metric: arrears_growth_36mo, value: 2.0e10}\n"
+        "  - {scenario: run3, metric: evictions_total, value: 3.4e6}\n"
+        "  - {scenario: run4, metric: assistance_disbursed_fraction, value: 0.4}\n"
+    ))
+    with pytest.raises(CalibrationError) as err:
+        load_calibration_spec(path)
+    assert "5" in str(err.value) and "4" in str(err.value)
 
 
 def test_spec_rejects_duplicate_parameter(tmp_path):
@@ -160,6 +177,8 @@ def test_recovery_respects_bounds_and_reports_work(recovery):
         assert get_value(result.params, p.path) == result.fitted[p.path]
     assert result.evaluations > 0
     assert result.iterations > 0
+    assert len(result.singular_values) == len(spec.parameters)
+    assert all(v > 0.0 for v in result.singular_values)
 
 
 def test_recovery_is_deterministic(recovery):
@@ -168,6 +187,22 @@ def test_recovery_is_deterministic(recovery):
     assert second.fitted == first.fitted
     assert second.loss == first.loss
     assert second.evaluations == first.evaluations
+
+
+def test_shipped_spec_fit_does_not_depend_on_the_start():
+    spec = load_calibration_spec("params/calibration.yaml")
+    results = [
+        calibrate(with_value(default_params(), "covid.magnitude", m), spec)
+        for m in (0.475, 0.54)
+    ]
+    for result in results:
+        assert result.converged
+        assert result.evaluations < 120
+        for target in spec.targets:
+            assert result.achieved[target.key] == pytest.approx(target.value, rel=1e-6)
+    first, second = results
+    for path, value in first.fitted.items():
+        assert second.fitted[path] == pytest.approx(value, rel=1e-4), path
 
 
 def test_start_outside_bounds_is_clipped_in():

@@ -134,7 +134,7 @@ def test_validate_missing_references_is_not_fatal(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out.lower()
 
 
-def test_calibrate_writes_retagged_params(tmp_path):
+def test_calibrate_writes_retagged_params(tmp_path, capsys):
     spec = tmp_path / "spec.yaml"
     spec.write_text(
         "parameters:\n"
@@ -146,6 +146,7 @@ def test_calibrate_writes_retagged_params(tmp_path):
     out = tmp_path / "fit"
     rc = main(["calibrate", "--spec", str(spec), "--out", str(out), "--seed", "5"])
     assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("singular values")
     from rentdyn.params import load_params
     fitted, meta = load_params(out / "params.yaml")
     assert 0.5 <= fitted.covid.magnitude <= 0.7
@@ -238,11 +239,20 @@ def test_bad_sweep_fraction_fails_cleanly(capsys):
     (["calibrate", "--spec"], "spec.yaml", "parameters: 3\ntargets: 3\n"),
     (["calibrate", "--spec"], "spec.yaml",
      "parameters: [{path: covid.magnitude}]\ntargets: [run2]\n"),
+    (["calibrate", "--spec"], "spec.yaml",
+     "parameters: [{path: covid.magnitude}, {path: covid.recovery_time},"
+     " {path: rent_delay_curve.steepness}, {path: moratorium.filing_reduction},"
+     " {path: assistance.disbursement_time}]\n"
+     "targets:\n"
+     "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"
+     "  - {scenario: run2, metric: arrears_growth_36mo, value: 2.0e10}\n"
+     "  - {scenario: run3, metric: evictions_total, value: 3.4e6}\n"
+     "  - {scenario: run4, metric: assistance_disbursed_fraction, value: 0.4}\n"),
     (["suite", "--dt", "2.5"], None, None),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
-        "burn-in-off-grid"])
+        "spec-more-parameters-than-targets", "burn-in-off-grid"])
 def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):
     if name is not None:
         (tmp_path / name).write_text(text)
