@@ -282,6 +282,9 @@ def calibrate(
     failure = np.full(len(spec.targets), math.sqrt(_FAILURE_LOSS / len(spec.targets)))
 
     evaluations = 0
+    # the last point and its residuals: least_squares opens at the start that
+    # initial_loss has just scored (an interior start reaches it unmoved)
+    last: dict[bytes, np.ndarray] = {}
 
     def apply(z: np.ndarray) -> ModelParams:
         candidate = params
@@ -292,10 +295,15 @@ def calibrate(
     def residuals(z: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        try:
-            return _residuals(apply(z), spec, clock, scenarios)
-        except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
-            return failure
+        key = z.tobytes()
+        if key not in last:
+            try:
+                out = _residuals(apply(z), spec, clock, scenarios)
+            except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
+                out = failure
+            last.clear()
+            last[key] = out
+        return last[key]
 
     initial_loss = float(np.sum(residuals(x0 / scale) ** 2))
     evaluations = 0

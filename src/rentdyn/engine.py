@@ -5,6 +5,12 @@ calendar anchor, saturating effect curves (logistic and Gompertz), and
 forward-Euler integration with non-negativity clamping on declared stocks.
 A first-order smooth is integrated as one more stock of the model.
 
+The state is a sequence of stock levels in a fixed order. Each level is a
+float for one run, or a ``(B,)`` array for a batch of B runs stepped
+together: one derivative call per grid point serves the whole batch, each
+column keeps its own clamp events, and a batch can keep only the series a
+caller needs, so it records a fraction of what B single runs would.
+
 The integrator is deliberately fixed-step (no adaptive error control): model
 results must be reproducible bit-for-bit for a given grid, and time-step
 sensitivity is probed explicitly by halving ``dt`` rather than hidden inside
@@ -14,8 +20,10 @@ a solver.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +43,14 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """Raised when integration produces a non-finite value."""
+    """Raised when integration produces a non-finite value.
+
+    ``column`` is the batch column the message describes (None for one run).
+    """
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -115,18 +130,21 @@ class LogisticCurve:
             raise ValueError(f"inflection must be positive, got {self.inflection}")
         if not (self.slope > 0.0):
             raise ValueError(f"slope must be positive, got {self.slope}")
+        # constants of __call__, computed once; not fields, so replace() renews them
+        object.__setattr__(self, "_log_inflection", math.log(self.inflection))
+        object.__setattr__(self, "_span", self.y_min - self.y_max)
 
     def __call__(self, ratio: float) -> float:
         if ratio <= 0.0:
             return self.y_min
         if math.isinf(ratio):
             return self.y_max
-        z = self.slope * (math.log(ratio) - math.log(self.inflection))
+        z = self.slope * (math.log(ratio) - self._log_inflection)
         if z >= 700.0:
             return self.y_max
         if z <= -700.0:
             return self.y_min
-        return self.y_max + (self.y_min - self.y_max) / (1.0 + math.exp(z))
+        return self.y_max + self._span / (1.0 + math.exp(z))
 
 
 @dataclass(frozen=True)
@@ -148,14 +166,18 @@ class GompertzCurve:
             raise ValueError(
                 f"y_final {self.y_final} below floor {self.floor}: curve could not saturate"
             )
+        # constants of __call__, computed once; not fields, so replace() renews them
+        object.__setattr__(self, "_rate", math.exp(min(self.steepness, 700.0)))
+        object.__setattr__(self, "_span", self.y_initial - self.y_final)
 
     def __call__(self, x: float) -> float:
-        arg = math.exp(min(self.steepness, 700.0)) * x
+        arg = self._rate * x
         if arg >= 745.0 or math.isinf(arg):
             decay = 0.0
         else:
             decay = math.exp(-arg)
-        return max(self.floor, self.y_final + (self.y_initial - self.y_final) * decay)
+        value = self.y_final + self._span * decay
+        return value if value > self.floor else self.floor  # max(floor, value), NaN too
 
 
 @dataclass(frozen=True)
@@ -168,36 +190,60 @@ class ClampEvent:
 
 
 def euler_step(
-    state: Mapping[str, float],
-    rates: Mapping[str, float],
+    state: Sequence[float],
+    rates: Sequence[float],
     dt: float,
-    nonneg: frozenset[str] = frozenset(),
+    nonneg: Mapping[int, str] = MappingProxyType({}),
     time: float = 0.0,
     events: list[ClampEvent] | None = None,
-) -> dict[str, float]:
+) -> list[float]:
     """Advance every state entry by ``dt * rate``.
 
-    Entries named in ``nonneg`` are clamped at zero. A clamp deeper than
-    rounding dust (relative 1e-9) is recorded in ``events``; well-formed
-    models limit their outflows so this never fires.
+    ``nonneg`` maps the index of each entry clamped at zero to the name its
+    clamp events carry. A clamp deeper than rounding dust (relative 1e-9) is
+    recorded in ``events``; well-formed models limit their outflows so this
+    never fires.
     """
-    out = {}
-    for name, value in state.items():
-        new = value + dt * rates.get(name, 0.0)
-        if name in nonneg and new < 0.0:
-            if events is not None and new < -EPS * max(1.0, abs(value)):
-                events.append(ClampEvent(time=time, name=name, value=new))
-            new = 0.0
-        out[name] = new
+    out = [value + dt * rate for value, rate in zip(state, rates)]
+    # one scan skips the loop when nothing is negative; min() of a list that
+    # starts with a NaN is NaN, and that fails the test too
+    if not min(out) >= 0.0:
+        for i in nonneg:
+            new = out[i]
+            if new < 0.0:
+                if events is not None and new < -EPS * max(1.0, abs(state[i])):
+                    events.append(ClampEvent(time=time, name=nonneg[i], value=new))
+                out[i] = 0.0
     return out
 
 
-DerivFn = Callable[[Mapping[str, float], float], "tuple[dict[str, float], dict[str, float]]"]
+def _euler_step_batch(
+    state: Sequence[np.ndarray],
+    rates: Sequence[np.ndarray],
+    dt: float,
+    nonneg: Mapping[int, str],
+    time: float,
+    events: list[list[ClampEvent]],
+) -> list[np.ndarray]:
+    """:func:`euler_step` on ``(B,)`` arrays, with one event list per column."""
+    out = [value + dt * rate for value, rate in zip(state, rates)]
+    for i, name in nonneg.items():
+        new = out[i]
+        negative = new < 0.0
+        if negative.any():
+            deep = new < -EPS * np.maximum(1.0, np.abs(state[i]))
+            for b in np.flatnonzero(deep):
+                events[b].append(ClampEvent(time=time, name=name, value=float(new[b])))
+            out[i] = np.where(negative, 0.0, new)
+    return out
+
+
+DerivFn = Callable[[Sequence, float], "tuple[Sequence, Mapping]"]
 
 
 @dataclass
 class Trajectory:
-    """Simulation output: sample times plus one array per stock/auxiliary."""
+    """Simulation output: sample times plus one array per recorded stock/auxiliary."""
 
     clock: SimClock
     times: np.ndarray
@@ -232,52 +278,130 @@ class Trajectory:
         return float(np.sum(values[:-1]) * self.clock.dt)
 
 
+def _nonfinite(name: str, t: float, value) -> str:
+    return f"non-finite value for '{name}' at t={t:.4g}: {value}"
+
+
 def simulate(
     deriv: DerivFn,
     clock: SimClock,
-    initial: Mapping[str, float],
+    initial: Mapping[str, float | np.ndarray],
     nonneg: frozenset[str] = frozenset(),
-) -> Trajectory:
+    record: Sequence[str] | None = None,
+) -> Trajectory | list[Trajectory]:
     """Integrate ``deriv`` over the clock grid with forward Euler.
 
     Parameters
     ----------
     deriv : callable
-        ``deriv(state, t) -> (rates, aux)``. ``rates`` maps stock names to
-        time derivatives; ``aux`` maps auxiliary names (flows, effects) to
-        their instantaneous values, recorded alongside the stocks.
+        ``deriv(state, t) -> (rates, aux)``. ``state`` and ``rates`` are
+        sequences in the order of ``initial``; ``aux`` maps auxiliary names
+        (flows, effects) to their instantaneous values, recorded alongside
+        the stocks.
     clock : SimClock
         Integration grid.
     initial : mapping
-        Initial stock levels; its keys define the state vector.
+        Initial stock levels; its keys name the state entries, in order.
+        Floats make one run. ``(B,)`` arrays make a batch of B runs stepped
+        together (floats among them are broadcast across the batch).
     nonneg : frozenset
         Stock names clamped at zero after each step.
+    record : sequence of str, optional
+        The series to keep (default: every stock and auxiliary).
 
     Returns
     -------
-    Trajectory
-        Stocks and auxiliaries sampled at every grid point, including both
-        endpoints. Raises :class:`SimulationError` on non-finite values.
+    Trajectory or list of Trajectory
+        The kept series sampled at every grid point, including both
+        endpoints: one trajectory for one run, one per column for a batch,
+        each column with its own clamp events and views into one shared
+        block. Every stock and auxiliary is checked at every sample, kept or
+        not, and a non-finite value raises :class:`SimulationError` naming
+        the first bad series at the earliest bad time; in a batch it reports
+        the lowest such column, so the message is the one that column's own
+        run raises.
     """
+    names = list(initial)
+    clamped = {i: name for i, name in enumerate(names) if name in nonneg}
+    state = list(initial.values())
+    if any(isinstance(v, np.ndarray) for v in state):
+        return _simulate_batch(deriv, clock, names, state, clamped, record)
     times = clock.times()
     n = len(times)
-    state = dict(initial)
     events: list[ClampEvent] = []
-    rows: list[list[float]] = []
+    samples: list[float] = []  # row-major: every stock, then every auxiliary, per time
 
-    for k, t in enumerate(times):
-        rates, aux = deriv(state, float(t))
-        rows.append([*state.values(), *aux.values()])
+    for k, t in enumerate(times.tolist()):
+        rates, aux = deriv(state, t)
+        samples += state
+        samples += aux.values()
         if k < n - 1:
-            state = euler_step(state, rates, clock.dt, nonneg, time=float(t), events=events)
+            state = euler_step(state, rates, clock.dt, clamped, time=t, events=events)
 
-    names = [*state, *aux]
-    data = np.array(rows, dtype=float)
+    names += aux
+    data = np.fromiter(samples, float, n * len(names)).reshape(n, -1)
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         k, j = bad[0]  # row-major: earliest time first, then series order
-        raise SimulationError(
-            f"non-finite value for '{names[j]}' at t={times[k]:.4g}: {data[k, j]}"
-        )
+        raise SimulationError(_nonfinite(names[j], times[k], data[k, j]))
     series = dict(zip(names, data.T.copy()))
+    if record is not None:
+        series = {name: series[name] for name in record}
     return Trajectory(clock=clock, times=times, series=series, clamp_events=events)
+
+
+def _mapped_block(shape: tuple[int, ...]) -> np.ndarray:
+    """A float array in an anonymous memory mapping of its own.
+
+    The mapping goes back to the system when the last view of it goes. A
+    block this size taken from the heap would stay resident after it is
+    freed: glibc raises its mmap threshold to the size of the last mapping
+    freed, so from the second batch on, such blocks come from the heap.
+    """
+    cells = math.prod(shape)
+    buffer = mmap.mmap(-1, max(8 * cells, 1))
+    return np.frombuffer(buffer, dtype=float, count=cells).reshape(shape)
+
+
+def _simulate_batch(
+    deriv: DerivFn,
+    clock: SimClock,
+    names: list[str],
+    initial: list,
+    clamped: Mapping[int, str],
+    record: Sequence[str] | None,
+) -> list[Trajectory]:
+    """:func:`simulate` for a batch: every entry of the state is a ``(B,)`` array."""
+    times = clock.times()
+    n = len(times)
+    size = max(np.size(v) for v in initial)
+    state = [np.broadcast_to(np.asarray(v, dtype=float), (size,)) for v in initial]
+    events: list[list[ClampEvent]] = [[] for _ in range(size)]
+    failures: dict[int, str] = {}
+    block = keep = None
+
+    for k, t in enumerate(times.tolist()):
+        rates, aux = deriv(state, t)
+        sample = np.array([*state, *aux.values()])
+        if block is None:
+            names += aux
+            keep = [names.index(name) for name in (names if record is None else record)]
+            block = _mapped_block((len(keep), size, n))
+        block[:, :, k] = sample[keep]
+        bad = ~np.isfinite(sample)
+        if bad.any():
+            for b in np.flatnonzero(bad.any(axis=0)).tolist():
+                if b not in failures:
+                    j = int(np.flatnonzero(bad[:, b])[0])
+                    failures[b] = _nonfinite(names[j], t, sample[j, b])
+        if k < n - 1:
+            state = _euler_step_batch(state, rates, clock.dt, clamped, t, events)
+
+    if failures:
+        column = min(failures)
+        raise SimulationError(failures[column], column=column)
+    kept = [names[j] for j in keep]
+    return [Trajectory(clock=clock, times=times,
+                       series={name: block[i, b] for i, name in enumerate(kept)},
+                       clamp_events=events[b])
+            for b in range(size)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 
 from rentdyn.engine import EPS
-from rentdyn.model import build_derivative, initial_state
+from rentdyn.model import STOCKS, build_derivative, initial_state
 from rentdyn.params import ModelParams, with_value
 
 __all__ = ["EquilibriumError", "equilibrate", "DERIVED_FIELDS"]
@@ -39,6 +39,10 @@ DERIVED_FIELDS: tuple[str, ...] = (
 _UNCAPPED_DT = sys.float_info.min
 _TOLERANCE = 1e-14
 _MAX_ITERATIONS = 200
+_RENT, _MORTGAGE, _OCCUPIED, _PENDING, _VACANT, _FORECLOSED, _INSECURE, _HOMELESS = map(
+    STOCKS.index, ("rent_owed", "mortgage_owed", "units_occupied", "units_pending_eviction",
+                   "units_vacant", "units_foreclosed", "households_insecure",
+                   "households_homeless"))
 
 
 class EquilibriumError(ValueError):
@@ -63,20 +67,20 @@ def equilibrate(params: ModelParams) -> ModelParams:
                         ("rate_new_insecurity", 0.0)):
         base = with_value(base, path, value)
     state = initial_state(base)
-    state.update(rent_owed=1.0, mortgage_owed=1.0, units_foreclosed=1.0)
+    state[_RENT] = state[_MORTGAGE] = state[_FORECLOSED] = 1.0
 
     # dollar stocks drain nonlinearly in their own level: iterate to the fixed point
     deriv = build_derivative(base, _UNCAPPED_DT)
     for _ in range(_MAX_ITERATIONS):
         _, aux = deriv(state, 0.0)
         balanced = {
-            "rent_owed": _balance(state["rent_owed"], aux["rent_due"],
-                                  aux["rent_paid"] + aux["arrears_writeoff"]),
-            "mortgage_owed": _balance(state["mortgage_owed"], aux["mortgage_due"],
-                                      aux["mortgage_paid"]),
+            _RENT: _balance(state[_RENT], aux["rent_due"],
+                            aux["rent_paid"] + aux["arrears_writeoff"]),
+            _MORTGAGE: _balance(state[_MORTGAGE], aux["mortgage_due"], aux["mortgage_paid"]),
         }
-        settled = all(abs(v - state[k]) <= _TOLERANCE * abs(v) for k, v in balanced.items())
-        state.update(balanced)
+        settled = all(abs(v - state[i]) <= _TOLERANCE * abs(v) for i, v in balanced.items())
+        for i, v in balanced.items():
+            state[i] = v
         if settled:
             break
     else:
@@ -85,18 +89,18 @@ def equilibrate(params: ModelParams) -> ModelParams:
     # foreclosure pipeline sized so sales balance intake (sales are linear in the stock)
     rates, aux = deriv(state, 0.0)
     intake = aux["foreclosures_tenanted"] + aux["foreclosures_vacant"]
-    foreclosed = _balance(state["units_foreclosed"], intake, aux["foreclosure_sales"])
+    foreclosed = _balance(state[_FORECLOSED], intake, aux["foreclosure_sales"])
 
     # filing rate that keeps the pending pool level; inflows that hold both household pools
     if aux["eviction_filings"] <= EPS:
         raise EquilibriumError("filing pressure base is zero: cannot balance the court pipeline")
-    filing_fraction = 1.0 - rates["units_pending_eviction"] / aux["eviction_filings"]
-    new_homeless = -rates["households_homeless"]
+    filing_fraction = 1.0 - rates[_PENDING] / aux["eviction_filings"]
+    new_homeless = -rates[_HOMELESS]
     if new_homeless < 0.0:
         raise EquilibriumError(
             "displacement alone exceeds homeless outflows: reduce homeless_entry_fraction "
             "or raise exit/stabilization rates")
-    new_insecure = -rates["households_insecure"]
+    new_insecure = -rates[_INSECURE]
     if new_insecure < 0.0:
         raise EquilibriumError(
             "homeless returns exceed insecure-pool outflows: no stationary inflow exists")
@@ -105,7 +109,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
     base = with_value(base, "baseline_filing_fraction", filing_fraction)
     rates, aux = build_derivative(base, _UNCAPPED_DT)(state, 0.0)
     supply = aux["tenant_moveins"]
-    moveins = supply - rates["units_occupied"]
+    moveins = supply - rates[_OCCUPIED]
     if moveins <= EPS:
         raise EquilibriumError(
             "occupied-unit outflows do not exceed case resolutions: "
@@ -113,10 +117,10 @@ def equilibrate(params: ModelParams) -> ModelParams:
     if supply <= EPS:
         raise EquilibriumError("no vacant units or insecure households to supply move-ins")
 
-    mortgaged = state["units_occupied"] + state["units_pending_eviction"] + state["units_vacant"]
+    mortgaged = state[_OCCUPIED] + state[_PENDING] + state[_VACANT]
     out = params
     for path, value in zip(DERIVED_FIELDS, (
-        state["rent_owed"], state["mortgage_owed"], foreclosed, filing_fraction,
+        state[_RENT], state[_MORTGAGE], foreclosed, filing_fraction,
         supply / moveins, new_homeless, new_insecure, aux["rent_paid"] / max(mortgaged, EPS),
     )):
         out = with_value(out, path, value)

@@ -24,19 +24,46 @@ tenants through a second channel.
 Every outflow is first-order (stock / adjustment-time) and each stock's
 outflows are scaled down proportionally if they would drain it below zero in
 one step, so integration can clamp only as a last resort.
+
+Backends
+--------
+The flows are written once, against a small ops namespace in the style of
+the Array API (``where``, ``maximum``, ``minimum``, ``limit``, ``curve``).
+The namespace follows the type of the parameters: a :class:`ModelParams`
+takes the scalar backend (Python floats and ``math``), which single runs,
+calibration and the extreme battery use; a batch from
+:func:`rentdyn.params.stack_params` takes the numpy backend, where every
+value is a ``(B,)`` array, one entry per parameter set, which the
+sensitivity sweep uses. The state is a sequence in :data:`STOCKS` order
+either way.
+
+The numpy backend reproduces the scalar one bit for bit. It uses only
+operations that numpy rounds exactly as Python does (``+ - * /``,
+comparisons, ``where``, ``maximum``, ``minimum``), and never ``np.exp`` or
+``np.log``: their SIMD kernels differ from ``math.exp``/``math.log`` in the
+last bit on some inputs. Each effect curve is therefore evaluated column by
+column through its own ``__call__``, so a curve keeps one definition. The
+backends part only on NaN, which numpy's ``maximum``/``minimum`` propagate
+and Python's ``max``/``min`` may drop; :func:`run_model` reruns a batch
+column that goes non-finite on the scalar backend.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from types import SimpleNamespace
+from typing import Sequence
 
-from rentdyn.engine import EPS, SimClock, Trajectory, simulate
-from rentdyn.params import ModelParams
+import numpy as np
+
+from rentdyn.engine import EPS, SimClock, SimulationError, Trajectory, simulate
+from rentdyn.params import ModelParams, stack_params
 
 __all__ = [
     "STOCKS",
     "NONNEG_STOCKS",
+    "SCALAR",
+    "NUMPY",
     "initial_state",
     "build_derivative",
     "run_model",
@@ -61,22 +88,18 @@ STOCKS: tuple[str, ...] = (
 NONNEG_STOCKS: frozenset[str] = frozenset(STOCKS[:-2])
 
 
-def initial_state(params: ModelParams) -> dict[str, float]:
-    """Starting stock levels for a simulation."""
-    return {
-        "rent_owed": params.rent_owed_initial,
-        "mortgage_owed": params.mortgage_owed_initial,
-        "units_occupied": params.units_occupied_initial,
-        "units_pending_eviction": params.units_pending_initial,
-        "units_vacant": params.units_vacant_initial,
-        "units_foreclosed": params.units_foreclosed_initial,
-        "households_insecure": params.households_insecure_initial,
-        "households_homeless": params.households_homeless_initial,
-        "assistance_funds": params.assistance.total_funds if params.assistance.enabled else 0.0,
-        "assistance_disbursed": 0.0,
-        "shock_recovery_level": 0.0,
-        "filing_recovery_level": 0.0,
-    }
+def _where(cond, a, b):
+    return a if cond else b
+
+
+# builtin max(a, b) and min(a, b), exactly (the first argument on ties and
+# NaN), at a third of the call cost of the builtins' generic argument parsing
+def _maximum(a, b):
+    return b if b > a else a
+
+
+def _minimum(a, b):
+    return b if b < a else a
 
 
 def _limit(dt: float, stock: float, *flows: float) -> tuple[float, ...]:
@@ -89,155 +112,196 @@ def _limit(dt: float, stock: float, *flows: float) -> tuple[float, ...]:
     return flows
 
 
-def rent_burden(params: ModelParams, covid_effect: float) -> float:
+def _curve(curve, x: float) -> float:
+    return curve(x)
+
+
+def _limit_batch(dt: float, stock: np.ndarray, *flows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_limit` without branches, and exact: where the cap does not bind,
+    ``cap / total`` rounds to at least 1, and ``f * 1.0 == f``."""
+    scale = np.minimum(1.0, (stock / dt) / np.maximum(sum(flows), 5e-324))
+    return tuple(f * scale for f in flows)
+
+
+def _curve_batch(node, x: np.ndarray) -> np.ndarray:
+    """Each column's own curve at its own input (see the module docstring)."""
+    return np.array([c(v) for c, v in zip(node.curves, x.tolist())])
+
+
+SCALAR = SimpleNamespace(where=_where, maximum=_maximum, minimum=_minimum, limit=_limit,
+                         curve=_curve)
+NUMPY = SimpleNamespace(where=np.where, maximum=np.maximum, minimum=np.minimum,
+                        limit=_limit_batch, curve=_curve_batch)
+
+
+def _ops(params) -> SimpleNamespace:
+    return SCALAR if isinstance(params, ModelParams) else NUMPY
+
+
+def initial_state(params) -> list:
+    """Starting stock levels for a simulation, in :data:`STOCKS` order.
+
+    For a batch, the levels that no parameter sets stay floats; the engine
+    broadcasts them across the batch.
+    """
+    era = params.assistance
+    return [
+        params.rent_owed_initial,
+        params.mortgage_owed_initial,
+        params.units_occupied_initial,
+        params.units_pending_initial,
+        params.units_vacant_initial,
+        params.units_foreclosed_initial,
+        params.households_insecure_initial,
+        params.households_homeless_initial,
+        _ops(params).where(era.enabled, era.total_funds, 0.0),
+        0.0,
+        0.0,
+        0.0,
+    ]
+
+
+def rent_burden(params, covid_effect, ops=SCALAR):
     """Monthly rent over shock-adjusted income (inf when income is zero)."""
     income = params.avg_household_income * (1.0 - covid_effect)
     rent = params.avg_monthly_rent
-    if income <= EPS:
-        return math.inf if rent > 0.0 else 0.0
-    return rent / income
+    return ops.where(income <= EPS, ops.where(rent > 0.0, math.inf, 0.0),
+                     rent / ops.maximum(income, EPS))
 
 
-def rent_delay_effect(params: ModelParams, burden: float) -> float:
+def rent_delay_effect(params, burden, ops=SCALAR):
     """Payment-delay multiplier: neutral at or below the burden threshold."""
-    excess = max(0.0, burden - params.rent_burden_threshold)
-    return params.rent_delay_curve(excess / params.rent_burden_threshold)
+    excess = ops.maximum(0.0, burden - params.rent_burden_threshold)
+    return ops.curve(params.rent_delay_curve, excess / params.rent_burden_threshold)
 
 
-def stress_effect(params: ModelParams, rent_owed: float,
-                  households_insecure: float) -> float:
+def stress_effect(params, rent_owed, households_insecure, ops=SCALAR):
     """Economic-stress multiplier from arrears per household, in months of rent.
 
     Spreading a fixed debt over more households (doubling up) dilutes the
     per-household load, so the input falls as the insecure pool grows.
     """
     denom = households_insecure * params.avg_monthly_rent
-    if denom <= EPS:
-        return params.stress_curve.floor
-    return params.stress_curve(rent_owed / denom)
+    return ops.where(denom <= EPS, params.stress_curve.floor,
+                     ops.curve(params.stress_curve, rent_owed / ops.maximum(denom, EPS)))
 
 
-def crowding_ratio(households_insecure: float, tenanted_units: float,
-                   reference: float) -> float:
+def crowding_ratio(households_insecure, tenanted_units, reference, ops=SCALAR):
     """Households per unit relative to the uncrowded reference (0 if no units)."""
-    if tenanted_units <= EPS:
-        return 0.0
-    return (households_insecure / tenanted_units) / reference
+    return ops.where(tenanted_units <= EPS, 0.0,
+                     (households_insecure / ops.maximum(tenanted_units, EPS)) / reference)
 
 
-def crowding_effect(params: ModelParams, ratio: float) -> float:
+def crowding_effect(params, ratio, ops=SCALAR):
     """Conflict multiplier; crowding at or below the reference has no effect."""
-    if ratio <= 1.0:
-        return 1.0
-    return params.crowding_curve(ratio)
+    return ops.where(ratio <= 1.0, 1.0, ops.curve(params.crowding_curve, ratio))
 
 
-def overdue_pressure(params: ModelParams, arrears_per_unit: float) -> float:
+def overdue_pressure(params, arrears_per_unit, ops=SCALAR):
     """Landlord filing pressure once per-unit arrears exceed tolerance."""
-    return max(1.0, arrears_per_unit / params.landlord_tolerance)
+    return ops.maximum(1.0, arrears_per_unit / params.landlord_tolerance)
 
 
-def covid_effect_at(params: ModelParams, t: float, recovery_level: float) -> float:
-    """Net shock: a step at onset minus its own first-order recovery."""
-    if not params.covid.enabled:
-        return 0.0
-    step = params.covid.magnitude if t >= params.covid.start_time else 0.0
-    return max(0.0, step - recovery_level)
+def covid_effect_at(params, t: float, recovery_level, ops=SCALAR):
+    """Net shock: a step at onset minus its own first-order recovery.
+
+    With the shock off there is no step, and the recovery level stays at 0.
+    """
+    cv = params.covid
+    step = ops.where(cv.enabled & (t >= cv.start_time), cv.magnitude, 0.0)
+    return ops.maximum(0.0, step - recovery_level)
 
 
-def processing_factor_at(params: ModelParams, t: float) -> float:
+def processing_factor_at(params, t: float, ops=SCALAR):
     """Court throughput multiplier under the moratorium (1 outside it)."""
     m = params.moratorium
-    if not m.enabled:
-        return 1.0
-    in_window = 1.0 if (t >= m.start_time and t < m.start_time + m.duration) else 0.0
-    return 1.0 - m.processing_reduction * in_window
+    in_window = (t >= m.start_time) & (t < m.start_time + m.duration)
+    return ops.where(m.enabled & in_window, 1.0 - m.processing_reduction, 1.0)
 
 
-def filing_factor_at(params: ModelParams, t: float, recovery_level: float) -> float:
-    """Filing multiplier: drops ahead of the moratorium, recovers slowly after."""
+def filing_factor_at(params, t: float, recovery_level, ops=SCALAR):
+    """Filing multiplier: drops ahead of the moratorium, recovers slowly after.
+
+    With the moratorium off there is no drop, and the recovery level stays at 0.
+    """
     m = params.moratorium
-    if not m.enabled:
-        return 1.0
-    drop = m.filing_reduction if t >= m.start_time - 0.5 else 0.0
-    return max(0.0, 1.0 - drop + recovery_level)
+    drop = ops.where(m.enabled & (t >= m.start_time - 0.5), m.filing_reduction, 0.0)
+    return ops.maximum(0.0, 1.0 - drop + recovery_level)
 
 
-def build_derivative(params: ModelParams, dt: float):
+def build_derivative(params, dt: float):
     """Derivative function for :func:`rentdyn.engine.simulate`.
 
-    ``dt`` is needed by the outflow limiter (one-step drain caps are stated
-    as stock/dt); the flow formulas themselves are step-size independent.
+    ``params`` is one :class:`ModelParams` (scalar backend) or a batch from
+    :func:`rentdyn.params.stack_params` (numpy backend). The derivative takes
+    the state as a sequence in :data:`STOCKS` order and returns the rates in
+    the same order plus a mapping of auxiliaries. ``dt`` is needed by the
+    outflow limiter (one-step drain caps are stated as stock/dt); the flow
+    formulas themselves are step-size independent.
     """
     p = params
+    ops = _ops(p)
+    where, maximum, minimum, limit, curve = (
+        ops.where, ops.maximum, ops.minimum, ops.limit, ops.curve)
     cv = p.covid
     m = p.moratorium
     era = p.assistance
 
+    # per-run constants, hoisted out of the flows with their operation order kept
     rebound_time = m.start_time + m.duration + m.filing_rebound_lag
+    eviction_hazard = p.eviction_proportion / p.processing_time
+    pace = era.rate_multiplier * era.total_funds / era.disbursement_time
 
-    def deriv(state: Mapping[str, float], t: float) -> tuple[dict[str, float], dict[str, float]]:
-        rent_owed = state["rent_owed"]
-        mortgage_owed = state["mortgage_owed"]
-        occupied = state["units_occupied"]
-        pending = state["units_pending_eviction"]
-        vacant = state["units_vacant"]
-        foreclosed = state["units_foreclosed"]
-        insecure = state["households_insecure"]
-        homeless = state["households_homeless"]
-        funds = state["assistance_funds"]
-        recovery = state["shock_recovery_level"]
-        filing_recovery = state["filing_recovery_level"]
+    def deriv(state: Sequence, t: float) -> tuple[list, dict]:
+        (rent_owed, mortgage_owed, occupied, pending, vacant, foreclosed, insecure,
+         homeless, funds, _, recovery, filing_recovery) = state
 
         # exogenous drivers
-        covid = covid_effect_at(p, t, recovery)
-        proc_factor = processing_factor_at(p, t)
-        fil_factor = filing_factor_at(p, t, filing_recovery)
+        covid = covid_effect_at(p, t, recovery, ops)
+        proc_factor = processing_factor_at(p, t, ops)
+        fil_factor = filing_factor_at(p, t, filing_recovery, ops)
 
         # rent accrual and payment
         tenanted = occupied + pending
         rent_due = p.avg_monthly_rent * tenanted
-        hpu = insecure / max(tenanted, EPS)
-        burden = rent_burden(p, covid)
-        delay = rent_delay_effect(p, burden)
+        hpu = insecure / maximum(tenanted, EPS)
+        burden = rent_burden(p, covid, ops)
+        delay = rent_delay_effect(p, burden, ops)
         at_rent = p.at_rent_base * delay
         rent_paid = rent_owed / at_rent
 
         # behavioral multipliers
-        stress = stress_effect(p, rent_owed, insecure)
-        c_ratio = crowding_ratio(insecure, tenanted, p.crowding_reference)
-        crowding = crowding_effect(p, c_ratio)
+        stress = stress_effect(p, rent_owed, insecure, ops)
+        c_ratio = crowding_ratio(insecure, tenanted, p.crowding_reference, ops)
+        crowding = crowding_effect(p, c_ratio, ops)
         conflict = crowding * stress
-        arrears_per_unit = rent_owed / max(tenanted, EPS)
-        overdue = overdue_pressure(p, arrears_per_unit)
+        arrears_per_unit = rent_owed / maximum(tenanted, EPS)
+        overdue = overdue_pressure(p, arrears_per_unit, ops)
 
         # court pipeline and turnover (before the dollar flows that need them).
         # A moratorium stays every filed case, so it throttles resolutions as
         # well as executions; the pandemic capacity loss hits executions only.
-        evictions = (p.eviction_proportion / p.processing_time) * (1.0 - covid) \
-            * proc_factor * pending
+        evictions = eviction_hazard * (1.0 - covid) * proc_factor * pending
         resolutions = proc_factor * pending / p.filing_resolution_time
         moveouts = p.baseline_turnover_fraction * occupied * stress
 
         # tenants who leave take their unpaid balance out of collectible arrears
         writeoff = arrears_per_unit * (evictions + moveouts)
 
-        rent_paid, writeoff = _limit(dt, rent_owed, rent_paid, writeoff)
+        rent_paid, writeoff = limit(dt, rent_owed, rent_paid, writeoff)
 
         # rental assistance pays arrears directly, within remaining headroom
-        payment = 0.0
-        if era.enabled and t >= era.start_time and funds > 0.0:
-            pace = era.rate_multiplier * era.total_funds / era.disbursement_time
-            headroom = max(0.0, rent_owed / dt - rent_paid - writeoff)
-            payment = min(pace, funds / dt, headroom)
+        headroom = maximum(0.0, rent_owed / dt - rent_paid - writeoff)
+        payment = where(era.enabled & (t >= era.start_time) & (funds > 0.0),
+                        minimum(minimum(pace, funds / dt), headroom), 0.0)
 
         # landlord income and mortgage pipeline
         mortgaged = occupied + pending + vacant
         landlord_income = rent_paid + payment
         mortgage_due = p.avg_monthly_mortgage * mortgaged
-        m_ratio = mortgage_owed / max(landlord_income, EPS)
-        mortgage_delay = p.mortgage_delay_curve(m_ratio)
-        (mortgage_paid,) = _limit(
+        m_ratio = mortgage_owed / maximum(landlord_income, EPS)
+        mortgage_delay = curve(p.mortgage_delay_curve, m_ratio)
+        (mortgage_paid,) = limit(
             dt, mortgage_owed, mortgage_owed / (p.at_mortgage_base * mortgage_delay)
         )
 
@@ -252,12 +316,12 @@ def build_derivative(params: ModelParams, dt: float):
         filings = p.baseline_filing_fraction * occupied * overdue * mortgage_delay \
             * conflict * fil_factor
 
-        moveins = min(vacant, insecure) / p.move_in_time
+        moveins = minimum(vacant, insecure) / p.move_in_time
 
-        moveouts, fore_occ, filings = _limit(dt, occupied, moveouts, fore_occ, filings)
-        evictions, resolutions, fore_pend = _limit(dt, pending, evictions, resolutions, fore_pend)
-        moveins, fore_vac, decline = _limit(dt, vacant, moveins, fore_vac, decline)
-        (sales,) = _limit(dt, foreclosed, sales)
+        moveouts, fore_occ, filings = limit(dt, occupied, moveouts, fore_occ, filings)
+        evictions, resolutions, fore_pend = limit(dt, pending, evictions, resolutions, fore_pend)
+        moveins, fore_vac, decline = limit(dt, vacant, moveins, fore_vac, decline)
+        (sales,) = limit(dt, foreclosed, sales)
 
         # household displacement and homelessness
         displaced = (evictions + fore_occ + fore_pend) * hpu
@@ -270,37 +334,37 @@ def build_derivative(params: ModelParams, dt: float):
         homeless_exits = p.fr_exit_homeless * homeless
         homeless_doubling = p.fr_double_up_homeless * homeless
 
-        homeless_entries, insecure_stabilizing = _limit(
+        homeless_entries, insecure_stabilizing = limit(
             dt, insecure, homeless_entries, insecure_stabilizing
         )
-        homeless_exits, homeless_doubling, homeless_stabilizing = _limit(
+        homeless_exits, homeless_doubling, homeless_stabilizing = limit(
             dt, homeless, homeless_exits, homeless_doubling, homeless_stabilizing
         )
 
-        rates = {
-            "rent_owed": rent_due - rent_paid - payment - writeoff,
-            "mortgage_owed": mortgage_due - mortgage_paid,
-            "units_occupied": moveins + resolutions - moveouts - fore_occ - filings,
-            "units_pending_eviction": filings - evictions - resolutions - fore_pend,
-            "units_vacant": evictions + moveouts + sales - moveins - fore_vac - decline,
-            "units_foreclosed": fore_occ + fore_pend + fore_vac - sales,
-            "households_insecure": new_insecure + homeless_exits + homeless_doubling
-                - homeless_entries - insecure_stabilizing,
-            "households_homeless": new_homeless + homeless_entries
-                - homeless_exits - homeless_doubling - homeless_stabilizing,
-            "assistance_funds": -payment,
-            "assistance_disbursed": payment,
-            "shock_recovery_level": ((cv.magnitude if cv.enabled and t >= cv.start_time
-                                      else 0.0) - recovery) / cv.recovery_time,
-            "filing_recovery_level": ((m.filing_reduction if m.enabled and t >= rebound_time
-                                       else 0.0) - filing_recovery) / m.filing_recovery_delay,
-        }
+        rates = [
+            rent_due - rent_paid - payment - writeoff,
+            mortgage_due - mortgage_paid,
+            moveins + resolutions - moveouts - fore_occ - filings,
+            filings - evictions - resolutions - fore_pend,
+            evictions + moveouts + sales - moveins - fore_vac - decline,
+            fore_occ + fore_pend + fore_vac - sales,
+            new_insecure + homeless_exits + homeless_doubling
+            - homeless_entries - insecure_stabilizing,
+            new_homeless + homeless_entries
+            - homeless_exits - homeless_doubling - homeless_stabilizing,
+            -payment,
+            payment,
+            (where(cv.enabled & (t >= cv.start_time), cv.magnitude, 0.0) - recovery)
+            / cv.recovery_time,
+            (where(m.enabled & (t >= rebound_time), m.filing_reduction, 0.0) - filing_recovery)
+            / m.filing_recovery_delay,
+        ]
 
         aux = {
             "covid_effect": covid,
             "processing_factor": proc_factor,
             "filing_factor": fil_factor,
-            "burden_ratio": min(burden, 1e12),
+            "burden_ratio": minimum(burden, 1e12),
             "rent_delay_effect": delay,
             "stress_effect": stress,
             "crowding_ratio": c_ratio,
@@ -339,9 +403,35 @@ def build_derivative(params: ModelParams, dt: float):
     return deriv
 
 
-def run_model(params: ModelParams, clock: SimClock | None = None) -> Trajectory:
-    """Simulate the model on the given grid (default grid if none)."""
+def run_model(
+    params: ModelParams | Sequence[ModelParams],
+    clock: SimClock | None = None,
+    record: Sequence[str] | None = None,
+) -> Trajectory | list[Trajectory]:
+    """Simulate the model on the given grid (default grid if none).
+
+    One :class:`ModelParams` runs on the scalar backend and returns one
+    trajectory. A sequence of B parameter sets runs as one batch on the
+    numpy backend and returns B trajectories (none for an empty sequence).
+    Either way a trajectory holds the ``record`` series (every stock and
+    auxiliary if None). If a batch column goes non-finite, that column is
+    rerun alone on the scalar backend, so the
+    :class:`rentdyn.engine.SimulationError` raised is the one its own run
+    raises.
+    """
     if clock is None:
         clock = SimClock()
-    deriv = build_derivative(params, clock.dt)
-    return simulate(deriv, clock, initial_state(params), NONNEG_STOCKS)
+    batched = not isinstance(params, ModelParams)
+    if batched and not params:
+        return []
+    source = stack_params(params) if batched else params
+    deriv = build_derivative(source, clock.dt)
+    initial = dict(zip(STOCKS, initial_state(source)))
+    if not batched:
+        return simulate(deriv, clock, initial, NONNEG_STOCKS, record)
+    try:
+        with np.errstate(all="ignore"):
+            return simulate(deriv, clock, initial, NONNEG_STOCKS, record)
+    except SimulationError as err:
+        run_model(params[err.column], clock)
+        raise  # the backends parted on that column: keep the batch's own report

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Sequence
 
+import numpy as np
 import yaml
 
 from rentdyn.engine import GompertzCurve, LogisticCurve
@@ -30,6 +32,7 @@ __all__ = [
     "get_value",
     "with_value",
     "sweepable_parameters",
+    "stack_params",
     "bounds_for",
     "clamp_to_bounds",
     "validate_params",
@@ -310,6 +313,7 @@ FIELDS: tuple[ParamField, ...] = (
 )
 
 _FIELD_BY_PATH = {f.path: f for f in FIELDS}
+_POLICY_BLOCKS = ("covid", "moratorium", "assistance")
 
 
 def default_params() -> ModelParams:
@@ -342,6 +346,30 @@ def with_value(params: ModelParams, path: str, value: float) -> ModelParams:
 def sweepable_parameters() -> list[str]:
     """Dotted paths of every numeric parameter, initial stocks included."""
     return [f.path for f in FIELDS]
+
+
+def stack_params(columns: Sequence[ModelParams]) -> SimpleNamespace:
+    """B parameter sets as one batch, laid out like :class:`ModelParams`.
+
+    Every registry field becomes a ``(B,)`` float array at its dotted path,
+    each policy block's ``enabled`` switch a boolean array, and each effect
+    curve also carries ``curves``, the tuple of its columns' curve objects.
+    """
+    batch = SimpleNamespace()
+    paths = [f.path for f in FIELDS] + [f"{block}.enabled" for block in _POLICY_BLOCKS]
+    for path in paths:
+        *groups, leaf = path.split(".")
+        node = batch
+        for group in groups:
+            if not hasattr(node, group):
+                setattr(node, group, SimpleNamespace())
+            node = getattr(node, group)
+        dtype = bool if leaf == "enabled" else float
+        setattr(node, leaf, np.array([get_value(c, path) for c in columns], dtype=dtype))
+    for name, node in vars(batch).items():
+        if isinstance(getattr(columns[0], name), (GompertzCurve, LogisticCurve)):
+            node.curves = tuple(getattr(c, name) for c in columns)
+    return batch
 
 
 def bounds_for(path: str) -> tuple[float, float | None]:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import yaml
@@ -31,6 +31,7 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "load_scenarios",
     "MetricSet",
+    "METRIC_SERIES",
     "compute_metrics",
     "RunResult",
     "run_scenario",
@@ -160,6 +161,19 @@ class MetricSet:
         return asdict(self)
 
 
+# the series compute_metrics reads: all that a batch run records
+METRIC_SERIES: tuple[str, ...] = (
+    "rent_owed",
+    "assistance_disbursed",
+    "assistance_funds",
+    "evictions_processed",
+    "eviction_filings",
+    "crowding_ratio",
+    "households_homeless",
+    "households_insecure",
+)
+
+
 def compute_metrics(traj: Trajectory, params: ModelParams) -> MetricSet:
     """Reduce a trajectory to the reported headline metrics.
 
@@ -217,24 +231,32 @@ class RunResult:
 
 
 def run_scenario(
-    params: ModelParams,
+    params: ModelParams | Iterable[ModelParams],
     scenario: Scenario,
     clock: SimClock | None = None,
-) -> RunResult:
-    """Apply a scenario to the base parameters and simulate it."""
+) -> RunResult | list[RunResult]:
+    """Apply a scenario to the base parameters and simulate it.
+
+    Given an iterable of base parameter sets, applies the scenario to each and
+    integrates them all as one batch (see :func:`rentdyn.model.run_model`):
+    one result per set, in order, with the same metrics the single runs
+    give. A batch result's trajectory carries only :data:`METRIC_SERIES`,
+    and its ``elapsed_seconds`` is the whole batch's integration time.
+    """
     if clock is None:
         clock = SimClock()
-    applied = scenario.apply(params)
+    if isinstance(params, ModelParams):
+        applied = scenario.apply(params)
+        t0 = time.perf_counter()
+        traj = run_model(applied, clock)
+        elapsed = time.perf_counter() - t0
+        return RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
+    applied = [scenario.apply(p) for p in params]
     t0 = time.perf_counter()
-    traj = run_model(applied, clock)
+    trajs = run_model(applied, clock, record=METRIC_SERIES)
     elapsed = time.perf_counter() - t0
-    return RunResult(
-        scenario=scenario,
-        params=applied,
-        trajectory=traj,
-        metrics=compute_metrics(traj, applied),
-        elapsed_seconds=elapsed,
-    )
+    return [RunResult(scenario, p, traj, compute_metrics(traj, p), elapsed)
+            for p, traj in zip(applied, trajs)]
 
 
 def run_many(

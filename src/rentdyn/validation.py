@@ -320,7 +320,10 @@ def sensitivity_sweep(
     (no re-derivation of the stationary fields, so the response includes any
     induced disequilibrium: that is the point of the exercise). Requested
     values that violate a parameter's documented bounds are clamped and
-    flagged. Returns the baseline metric values and one entry per run.
+    flagged. Returns the baseline metric values and one entry per
+    perturbation. The baseline is one run; every perturbation that moves its
+    parameter is integrated in one batch, which gives the numbers separate
+    runs would, bit for bit.
 
     Elasticities are normalized: (relative metric change) / (relative
     parameter change), using the applied value. Zero-valued baselines get
@@ -335,24 +338,25 @@ def sensitivity_sweep(
 
     base_metrics = _metric_values(run_scenario(params, scenario, clock=clock).metrics)
 
-    entries: list[SweepEntry] = []
+    steps = []  # (path, direction, base, requested, applied, clamped) per entry
     for path in sweepable_parameters():
         base = float(get_value(params, path))
         for direction, sign in (("down", -1.0), ("up", +1.0)):
             requested = base * (1.0 + sign * fraction)
             applied = clamp_to_bounds(path, requested)
-            clamped = applied != requested
-            if applied == base:
-                entries.append(SweepEntry(
-                    parameter=path, direction=direction, baseline_value=base,
-                    requested_value=requested, applied_value=applied, clamped=clamped,
-                    metrics=dict(base_metrics),
-                    elasticities={name: 0.0 for name in _SWEEP_METRICS},
-                ))
-                continue
-            perturbed = with_value(params, path, applied)
-            run = run_scenario(perturbed, scenario, clock=clock)
-            values = _metric_values(run.metrics)
+            steps.append((path, direction, base, requested, applied, applied != requested))
+    # a generator, so each perturbed base set is freed once the scenario is applied
+    moved = (with_value(params, path, applied)
+             for path, _, base, _, applied, _ in steps if applied != base)
+    runs = iter(run_scenario(moved, scenario, clock=clock))
+
+    entries: list[SweepEntry] = []
+    for path, direction, base, requested, applied, clamped in steps:
+        if applied == base:
+            values = dict(base_metrics)
+            elasticities = {name: 0.0 for name in _SWEEP_METRICS}
+        else:
+            values = _metric_values(next(runs).metrics)
             rel_dp = (applied - base) / base if base != 0.0 else math.inf
             elasticities = {}
             for name in _SWEEP_METRICS:
@@ -361,11 +365,11 @@ def sensitivity_sweep(
                     elasticities[name] = 0.0
                 else:
                     elasticities[name] = ((values[name] - m0) / m0) / rel_dp
-            entries.append(SweepEntry(
-                parameter=path, direction=direction, baseline_value=base,
-                requested_value=requested, applied_value=applied, clamped=clamped,
-                metrics=values, elasticities=elasticities,
-            ))
+        entries.append(SweepEntry(
+            parameter=path, direction=direction, baseline_value=base,
+            requested_value=requested, applied_value=applied, clamped=clamped,
+            metrics=values, elasticities=elasticities,
+        ))
     return base_metrics, entries
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rentdyn import calibration
 from rentdyn.calibration import (
     CalibrationError,
     CalibrationParameter,
@@ -203,6 +204,23 @@ def test_shipped_spec_fit_does_not_depend_on_the_start():
     first, second = results
     for path, value in first.fitted.items():
         assert second.fitted[path] == pytest.approx(value, rel=1e-4), path
+
+
+def test_fit_integrates_its_start_once(monkeypatch):
+    """The start is scored for initial_loss; the solver's first call reuses it."""
+    spec = load_calibration_spec("params/calibration.yaml")
+    runs = []
+    run_scenario_ = calibration.run_scenario
+
+    def counted(*args, **kwargs):
+        runs.append(args[1].name)
+        return run_scenario_(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "run_scenario", counted)
+    result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), spec)
+    assert result.converged
+    # the start, each evaluation after the first, and the achieved-metrics pass
+    assert len(runs) == 3 * (result.evaluations + 1)
 
 
 def test_start_outside_bounds_is_clipped_in():

@@ -151,33 +151,30 @@ def test_gompertz_validates_parameters():
 # ---------------------------------------------------------------- euler_step
 
 def test_euler_step_applies_rates():
-    state = {"a": 10.0, "b": 5.0}
-    out = euler_step(state, {"a": 4.0, "b": -4.0}, dt=0.25, nonneg=frozenset({"a", "b"}))
-    assert out["a"] == 11.0
-    assert out["b"] == 4.0
+    out = euler_step([10.0, 5.0], [4.0, -4.0], dt=0.25, nonneg={0: "a", 1: "b"})
+    assert out == [11.0, 4.0]
 
 
 def test_euler_step_clamps_and_reports():
     events = []
-    out = euler_step({"a": 1.0}, {"a": -8.0}, dt=0.25, nonneg=frozenset({"a"}),
-                     time=3.0, events=events)
-    assert out["a"] == 0.0
+    out = euler_step([1.0], [-8.0], dt=0.25, nonneg={0: "a"}, time=3.0, events=events)
+    assert out == [0.0]
     assert len(events) == 1
     assert events[0].name == "a"
     assert events[0].time == 3.0
 
 
 def test_euler_step_leaves_unconstrained_state_negative():
-    out = euler_step({"s": 0.1}, {"s": -8.0}, dt=0.25, nonneg=frozenset())
-    assert out["s"] == pytest.approx(-1.9)
+    out = euler_step([0.1], [-8.0], dt=0.25, nonneg={})
+    assert out[0] == pytest.approx(-1.9)
 
 
 # ---------------------------------------------------------------- simulate
 
 def _drain_deriv(at):
     def deriv(state, t):
-        rate = state["r"] / at
-        return {"r": -rate}, {"outflow": rate}
+        rate = state[0] / at
+        return [-rate], {"outflow": rate}
     return deriv
 
 
@@ -194,7 +191,7 @@ def test_simulate_exponential_drain_matches_closed_form():
 
 def test_simulate_constant_state_stays_constant():
     def deriv(state, t):
-        return {"x": 0.0}, {}
+        return [0.0], {}
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
     traj = simulate(deriv, clock, {"x": 42.0})
     assert np.all(traj["x"] == 42.0)
@@ -206,7 +203,7 @@ def test_simulate_step_through_smooth_reaches_63pct_after_one_delay():
 
     def deriv(state, t):
         step = magnitude if t >= start else 0.0
-        return {"level": (step - state["level"]) / delay}, {}
+        return [(step - state[0]) / delay], {}
 
     clock = SimClock(dt=0.25, horizon=20.0, burn_in=0.0)
     traj = simulate(deriv, clock, {"level": 0.0})
@@ -224,7 +221,7 @@ def test_simulate_records_auxiliaries_at_every_sample():
 
 def test_simulate_raises_on_nonfinite_state():
     def deriv(state, t):
-        return {"x": state["x"] * state["x"]}, {}
+        return [state[0] * state[0]], {}
     clock = SimClock(dt=0.25, horizon=50.0, burn_in=0.0)
     with pytest.raises(SimulationError, match=r"'x' at t=2\.5"):
         simulate(deriv, clock, {"x": 10.0})
@@ -234,7 +231,7 @@ def test_trajectory_interpolation_and_lookup():
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
 
     def deriv(state, t):
-        return {"x": 4.0}, {}
+        return [4.0], {}
 
     traj = simulate(deriv, clock, {"x": 0.0})
     assert traj.at("x", 2.5) == pytest.approx(10.0)
@@ -249,3 +246,50 @@ def test_simulate_is_deterministic():
     b = simulate(_drain_deriv(3.0), clock, {"r": 250.0}, nonneg=frozenset({"r"}))
     assert np.array_equal(a["r"], b["r"])
     assert np.array_equal(a["outflow"], b["outflow"])
+
+
+# ---------------------------------------------------------------- batches
+
+def test_batch_matches_single_runs_column_by_column():
+    """Each column of a batch is its single run: series, and clamp events."""
+    def deriv(state, t):
+        rate = state[0] / 2.0 + 3.0
+        return [-rate, rate], {"outflow": rate}
+
+    clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
+    levels = [100.0, 5.0, 0.5]
+    batch = simulate(deriv, clock, {"r": np.array(levels), "out": 0.0}, nonneg=frozenset({"r"}))
+    assert len(batch) == len(levels)
+    for level, column in zip(levels, batch):
+        single = simulate(deriv, clock, {"r": level, "out": 0.0}, nonneg=frozenset({"r"}))
+        assert list(column.series) == list(single.series)
+        for name, series in single.series.items():
+            assert np.array_equal(column[name], series), name
+        assert column.clamp_events == single.clamp_events
+    assert batch[2].clamp_events  # the limiter-free drain does overshoot zero
+
+
+def test_simulate_records_only_the_requested_series():
+    clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
+    batch = simulate(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
+                     record=("outflow",))
+    assert [list(t.series) for t in batch] == [["outflow"], ["outflow"]]
+    assert batch[1]["outflow"][0] == 25.0
+    single = simulate(_drain_deriv(2.0), clock, {"r": 50.0}, record=("outflow",))
+    assert list(single.series) == ["outflow"]
+    assert np.array_equal(single["outflow"], batch[1]["outflow"])
+
+
+def test_batch_raises_the_first_failing_columns_own_error():
+    """Column 2 blows up first in time, but column 1 is the first that fails."""
+    def deriv(state, t):
+        return [state[0] * state[0]], {}
+
+    clock = SimClock(dt=0.25, horizon=50.0, burn_in=0.0)
+    with pytest.raises(SimulationError) as single:
+        simulate(deriv, clock, {"x": 10.0})
+    with pytest.raises(SimulationError) as batch:
+        with np.errstate(over="ignore", invalid="ignore"):
+            simulate(deriv, clock, {"x": np.array([0.0, 10.0, 20.0])})
+    assert str(batch.value) == str(single.value)
+    assert batch.value.column == 1

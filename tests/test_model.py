@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from rentdyn.engine import SimClock
+from rentdyn.engine import SimClock, SimulationError
 from rentdyn.model import (
     NONNEG_STOCKS,
     STOCKS,
@@ -29,6 +29,7 @@ from rentdyn.model import (
     stress_effect,
 )
 from rentdyn.params import default_params, with_value
+from rentdyn.scenarios import BUILTIN_SCENARIOS
 
 
 # ---------------------------------------------------------------- burden
@@ -183,8 +184,7 @@ def test_limit_zero_stock_zero_flows():
 # ---------------------------------------------------------------- state
 
 def test_initial_state_matches_stock_list():
-    state = initial_state(default_params())
-    assert set(state) == set(STOCKS)
+    state = dict(zip(STOCKS, initial_state(default_params()), strict=True))
     assert state["assistance_funds"] == 0.0  # fund closed unless enabled
     assert state["assistance_disbursed"] == 0.0
     assert state["rent_owed"] == default_params().rent_owed_initial
@@ -194,7 +194,7 @@ def test_initial_state_opens_fund_when_enabled():
     p = default_params()
     era = dataclasses.replace(p.assistance, enabled=True)
     p = dataclasses.replace(p, assistance=era)
-    assert initial_state(p)["assistance_funds"] == p.assistance.total_funds
+    assert initial_state(p)[STOCKS.index("assistance_funds")] == p.assistance.total_funds
 
 
 def test_nonneg_stocks_exclude_signal_levels():
@@ -206,16 +206,17 @@ def test_nonneg_stocks_exclude_signal_levels():
 # ---------------------------------------------------------------- ledgers
 
 def _deriv_at(params, state, t=0.0, dt=0.25):
+    """Rates by stock name, and auxiliaries, at a state in ``STOCKS`` order."""
     rates, aux = build_derivative(params, dt)(state, t)
-    return rates, aux
+    return dict(zip(STOCKS, rates, strict=True)), aux
 
 
 def test_unit_ledger_closes():
     """Units only leave the system through stock decline."""
     p = default_params()
     state = initial_state(p)
-    state["rent_owed"] *= 2.5  # push the system off equilibrium
-    state["households_insecure"] *= 1.3
+    state[STOCKS.index("rent_owed")] *= 2.5  # push the system off equilibrium
+    state[STOCKS.index("households_insecure")] *= 1.3
     rates, aux = _deriv_at(p, state)
     total = (rates["units_occupied"] + rates["units_pending_eviction"]
              + rates["units_vacant"] + rates["units_foreclosed"])
@@ -226,7 +227,7 @@ def test_household_ledger_closes():
     """Insecure + homeless changes only through the named external flows."""
     p = default_params()
     state = initial_state(p)
-    state["households_homeless"] *= 3.0
+    state[STOCKS.index("households_homeless")] *= 3.0
     rates, aux = _deriv_at(p, state)
     total = rates["households_insecure"] + rates["households_homeless"]
     expected = (aux["new_insecure"] + aux["new_homeless"]
@@ -312,3 +313,42 @@ def test_tiny_market_stays_finite():
     traj = run_model(p, SimClock())
     for name in STOCKS:
         assert np.all(np.isfinite(traj.series[name])), name
+
+
+# ---------------------------------------------------------------- backends
+
+def _extreme_inputs():
+    """The extreme-condition battery's corners: empty markets, total loss."""
+    p = default_params()
+    empty = p
+    for path in ("units_occupied_initial", "units_pending_initial", "units_vacant_initial",
+                 "units_foreclosed_initial", "rent_owed_initial", "mortgage_owed_initial"):
+        empty = with_value(empty, path, 0.0)
+    total = with_value(with_value(p, "covid.magnitude", 1.0), "covid.recovery_time", 1e9)
+    nobody = with_value(with_value(p, "households_insecure_initial", 0.0),
+                        "households_homeless_initial", 0.0)
+    run2, run3 = BUILTIN_SCENARIOS["run2"], BUILTIN_SCENARIOS["run3"]
+    return [run2.apply(with_value(p, "covid.magnitude", 0.0)), run2.apply(total),
+            run2.apply(empty), run2.apply(with_value(p, "landlord_tolerance", 1.0)),
+            run3.apply(with_value(p, "moratorium.processing_reduction", 1.0)),
+            run2.apply(nobody)]
+
+
+def test_numpy_backend_matches_scalar_on_extreme_inputs():
+    """Zero denominators and saturated curves take the same branch in a batch."""
+    inputs = _extreme_inputs()
+    for params, column in zip(inputs, run_model(inputs)):
+        single = run_model(params)
+        assert list(column.series) == list(single.series)
+        for name, series in single.series.items():
+            assert np.array_equal(column[name], series), name
+        assert column.clamp_events == single.clamp_events
+
+
+def test_batch_with_a_failing_column_raises_that_columns_own_error():
+    exploding = with_value(default_params(), "avg_monthly_rent", 1e305)
+    with pytest.raises(SimulationError) as single:
+        run_model(exploding)
+    with pytest.raises(SimulationError) as batch:
+        run_model([default_params(), exploding, default_params()])
+    assert str(batch.value) == str(single.value)

@@ -246,9 +246,9 @@ def test_equilibrated_baseline_is_stationary(overrides):
     balanced = equilibrate(params)
     state = initial_state(balanced)
     rates, _ = build_derivative(balanced, dt=0.25)(state, 0.0)
-    for name in STOCKS:
+    for name, rate, level in zip(STOCKS, rates, state, strict=True):
         if name != "units_vacant":
-            assert abs(rates[name]) <= 1e-12 * abs(state[name]), name
+            assert abs(rate) <= 1e-12 * abs(level), name
 
 
 @pytest.mark.parametrize("overrides", [

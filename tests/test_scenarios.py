@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from rentdyn.engine import SimClock
-from rentdyn.params import default_params
+from rentdyn.model import run_model
+from rentdyn.params import default_params, with_value
 from rentdyn.scenarios import (
     BUILTIN_SCENARIOS,
+    METRIC_SERIES,
     Scenario,
     compare,
+    compute_metrics,
     emit_timeseries,
     load_scenarios,
     run_many,
@@ -68,6 +71,32 @@ def test_run_is_deterministic():
     assert a.metrics == b.metrics
     for name, series in a.trajectory.series.items():
         assert np.array_equal(series, b.trajectory.series[name]), name
+
+
+def test_batch_of_the_five_scenarios_equals_their_single_runs(suite):
+    """One numpy batch of mixed policy settings, bit for bit the scalar runs."""
+    applied = [suite[name].params for name in suite]
+    batch = run_model(applied, record=METRIC_SERIES)
+    for name, params, traj in zip(suite, applied, batch):
+        single = suite[name]
+        assert list(traj.series) == list(METRIC_SERIES)
+        for series in METRIC_SERIES:
+            assert np.array_equal(traj[series], single.trajectory[series]), (name, series)
+        assert compute_metrics(traj, params) == single.metrics, name
+        assert traj.clamp_events == single.trajectory.clamp_events == []
+
+
+def test_run_scenario_on_a_sequence_runs_one_batch_of_equal_results():
+    base = default_params()
+    bases = [base, with_value(base, "covid.magnitude", 0.3),
+             with_value(base, "assistance.total_funds", 10e9)]
+    batch = run_scenario(bases, BUILTIN_SCENARIOS["run4"])
+    assert len(batch) == len(bases)
+    for params, result in zip(bases, batch):
+        single = run_scenario(params, BUILTIN_SCENARIOS["run4"])
+        assert result.params == single.params
+        assert result.metrics == single.metrics
+        assert set(result.trajectory.series) == set(METRIC_SERIES)
 
 
 def test_run_many_returns_name_ordered_results(suite):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rentdyn import model, validation
 from rentdyn.params import FIELDS, default_params, with_value
 from rentdyn.validation import (
     ReferenceError,
@@ -270,6 +271,44 @@ def test_sweep_finds_the_known_dominant_levers(sweep):
     ranked = sorted(strongest, key=strongest.get, reverse=True)
     assert "units_occupied_initial" in ranked[:5]
     assert "processing_time" in ranked[:5]
+
+
+@pytest.mark.parametrize("fraction", [0.15, 0.1234])
+def test_sweep_batch_equals_a_loop_of_single_runs(fraction):
+    params = default_params()
+    run2 = BUILTIN_SCENARIOS["run2"]
+    base, entries = sensitivity_sweep(params, fraction=fraction)
+    assert base == {name: getattr(run_scenario(params, run2).metrics, name) for name in base}
+    moved = [e for e in entries if e.applied_value != e.baseline_value]
+    assert len(moved) == 130
+    for e in moved:
+        single = run_scenario(with_value(params, e.parameter, e.applied_value), run2).metrics
+        assert e.metrics == {name: getattr(single, name) for name in base}, e.parameter
+
+
+def test_sweep_integrates_the_baseline_and_one_batch(monkeypatch):
+    runs, derivs = [], []
+    run_scenario_ = validation.run_scenario
+    build_derivative = model.build_derivative
+
+    def counted_run(*args, **kwargs):
+        runs.append(run_scenario_(*args, **kwargs))
+        return runs[-1]
+
+    def counted_build(*args, **kwargs):
+        deriv = build_derivative(*args, **kwargs)
+
+        def counted(state, t):
+            derivs.append(t)
+            return deriv(state, t)
+        return counted
+
+    monkeypatch.setattr(validation, "run_scenario", counted_run)
+    monkeypatch.setattr(model, "build_derivative", counted_build)
+    sensitivity_sweep(default_params(), fraction=0.15)
+    assert len(runs) == 2
+    assert len(runs[1]) == 130
+    assert len(derivs) == 2 * 201
 
 
 def test_sweep_fully_clamped_step_has_zero_elasticity():
