@@ -20,11 +20,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 from scipy.optimize import least_squares
 
 from rentdyn.engine import SimClock, SimulationError
-from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, with_value
+from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
+    with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
@@ -171,11 +171,7 @@ def load_calibration_spec(
           max_iterations: 400   # optional
     """
     scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise CalibrationError(f"{path}: not valid YAML: {exc}") from exc
+    raw = load_yaml(path, CalibrationError)
     if not isinstance(raw, dict):
         raise CalibrationError("calibration spec must be a mapping")
     unknown = set(raw) - {"parameters", "targets", "options"}
@@ -228,14 +224,8 @@ def _achieved_metrics(
     return out
 
 
-def _residuals(
-    params: ModelParams,
-    spec: CalibrationSpec,
-    clock: SimClock,
-    scenarios: dict[str, Scenario],
-) -> np.ndarray:
+def _residuals(achieved: dict[str, float], spec: CalibrationSpec) -> np.ndarray:
     """One weighted relative miss per target, in spec order."""
-    achieved = _achieved_metrics(params, spec, clock, scenarios)
     out = np.empty(len(spec.targets))
     for i, target in enumerate(spec.targets):
         scale = abs(target.value) if target.value != 0.0 else 1.0
@@ -252,7 +242,8 @@ def calibration_loss(
     """Weighted sum of squared relative target misses (lower is better)."""
     clock = clock if clock is not None else SimClock()
     scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
-    return float(np.sum(_residuals(params, spec, clock, scenarios) ** 2))
+    achieved = _achieved_metrics(params, spec, clock, scenarios)
+    return float(np.sum(_residuals(achieved, spec) ** 2))
 
 
 def calibrate(
@@ -282,9 +273,11 @@ def calibrate(
     failure = np.full(len(spec.targets), math.sqrt(_FAILURE_LOSS / len(spec.targets)))
 
     evaluations = 0
-    # the last point and its residuals: least_squares opens at the start that
-    # initial_loss has just scored (an interior start reaches it unmoved)
-    last: dict[bytes, np.ndarray] = {}
+    # (residuals, achieved metrics or None on failure) of every point scored:
+    # least_squares opens at the start that initial_loss has just scored (an
+    # interior start reaches it unmoved), and its answer is a point it scored
+    # before the last Jacobian
+    scored: dict[bytes, tuple[np.ndarray, dict[str, float] | None]] = {}
 
     def apply(z: np.ndarray) -> ModelParams:
         candidate = params
@@ -292,21 +285,22 @@ def calibrate(
             candidate = with_value(candidate, path, float(value))
         return candidate
 
+    def score(z: np.ndarray) -> tuple[np.ndarray, dict[str, float] | None]:
+        key = z.tobytes()
+        if key not in scored:
+            try:
+                achieved = _achieved_metrics(apply(z), spec, clock, scenarios)
+                scored[key] = (_residuals(achieved, spec), achieved)
+            except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
+                scored[key] = (failure, None)
+        return scored[key]
+
     def residuals(z: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        key = z.tobytes()
-        if key not in last:
-            try:
-                out = _residuals(apply(z), spec, clock, scenarios)
-            except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
-                out = failure
-            last.clear()
-            last[key] = out
-        return last[key]
+        return score(z)[0]
 
-    initial_loss = float(np.sum(residuals(x0 / scale) ** 2))
-    evaluations = 0
+    initial_loss = float(np.sum(score(x0 / scale)[0] ** 2))
     result = least_squares(
         residuals,
         x0 / scale,
@@ -315,8 +309,11 @@ def calibrate(
         max_nfev=spec.max_iterations,
     )
     loss = float(np.sum(result.fun ** 2))
-    fitted_params = apply(np.asarray(result.x))
-    achieved = _achieved_metrics(fitted_params, spec, clock, scenarios)
+    x = np.asarray(result.x)
+    fitted_params = apply(x)
+    _, achieved = scored.get(x.tobytes(), (None, None))
+    if achieved is None:
+        achieved = _achieved_metrics(fitted_params, spec, clock, scenarios)
     return CalibrationResult(
         params=fitted_params,
         loss=loss,

@@ -12,6 +12,10 @@ Six subcommands cover the library's workflows:
 Input problems (unknown scenario, malformed file, bad clock) exit with
 status 1 before any output file is created; writes themselves are atomic,
 so an interrupted run never leaves partial artifacts.
+
+Only ``calibrate`` loads ``rentdyn.calibration``, and with it
+``scipy.optimize``: importing them takes about half a second, more than
+the rest of a ``suite`` run, so the other five commands never pay it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from pathlib import Path
 from typing import Callable
 
 from rentdyn import __version__
-from rentdyn.calibration import CalibrationError, calibrate, load_calibration_spec
 from rentdyn.engine import SimClock, SimulationError
 from rentdyn.output import write_csv, write_json, write_manifest
 from rentdyn.params import ModelParams, ParamError, ParamFileError, default_params, \
@@ -306,6 +309,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from rentdyn.calibration import CalibrationError, calibrate, load_calibration_spec
+
     params, scenarios, clock, params_file = _load_inputs(args)
     try:
         spec = load_calibration_spec(args.spec, scenarios)

@@ -36,6 +36,7 @@ __all__ = [
     "bounds_for",
     "clamp_to_bounds",
     "validate_params",
+    "load_yaml",
     "load_params",
     "save_params",
 ]
@@ -330,17 +331,18 @@ def get_value(params: ModelParams, path: str) -> float:
 
 def with_value(params: ModelParams, path: str, value: float) -> ModelParams:
     """Return a copy of ``params`` with the dotted-path field replaced."""
-    parts = path.split(".")
+    return _replaced(params, path.split("."), value, path)
 
-    def rebuild(obj: Any, idx: int) -> Any:
-        name = parts[idx]
-        if not hasattr(obj, name):
-            raise KeyError(f"unknown parameter path: {path}")
-        if idx == len(parts) - 1:
-            return replace(obj, **{name: value})
-        return replace(obj, **{name: rebuild(getattr(obj, name), idx + 1)})
 
-    return rebuild(params, 0)
+def _replaced(obj: Any, names: list[str], value: Any, path: str) -> Any:
+    # module level: a recursive nested closure is a reference cycle that only
+    # the cyclic collector frees, left behind by every call
+    name = names[0]
+    if not hasattr(obj, name):
+        raise KeyError(f"unknown parameter path: {path}")
+    if len(names) > 1:
+        value = _replaced(getattr(obj, name), names[1:], value, path)
+    return replace(obj, **{name: value})
 
 
 def sweepable_parameters() -> list[str]:
@@ -407,6 +409,20 @@ def validate_params(params: ModelParams) -> None:
 
 # ---------------------------------------------------------------- file I/O
 
+# libyaml's parser, where PyYAML was built with it, reads params/default.yaml
+# about 8x faster; both loaders share SafeConstructor and the resolver, so
+# they build the same objects
+_SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def load_yaml(path: str | Path, error: type[Exception]) -> Any:
+    """Parse a YAML file with the safe loader; bad syntax raises ``error``."""
+    try:
+        return yaml.load(Path(path).read_bytes(), Loader=_SAFE_LOADER)
+    except yaml.YAMLError as exc:
+        raise error(f"{path}: not valid YAML: {exc}") from exc
+
+
 def load_params(path: str | Path) -> tuple[ModelParams, dict]:
     """Load a parameter file.
 
@@ -416,10 +432,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
     (name, provenance tags, notes) for manifests and re-export.
     """
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ParamFileError(f"{path}: not valid YAML: {exc}") from exc
+    raw = load_yaml(path, ParamFileError)
     if not isinstance(raw, dict) or not isinstance(raw.get("params"), dict):
         raise ParamFileError(f"{path}: expected a top-level 'params' mapping")
     entries = raw["params"]

@@ -308,6 +308,12 @@ def _metric_values(metrics: MetricSet) -> dict[str, float]:
     return {name: float(getattr(metrics, name)) for name in _SWEEP_METRICS}
 
 
+def _in_disabled_block(applied: ModelParams, path: str) -> bool:
+    """Whether ``path`` belongs to a policy block that ``applied`` switches off."""
+    group, _, leaf = path.partition(".")
+    return bool(leaf) and not getattr(getattr(applied, group), "enabled", True)
+
+
 def sensitivity_sweep(
     params: ModelParams | None = None,
     scenario: Scenario | None = None,
@@ -323,7 +329,9 @@ def sensitivity_sweep(
     flagged. Returns the baseline metric values and one entry per
     perturbation. The baseline is one run; every perturbation that moves its
     parameter is integrated in one batch, which gives the numbers separate
-    runs would, bit for bit.
+    runs would, bit for bit. A perturbation of a policy block the scenario
+    switches off is not run: it reports the baseline metrics, which is what
+    its run gives.
 
     Elasticities are normalized: (relative metric change) / (relative
     parameter change), using the applied value. Zero-valued baselines get
@@ -336,27 +344,34 @@ def sensitivity_sweep(
     scenario = scenario if scenario is not None else BUILTIN_SCENARIOS["run2"]
     clock = clock if clock is not None else SimClock()
 
-    base_metrics = _metric_values(run_scenario(params, scenario, clock=clock).metrics)
+    baseline = run_scenario(params, scenario, clock=clock)
+    base_metrics = _metric_values(baseline.metrics)
 
-    steps = []  # (path, direction, base, requested, applied, clamped) per entry
+    steps = []  # (path, direction, base, requested, applied, clamped, run) per entry
     for path in sweepable_parameters():
         base = float(get_value(params, path))
         for direction, sign in (("down", -1.0), ("up", +1.0)):
             requested = base * (1.0 + sign * fraction)
             applied = clamp_to_bounds(path, requested)
-            steps.append((path, direction, base, requested, applied, applied != requested))
+            # a parameter of a policy block the scenario switches off moves
+            # nothing the model computes, so its run would repeat the baseline
+            run = applied != base and not _in_disabled_block(baseline.params, path)
+            steps.append((path, direction, base, requested, applied,
+                          applied != requested, run))
     # a generator, so each perturbed base set is freed once the scenario is applied
     moved = (with_value(params, path, applied)
-             for path, _, base, _, applied, _ in steps if applied != base)
+             for path, _, _, _, applied, _, run in steps if run)
     runs = iter(run_scenario(moved, scenario, clock=clock))
 
     entries: list[SweepEntry] = []
-    for path, direction, base, requested, applied, clamped in steps:
+    for path, direction, base, requested, applied, clamped, run in steps:
         if applied == base:
             values = dict(base_metrics)
             elasticities = {name: 0.0 for name in _SWEEP_METRICS}
         else:
-            values = _metric_values(next(runs).metrics)
+            # a skipped run still goes through the formula, which gives -0.0
+            # for a downward step where a literal 0.0 would lose the sign
+            values = _metric_values(next(runs).metrics) if run else dict(base_metrics)
             rel_dp = (applied - base) / base if base != 0.0 else math.inf
             elasticities = {}
             for name in _SWEEP_METRICS:

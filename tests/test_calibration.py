@@ -207,7 +207,8 @@ def test_shipped_spec_fit_does_not_depend_on_the_start():
 
 
 def test_fit_integrates_its_start_once(monkeypatch):
-    """The start is scored for initial_loss; the solver's first call reuses it."""
+    """The start is scored for initial_loss; the solver's first call reuses it,
+    and the fitted point's achieved metrics come from its own evaluation."""
     spec = load_calibration_spec("params/calibration.yaml")
     runs = []
     run_scenario_ = calibration.run_scenario
@@ -219,8 +220,8 @@ def test_fit_integrates_its_start_once(monkeypatch):
     monkeypatch.setattr(calibration, "run_scenario", counted)
     result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), spec)
     assert result.converged
-    # the start, each evaluation after the first, and the achieved-metrics pass
-    assert len(runs) == 3 * (result.evaluations + 1)
+    # the start, then each evaluation after the first
+    assert len(runs) == 3 * result.evaluations
 
 
 def test_start_outside_bounds_is_clipped_in():

@@ -1,6 +1,7 @@
 """Parameter registry, dotted-path access, file I/O, and validation."""
 
 import dataclasses
+import gc
 
 import pytest
 import yaml
@@ -18,6 +19,7 @@ from rentdyn.params import (
     default_params,
     get_value,
     load_params,
+    load_yaml,
     save_params,
     sweepable_parameters,
     validate_params,
@@ -98,10 +100,23 @@ def test_with_value_nested_and_flat():
 
 
 def test_with_value_unknown_path_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown parameter path: typo_field"):
         with_value(default_params(), "typo_field", 1.0)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown parameter path: covid.typo"):
         with_value(default_params(), "covid.typo", 1.0)
+
+
+def test_with_value_leaves_nothing_for_the_cyclic_collector():
+    params = default_params()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            params = with_value(params, "covid.magnitude", 0.5)
+            params = with_value(params, "avg_monthly_rent", 1000.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_params_are_frozen():
@@ -212,6 +227,17 @@ def test_load_rejects_non_yaml(tmp_path):
     path.write_text("just a string\n")
     with pytest.raises(ParamFileError):
         load_params(path)
+    path.write_bytes(b"name: caf\xe9\n")  # Latin-1, not UTF-8
+    with pytest.raises(ParamFileError, match="not valid YAML"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("path", ["params/default.yaml", "scenarios/runs.yaml",
+                                  "params/calibration.yaml"])
+def test_load_yaml_matches_the_pure_python_loader(path):
+    with open(path, encoding="utf-8") as fh:
+        expected = yaml.load(fh, Loader=yaml.SafeLoader)
+    assert load_yaml(path, ValueError) == expected
 
 
 # ---------------------------------------------------------------- equilibrium

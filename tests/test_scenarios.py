@@ -157,6 +157,13 @@ def test_emit_timeseries_shape_and_calendar(suite):
     two_years_in = next(r for r in rows if r[0] == 24.0)
     assert two_years_in[1] == "2020-01"
     assert rows[-1][1] == "2022-03"
+    # the element-by-element table the array pass must reproduce, as Python
+    # floats (the CSV writer formats them with repr)
+    traj = suite["run1"].trajectory
+    assert rows == [[float(t), traj.clock.calendar_label(float(t)),
+                     *(float(traj.series[c][k]) for c in header[2:])]
+                    for k, t in enumerate(traj.times)]
+    assert all(type(v) is float for row in rows for v in [row[0], *row[2:]])
 
 
 def test_emit_timeseries_column_selection(suite):

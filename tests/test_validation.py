@@ -34,10 +34,11 @@ GOOD_CSV = """calendar_month,value,scenario,series,units,source
 """
 
 
-def test_import_loads_neither_calibration_nor_scipy():
+@pytest.mark.parametrize("module", ["rentdyn.validation", "rentdyn.cli"])
+def test_import_loads_neither_calibration_nor_scipy(module):
     import rentdyn
     env = dict(os.environ, PYTHONPATH=str(Path(rentdyn.__file__).parents[1]))
-    code = ("import sys, rentdyn.validation\n"
+    code = (f"import sys, {module}\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'rentdyn.calibration' or m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -307,8 +308,34 @@ def test_sweep_integrates_the_baseline_and_one_batch(monkeypatch):
     monkeypatch.setattr(model, "build_derivative", counted_build)
     sensitivity_sweep(default_params(), fraction=0.15)
     assert len(runs) == 2
-    assert len(runs[1]) == 130
+    # 130 moved perturbations, less the 20 of the moratorium and assistance
+    # blocks that run2 switches off
+    assert len(runs[1]) == 110
     assert len(derivs) == 2 * 201
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_disabled_block_perturbations_repeat_the_baseline(name):
+    """The premise of the sweep's shortcut: a parameter of a policy block the
+    scenario switches off moves nothing, so its run equals the baseline."""
+    params = default_params()
+    scenario = BUILTIN_SCENARIOS[name]
+    baseline = run_scenario(params, scenario)
+    base, entries = sensitivity_sweep(params, scenario, fraction=0.15)
+    off = [block for block in ("covid", "moratorium", "assistance")
+           if not getattr(baseline.params, block).enabled]
+    skipped = [e for e in entries if e.applied_value != e.baseline_value
+               and e.parameter.split(".")[0] in off]
+    expected = {"run1": 26, "run2": 20, "run3": 8, "run4": 0, "run4a": 0}[name]
+    assert len(skipped) == expected
+    for e in skipped:
+        alone = run_scenario(with_value(params, e.parameter, e.applied_value), scenario)
+        assert alone.metrics == baseline.metrics, (e.parameter, e.direction)
+        assert e.metrics == base
+        # the moved-entry formula: a downward step gives -0.0, not 0.0
+        sign = -1.0 if e.direction == "down" else 1.0
+        assert all(v == 0.0 and math.copysign(1.0, v) == sign
+                   for v in e.elasticities.values()), (e.parameter, e.direction)
 
 
 def test_sweep_fully_clamped_step_has_zero_elasticity():
