@@ -9,22 +9,36 @@ finite-difference Jacobian. A spec may free no more parameters than it has
 targets: with more, the exact fits form a ridge and the answer would depend
 on the start.
 
+Each scenario run is made once: runs are keyed by the scenario and the free
+values it can see, which leaves out a free parameter of a policy block the
+scenario switches off (its value moves nothing that scenario computes). The
+runs a point needs, and the runs of all the points of a finite-difference
+Jacobian at once, are shared between the calling process and forked
+worker processes, one process per usable CPU in all, each kept to its own
+CPU and claiming the next run left; the workers live for one ``calibrate``
+call, and the calling process gets its CPUs back when it ends. Without
+fork, on one usable CPU, or for a single run, the calling process makes
+the runs alone.
+
 The search is fully deterministic: same spec, same starting parameters,
-same result.
+same result, however many processes made the runs.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from rentdyn.engine import SimClock, SimulationError
-from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
-    with_value
+from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, \
+    in_disabled_block, load_yaml, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
@@ -97,6 +111,8 @@ class CalibrationResult:
     loss: float
     initial_loss: float
     evaluations: int
+    # scenario integrations made: one per scenario and distinct point it sees
+    scenario_runs: int
     iterations: int
     converged: bool
     fitted: dict[str, float]
@@ -202,18 +218,12 @@ def load_calibration_spec(
                            max_iterations=max_iterations)
 
 
-def _achieved_metrics(
-    params: ModelParams,
+def _achieved(
+    metric_sets: dict[str, MetricSet],
     spec: CalibrationSpec,
     clock: SimClock,
-    scenarios: dict[str, Scenario],
 ) -> dict[str, float]:
-    """Metric values for every target, running each scenario once."""
-    needed = sorted({t.scenario for t in spec.targets})
-    metric_sets = {
-        name: run_scenario(params, scenarios[name], clock=clock).metrics
-        for name in needed
-    }
+    """Metric values for every target, read from its scenario's metrics."""
     out = {}
     for target in spec.targets:
         value = getattr(metric_sets[target.scenario], target.metric)
@@ -222,6 +232,18 @@ def _achieved_metrics(
             value = clock.horizon + 1.0
         out[target.key] = float(value)
     return out
+
+
+def _achieved_metrics(
+    params: ModelParams,
+    spec: CalibrationSpec,
+    clock: SimClock,
+    scenarios: dict[str, Scenario],
+) -> dict[str, float]:
+    """Metric values for every target, running each scenario once."""
+    metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
+                   for name in sorted({t.scenario for t in spec.targets})}
+    return _achieved(metric_sets, spec, clock)
 
 
 def _residuals(achieved: dict[str, float], spec: CalibrationSpec) -> np.ndarray:
@@ -246,6 +268,65 @@ def calibration_loss(
     return float(np.sum(_residuals(achieved, spec) ** 2))
 
 
+def _process_count() -> int:
+    """Processes a fit runs scenarios in: one per usable CPU where it can fork."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods() \
+            or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@dataclass(frozen=True)
+class _ScenarioRun:
+    """Runs one scenario at one point of a fit; ``None`` when the run fails."""
+
+    params: ModelParams
+    paths: tuple[str, ...]
+    scenarios: dict[str, Scenario]
+    clock: SimClock
+
+    def params_at(self, values: tuple[float, ...]) -> ModelParams:
+        candidate = self.params
+        for path, value in zip(self.paths, values):
+            candidate = with_value(candidate, path, value)
+        return candidate
+
+    def __call__(self, task: tuple[str, tuple[float, ...]]) -> MetricSet | None:
+        name, values = task
+        try:
+            return run_scenario(self.params_at(values), self.scenarios[name],
+                                clock=self.clock).metrics
+        except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
+            return None
+
+
+def _make_runs(run: _ScenarioRun, counter: Any,
+               todo: list[tuple[str, tuple[float, ...]]]) -> dict[int, MetricSet | None]:
+    """Claim and make runs of ``todo`` until none is left; return them by index."""
+    made = {}
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value += 1
+        if index >= len(todo):
+            return made
+        made[index] = run(todo[index])
+
+
+def _serve(run: _ScenarioRun, counter: Any, conn: Any, cpu: int) -> None:
+    """A worker process of a fit, kept to ``cpu``: make runs of each list it
+    is sent, until stopped."""
+    os.sched_setaffinity(0, {cpu})
+    while True:
+        todo = conn.recv()
+        try:
+            conn.send(_make_runs(run, counter, todo))
+        except Exception as error:
+            conn.send(error)
+
+
 def calibrate(
     params: ModelParams,
     spec: CalibrationSpec,
@@ -259,6 +340,10 @@ def calibrate(
     finite-difference Jacobian equally, and treats any simulation blow-up as
     a residual vector of effectively infinite loss so the trust region
     shrinks away from pathological corners.
+
+    Each scenario run is made once per distinct point it can see, and the
+    runs a point or a Jacobian needs are spread over worker processes (see
+    the module docstring); the result is the same as from one process.
     """
     clock = clock if clock is not None else SimClock()
     scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
@@ -272,53 +357,130 @@ def calibrate(
     scale = np.where(np.abs(x0) > 0.0, np.abs(x0), 1.0)
     failure = np.full(len(spec.targets), math.sqrt(_FAILURE_LOSS / len(spec.targets)))
 
+    needed = sorted({t.scenario for t in spec.targets})
+    # the free values each scenario can see: one in a policy block the
+    # scenario switches off moves nothing it computes
+    seen = {name: np.array([not in_disabled_block(scenarios[name].apply(params), path)
+                            for path in paths])
+            for name in needed}
+    run = _ScenarioRun(params, tuple(paths), scenarios, clock)
+    # metrics of every scenario run made, keyed by the scenario and the bytes
+    # of the free values it sees
+    runs: dict[tuple[str, bytes], MetricSet | None] = {}
     evaluations = 0
-    # (residuals, achieved metrics or None on failure) of every point scored:
-    # least_squares opens at the start that initial_loss has just scored (an
-    # interior start reaches it unmoved), and its answer is a point it scored
-    # before the last Jacobian
-    scored: dict[bytes, tuple[np.ndarray, dict[str, float] | None]] = {}
 
-    def apply(z: np.ndarray) -> ModelParams:
-        candidate = params
-        for path, value in zip(paths, np.clip(z * scale, lower, upper)):
-            candidate = with_value(candidate, path, float(value))
-        return candidate
+    def values_at(z: np.ndarray) -> tuple[float, ...]:
+        return tuple(np.clip(z * scale, lower, upper).tolist())
 
-    def score(z: np.ndarray) -> tuple[np.ndarray, dict[str, float] | None]:
-        key = z.tobytes()
-        if key not in scored:
-            try:
-                achieved = _achieved_metrics(apply(z), spec, clock, scenarios)
-                scored[key] = (_residuals(achieved, spec), achieved)
-            except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
-                scored[key] = (failure, None)
-        return scored[key]
+    def keys(values: tuple[float, ...]) -> list[tuple[str, bytes]]:
+        return [(name, np.array(values)[seen[name]].tobytes()) for name in needed]
+
+    def ensure(points) -> None:
+        """Make the scenario runs the points need that are not made yet."""
+        tasks = {}
+        for z in points:
+            values = values_at(z)
+            for key in keys(values):
+                if key not in runs:
+                    tasks.setdefault(key, (key[0], values))
+        todo = list(tasks.values())
+        if not workers or len(todo) < 2:
+            made = dict(enumerate(map(run, todo)))
+        else:
+            # this process and the workers each claim the next run left, so
+            # a process slowed by other load makes fewer of them
+            counter.value = 0
+            for _, conn in workers:
+                conn.send(todo)
+            made = _make_runs(run, counter, todo)
+            for _, conn in workers:
+                reply = conn.recv()
+                if isinstance(reply, Exception):
+                    raise reply
+                made.update(reply)
+        runs.update((key, made[index]) for index, key in enumerate(tasks))
+
+    def achieved_at(z: np.ndarray) -> dict[str, float] | None:
+        ensure([z])
+        metric_sets = {name: runs[name, key] for name, key in keys(values_at(z))}
+        if any(m is None for m in metric_sets.values()):
+            return None
+        return _achieved(metric_sets, spec, clock)
+
+    def score(z: np.ndarray) -> np.ndarray:
+        achieved = achieved_at(z)
+        return failure if achieved is None else _residuals(achieved, spec)
 
     def residuals(z: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        return score(z)[0]
+        return score(z)
 
-    initial_loss = float(np.sum(score(x0 / scale)[0] ** 2))
-    result = least_squares(
-        residuals,
-        x0 / scale,
-        method="trf",
-        bounds=(lower / scale, upper / scale),
-        max_nfev=spec.max_iterations,
-    )
+    def jacobian_map(fun, points):
+        # scipy hands the finite-difference points of a Jacobian over at once
+        points = list(points)
+        ensure(points)
+        return list(map(fun, points))
+
+    # (process, pipe end) of each worker; the calling process sends each its
+    # runs itself, so no thread of this process stands between them
+    workers = []
+    # one CPU per process, the calling process's first: the scheduler would
+    # otherwise wake a worker on the CPU of the process that sent it runs,
+    # and the two could share that CPU for a whole fit
+    cpus = []
+    caller_cpus = None
+    processes = _process_count()
+    if processes > 1:
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        counter = context.Value("i", 0)
+        cpus = sorted(os.sched_getaffinity(0))[:processes]
+    # scipy < 1.16 takes no workers and hands the Jacobian's points over
+    # one at a time; each point's scenario runs are still spread
+    solver_options = {"workers": jacobian_map} \
+        if "workers" in inspect.signature(least_squares).parameters else {}
+    try:
+        for cpu in cpus[1:]:
+            conn, worker_conn = context.Pipe()
+            worker = context.Process(target=_serve,
+                                     args=(run, counter, worker_conn, cpu), daemon=True)
+            worker.start()
+            worker_conn.close()
+            workers.append((worker, conn))
+        if cpus:
+            caller_cpus = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, cpus[:1])
+        initial_loss = float(np.sum(score(x0 / scale) ** 2))
+        result = least_squares(
+            residuals,
+            x0 / scale,
+            method="trf",
+            bounds=(lower / scale, upper / scale),
+            max_nfev=spec.max_iterations,
+            **solver_options,
+        )
+        x = np.asarray(result.x)
+        achieved = achieved_at(x)
+    finally:
+        if caller_cpus is not None:
+            os.sched_setaffinity(0, caller_cpus)
+        for worker, conn in workers:
+            worker.terminate()
+            worker.join()
+            conn.close()
     loss = float(np.sum(result.fun ** 2))
-    x = np.asarray(result.x)
-    fitted_params = apply(x)
-    _, achieved = scored.get(x.tobytes(), (None, None))
+    fitted_params = run.params_at(values_at(x))
     if achieved is None:
+        # the fit ends on a failed run: make it here to raise its error
         achieved = _achieved_metrics(fitted_params, spec, clock, scenarios)
     return CalibrationResult(
         params=fitted_params,
         loss=loss,
         initial_loss=initial_loss,
         evaluations=evaluations,
+        scenario_runs=len(runs),
         iterations=int(result.nfev),
         converged=bool(result.status > 0) and loss < _FAILURE_LOSS,
         fitted={path: float(get_value(fitted_params, path)) for path in paths},

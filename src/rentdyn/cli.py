@@ -318,7 +318,7 @@ def _cmd_calibrate(args) -> int:
         raise CliError(f"cannot load calibration spec: {err}") from err
     result = calibrate(params, spec, clock=clock, scenarios=scenarios)
     print(f"loss {result.initial_loss:.6g} -> {result.loss:.6g} "
-          f"after {result.evaluations} evaluations "
+          f"after {result.evaluations} evaluations, {result.scenario_runs} scenario runs "
           f"({'converged' if result.converged else 'not converged'})")
     print("singular values of the scaled Jacobian: "
           + " ".join(f"{v:.3g}" for v in result.singular_values))

@@ -31,6 +31,7 @@ __all__ = [
     "default_params",
     "get_value",
     "with_value",
+    "in_disabled_block",
     "sweepable_parameters",
     "stack_params",
     "bounds_for",
@@ -343,6 +344,16 @@ def _replaced(obj: Any, names: list[str], value: Any, path: str) -> Any:
     if len(names) > 1:
         value = _replaced(getattr(obj, name), names[1:], value, path)
     return replace(obj, **{name: value})
+
+
+def in_disabled_block(params: ModelParams, path: str) -> bool:
+    """Whether ``path`` belongs to a policy block that ``params`` switches off.
+
+    Such a value moves nothing the model computes, so runs that differ only
+    there give the same numbers.
+    """
+    group = path.partition(".")[0]
+    return group in _POLICY_BLOCKS and not getattr(params, group).enabled
 
 
 def sweepable_parameters() -> list[str]:

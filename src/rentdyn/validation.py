@@ -27,7 +27,7 @@ import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
 from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
-    sweepable_parameters, with_value
+    in_disabled_block, sweepable_parameters, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
@@ -308,12 +308,6 @@ def _metric_values(metrics: MetricSet) -> dict[str, float]:
     return {name: float(getattr(metrics, name)) for name in _SWEEP_METRICS}
 
 
-def _in_disabled_block(applied: ModelParams, path: str) -> bool:
-    """Whether ``path`` belongs to a policy block that ``applied`` switches off."""
-    group, _, leaf = path.partition(".")
-    return bool(leaf) and not getattr(getattr(applied, group), "enabled", True)
-
-
 def sensitivity_sweep(
     params: ModelParams | None = None,
     scenario: Scenario | None = None,
@@ -355,7 +349,7 @@ def sensitivity_sweep(
             applied = clamp_to_bounds(path, requested)
             # a parameter of a policy block the scenario switches off moves
             # nothing the model computes, so its run would repeat the baseline
-            run = applied != base and not _in_disabled_block(baseline.params, path)
+            run = applied != base and not in_disabled_block(baseline.params, path)
             steps.append((path, direction, base, requested, applied,
                           applied != requested, run))
     # a generator, so each perturbed base set is freed once the scenario is applied

@@ -1,5 +1,8 @@
 """Calibration spec loading, loss, and least-squares recovery of known optima."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from rentdyn import calibration
@@ -12,6 +15,7 @@ from rentdyn.calibration import (
     calibration_loss,
     load_calibration_spec,
 )
+from rentdyn.engine import SimulationError
 from rentdyn.params import default_params, get_value, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
 
@@ -206,22 +210,106 @@ def test_shipped_spec_fit_does_not_depend_on_the_start():
         assert second.fitted[path] == pytest.approx(value, rel=1e-4), path
 
 
-def test_fit_integrates_its_start_once(monkeypatch):
-    """The start is scored for initial_loss; the solver's first call reuses it,
-    and the fitted point's achieved metrics come from its own evaluation."""
+def test_fit_integrates_its_start_once():
+    """Each scenario runs once per distinct point it sees: the start is scored
+    once, the fitted point's metrics come from its own evaluation, and a
+    Jacobian point that moves only a parameter of a policy block a scenario
+    switches off reuses that scenario's run at the base point."""
     spec = load_calibration_spec("params/calibration.yaml")
-    runs = []
-    run_scenario_ = calibration.run_scenario
-
-    def counted(*args, **kwargs):
-        runs.append(args[1].name)
-        return run_scenario_(*args, **kwargs)
-
-    monkeypatch.setattr(calibration, "run_scenario", counted)
     result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), spec)
     assert result.converged
-    # the start, then each evaluation after the first
-    assert len(runs) == 3 * result.evaluations
+    assert result.evaluations == 40
+    # 40 points x 3 scenarios, less run2 at 16 Jacobian points (filing
+    # reduction, disbursement time) and run3 at 8 (disbursement time)
+    assert result.scenario_runs == 96
+
+
+def test_fit_from_the_benchmark_start_is_unchanged():
+    spec = load_calibration_spec("params/calibration.yaml")
+    result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), spec)
+    assert result.fitted == {
+        "covid.magnitude": 0.6007270358845769,
+        "covid.recovery_time": 74.4601599849143,
+        "moratorium.filing_reduction": 0.5000313536862103,
+        "assistance.disbursement_time": 34.99999999999995,
+    }
+
+
+def _outcome(result):
+    return (result.fitted, result.loss, result.initial_loss, result.achieved,
+            result.evaluations, result.scenario_runs, result.iterations,
+            result.singular_values)
+
+
+@pytest.mark.parametrize("magnitude", [0.475, 0.54])
+def test_parallel_fit_equals_serial_fit(monkeypatch, magnitude):
+    spec = load_calibration_spec("params/calibration.yaml")
+    start = with_value(default_params(), "covid.magnitude", magnitude)
+    parallel = calibrate(start, spec)
+    monkeypatch.setattr(calibration, "_process_count", lambda: 1)
+    serial = calibrate(start, spec)
+    assert _outcome(parallel) == _outcome(serial)
+
+
+def test_fit_without_a_solver_workers_hook_is_the_same(monkeypatch):
+    """scipy < 1.16 has no least_squares(workers=): the Jacobian's points then
+    arrive one by one, and the fit and its runs stay the same."""
+    spec = load_calibration_spec("params/calibration.yaml")
+    start = with_value(default_params(), "covid.magnitude", 0.5)
+    with_hook = calibrate(start, spec)
+    solver = calibration.least_squares
+    monkeypatch.setattr(calibration, "least_squares",
+                        lambda fun, x0, **options: solver(fun, x0, **options))
+    assert _outcome(calibrate(start, spec)) == _outcome(with_hook)
+
+
+def test_run_failing_in_a_worker_scores_like_a_serial_failure(monkeypatch):
+    """A run that raises SimulationError scores the failure residual wherever
+    it runs: run3 fails above magnitude 0.58, so the fit stops short there."""
+    spec = load_calibration_spec("params/calibration.yaml")
+    start = with_value(default_params(), "covid.magnitude", 0.5)
+    failures = []
+    run_scenario_ = calibration.run_scenario
+
+    def failing(params, scenario, **kwargs):
+        if scenario.name == "run3" and params.covid.magnitude > 0.58:
+            failures.append(params.covid.magnitude)
+            raise SimulationError("blew up")
+        return run_scenario_(params, scenario, **kwargs)
+
+    monkeypatch.setattr(calibration, "run_scenario", failing)
+    parallel = calibrate(start, spec)
+    monkeypatch.setattr(calibration, "_process_count", lambda: 1)
+    serial = calibrate(start, spec)
+    assert failures  # the serial fit met failing runs in this process
+    assert serial.converged
+    assert serial.fitted["covid.magnitude"] <= 0.58
+    assert _outcome(parallel) == _outcome(serial)
+
+
+def test_worker_pool_is_bounded_and_closed_when_the_solver_raises(monkeypatch):
+    spec = load_calibration_spec("params/calibration.yaml")
+    start = with_value(default_params(), "covid.magnitude", 0.5)
+    cpus = os.sched_getaffinity(0)
+    seen = []
+
+    def broken(fun, x0, workers, **kwargs):
+        workers(fun, [x0 * 1.01, x0 * 1.02, x0 * 1.03])
+        seen.append((len(multiprocessing.active_children()), os.sched_getaffinity(0)))
+        raise RuntimeError("solver failed")
+
+    monkeypatch.setattr(calibration, "least_squares", broken)
+    # the held traceback keeps calibrate's frame, and with it the pool, alive
+    with pytest.raises(RuntimeError, match="solver failed") as raised:
+        calibrate(start, spec)
+    # this process is one of the processes that make the runs
+    processes = calibration._process_count()
+    assert processes <= len(cpus)
+    # during the fit this process keeps to one CPU, and gets its CPUs back
+    assert seen == [(processes - 1, {min(cpus)} if processes > 1 else cpus)]
+    assert os.sched_getaffinity(0) == cpus
+    assert multiprocessing.active_children() == []
+    assert raised.traceback
 
 
 def test_start_outside_bounds_is_clipped_in():

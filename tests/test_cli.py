@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -146,7 +147,10 @@ def test_calibrate_writes_retagged_params(tmp_path, capsys):
     out = tmp_path / "fit"
     rc = main(["calibrate", "--spec", str(spec), "--out", str(out), "--seed", "5"])
     assert rc == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("singular values")
+    lines = capsys.readouterr().out.splitlines()
+    # one free parameter read by the one target scenario: a run per evaluation
+    assert re.search(r"after (\d+) evaluations, \1 scenario runs \(converged\)$", lines[0])
+    assert lines[1].startswith("singular values")
     from rentdyn.params import load_params
     fitted, meta = load_params(out / "params.yaml")
     assert 0.5 <= fitted.covid.magnitude <= 0.7
