@@ -14,11 +14,13 @@ values it can see, which leaves out a free parameter of a policy block the
 scenario switches off (its value moves nothing that scenario computes). The
 runs a point needs, and the runs of all the points of a finite-difference
 Jacobian at once, are shared between the calling process and forked
-worker processes, one process per usable CPU in all, each kept to its own
-CPU and claiming the next run left; the workers live for one ``calibrate``
-call, and the calling process gets its CPUs back when it ends. Without
-fork, on one usable CPU, or for a single run, the calling process makes
-the runs alone.
+worker processes, each process claiming the next run left. There is one
+process per usable CPU in all, but no more than the runs of one Jacobian
+(the scenarios the targets name times the free parameters); the workers
+live for one ``calibrate`` call. Without fork, on one usable CPU, for a
+single run, or while the calling process runs other threads (a fork would
+copy locks those threads may hold), the calling process makes the runs
+alone.
 
 The search is fully deterministic: same spec, same starting parameters,
 same result, however many processes made the runs.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import inspect
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -268,14 +271,15 @@ def calibration_loss(
     return float(np.sum(_residuals(achieved, spec) ** 2))
 
 
-def _process_count() -> int:
-    """Processes a fit runs scenarios in: one per usable CPU where it can fork."""
+def _process_count(most: int) -> int:
+    """Processes a fit runs scenarios in: one per usable CPU, at most ``most``,
+    where it can fork and no other thread runs."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods() \
-            or not hasattr(os, "sched_getaffinity"):
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(len(os.sched_getaffinity(0)), most)
 
 
 @dataclass(frozen=True)
@@ -315,10 +319,9 @@ def _make_runs(run: _ScenarioRun, counter: Any,
         made[index] = run(todo[index])
 
 
-def _serve(run: _ScenarioRun, counter: Any, conn: Any, cpu: int) -> None:
-    """A worker process of a fit, kept to ``cpu``: make runs of each list it
-    is sent, until stopped."""
-    os.sched_setaffinity(0, {cpu})
+def _serve(run: _ScenarioRun, counter: Any, conn: Any) -> None:
+    """A worker process of a fit: make runs of each list it is sent, until
+    stopped."""
     while True:
         todo = conn.recv()
         try:
@@ -425,33 +428,25 @@ def calibrate(
     # (process, pipe end) of each worker; the calling process sends each its
     # runs itself, so no thread of this process stands between them
     workers = []
-    # one CPU per process, the calling process's first: the scheduler would
-    # otherwise wake a worker on the CPU of the process that sent it runs,
-    # and the two could share that CPU for a whole fit
-    cpus = []
-    caller_cpus = None
-    processes = _process_count()
+    # a Jacobian needs at most one run per scenario and free parameter
+    processes = _process_count(len(needed) * len(paths))
     if processes > 1:
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
         counter = context.Value("i", 0)
-        cpus = sorted(os.sched_getaffinity(0))[:processes]
     # scipy < 1.16 takes no workers and hands the Jacobian's points over
     # one at a time; each point's scenario runs are still spread
     solver_options = {"workers": jacobian_map} \
         if "workers" in inspect.signature(least_squares).parameters else {}
     try:
-        for cpu in cpus[1:]:
+        for _ in range(processes - 1):
             conn, worker_conn = context.Pipe()
             worker = context.Process(target=_serve,
-                                     args=(run, counter, worker_conn, cpu), daemon=True)
+                                     args=(run, counter, worker_conn), daemon=True)
             worker.start()
             worker_conn.close()
             workers.append((worker, conn))
-        if cpus:
-            caller_cpus = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, cpus[:1])
         initial_loss = float(np.sum(score(x0 / scale) ** 2))
         result = least_squares(
             residuals,
@@ -464,8 +459,6 @@ def calibrate(
         x = np.asarray(result.x)
         achieved = achieved_at(x)
     finally:
-        if caller_cpus is not None:
-            os.sched_setaffinity(0, caller_cpus)
         for worker, conn in workers:
             worker.terminate()
             worker.join()

@@ -20,7 +20,6 @@ a solver.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -43,14 +42,7 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """Raised when integration produces a non-finite value.
-
-    ``column`` is the batch column the message describes (None for one run).
-    """
-
-    def __init__(self, message: str, column: int | None = None):
-        super().__init__(message)
-        self.column = column
+    """Raised when integration produces a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -317,9 +309,10 @@ def simulate(
         each column with its own clamp events and views into one shared
         block. Every stock and auxiliary is checked at every sample, kept or
         not, and a non-finite value raises :class:`SimulationError` naming
-        the first bad series at the earliest bad time; in a batch it reports
-        the lowest such column, so the message is the one that column's own
-        run raises.
+        the first bad series at the earliest bad time. A batch raises at its
+        first non-finite sample, naming the lowest bad column there; which
+        parameter set's error a caller reports is the caller's to decide
+        (:func:`rentdyn.model.run_model` reruns the sets alone).
     """
     names = list(initial)
     clamped = {i: name for i, name in enumerate(names) if name in nonneg}
@@ -350,19 +343,6 @@ def simulate(
     return Trajectory(clock=clock, times=times, series=series, clamp_events=events)
 
 
-def _mapped_block(shape: tuple[int, ...]) -> np.ndarray:
-    """A float array in an anonymous memory mapping of its own.
-
-    The mapping goes back to the system when the last view of it goes. A
-    block this size taken from the heap would stay resident after it is
-    freed: glibc raises its mmap threshold to the size of the last mapping
-    freed, so from the second batch on, such blocks come from the heap.
-    """
-    cells = math.prod(shape)
-    buffer = mmap.mmap(-1, max(8 * cells, 1))
-    return np.frombuffer(buffer, dtype=float, count=cells).reshape(shape)
-
-
 def _simulate_batch(
     deriv: DerivFn,
     clock: SimClock,
@@ -377,7 +357,6 @@ def _simulate_batch(
     size = max(np.size(v) for v in initial)
     state = [np.broadcast_to(np.asarray(v, dtype=float), (size,)) for v in initial]
     events: list[list[ClampEvent]] = [[] for _ in range(size)]
-    failures: dict[int, str] = {}
     block = keep = None
 
     for k, t in enumerate(times.tolist()):
@@ -386,20 +365,15 @@ def _simulate_batch(
         if block is None:
             names += aux
             keep = [names.index(name) for name in (names if record is None else record)]
-            block = _mapped_block((len(keep), size, n))
+            block = np.empty((len(keep), size, n))
         block[:, :, k] = sample[keep]
         bad = ~np.isfinite(sample)
         if bad.any():
-            for b in np.flatnonzero(bad.any(axis=0)).tolist():
-                if b not in failures:
-                    j = int(np.flatnonzero(bad[:, b])[0])
-                    failures[b] = _nonfinite(names[j], t, sample[j, b])
+            b, j = np.argwhere(bad.T)[0]  # the lowest bad column, its first series
+            raise SimulationError(_nonfinite(names[j], t, sample[j, b]))
         if k < n - 1:
             state = _euler_step_batch(state, rates, clock.dt, clamped, t, events)
 
-    if failures:
-        column = min(failures)
-        raise SimulationError(failures[column], column=column)
     kept = [names[j] for j in keep]
     return [Trajectory(clock=clock, times=times,
                        series={name: block[i, b] for i, name in enumerate(kept)},

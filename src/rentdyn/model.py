@@ -44,8 +44,8 @@ comparisons, ``where``, ``maximum``, ``minimum``), and never ``np.exp`` or
 last bit on some inputs. Each effect curve is therefore evaluated column by
 column through its own ``__call__``, so a curve keeps one definition. The
 backends part only on NaN, which numpy's ``maximum``/``minimum`` propagate
-and Python's ``max``/``min`` may drop; :func:`run_model` reruns a batch
-column that goes non-finite on the scalar backend.
+and Python's ``max``/``min`` may drop; :func:`run_model` reruns the sets
+of a batch that goes non-finite on the scalar backend.
 """
 
 from __future__ import annotations
@@ -414,10 +414,10 @@ def run_model(
     trajectory. A sequence of B parameter sets runs as one batch on the
     numpy backend and returns B trajectories (none for an empty sequence).
     Either way a trajectory holds the ``record`` series (every stock and
-    auxiliary if None). If a batch column goes non-finite, that column is
-    rerun alone on the scalar backend, so the
-    :class:`rentdyn.engine.SimulationError` raised is the one its own run
-    raises.
+    auxiliary if None). If a batch goes non-finite, its sets are rerun
+    alone on the scalar backend, in order, and the first that fails raises
+    its own error, as one-by-one runs would; if none fails alone, the
+    batch's own :class:`rentdyn.engine.SimulationError` is raised.
     """
     if clock is None:
         clock = SimClock()
@@ -432,6 +432,7 @@ def run_model(
     try:
         with np.errstate(all="ignore"):
             return simulate(deriv, clock, initial, NONNEG_STOCKS, record)
-    except SimulationError as err:
-        run_model(params[err.column], clock)
-        raise  # the backends parted on that column: keep the batch's own report
+    except SimulationError:
+        for one in params:
+            run_model(one, clock)
+        raise  # the backends parted on NaN: keep the batch's own report

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -246,7 +247,7 @@ def test_parallel_fit_equals_serial_fit(monkeypatch, magnitude):
     spec = load_calibration_spec("params/calibration.yaml")
     start = with_value(default_params(), "covid.magnitude", magnitude)
     parallel = calibrate(start, spec)
-    monkeypatch.setattr(calibration, "_process_count", lambda: 1)
+    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     serial = calibrate(start, spec)
     assert _outcome(parallel) == _outcome(serial)
 
@@ -279,7 +280,7 @@ def test_run_failing_in_a_worker_scores_like_a_serial_failure(monkeypatch):
 
     monkeypatch.setattr(calibration, "run_scenario", failing)
     parallel = calibrate(start, spec)
-    monkeypatch.setattr(calibration, "_process_count", lambda: 1)
+    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     serial = calibrate(start, spec)
     assert failures  # the serial fit met failing runs in this process
     assert serial.converged
@@ -302,14 +303,52 @@ def test_worker_pool_is_bounded_and_closed_when_the_solver_raises(monkeypatch):
     # the held traceback keeps calibrate's frame, and with it the pool, alive
     with pytest.raises(RuntimeError, match="solver failed") as raised:
         calibrate(start, spec)
-    # this process is one of the processes that make the runs
-    processes = calibration._process_count()
+    # this process is one of the processes that make the runs: at most one
+    # per CPU and per run of a Jacobian (3 scenarios x 4 free parameters)
+    processes = calibration._process_count(3 * 4)
     assert processes <= len(cpus)
-    # during the fit this process keeps to one CPU, and gets its CPUs back
-    assert seen == [(processes - 1, {min(cpus)} if processes > 1 else cpus)]
+    # the fit leaves the CPUs this process may use alone
+    assert seen == [(processes - 1, cpus)]
     assert os.sched_getaffinity(0) == cpus
     assert multiprocessing.active_children() == []
     assert raised.traceback
+
+
+def test_pool_is_sized_from_the_work_not_the_machine(monkeypatch):
+    """On 64 CPUs a fit whose Jacobian needs 12 runs starts 12 processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert calibration._process_count(3 * 4) == 12
+    assert calibration._process_count(100) == 64
+    assert calibration._process_count(1) == 1
+
+
+def test_fit_never_forks_while_another_thread_runs(monkeypatch):
+    """A fork copies locks other threads may hold: with a second thread
+    alive, the fit makes its runs in this process, with the same result."""
+    spec = load_calibration_spec("params/calibration.yaml")
+    start = with_value(default_params(), "covid.magnitude", 0.5)
+    children = []
+    solver = calibration.least_squares
+
+    def counting(fun, x0, **options):
+        children.append(len(multiprocessing.active_children()))
+        return solver(fun, x0, **options)
+
+    monkeypatch.setattr(calibration, "least_squares", counting)
+    pooled = calibrate(start, spec)
+    assert children == [calibration._process_count(3 * 4) - 1]
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait, daemon=True)
+    waiting.start()
+    try:
+        assert calibration._process_count(3 * 4) == 1
+        alone = calibrate(start, spec)
+    finally:
+        stop.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    assert children[1:] == [0]
+    assert _outcome(alone) == _outcome(pooled)
 
 
 def test_start_outside_bounds_is_clipped_in():

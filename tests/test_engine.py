@@ -280,16 +280,17 @@ def test_simulate_records_only_the_requested_series():
     assert np.array_equal(single["outflow"], batch[1]["outflow"])
 
 
-def test_batch_raises_the_first_failing_columns_own_error():
-    """Column 2 blows up first in time, but column 1 is the first that fails."""
+def test_batch_raises_at_its_first_non_finite_sample():
+    """Column 2 blows up first in time; the batch stops there and names it.
+    Which set's error a caller reports is run_model's to decide."""
     def deriv(state, t):
         return [state[0] * state[0]], {}
 
     clock = SimClock(dt=0.25, horizon=50.0, burn_in=0.0)
     with pytest.raises(SimulationError) as single:
-        simulate(deriv, clock, {"x": 10.0})
+        simulate(deriv, clock, {"x": 20.0})
     with pytest.raises(SimulationError) as batch:
         with np.errstate(over="ignore", invalid="ignore"):
             simulate(deriv, clock, {"x": np.array([0.0, 10.0, 20.0])})
-    assert str(batch.value) == str(single.value)
-    assert batch.value.column == 1
+    assert str(batch.value) == str(single.value) == \
+        "non-finite value for 'x' at t=2.25: inf"

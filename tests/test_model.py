@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from rentdyn.engine import SimClock, SimulationError
 from rentdyn.model import (
@@ -28,7 +30,7 @@ from rentdyn.model import (
     run_model,
     stress_effect,
 )
-from rentdyn.params import default_params, with_value
+from rentdyn.params import FIELDS, default_params, get_value, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS
 
 
@@ -346,9 +348,66 @@ def test_numpy_backend_matches_scalar_on_extreme_inputs():
 
 
 def test_batch_with_a_failing_column_raises_that_columns_own_error():
-    exploding = with_value(default_params(), "avg_monthly_rent", 1e305)
-    with pytest.raises(SimulationError) as single:
+    p = default_params()
+    exploding = with_value(p, "avg_monthly_rent", 1e305)
+    with pytest.raises(SimulationError, match=r"'rent_due' at t=0:") as single:
         run_model(exploding)
     with pytest.raises(SimulationError) as batch:
-        run_model([default_params(), exploding, default_params()])
+        run_model([p, exploding, p])
     assert str(batch.value) == str(single.value)
+    # a later set that fails earlier in time does not outrank the first
+    # failing set: the batch raises what one-by-one runs would
+    crowding = with_value(p, "rate_new_insecurity", 1e307)
+    with pytest.raises(SimulationError, match=r"'households_insecure' at t=33\.75:") as single:
+        run_model(crowding)
+    with pytest.raises(SimulationError) as batch:
+        run_model([p, crowding, exploding])
+    assert str(batch.value) == str(single.value)
+
+
+@st.composite
+def _moved_params(draw):
+    """A shipped scenario applied to defaults with 1-3 fields moved in bounds;
+    an unbounded field goes near its default or to 1e200 ... 1e307, where some
+    runs fail."""
+    p = default_params()
+    for f in draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3,
+                           unique_by=lambda f: f.path)):
+        if f.hi is not None:
+            value = st.floats(f.lo, f.hi)
+        else:
+            near = st.floats(f.lo, 4.0 * max(abs(get_value(p, f.path)), 1.0))
+            value = st.one_of(near, st.floats(200.0, 307.0).map(lambda e: 10.0 ** e))
+        try:
+            p = with_value(p, f.path, draw(value))
+        except ValueError:  # a curve's own invariant (y_final >= floor, ...)
+            assume(False)
+    return draw(st.sampled_from(sorted(BUILTIN_SCENARIOS))), p
+
+
+def _outcome(params):
+    try:
+        return run_model(params)
+    except Exception as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_moved_params(), min_size=1, max_size=6))
+def test_batch_column_is_its_scalar_run(drawn):
+    """Each column of a batch is its own scalar run, series and clamp events,
+    or the batch raises the error of the first set that fails alone."""
+    sets = [BUILTIN_SCENARIOS[name].apply(p) for name, p in drawn]
+    singles = [_outcome(p) for p in sets]
+    batch = _outcome(sets)
+    failed = [s for s in singles if isinstance(s, tuple)]
+    if failed:
+        assert batch == failed[0]
+        return
+    assert isinstance(batch, list) and len(batch) == len(sets)
+    for column, single in zip(batch, singles):
+        assert list(column.series) == list(single.series)
+        for name, series in single.series.items():
+            assert np.array_equal(column[name], series), name
+        assert column.clamp_events == single.clamp_events

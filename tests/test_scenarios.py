@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rentdyn import model
 from rentdyn.engine import SimClock
 from rentdyn.model import run_model
 from rentdyn.params import default_params, with_value
@@ -145,6 +146,33 @@ def test_crowding_metrics_move_with_the_shock(suite):
     assert suite["run2"].metrics.crowding_mean > suite["run1"].metrics.crowding_mean
     for r in suite.values():
         assert r.metrics.crowding_end > 0.0
+
+
+def _limiter_binds(monkeypatch, dt):
+    """Outflow-limiter binds (outflows above stock / dt) over the shipped
+    scenarios at ``dt``, and the limiter calls made."""
+    counts = {"binds": 0, "calls": 0}
+
+    def counting(step, stock, *flows):
+        counts["calls"] += 1
+        counts["binds"] += sum(flows) > stock / step
+        return model._limit(step, stock, *flows)
+
+    monkeypatch.setattr(model.SCALAR, "limit", counting)
+    clock = SimClock(dt=dt)
+    for scenario in BUILTIN_SCENARIOS.values():
+        run_scenario(default_params(), scenario, clock=clock)
+    return counts
+
+
+def test_outflow_limiter_never_binds_in_the_shipped_scenarios(monkeypatch):
+    """At the default step no stock's outflows exceed stock / dt, so the
+    limiter shapes none of the shipped results."""
+    counts = _limiter_binds(monkeypatch, 0.25)
+    assert counts["calls"] > 0
+    assert counts["binds"] == 0
+    # the count has teeth: at dt=1 the limiter binds
+    assert _limiter_binds(monkeypatch, 1.0)["binds"] > 0
 
 
 # ---------------------------------------------------------------- time series
