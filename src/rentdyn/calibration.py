@@ -17,10 +17,11 @@ Jacobian at once, are shared between the calling process and forked
 worker processes, each process claiming the next run left. There is one
 process per usable CPU in all, but no more than the runs of one Jacobian
 (the scenarios the targets name times the free parameters); the workers
-live for one ``calibrate`` call. Without fork, on one usable CPU, for a
-single run, or while the calling process runs other threads (a fork would
-copy locks those threads may hold), the calling process makes the runs
-alone.
+live for one ``calibrate`` call. Forked from it, they share its run
+function as it is: only the list of runs to make and the metrics made cross
+a pipe. Without fork, on one usable CPU, for a single run, or while the
+calling process runs other threads (a fork would copy locks those threads
+may hold), the calling process makes the runs alone.
 
 The search is fully deterministic: same spec, same starting parameters,
 same result, however many processes made the runs.
@@ -28,20 +29,19 @@ same result, however many processes made the runs.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Mapping
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from rentdyn.engine import SimClock, SimulationError
 from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, \
-    in_disabled_block, load_yaml, with_value
+    in_disabled_block, load_yaml, read_number, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
@@ -125,24 +125,24 @@ class CalibrationResult:
     singular_values: tuple[float, ...]
 
 
-def _check_target(entry: dict, scenarios: dict[str, Scenario]) -> CalibrationTarget:
+def _check_target(entry: dict, scenarios: Mapping[str, Scenario]) -> CalibrationTarget:
     unknown = set(entry) - {"scenario", "metric", "value", "weight"}
     if unknown:
         raise CalibrationError(f"unknown target keys {sorted(unknown)}")
     for key in ("scenario", "metric", "value"):
         if key not in entry:
             raise CalibrationError(f"target is missing {key!r}: {entry}")
-    if entry["scenario"] not in scenarios:
+    if not isinstance(entry["scenario"], str) or entry["scenario"] not in scenarios:
         raise CalibrationError(f"target names unknown scenario {entry['scenario']!r}")
     if entry["metric"] not in _METRIC_NAMES:
         raise CalibrationError(f"target names unknown metric {entry['metric']!r}")
-    weight = float(entry.get("weight", 1.0))
+    weight = read_number(entry.get("weight", 1.0), CalibrationError, "target weight")
     if weight <= 0.0:
         raise CalibrationError(f"target weight must be positive: {entry}")
     return CalibrationTarget(
-        scenario=str(entry["scenario"]),
+        scenario=entry["scenario"],
         metric=str(entry["metric"]),
-        value=float(entry["value"]),
+        value=read_number(entry["value"], CalibrationError, "target value"),
         weight=weight,
     )
 
@@ -157,9 +157,9 @@ def _check_parameter(entry: dict) -> CalibrationParameter:
     if path not in _PARAM_PATHS:
         raise CalibrationError(f"unknown parameter path {path!r}")
     reg_lo, reg_hi = bounds_for(path)
-    lower = float(entry.get("lower", reg_lo))
-    upper = float(entry["upper"]) if "upper" in entry else \
-        (reg_hi if reg_hi is not None else math.inf)
+    lower = read_number(entry.get("lower", reg_lo), CalibrationError, f"{path}: lower")
+    upper = read_number(entry["upper"], CalibrationError, f"{path}: upper") \
+        if "upper" in entry else (reg_hi if reg_hi is not None else math.inf)
     if lower < reg_lo or (reg_hi is not None and upper > reg_hi):
         raise CalibrationError(
             f"{path}: requested bounds [{lower}, {upper}] exceed the documented "
@@ -171,7 +171,7 @@ def _check_parameter(entry: dict) -> CalibrationParameter:
 
 def load_calibration_spec(
     path: str | Path,
-    scenarios: dict[str, Scenario] | None = None,
+    scenarios: Mapping[str, Scenario] = BUILTIN_SCENARIOS,
 ) -> CalibrationSpec:
     """Read and validate a YAML calibration spec.
 
@@ -189,7 +189,6 @@ def load_calibration_spec(
         options:
           max_iterations: 400   # optional
     """
-    scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
     raw = load_yaml(path, CalibrationError)
     if not isinstance(raw, dict):
         raise CalibrationError("calibration spec must be a mapping")
@@ -214,11 +213,13 @@ def load_calibration_spec(
     unknown = set(options) - {"max_iterations"}
     if unknown:
         raise CalibrationError(f"unknown option keys {sorted(unknown)}")
-    max_iterations = int(options.get("max_iterations", CalibrationSpec.max_iterations))
-    if max_iterations < 1:
-        raise CalibrationError("max_iterations must be at least 1")
+    max_iterations = read_number(options.get("max_iterations", CalibrationSpec.max_iterations),
+                                 CalibrationError, "max_iterations")
+    if max_iterations < 1 or not max_iterations.is_integer():
+        raise CalibrationError(f"max_iterations must be a whole number, at least 1: "
+                               f"{max_iterations}")
     return CalibrationSpec(parameters=parameters, targets=targets,
-                           max_iterations=max_iterations)
+                           max_iterations=int(max_iterations))
 
 
 def _achieved(
@@ -241,7 +242,7 @@ def _achieved_metrics(
     params: ModelParams,
     spec: CalibrationSpec,
     clock: SimClock,
-    scenarios: dict[str, Scenario],
+    scenarios: Mapping[str, Scenario],
 ) -> dict[str, float]:
     """Metric values for every target, running each scenario once."""
     metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
@@ -261,12 +262,10 @@ def _residuals(achieved: dict[str, float], spec: CalibrationSpec) -> np.ndarray:
 def calibration_loss(
     params: ModelParams,
     spec: CalibrationSpec,
-    clock: SimClock | None = None,
-    scenarios: dict[str, Scenario] | None = None,
+    clock: SimClock = SimClock(),
+    scenarios: Mapping[str, Scenario] = BUILTIN_SCENARIOS,
 ) -> float:
     """Weighted sum of squared relative target misses (lower is better)."""
-    clock = clock if clock is not None else SimClock()
-    scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
     achieved = _achieved_metrics(params, spec, clock, scenarios)
     return float(np.sum(_residuals(achieved, spec) ** 2))
 
@@ -282,31 +281,7 @@ def _process_count(most: int) -> int:
     return min(len(os.sched_getaffinity(0)), most)
 
 
-@dataclass(frozen=True)
-class _ScenarioRun:
-    """Runs one scenario at one point of a fit; ``None`` when the run fails."""
-
-    params: ModelParams
-    paths: tuple[str, ...]
-    scenarios: dict[str, Scenario]
-    clock: SimClock
-
-    def params_at(self, values: tuple[float, ...]) -> ModelParams:
-        candidate = self.params
-        for path, value in zip(self.paths, values):
-            candidate = with_value(candidate, path, value)
-        return candidate
-
-    def __call__(self, task: tuple[str, tuple[float, ...]]) -> MetricSet | None:
-        name, values = task
-        try:
-            return run_scenario(self.params_at(values), self.scenarios[name],
-                                clock=self.clock).metrics
-        except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
-            return None
-
-
-def _make_runs(run: _ScenarioRun, counter: Any,
+def _make_runs(run: Callable[..., MetricSet | None], counter: Any,
                todo: list[tuple[str, tuple[float, ...]]]) -> dict[int, MetricSet | None]:
     """Claim and make runs of ``todo`` until none is left; return them by index."""
     made = {}
@@ -316,12 +291,12 @@ def _make_runs(run: _ScenarioRun, counter: Any,
             counter.value += 1
         if index >= len(todo):
             return made
-        made[index] = run(todo[index])
+        made[index] = run(*todo[index])
 
 
-def _serve(run: _ScenarioRun, counter: Any, conn: Any) -> None:
+def _serve(run: Callable[..., MetricSet | None], counter: Any, conn: Any) -> None:
     """A worker process of a fit: make runs of each list it is sent, until
-    stopped."""
+    stopped. Forked, it is handed ``run`` as it is, without pickling."""
     while True:
         todo = conn.recv()
         try:
@@ -333,8 +308,8 @@ def _serve(run: _ScenarioRun, counter: Any, conn: Any) -> None:
 def calibrate(
     params: ModelParams,
     spec: CalibrationSpec,
-    clock: SimClock | None = None,
-    scenarios: dict[str, Scenario] | None = None,
+    clock: SimClock = SimClock(),
+    scenarios: Mapping[str, Scenario] = BUILTIN_SCENARIOS,
 ) -> CalibrationResult:
     """Fit the spec'd parameters by bounded trust-region least squares.
 
@@ -348,9 +323,6 @@ def calibrate(
     runs a point or a Jacobian needs are spread over worker processes (see
     the module docstring); the result is the same as from one process.
     """
-    clock = clock if clock is not None else SimClock()
-    scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
-
     paths = [p.path for p in spec.parameters]
     x0 = np.array([float(get_value(params, path)) for path in paths])
     lower = np.array([p.lower for p in spec.parameters])
@@ -366,7 +338,20 @@ def calibrate(
     seen = {name: np.array([not in_disabled_block(scenarios[name].apply(params), path)
                             for path in paths])
             for name in needed}
-    run = _ScenarioRun(params, tuple(paths), scenarios, clock)
+
+    def params_at(values: tuple[float, ...]) -> ModelParams:
+        candidate = params
+        for path, value in zip(paths, values):
+            candidate = with_value(candidate, path, value)
+        return candidate
+
+    def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
+        """One scenario at one point of the fit; ``None`` when the run fails."""
+        try:
+            return run_scenario(params_at(values), scenarios[name], clock=clock).metrics
+        except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
+            return None
+
     # metrics of every scenario run made, keyed by the scenario and the bytes
     # of the free values it sees
     runs: dict[tuple[str, bytes], MetricSet | None] = {}
@@ -388,7 +373,7 @@ def calibrate(
                     tasks.setdefault(key, (key[0], values))
         todo = list(tasks.values())
         if not workers or len(todo) < 2:
-            made = dict(enumerate(map(run, todo)))
+            made = {index: run(*task) for index, task in enumerate(todo)}
         else:
             # this process and the workers each claim the next run left, so
             # a process slowed by other load makes fewer of them
@@ -435,10 +420,6 @@ def calibrate(
 
         context = multiprocessing.get_context("fork")
         counter = context.Value("i", 0)
-    # scipy < 1.16 takes no workers and hands the Jacobian's points over
-    # one at a time; each point's scenario runs are still spread
-    solver_options = {"workers": jacobian_map} \
-        if "workers" in inspect.signature(least_squares).parameters else {}
     try:
         for _ in range(processes - 1):
             conn, worker_conn = context.Pipe()
@@ -454,7 +435,7 @@ def calibrate(
             method="trf",
             bounds=(lower / scale, upper / scale),
             max_nfev=spec.max_iterations,
-            **solver_options,
+            workers=jacobian_map,
         )
         x = np.asarray(result.x)
         achieved = achieved_at(x)
@@ -464,7 +445,7 @@ def calibrate(
             worker.join()
             conn.close()
     loss = float(np.sum(result.fun ** 2))
-    fitted_params = run.params_at(values_at(x))
+    fitted_params = params_at(values_at(x))
     if achieved is None:
         # the fit ends on a failed run: make it here to raise its error
         achieved = _achieved_metrics(fitted_params, spec, clock, scenarios)

@@ -123,7 +123,7 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
     for scenario in scenarios.values():
         try:
             scenario.apply(params)
-        except ParamError as err:
+        except ValueError as err:  # out of bounds, or a curve's own invariant
             raise CliError(f"scenario {scenario.name!r}: {err.args[0]}") from err
     try:
         clock = SimClock(dt=args.dt)

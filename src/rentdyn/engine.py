@@ -84,10 +84,6 @@ class SimClock:
         """Sample times 0, dt, 2*dt, ..., horizon (n_steps + 1 values)."""
         return np.arange(self.n_steps + 1) * self.dt
 
-    def window(self) -> tuple[float, float]:
-        """(start, end) of the analysis window in months."""
-        return (self.burn_in, self.horizon)
-
     def window_mask(self) -> np.ndarray:
         """Boolean mask selecting samples inside the analysis window."""
         return self.times() >= self.burn_in - 1e-9
@@ -244,9 +240,6 @@ class Trajectory:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.series[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.series
 
     def at(self, name: str, t: float) -> float:
         """Value of a series at time ``t`` (linear interpolation between samples)."""

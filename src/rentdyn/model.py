@@ -403,12 +403,20 @@ def build_derivative(params, dt: float):
     return deriv
 
 
+def _integrate(source, clock: SimClock,
+               record: Sequence[str] | None) -> Trajectory | list[Trajectory]:
+    """Integrate one parameter set, or a batch laid out by ``stack_params``."""
+    deriv = build_derivative(source, clock.dt)
+    initial = dict(zip(STOCKS, initial_state(source)))
+    return simulate(deriv, clock, initial, NONNEG_STOCKS, record)
+
+
 def run_model(
     params: ModelParams | Sequence[ModelParams],
-    clock: SimClock | None = None,
+    clock: SimClock = SimClock(),
     record: Sequence[str] | None = None,
 ) -> Trajectory | list[Trajectory]:
-    """Simulate the model on the given grid (default grid if none).
+    """Simulate the model on the given grid.
 
     One :class:`ModelParams` runs on the scalar backend and returns one
     trajectory. A sequence of B parameter sets runs as one batch on the
@@ -419,19 +427,15 @@ def run_model(
     its own error, as one-by-one runs would; if none fails alone, the
     batch's own :class:`rentdyn.engine.SimulationError` is raised.
     """
-    if clock is None:
-        clock = SimClock()
-    batched = not isinstance(params, ModelParams)
-    if batched and not params:
+    if isinstance(params, ModelParams):
+        return _integrate(params, clock, record)
+    if not params:
         return []
-    source = stack_params(params) if batched else params
-    deriv = build_derivative(source, clock.dt)
-    initial = dict(zip(STOCKS, initial_state(source)))
-    if not batched:
-        return simulate(deriv, clock, initial, NONNEG_STOCKS, record)
     try:
+        # numpy warns where the scalar backend's Python floats overflow to inf
+        # silently, in the constants the derivative hoists as in its steps
         with np.errstate(all="ignore"):
-            return simulate(deriv, clock, initial, NONNEG_STOCKS, record)
+            return _integrate(stack_params(params), clock, record)
     except SimulationError:
         for one in params:
             run_model(one, clock)

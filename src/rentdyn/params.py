@@ -38,6 +38,7 @@ __all__ = [
     "clamp_to_bounds",
     "validate_params",
     "load_yaml",
+    "read_number",
     "load_params",
     "save_params",
 ]
@@ -423,15 +424,43 @@ def validate_params(params: ModelParams) -> None:
 # libyaml's parser, where PyYAML was built with it, reads params/default.yaml
 # about 8x faster; both loaders share SafeConstructor and the resolver, so
 # they build the same objects
-_SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+class _SafeLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """The safe loader, refusing mapping keys that are not strings: every key
+    of the input files names something, and code that reports unknown keys
+    sorts and joins them."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)  # merges "<<" keys in node
+        for key, _ in node.value:
+            if key.tag != "tag:yaml.org,2002:str":
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"mapping key {key.value} is not a string", key.start_mark)
+        return mapping
 
 
 def load_yaml(path: str | Path, error: type[Exception]) -> Any:
     """Parse a YAML file with the safe loader; bad syntax raises ``error``."""
     try:
-        return yaml.load(Path(path).read_bytes(), Loader=_SAFE_LOADER)
+        return yaml.load(Path(path).read_bytes(), Loader=_SafeLoader)
     except yaml.YAMLError as exc:
         raise error(f"{path}: not valid YAML: {exc}") from exc
+
+
+def read_number(value: Any, error: type[Exception], where: str) -> float:
+    """``value`` of an input file as a finite float; else ``error`` names ``where``.
+
+    A YAML boolean is refused, though Python counts it an integer, and so is
+    an integer too large for a float.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise error(f"{where} is not a finite number: {value!r}")
 
 
 def load_params(path: str | Path) -> tuple[ModelParams, dict]:
@@ -471,10 +500,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
                 f"{path}: entry '{f.path}' has provenance {tag!r}, "
                 f"expected one of {PROVENANCE_TAGS}"
             )
-        try:
-            value = float(entry["value"])
-        except (TypeError, ValueError) as exc:
-            raise ParamFileError(f"{path}: entry '{f.path}' value is not numeric") from exc
+        value = read_number(entry["value"], ParamFileError, f"{path}: entry '{f.path}' value")
         try:
             params = with_value(params, f.path, value)
         except ValueError as exc:

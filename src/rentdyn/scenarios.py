@@ -23,7 +23,8 @@ import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
 from rentdyn.model import run_model
-from rentdyn.params import FIELDS, ModelParams, load_yaml, validate_params, with_value
+from rentdyn.params import FIELDS, ModelParams, load_yaml, read_number, validate_params, \
+    with_value
 
 __all__ = [
     "Scenario",
@@ -75,15 +76,6 @@ BUILTIN_SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
 })
 
 
-def _number(path: Path, name: str, key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{path}: scenario '{name}' field '{key}' is not a number: {value!r}"
-        ) from exc
-
-
 def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     """Load scenario definitions from a YAML file.
 
@@ -128,7 +120,8 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
             covid=spec.get("covid", False),
             moratorium=spec.get("moratorium", False),
             assistance=spec.get("assistance", False),
-            overrides={k: _number(path, name, f"overrides.{k}", v)
+            overrides={k: read_number(v, ValueError,
+                                      f"{path}: scenario '{name}' override '{k}'")
                        for k, v in overrides.items()},
         )
     return out
@@ -229,7 +222,7 @@ class RunResult:
 def run_scenario(
     params: ModelParams | Iterable[ModelParams],
     scenario: Scenario,
-    clock: SimClock | None = None,
+    clock: SimClock = SimClock(),
 ) -> RunResult | list[RunResult]:
     """Apply a scenario to the base parameters and simulate it.
 
@@ -239,8 +232,6 @@ def run_scenario(
     give. A batch result's trajectory carries only :data:`METRIC_SERIES`,
     and its ``elapsed_seconds`` is the whole batch's integration time.
     """
-    if clock is None:
-        clock = SimClock()
     if isinstance(params, ModelParams):
         applied = scenario.apply(params)
         t0 = time.perf_counter()
@@ -258,7 +249,7 @@ def run_scenario(
 def run_many(
     params: ModelParams,
     scenarios: Mapping[str, Scenario],
-    clock: SimClock | None = None,
+    clock: SimClock = SimClock(),
 ) -> dict[str, RunResult]:
     """Run several scenarios off one base parameter set, in name order."""
     return {name: run_scenario(params, scenarios[name], clock)

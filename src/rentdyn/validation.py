@@ -22,6 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -232,9 +233,9 @@ def score_reference_mode(mode: ReferenceMode, trajectory: Trajectory) -> Referen
 
 def reference_report(
     directory: str | Path,
-    params: ModelParams | None = None,
-    clock: SimClock | None = None,
-    scenarios: dict[str, Scenario] | None = None,
+    params: ModelParams = default_params(),
+    clock: SimClock = SimClock(),
+    scenarios: Mapping[str, Scenario] = BUILTIN_SCENARIOS,
 ) -> list[ReferenceResult]:
     """Score every reference-mode CSV in ``directory``.
 
@@ -242,9 +243,6 @@ def reference_report(
     unknown scenario) come back with status "skipped" and a reason, so a
     degraded data directory weakens the report instead of crashing it.
     """
-    params = params if params is not None else default_params()
-    clock = clock if clock is not None else SimClock()
-    scenarios = scenarios if scenarios is not None else dict(BUILTIN_SCENARIOS)
     directory = Path(directory)
     if not directory.is_dir():
         return [ReferenceResult(mode=str(directory), status="skipped",
@@ -309,9 +307,9 @@ def _metric_values(metrics: MetricSet) -> dict[str, float]:
 
 
 def sensitivity_sweep(
-    params: ModelParams | None = None,
-    scenario: Scenario | None = None,
-    clock: SimClock | None = None,
+    params: ModelParams = default_params(),
+    scenario: Scenario = BUILTIN_SCENARIOS["run2"],
+    clock: SimClock = SimClock(),
     fraction: float = 0.15,
 ) -> tuple[dict[str, float], list[SweepEntry]]:
     """Perturb every registered numeric parameter one at a time by ±fraction.
@@ -334,10 +332,6 @@ def sensitivity_sweep(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    params = params if params is not None else default_params()
-    scenario = scenario if scenario is not None else BUILTIN_SCENARIOS["run2"]
-    clock = clock if clock is not None else SimClock()
-
     baseline = run_scenario(params, scenario, clock=clock)
     base_metrics = _metric_values(baseline.metrics)
 
@@ -410,12 +404,10 @@ def _finite_nonnegative(trajectory: Trajectory, tol: float = 1e-6) -> str:
 
 
 def extreme_conditions(
-    params: ModelParams | None = None,
-    clock: SimClock | None = None,
+    params: ModelParams = default_params(),
+    clock: SimClock = SimClock(),
 ) -> list[ExtremeCheck]:
     """Run the extreme-input battery and report pass/fail per experiment."""
-    params = params if params is not None else default_params()
-    clock = clock if clock is not None else SimClock()
     checks: list[ExtremeCheck] = []
     run2 = BUILTIN_SCENARIOS["run2"]
     run3 = BUILTIN_SCENARIOS["run3"]

@@ -252,18 +252,6 @@ def test_parallel_fit_equals_serial_fit(monkeypatch, magnitude):
     assert _outcome(parallel) == _outcome(serial)
 
 
-def test_fit_without_a_solver_workers_hook_is_the_same(monkeypatch):
-    """scipy < 1.16 has no least_squares(workers=): the Jacobian's points then
-    arrive one by one, and the fit and its runs stay the same."""
-    spec = load_calibration_spec("params/calibration.yaml")
-    start = with_value(default_params(), "covid.magnitude", 0.5)
-    with_hook = calibrate(start, spec)
-    solver = calibration.least_squares
-    monkeypatch.setattr(calibration, "least_squares",
-                        lambda fun, x0, **options: solver(fun, x0, **options))
-    assert _outcome(calibrate(start, spec)) == _outcome(with_hook)
-
-
 def test_run_failing_in_a_worker_scores_like_a_serial_failure(monkeypatch):
     """A run that raises SimulationError scores the failure residual wherever
     it runs: run3 fails above magnitude 0.58, so the fit stops short there."""

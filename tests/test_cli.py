@@ -1,14 +1,21 @@
 """Command-line interface: artifacts, manifests, determinism, failure modes."""
 
 import argparse
+import copy
+import functools
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rentdyn.cli import _build_parser, main
+from rentdyn.calibration import CalibrationError, load_calibration_spec
+from rentdyn.cli import CliError, _build_parser, _load_inputs, main
 from rentdyn.output import file_sha256
 from rentdyn.params import default_params, save_params
 
@@ -230,6 +237,13 @@ def test_bad_sweep_fraction_fails_cleanly(capsys):
     assert "--fraction" in capsys.readouterr().err
 
 
+# a number no float holds
+_HUGE = "9" * 400
+_PARAMS = Path("params/default.yaml").read_text()
+_SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
+        "metric: evictions_total, value: %s%s}]\n"
+
+
 @pytest.mark.parametrize("argv, name, text", [
     (["suite", "--scenarios"], "scen.yaml", "x: [\n"),
     (["calibrate", "--spec"], "spec.yaml", "x: [\n"),
@@ -253,10 +267,31 @@ def test_bad_sweep_fraction_fails_cleanly(capsys):
      "  - {scenario: run3, metric: evictions_total, value: 3.4e6}\n"
      "  - {scenario: run4, metric: assistance_disbursed_fraction, value: 0.4}\n"),
     (["suite", "--dt", "2.5"], None, None),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {crowding_curve.y_max: 0.5}\n"),
+    (["suite", "--params"], "params.yaml",
+     _PARAMS.replace("value: 1050.0", f"value: {_HUGE}", 1)),
+    (["suite", "--scenarios"], "scen.yaml", f"x:\n  overrides: {{covid.magnitude: {_HUGE}}}\n"),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: {covid.magnitude: true}\n"),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run2", _HUGE, "")),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run2", "7.0e6", f", weight: {_HUGE}")),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % (f", lower: {_HUGE}", "run2", "7.0e6", "")),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run2", ".nan", "")),
+    (["calibrate", "--spec"], "spec.yaml",
+     _SPEC % ("", "run2", "7.0e6", "") + "options: {max_iterations: abc}\n"),
+    (["calibrate", "--spec"], "spec.yaml",
+     _SPEC % ("", "run2", "7.0e6", "") + "options: {max_iterations: .inf}\n"),
+    (["suite", "--scenarios"], "scen.yaml", "1:\n  covid: true\n"),
+    (["suite", "--params"], "params.yaml", _PARAMS.replace(
+        "params:\n", "params:\n  1: {value: 1.0, units: x, provenance: assumption}\n", 1)),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "[run2]", "7.0e6", "")),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
-        "spec-more-parameters-than-targets", "burn-in-off-grid"])
+        "spec-more-parameters-than-targets", "burn-in-off-grid", "override-breaks-curve",
+        "params-value-overflows", "override-overflows", "boolean-override",
+        "spec-value-overflows", "spec-weight-overflows", "spec-lower-overflows",
+        "spec-value-nan", "max-iterations-not-a-number", "max-iterations-inf",
+        "integer-scenario-name", "integer-params-key", "list-target-scenario"])
 def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):
     if name is not None:
         (tmp_path / name).write_text(text)
@@ -268,3 +303,91 @@ def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text)
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- fuzzed inputs
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400), st.floats(),
+                     st.text(st.characters(codec="utf-8"), max_size=12))
+_DRAWN = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                   st.dictionaries(_SCALARS, _SCALARS, max_size=3))
+
+
+def _slots(node, where=()):
+    """(path, is_key) of every value in a parsed document and of every key."""
+    yield where, False
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield where + (key,), True
+            yield from _slots(value, where + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _slots(value, where + (index,))
+
+
+def _replaced(doc, where, is_key, new):
+    if not where:
+        return new
+    doc = copy.deepcopy(doc)
+    *parents, last = where
+    container = doc
+    for step in parents:
+        container = container[step]
+    if is_key:
+        items = [(new if key == last else key, value) for key, value in container.items()]
+        container.clear()
+        container.update(items)
+    else:
+        container[last] = new
+    return doc
+
+
+@functools.cache
+def _shipped(path: str):
+    return yaml.safe_load(Path(path).read_text())
+
+
+@st.composite
+def _edits(draw, path: str):
+    """(where, is_key, new): one key or value of a shipped file and what replaces it."""
+    where, is_key = draw(st.sampled_from(list(_slots(_shipped(path)))))
+    return where, is_key, draw(_SCALARS if is_key else _DRAWN)
+
+
+def _edited(tmp_path_factory, path: str, edit) -> Path:
+    out = tmp_path_factory.mktemp("fuzz") / Path(path).name
+    out.write_text(yaml.safe_dump(_replaced(_shipped(path), *edit), sort_keys=False))
+    return out
+
+
+_FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
+
+
+@_FUZZ
+@given(edit=_edits("params/default.yaml"))
+def test_fuzzed_params_file_loads_or_fails_with_one_line(tmp_path_factory, edit):
+    path = _edited(tmp_path_factory, "params/default.yaml", edit)
+    try:
+        _load_inputs(_build_parser().parse_args(["suite", "--params", str(path)]))
+    except CliError:
+        pass
+
+
+@_FUZZ
+@given(edit=_edits("scenarios/runs.yaml"))
+def test_fuzzed_scenario_file_loads_or_fails_with_one_line(tmp_path_factory, edit):
+    path = _edited(tmp_path_factory, "scenarios/runs.yaml", edit)
+    try:
+        _load_inputs(_build_parser().parse_args(["suite", "--scenarios", str(path)]))
+    except CliError:
+        pass
+
+
+@_FUZZ
+@given(edit=_edits("params/calibration.yaml"))
+def test_fuzzed_calibration_spec_loads_or_fails_with_one_line(tmp_path_factory, edit):
+    path = _edited(tmp_path_factory, "params/calibration.yaml", edit)
+    try:
+        load_calibration_spec(path)
+    except CalibrationError:  # what the calibrate command reports in one line
+        pass

@@ -37,8 +37,7 @@ def test_clock_defaults_and_grid():
 
 def test_clock_analysis_window():
     clock = SimClock()
-    lo, hi = clock.window()
-    assert (lo, hi) == (24.0, 50.0)
+    assert (clock.burn_in, clock.horizon) == (24.0, 50.0)
     mask = clock.window_mask()
     times = clock.times()
     assert times[mask][0] == 24.0

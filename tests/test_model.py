@@ -6,6 +6,7 @@ curve definitions, not by calling the code under test.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,7 +321,8 @@ def test_tiny_market_stays_finite():
 # ---------------------------------------------------------------- backends
 
 def _extreme_inputs():
-    """The extreme-condition battery's corners: empty markets, total loss."""
+    """The extreme-condition battery's corners: empty markets, total loss,
+    and an assistance pace that overflows to inf."""
     p = default_params()
     empty = p
     for path in ("units_occupied_initial", "units_pending_initial", "units_vacant_initial",
@@ -329,17 +331,23 @@ def _extreme_inputs():
     total = with_value(with_value(p, "covid.magnitude", 1.0), "covid.recovery_time", 1e9)
     nobody = with_value(with_value(p, "households_insecure_initial", 0.0),
                         "households_homeless_initial", 0.0)
-    run2, run3 = BUILTIN_SCENARIOS["run2"], BUILTIN_SCENARIOS["run3"]
+    flood = with_value(with_value(p, "assistance.total_funds", 1e307),
+                       "assistance.rate_multiplier", 1e10)
+    run2, run3, run4 = (BUILTIN_SCENARIOS[name] for name in ("run2", "run3", "run4"))
     return [run2.apply(with_value(p, "covid.magnitude", 0.0)), run2.apply(total),
             run2.apply(empty), run2.apply(with_value(p, "landlord_tolerance", 1.0)),
             run3.apply(with_value(p, "moratorium.processing_reduction", 1.0)),
-            run2.apply(nobody)]
+            run2.apply(nobody), run4.apply(flood)]
 
 
 def test_numpy_backend_matches_scalar_on_extreme_inputs():
-    """Zero denominators and saturated curves take the same branch in a batch."""
+    """Zero denominators and saturated curves take the same branch in a batch,
+    and a batch overflows to inf as silently as a scalar run."""
     inputs = _extreme_inputs()
-    for params, column in zip(inputs, run_model(inputs)):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = run_model(inputs)
+    for params, column in zip(inputs, batch):
         single = run_model(params)
         assert list(column.series) == list(single.series)
         for name, series in single.series.items():
