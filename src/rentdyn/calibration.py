@@ -11,8 +11,25 @@ on the start.
 
 Each scenario run is made once: runs are keyed by the scenario and the free
 values it can see, which leaves out a free parameter of a policy block the
-scenario switches off (its value moves nothing that scenario computes). The
-runs a point needs, and the runs of all the points of a finite-difference
+scenario switches off (the model never reads it there).
+
+Most runs start part way through. Every free value is read from some time
+on (:func:`rentdyn.model.read_from`): a parameter of a policy block from
+the block's onset, the first time any of its gates opens, such as the
+filing drop half a month ahead of the moratorium. Before the earliest such
+time among the free values a scenario sees, all its runs in a fit agree bit
+for bit. So each scenario's run at the start is made in full, before any
+worker forks, and every later run of that scenario restarts from it at the
+first sample at or after that time (:func:`rentdyn.engine.simulate`). For
+the shipped spec that is sample 105 of 201 in ``run3`` and ``run4`` (the
+filing drop at 26.25 months) and 107 in ``run2`` (the shock at 26.75). A
+scenario that sees a value read from the start, such as a parameter outside
+the policy blocks, a block's ``start_time`` or ``assistance.total_funds``
+(the fund's initial level), makes only full runs. A point whose values
+cannot be built into parameters (bounds that cross a curve's invariant)
+scores as a failed run does.
+
+The runs a point needs, and the runs of all the points of a finite-difference
 Jacobian at once, are shared between the calling process and forked
 worker processes, each process claiming the next run left. There is one
 process per usable CPU in all, but no more than the runs of one Jacobian
@@ -39,10 +56,12 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from scipy.optimize import least_squares
 
-from rentdyn.engine import SimClock, SimulationError
-from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, \
-    in_disabled_block, load_yaml, read_number, with_value
-from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
+from rentdyn.engine import SimClock, SimulationError, Trajectory
+from rentdyn.model import read_from
+from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
+    read_number, with_value
+from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, RunResult, Scenario, \
+    run_scenario
 
 __all__ = [
     "CalibrationError",
@@ -270,6 +289,15 @@ def calibration_loss(
     return float(np.sum(_residuals(achieved, spec) ** 2))
 
 
+def _restart_sample(params: ModelParams, paths: list[str], clock: SimClock) -> int:
+    """The sample from which runs of ``params`` with other values at ``paths``
+    restart: the first at or after the earliest time the model reads one of
+    them (the last sample if it never does)."""
+    times = clock.times()
+    earliest = min(read_from(params, path) for path in paths)
+    return min(int(np.searchsorted(times, earliest)), len(times) - 1)
+
+
 def _process_count(most: int) -> int:
     """Processes a fit runs scenarios in: one per usable CPU, at most ``most``,
     where it can fork and no other thread runs."""
@@ -319,9 +347,12 @@ def calibrate(
     a residual vector of effectively infinite loss so the trust region
     shrinks away from pathological corners.
 
-    Each scenario run is made once per distinct point it can see, and the
-    runs a point or a Jacobian needs are spread over worker processes (see
-    the module docstring); the result is the same as from one process.
+    Each scenario run is made once per distinct point it can see, restarts
+    from the start's run of its scenario where it can, and the runs a point
+    or a Jacobian needs are spread over worker processes (see the module
+    docstring); the result is the same as from full runs in one process.
+    If the fit ends on values that cannot be built into parameters (bounds
+    that cross a curve's invariant), :class:`CalibrationError` is raised.
     """
     paths = [p.path for p in spec.parameters]
     x0 = np.array([float(get_value(params, path)) for path in paths])
@@ -333,11 +364,13 @@ def calibrate(
     failure = np.full(len(spec.targets), math.sqrt(_FAILURE_LOSS / len(spec.targets)))
 
     needed = sorted({t.scenario for t in spec.targets})
-    # the free values each scenario can see: one in a policy block the
-    # scenario switches off moves nothing it computes
-    seen = {name: np.array([not in_disabled_block(scenarios[name].apply(params), path)
-                            for path in paths])
+    applied = {name: scenarios[name].apply(params) for name in needed}
+    # the free values each scenario can see: the model never reads one in a
+    # policy block the scenario switches off
+    seen = {name: np.array([read_from(applied[name], path) < math.inf for path in paths])
             for name in needed}
+    # (restart sample, the start's run) of each scenario whose runs restart
+    restarts: dict[str, tuple[int, Trajectory]] = {}
 
     def params_at(values: tuple[float, ...]) -> ModelParams:
         candidate = params
@@ -345,12 +378,22 @@ def calibrate(
             candidate = with_value(candidate, path, value)
         return candidate
 
-    def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
-        """One scenario at one point of the fit; ``None`` when the run fails."""
+    def result_at(name: str, values: tuple[float, ...]) -> RunResult | None:
+        """One scenario at one point of the fit, restarted where it can be;
+        ``None`` when the point's parameters cannot be built or the run fails."""
         try:
-            return run_scenario(params_at(values), scenarios[name], clock=clock).metrics
+            candidate = params_at(values)
+        except ValueError:  # the values break an invariant, such as a curve's
+            return None
+        try:
+            return run_scenario(candidate, scenarios[name], clock=clock,
+                                restart=restarts.get(name))
         except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
             return None
+
+    def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
+        result = result_at(name, values)
+        return None if result is None else result.metrics
 
     # metrics of every scenario run made, keyed by the scenario and the bytes
     # of the free values it sees
@@ -410,6 +453,17 @@ def calibrate(
         ensure(points)
         return list(map(fun, points))
 
+    # the start's runs are made in full, before any worker forks, and each
+    # later run of a scenario restarts from its run at the start
+    z0 = x0 / scale
+    start = values_at(z0)
+    for name, key in keys(start):
+        made = result_at(name, start)
+        runs[name, key] = None if made is None else made.metrics
+        k = _restart_sample(applied[name], paths, clock)
+        if made is not None and k > 0:
+            restarts[name] = (k, made.trajectory)
+
     # (process, pipe end) of each worker; the calling process sends each its
     # runs itself, so no thread of this process stands between them
     workers = []
@@ -428,10 +482,10 @@ def calibrate(
             worker.start()
             worker_conn.close()
             workers.append((worker, conn))
-        initial_loss = float(np.sum(score(x0 / scale) ** 2))
+        initial_loss = float(np.sum(score(z0) ** 2))
         result = least_squares(
             residuals,
-            x0 / scale,
+            z0,
             method="trf",
             bounds=(lower / scale, upper / scale),
             max_nfev=spec.max_iterations,
@@ -445,7 +499,11 @@ def calibrate(
             worker.join()
             conn.close()
     loss = float(np.sum(result.fun ** 2))
-    fitted_params = params_at(values_at(x))
+    try:
+        fitted_params = params_at(values_at(x))
+    except ValueError as error:
+        raise CalibrationError(f"the fit ends on parameters that cannot be built: "
+                               f"{error}") from error
     if achieved is None:
         # the fit ends on a failed run: make it here to raise its error
         achieved = _achieved_metrics(fitted_params, spec, clock, scenarios)

@@ -316,7 +316,10 @@ def _cmd_calibrate(args) -> int:
         spec = load_calibration_spec(args.spec, scenarios)
     except (OSError, CalibrationError) as err:
         raise CliError(f"cannot load calibration spec: {err}") from err
-    result = calibrate(params, spec, clock=clock, scenarios=scenarios)
+    try:
+        result = calibrate(params, spec, clock=clock, scenarios=scenarios)
+    except CalibrationError as err:
+        raise CliError(f"calibration failed: {err}") from err
     print(f"loss {result.initial_loss:.6g} -> {result.loss:.6g} "
           f"after {result.evaluations} evaluations, {result.scenario_runs} scenario runs "
           f"({'converged' if result.converged else 'not converged'})")

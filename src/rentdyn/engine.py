@@ -273,6 +273,7 @@ def simulate(
     initial: Mapping[str, float | np.ndarray],
     nonneg: frozenset[str] = frozenset(),
     record: Sequence[str] | None = None,
+    restart: tuple[int, Trajectory] | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Integrate ``deriv`` over the clock grid with forward Euler.
 
@@ -293,6 +294,13 @@ def simulate(
         Stock names clamped at zero after each step.
     record : sequence of str, optional
         The series to keep (default: every stock and auxiliary).
+    restart : (k, earlier), optional
+        Start the loop at sample ``k`` of one run: the rows before ``k``,
+        the stock levels at ``k`` and the clamp events of the steps before
+        ``k`` are taken from ``earlier``, a trajectory with every series.
+        The result is the full run's, bit for bit, when ``earlier`` is a run
+        from the same initial levels of a derivative that agrees with
+        ``deriv`` at every sample before ``k``.
 
     Returns
     -------
@@ -311,13 +319,21 @@ def simulate(
     clamped = {i: name for i, name in enumerate(names) if name in nonneg}
     state = list(initial.values())
     if any(isinstance(v, np.ndarray) for v in state):
+        if restart is not None:
+            raise ValueError("a batch cannot restart")
         return _simulate_batch(deriv, clock, names, state, clamped, record)
     times = clock.times()
     n = len(times)
+    first, earlier = (0, None) if restart is None else restart
+    if not 0 <= first < n:
+        raise ValueError(f"restart sample {first} is not on the grid of {n} samples")
     events: list[ClampEvent] = []
+    if first:
+        state = [float(earlier.series[name][first]) for name in names]
+        events = [e for e in earlier.clamp_events if e.time < times[first]]
     samples: list[float] = []  # row-major: every stock, then every auxiliary, per time
 
-    for k, t in enumerate(times.tolist()):
+    for k, t in enumerate(times[first:].tolist(), first):
         rates, aux = deriv(state, t)
         samples += state
         samples += aux.values()
@@ -325,7 +341,10 @@ def simulate(
             state = euler_step(state, rates, clock.dt, clamped, time=t, events=events)
 
     names += aux
-    data = np.fromiter(samples, float, n * len(names)).reshape(n, -1)
+    data = np.fromiter(samples, float, (n - first) * len(names)).reshape(n - first, -1)
+    if first:
+        data = np.vstack([np.column_stack([earlier.series[name][:first] for name in names]),
+                          data])
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         k, j = bad[0]  # row-major: earliest time first, then series order

@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from rentdyn.engine import EPS, SimClock, SimulationError, Trajectory, simulate
-from rentdyn.params import ModelParams, stack_params
+from rentdyn.params import POLICY_BLOCKS, ModelParams, stack_params
 
 __all__ = [
     "STOCKS",
@@ -65,6 +65,8 @@ __all__ = [
     "SCALAR",
     "NUMPY",
     "initial_state",
+    "policy_onset",
+    "read_from",
     "build_derivative",
     "run_model",
 ]
@@ -202,30 +204,66 @@ def overdue_pressure(params, arrears_per_unit, ops=SCALAR):
     return ops.maximum(1.0, arrears_per_unit / params.landlord_tolerance)
 
 
-def covid_effect_at(params, t: float, recovery_level, ops=SCALAR):
-    """Net shock: a step at onset minus its own first-order recovery.
+def policy_onset(params, block: str, ops=SCALAR):
+    """Onset of a policy block: the earliest time at which the model reads any
+    of its parameters, and infinite when ``params`` switches the block off.
+
+    Every time gate of the block compares ``t`` against the onset, and a
+    gate that opens later against its own opening time too, so a block
+    switched off never opens one. The moratorium's first gate is the filing
+    drop, half a month ahead of its processing window.
+    """
+    b = getattr(params, block)
+    first = b.start_time - 0.5 if block == "moratorium" else b.start_time
+    return ops.where(b.enabled, first, math.inf)
+
+
+def read_from(params: ModelParams, path: str) -> float:
+    """Earliest time at which the model reads the parameter at ``path``.
+
+    A parameter of a policy block is read from the block's onset on, so
+    never in a block ``params`` switches off. Two of them are read from the
+    start while their block is on: its ``start_time``, which moves the
+    onset itself, and ``assistance.total_funds``, the fund's initial level.
+    Every parameter outside the policy blocks is read from the start.
+    Runs whose parameters differ only in what is first read at or after a
+    time give the same numbers before it.
+    """
+    block, _, name = path.partition(".")
+    if block not in POLICY_BLOCKS:
+        return 0.0
+    onset = policy_onset(params, block)
+    if onset < math.inf and (name == "start_time" or path == "assistance.total_funds"):
+        return 0.0
+    return onset
+
+
+def covid_effect_at(params, t: float, recovery_level, onset, ops=SCALAR):
+    """Net shock: a step at the block's ``onset`` (:func:`policy_onset`)
+    minus its own first-order recovery.
 
     With the shock off there is no step, and the recovery level stays at 0.
     """
-    cv = params.covid
-    step = ops.where(cv.enabled & (t >= cv.start_time), cv.magnitude, 0.0)
+    step = ops.where(t >= onset, params.covid.magnitude, 0.0)
     return ops.maximum(0.0, step - recovery_level)
 
 
-def processing_factor_at(params, t: float, ops=SCALAR):
-    """Court throughput multiplier under the moratorium (1 outside it)."""
+def processing_factor_at(params, t: float, onset, ops=SCALAR):
+    """Court throughput multiplier under the moratorium (1 outside it);
+    ``onset`` is the block's :func:`policy_onset`."""
     m = params.moratorium
-    in_window = (t >= m.start_time) & (t < m.start_time + m.duration)
-    return ops.where(m.enabled & in_window, 1.0 - m.processing_reduction, 1.0)
+    in_window = (t >= onset) & (t >= m.start_time) & (t < m.start_time + m.duration)
+    return ops.where(in_window, 1.0 - m.processing_reduction, 1.0)
 
 
-def filing_factor_at(params, t: float, recovery_level, ops=SCALAR):
+def filing_factor_at(params, t: float, recovery_level, onset, ops=SCALAR):
     """Filing multiplier: drops ahead of the moratorium, recovers slowly after.
 
-    With the moratorium off there is no drop, and the recovery level stays at 0.
+    ``onset`` is the block's :func:`policy_onset`. With the moratorium off
+    there is no drop, and the recovery level stays at 0.
     """
     m = params.moratorium
-    drop = ops.where(m.enabled & (t >= m.start_time - 0.5), m.filing_reduction, 0.0)
+    drop = ops.where((t >= onset) & (t >= m.start_time - 0.5), m.filing_reduction, 0.0)
     return ops.maximum(0.0, 1.0 - drop + recovery_level)
 
 
@@ -248,6 +286,8 @@ def build_derivative(params, dt: float):
     era = p.assistance
 
     # per-run constants, hoisted out of the flows with their operation order kept
+    covid_onset, moratorium_onset, assistance_onset = (
+        policy_onset(p, block, ops) for block in POLICY_BLOCKS)
     rebound_time = m.start_time + m.duration + m.filing_rebound_lag
     eviction_hazard = p.eviction_proportion / p.processing_time
     pace = era.rate_multiplier * era.total_funds / era.disbursement_time
@@ -257,9 +297,9 @@ def build_derivative(params, dt: float):
          homeless, funds, _, recovery, filing_recovery) = state
 
         # exogenous drivers
-        covid = covid_effect_at(p, t, recovery, ops)
-        proc_factor = processing_factor_at(p, t, ops)
-        fil_factor = filing_factor_at(p, t, filing_recovery, ops)
+        covid = covid_effect_at(p, t, recovery, covid_onset, ops)
+        proc_factor = processing_factor_at(p, t, moratorium_onset, ops)
+        fil_factor = filing_factor_at(p, t, filing_recovery, moratorium_onset, ops)
 
         # rent accrual and payment
         tenanted = occupied + pending
@@ -292,7 +332,7 @@ def build_derivative(params, dt: float):
 
         # rental assistance pays arrears directly, within remaining headroom
         headroom = maximum(0.0, rent_owed / dt - rent_paid - writeoff)
-        payment = where(era.enabled & (t >= era.start_time) & (funds > 0.0),
+        payment = where((t >= assistance_onset) & (funds > 0.0),
                         minimum(minimum(pace, funds / dt), headroom), 0.0)
 
         # landlord income and mortgage pipeline
@@ -354,10 +394,9 @@ def build_derivative(params, dt: float):
             - homeless_exits - homeless_doubling - homeless_stabilizing,
             -payment,
             payment,
-            (where(cv.enabled & (t >= cv.start_time), cv.magnitude, 0.0) - recovery)
-            / cv.recovery_time,
-            (where(m.enabled & (t >= rebound_time), m.filing_reduction, 0.0) - filing_recovery)
-            / m.filing_recovery_delay,
+            (where(t >= covid_onset, cv.magnitude, 0.0) - recovery) / cv.recovery_time,
+            (where((t >= moratorium_onset) & (t >= rebound_time), m.filing_reduction, 0.0)
+             - filing_recovery) / m.filing_recovery_delay,
         ]
 
         aux = {
@@ -403,18 +442,19 @@ def build_derivative(params, dt: float):
     return deriv
 
 
-def _integrate(source, clock: SimClock,
-               record: Sequence[str] | None) -> Trajectory | list[Trajectory]:
+def _integrate(source, clock: SimClock, record: Sequence[str] | None,
+               restart: tuple[int, Trajectory] | None = None) -> Trajectory | list[Trajectory]:
     """Integrate one parameter set, or a batch laid out by ``stack_params``."""
     deriv = build_derivative(source, clock.dt)
     initial = dict(zip(STOCKS, initial_state(source)))
-    return simulate(deriv, clock, initial, NONNEG_STOCKS, record)
+    return simulate(deriv, clock, initial, NONNEG_STOCKS, record, restart)
 
 
 def run_model(
     params: ModelParams | Sequence[ModelParams],
     clock: SimClock = SimClock(),
     record: Sequence[str] | None = None,
+    restart: tuple[int, Trajectory] | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Simulate the model on the given grid.
 
@@ -426,16 +466,21 @@ def run_model(
     alone on the scalar backend, in order, and the first that fails raises
     its own error, as one-by-one runs would; if none fails alone, the
     batch's own :class:`rentdyn.engine.SimulationError` is raised.
+
+    ``restart=(k, earlier)`` starts one run at sample ``k``, taking what
+    comes before from ``earlier`` (see :func:`rentdyn.engine.simulate`): a
+    full trajectory of parameters that differ from ``params`` only in what
+    the model first reads (:func:`read_from`) at or after sample ``k``.
     """
     if isinstance(params, ModelParams):
-        return _integrate(params, clock, record)
+        return _integrate(params, clock, record, restart)
     if not params:
         return []
     try:
         # numpy warns where the scalar backend's Python floats overflow to inf
         # silently, in the constants the derivative hoists as in its steps
         with np.errstate(all="ignore"):
-            return _integrate(stack_params(params), clock, record)
+            return _integrate(stack_params(params), clock, record, restart)
     except SimulationError:
         for one in params:
             run_model(one, clock)

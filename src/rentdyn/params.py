@@ -26,12 +26,12 @@ __all__ = [
     "ModelParams",
     "ParamField",
     "FIELDS",
+    "POLICY_BLOCKS",
     "ParamError",
     "ParamFileError",
     "default_params",
     "get_value",
     "with_value",
-    "in_disabled_block",
     "sweepable_parameters",
     "stack_params",
     "bounds_for",
@@ -316,7 +316,8 @@ FIELDS: tuple[ParamField, ...] = (
 )
 
 _FIELD_BY_PATH = {f.path: f for f in FIELDS}
-_POLICY_BLOCKS = ("covid", "moratorium", "assistance")
+# the groups of FIELDS that a scenario switches on and off
+POLICY_BLOCKS = ("covid", "moratorium", "assistance")
 
 
 def default_params() -> ModelParams:
@@ -347,16 +348,6 @@ def _replaced(obj: Any, names: list[str], value: Any, path: str) -> Any:
     return replace(obj, **{name: value})
 
 
-def in_disabled_block(params: ModelParams, path: str) -> bool:
-    """Whether ``path`` belongs to a policy block that ``params`` switches off.
-
-    Such a value moves nothing the model computes, so runs that differ only
-    there give the same numbers.
-    """
-    group = path.partition(".")[0]
-    return group in _POLICY_BLOCKS and not getattr(params, group).enabled
-
-
 def sweepable_parameters() -> list[str]:
     """Dotted paths of every numeric parameter, initial stocks included."""
     return [f.path for f in FIELDS]
@@ -370,7 +361,7 @@ def stack_params(columns: Sequence[ModelParams]) -> SimpleNamespace:
     curve also carries ``curves``, the tuple of its columns' curve objects.
     """
     batch = SimpleNamespace()
-    paths = [f.path for f in FIELDS] + [f"{block}.enabled" for block in _POLICY_BLOCKS]
+    paths = [f.path for f in FIELDS] + [f"{block}.enabled" for block in POLICY_BLOCKS]
     for path in paths:
         *groups, leaf = path.split(".")
         node = batch

@@ -223,6 +223,7 @@ def run_scenario(
     params: ModelParams | Iterable[ModelParams],
     scenario: Scenario,
     clock: SimClock = SimClock(),
+    restart: tuple[int, Trajectory] | None = None,
 ) -> RunResult | list[RunResult]:
     """Apply a scenario to the base parameters and simulate it.
 
@@ -231,16 +232,18 @@ def run_scenario(
     one result per set, in order, with the same metrics the single runs
     give. A batch result's trajectory carries only :data:`METRIC_SERIES`,
     and its ``elapsed_seconds`` is the whole batch's integration time.
+    A single run may restart from an earlier run of the same scenario
+    (``restart``, see :func:`rentdyn.model.run_model`).
     """
     if isinstance(params, ModelParams):
         applied = scenario.apply(params)
         t0 = time.perf_counter()
-        traj = run_model(applied, clock)
+        traj = run_model(applied, clock, restart=restart)
         elapsed = time.perf_counter() - t0
         return RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
     applied = [scenario.apply(p) for p in params]
     t0 = time.perf_counter()
-    trajs = run_model(applied, clock, record=METRIC_SERIES)
+    trajs = run_model(applied, clock, record=METRIC_SERIES, restart=restart)
     elapsed = time.perf_counter() - t0
     return [RunResult(scenario, p, traj, compute_metrics(traj, p), elapsed)
             for p, traj in zip(applied, trajs)]

@@ -27,8 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
+from rentdyn.model import NONNEG_STOCKS, read_from
 from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
-    in_disabled_block, sweepable_parameters, with_value
+    sweepable_parameters, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
@@ -341,9 +342,9 @@ def sensitivity_sweep(
         for direction, sign in (("down", -1.0), ("up", +1.0)):
             requested = base * (1.0 + sign * fraction)
             applied = clamp_to_bounds(path, requested)
-            # a parameter of a policy block the scenario switches off moves
-            # nothing the model computes, so its run would repeat the baseline
-            run = applied != base and not in_disabled_block(baseline.params, path)
+            # the model never reads a parameter of a policy block the scenario
+            # switches off, so its run would repeat the baseline
+            run = applied != base and read_from(baseline.params, path) < math.inf
             steps.append((path, direction, base, requested, applied,
                           applied != requested, run))
     # a generator, so each perturbed base set is freed once the scenario is applied
@@ -391,8 +392,6 @@ class ExtremeCheck:
 
 def _finite_nonnegative(trajectory: Trajectory, tol: float = 1e-6) -> str:
     """Empty string when every recorded stock is finite and non-negative."""
-    from rentdyn.model import NONNEG_STOCKS
-
     for name in NONNEG_STOCKS:
         series = trajectory.series[name]
         if not np.all(np.isfinite(series)):

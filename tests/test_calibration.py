@@ -5,8 +5,10 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rentdyn import calibration
+from rentdyn import calibration, model
 from rentdyn.calibration import (
     CalibrationError,
     CalibrationParameter,
@@ -16,7 +18,7 @@ from rentdyn.calibration import (
     calibration_loss,
     load_calibration_spec,
 )
-from rentdyn.engine import SimulationError
+from rentdyn.engine import SimClock, SimulationError
 from rentdyn.params import default_params, get_value, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
 
@@ -348,3 +350,118 @@ def test_start_outside_bounds_is_clipped_in():
     start = with_value(default_params(), "covid.magnitude", 0.90)
     result = calibrate(start, spec)
     assert 0.45 <= result.fitted["covid.magnitude"] <= 0.55
+
+
+# ---------------------------------------------------------------- restarts
+
+_SHIPPED = load_calibration_spec("params/calibration.yaml")
+_FREE_VALUES = st.tuples(*(st.floats(p.lower, p.upper) for p in _SHIPPED.parameters))
+
+
+def _moved(values):
+    params = default_params()
+    for p, value in zip(_SHIPPED.parameters, values):
+        params = with_value(params, p.path, value)
+    return params
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(start=_FREE_VALUES, values=_FREE_VALUES)
+def test_restarted_run_is_the_full_run(start, values):
+    """A run restarted from a run at other free values, at the sample the
+    fit restarts from, equals the full run in every series at every sample
+    and in its clamp events."""
+    paths = [p.path for p in _SHIPPED.parameters]
+    for name in ("run2", "run3", "run4", "run4a"):
+        scenario = BUILTIN_SCENARIOS[name]
+        earlier = run_scenario(_moved(start), scenario)
+        k = calibration._restart_sample(earlier.params, paths, SimClock())
+        # the shock at 26.75 months; the filing drop ahead of the moratorium at 26.25
+        assert k == (107 if name == "run2" else 105)
+        full = run_scenario(_moved(values), scenario)
+        restarted = run_scenario(_moved(values), scenario, restart=(k, earlier.trajectory))
+        assert list(restarted.trajectory.series) == list(full.trajectory.series)
+        for series, expected in full.trajectory.series.items():
+            assert restarted.trajectory[series].tobytes() == expected.tobytes(), (name, series)
+        assert restarted.trajectory.clamp_events == full.trajectory.clamp_events
+        assert restarted.metrics == full.metrics
+
+
+def _derivative_calls(monkeypatch) -> list[list[int]]:
+    """One counter per derivative built from now on, in this process only."""
+    counts = []
+    build = model.build_derivative
+
+    def counted(*args, **kwargs):
+        deriv = build(*args, **kwargs)
+        calls = [0]
+        counts.append(calls)
+
+        def wrapped(state, t):
+            calls[0] += 1
+            return deriv(state, t)
+
+        return wrapped
+
+    monkeypatch.setattr(model, "build_derivative", counted)
+    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
+    return counts
+
+
+def test_fit_restarts_every_run_after_the_start(monkeypatch):
+    counts = _derivative_calls(monkeypatch)
+    result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), _SHIPPED)
+    assert result.scenario_runs == 96
+    calls = sorted(c[0] for c in counts)
+    # the start's three runs in full; then run2 restarts at sample 107 of
+    # 201, run3 and run4 at 105
+    assert len(calls) == 96
+    assert calls.count(201) == 3
+    assert set(calls) == {201 - 107, 201 - 105, 201}
+
+
+@pytest.mark.parametrize("free", [CalibrationParameter("rent_delay_curve.steepness", 1.0, 3.0),
+                                  CalibrationParameter("covid.start_time", 20.0, 30.0)])
+def test_fit_freeing_a_value_read_from_the_start_makes_full_runs(monkeypatch, free):
+    spec = _recovery_spec()
+    spec = CalibrationSpec(parameters=(spec.parameters[0], free), targets=spec.targets,
+                           max_iterations=3)
+    counts = _derivative_calls(monkeypatch)
+    result = calibrate(default_params(), spec)
+    assert result.scenario_runs == len(counts) > 1
+    assert {c[0] for c in counts} == {201}
+
+
+def _crowding_spec(lower, upper):
+    """crowding_curve.y_max may not fall below its y_min, 1.0: with these
+    bounds some points of the fit cannot be built into parameters."""
+    return CalibrationSpec(
+        parameters=(CalibrationParameter("crowding_curve.y_max", lower, upper),),
+        targets=(CalibrationTarget("run2", "crowding_mean", 1.2),),
+        max_iterations=60,
+    )
+
+
+def test_points_across_a_curve_invariant_score_the_failure_residual(monkeypatch):
+    refused = []
+    with_value_ = calibration.with_value
+
+    def recording(params, path, value):
+        try:
+            return with_value_(params, path, value)
+        except ValueError:
+            refused.append(value)
+            raise
+
+    monkeypatch.setattr(calibration, "with_value", recording)
+    result = calibrate(default_params(), _crowding_spec(0.5, 3.0))
+    assert refused and all(value < 1.0 for value in refused)
+    # the target is out of reach: the fit stops at the invariant
+    assert result.converged
+    assert 1.0 <= result.fitted["crowding_curve.y_max"] < 1.001
+    assert result.loss < result.initial_loss
+
+
+def test_fit_ending_on_parameters_that_cannot_be_built_is_refused():
+    with pytest.raises(CalibrationError, match="cannot be built: y_max .* below y_min"):
+        calibrate(default_params(), _crowding_spec(0.5, 0.9))

@@ -170,6 +170,32 @@ def test_calibrate_writes_retagged_params(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("upper, rc", [(3.0, 0), (0.9, 1)])
+def test_calibrate_bounds_across_a_curve_invariant(tmp_path, capsys, upper, rc):
+    """crowding_curve.y_max below its y_min of 1.0 cannot be built: such
+    points score as failed runs, and a fit that ends on one is one error line
+    and no files."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(
+        "parameters:\n"
+        f"  - {{path: crowding_curve.y_max, lower: 0.5, upper: {upper}}}\n"
+        "targets:\n"
+        "  - {scenario: run2, metric: crowding_mean, value: 1.2}\n"
+        "options: {max_iterations: 60}\n"
+    )
+    out = tmp_path / "fit"
+    assert main(["calibrate", "--spec", str(spec), "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == ""
+        assert (out / "params.yaml").exists()
+    else:
+        assert err.startswith("error: calibration failed: the fit ends on parameters "
+                              "that cannot be built: y_max")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------- inputs
 
 def test_params_and_dt_flags(tmp_path):

@@ -293,3 +293,43 @@ def test_batch_raises_at_its_first_non_finite_sample():
             simulate(deriv, clock, {"x": np.array([0.0, 10.0, 20.0])})
     assert str(batch.value) == str(single.value) == \
         "non-finite value for 'x' at t=2.25: inf"
+
+
+# ---------------------------------------------------------------- restarts
+
+def _opening_deriv(inflow, opens):
+    """A drain that overshoots zero (clamp events), plus an inflow that
+    opens at ``opens``: two of them agree at every sample before it."""
+    def deriv(state, t):
+        rate = state[0] / 2.0 + 3.0
+        gain = inflow if t >= opens else 0.0
+        return [gain - rate, rate], {"outflow": rate}
+    return deriv
+
+
+def test_restarted_run_is_the_full_run():
+    clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
+    initial = {"r": 5.0, "out": 0.0}
+    nonneg = frozenset({"r"})
+    earlier = simulate(_opening_deriv(4.0, 5.0), clock, initial, nonneg)
+    full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg)
+    restarted = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg,
+                         restart=(20, earlier))  # t = 5.0
+    assert list(restarted.series) == list(full.series)
+    for name, series in full.series.items():
+        assert restarted[name].tobytes() == series.tobytes(), name
+    assert restarted.clamp_events == full.clamp_events
+    # clamp events on both sides of the restart, and the runs part after it
+    assert {e.time < 5.0 for e in full.clamp_events} == {True, False}
+    assert earlier["r"].tobytes() != full["r"].tobytes()
+
+
+def test_restart_must_be_on_the_grid_of_one_run():
+    clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
+    earlier = simulate(_drain_deriv(2.0), clock, {"r": 100.0})
+    for k in (-1, 21):
+        with pytest.raises(ValueError, match="restart sample"):
+            simulate(_drain_deriv(2.0), clock, {"r": 100.0}, restart=(k, earlier))
+    with pytest.raises(ValueError, match="batch"):
+        simulate(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
+                 restart=(4, earlier))

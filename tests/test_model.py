@@ -25,13 +25,16 @@ from rentdyn.model import (
     filing_factor_at,
     initial_state,
     overdue_pressure,
+    policy_onset,
     processing_factor_at,
+    read_from,
     rent_burden,
     rent_delay_effect,
     run_model,
     stress_effect,
 )
-from rentdyn.params import FIELDS, default_params, get_value, with_value
+from rentdyn.params import FIELDS, POLICY_BLOCKS, clamp_to_bounds, default_params, \
+    get_value, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS
 
 
@@ -135,11 +138,13 @@ def test_covid_effect_step_and_recovery():
     shocked = dataclasses.replace(
         shocked, covid=dataclasses.replace(shocked.covid, enabled=True))
     t0 = shocked.covid.start_time
-    assert covid_effect_at(shocked, t0 - 1.0, 0.0) == 0.0
-    assert covid_effect_at(shocked, t0, 0.0) == pytest.approx(0.6)
-    assert covid_effect_at(shocked, t0 + 5.0, 0.25) == pytest.approx(0.35)
-    assert covid_effect_at(shocked, t0 + 5.0, 0.9) == 0.0  # floored, never negative
-    assert covid_effect_at(default_params(), t0 + 5.0, 0.0) == 0.0  # disabled
+    onset = policy_onset(shocked, "covid")
+    assert covid_effect_at(shocked, t0 - 1.0, 0.0, onset) == 0.0
+    assert covid_effect_at(shocked, t0, 0.0, onset) == pytest.approx(0.6)
+    assert covid_effect_at(shocked, t0 + 5.0, 0.25, onset) == pytest.approx(0.35)
+    assert covid_effect_at(shocked, t0 + 5.0, 0.9, onset) == 0.0  # floored, never negative
+    off = default_params()
+    assert covid_effect_at(off, t0 + 5.0, 0.0, policy_onset(off, "covid")) == 0.0  # disabled
 
 
 def test_processing_factor_window():
@@ -147,26 +152,75 @@ def test_processing_factor_window():
     m = dataclasses.replace(p.moratorium, enabled=True)
     p = dataclasses.replace(p, moratorium=m)
     start, dur = m.start_time, m.duration
-    assert processing_factor_at(p, start - 0.25) == 1.0
-    assert processing_factor_at(p, start) == pytest.approx(1.0 - m.processing_reduction)
-    assert processing_factor_at(p, start + dur - 0.25) == pytest.approx(
+    onset = policy_onset(p, "moratorium")
+    assert processing_factor_at(p, start - 0.25, onset) == 1.0
+    assert processing_factor_at(p, start, onset) == pytest.approx(1.0 - m.processing_reduction)
+    assert processing_factor_at(p, start + dur - 0.25, onset) == pytest.approx(
         1.0 - m.processing_reduction)
-    assert processing_factor_at(p, start + dur) == 1.0
-    assert processing_factor_at(default_params(), start) == 1.0  # disabled
+    assert processing_factor_at(p, start + dur, onset) == 1.0
+    off = default_params()
+    assert processing_factor_at(off, start, policy_onset(off, "moratorium")) == 1.0  # disabled
 
 
 def test_filing_factor_drop_and_rebound():
     p = default_params()
     m = dataclasses.replace(p.moratorium, enabled=True)
     p = dataclasses.replace(p, moratorium=m)
-    assert filing_factor_at(p, m.start_time - 1.0, 0.0) == 1.0
+    onset = policy_onset(p, "moratorium")
+    assert filing_factor_at(p, m.start_time - 1.0, 0.0, onset) == 1.0
     # announcement effect arrives half a month early
-    assert filing_factor_at(p, m.start_time - 0.5, 0.0) == pytest.approx(
+    assert filing_factor_at(p, m.start_time - 0.5, 0.0, onset) == pytest.approx(
         1.0 - m.filing_reduction)
     # post-expiry recovery climbs back toward one
     assert filing_factor_at(p, m.start_time + m.duration + 10.0,
-                            m.filing_reduction) == pytest.approx(1.0)
-    assert filing_factor_at(p, m.start_time, 0.0) >= 0.0
+                            m.filing_reduction, onset) == pytest.approx(1.0)
+    assert filing_factor_at(p, m.start_time, 0.0, onset) >= 0.0
+    off = default_params()
+    assert filing_factor_at(off, m.start_time, 0.0, policy_onset(off, "moratorium")) == 1.0
+
+
+def test_each_parameter_is_read_from_its_block_onset():
+    off = default_params()  # every policy block switched off
+    on = BUILTIN_SCENARIOS["run4"].apply(off)  # every one switched on
+    assert [policy_onset(off, block) for block in POLICY_BLOCKS] == [math.inf] * 3
+    # the shock, the filing drop ahead of the moratorium, the first payment
+    assert [policy_onset(on, block) for block in POLICY_BLOCKS] == [26.75, 26.25, 36.0]
+    assert read_from(off, "avg_monthly_rent") == read_from(on, "avg_monthly_rent") == 0.0
+    for f in FIELDS:
+        block, _, name = f.path.partition(".")
+        if block in POLICY_BLOCKS:
+            assert read_from(off, f.path) == math.inf, f.path
+            from_start = name == "start_time" or f.path == "assistance.total_funds"
+            assert read_from(on, f.path) == (0.0 if from_start
+                                             else policy_onset(on, block)), f.path
+
+
+@pytest.mark.parametrize("path", [f.path for f in FIELDS
+                                  if f.path.partition(".")[0] in POLICY_BLOCKS])
+def test_no_policy_parameter_moves_a_row_before_its_block_onset(path):
+    """Moved in a scenario that switches its block on, a parameter of a
+    policy block leaves every row before the block's onset sample bit for bit
+    as it was: calibrate's restarts copy those rows from another run. Only
+    assistance.total_funds moves the fund's own level there, which it sets."""
+    params = BUILTIN_SCENARIOS["run4"].apply(default_params())
+    block = path.partition(".")[0]
+    times = SimClock().times()
+    base = run_model(params)
+    for factor in (0.9, 1.1):
+        value = clamp_to_bounds(path, get_value(params, path) * factor)
+        moved = with_value(params, path, value)
+        # a start time moves the onset itself: rows before the earlier one
+        onset = min(policy_onset(params, block), policy_onset(moved, block))
+        k = int(np.searchsorted(times, onset))
+        assert 90 < k < len(times)
+        other = run_model(moved)
+        for name, series in base.series.items():
+            if path == "assistance.total_funds" and name == "assistance_funds":
+                assert np.all(other[name][:k] == value)
+            else:
+                assert other[name][:k].tobytes() == series[:k].tobytes(), (name, factor)
+        assert any(other[name].tobytes() != series.tobytes()
+                   for name, series in base.series.items()), factor
 
 
 # ---------------------------------------------------------------- limiter
