@@ -465,3 +465,18 @@ def test_points_across_a_curve_invariant_score_the_failure_residual(monkeypatch)
 def test_fit_ending_on_parameters_that_cannot_be_built_is_refused():
     with pytest.raises(CalibrationError, match="cannot be built: y_max .* below y_min"):
         calibrate(default_params(), _crowding_spec(0.5, 0.9))
+
+
+def test_restarted_fit_on_a_coarser_grid_is_the_fit_from_full_runs(monkeypatch):
+    """The restart sample comes from the clock's grid: at dt=0.5, run2
+    restarts at sample 54 (t=27) and run3 and run4 at 53 (t=26.5)."""
+    clock = SimClock(dt=0.5)
+    start = with_value(default_params(), "covid.magnitude", 0.5)
+    paths = [p.path for p in _SHIPPED.parameters]
+    assert [calibration._restart_sample(BUILTIN_SCENARIOS[name].apply(start), paths, clock)
+            for name in ("run2", "run3", "run4")] == [54, 53, 53]
+    restarted = calibrate(start, _SHIPPED, clock=clock)
+    monkeypatch.setattr(calibration, "_restart_sample", lambda *args: 0)
+    full = calibrate(start, _SHIPPED, clock=clock)
+    assert restarted.converged
+    assert _outcome(restarted) == _outcome(full)
