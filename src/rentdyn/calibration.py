@@ -289,15 +289,6 @@ def calibration_loss(
     return float(np.sum(_residuals(achieved, spec) ** 2))
 
 
-def _restart_sample(params: ModelParams, paths: list[str], clock: SimClock) -> int:
-    """The sample from which runs of ``params`` with other values at ``paths``
-    restart: the first at or after the earliest time the model reads one of
-    them (the last sample if it never does)."""
-    times = clock.times()
-    earliest = min(read_from(params, path) for path in paths)
-    return min(int(np.searchsorted(times, earliest)), len(times) - 1)
-
-
 def _process_count(most: int) -> int:
     """Processes a fit runs scenarios in: one per usable CPU, at most ``most``,
     where it can fork and no other thread runs."""
@@ -364,11 +355,12 @@ def calibrate(
     failure = np.full(len(spec.targets), math.sqrt(_FAILURE_LOSS / len(spec.targets)))
 
     needed = sorted({t.scenario for t in spec.targets})
-    applied = {name: scenarios[name].apply(params) for name in needed}
+    # when the model first reads each free value in each scenario
+    reads = {name: np.array([read_from(scenarios[name].apply(params), path) for path in paths])
+             for name in needed}
     # the free values each scenario can see: the model never reads one in a
     # policy block the scenario switches off
-    seen = {name: np.array([read_from(applied[name], path) < math.inf for path in paths])
-            for name in needed}
+    seen = {name: r < math.inf for name, r in reads.items()}
     # (restart sample, the start's run) of each scenario whose runs restart
     restarts: dict[str, tuple[int, Trajectory]] = {}
 
@@ -457,11 +449,14 @@ def calibrate(
     # later run of a scenario restarts from its run at the start
     z0 = x0 / scale
     start = values_at(z0)
+    times = clock.times()
     for name, key in keys(start):
         made = result_at(name, start)
         runs[name, key] = None if made is None else made.metrics
-        k = _restart_sample(applied[name], paths, clock)
-        if made is not None and k > 0:
+        earliest = reads[name].min()
+        if made is not None and 0.0 < earliest < math.inf:
+            # an onset past the horizon restarts at the last sample
+            k = min(int(np.searchsorted(times, earliest)), len(times) - 1)
             restarts[name] = (k, made.trajectory)
 
     # (process, pipe end) of each worker; the calling process sends each its

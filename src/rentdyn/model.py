@@ -467,10 +467,11 @@ def run_model(
     its own error, as one-by-one runs would; if none fails alone, the
     batch's own :class:`rentdyn.engine.SimulationError` is raised.
 
-    ``restart=(k, earlier)`` starts one run at sample ``k``, taking what
-    comes before from ``earlier`` (see :func:`rentdyn.engine.simulate`): a
-    full trajectory of parameters that differ from ``params`` only in what
-    the model first reads (:func:`read_from`) at or after sample ``k``.
+    ``restart=(k, earlier)`` starts one run at sample ``k`` (a batch runs
+    in full), taking what comes before from ``earlier`` (see
+    :func:`rentdyn.engine.simulate`): a full trajectory of parameters that
+    differ from ``params`` only in what the model first reads
+    (:func:`read_from`) at or after sample ``k``.
     """
     if isinstance(params, ModelParams):
         return _integrate(params, clock, record, restart)
@@ -480,7 +481,7 @@ def run_model(
         # numpy warns where the scalar backend's Python floats overflow to inf
         # silently, in the constants the derivative hoists as in its steps
         with np.errstate(all="ignore"):
-            return _integrate(stack_params(params), clock, record, restart)
+            return _integrate(stack_params(params), clock, record)
     except SimulationError:
         for one in params:
             run_model(one, clock)

@@ -233,7 +233,7 @@ def run_scenario(
     give. A batch result's trajectory carries only :data:`METRIC_SERIES`,
     and its ``elapsed_seconds`` is the whole batch's integration time.
     A single run may restart from an earlier run of the same scenario
-    (``restart``, see :func:`rentdyn.model.run_model`).
+    (``restart``, see :func:`rentdyn.model.run_model`); a batch runs in full.
     """
     if isinstance(params, ModelParams):
         applied = scenario.apply(params)
@@ -243,7 +243,7 @@ def run_scenario(
         return RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
     applied = [scenario.apply(p) for p in params]
     t0 = time.perf_counter()
-    trajs = run_model(applied, clock, record=METRIC_SERIES, restart=restart)
+    trajs = run_model(applied, clock, record=METRIC_SERIES)
     elapsed = time.perf_counter() - t0
     return [RunResult(scenario, p, traj, compute_metrics(traj, p), elapsed)
             for p, traj in zip(applied, trajs)]

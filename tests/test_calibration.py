@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -375,7 +376,8 @@ def test_restarted_run_is_the_full_run(start, values):
     for name in ("run2", "run3", "run4", "run4a"):
         scenario = BUILTIN_SCENARIOS[name]
         earlier = run_scenario(_moved(start), scenario)
-        k = calibration._restart_sample(earlier.params, paths, SimClock())
+        onset = min(model.read_from(earlier.params, path) for path in paths)
+        k = int(np.searchsorted(SimClock().times(), onset))
         # the shock at 26.75 months; the filing drop ahead of the moratorium at 26.25
         assert k == (107 if name == "run2" else 105)
         full = run_scenario(_moved(values), scenario)
@@ -406,6 +408,16 @@ def _derivative_calls(monkeypatch) -> list[list[int]]:
     monkeypatch.setattr(model, "build_derivative", counted)
     monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     return counts
+
+
+def _full_runs(monkeypatch) -> None:
+    """Make every scenario run of a fit from the start of the grid."""
+    run_scenario_ = calibration.run_scenario
+
+    def full(params, scenario, clock, restart=None):
+        return run_scenario_(params, scenario, clock=clock)
+
+    monkeypatch.setattr(calibration, "run_scenario", full)
 
 
 def test_fit_restarts_every_run_after_the_start(monkeypatch):
@@ -469,14 +481,29 @@ def test_fit_ending_on_parameters_that_cannot_be_built_is_refused():
 
 def test_restarted_fit_on_a_coarser_grid_is_the_fit_from_full_runs(monkeypatch):
     """The restart sample comes from the clock's grid: at dt=0.5, run2
-    restarts at sample 54 (t=27) and run3 and run4 at 53 (t=26.5)."""
+    restarts at sample 54 of 101 (t=27) and run3 and run4 at 53 (t=26.5)."""
     clock = SimClock(dt=0.5)
     start = with_value(default_params(), "covid.magnitude", 0.5)
-    paths = [p.path for p in _SHIPPED.parameters]
-    assert [calibration._restart_sample(BUILTIN_SCENARIOS[name].apply(start), paths, clock)
-            for name in ("run2", "run3", "run4")] == [54, 53, 53]
+    counts = _derivative_calls(monkeypatch)
     restarted = calibrate(start, _SHIPPED, clock=clock)
-    monkeypatch.setattr(calibration, "_restart_sample", lambda *args: 0)
+    assert {c[0] for c in counts} == {101 - 54, 101 - 53, 101}
+    _full_runs(monkeypatch)
     full = calibrate(start, _SHIPPED, clock=clock)
     assert restarted.converged
     assert _outcome(restarted) == _outcome(full)
+
+
+def test_fit_of_a_value_first_read_after_the_horizon(monkeypatch):
+    """With assistance starting after the horizon, run4 never reads the free
+    disbursement time: its later runs restart at the last sample."""
+    start = with_value(default_params(), "assistance.start_time", 60.0)
+    spec = CalibrationSpec(
+        parameters=(CalibrationParameter("assistance.disbursement_time", 25.0, 45.0),),
+        targets=(CalibrationTarget("run4", "assistance_disbursed_fraction", 0.4),),
+        max_iterations=5,
+    )
+    counts = _derivative_calls(monkeypatch)
+    restarted = calibrate(start, spec)
+    assert {c[0] for c in counts} == {1, 201}
+    _full_runs(monkeypatch)
+    assert _outcome(calibrate(start, spec)) == _outcome(restarted)
