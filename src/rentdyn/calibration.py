@@ -7,7 +7,9 @@ squares, and the search is bounded trust-region reflective least squares
 (Branch, Coleman & Li, SIAM J. Sci. Comput. 21(1), 1999) with a
 finite-difference Jacobian. A spec may free no more parameters than it has
 targets: with more, the exact fits form a ridge and the answer would depend
-on the start.
+on the start. Nor may it free a parameter the model only compares against
+the grid times (:data:`rentdyn.model.GATE_TIMES`, such as a block's
+``start_time``): its finite-difference Jacobian column is zero.
 
 Each scenario run is made once: runs are keyed by the scenario and the free
 values it can see, which leaves out a free parameter of a policy block the
@@ -24,10 +26,9 @@ first sample at or after that time (:func:`rentdyn.engine.simulate`). For
 the shipped spec that is sample 105 of 201 in ``run3`` and ``run4`` (the
 filing drop at 26.25 months) and 107 in ``run2`` (the shock at 26.75). A
 scenario that sees a value read from the start, such as a parameter outside
-the policy blocks, a block's ``start_time`` or ``assistance.total_funds``
-(the fund's initial level), makes only full runs. A point whose values
-cannot be built into parameters (bounds that cross a curve's invariant)
-scores as a failed run does.
+the policy blocks or ``assistance.total_funds`` (the fund's initial level),
+makes only full runs. A point whose values cannot be built into parameters
+(bounds that cross a curve's invariant) scores as a failed run does.
 
 The runs a point needs, and the runs of all the points of a finite-difference
 Jacobian at once, are shared between the calling process and forked
@@ -57,7 +58,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from rentdyn.engine import SimClock, SimulationError, Trajectory
-from rentdyn.model import read_from
+from rentdyn.model import GATE_TIMES, read_from
 from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
     read_number, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, RunResult, Scenario, \
@@ -123,6 +124,11 @@ class CalibrationSpec:
             raise CalibrationError(
                 f"{len(self.parameters)} free parameters but only "
                 f"{len(self.targets)} targets: the fit would not be unique")
+        for p in self.parameters:
+            if p.path in GATE_TIMES:
+                raise CalibrationError(
+                    f"{p.path} cannot be fitted: the model only compares it against "
+                    f"the grid times, so no finite-difference step moves a result")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ so an interrupted run never leaves partial artifacts.
 Only ``calibrate`` loads ``rentdyn.calibration``, and with it
 ``scipy.optimize``: importing them takes about half a second, more than
 the rest of a ``suite`` run, so the other five commands never pay it.
+Likewise only ``sweep`` and ``validate`` load ``rentdyn.validation``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from rentdyn.params import ModelParams, ParamError, ParamFileError, default_para
     load_params, save_params
 from rentdyn.scenarios import BUILTIN_SCENARIOS, RunResult, Scenario, compare, \
     emit_timeseries, load_scenarios, run_many, run_scenario
-from rentdyn.validation import extreme_conditions, reference_report, sensitivity_sweep
 
 __all__ = ["main"]
 
@@ -246,6 +246,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from rentdyn.validation import sensitivity_sweep
+
     params, scenarios, clock, params_file = _load_inputs(args)
     scenario = _pick_scenario(scenarios, args.scenario)
     if not 0.0 < args.fraction < 1.0:
@@ -280,6 +282,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from rentdyn.validation import extreme_conditions, reference_report
+
     params, scenarios, clock, params_file = _load_inputs(args)
     results = reference_report(args.references, params, clock, scenarios)
     print("reference modes:")

@@ -5,11 +5,13 @@ calendar anchor, saturating effect curves (logistic and Gompertz), and
 forward-Euler integration with non-negativity clamping on declared stocks.
 A first-order smooth is integrated as one more stock of the model.
 
-The state is a sequence of stock levels in a fixed order. Each level is a
-float for one run, or a ``(B,)`` array for a batch of B runs stepped
-together: one derivative call per grid point serves the whole batch, each
-column keeps its own clamp events, and a batch can keep only the series a
-caller needs, so it records a fraction of what B single runs would.
+The state is a sequence of stock levels in a fixed order: floats for one
+run, or one ``(stocks, B)`` array for a batch of B runs stepped together.
+One derivative call and one Euler step per grid point serve the whole
+batch, each column keeps its own clamp events, and a batch can keep only
+the series a caller needs, so it records a fraction of what B single runs
+would. Each effect curve has a scalar form for one run and an array form
+for a batch, equal bit for bit.
 
 The integrator is deliberately fixed-step (no adaptive error control): model
 results must be reproducible bit-for-bit for a given grid, and time-step
@@ -97,6 +99,12 @@ class SimClock:
         return f"{year:04d}-{month:02d}"
 
 
+def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` on every entry of a 1-D array, as on a Python float: numpy's
+    own ``exp``/``log`` kernels can differ from ``math``'s in the last bit."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
 @dataclass(frozen=True)
 class LogisticCurve:
     """Saturating multiplier ``y_max + (y_min - y_max) / (1 + (ratio/inflection)^slope)``.
@@ -134,6 +142,24 @@ class LogisticCurve:
             return self.y_min
         return self.y_max + self._span / (1.0 + math.exp(z))
 
+    @staticmethod
+    def array(c, ratio: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` on a ``(B,)`` array, bit for bit.
+
+        ``c`` holds the fields and constants of B curves as ``(B,)`` arrays
+        (:func:`rentdyn.params.stack_params`). Each branch is a mask, and
+        only the entries a branch leaves reach ``math.log`` and ``math.exp``.
+        """
+        low = ratio <= 0.0
+        top = np.isinf(ratio)
+        z = c.slope * (_each(math.log, np.where(low | top, 1.0, ratio)) - c._log_inflection)
+        high = z >= 700.0
+        under = z <= -700.0
+        value = c.y_max + c._span / (1.0 + _each(math.exp, np.where(high | under, 0.0, z)))
+        out = np.where(under, c.y_min, value)
+        out = np.where(top | high, c.y_max, out)
+        return np.where(low, c.y_min, out)
+
 
 @dataclass(frozen=True)
 class GompertzCurve:
@@ -166,6 +192,17 @@ class GompertzCurve:
             decay = math.exp(-arg)
         value = self.y_final + self._span * decay
         return value if value > self.floor else self.floor  # max(floor, value), NaN too
+
+    @staticmethod
+    def array(c, x: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` on a ``(B,)`` array, bit for bit; ``c`` as in
+        :meth:`LogisticCurve.array`. An entry whose ``math.exp`` overflows
+        raises :class:`OverflowError`, as the scalar form does."""
+        arg = c._rate * x
+        gone = (arg >= 745.0) | np.isinf(arg)
+        decay = np.where(gone, 0.0, _each(math.exp, np.where(gone, 0.0, -arg)))
+        value = c.y_final + c._span * decay
+        return np.where(value > c.floor, value, c.floor)
 
 
 @dataclass(frozen=True)
@@ -206,23 +243,24 @@ def euler_step(
 
 
 def _euler_step_batch(
-    state: Sequence[np.ndarray],
-    rates: Sequence[np.ndarray],
+    state: np.ndarray,
+    rates: np.ndarray,
     dt: float,
     nonneg: Mapping[int, str],
     time: float,
     events: list[list[ClampEvent]],
-) -> list[np.ndarray]:
-    """:func:`euler_step` on ``(B,)`` arrays, with one event list per column."""
-    out = [value + dt * rate for value, rate in zip(state, rates)]
-    for i, name in nonneg.items():
-        new = out[i]
-        negative = new < 0.0
-        if negative.any():
-            deep = new < -EPS * np.maximum(1.0, np.abs(state[i]))
-            for b in np.flatnonzero(deep):
-                events[b].append(ClampEvent(time=time, name=name, value=float(new[b])))
-            out[i] = np.where(negative, 0.0, new)
+) -> np.ndarray:
+    """:func:`euler_step` on a ``(stocks, B)`` array, with one event list per column."""
+    out = state + dt * rates
+    if (out[list(nonneg)] < 0.0).any():
+        for i, name in nonneg.items():
+            new = out[i]
+            negative = new < 0.0
+            if negative.any():
+                deep = new < -EPS * np.maximum(1.0, np.abs(state[i]))
+                for b in np.flatnonzero(deep):
+                    events[b].append(ClampEvent(time=time, name=name, value=float(new[b])))
+                new[negative] = 0.0
     return out
 
 
@@ -363,13 +401,13 @@ def _simulate_batch(
     clamped: Mapping[int, str],
     record: Sequence[str] | None,
 ) -> list[Trajectory]:
-    """:func:`simulate` for a batch: every entry of the state is a ``(B,)`` array."""
+    """:func:`simulate` for a batch: the state is one ``(stocks, B)`` array."""
     times = clock.times()
     n = len(times)
     size = max(np.size(v) for v in initial)
-    state = [np.broadcast_to(np.asarray(v, dtype=float), (size,)) for v in initial]
+    state = np.array([np.broadcast_to(np.asarray(v, dtype=float), (size,)) for v in initial])
     events: list[list[ClampEvent]] = [[] for _ in range(size)]
-    block = keep = None
+    block = keep = None  # block is time-major: (samples, kept series, B)
 
     for k, t in enumerate(times.tolist()):
         rates, aux = deriv(state, t)
@@ -377,17 +415,17 @@ def _simulate_batch(
         if block is None:
             names += aux
             keep = [names.index(name) for name in (names if record is None else record)]
-            block = np.empty((len(keep), size, n))
-        block[:, :, k] = sample[keep]
+            block = np.empty((n, len(keep), size))
+        block[k] = sample[keep]
         bad = ~np.isfinite(sample)
         if bad.any():
             b, j = np.argwhere(bad.T)[0]  # the lowest bad column, its first series
             raise SimulationError(_nonfinite(names[j], t, sample[j, b]))
         if k < n - 1:
-            state = _euler_step_batch(state, rates, clock.dt, clamped, t, events)
+            state = _euler_step_batch(state, np.array(rates), clock.dt, clamped, t, events)
 
     kept = [names[j] for j in keep]
     return [Trajectory(clock=clock, times=times,
-                       series={name: block[i, b] for i, name in enumerate(kept)},
+                       series={name: block[:, i, b] for i, name in enumerate(kept)},
                        clamp_events=events[b])
             for b in range(size)]

@@ -35,17 +35,20 @@ calibration and the extreme battery use; a batch from
 :func:`rentdyn.params.stack_params` takes the numpy backend, where every
 value is a ``(B,)`` array, one entry per parameter set, which the
 sensitivity sweep uses. The state is a sequence in :data:`STOCKS` order
-either way.
+either way: a list of floats, or one ``(stocks, B)`` array.
 
 The numpy backend reproduces the scalar one bit for bit. It uses only
 operations that numpy rounds exactly as Python does (``+ - * /``,
 comparisons, ``where``, ``maximum``, ``minimum``), and never ``np.exp`` or
 ``np.log``: their SIMD kernels differ from ``math.exp``/``math.log`` in the
-last bit on some inputs. Each effect curve is therefore evaluated column by
-column through its own ``__call__``, so a curve keeps one definition. The
-backends part only on NaN, which numpy's ``maximum``/``minimum`` propagate
-and Python's ``max``/``min`` may drop; :func:`run_model` reruns the sets
-of a batch that goes non-finite on the scalar backend.
+last bit on some inputs. Each effect curve keeps its scalar form
+(``__call__``) and its array form (``array``) side by side in
+:mod:`rentdyn.engine`, tested against each other: the array form takes
+every branch of the scalar one as a mask, and maps ``math.exp`` and
+``math.log`` over the entries, so the transcendentals stay the scalar
+ones. The backends part only on NaN, which numpy's ``maximum``/``minimum``
+propagate and Python's ``max``/``min`` may drop; :func:`run_model` reruns
+the sets of a batch that goes non-finite on the scalar backend.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "NUMPY",
     "initial_state",
     "policy_onset",
+    "GATE_TIMES",
     "read_from",
     "build_derivative",
     "run_model",
@@ -127,7 +131,7 @@ def _limit_batch(dt: float, stock: np.ndarray, *flows: np.ndarray) -> tuple[np.n
 
 def _curve_batch(node, x: np.ndarray) -> np.ndarray:
     """Each column's own curve at its own input (see the module docstring)."""
-    return np.array([c(v) for c, v in zip(node.curves, x.tolist())])
+    return node.kind.array(node, x)
 
 
 SCALAR = SimpleNamespace(where=_where, maximum=_maximum, minimum=_minimum, limit=_limit,
@@ -216,6 +220,17 @@ def policy_onset(params, block: str, ops=SCALAR):
     b = getattr(params, block)
     first = b.start_time - 0.5 if block == "moratorium" else b.start_time
     return ops.where(b.enabled, first, math.inf)
+
+
+# the parameters the model only compares against grid times: a change smaller
+# than the step moves no gate, so no finite difference sees them
+GATE_TIMES: frozenset[str] = frozenset({
+    "covid.start_time",
+    "moratorium.start_time",
+    "moratorium.duration",
+    "moratorium.filing_rebound_lag",
+    "assistance.start_time",
+})
 
 
 def read_from(params: ModelParams, path: str) -> float:

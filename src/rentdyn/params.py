@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Sequence
@@ -357,8 +358,10 @@ def stack_params(columns: Sequence[ModelParams]) -> SimpleNamespace:
     """B parameter sets as one batch, laid out like :class:`ModelParams`.
 
     Every registry field becomes a ``(B,)`` float array at its dotted path,
-    each policy block's ``enabled`` switch a boolean array, and each effect
-    curve also carries ``curves``, the tuple of its columns' curve objects.
+    and each policy block's ``enabled`` switch a boolean array. Each effect
+    curve also carries its class as ``kind`` and its derived constants
+    (``_span``, ...) as ``(B,)`` arrays, so ``kind.array(node, x)``
+    evaluates every column's curve at once.
     """
     batch = SimpleNamespace()
     paths = [f.path for f in FIELDS] + [f"{block}.enabled" for block in POLICY_BLOCKS]
@@ -370,10 +373,14 @@ def stack_params(columns: Sequence[ModelParams]) -> SimpleNamespace:
                 setattr(node, group, SimpleNamespace())
             node = getattr(node, group)
         dtype = bool if leaf == "enabled" else float
-        setattr(node, leaf, np.array([get_value(c, path) for c in columns], dtype=dtype))
+        setattr(node, leaf, np.array(list(map(attrgetter(path), columns)), dtype=dtype))
     for name, node in vars(batch).items():
-        if isinstance(getattr(columns[0], name), (GompertzCurve, LogisticCurve)):
-            node.curves = tuple(getattr(c, name) for c in columns)
+        curve = getattr(columns[0], name)
+        if isinstance(curve, (GompertzCurve, LogisticCurve)):
+            node.kind = type(curve)
+            for const in (key for key in vars(curve) if key.startswith("_")):
+                setattr(node, const, np.array(list(map(attrgetter(f"{name}.{const}"),
+                                                       columns))))
     return batch
 
 

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class MetricSet:
         return asdict(self)
 
 
-# the series compute_metrics reads: all that a batch run records
+# the series compute_metrics reads: all that the sweep's batch records
 METRIC_SERIES: tuple[str, ...] = (
     "rent_owed",
     "assistance_disbursed",
@@ -220,33 +220,21 @@ class RunResult:
 
 
 def run_scenario(
-    params: ModelParams | Iterable[ModelParams],
+    params: ModelParams,
     scenario: Scenario,
     clock: SimClock = SimClock(),
     restart: tuple[int, Trajectory] | None = None,
-) -> RunResult | list[RunResult]:
+) -> RunResult:
     """Apply a scenario to the base parameters and simulate it.
 
-    Given an iterable of base parameter sets, applies the scenario to each and
-    integrates them all as one batch (see :func:`rentdyn.model.run_model`):
-    one result per set, in order, with the same metrics the single runs
-    give. A batch result's trajectory carries only :data:`METRIC_SERIES`,
-    and its ``elapsed_seconds`` is the whole batch's integration time.
-    A single run may restart from an earlier run of the same scenario
-    (``restart``, see :func:`rentdyn.model.run_model`); a batch runs in full.
+    The run may restart from an earlier run of the same scenario
+    (``restart``, see :func:`rentdyn.model.run_model`).
     """
-    if isinstance(params, ModelParams):
-        applied = scenario.apply(params)
-        t0 = time.perf_counter()
-        traj = run_model(applied, clock, restart=restart)
-        elapsed = time.perf_counter() - t0
-        return RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
-    applied = [scenario.apply(p) for p in params]
+    applied = scenario.apply(params)
     t0 = time.perf_counter()
-    trajs = run_model(applied, clock, record=METRIC_SERIES)
+    traj = run_model(applied, clock, restart=restart)
     elapsed = time.perf_counter() - t0
-    return [RunResult(scenario, p, traj, compute_metrics(traj, p), elapsed)
-            for p, traj in zip(applied, trajs)]
+    return RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
 
 
 def run_many(

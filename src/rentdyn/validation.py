@@ -27,10 +27,11 @@ from typing import Mapping
 import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
-from rentdyn.model import NONNEG_STOCKS, read_from
+from rentdyn.model import NONNEG_STOCKS, read_from, run_model
 from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
     sweepable_parameters, with_value
-from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
+from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
+    compute_metrics, run_scenario
 
 __all__ = [
     "theils_u",
@@ -321,9 +322,10 @@ def sensitivity_sweep(
     values that violate a parameter's documented bounds are clamped and
     flagged. Returns the baseline metric values and one entry per
     perturbation. The baseline is one run; every perturbation that moves its
-    parameter is integrated in one batch, which gives the numbers separate
-    runs would, bit for bit. A perturbation of a policy block the scenario
-    switches off is not run: it reports the baseline metrics, which is what
+    parameter is made to the baseline's applied parameters and integrated in
+    one batch, which gives the numbers separate runs would, bit for bit. A
+    perturbation the scenario overrides, or of a policy block the scenario
+    switches off, is not run: it reports the baseline metrics, which is what
     its run gives.
 
     Elasticities are normalized: (relative metric change) / (relative
@@ -342,15 +344,17 @@ def sensitivity_sweep(
         for direction, sign in (("down", -1.0), ("up", +1.0)):
             requested = base * (1.0 + sign * fraction)
             applied = clamp_to_bounds(path, requested)
-            # the model never reads a parameter of a policy block the scenario
-            # switches off, so its run would repeat the baseline
-            run = applied != base and read_from(baseline.params, path) < math.inf
+            # the scenario's override puts the value back, and the model never
+            # reads a parameter of a policy block the scenario switches off:
+            # either way the run would repeat the baseline
+            run = (applied != base and path not in scenario.overrides
+                   and read_from(baseline.params, path) < math.inf)
             steps.append((path, direction, base, requested, applied,
                           applied != requested, run))
-    # a generator, so each perturbed base set is freed once the scenario is applied
-    moved = (with_value(params, path, applied)
-             for path, _, _, _, applied, _, run in steps if run)
-    runs = iter(run_scenario(moved, scenario, clock=clock))
+    sets = [with_value(baseline.params, path, applied)
+            for path, _, _, _, applied, _, run in steps if run]
+    runs = (compute_metrics(traj, p) for p, traj
+            in zip(sets, run_model(sets, clock, record=METRIC_SERIES)))
 
     entries: list[SweepEntry] = []
     for path, direction, base, requested, applied, clamped, run in steps:
@@ -360,7 +364,7 @@ def sensitivity_sweep(
         else:
             # a skipped run still goes through the formula, which gives -0.0
             # for a downward step where a literal 0.0 would lose the sign
-            values = _metric_values(next(runs).metrics) if run else dict(base_metrics)
+            values = _metric_values(next(runs)) if run else dict(base_metrics)
             rel_dp = (applied - base) / base if base != 0.0 else math.inf
             elasticities = {}
             for name in _SWEEP_METRICS:

@@ -20,7 +20,7 @@ from rentdyn.calibration import (
     load_calibration_spec,
 )
 from rentdyn.engine import SimClock, SimulationError
-from rentdyn.params import default_params, get_value, with_value
+from rentdyn.params import bounds_for, default_params, get_value, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
 
 
@@ -123,6 +123,24 @@ def test_spec_refuses_more_parameters_than_targets(tmp_path):
     with pytest.raises(CalibrationError) as err:
         load_calibration_spec(path)
     assert "5" in str(err.value) and "4" in str(err.value)
+
+
+@pytest.mark.parametrize("path", sorted(model.GATE_TIMES))
+def test_spec_refuses_a_value_only_compared_against_grid_times(tmp_path, path):
+    """A step of the finite-difference Jacobian moves no gate, so its column
+    would be zero and the fit would report convergence without moving it."""
+    lower, _ = bounds_for(path)
+    spec = _write_spec(tmp_path, (
+        f"parameters:\n  - path: covid.magnitude\n  - {{path: {path}, upper: 60.0}}\n"
+        "targets:\n"
+        "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"
+        "  - {scenario: run2, metric: arrears_growth_36mo, value: 2.0e10}\n"
+    ))
+    with pytest.raises(CalibrationError, match=f"^{path} cannot be fitted"):
+        load_calibration_spec(spec)
+    with pytest.raises(CalibrationError, match=f"^{path} cannot be fitted"):
+        CalibrationSpec(parameters=(CalibrationParameter(path, lower, lower + 1.0),),
+                        targets=(CalibrationTarget("run4", "evictions_total", 3e6),))
 
 
 def test_spec_rejects_duplicate_parameter(tmp_path):
@@ -433,10 +451,13 @@ def test_fit_restarts_every_run_after_the_start(monkeypatch):
 
 
 @pytest.mark.parametrize("free", [CalibrationParameter("rent_delay_curve.steepness", 1.0, 3.0),
-                                  CalibrationParameter("covid.start_time", 20.0, 30.0)])
+                                  CalibrationParameter("assistance.total_funds", 30e9, 60e9)])
 def test_fit_freeing_a_value_read_from_the_start_makes_full_runs(monkeypatch, free):
+    # the fund's initial level is read from the start where assistance is on
+    scenario = "run4" if free.path.startswith("assistance.") else "run2"
     spec = _recovery_spec()
-    spec = CalibrationSpec(parameters=(spec.parameters[0], free), targets=spec.targets,
+    targets = tuple(CalibrationTarget(scenario, t.metric, t.value) for t in spec.targets)
+    spec = CalibrationSpec(parameters=(spec.parameters[0], free), targets=targets,
                            max_iterations=3)
     counts = _derivative_calls(monkeypatch)
     result = calibrate(default_params(), spec)

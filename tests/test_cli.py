@@ -38,6 +38,15 @@ def test_module_entry_point_runs():
     assert "evictions (window total)" in proc.stdout
 
 
+def test_import_leaves_the_validation_module_to_its_commands():
+    """simulate, suite and compare never use rentdyn.validation; sweep and
+    validate import it themselves."""
+    code = "import sys, rentdyn.cli; print('rentdyn.validation' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
+
+
 # 41 options in all: each is read by the command that registers it
 _COMMON_OPTIONS = {"--params", "--scenarios", "--dt", "--seed", "--out"}
 _OWN_OPTIONS = {
@@ -194,6 +203,26 @@ def test_calibrate_bounds_across_a_curve_invariant(tmp_path, capsys, upper, rc):
                               "that cannot be built: y_max")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+def test_calibrate_refuses_a_free_start_time(tmp_path, capsys):
+    """The model only compares covid.start_time against the grid times: a fit
+    could not move it, so the spec is refused before any run."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(
+        "parameters:\n"
+        "  - {path: covid.magnitude, lower: 0.4, upper: 0.8}\n"
+        "  - {path: covid.start_time, lower: 20.0, upper: 30.0}\n"
+        "targets:\n"
+        "  - {scenario: run2, metric: evictions_total, value: 7.37e6}\n"
+        "  - {scenario: run2, metric: arrears_growth_36mo, value: 2.024e10}\n"
+    )
+    out = tmp_path / "fit"
+    assert main(["calibrate", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load calibration spec: covid.start_time cannot be fitted")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- inputs

@@ -5,9 +5,12 @@ definitions (not by calling the code under test).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from rentdyn.engine import (
     EPS,
@@ -19,6 +22,7 @@ from rentdyn.engine import (
     euler_step,
     simulate,
 )
+from rentdyn.params import bounds_for
 
 
 # ---------------------------------------------------------------- clock
@@ -145,6 +149,72 @@ def test_gompertz_bounds_random_inputs():
 def test_gompertz_validates_parameters():
     with pytest.raises(ValueError):
         GompertzCurve(y_final=0.5, y_initial=-108.2, steepness=1.4, floor=1.0)
+
+
+# ---------------------------------------------------------------- array forms
+
+def _in_bounds(path):
+    lo, hi = bounds_for(path)
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_EDGES = [0.0, -0.0, -1.0, -1e300, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+          math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _curve_and_inputs(draw):
+    """A curve with fields in registry bounds, and inputs from the edges of
+    every branch: the signs of zero, subnormals, 1e+-300, infinities, NaN, and
+    points within a few ulps of z = +-700 (logistic) or arg = 745 (Gompertz),
+    where the Gompertz exp also overflows for negative inputs."""
+    if draw(st.booleans()):
+        names = ("y_max", "y_min", "inflection", "slope")
+        fields = {n: draw(_in_bounds(f"crowding_curve.{n}")) for n in names}
+        kind = LogisticCurve
+    else:
+        names = ("y_final", "y_initial", "steepness", "floor")
+        fields = {n: draw(_in_bounds(f"stress_curve.{n}")) for n in names}
+        kind = GompertzCurve
+    try:
+        curve = kind(**fields)
+    except ValueError:  # the curve's own invariant (y_max >= y_min, ...)
+        assume(False)
+    edges = []
+    for edge in (700.0, -700.0) if kind is LogisticCurve else (745.0, -745.0, -709.8):
+        try:
+            x = (curve.inflection * math.exp(edge / curve.slope) if kind is LogisticCurve
+                 else edge / curve._rate)
+        except OverflowError:
+            continue
+        for _ in range(3):
+            edges.append(x)
+            x = math.nextafter(x, math.inf)
+        edges.append(math.nextafter(edges[-3], -math.inf))
+    near = st.sampled_from(edges) if edges else st.nothing()
+    xs = draw(st.lists(st.sampled_from(_EDGES) | near | st.floats(), min_size=1, max_size=12))
+    return curve, xs
+
+
+def _outcome(evaluate):
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(evaluate(), dtype=float).tobytes()
+    except Exception as error:
+        return type(error)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_curve_and_inputs())
+def test_array_form_is_the_scalar_curve_bit_for_bit(drawn):
+    """The batch evaluates each curve through its array form, with the curve's
+    fields and constants as (B,) arrays: bit for bit the scalar form on every
+    entry, or the error type the scalar form raises."""
+    curve, xs = drawn
+    stacked = SimpleNamespace(**{k: np.full(len(xs), v) for k, v in vars(curve).items()})
+    scalar = _outcome(lambda: [curve(x) for x in xs])
+    assert _outcome(lambda: type(curve).array(stacked, np.array(xs))) == scalar
 
 
 # ---------------------------------------------------------------- euler_step

@@ -87,19 +87,6 @@ def test_batch_of_the_five_scenarios_equals_their_single_runs(suite):
         assert traj.clamp_events == single.trajectory.clamp_events == []
 
 
-def test_run_scenario_on_a_sequence_runs_one_batch_of_equal_results():
-    base = default_params()
-    bases = [base, with_value(base, "covid.magnitude", 0.3),
-             with_value(base, "assistance.total_funds", 10e9)]
-    batch = run_scenario(bases, BUILTIN_SCENARIOS["run4"])
-    assert len(batch) == len(bases)
-    for params, result in zip(bases, batch):
-        single = run_scenario(params, BUILTIN_SCENARIOS["run4"])
-        assert result.params == single.params
-        assert result.metrics == single.metrics
-        assert set(result.trajectory.series) == set(METRIC_SERIES)
-
-
 def test_run_many_returns_name_ordered_results(suite):
     assert list(suite) == sorted(BUILTIN_SCENARIOS)
     for name, result in suite.items():

@@ -274,27 +274,34 @@ def test_sweep_finds_the_known_dominant_levers(sweep):
     assert "processing_time" in ranked[:5]
 
 
-@pytest.mark.parametrize("fraction", [0.15, 0.1234])
-def test_sweep_batch_equals_a_loop_of_single_runs(fraction):
+@pytest.mark.parametrize("fraction, name", [(0.15, "run2"), (0.1234, "run2"), (0.15, "run4a")],
+                         ids=["0.15", "0.1234", "run4a-0.15"])
+def test_sweep_batch_equals_a_loop_of_single_runs(fraction, name):
+    """run4a overrides assistance.rate_multiplier, so the sweep skips moving it."""
     params = default_params()
-    run2 = BUILTIN_SCENARIOS["run2"]
-    base, entries = sensitivity_sweep(params, fraction=fraction)
-    assert base == {name: getattr(run_scenario(params, run2).metrics, name) for name in base}
+    scenario = BUILTIN_SCENARIOS[name]
+    base, entries = sensitivity_sweep(params, scenario, fraction=fraction)
+    assert base == {m: getattr(run_scenario(params, scenario).metrics, m) for m in base}
     moved = [e for e in entries if e.applied_value != e.baseline_value]
     assert len(moved) == 130
     for e in moved:
-        single = run_scenario(with_value(params, e.parameter, e.applied_value), run2).metrics
-        assert e.metrics == {name: getattr(single, name) for name in base}, e.parameter
+        single = run_scenario(with_value(params, e.parameter, e.applied_value), scenario).metrics
+        assert e.metrics == {m: getattr(single, m) for m in base}, e.parameter
 
 
 def test_sweep_integrates_the_baseline_and_one_batch(monkeypatch):
-    runs, derivs = [], []
+    runs, batches, derivs = [], [], []
     run_scenario_ = validation.run_scenario
+    run_model_ = validation.run_model
     build_derivative = model.build_derivative
 
     def counted_run(*args, **kwargs):
         runs.append(run_scenario_(*args, **kwargs))
         return runs[-1]
+
+    def counted_batch(*args, **kwargs):
+        batches.append(run_model_(*args, **kwargs))
+        return batches[-1]
 
     def counted_build(*args, **kwargs):
         deriv = build_derivative(*args, **kwargs)
@@ -305,12 +312,13 @@ def test_sweep_integrates_the_baseline_and_one_batch(monkeypatch):
         return counted
 
     monkeypatch.setattr(validation, "run_scenario", counted_run)
+    monkeypatch.setattr(validation, "run_model", counted_batch)
     monkeypatch.setattr(model, "build_derivative", counted_build)
     sensitivity_sweep(default_params(), fraction=0.15)
-    assert len(runs) == 2
+    assert len(runs) == 1
     # 130 moved perturbations, less the 20 of the moratorium and assistance
     # blocks that run2 switches off
-    assert len(runs[1]) == 110
+    assert [len(b) for b in batches] == [110]
     assert len(derivs) == 2 * 201
 
 
