@@ -20,15 +20,17 @@ on (:func:`rentdyn.model.read_from`): a parameter of a policy block from
 the block's onset, the first time any of its gates opens, such as the
 filing drop half a month ahead of the moratorium. Before the earliest such
 time among the free values a scenario sees, all its runs in a fit agree bit
-for bit. So each scenario's run at the start is made in full, before any
-worker forks, and every later run of that scenario restarts from it at the
-first sample at or after that time (:func:`rentdyn.engine.simulate`). For
-the shipped spec that is sample 105 of 201 in ``run3`` and ``run4`` (the
-filing drop at 26.25 months) and 107 in ``run2`` (the shock at 26.75). A
-scenario that sees a value read from the start, such as a parameter outside
-the policy blocks or ``assistance.total_funds`` (the fund's initial level),
-makes only full runs. A point whose values cannot be built into parameters
-(bounds that cross a curve's invariant) scores as a failed run does.
+for bit. So each scenario's first run in a fit, the start's, is made in
+full before any worker forks, and every later run of that scenario restarts
+from it at the first sample at or after that time
+(:func:`rentdyn.engine.simulate`); if the start's run fails, the first run
+that does not takes its place. For the shipped spec that is sample 105
+of 201 in ``run3`` and ``run4`` (the filing drop at 26.25 months) and 107
+in ``run2`` (the shock at 26.75). A scenario that sees a value read from
+the start, such as a parameter outside the policy blocks or
+``assistance.total_funds`` (the fund's initial level), makes only full runs.
+A point whose values cannot be built into parameters (bounds that cross a
+curve's invariant) scores as a failed run does.
 
 The runs a point needs, and the runs of all the points of a finite-difference
 Jacobian at once, are shared between the calling process and forked
@@ -60,9 +62,8 @@ from scipy.optimize import least_squares
 from rentdyn.engine import SimClock, SimulationError, Trajectory
 from rentdyn.model import GATE_TIMES, read_from
 from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
-    read_number, with_value
-from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, RunResult, Scenario, \
-    run_scenario
+    read_mapping, read_number, with_value
+from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
     "CalibrationError",
@@ -150,13 +151,10 @@ class CalibrationResult:
     singular_values: tuple[float, ...]
 
 
-def _check_target(entry: dict, scenarios: Mapping[str, Scenario]) -> CalibrationTarget:
-    unknown = set(entry) - {"scenario", "metric", "value", "weight"}
-    if unknown:
-        raise CalibrationError(f"unknown target keys {sorted(unknown)}")
-    for key in ("scenario", "metric", "value"):
-        if key not in entry:
-            raise CalibrationError(f"target is missing {key!r}: {entry}")
+def _check_target(entry: Any, scenarios: Mapping[str, Scenario]) -> CalibrationTarget:
+    entry = read_mapping(entry, CalibrationError, f"target {entry}",
+                         keys=("scenario", "metric", "value", "weight"),
+                         required=("scenario", "metric", "value"))
     if not isinstance(entry["scenario"], str) or entry["scenario"] not in scenarios:
         raise CalibrationError(f"target names unknown scenario {entry['scenario']!r}")
     if entry["metric"] not in _METRIC_NAMES:
@@ -172,12 +170,9 @@ def _check_target(entry: dict, scenarios: Mapping[str, Scenario]) -> Calibration
     )
 
 
-def _check_parameter(entry: dict) -> CalibrationParameter:
-    unknown = set(entry) - {"path", "lower", "upper"}
-    if unknown:
-        raise CalibrationError(f"unknown parameter keys {sorted(unknown)}")
-    if "path" not in entry:
-        raise CalibrationError(f"parameter is missing 'path': {entry}")
+def _check_parameter(entry: Any) -> CalibrationParameter:
+    entry = read_mapping(entry, CalibrationError, f"parameter {entry}",
+                         keys=("path", "lower", "upper"), required=("path",))
     path = str(entry["path"])
     if path not in _PARAM_PATHS:
         raise CalibrationError(f"unknown parameter path {path!r}")
@@ -213,17 +208,16 @@ def load_calibration_spec(
             weight: 1.0         # optional
         options:
           max_iterations: 400   # optional
+
+    A key not shown here is an error, and so is a target or parameter entry
+    that lacks a key not marked optional.
     """
-    raw = load_yaml(path, CalibrationError)
-    if not isinstance(raw, dict):
-        raise CalibrationError("calibration spec must be a mapping")
-    unknown = set(raw) - {"parameters", "targets", "options"}
-    if unknown:
-        raise CalibrationError(f"unknown top-level keys {sorted(unknown)}")
+    raw = read_mapping(load_yaml(path, CalibrationError), CalibrationError,
+                       "calibration spec", keys=("parameters", "targets", "options"))
     for key in ("parameters", "targets"):
         if not raw.get(key):
             raise CalibrationError(f"calibration spec lists no {key}")
-        if not isinstance(raw[key], list) or not all(isinstance(e, dict) for e in raw[key]):
+        if not isinstance(raw[key], list):
             raise CalibrationError(f"calibration spec {key!r} must be a list of mappings")
     parameters = tuple(_check_parameter(e) for e in raw["parameters"])
     seen = set()
@@ -232,12 +226,8 @@ def load_calibration_spec(
             raise CalibrationError(f"duplicate parameter {p.path!r}")
         seen.add(p.path)
     targets = tuple(_check_target(e, scenarios) for e in raw["targets"])
-    options = raw.get("options") or {}
-    if not isinstance(options, dict):
-        raise CalibrationError("calibration spec 'options' must be a mapping")
-    unknown = set(options) - {"max_iterations"}
-    if unknown:
-        raise CalibrationError(f"unknown option keys {sorted(unknown)}")
+    options = read_mapping(raw.get("options") or {}, CalibrationError,
+                           "calibration spec 'options'", keys=("max_iterations",))
     max_iterations = read_number(options.get("max_iterations", CalibrationSpec.max_iterations),
                                  CalibrationError, "max_iterations")
     if max_iterations < 1 or not max_iterations.is_integer():
@@ -367,7 +357,13 @@ def calibrate(
     # the free values each scenario can see: the model never reads one in a
     # policy block the scenario switches off
     seen = {name: r < math.inf for name, r in reads.items()}
-    # (restart sample, the start's run) of each scenario whose runs restart
+    # each scenario whose runs restart does so at the first sample at or after
+    # the earliest time it reads a free value; an onset past the horizon
+    # restarts at the last sample
+    times = clock.times()
+    restart_at = {name: min(int(np.searchsorted(times, r.min())), len(times) - 1)
+                  for name, r in reads.items() if 0.0 < r.min() < math.inf}
+    # (restart sample, first run made) of each scenario whose runs restart
     restarts: dict[str, tuple[int, Trajectory]] = {}
 
     def params_at(values: tuple[float, ...]) -> ModelParams:
@@ -376,22 +372,22 @@ def calibrate(
             candidate = with_value(candidate, path, value)
         return candidate
 
-    def result_at(name: str, values: tuple[float, ...]) -> RunResult | None:
+    def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
         """One scenario at one point of the fit, restarted where it can be;
-        ``None`` when the point's parameters cannot be built or the run fails."""
+        ``None`` when the point's parameters cannot be built or the run fails.
+        A scenario's first run is made in full and kept to restart from."""
         try:
             candidate = params_at(values)
         except ValueError:  # the values break an invariant, such as a curve's
             return None
         try:
-            return run_scenario(candidate, scenarios[name], clock=clock,
-                                restart=restarts.get(name))
+            result = run_scenario(candidate, scenarios[name], clock=clock,
+                                  restart=restarts.get(name))
         except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
             return None
-
-    def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
-        result = result_at(name, values)
-        return None if result is None else result.metrics
+        if name in restart_at:
+            restarts.setdefault(name, (restart_at[name], result.trajectory))
+        return result.metrics
 
     # metrics of every scenario run made, keyed by the scenario and the bytes
     # of the free values it sees
@@ -451,23 +447,13 @@ def calibrate(
         ensure(points)
         return list(map(fun, points))
 
-    # the start's runs are made in full, before any worker forks, and each
-    # later run of a scenario restarts from its run at the start
-    z0 = x0 / scale
-    start = values_at(z0)
-    times = clock.times()
-    for name, key in keys(start):
-        made = result_at(name, start)
-        runs[name, key] = None if made is None else made.metrics
-        earliest = reads[name].min()
-        if made is not None and 0.0 < earliest < math.inf:
-            # an onset past the horizon restarts at the last sample
-            k = min(int(np.searchsorted(times, earliest)), len(times) - 1)
-            restarts[name] = (k, made.trajectory)
-
     # (process, pipe end) of each worker; the calling process sends each its
-    # runs itself, so no thread of this process stands between them
+    # runs itself, so no thread of this process stands between them. The
+    # start's runs are made here before any worker forks, so each worker
+    # inherits every scenario's run to restart from
     workers = []
+    z0 = x0 / scale
+    initial_loss = float(np.sum(score(z0) ** 2))
     # a Jacobian needs at most one run per scenario and free parameter
     processes = _process_count(len(needed) * len(paths))
     if processes > 1:
@@ -483,7 +469,6 @@ def calibrate(
             worker.start()
             worker_conn.close()
             workers.append((worker, conn))
-        initial_loss = float(np.sum(score(z0) ** 2))
         result = least_squares(
             residuals,
             z0,

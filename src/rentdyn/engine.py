@@ -281,24 +281,7 @@ class Trajectory:
 
     def at(self, name: str, t: float) -> float:
         """Value of a series at time ``t`` (linear interpolation between samples)."""
-        if name not in self.series:
-            raise KeyError(name)
         return float(np.interp(t, self.times, self.series[name]))
-
-    def window_mean(self, name: str) -> float:
-        """Mean of a series over the analysis window."""
-        mask = self.clock.window_mask()
-        return float(np.mean(self.series[name][mask]))
-
-    def window_integral(self, name: str) -> float:
-        """Left-Riemann integral of a rate over the analysis window.
-
-        Each sample's rate applies over the step it opens, so the sample at
-        the horizon itself carries no weight.
-        """
-        mask = self.clock.window_mask()
-        values = self.series[name][mask]
-        return float(np.sum(values[:-1]) * self.clock.dt)
 
 
 def _nonfinite(name: str, t: float, value) -> str:

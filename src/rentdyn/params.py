@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -40,6 +40,7 @@ __all__ = [
     "validate_params",
     "load_yaml",
     "read_number",
+    "read_mapping",
     "load_params",
     "save_params",
 ]
@@ -334,7 +335,10 @@ def get_value(params: ModelParams, path: str) -> float:
 
 
 def with_value(params: ModelParams, path: str, value: float) -> ModelParams:
-    """Return a copy of ``params`` with the dotted-path field replaced."""
+    """Return a copy of ``params`` with the dotted-path field replaced; a value
+    at a registry path is stored as a ``float`` (a numpy scalar slows runs)."""
+    if path in _FIELD_BY_PATH:
+        value = float(value)
     return _replaced(params, path.split("."), value, path)
 
 
@@ -461,48 +465,55 @@ def read_number(value: Any, error: type[Exception], where: str) -> float:
     raise error(f"{where} is not a finite number: {value!r}")
 
 
+def read_mapping(value: Any, error: type[Exception], where: str,
+                 keys: Collection[str] | None = None, required: Iterable[str] = ()) -> dict:
+    """``value`` of an input file as a mapping; else ``error`` names ``where``.
+
+    Every key of ``required`` must be present and, unless ``keys`` is
+    ``None``, no key outside ``keys``. One error names every missing key and
+    every unknown one.
+    """
+    if not isinstance(value, dict):
+        raise error(f"{where} must be a mapping, not {type(value).__name__}")
+    missing = [key for key in required if key not in value]
+    unknown = [] if keys is None else sorted(str(key) for key in value if key not in keys)
+    if missing or unknown:
+        problems = [f"{label}: {', '.join(names)}"
+                    for label, names in (("missing", missing), ("unknown", unknown)) if names]
+        raise error(f"{where}: " + "; ".join(problems))
+    return value
+
+
 def load_params(path: str | Path) -> tuple[ModelParams, dict]:
     """Load a parameter file.
 
     The file must contain a ``params`` mapping with exactly one entry per
-    registry field, each carrying ``value``, ``units``, and ``provenance``.
-    Returns the validated :class:`ModelParams` and the raw metadata mapping
-    (name, provenance tags, notes) for manifests and re-export.
+    registry field. Each entry is a mapping with a ``value`` and a
+    ``provenance`` tag, and may carry ``units`` and a ``note``; any other
+    key is an error. Returns the validated :class:`ModelParams` and the raw
+    metadata mapping (name, provenance tags, notes) for manifests and
+    re-export.
     """
     path = Path(path)
-    raw = load_yaml(path, ParamFileError)
-    if not isinstance(raw, dict) or not isinstance(raw.get("params"), dict):
-        raise ParamFileError(f"{path}: expected a top-level 'params' mapping")
-    entries = raw["params"]
-
-    required = set(_FIELD_BY_PATH)
-    present = set(entries)
-    missing = sorted(required - present)
-    unknown = sorted(present - required)
-    if missing or unknown:
-        msg = [f"{path}: parameter file does not match the registry"]
-        if missing:
-            msg.append("  missing: " + ", ".join(missing))
-        if unknown:
-            msg.append("  unknown: " + ", ".join(unknown))
-        raise ParamFileError("\n".join(msg))
+    raw = read_mapping(load_yaml(path, ParamFileError), ParamFileError, str(path),
+                       required=("params",))
+    entries = read_mapping(raw["params"], ParamFileError, f"{path}: 'params'",
+                           keys=_FIELD_BY_PATH, required=_FIELD_BY_PATH)
 
     params = default_params()
     for f in FIELDS:
-        entry = entries[f.path]
-        if not isinstance(entry, dict) or "value" not in entry:
-            raise ParamFileError(f"{path}: entry '{f.path}' must be a mapping with a 'value'")
-        tag = entry.get("provenance")
-        if tag not in PROVENANCE_TAGS:
-            raise ParamFileError(
-                f"{path}: entry '{f.path}' has provenance {tag!r}, "
-                f"expected one of {PROVENANCE_TAGS}"
-            )
-        value = read_number(entry["value"], ParamFileError, f"{path}: entry '{f.path}' value")
+        where = f"{path}: entry '{f.path}'"
+        entry = read_mapping(entries[f.path], ParamFileError, where,
+                             keys=("value", "units", "provenance", "note"),
+                             required=("value", "provenance"))
+        if entry["provenance"] not in PROVENANCE_TAGS:
+            raise ParamFileError(f"{where} has provenance {entry['provenance']!r}, "
+                                 f"expected one of {PROVENANCE_TAGS}")
+        value = read_number(entry["value"], ParamFileError, f"{where} value")
         try:
             params = with_value(params, f.path, value)
         except ValueError as exc:
-            raise ParamFileError(f"{path}: entry '{f.path}': {exc}") from exc
+            raise ParamFileError(f"{where}: {exc}") from exc
 
     validate_params(params)
     meta = {k: v for k, v in raw.items() if k != "params"}

@@ -23,8 +23,8 @@ import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
 from rentdyn.model import run_model
-from rentdyn.params import FIELDS, ModelParams, load_yaml, read_number, validate_params, \
-    with_value
+from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, load_yaml, read_mapping, \
+    read_number, validate_params, with_value
 
 __all__ = [
     "Scenario",
@@ -58,7 +58,7 @@ class Scenario:
         out = with_value(out, "moratorium.enabled", self.moratorium)
         out = with_value(out, "assistance.enabled", self.assistance)
         for path in sorted(self.overrides):
-            out = with_value(out, path, float(self.overrides[path]))
+            out = with_value(out, path, self.overrides[path])
         validate_params(out)
         return out
 
@@ -79,49 +79,33 @@ BUILTIN_SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
 def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     """Load scenario definitions from a YAML file.
 
-    Each top-level key names a scenario; recognized fields are
+    Each top-level key names a scenario, a mapping of at most a
     ``description``, the policy switches ``covid``, ``moratorium`` and
     ``assistance`` (YAML booleans), and an ``overrides`` mapping of dotted
-    parameter paths to values. Unknown fields, non-boolean switches,
-    override paths that are not registry fields, and non-numeric values are
-    errors.
+    parameter paths to values. Unknown keys, non-boolean switches, override
+    paths that are not registry fields, and non-numeric values are errors.
     """
     path = Path(path)
-    raw = load_yaml(path, ValueError)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a mapping of scenario names")
-    switches = ("covid", "moratorium", "assistance")
-    known = {"description", "overrides", *switches}
+    raw = read_mapping(load_yaml(path, ValueError), ValueError, str(path))
     paths = {f.path for f in FIELDS}
     out: dict[str, Scenario] = {}
     for name, spec in raw.items():
-        spec = spec or {}
-        if not isinstance(spec, dict):
-            raise ValueError(f"{path}: scenario '{name}' must be a mapping")
-        unknown = sorted(set(spec) - known)
-        if unknown:
-            raise ValueError(
-                f"{path}: scenario '{name}' has unknown fields: {', '.join(unknown)}"
-            )
-        overrides = spec.get("overrides") or {}
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{path}: scenario '{name}' overrides must be a mapping")
-        unknown = sorted(str(k) for k in overrides if k not in paths)
-        if unknown:
-            raise ValueError(f"{path}: scenario '{name}' overrides unknown parameter "
-                             f"paths: {', '.join(unknown)}")
-        for key in switches:
+        where = f"{path}: scenario '{name}'"
+        spec = read_mapping(spec or {}, ValueError, where,
+                            keys=("description", "overrides", *POLICY_BLOCKS))
+        overrides = read_mapping(spec.get("overrides") or {}, ValueError,
+                                 f"{where} overrides", keys=paths)
+        for key in POLICY_BLOCKS:
             if not isinstance(spec.get(key, False), bool):
-                raise ValueError(f"{path}: scenario '{name}' field '{key}' is not "
-                                 f"a boolean (true or false): {spec[key]!r}")
+                raise ValueError(f"{where} field '{key}' is not a boolean "
+                                 f"(true or false): {spec[key]!r}")
         out[name] = Scenario(
             name=name,
             description=str(spec.get("description", "")),
             covid=spec.get("covid", False),
             moratorium=spec.get("moratorium", False),
             assistance=spec.get("assistance", False),
-            overrides={k: read_number(v, ValueError,
-                                      f"{path}: scenario '{name}' override '{k}'")
+            overrides={k: read_number(v, ValueError, f"{where} override '{k}'")
                        for k, v in overrides.items()},
         )
     return out
@@ -166,9 +150,11 @@ METRIC_SERIES: tuple[str, ...] = (
 def compute_metrics(traj: Trajectory, params: ModelParams) -> MetricSet:
     """Reduce a trajectory to the reported headline metrics.
 
-    Flow totals are left-Riemann integrals over the analysis window; stock
-    readings are taken at the horizon; the 36-month arrears growth measures
-    the stock change over the 36 months ending at the horizon.
+    Flow totals are left-Riemann integrals over the analysis window (each
+    sample's rate applies over the step it opens, so the sample at the
+    horizon carries no weight); stock readings are taken at the horizon; the
+    36-month arrears growth measures the stock change over the 36 months
+    ending at the horizon.
     """
     clock = traj.clock
     mask = clock.window_mask()
@@ -191,13 +177,13 @@ def compute_metrics(traj: Trajectory, params: ModelParams) -> MetricSet:
             exhausted_at = float(traj.times[hit[0]])
 
     return MetricSet(
-        evictions_total=traj.window_integral("evictions_processed"),
-        filings_total=traj.window_integral("eviction_filings"),
+        evictions_total=float(np.sum(traj["evictions_processed"][mask][:-1]) * clock.dt),
+        filings_total=float(np.sum(traj["eviction_filings"][mask][:-1]) * clock.dt),
         arrears_end=arrears_end,
         arrears_growth_window=arrears_end - arrears_at_window,
         arrears_growth_36mo=arrears_end - arrears_at_36,
         arrears_peak_growth=float(growth.max()),
-        crowding_mean=traj.window_mean("crowding_ratio"),
+        crowding_mean=float(np.mean(traj["crowding_ratio"][mask])),
         crowding_end=float(traj["crowding_ratio"][-1]),
         homeless_end=float(traj["households_homeless"][-1]),
         homeless_peak=float(traj["households_homeless"][mask].max()),

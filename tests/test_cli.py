@@ -339,6 +339,11 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
     (["suite", "--params"], "params.yaml", _PARAMS.replace(
         "params:\n", "params:\n  1: {value: 1.0, units: x, provenance: assumption}\n", 1)),
     (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "[run2]", "7.0e6", "")),
+    (["suite", "--params"], "params.yaml",
+     _PARAMS.replace("value: 1050.0", "value: 1050.0\n    vaule: 1050.0", 1)),
+    (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: [covid.magnitude]\n"),
+    (["calibrate", "--spec"], "spec.yaml", "parameters: [{path: covid.magnitude}]\n"
+     "targets: [{scenario: run2, metric: evictions_total, vaule: 7.0e6}]\n"),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -346,7 +351,8 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "params-value-overflows", "override-overflows", "boolean-override",
         "spec-value-overflows", "spec-weight-overflows", "spec-lower-overflows",
         "spec-value-nan", "max-iterations-not-a-number", "max-iterations-inf",
-        "integer-scenario-name", "integer-params-key", "list-target-scenario"])
+        "integer-scenario-name", "integer-params-key", "list-target-scenario",
+        "params-entry-unknown-key", "overrides-not-mapping", "spec-target-missing-and-unknown"])
 def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):
     if name is not None:
         (tmp_path / name).write_text(text)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 
+import numpy as np
 import pytest
 import yaml
 
@@ -25,6 +26,7 @@ from rentdyn.params import (
     validate_params,
     with_value,
 )
+from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
 
 
 # ---------------------------------------------------------------- registry
@@ -97,6 +99,23 @@ def test_with_value_nested_and_flat():
     p2 = with_value(base, "stress_curve.steepness", 0.5)
     assert p2.stress_curve.steepness == 0.5
     assert base.stress_curve.steepness != 0.5
+
+
+def test_with_value_stores_a_float_at_registry_paths():
+    """A numpy scalar or an integer is stored as the float it holds, so runs
+    take the float path; a policy block's switch stays a bool."""
+    base = default_params()
+    moved = with_value(with_value(base, "covid.magnitude", np.float64(0.5)),
+                       "avg_monthly_rent", 1050)
+    assert type(moved.covid.magnitude) is float
+    assert type(moved.avg_monthly_rent) is float
+    assert type(with_value(base, "covid.enabled", True).covid.enabled) is bool
+    run = run_scenario(moved, BUILTIN_SCENARIOS["run2"])
+    float_run = run_scenario(with_value(base, "covid.magnitude", 0.5),
+                             BUILTIN_SCENARIOS["run2"])
+    assert run.metrics == float_run.metrics
+    assert all(np.array_equal(run.trajectory[name], series)
+               for name, series in float_run.trajectory.series.items())
 
 
 def test_with_value_unknown_path_raises():
