@@ -1,9 +1,10 @@
 """Knock the fitted parameters off their values and let the search recover.
 
 Loads the shipped calibration spec, perturbs the free parameters toward
-the edges of their bounds, and runs the bounded least-squares fit. A
+the edges of their bounds, and runs the bounded Levenberg-Marquardt fit. A
 healthy setup recovers every target to well under a percent,
-deterministically, in a few dozen model evaluations.
+deterministically, in a few dozen trial points (about a hundred model
+evaluations with the finite-difference Jacobians' points).
 """
 
 from rentdyn.calibration import calibrate, calibration_loss, load_calibration_spec
@@ -32,7 +33,8 @@ def main():
     print("Running the bounded least-squares fit (fully deterministic)...")
     result = calibrate(start, spec, scenarios=BUILTIN_SCENARIOS)
     print(f"  {result.evaluations} model evaluations "
-          f"({result.iterations} outside the finite-difference Jacobian), "
+          f"({result.iterations} trial points, the rest finite-difference "
+          f"Jacobian points), "
           f"loss {result.initial_loss:.3e} -> {result.loss:.3e}")
 
     print()

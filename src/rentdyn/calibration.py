@@ -3,17 +3,20 @@
 A calibration spec names a handful of free parameters (with bounds) and a
 set of weighted targets, each target being one metric of one scenario. Each
 target contributes one weighted relative residual; the loss is their sum of
-squares, and the search is bounded trust-region reflective least squares
-(Branch, Coleman & Li, SIAM J. Sci. Comput. 21(1), 1999) with a
-finite-difference Jacobian. A spec may free no more parameters than it has
+squares, and the search is :func:`least_squares`, a bounded
+Levenberg-Marquardt method (More, "The Levenberg-Marquardt algorithm:
+implementation and theory", Lecture Notes in Mathematics 630, 1978) with
+a forward-difference Jacobian. A spec may free no more parameters than it has
 targets: with more, the exact fits form a ridge and the answer would depend
 on the start. Nor may it free a parameter the model only compares against
 the grid times (:data:`rentdyn.model.GATE_TIMES`, such as a block's
 ``start_time``): its finite-difference Jacobian column is zero.
 
 Each scenario run is made once: runs are keyed by the scenario and the free
-values it can see, which leaves out a free parameter of a policy block the
-scenario switches off (the model never reads it there).
+values it can see (:meth:`rentdyn.scenarios.Scenario.reads_from`), which
+leaves out a free parameter of a policy block the scenario switches off (the
+model never reads it there) and one the scenario overrides (its override
+puts the value back).
 
 Most runs start part way through. Every free value is read from some time
 on (:func:`rentdyn.model.read_from`): a parameter of a policy block from
@@ -54,13 +57,12 @@ import os
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from rentdyn.engine import SimClock, SimulationError, Trajectory
-from rentdyn.model import GATE_TIMES, read_from
+from rentdyn.model import GATE_TIMES
 from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
     read_mapping, read_number, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
@@ -74,11 +76,16 @@ __all__ = [
     "load_calibration_spec",
     "calibration_loss",
     "calibrate",
+    "least_squares",
 ]
 
 _METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
 _PARAM_PATHS = tuple(f.path for f in FIELDS)
 _FAILURE_LOSS = 1e12
+# the ftol, xtol and gtol of the solver's stopping tests (MINPACK's, at
+# scipy's defaults), and its forward-difference step relative to max(1, |x|)
+_TOLERANCE = 1e-8
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
 
 
 class CalibrationError(ValueError):
@@ -320,19 +327,108 @@ def _serve(run: Callable[..., MetricSet | None], counter: Any, conn: Any) -> Non
             conn.send(error)
 
 
+class Solution(NamedTuple):
+    """Where :func:`least_squares` stopped, and why."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    # the forward-difference Jacobian of ``fun`` at ``x``
+    jac: np.ndarray
+    # residual vectors scored at trial points; a Jacobian's are not counted
+    nfev: int
+    # 1, 2 or 3: the gradient, cost or step test was met; 0: max_nfev was reached
+    status: int
+
+
+def least_squares(
+    fun: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
+    max_nfev: int,
+    workers: Callable[..., Iterable[np.ndarray]] = map,
+) -> Solution:
+    """Minimize ``sum(fun(x) ** 2)`` over the box ``bounds`` from ``x0`` by
+    Levenberg-Marquardt.
+
+    Each step solves ``(J'J + mu D) p = -J'f``, with ``D`` the running
+    maximum of the diagonal of ``J'J`` (Marquardt's scaling; 1 for a column
+    that has been zero so far) and ``mu`` starting at 1e-3, for every
+    coordinate but those on a bound the gradient pushes out of, and
+    projects ``x + p`` into the box. A step that lowers the cost is taken,
+    and ``mu`` shrinks with the ratio of the actual to the predicted
+    reduction; one that does not, a failed run's residual among them, is
+    refused, and ``mu`` grows by a factor that doubles with each refusal in
+    a row (Nielsen, "Damping parameter in Marquardt's method",
+    IMM-REP-1999-05).
+    The search stops when the gradient projected on the box is below the
+    tolerance (status 1), when a step taken lowers the cost by less than the
+    tolerance relative to it (2), when a step taken or refused is shorter
+    than the tolerance relative to ``x`` (3), or after ``max_nfev`` trial
+    points (0). As in MINPACK, the step test weighs each coordinate by the
+    square root of ``D``: a Jacobian point past a wall of failed runs makes
+    its column huge, so the search ends at the wall.
+
+    The Jacobian is made at every point taken, by forward differences of
+    step ``sqrt(eps) * max(1, |x|)`` turned backward where it would cross
+    the upper bound. Its points are scored by ``workers(fun, points)``,
+    which returns their residual vectors in order.
+    """
+    lower, upper = bounds
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    cost = f @ f
+    nfev, status, mu, nu, scaling = 1, 0, 1e-3, 2.0, np.zeros(x.size)
+    while True:
+        h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
+        points = x + np.diag(np.where(x + h > upper, -h, h))
+        jac = (np.array(list(workers(fun, points))) - f).T / np.diag(points - x)
+        g = jac.T @ f
+        if np.max(np.abs(x - np.clip(x - g, lower, upper))) < _TOLERANCE:
+            status = 1
+        if status or nfev >= max_nfev:
+            return Solution(x, f, jac, nfev, status)
+        a = jac.T @ jac
+        scaling = np.maximum(scaling, np.diag(a))
+        damping = np.where(scaling > 0.0, scaling, 1.0)
+        x_norm = math.sqrt(damping @ x ** 2)
+        # a coordinate on a bound that the gradient pushes out of stays there
+        free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        while True:
+            step = np.zeros(x.size)
+            step[free] = np.linalg.solve((a + mu * np.diag(damping))[np.ix_(free, free)],
+                                         -g[free])
+            new = np.clip(x + step, lower, upper)
+            trial = fun(new)
+            nfev += 1
+            actual = cost - trial @ trial
+            predicted = cost - np.sum((f + jac @ (new - x)) ** 2)
+            gain = actual / predicted if actual > 0.0 and predicted > 0.0 else 0.0
+            short = math.sqrt(damping @ (new - x) ** 2) < _TOLERANCE * (_TOLERANCE + x_norm)
+            if gain > 0.0:
+                status = 2 if actual < _TOLERANCE * cost and gain > 0.25 else 3 if short else 0
+                x, f, cost = new, trial, trial @ trial
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu = 2.0
+                break
+            if short or nfev >= max_nfev:
+                return Solution(x, f, jac, nfev, 3 if short else 0)
+            mu *= nu
+            nu *= 2.0
+
+
 def calibrate(
     params: ModelParams,
     spec: CalibrationSpec,
     clock: SimClock = SimClock(),
     scenarios: Mapping[str, Scenario] = BUILTIN_SCENARIOS,
 ) -> CalibrationResult:
-    """Fit the spec'd parameters by bounded trust-region least squares.
+    """Fit the spec'd parameters by bounded least squares (:func:`least_squares`).
 
     Starts from ``params`` (clipping each free value into its bounds), works
     in relative coordinates so differently-scaled parameters condition the
     finite-difference Jacobian equally, and treats any simulation blow-up as
-    a residual vector of effectively infinite loss so the trust region
-    shrinks away from pathological corners.
+    a residual vector of effectively infinite loss, so the solver refuses
+    the step and takes shorter ones away from pathological corners.
 
     Each scenario run is made once per distinct point it can see, restarts
     from the start's run of its scenario where it can, and the runs a point
@@ -352,10 +448,12 @@ def calibrate(
 
     needed = sorted({t.scenario for t in spec.targets})
     # when the model first reads each free value in each scenario
-    reads = {name: np.array([read_from(scenarios[name].apply(params), path) for path in paths])
+    applied = {name: scenarios[name].apply(params) for name in needed}
+    reads = {name: np.array([scenarios[name].reads_from(applied[name], path) for path in paths])
              for name in needed}
     # the free values each scenario can see: the model never reads one in a
-    # policy block the scenario switches off
+    # policy block the scenario switches off, and the scenario's override
+    # puts back one it overrides
     seen = {name: r < math.inf for name, r in reads.items()}
     # each scenario whose runs restart does so at the first sample at or after
     # the earliest time it reads a free value; an onset past the horizon
@@ -442,7 +540,7 @@ def calibrate(
         return score(z)
 
     def jacobian_map(fun, points):
-        # scipy hands the finite-difference points of a Jacobian over at once
+        # the solver hands the finite-difference points of a Jacobian over at once
         points = list(points)
         ensure(points)
         return list(map(fun, points))
@@ -469,15 +567,9 @@ def calibrate(
             worker.start()
             worker_conn.close()
             workers.append((worker, conn))
-        result = least_squares(
-            residuals,
-            z0,
-            method="trf",
-            bounds=(lower / scale, upper / scale),
-            max_nfev=spec.max_iterations,
-            workers=jacobian_map,
-        )
-        x = np.asarray(result.x)
+        result = least_squares(residuals, z0, bounds=(lower / scale, upper / scale),
+                               max_nfev=spec.max_iterations, workers=jacobian_map)
+        x = result.x
         achieved = achieved_at(x)
     finally:
         for worker, conn in workers:

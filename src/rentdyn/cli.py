@@ -13,9 +13,9 @@ Input problems (unknown scenario, malformed file, bad clock) exit with
 status 1 before any output file is created; writes themselves are atomic,
 so an interrupted run never leaves partial artifacts.
 
-Only ``calibrate`` loads ``rentdyn.calibration``, and with it
-``scipy.optimize``: importing them takes about half a second, more than
-the rest of a ``suite`` run, so the other five commands never pay it.
+Only ``calibrate`` loads ``rentdyn.calibration``, which fits by a bounded
+Levenberg-Marquardt method of its own (More, "The Levenberg-Marquardt
+algorithm: implementation and theory", 1978) and imports no scipy.
 Likewise only ``sweep`` and ``validate`` load ``rentdyn.validation``.
 """
 

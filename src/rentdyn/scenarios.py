@@ -13,6 +13,7 @@ parameters by dotted path. The five standard runs:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
-from rentdyn.model import run_model
+from rentdyn.model import read_from, run_model
 from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, load_yaml, read_mapping, \
     read_number, validate_params, with_value
 
@@ -61,6 +62,13 @@ class Scenario:
             out = with_value(out, path, self.overrides[path])
         validate_params(out)
         return out
+
+    def reads_from(self, applied: ModelParams, path: str) -> float:
+        """Earliest time this scenario's runs read a value set at ``path``
+        before :meth:`apply`, given the applied parameters: never (``inf``)
+        for a value the scenario overrides, which ``apply`` puts back, else
+        :func:`rentdyn.model.read_from`."""
+        return math.inf if path in self.overrides else read_from(applied, path)
 
 
 BUILTIN_SCENARIOS: Mapping[str, Scenario] = MappingProxyType({

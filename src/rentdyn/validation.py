@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from rentdyn.engine import SimClock, Trajectory
-from rentdyn.model import NONNEG_STOCKS, read_from, run_model
+from rentdyn.model import NONNEG_STOCKS, run_model
 from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
     sweepable_parameters, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
@@ -347,8 +347,7 @@ def sensitivity_sweep(
             # the scenario's override puts the value back, and the model never
             # reads a parameter of a policy block the scenario switches off:
             # either way the run would repeat the baseline
-            run = (applied != base and path not in scenario.overrides
-                   and read_from(baseline.params, path) < math.inf)
+            run = applied != base and scenario.reads_from(baseline.params, path) < math.inf
             steps.append((path, direction, base, requested, applied,
                           applied != requested, run))
     sets = [with_value(baseline.params, path, applied)
