@@ -8,7 +8,7 @@ evaluations with the finite-difference Jacobians' points).
 """
 
 from rentdyn.calibration import calibrate, calibration_loss, load_calibration_spec
-from rentdyn.params import default_params, get_value, with_value
+from rentdyn.params import default_params, get_value, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS
 
 SPEC_FILE = "params/calibration.yaml"
@@ -24,9 +24,7 @@ PERTURB = {
 
 def main():
     spec = load_calibration_spec(SPEC_FILE, BUILTIN_SCENARIOS)
-    start = default_params()
-    for path, value in PERTURB.items():
-        start = with_value(start, path, value)
+    start = with_values(default_params(), PERTURB)
 
     loss0 = calibration_loss(start, spec, scenarios=BUILTIN_SCENARIOS)
     print(f"Perturbed {len(PERTURB)} parameters; starting loss {loss0:.3e}")

@@ -64,7 +64,7 @@ import numpy as np
 from rentdyn.engine import SimClock, SimulationError, Trajectory
 from rentdyn.model import GATE_TIMES
 from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
-    read_mapping, read_number, with_value
+    read_mapping, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
 
 __all__ = [
@@ -464,18 +464,12 @@ def calibrate(
     # (restart sample, first run made) of each scenario whose runs restart
     restarts: dict[str, tuple[int, Trajectory]] = {}
 
-    def params_at(values: tuple[float, ...]) -> ModelParams:
-        candidate = params
-        for path, value in zip(paths, values):
-            candidate = with_value(candidate, path, value)
-        return candidate
-
     def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
         """One scenario at one point of the fit, restarted where it can be;
         ``None`` when the point's parameters cannot be built or the run fails.
         A scenario's first run is made in full and kept to restart from."""
         try:
-            candidate = params_at(values)
+            candidate = with_values(params, dict(zip(paths, values)))
         except ValueError:  # the values break an invariant, such as a curve's
             return None
         try:
@@ -578,7 +572,7 @@ def calibrate(
             conn.close()
     loss = float(np.sum(result.fun ** 2))
     try:
-        fitted_params = params_at(values_at(x))
+        fitted_params = with_values(params, dict(zip(paths, values_at(x))))
     except ValueError as error:
         raise CalibrationError(f"the fit ends on parameters that cannot be built: "
                                f"{error}") from error

@@ -252,6 +252,8 @@ def _cmd_sweep(args) -> int:
     scenario = _pick_scenario(scenarios, args.scenario)
     if not 0.0 < args.fraction < 1.0:
         raise CliError("--fraction must be between 0 and 1")
+    if args.top < 0:
+        raise CliError(f"--top must not be negative, got {args.top}")
     base_metrics, entries = sensitivity_sweep(params, scenario, clock=clock,
                                               fraction=args.fraction)
     metric_names = list(base_metrics)

@@ -29,9 +29,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 EPS = 1e-9
+# calendar month of t=0; the policy onsets (26.75: late March 2020) count from it
+START_YEAR, START_MONTH = 2018, 1
 
 __all__ = [
     "EPS",
+    "START_YEAR",
+    "START_MONTH",
     "SimClock",
     "LogisticCurve",
     "GompertzCurve",
@@ -49,18 +53,16 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimClock:
-    """Simulation grid in months with a calendar anchor.
+    """Simulation grid in months.
 
-    ``t`` counts months since the anchor (default January 2018, so ``t=24``
-    opens January 2020). ``horizon`` and ``burn_in`` lie on the grid; samples
-    with ``t >= burn_in`` are the reporting (analysis) window.
+    ``t`` counts months since January 2018 (``START_YEAR``/``START_MONTH``,
+    so ``t=24`` opens January 2020). ``horizon`` and ``burn_in`` lie on the
+    grid; samples with ``t >= burn_in`` are the reporting (analysis) window.
     """
 
     dt: float = 0.25
     horizon: float = 50.0
     burn_in: float = 24.0
-    start_year: int = 2018
-    start_month: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < math.inf):
@@ -75,8 +77,6 @@ class SimClock:
             steps = value / self.dt
             if abs(steps - round(steps)) > 1e-9:
                 raise ValueError(f"{name} {value} is not a whole number of steps of dt {self.dt}")
-        if not (1 <= self.start_month <= 12):
-            raise ValueError(f"start_month must be 1..12, got {self.start_month}")
 
     @property
     def n_steps(self) -> int:
@@ -93,8 +93,8 @@ class SimClock:
     def calendar_label(self, t: float) -> str:
         """Calendar month containing time ``t``, as ``YYYY-MM``."""
         months = int(math.floor(t + 1e-9))
-        total = (self.start_month - 1) + months
-        year = self.start_year + total // 12
+        total = (START_MONTH - 1) + months
+        year = START_YEAR + total // 12
         month = total % 12 + 1
         return f"{year:04d}-{month:02d}"
 

@@ -19,7 +19,7 @@ import sys
 
 from rentdyn.engine import EPS
 from rentdyn.model import STOCKS, build_derivative, initial_state
-from rentdyn.params import ModelParams, with_value
+from rentdyn.params import ModelParams, with_value, with_values
 
 __all__ = ["EquilibriumError", "equilibrate", "DERIVED_FIELDS"]
 
@@ -60,12 +60,10 @@ def equilibrate(params: ModelParams) -> ModelParams:
     if params.units_occupied_initial + params.units_pending_initial <= EPS:
         raise EquilibriumError("no tenanted units: cannot anchor a rental market baseline")
     # policies off; linear constants and stocks at probe values whose flows are read back
-    base = params
-    for path, value in (("covid.enabled", False), ("moratorium.enabled", False),
-                        ("assistance.enabled", False), ("baseline_filing_fraction", 1.0),
-                        ("move_in_time", 1.0), ("rate_new_homelessness", 0.0),
-                        ("rate_new_insecurity", 0.0)):
-        base = with_value(base, path, value)
+    base = with_values(params, {"covid.enabled": False, "moratorium.enabled": False,
+                                "assistance.enabled": False, "baseline_filing_fraction": 1.0,
+                                "move_in_time": 1.0, "rate_new_homelessness": 0.0,
+                                "rate_new_insecurity": 0.0})
     state = initial_state(base)
     state[_RENT] = state[_MORTGAGE] = state[_FORECLOSED] = 1.0
 
@@ -118,10 +116,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
         raise EquilibriumError("no vacant units or insecure households to supply move-ins")
 
     mortgaged = state[_OCCUPIED] + state[_PENDING] + state[_VACANT]
-    out = params
-    for path, value in zip(DERIVED_FIELDS, (
+    return with_values(params, dict(zip(DERIVED_FIELDS, (
         state[_RENT], state[_MORTGAGE], foreclosed, filing_fraction,
         supply / moveins, new_homeless, new_insecure, aux["rent_paid"] / max(mortgaged, EPS),
-    )):
-        out = with_value(out, path, value)
-    return out
+    ))))

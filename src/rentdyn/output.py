@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from rentdyn import __version__
-from rentdyn.engine import SimClock
+from rentdyn.engine import START_MONTH, START_YEAR, SimClock
 from rentdyn.params import FIELDS, ModelParams, get_value
 
 __all__ = [
@@ -131,8 +131,8 @@ def write_manifest(
             "dt": clock.dt,
             "horizon": clock.horizon,
             "burn_in": clock.burn_in,
-            "start_year": clock.start_year,
-            "start_month": clock.start_month,
+            "start_year": START_YEAR,
+            "start_month": START_MONTH,
         },
         "params_sha256": params_digest(params),
         "params_file": params_file,

@@ -4,6 +4,8 @@ Every tunable constant lives in one registry (``FIELDS``) that drives YAML
 load/save, validation bounds, provenance tags, and sensitivity-sweep
 enumeration. The parameter file must contain exactly the registry's entries;
 missing or unknown keys are load errors, so no value can default silently.
+Every edit of a parameter set goes through :func:`with_values`, which sets
+any number of dotted paths at once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Collection, Iterable, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -33,6 +35,7 @@ __all__ = [
     "default_params",
     "get_value",
     "with_value",
+    "with_values",
     "sweepable_parameters",
     "stack_params",
     "bounds_for",
@@ -334,23 +337,46 @@ def get_value(params: ModelParams, path: str) -> float:
     return obj
 
 
+def with_values(params: ModelParams, changes: Mapping[str, Any]) -> ModelParams:
+    """Return a copy of ``params`` with every dotted path of ``changes`` set.
+
+    The edit is atomic: each dataclass on the way is rebuilt once, with all
+    of its changes, so a curve's invariants are checked on the final values
+    only and the order of ``changes`` never matters. A value at a registry
+    path is stored as a ``float`` (a numpy scalar slows runs); any other
+    value, such as a block's ``enabled`` switch, as given. An unknown path
+    raises :class:`KeyError`.
+    """
+    return _replaced(params, [(path.split("."), path,
+                               float(value) if path in _FIELD_BY_PATH else value)
+                              for path, value in changes.items()])
+
+
 def with_value(params: ModelParams, path: str, value: float) -> ModelParams:
-    """Return a copy of ``params`` with the dotted-path field replaced; a value
-    at a registry path is stored as a ``float`` (a numpy scalar slows runs)."""
-    if path in _FIELD_BY_PATH:
-        value = float(value)
-    return _replaced(params, path.split("."), value, path)
+    """:func:`with_values` with the one change ``path``: ``value``."""
+    return with_values(params, {path: value})
 
 
-def _replaced(obj: Any, names: list[str], value: Any, path: str) -> Any:
+def _replaced(obj: Any, changes: list[tuple[list[str], str, Any]]) -> Any:
     # module level: a recursive nested closure is a reference cycle that only
     # the cyclic collector frees, left behind by every call
-    name = names[0]
-    if not hasattr(obj, name):
-        raise KeyError(f"unknown parameter path: {path}")
-    if len(names) > 1:
-        value = _replaced(getattr(obj, name), names[1:], value, path)
-    return replace(obj, **{name: value})
+    fields: dict[str, Any] = {}
+    inner: dict[str, list] = {}
+    for names, path, value in changes:
+        if not hasattr(obj, names[0]):
+            raise KeyError(f"unknown parameter path: {path}")
+        if len(names) > 1:
+            inner.setdefault(names[0], []).append((names[1:], path, value))
+        else:
+            fields[names[0]] = value
+    for name, group in inner.items():
+        if name in fields:
+            raise KeyError(f"parameter path {group[0][1]} overlaps another one set")
+        try:
+            fields[name] = _replaced(getattr(obj, name), group)
+        except ValueError as exc:  # a curve's invariant: name the curve
+            raise ValueError(f"{exc} (in {name})") from exc
+    return replace(obj, **fields)
 
 
 def sweepable_parameters() -> list[str]:
@@ -490,9 +516,10 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
     The file must contain a ``params`` mapping with exactly one entry per
     registry field. Each entry is a mapping with a ``value`` and a
     ``provenance`` tag, and may carry ``units`` and a ``note``; any other
-    key is an error. Returns the validated :class:`ModelParams` and the raw
-    metadata mapping (name, provenance tags, notes) for manifests and
-    re-export.
+    key is an error. All values are set in one :func:`with_values` edit, so
+    a curve's invariants are checked on the file's values alone. Returns
+    the validated :class:`ModelParams` and the raw metadata mapping (name,
+    provenance tags, notes) for manifests and re-export.
     """
     path = Path(path)
     raw = read_mapping(load_yaml(path, ParamFileError), ParamFileError, str(path),
@@ -500,7 +527,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
     entries = read_mapping(raw["params"], ParamFileError, f"{path}: 'params'",
                            keys=_FIELD_BY_PATH, required=_FIELD_BY_PATH)
 
-    params = default_params()
+    values = {}
     for f in FIELDS:
         where = f"{path}: entry '{f.path}'"
         entry = read_mapping(entries[f.path], ParamFileError, where,
@@ -509,11 +536,11 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
         if entry["provenance"] not in PROVENANCE_TAGS:
             raise ParamFileError(f"{where} has provenance {entry['provenance']!r}, "
                                  f"expected one of {PROVENANCE_TAGS}")
-        value = read_number(entry["value"], ParamFileError, f"{where} value")
-        try:
-            params = with_value(params, f.path, value)
-        except ValueError as exc:
-            raise ParamFileError(f"{where}: {exc}") from exc
+        values[f.path] = read_number(entry["value"], ParamFileError, f"{where} value")
+    try:
+        params = with_values(default_params(), values)
+    except ValueError as exc:  # a curve's invariant, on the file's final values
+        raise ParamFileError(f"{path}: {exc}") from exc
 
     validate_params(params)
     meta = {k: v for k, v in raw.items() if k != "params"}

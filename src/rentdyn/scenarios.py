@@ -25,7 +25,7 @@ import numpy as np
 from rentdyn.engine import SimClock, Trajectory
 from rentdyn.model import read_from, run_model
 from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, load_yaml, read_mapping, \
-    read_number, validate_params, with_value
+    read_number, validate_params, with_values
 
 __all__ = [
     "Scenario",
@@ -55,11 +55,8 @@ class Scenario:
 
     def apply(self, params: ModelParams) -> ModelParams:
         """Base parameters with this scenario's switches and overrides set."""
-        out = with_value(params, "covid.enabled", self.covid)
-        out = with_value(out, "moratorium.enabled", self.moratorium)
-        out = with_value(out, "assistance.enabled", self.assistance)
-        for path in sorted(self.overrides):
-            out = with_value(out, path, self.overrides[path])
+        switches = {f"{block}.enabled": getattr(self, block) for block in POLICY_BLOCKS}
+        out = with_values(params, {**switches, **self.overrides})
         validate_params(out)
         return out
 

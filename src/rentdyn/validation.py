@@ -26,10 +26,11 @@ from typing import Mapping
 
 import numpy as np
 
-from rentdyn.engine import SimClock, Trajectory
-from rentdyn.model import NONNEG_STOCKS, run_model
+from rentdyn.engine import START_MONTH, START_YEAR, ClampEvent, SimClock, SimulationError, \
+    Trajectory
+from rentdyn.model import run_model
 from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
-    sweepable_parameters, with_value
+    read_number, sweepable_parameters, with_value, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
     compute_metrics, run_scenario
 
@@ -156,7 +157,7 @@ def _parse_month(label: str, clock: SimClock) -> float:
             raise ValueError
     except ValueError:
         raise ReferenceError(f"bad calendar month {label!r} (expected YYYY-MM)") from None
-    t = (year - clock.start_year) * 12.0 + (month - clock.start_month)
+    t = (year - START_YEAR) * 12.0 + (month - START_MONTH)
     if t < 0.0 or t > clock.horizon:
         raise ReferenceError(
             f"calendar month {label} falls outside the simulated horizon "
@@ -189,24 +190,16 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
         if len(values) != 1:
             raise ReferenceError(f"{path.name}: column {col!r} must be constant, got {sorted(values)}")
         constant[col] = values.pop()
-    months = []
-    values = []
-    for row in rows:
-        months.append(row["calendar_month"].strip())
-        try:
-            values.append(float(row["value"]))
-        except ValueError:
-            raise ReferenceError(
-                f"{path.name}: bad value {row['value']!r} for {row['calendar_month']}"
-            ) from None
     return ReferenceMode(
         name=path.stem,
         scenario=constant["scenario"],
         series=constant["series"],
         units=constant["units"],
         source=constant["source"],
-        months=tuple(months),
-        values=tuple(values),
+        months=tuple(row["calendar_month"].strip() for row in rows),
+        values=tuple(read_number(row["value"], ReferenceError,
+                                 f"{path.name}: value for {row['calendar_month']}")
+                     for row in rows),
     )
 
 
@@ -393,116 +386,97 @@ class ExtremeCheck:
     detail: str
 
 
-def _finite_nonnegative(trajectory: Trajectory, tol: float = 1e-6) -> str:
-    """Empty string when every recorded stock is finite and non-negative."""
-    for name in NONNEG_STOCKS:
-        series = trajectory.series[name]
-        if not np.all(np.isfinite(series)):
-            return f"{name} went non-finite"
-        low = float(np.min(series))
-        if low < -tol:
-            return f"{name} went negative ({low:.3e})"
-    return ""
-
-
 def extreme_conditions(
     params: ModelParams = default_params(),
     clock: SimClock = SimClock(),
 ) -> list[ExtremeCheck]:
-    """Run the extreme-input battery and report pass/fail per experiment."""
-    checks: list[ExtremeCheck] = []
-    run2 = BUILTIN_SCENARIOS["run2"]
-    run3 = BUILTIN_SCENARIOS["run3"]
+    """Run the extreme-input battery and report pass/fail per experiment.
 
-    # 1. A shock of zero magnitude must reproduce the baseline exactly.
-    zeroed = with_value(params, "covid.magnitude", 0.0)
-    base = run_scenario(params, BUILTIN_SCENARIOS["run1"], clock=clock).trajectory
-    shocked = run_scenario(zeroed, run2, clock=clock).trajectory
-    worst = 0.0
-    for name, series in base.series.items():
-        scale = max(float(np.max(np.abs(series))), 1.0)
-        worst = max(worst, float(np.max(np.abs(shocked.series[name] - series))) / scale)
-    checks.append(ExtremeCheck(
-        name="zero_shock_matches_baseline",
-        passed=worst <= 1e-12,
-        detail=f"max relative deviation {worst:.2e}",
-    ))
+    ``simulate`` refuses a non-finite value and clamps every stock at zero,
+    so an experiment also fails when one of its runs raises
+    :class:`SimulationError` or clamps a stock: the outflow limiters alone
+    must keep the stocks non-negative.
+    """
+    run1, run2, run3 = (BUILTIN_SCENARIOS[name] for name in ("run1", "run2", "run3"))
+    clamps: list[ClampEvent] = []  # those of the experiment being run
 
-    # 2. Total income loss: collections fall to the delay-ceiling floor and
-    # every stock stays finite and non-negative.
-    total = with_value(params, "covid.magnitude", 1.0)
-    total = with_value(total, "covid.recovery_time", 1e9)
-    traj = run_scenario(total, run2, clock=clock).trajectory
-    problem = _finite_nonnegative(traj)
-    t_probe = params.covid.start_time + 1.0
-    expected = traj.at("rent_owed", t_probe) / (
-        params.at_rent_base * params.rent_delay_curve.y_final)
-    got = traj.at("rent_paid", t_probe)
-    rel = abs(got - expected) / max(abs(expected), 1.0)
-    passed = problem == "" and rel <= 1e-9
-    checks.append(ExtremeCheck(
-        name="total_income_loss_bounded",
-        passed=passed,
-        detail=problem or f"collections at delay ceiling (rel err {rel:.2e})",
-    ))
+    def run(changes: Mapping[str, float], scenario: Scenario) -> Trajectory:
+        trajectory = run_scenario(with_values(params, changes), scenario,
+                                  clock=clock).trajectory
+        clamps.extend(trajectory.clamp_events)
+        return trajectory
 
-    # 3. No rental stock at all: unit flows must stay identically zero.
-    empty = params
-    for path in ("units_occupied_initial", "units_pending_initial",
-                 "units_vacant_initial", "units_foreclosed_initial",
-                 "rent_owed_initial", "mortgage_owed_initial"):
-        empty = with_value(empty, path, 0.0)
-    traj = run_scenario(empty, run2, clock=clock).trajectory
-    problem = _finite_nonnegative(traj)
-    peaks = {
-        name: float(np.max(np.abs(traj.series[name])))
-        for name in ("units_occupied", "units_pending_eviction", "units_vacant",
-                     "units_foreclosed", "evictions_processed", "eviction_filings")
-    }
-    stuck_at_zero = all(v <= 1e-9 for v in peaks.values())
-    checks.append(ExtremeCheck(
-        name="no_rental_stock_stays_empty",
-        passed=problem == "" and stuck_at_zero,
-        detail=problem or f"peak unit-side magnitudes {max(peaks.values()):.2e}",
-    ))
+    def zero_shock() -> tuple[bool, str]:
+        """A shock of zero magnitude must reproduce the baseline exactly."""
+        base = run({}, run1)
+        shocked = run({"covid.magnitude": 0.0}, run2)
+        worst = 0.0
+        for name, series in base.series.items():
+            scale = max(float(np.max(np.abs(series))), 1.0)
+            worst = max(worst, float(np.max(np.abs(shocked.series[name] - series))) / scale)
+        return worst <= 1e-12, f"max relative deviation {worst:.2e}"
 
-    # 4. Hair-trigger landlords: filing pressure explodes but the limiter
-    # must keep stocks non-negative and finite.
-    impatient = with_value(params, "landlord_tolerance", 1.0)
-    traj = run_scenario(impatient, run2, clock=clock).trajectory
-    problem = _finite_nonnegative(traj)
-    checks.append(ExtremeCheck(
-        name="hair_trigger_landlords_bounded",
-        passed=problem == "",
-        detail=problem or "stocks stayed finite and non-negative under runaway filings",
-    ))
+    def total_income_loss() -> tuple[bool, str]:
+        """Total income loss: collections fall to the delay-ceiling floor."""
+        traj = run({"covid.magnitude": 1.0, "covid.recovery_time": 1e9}, run2)
+        t_probe = params.covid.start_time + 1.0
+        expected = traj.at("rent_owed", t_probe) / (
+            params.at_rent_base * params.rent_delay_curve.y_final)
+        got = traj.at("rent_paid", t_probe)
+        rel = abs(got - expected) / max(abs(expected), 1.0)
+        return rel <= 1e-9, f"collections at delay ceiling (rel err {rel:.2e})"
 
-    # 5. An airtight moratorium processes zero evictions inside its window
-    # and resumes processing after it lapses.
-    airtight = with_value(params, "moratorium.processing_reduction", 1.0)
-    traj = run_scenario(airtight, run3, clock=clock).trajectory
-    m = params.moratorium
-    times = traj.times
-    inside = (times >= m.start_time) & (times < m.start_time + m.duration)
-    after = times >= m.start_time + m.duration
-    ev = traj.series["evictions_processed"]
-    peak_inside = float(np.max(np.abs(ev[inside])))
-    resumed = float(np.max(ev[after]))
-    checks.append(ExtremeCheck(
-        name="airtight_moratorium_blocks_processing",
-        passed=peak_inside == 0.0 and resumed > 0.0,
-        detail=f"peak in-window rate {peak_inside:.2e}, post-window peak {resumed:.3g}",
-    ))
+    def no_rental_stock() -> tuple[bool, str]:
+        """No rental stock at all: unit flows must stay identically zero."""
+        traj = run(dict.fromkeys(("units_occupied_initial", "units_pending_initial",
+                                  "units_vacant_initial", "units_foreclosed_initial",
+                                  "rent_owed_initial", "mortgage_owed_initial"), 0.0), run2)
+        peak = max(float(np.max(np.abs(traj.series[name])))
+                   for name in ("units_occupied", "units_pending_eviction", "units_vacant",
+                                "units_foreclosed", "evictions_processed", "eviction_filings"))
+        return peak <= 1e-9, f"peak unit-side magnitudes {peak:.2e}"
 
-    # 6. Nobody insecure or homeless at the outset: inflows rebuild the
-    # pools smoothly from zero, nothing goes negative or non-finite.
-    nobody = with_value(params, "households_insecure_initial", 0.0)
-    nobody = with_value(nobody, "households_homeless_initial", 0.0)
-    traj = run_scenario(nobody, run2, clock=clock).trajectory
-    problem = _finite_nonnegative(traj)
-    checks.append(ExtremeCheck(
-        name="empty_household_pools_rebuild",
-        passed=problem == "",
-        detail=problem or "household pools rebuilt from zero without sign errors",
-    ))
+    def hair_trigger() -> tuple[bool, str]:
+        """Hair-trigger landlords: filing pressure explodes, and the limiters
+        alone must keep the stocks non-negative."""
+        run({"landlord_tolerance": 1.0}, run2)
+        return True, "no stock clamped under runaway filings"
+
+    def airtight_moratorium() -> tuple[bool, str]:
+        """An airtight moratorium processes zero evictions inside its window
+        and resumes processing after it lapses."""
+        traj = run({"moratorium.processing_reduction": 1.0}, run3)
+        m = params.moratorium
+        times = traj.times
+        inside = (times >= m.start_time) & (times < m.start_time + m.duration)
+        after = times >= m.start_time + m.duration
+        ev = traj.series["evictions_processed"]
+        peak_inside = float(np.max(np.abs(ev[inside])))
+        resumed = float(np.max(ev[after]))
+        return (peak_inside == 0.0 and resumed > 0.0,
+                f"peak in-window rate {peak_inside:.2e}, post-window peak {resumed:.3g}")
+
+    def empty_household_pools() -> tuple[bool, str]:
+        """Nobody insecure or homeless at the outset: inflows rebuild the
+        pools from zero."""
+        run({"households_insecure_initial": 0.0, "households_homeless_initial": 0.0}, run2)
+        return True, "household pools rebuilt from zero with no stock clamped"
+
+    checks = []
+    for name, experiment in (("zero_shock_matches_baseline", zero_shock),
+                             ("total_income_loss_bounded", total_income_loss),
+                             ("no_rental_stock_stays_empty", no_rental_stock),
+                             ("hair_trigger_landlords_bounded", hair_trigger),
+                             ("airtight_moratorium_blocks_processing", airtight_moratorium),
+                             ("empty_household_pools_rebuild", empty_household_pools)):
+        clamps.clear()
+        try:
+            passed, detail = experiment()
+        except SimulationError as err:
+            passed, detail = False, str(err)
+        if clamps:
+            first = clamps[0]
+            passed, detail = False, (f"{len(clamps)} clamp event(s), first {first.name} "
+                                     f"at t={first.time:g} ({first.value:.3e})")
+        checks.append(ExtremeCheck(name=name, passed=passed, detail=detail))
     return checks

@@ -620,16 +620,16 @@ def _crowding_spec(lower, upper):
 
 def test_points_across_a_curve_invariant_score_the_failure_residual(monkeypatch):
     refused = []
-    with_value_ = calibration.with_value
+    with_values_ = calibration.with_values
 
-    def recording(params, path, value):
+    def recording(params, changes):
         try:
-            return with_value_(params, path, value)
+            return with_values_(params, changes)
         except ValueError:
-            refused.append(value)
+            refused.append(changes["crowding_curve.y_max"])
             raise
 
-    monkeypatch.setattr(calibration, "with_value", recording)
+    monkeypatch.setattr(calibration, "with_values", recording)
     result = calibrate(default_params(), _crowding_spec(0.5, 3.0))
     assert refused and all(value < 1.0 for value in refused)
     # the target is out of reach: the fit stops at the invariant

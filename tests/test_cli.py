@@ -344,6 +344,7 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
     (["suite", "--scenarios"], "scen.yaml", "x:\n  overrides: [covid.magnitude]\n"),
     (["calibrate", "--spec"], "spec.yaml", "parameters: [{path: covid.magnitude}]\n"
      "targets: [{scenario: run2, metric: evictions_total, vaule: 7.0e6}]\n"),
+    (["sweep", "--top", "-3"], None, None),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -352,7 +353,8 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "spec-value-overflows", "spec-weight-overflows", "spec-lower-overflows",
         "spec-value-nan", "max-iterations-not-a-number", "max-iterations-inf",
         "integer-scenario-name", "integer-params-key", "list-target-scenario",
-        "params-entry-unknown-key", "overrides-not-mapping", "spec-target-missing-and-unknown"])
+        "params-entry-unknown-key", "overrides-not-mapping", "spec-target-missing-and-unknown",
+        "sweep-top-negative"])
 def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):
     if name is not None:
         (tmp_path / name).write_text(text)

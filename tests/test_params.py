@@ -6,6 +6,8 @@ import gc
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rentdyn.equilibrium import DERIVED_FIELDS, EquilibriumError, equilibrate
 from rentdyn.model import STOCKS, build_derivative, initial_state
@@ -25,8 +27,9 @@ from rentdyn.params import (
     sweepable_parameters,
     validate_params,
     with_value,
+    with_values,
 )
-from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
+from rentdyn.scenarios import BUILTIN_SCENARIOS, Scenario, run_scenario
 
 
 # ---------------------------------------------------------------- registry
@@ -138,6 +141,36 @@ def test_with_value_leaves_nothing_for_the_cyclic_collector():
         gc.enable()
 
 
+def test_with_values_checks_a_curve_on_its_final_values_only():
+    """y_max 0.9 is below the shipped y_min 1.0, so an edit of one field at a
+    time refuses the pair; one edit of both, in either order, accepts it."""
+    base = default_params()
+    with pytest.raises(ValueError, match=r"y_max 0.9 below y_min 1.0 \(in crowding_curve\)"):
+        with_value(base, "crowding_curve.y_max", 0.9)
+    for changes in ({"crowding_curve.y_max": 0.9, "crowding_curve.y_min": 0.5},
+                    {"crowding_curve.y_min": 0.5, "crowding_curve.y_max": 0.9}):
+        moved = with_values(base, changes)
+        assert (moved.crowding_curve.y_max, moved.crowding_curve.y_min) == (0.9, 0.5)
+        assert moved.crowding_curve(0.0) == 0.5
+    assert base == default_params()
+
+
+def test_with_values_keeps_the_rules_of_one_change():
+    base = default_params()
+    moved = with_values(base, {"covid.magnitude": np.float64(0.5), "avg_monthly_rent": 1050,
+                               "covid.enabled": True})
+    assert type(moved.covid.magnitude) is float
+    assert type(moved.avg_monthly_rent) is float
+    assert moved.covid.enabled is True
+    assert moved == with_value(with_value(with_value(base, "covid.magnitude", 0.5),
+                                          "avg_monthly_rent", 1050.0), "covid.enabled", True)
+    assert with_values(base, {}) == base
+    with pytest.raises(KeyError, match="unknown parameter path: covid.typo"):
+        with_values(base, {"covid.magnitude": 0.5, "covid.typo": 1.0})
+    with pytest.raises(KeyError, match="covid.magnitude overlaps"):
+        with_values(base, {"covid": base.covid, "covid.magnitude": 0.5})
+
+
 def test_params_are_frozen():
     params = default_params()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -176,6 +209,46 @@ def test_save_load_round_trip_exact(tmp_path):
     assert loaded == original
     assert meta["name"] == "round-trip"
     assert set(meta["provenance"]) == set(f.path for f in FIELDS)
+
+
+def test_a_curve_below_its_shipped_y_min_round_trips(tmp_path):
+    """The file lists y_max before y_min, and y_max 0.9 is below the shipped
+    y_min 1.0: the entries are applied together, never one at a time."""
+    original = with_values(default_params(), {"mortgage_delay_curve.y_max": 0.9,
+                                              "mortgage_delay_curve.y_min": 0.5})
+    loaded, _ = load_params(save_params(original, tmp_path / "params.yaml"))
+    assert loaded == original
+
+
+def test_load_names_the_curve_whose_invariant_breaks(tmp_path):
+    path = tmp_path / "broken.yaml"
+    save_params(default_params(), path)
+    doc = yaml.safe_load(path.read_text())
+    doc["params"]["mortgage_delay_curve.y_max"]["value"] = 0.5
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ParamFileError,
+                       match=r"y_max 0.5 below y_min 1.0 \(in mortgage_delay_curve\)"):
+        load_params(path)
+
+
+# the (upper, lower) field pair of each effect curve's invariant
+_CURVE_PAIRS = [("rent_delay_curve.y_final", "rent_delay_curve.floor"),
+                ("stress_curve.y_final", "stress_curve.floor"),
+                ("mortgage_delay_curve.y_max", "mortgage_delay_curve.y_min"),
+                ("crowding_curve.y_max", "crowding_curve.y_min")]
+
+
+@pytest.mark.parametrize("upper, lower", _CURVE_PAIRS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_valid_curve_pair_round_trips_and_applies(tmp_path_factory, upper, lower, data):
+    low = data.draw(st.floats(bounds_for(lower)[0], 1e3), label="lower")
+    high = data.draw(st.floats(max(low, bounds_for(upper)[0]), 1e3), label="upper")
+    pair = {upper: high, lower: low}
+    moved = with_values(default_params(), pair)
+    path = save_params(moved, tmp_path_factory.mktemp("pair") / "params.yaml")
+    assert load_params(path)[0] == moved
+    assert Scenario("pair", overrides=pair).apply(default_params()) == moved
 
 
 def test_shipped_default_file_matches_code_defaults():

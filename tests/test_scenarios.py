@@ -58,6 +58,15 @@ def test_apply_overrides_by_dotted_path():
     assert applied.covid.magnitude == 0.42
 
 
+def test_apply_sets_a_pair_across_a_curve_invariant():
+    """Sorted, y_max 0.9 comes first and is below the shipped y_min 1.0:
+    the overrides apply together, never one at a time."""
+    s = Scenario("uncrowded", overrides={"crowding_curve.y_max": 0.9,
+                                         "crowding_curve.y_min": 0.5})
+    applied = s.apply(default_params())
+    assert (applied.crowding_curve.y_max, applied.crowding_curve.y_min) == (0.9, 0.5)
+
+
 def test_apply_rejects_invalid_override():
     s = Scenario("bad", overrides={"eviction_proportion": 5.0})
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rentdyn import model, validation
+from rentdyn.engine import ClampEvent, SimulationError
 from rentdyn.params import FIELDS, default_params, with_value
 from rentdyn.validation import (
     ReferenceError,
@@ -148,6 +149,14 @@ def test_load_reference_mode_rejects_bad_value(tmp_path):
     path.write_text(GOOD_CSV.replace("590000", "many"))
     with pytest.raises(ReferenceError):
         load_reference_mode(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_report_skips_a_non_finite_value(tmp_path, value):
+    (tmp_path / "bad.csv").write_text(GOOD_CSV.replace("590000", value))
+    [result] = reference_report(tmp_path)
+    assert result.status == "skipped"
+    assert "is not a finite number" in result.detail
 
 
 def test_score_perfect_match_gives_zero_u(tmp_path):
@@ -376,3 +385,38 @@ def test_extreme_condition_names_are_stable():
         "airtight_moratorium_blocks_processing",
         "empty_household_pools_rebuild",
     ]
+
+
+_BATTERY = ["zero_shock_matches_baseline", "total_income_loss_bounded",
+            "no_rental_stock_stays_empty", "hair_trigger_landlords_bounded",
+            "airtight_moratorium_blocks_processing", "empty_household_pools_rebuild"]
+
+
+def test_a_clamped_stock_fails_every_battery_check(monkeypatch):
+    """simulate clamps every stock at zero, so a stock the outflow limiters
+    let go negative shows only as a clamp event: each check reads those."""
+    def clamping(params, scenario, clock):
+        result = run_scenario(params, scenario, clock=clock)
+        result.trajectory.clamp_events.append(ClampEvent(30.0, "units_occupied", -2.0))
+        return result
+
+    monkeypatch.setattr(validation, "run_scenario", clamping)
+    checks = extreme_conditions(default_params())
+    assert [c.name for c in checks] == _BATTERY
+    for check in checks:
+        assert not check.passed
+        assert check.detail.endswith("clamp event(s), first units_occupied at t=30 (-2.000e+00)")
+
+
+def test_a_run_that_blows_up_fails_its_check_only(monkeypatch):
+    """A non-finite run is that experiment's FAIL line, not an abort of the report."""
+    def blowing_up(params, scenario, clock):
+        if params.landlord_tolerance == 1.0:
+            raise SimulationError("non-finite value for 'rent_owed' at t=30: nan")
+        return run_scenario(params, scenario, clock=clock)
+
+    monkeypatch.setattr(validation, "run_scenario", blowing_up)
+    checks = extreme_conditions(default_params())
+    assert [c.name for c in checks] == _BATTERY
+    assert [c.name for c in checks if not c.passed] == ["hair_trigger_landlords_bounded"]
+    assert checks[3].detail == "non-finite value for 'rent_owed' at t=30: nan"
