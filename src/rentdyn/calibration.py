@@ -16,7 +16,10 @@ Each scenario run is made once: runs are keyed by the scenario and the free
 values it can see (:meth:`rentdyn.scenarios.Scenario.reads_from`), which
 leaves out a free parameter of a policy block the scenario switches off (the
 model never reads it there) and one the scenario overrides (its override
-puts the value back).
+puts the value back). A run is one edit of the scenario's applied
+parameters, setting the free values it does not override; they lie within
+bounds :class:`CalibrationParameter` checked against the registry, so the
+run is neither re-applied nor re-validated.
 
 Most runs start part way through. Every free value is read from some time
 on (:func:`rentdyn.model.read_from`): a parameter of a policy block from
@@ -29,18 +32,26 @@ from it at the first sample at or after that time
 (:func:`rentdyn.engine.simulate`); if the start's run fails, the first run
 that does not takes its place. For the shipped spec that is sample 105
 of 201 in ``run3`` and ``run4`` (the filing drop at 26.25 months) and 107
-in ``run2`` (the shock at 26.75). A scenario that sees a value read from
-the start, such as a parameter outside the policy blocks or
-``assistance.total_funds`` (the fund's initial level), makes only full runs.
-A point whose values cannot be built into parameters (bounds that cross a
-curve's invariant) scores as a failed run does.
+in ``run2`` (the shock at 26.75). That first run keeps every series; every
+other run keeps only those the metrics read
+(:data:`rentdyn.scenarios.METRIC_SERIES`). A scenario that sees a value
+read from the start, such as a parameter outside the policy blocks or
+``assistance.total_funds`` (the fund's initial level), makes only full
+runs. A point whose values cannot be built into parameters (bounds that
+cross a curve's invariant) scores as a failed run does.
 
-The runs a point needs, and the runs of all the points of a finite-difference
-Jacobian at once, are shared between the calling process and forked
-worker processes, each process claiming the next run left. There is one
-process per usable CPU in all, but no more than the runs of one Jacobian
-(the scenarios the targets name times the free parameters); the workers
-live for one ``calibrate`` call. Forked from it, they share its run
+The runs are made in rounds, each shared between the calling process and
+forked worker processes, each process claiming the next run left. A round
+holds a trial point's runs together with those of the finite-difference
+Jacobian there (:func:`_difference_points`), which the solver asks for
+next if it takes the step, so a step taken costs one round, not two. After
+a refused trial, the next trial point's round holds that point alone, so a
+streak of refusals makes at most one set of Jacobian runs the solver never
+reads. This only makes runs earlier: the solver's path, its evaluations and
+every number stay as they are without it. There is one process per usable
+CPU in all, but no more than the runs of one Jacobian (the scenarios the
+targets name times the free parameters); the workers live for one
+``calibrate`` call. Forked from it, they share its run
 function as it is: only the list of runs to make and the metrics made cross
 a pipe. Without fork, on one usable CPU, for a single run, or while the
 calling process runs other threads (a fork would copy locks those threads
@@ -62,10 +73,11 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from rentdyn.engine import SimClock, SimulationError, Trajectory
-from rentdyn.model import GATE_TIMES
-from rentdyn.params import FIELDS, ModelParams, bounds_for, get_value, load_yaml, \
+from rentdyn.model import GATE_TIMES, run_model
+from rentdyn.params import ModelParams, bounds_for, get_value, load_yaml, \
     read_mapping, read_number, with_values
-from rentdyn.scenarios import BUILTIN_SCENARIOS, MetricSet, Scenario, run_scenario
+from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
+    compute_metrics, run_scenario
 
 __all__ = [
     "CalibrationError",
@@ -80,7 +92,6 @@ __all__ = [
 ]
 
 _METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
-_PARAM_PATHS = tuple(f.path for f in FIELDS)
 _FAILURE_LOSS = 1e12
 # the ftol, xtol and gtol of the solver's stopping tests (MINPACK's, at
 # scipy's defaults), and its forward-difference step relative to max(1, |x|)
@@ -106,13 +117,35 @@ class CalibrationTarget:
         return f"{self.scenario}.{self.metric}"
 
 
+def _registry_bounds(path: str) -> tuple[float, float]:
+    """The documented bounds of ``path``; no upper bound reads as infinity."""
+    try:
+        lower, upper = bounds_for(path)
+    except KeyError:
+        raise CalibrationError(f"unknown parameter path {path!r}") from None
+    return lower, math.inf if upper is None else upper
+
+
 @dataclass(frozen=True)
 class CalibrationParameter:
-    """One free parameter; bounds default to the registry's documented ones."""
+    """One free parameter, with bounds inside the registry's documented ones.
+
+    The fit's runs are not validated one by one, so a free value is only
+    ever set within bounds checked here.
+    """
 
     path: str
     lower: float
     upper: float
+
+    def __post_init__(self) -> None:
+        reg_lo, reg_hi = _registry_bounds(self.path)
+        if self.lower < reg_lo or self.upper > reg_hi:
+            raise CalibrationError(
+                f"{self.path}: requested bounds [{self.lower}, {self.upper}] exceed the "
+                f"documented bounds [{reg_lo}, {reg_hi}]")
+        if not self.lower < self.upper:
+            raise CalibrationError(f"{self.path}: lower bound must be below upper bound")
 
 
 @dataclass(frozen=True)
@@ -147,14 +180,18 @@ class CalibrationResult:
     loss: float
     initial_loss: float
     evaluations: int
-    # scenario integrations made: one per scenario and distinct point it sees
+    # scenario integrations made: one per scenario and distinct point it
+    # sees, the Jacobian points made with a trial point the solver then
+    # refused included
     scenario_runs: int
     iterations: int
     converged: bool
     fitted: dict[str, float]
     achieved: dict[str, float]
     # of the relative-coordinate Jacobian at the fit; a value near zero
-    # marks a direction the targets barely constrain
+    # marks a direction the targets barely constrain. Empty when a
+    # finite-difference point at the fit failed: its column measures the
+    # failure, not the targets
     singular_values: tuple[float, ...]
 
 
@@ -181,18 +218,10 @@ def _check_parameter(entry: Any) -> CalibrationParameter:
     entry = read_mapping(entry, CalibrationError, f"parameter {entry}",
                          keys=("path", "lower", "upper"), required=("path",))
     path = str(entry["path"])
-    if path not in _PARAM_PATHS:
-        raise CalibrationError(f"unknown parameter path {path!r}")
-    reg_lo, reg_hi = bounds_for(path)
+    reg_lo, reg_hi = _registry_bounds(path)
     lower = read_number(entry.get("lower", reg_lo), CalibrationError, f"{path}: lower")
     upper = read_number(entry["upper"], CalibrationError, f"{path}: upper") \
-        if "upper" in entry else (reg_hi if reg_hi is not None else math.inf)
-    if lower < reg_lo or (reg_hi is not None and upper > reg_hi):
-        raise CalibrationError(
-            f"{path}: requested bounds [{lower}, {upper}] exceed the documented "
-            f"bounds [{reg_lo}, {reg_hi}]")
-    if not lower < upper:
-        raise CalibrationError(f"{path}: lower bound must be below upper bound")
+        if "upper" in entry else reg_hi
     return CalibrationParameter(path=path, lower=lower, upper=upper)
 
 
@@ -327,6 +356,14 @@ def _serve(run: Callable[..., MetricSet | None], counter: Any, conn: Any) -> Non
             conn.send(error)
 
 
+def _difference_points(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The points of a forward-difference Jacobian at ``x``, one per row: a
+    step of ``sqrt(eps) * max(1, |x|)`` in one coordinate, turned backward
+    where it would cross the upper bound."""
+    h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
+    return x + np.diag(np.where(x + h > upper, -h, h))
+
+
 class Solution(NamedTuple):
     """Where :func:`least_squares` stopped, and why."""
 
@@ -368,10 +405,9 @@ def least_squares(
     square root of ``D``: a Jacobian point past a wall of failed runs makes
     its column huge, so the search ends at the wall.
 
-    The Jacobian is made at every point taken, by forward differences of
-    step ``sqrt(eps) * max(1, |x|)`` turned backward where it would cross
-    the upper bound. Its points are scored by ``workers(fun, points)``,
-    which returns their residual vectors in order.
+    The Jacobian is made at every point taken, by forward differences
+    (:func:`_difference_points`). Its points are scored by
+    ``workers(fun, points)``, which returns their residual vectors in order.
     """
     lower, upper = bounds
     x = np.asarray(x0, dtype=float)
@@ -379,8 +415,7 @@ def least_squares(
     cost = f @ f
     nfev, status, mu, nu, scaling = 1, 0, 1e-3, 2.0, np.zeros(x.size)
     while True:
-        h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
-        points = x + np.diag(np.where(x + h > upper, -h, h))
+        points = _difference_points(x, upper)
         jac = (np.array(list(workers(fun, points))) - f).T / np.diag(points - x)
         g = jac.T @ f
         if np.max(np.abs(x - np.clip(x - g, lower, upper))) < _TOLERANCE:
@@ -431,9 +466,10 @@ def calibrate(
     the step and takes shorter ones away from pathological corners.
 
     Each scenario run is made once per distinct point it can see, restarts
-    from the start's run of its scenario where it can, and the runs a point
-    or a Jacobian needs are spread over worker processes (see the module
-    docstring); the result is the same as from full runs in one process.
+    from the start's run of its scenario where it can, and the runs of a
+    trial point and of the Jacobian there are made in one round spread over
+    worker processes (see the module docstring); the result is the same as
+    from full runs in one process.
     If the fit ends on values that cannot be built into parameters (bounds
     that cross a curve's invariant), :class:`CalibrationError` is raised.
     """
@@ -467,19 +503,26 @@ def calibrate(
     def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
         """One scenario at one point of the fit, restarted where it can be;
         ``None`` when the point's parameters cannot be built or the run fails.
-        A scenario's first run is made in full and kept to restart from."""
+        A scenario's first run is made in full and kept to restart from; a
+        later one keeps only the series its metrics read."""
+        # the applied parameters hold the scenario's overrides: keep them
+        overrides = scenarios[name].overrides
         try:
-            candidate = with_values(params, dict(zip(paths, values)))
+            candidate = with_values(applied[name], {path: value for path, value
+                                                    in zip(paths, values)
+                                                    if path not in overrides})
         except ValueError:  # the values break an invariant, such as a curve's
             return None
+        base = name in restart_at and name not in restarts
         try:
-            result = run_scenario(candidate, scenarios[name], clock=clock,
-                                  restart=restarts.get(name))
+            trajectory = run_model(candidate, clock, record=None if base else METRIC_SERIES,
+                                   restart=restarts.get(name))
+            metrics = compute_metrics(trajectory, candidate)
         except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
             return None
-        if name in restart_at:
-            restarts.setdefault(name, (restart_at[name], result.trajectory))
-        return result.metrics
+        if base:
+            restarts[name] = (restart_at[name], trajectory)
+        return metrics
 
     # metrics of every scenario run made, keyed by the scenario and the bytes
     # of the free values it sees
@@ -528,16 +571,30 @@ def calibrate(
         achieved = achieved_at(z)
         return failure if achieved is None else _residuals(achieved, spec)
 
+    upper_z = upper / scale
+    # whether the next trial point's Jacobian points are made with it: not
+    # after a refused trial, so a streak of refusals makes at most one set
+    look_ahead = True
+
     def residuals(z: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
+        nonlocal evaluations, look_ahead
         evaluations += 1
+        if look_ahead:
+            # a trial point the solver takes is followed by the Jacobian
+            # there, so its points' runs are made in the trial's round
+            ensure([z, *_difference_points(z, upper_z)])
+            look_ahead = False
         return score(z)
 
     def jacobian_map(fun, points):
-        # the solver hands the finite-difference points of a Jacobian over at once
+        # the solver hands the finite-difference points of a Jacobian over at
+        # once, after it took the trial point there
+        nonlocal look_ahead
         points = list(points)
         ensure(points)
-        return list(map(fun, points))
+        scored = list(map(fun, points))
+        look_ahead = True
+        return scored
 
     # (process, pipe end) of each worker; the calling process sends each its
     # runs itself, so no thread of this process stands between them. The
@@ -561,10 +618,12 @@ def calibrate(
             worker.start()
             worker_conn.close()
             workers.append((worker, conn))
-        result = least_squares(residuals, z0, bounds=(lower / scale, upper / scale),
+        result = least_squares(residuals, z0, bounds=(lower / scale, upper_z),
                                max_nfev=spec.max_iterations, workers=jacobian_map)
         x = result.x
         achieved = achieved_at(x)
+        # a Jacobian column across a wall of failed runs measures the wall
+        wall = any(achieved_at(point) is None for point in _difference_points(x, upper_z))
     finally:
         for worker, conn in workers:
             worker.terminate()
@@ -589,6 +648,6 @@ def calibrate(
         converged=bool(result.status > 0) and loss < _FAILURE_LOSS,
         fitted={path: float(get_value(fitted_params, path)) for path in paths},
         achieved=achieved,
-        singular_values=tuple(float(v) for v in
-                              np.linalg.svd(result.jac, compute_uv=False)),
+        singular_values=() if wall else tuple(
+            float(v) for v in np.linalg.svd(result.jac, compute_uv=False)),
     )

@@ -330,7 +330,8 @@ def _cmd_calibrate(args) -> int:
           f"after {result.evaluations} evaluations, {result.scenario_runs} scenario runs "
           f"({'converged' if result.converged else 'not converged'})")
     print("singular values of the scaled Jacobian: "
-          + " ".join(f"{v:.3g}" for v in result.singular_values))
+          + (" ".join(f"{v:.3g}" for v in result.singular_values)
+             or "none, a finite-difference point at the fit failed"))
     print("fitted parameters:")
     for path, value in result.fitted.items():
         print(f"  {path:<40} {value:.6g}")

@@ -319,9 +319,12 @@ def simulate(
         Start the loop at sample ``k`` of one run: the rows before ``k``,
         the stock levels at ``k`` and the clamp events of the steps before
         ``k`` are taken from ``earlier``, a trajectory with every series.
-        The result is the full run's, bit for bit, when ``earlier`` is a run
-        from the same initial levels of a derivative that agrees with
-        ``deriv`` at every sample before ``k``.
+        Only the kept series' rows are copied from it, so a restart with a
+        short ``record`` copies little. The result is the full run's, bit
+        for bit, in every kept series, when ``earlier`` is a run from the
+        same initial levels of a derivative that agrees with ``deriv`` at
+        every sample before ``k``. A non-finite value at or after ``k`` is
+        reported as the full run reports it.
 
     Returns
     -------
@@ -363,17 +366,22 @@ def simulate(
 
     names += aux
     data = np.fromiter(samples, float, (n - first) * len(names)).reshape(n - first, -1)
-    if first:
-        data = np.vstack([np.column_stack([earlier.series[name][:first] for name in names]),
-                          data])
+    # the rows taken from ``earlier`` passed this check when it was made
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         k, j = bad[0]  # row-major: earliest time first, then series order
-        raise SimulationError(_nonfinite(names[j], times[k], data[k, j]))
-    series = dict(zip(names, data.T.copy()))
-    if record is not None:
-        series = {name: series[name] for name in record}
-    return Trajectory(clock=clock, times=times, series=series, clamp_events=events)
+        raise SimulationError(_nonfinite(names[j], times[first + k], data[k, j]))
+    if record is None:
+        kept, rows = names, data.T.copy()
+    else:
+        column = {name: j for j, name in enumerate(names)}
+        kept = list(record)
+        rows = data.T[[column[name] for name in kept]]
+    if first:
+        rows = np.hstack([np.reshape([earlier.series[name][:first] for name in kept],
+                                     (-1, first)), rows])
+    return Trajectory(clock=clock, times=times, series=dict(zip(kept, rows)),
+                      clamp_events=events)
 
 
 def _simulate_batch(

@@ -157,6 +157,20 @@ def test_spec_rejects_duplicate_parameter(tmp_path):
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize("path, lower, upper, match", [
+    ("covid.magnitude", -0.5, 0.8, "exceed the documented bounds"),
+    ("covid.magnitude", 0.4, 2.0, "exceed the documented bounds"),
+    ("covid.magnitude", 0.6, 0.6, "lower bound must be below upper bound"),
+    ("covid.magnitude", 0.7, 0.5, "lower bound must be below upper bound"),
+    ("no.such.knob", 0.0, 1.0, "unknown parameter path"),
+])
+def test_parameter_built_in_code_is_checked(path, lower, upper, match):
+    """The fit sets free values without validating each run, so a parameter
+    is refused when it is built, not only when a spec file is loaded."""
+    with pytest.raises(CalibrationError, match=match):
+        CalibrationParameter(path, lower, upper)
+
+
 # ---------------------------------------------------------------- loss
 
 def test_loss_zero_at_exact_targets_and_weights_scale():
@@ -357,6 +371,20 @@ def test_fit_from_the_benchmark_start_is_unchanged():
     }
 
 
+@pytest.mark.parametrize("magnitude, evaluations, runs",
+                         [(0.475, 45, 108), (0.525, 30, 72), (0.54, 25, 60)])
+def test_fit_from_the_other_benchmark_starts_keeps_its_work(monkeypatch, magnitude,
+                                                            evaluations, runs):
+    """No trial point is refused from these starts, so every Jacobian run
+    made with a trial point is read; pooled or not, the path is the same."""
+    spec = load_calibration_spec("params/calibration.yaml")
+    start = with_value(default_params(), "covid.magnitude", magnitude)
+    pooled = calibrate(start, spec)
+    assert (pooled.evaluations, pooled.scenario_runs) == (evaluations, runs)
+    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
+    assert _outcome(calibrate(start, spec)) == _outcome(pooled)
+
+
 def _outcome(result):
     return (result.fitted, result.loss, result.initial_loss, result.achieved,
             result.evaluations, result.scenario_runs, result.iterations,
@@ -373,21 +401,27 @@ def test_parallel_fit_equals_serial_fit(monkeypatch, magnitude):
     assert _outcome(parallel) == _outcome(serial)
 
 
+def _fail_run3_above(monkeypatch, magnitude, failures) -> None:
+    """Make the fit's runs of run3 raise above ``magnitude``, recorded in ``failures``."""
+    run_model_ = calibration.run_model
+
+    def failing(params, clock, **kwargs):
+        run3 = params.moratorium.enabled and not params.assistance.enabled
+        if run3 and params.covid.magnitude > magnitude:
+            failures.append(params.covid.magnitude)
+            raise SimulationError("blew up")
+        return run_model_(params, clock, **kwargs)
+
+    monkeypatch.setattr(calibration, "run_model", failing)
+
+
 def test_run_failing_in_a_worker_scores_like_a_serial_failure(monkeypatch):
     """A run that raises SimulationError scores the failure residual wherever
     it runs: run3 fails above magnitude 0.58, so the fit stops short there."""
     spec = load_calibration_spec("params/calibration.yaml")
     start = with_value(default_params(), "covid.magnitude", 0.5)
     failures = []
-    run_scenario_ = calibration.run_scenario
-
-    def failing(params, scenario, **kwargs):
-        if scenario.name == "run3" and params.covid.magnitude > 0.58:
-            failures.append(params.covid.magnitude)
-            raise SimulationError("blew up")
-        return run_scenario_(params, scenario, **kwargs)
-
-    monkeypatch.setattr(calibration, "run_scenario", failing)
+    _fail_run3_above(monkeypatch, 0.58, failures)
     parallel = calibrate(start, spec)
     monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     serial = calibrate(start, spec)
@@ -395,6 +429,41 @@ def test_run_failing_in_a_worker_scores_like_a_serial_failure(monkeypatch):
     assert serial.converged
     assert serial.fitted["covid.magnitude"] <= 0.58
     assert _outcome(parallel) == _outcome(serial)
+
+
+def test_fit_ending_at_a_wall_of_failed_runs_reports_no_singular_values(
+        monkeypatch, tmp_path, capsys):
+    """The fit stops at the wall run3 meets above magnitude 0.58; the
+    Jacobian column across it measures the failure residual, not the targets,
+    so no singular value is reported, and the command says why."""
+    from rentdyn.cli import main
+    from rentdyn.params import save_params
+
+    _fail_run3_above(monkeypatch, 0.58, [])
+    fits = []
+    calibrate_ = calibration.calibrate
+
+    def recording(*args, **kwargs):
+        fits.append(calibrate_(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(calibration, "calibrate", recording)
+    start = tmp_path / "start.yaml"
+    save_params(with_value(default_params(), "covid.magnitude", 0.5), start)
+    rc = main(["calibrate", "--spec", "params/calibration.yaml", "--params", str(start),
+               "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    [result] = fits
+    assert result.converged
+    assert 0.57 < result.fitted["covid.magnitude"] <= 0.58
+    # trial points past the wall are refused; after each refused one the
+    # next is scored alone, so at most one set of Jacobian runs per streak
+    # of refusals goes unread
+    assert (result.evaluations, result.scenario_runs) == (137, 492)
+    assert result.singular_values == ()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("singular values of the scaled Jacobian: "
+                        "none, a finite-difference point at the fit failed")
 
 
 def test_worker_pool_is_bounded_and_closed_when_the_solver_raises(monkeypatch):
@@ -464,13 +533,15 @@ def test_fit_makes_one_run_per_point_a_scenario_sees(monkeypatch):
     """run4a overrides assistance.rate_multiplier, which its runs therefore
     never see: a fit freeing it runs run4a once per covid.magnitude."""
     made = {"run4": [], "run4a": []}
-    run_scenario_ = calibration.run_scenario
+    run_model_ = calibration.run_model
 
-    def recording(params, scenario, **kwargs):
-        made[scenario.name].append((params.covid.magnitude, params.assistance.rate_multiplier))
-        return run_scenario_(params, scenario, **kwargs)
+    def recording(params, clock, **kwargs):
+        # run4a's override sets the rate multiplier to 3, outside the fit's bounds
+        name = "run4a" if params.assistance.rate_multiplier == 3.0 else "run4"
+        made[name].append((params.covid.magnitude, params.assistance.rate_multiplier))
+        return run_model_(params, clock, **kwargs)
 
-    monkeypatch.setattr(calibration, "run_scenario", recording)
+    monkeypatch.setattr(calibration, "run_model", recording)
     monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     spec = CalibrationSpec(
         parameters=(CalibrationParameter("covid.magnitude", 0.4, 0.8),
@@ -573,12 +644,12 @@ def _derivative_calls(monkeypatch) -> list[list[int]]:
 
 def _full_runs(monkeypatch) -> None:
     """Make every scenario run of a fit from the start of the grid."""
-    run_scenario_ = calibration.run_scenario
+    run_model_ = calibration.run_model
 
-    def full(params, scenario, clock, restart=None):
-        return run_scenario_(params, scenario, clock=clock)
+    def full(params, clock, record=None, restart=None):
+        return run_model_(params, clock, record=record)
 
-    monkeypatch.setattr(calibration, "run_scenario", full)
+    monkeypatch.setattr(calibration, "run_model", full)
 
 
 def test_fit_restarts_every_run_after_the_start(monkeypatch):

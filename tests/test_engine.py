@@ -403,3 +403,49 @@ def test_restart_must_be_on_the_grid_of_one_run():
     with pytest.raises(ValueError, match="batch"):
         simulate(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
                  restart=(4, earlier))
+
+
+def _overflowing_deriv(opens):
+    """``x`` squares itself from ``opens`` on and overflows soon after."""
+    def deriv(state, t):
+        rate = state[0] * state[0] if t >= opens else 0.0
+        return [rate], {"calm": 1.0}
+    return deriv
+
+
+_RESTART_SERIES = ("r", "out", "outflow")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(0, 20),
+       record=st.lists(st.sampled_from(_RESTART_SERIES), unique=True, max_size=3))
+def test_restart_keeping_some_series_is_the_full_run(k, record):
+    """A restart copies the rows before ``k`` of the kept series only, and
+    gives the full run's series for them, bit for bit, in record's order."""
+    clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
+    initial = {"r": 5.0, "out": 0.0}
+    nonneg = frozenset({"r"})
+    earlier = simulate(_opening_deriv(4.0, 5.0), clock, initial, nonneg)
+    full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg)
+    restarted = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg,
+                         record=record, restart=(k, earlier))  # k <= 20: t <= 5.0
+    assert list(restarted.series) == record
+    for name in record:
+        assert restarted[name].tobytes() == full[name].tobytes(), name
+    assert restarted.clamp_events == full.clamp_events
+
+
+@pytest.mark.parametrize("k", [0, 10, 20])
+def test_restart_keeping_some_series_reports_a_non_finite_value_as_the_full_run(k):
+    """``x`` goes non-finite after the restart, kept or not: the restarted
+    run names it at its own time, as the full run does."""
+    clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
+    earlier = simulate(_overflowing_deriv(math.inf), clock, {"x": 10.0})
+    with pytest.raises(SimulationError) as full:
+        simulate(_overflowing_deriv(5.0), clock, {"x": 10.0})
+    for record in (("calm",), ("x",), None):
+        with pytest.raises(SimulationError) as restarted:
+            simulate(_overflowing_deriv(5.0), clock, {"x": 10.0}, record=record,
+                     restart=(k, earlier))
+        assert str(restarted.value) == str(full.value)
+    assert str(full.value).startswith("non-finite value for 'x' at t=")
