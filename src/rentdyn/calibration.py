@@ -25,20 +25,21 @@ Most runs start part way through. Every free value is read from some time
 on (:func:`rentdyn.model.read_from`): a parameter of a policy block from
 the block's onset, the first time any of its gates opens, such as the
 filing drop half a month ahead of the moratorium. Before the earliest such
-time among the free values a scenario sees, all its runs in a fit agree bit
-for bit. So each scenario's first run in a fit, the start's, is made in
-full before any worker forks, and every later run of that scenario restarts
-from it at the first sample at or after that time
-(:func:`rentdyn.engine.simulate`); if the start's run fails, the first run
-that does not takes its place. For the shipped spec that is sample 105
-of 201 in ``run3`` and ``run4`` (the filing drop at 26.25 months) and 107
-in ``run2`` (the shock at 26.75). That first run keeps every series; every
-other run keeps only those the metrics read
-(:data:`rentdyn.scenarios.METRIC_SERIES`). A scenario that sees a value
-read from the start, such as a parameter outside the policy blocks or
-``assistance.total_funds`` (the fund's initial level), makes only full
-runs. A point whose values cannot be built into parameters (bounds that
-cross a curve's invariant) scores as a failed run does.
+time among the free values a scenario sees, every run of the scenario in a
+fit is, bit for bit, the run of its applied parameters at the start. So
+before any worker forks, each such scenario's prefix is integrated once:
+its applied parameters up to the first sample at or after that time. For
+the shipped spec that is sample 105 of 201 in ``run3`` and ``run4`` (the
+filing drop at 26.25 months) and 107 in ``run2`` (the shock at 26.75).
+Every run of the scenario, the start's included, restarts from its prefix
+(:func:`rentdyn.engine.simulate`) and keeps only the series the metrics
+read (:data:`rentdyn.scenarios.METRIC_SERIES`). A prefix that goes
+non-finite raises its error at once, since every run of its scenario would
+meet it. A scenario that sees a value read from the start, such as a
+parameter outside the policy blocks or ``assistance.total_funds`` (the
+fund's initial level), makes only full runs. A point whose values cannot be
+built into parameters (bounds that cross a curve's invariant) scores as a
+failed run does.
 
 The runs are made in rounds, each shared between the calling process and
 forked worker processes, each process claiming the next run left. A round
@@ -72,7 +73,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from rentdyn.engine import SimClock, SimulationError, Trajectory
+from rentdyn.engine import SimClock, SimulationError
 from rentdyn.model import GATE_TIMES, run_model
 from rentdyn.params import ModelParams, bounds_for, get_value, load_yaml, \
     read_mapping, read_number, with_values
@@ -111,6 +112,13 @@ class CalibrationTarget:
     metric: str
     value: float
     weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.metric not in _METRIC_NAMES:
+            raise CalibrationError(f"target names unknown metric {self.metric!r}")
+        if not 0.0 < self.weight < math.inf:
+            raise CalibrationError(f"{self.key}: target weight must be positive and "
+                                   f"finite: {self.weight}")
 
     @property
     def key(self) -> str:
@@ -161,6 +169,11 @@ class CalibrationSpec:
     max_iterations: int = 400
 
     def __post_init__(self) -> None:
+        seen = set()
+        for p in self.parameters:
+            if p.path in seen:
+                raise CalibrationError(f"duplicate parameter {p.path!r}")
+            seen.add(p.path)
         if len(self.parameters) > len(self.targets):
             raise CalibrationError(
                 f"{len(self.parameters)} free parameters but only "
@@ -170,6 +183,10 @@ class CalibrationSpec:
                 raise CalibrationError(
                     f"{p.path} cannot be fitted: the model only compares it against "
                     f"the grid times, so no finite-difference step moves a result")
+        if not (self.max_iterations >= 1 and float(self.max_iterations).is_integer()):
+            raise CalibrationError(f"max_iterations must be a whole number, at least 1: "
+                                   f"{self.max_iterations}")
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
 
 @dataclass(frozen=True)
@@ -201,16 +218,11 @@ def _check_target(entry: Any, scenarios: Mapping[str, Scenario]) -> CalibrationT
                          required=("scenario", "metric", "value"))
     if not isinstance(entry["scenario"], str) or entry["scenario"] not in scenarios:
         raise CalibrationError(f"target names unknown scenario {entry['scenario']!r}")
-    if entry["metric"] not in _METRIC_NAMES:
-        raise CalibrationError(f"target names unknown metric {entry['metric']!r}")
-    weight = read_number(entry.get("weight", 1.0), CalibrationError, "target weight")
-    if weight <= 0.0:
-        raise CalibrationError(f"target weight must be positive: {entry}")
     return CalibrationTarget(
         scenario=entry["scenario"],
         metric=str(entry["metric"]),
         value=read_number(entry["value"], CalibrationError, "target value"),
-        weight=weight,
+        weight=read_number(entry.get("weight", 1.0), CalibrationError, "target weight"),
     )
 
 
@@ -255,22 +267,13 @@ def load_calibration_spec(
             raise CalibrationError(f"calibration spec lists no {key}")
         if not isinstance(raw[key], list):
             raise CalibrationError(f"calibration spec {key!r} must be a list of mappings")
-    parameters = tuple(_check_parameter(e) for e in raw["parameters"])
-    seen = set()
-    for p in parameters:
-        if p.path in seen:
-            raise CalibrationError(f"duplicate parameter {p.path!r}")
-        seen.add(p.path)
-    targets = tuple(_check_target(e, scenarios) for e in raw["targets"])
     options = read_mapping(raw.get("options") or {}, CalibrationError,
                            "calibration spec 'options'", keys=("max_iterations",))
-    max_iterations = read_number(options.get("max_iterations", CalibrationSpec.max_iterations),
-                                 CalibrationError, "max_iterations")
-    if max_iterations < 1 or not max_iterations.is_integer():
-        raise CalibrationError(f"max_iterations must be a whole number, at least 1: "
-                               f"{max_iterations}")
-    return CalibrationSpec(parameters=parameters, targets=targets,
-                           max_iterations=int(max_iterations))
+    return CalibrationSpec(
+        parameters=tuple(_check_parameter(e) for e in raw["parameters"]),
+        targets=tuple(_check_target(e, scenarios) for e in raw["targets"]),
+        max_iterations=read_number(options.get("max_iterations", CalibrationSpec.max_iterations),
+                                   CalibrationError, "max_iterations"))
 
 
 def _achieved(
@@ -466,12 +469,14 @@ def calibrate(
     the step and takes shorter ones away from pathological corners.
 
     Each scenario run is made once per distinct point it can see, restarts
-    from the start's run of its scenario where it can, and the runs of a
-    trial point and of the Jacobian there are made in one round spread over
-    worker processes (see the module docstring); the result is the same as
-    from full runs in one process.
-    If the fit ends on values that cannot be built into parameters (bounds
-    that cross a curve's invariant), :class:`CalibrationError` is raised.
+    from its scenario's prefix where it has one, and the runs of a trial
+    point and of the Jacobian there are made in one round spread over worker
+    processes (see the module docstring); the result is the same as from
+    full runs in one process.
+    A prefix that goes non-finite raises its
+    :class:`rentdyn.engine.SimulationError` before the search starts. If the
+    fit ends on values that cannot be built into parameters (bounds that
+    cross a curve's invariant), :class:`CalibrationError` is raised.
     """
     paths = [p.path for p in spec.parameters]
     x0 = np.array([float(get_value(params, path)) for path in paths])
@@ -491,38 +496,33 @@ def calibrate(
     # policy block the scenario switches off, and the scenario's override
     # puts back one it overrides
     seen = {name: r < math.inf for name, r in reads.items()}
-    # each scenario whose runs restart does so at the first sample at or after
-    # the earliest time it reads a free value; an onset past the horizon
-    # restarts at the last sample
+    # each scenario whose runs restart does so from its prefix: the start's
+    # run up to the first sample k at or after the earliest time it reads a
+    # free value (the last sample for an onset past the horizon)
     times = clock.times()
-    restart_at = {name: min(int(np.searchsorted(times, r.min())), len(times) - 1)
-                  for name, r in reads.items() if 0.0 < r.min() < math.inf}
-    # (restart sample, first run made) of each scenario whose runs restart
-    restarts: dict[str, tuple[int, Trajectory]] = {}
+    prefixes = {}
+    for name, r in reads.items():
+        if 0.0 < r.min() < math.inf:
+            k = min(int(np.searchsorted(times, r.min())), len(times) - 1)
+            prefixes[name] = (k, run_model(applied[name], SimClock(
+                clock.dt, horizon=float(times[k]), burn_in=0.0)))
 
     def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
-        """One scenario at one point of the fit, restarted where it can be;
-        ``None`` when the point's parameters cannot be built or the run fails.
-        A scenario's first run is made in full and kept to restart from; a
-        later one keeps only the series its metrics read."""
+        """One scenario at one point of the fit, restarted from its prefix
+        where it has one, keeping only the series its metrics read; ``None``
+        when the point's parameters cannot be built or the run fails."""
         # the applied parameters hold the scenario's overrides: keep them
         overrides = scenarios[name].overrides
         try:
             candidate = with_values(applied[name], {path: value for path, value
                                                     in zip(paths, values)
                                                     if path not in overrides})
-        except ValueError:  # the values break an invariant, such as a curve's
+            return compute_metrics(run_model(candidate, clock, record=METRIC_SERIES,
+                                             restart=prefixes.get(name)), candidate)
+        # ValueError: the values break an invariant, such as a curve's
+        except (ValueError, SimulationError, FloatingPointError, OverflowError,
+                ZeroDivisionError):
             return None
-        base = name in restart_at and name not in restarts
-        try:
-            trajectory = run_model(candidate, clock, record=None if base else METRIC_SERIES,
-                                   restart=restarts.get(name))
-            metrics = compute_metrics(trajectory, candidate)
-        except (SimulationError, FloatingPointError, OverflowError, ZeroDivisionError):
-            return None
-        if base:
-            restarts[name] = (restart_at[name], trajectory)
-        return metrics
 
     # metrics of every scenario run made, keyed by the scenario and the bytes
     # of the free values it sees
@@ -597,12 +597,10 @@ def calibrate(
         return scored
 
     # (process, pipe end) of each worker; the calling process sends each its
-    # runs itself, so no thread of this process stands between them. The
-    # start's runs are made here before any worker forks, so each worker
-    # inherits every scenario's run to restart from
+    # runs itself, so no thread of this process stands between them. Each
+    # worker inherits the prefixes when it forks
     workers = []
     z0 = x0 / scale
-    initial_loss = float(np.sum(score(z0) ** 2))
     # a Jacobian needs at most one run per scenario and free parameter
     processes = _process_count(len(needed) * len(paths))
     if processes > 1:
@@ -630,6 +628,8 @@ def calibrate(
             worker.join()
             conn.close()
     loss = float(np.sum(result.fun ** 2))
+    # the solver's first evaluation made the start's runs
+    initial_loss = float(np.sum(score(z0) ** 2))
     try:
         fitted_params = with_values(params, dict(zip(paths, values_at(x))))
     except ValueError as error:

@@ -484,9 +484,11 @@ def run_model(
 
     ``restart=(k, earlier)`` starts one run at sample ``k`` (a batch runs
     in full), taking what comes before from ``earlier`` (see
-    :func:`rentdyn.engine.simulate`): a full trajectory of parameters that
-    differ from ``params`` only in what the model first reads
-    (:func:`read_from`) at or after sample ``k``.
+    :func:`rentdyn.engine.simulate`): a trajectory with every series of
+    parameters that differ from ``params`` only in what the model first
+    reads (:func:`read_from`) at or after sample ``k``. It needs only the
+    samples through ``k``: a run on a clock of the same step whose horizon
+    is sample ``k``'s time will do.
     """
     if isinstance(params, ModelParams):
         return _integrate(params, clock, record, restart)

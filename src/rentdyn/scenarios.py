@@ -214,16 +214,11 @@ def run_scenario(
     params: ModelParams,
     scenario: Scenario,
     clock: SimClock = SimClock(),
-    restart: tuple[int, Trajectory] | None = None,
 ) -> RunResult:
-    """Apply a scenario to the base parameters and simulate it.
-
-    The run may restart from an earlier run of the same scenario
-    (``restart``, see :func:`rentdyn.model.run_model`).
-    """
+    """Apply a scenario to the base parameters and simulate it."""
     applied = scenario.apply(params)
     t0 = time.perf_counter()
-    traj = run_model(applied, clock, restart=restart)
+    traj = run_model(applied, clock)
     elapsed = time.perf_counter() - t0
     return RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
 

@@ -314,12 +314,12 @@ def sensitivity_sweep(
     induced disequilibrium: that is the point of the exercise). Requested
     values that violate a parameter's documented bounds are clamped and
     flagged. Returns the baseline metric values and one entry per
-    perturbation. The baseline is one run; every perturbation that moves its
-    parameter is made to the baseline's applied parameters and integrated in
-    one batch, which gives the numbers separate runs would, bit for bit. A
-    perturbation the scenario overrides, or of a policy block the scenario
-    switches off, is not run: it reports the baseline metrics, which is what
-    its run gives.
+    perturbation. The scenario is applied once; the baseline and every
+    perturbation that moves its parameter, made to the baseline's applied
+    parameters, are integrated as one batch, the baseline first, which gives
+    the numbers separate runs would, bit for bit. A perturbation the
+    scenario overrides, or of a policy block the scenario switches off, is
+    not run: it reports the baseline metrics, which is what its run gives.
 
     Elasticities are normalized: (relative metric change) / (relative
     parameter change), using the applied value. Zero-valued baselines get
@@ -328,8 +328,7 @@ def sensitivity_sweep(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    baseline = run_scenario(params, scenario, clock=clock)
-    base_metrics = _metric_values(baseline.metrics)
+    baseline = scenario.apply(params)
 
     steps = []  # (path, direction, base, requested, applied, clamped, run) per entry
     for path in sweepable_parameters():
@@ -340,13 +339,14 @@ def sensitivity_sweep(
             # the scenario's override puts the value back, and the model never
             # reads a parameter of a policy block the scenario switches off:
             # either way the run would repeat the baseline
-            run = applied != base and scenario.reads_from(baseline.params, path) < math.inf
+            run = applied != base and scenario.reads_from(baseline, path) < math.inf
             steps.append((path, direction, base, requested, applied,
                           applied != requested, run))
-    sets = [with_value(baseline.params, path, applied)
-            for path, _, _, _, applied, _, run in steps if run]
+    sets = [baseline, *(with_value(baseline, path, applied)
+                        for path, _, _, _, applied, _, run in steps if run)]
     runs = (compute_metrics(traj, p) for p, traj
             in zip(sets, run_model(sets, clock, record=METRIC_SERIES)))
+    base_metrics = _metric_values(next(runs))
 
     entries: list[SweepEntry] = []
     for path, direction, base, requested, applied, clamped, run in steps:

@@ -171,6 +171,33 @@ def test_parameter_built_in_code_is_checked(path, lower, upper, match):
         CalibrationParameter(path, lower, upper)
 
 
+_MAGNITUDE = CalibrationParameter("covid.magnitude", 0.4, 0.8)
+_EVICTIONS = CalibrationTarget("run2", "evictions_total", 7.0e6)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: CalibrationSpec(parameters=(_MAGNITUDE, _MAGNITUDE), targets=(_EVICTIONS,)),
+     "duplicate parameter"),
+    (lambda: CalibrationTarget("run2", "evictions_total", 7.0e6, weight=-1.0),
+     "weight must be positive"),
+    (lambda: CalibrationTarget("run2", "evictions_total", 7.0e6, weight=0.0),
+     "weight must be positive"),
+    (lambda: CalibrationTarget("run2", "evictions_total", 7.0e6, weight=float("nan")),
+     "weight must be positive"),
+    (lambda: CalibrationTarget("run2", "vibes_total", 7.0e6), "unknown metric"),
+    (lambda: CalibrationSpec(parameters=(_MAGNITUDE,), targets=(_EVICTIONS,),
+                             max_iterations=0), "max_iterations"),
+    (lambda: CalibrationSpec(parameters=(_MAGNITUDE,), targets=(_EVICTIONS,),
+                             max_iterations=2.5), "max_iterations"),
+], ids=["duplicate-parameter", "negative-weight", "zero-weight", "nan-weight",
+        "unknown-metric", "no-iterations", "fractional-iterations"])
+def test_spec_built_in_code_is_checked(build, match):
+    """A spec built in code is refused as its file would be, when it is built,
+    not deep inside the fit."""
+    with pytest.raises(CalibrationError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------- loss
 
 def test_loss_zero_at_exact_targets_and_weights_scale():
@@ -536,9 +563,11 @@ def test_fit_makes_one_run_per_point_a_scenario_sees(monkeypatch):
     run_model_ = calibration.run_model
 
     def recording(params, clock, **kwargs):
-        # run4a's override sets the rate multiplier to 3, outside the fit's bounds
+        # run4a's override sets the rate multiplier to 3, outside the fit's
+        # bounds; a prefix keeps every series, a run only what it records
         name = "run4a" if params.assistance.rate_multiplier == 3.0 else "run4"
-        made[name].append((params.covid.magnitude, params.assistance.rate_multiplier))
+        if "record" in kwargs:
+            made[name].append((params.covid.magnitude, params.assistance.rate_multiplier))
         return run_model_(params, clock, **kwargs)
 
     monkeypatch.setattr(calibration, "run_model", recording)
@@ -601,24 +630,28 @@ def _moved(values):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(start=_FREE_VALUES, values=_FREE_VALUES)
 def test_restarted_run_is_the_full_run(start, values):
-    """A run restarted from a run at other free values, at the sample the
-    fit restarts from, equals the full run in every series at every sample
-    and in its clamp events."""
+    """A run restarted from the prefix a fit makes, the run at other free
+    values up to the sample the fit restarts at, equals the full run in
+    every series at every sample and in its clamp events."""
     paths = [p.path for p in _SHIPPED.parameters]
-    for name in ("run2", "run3", "run4", "run4a"):
-        scenario = BUILTIN_SCENARIOS[name]
-        earlier = run_scenario(_moved(start), scenario)
-        onset = min(model.read_from(earlier.params, path) for path in paths)
-        k = int(np.searchsorted(SimClock().times(), onset))
-        # the shock at 26.75 months; the filing drop ahead of the moratorium at 26.25
-        assert k == (107 if name == "run2" else 105)
-        full = run_scenario(_moved(values), scenario)
-        restarted = run_scenario(_moved(values), scenario, restart=(k, earlier.trajectory))
-        assert list(restarted.trajectory.series) == list(full.trajectory.series)
-        for series, expected in full.trajectory.series.items():
-            assert restarted.trajectory[series].tobytes() == expected.tobytes(), (name, series)
-        assert restarted.trajectory.clamp_events == full.trajectory.clamp_events
-        assert restarted.metrics == full.metrics
+    # the shock at 26.75 months; the filing drop ahead of the moratorium at 26.25
+    for clock, samples in ((SimClock(), (107, 105)), (SimClock(dt=0.5), (54, 53))):
+        times = clock.times()
+        for name in ("run2", "run3", "run4", "run4a"):
+            scenario = BUILTIN_SCENARIOS[name]
+            earlier = scenario.apply(_moved(start))
+            onset = min(model.read_from(earlier, path) for path in paths)
+            k = int(np.searchsorted(times, onset))
+            assert k == samples[name != "run2"]
+            prefix = model.run_model(earlier, SimClock(clock.dt, horizon=float(times[k]),
+                                                       burn_in=0.0))
+            moved = scenario.apply(_moved(values))
+            full = model.run_model(moved, clock)
+            restarted = model.run_model(moved, clock, restart=(k, prefix))
+            assert list(restarted.series) == list(full.series)
+            for series, expected in full.series.items():
+                assert restarted[series].tobytes() == expected.tobytes(), (name, series)
+            assert restarted.clamp_events == full.clamp_events
 
 
 def _derivative_calls(monkeypatch) -> list[list[int]]:
@@ -657,11 +690,12 @@ def test_fit_restarts_every_run_after_the_start(monkeypatch):
     result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), _SHIPPED)
     assert result.scenario_runs == 84
     calls = sorted(c[0] for c in counts)
-    # the start's three runs in full; then run2 restarts at sample 107 of
-    # 201, run3 and run4 at 105
-    assert len(calls) == 84
-    assert calls.count(201) == 3
-    assert set(calls) == {201 - 107, 201 - 105, 201}
+    # one prefix per scenario, through sample 107 of 201 in run2 and 105 in
+    # run3 and run4; then every run, the start's included, restarts there
+    assert len(calls) == 3 + 84
+    assert calls.count(108) == 1 and calls.count(106) == 2
+    assert (calls.count(201 - 107), calls.count(201 - 105)) == (21, 63)
+    assert 201 not in calls
 
 
 @pytest.mark.parametrize("free", [CalibrationParameter("rent_delay_curve.steepness", 1.0, 3.0),
@@ -714,14 +748,47 @@ def test_fit_ending_on_parameters_that_cannot_be_built_is_refused():
         calibrate(default_params(), _crowding_spec(0.5, 0.9))
 
 
+@pytest.mark.parametrize("path, value, may_fork", [("avg_monthly_rent", 1e305, False),
+                                                   ("rate_new_insecurity", 1e307, True)])
+def test_start_whose_runs_blow_up_raises_the_run_error(monkeypatch, tmp_path, capsys,
+                                                       path, value, may_fork):
+    """A rent of 1e305 makes ``rent_due`` infinite at t=0, inside every
+    prefix: the fit raises run2's error before any worker forks. An inflow of
+    1e307 blows up at t=28.25, after the onset: every run fails, and the fit
+    ends at its start and raises the same error there. Either way the
+    command exits 1 with one line and writes nothing."""
+    from rentdyn.cli import main
+    from rentdyn.params import save_params
+
+    start = with_value(default_params(), path, value)
+    with pytest.raises(SimulationError) as expected:
+        run_scenario(start, BUILTIN_SCENARIOS["run2"])
+    if not may_fork:
+        def forbidden():
+            raise AssertionError("the fit forked a worker")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+    with pytest.raises(SimulationError) as raised:
+        calibrate(start, _SHIPPED)
+    assert str(raised.value) == str(expected.value)
+    start_file, out = tmp_path / "start.yaml", tmp_path / "fit"
+    save_params(start, start_file)
+    rc = main(["calibrate", "--spec", "params/calibration.yaml", "--params", str(start_file),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"simulation failed: {expected.value}\n"
+    assert not out.exists()
+
+
 def test_restarted_fit_on_a_coarser_grid_is_the_fit_from_full_runs(monkeypatch):
     """The restart sample comes from the clock's grid: at dt=0.5, run2
-    restarts at sample 54 of 101 (t=27) and run3 and run4 at 53 (t=26.5)."""
+    restarts at sample 54 of 101 (t=27) and run3 and run4 at 53 (t=26.5),
+    from prefixes of 55 and 54 samples."""
     clock = SimClock(dt=0.5)
     start = with_value(default_params(), "covid.magnitude", 0.5)
     counts = _derivative_calls(monkeypatch)
     restarted = calibrate(start, _SHIPPED, clock=clock)
-    assert {c[0] for c in counts} == {101 - 54, 101 - 53, 101}
+    assert {c[0] for c in counts} == {101 - 54, 101 - 53, 54, 55}
     _full_runs(monkeypatch)
     full = calibrate(start, _SHIPPED, clock=clock)
     assert restarted.converged

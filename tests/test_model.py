@@ -200,8 +200,9 @@ def test_each_parameter_is_read_from_its_block_onset():
 def test_no_policy_parameter_moves_a_row_before_its_block_onset(path):
     """Moved in a scenario that switches its block on, a parameter of a
     policy block leaves every row before the block's onset sample bit for bit
-    as it was: calibrate's restarts copy those rows from another run. Only
-    assistance.total_funds moves the fund's own level there, which it sets."""
+    as it was: calibrate's restarts copy those rows from a prefix made at
+    the start's values. Only assistance.total_funds moves the fund's own
+    level there, which it sets."""
     params = BUILTIN_SCENARIOS["run4"].apply(default_params())
     block = path.partition(".")[0]
     times = SimClock().times()

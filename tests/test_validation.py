@@ -324,11 +324,11 @@ def test_sweep_integrates_the_baseline_and_one_batch(monkeypatch):
     monkeypatch.setattr(validation, "run_model", counted_batch)
     monkeypatch.setattr(model, "build_derivative", counted_build)
     sensitivity_sweep(default_params(), fraction=0.15)
-    assert len(runs) == 1
-    # 130 moved perturbations, less the 20 of the moratorium and assistance
-    # blocks that run2 switches off
-    assert [len(b) for b in batches] == [110]
-    assert len(derivs) == 2 * 201
+    assert runs == []
+    # the baseline, then 130 moved perturbations less the 20 of the
+    # moratorium and assistance blocks that run2 switches off
+    assert [len(b) for b in batches] == [1 + 110]
+    assert len(derivs) == 201
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
