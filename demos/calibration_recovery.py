@@ -7,7 +7,7 @@ deterministically, in a few dozen trial points (about a hundred model
 evaluations with the finite-difference Jacobians' points).
 """
 
-from rentdyn.calibration import calibrate, calibration_loss, load_calibration_spec
+from rentdyn.calibration import calibrate, load_calibration_spec
 from rentdyn.params import default_params, get_value, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS
 
@@ -26,10 +26,9 @@ def main():
     spec = load_calibration_spec(SPEC_FILE, BUILTIN_SCENARIOS)
     start = with_values(default_params(), PERTURB)
 
-    loss0 = calibration_loss(start, spec, scenarios=BUILTIN_SCENARIOS)
-    print(f"Perturbed {len(PERTURB)} parameters; starting loss {loss0:.3e}")
-    print("Running the bounded least-squares fit (fully deterministic)...")
     result = calibrate(start, spec, scenarios=BUILTIN_SCENARIOS)
+    print(f"Perturbed {len(PERTURB)} parameters; starting loss {result.initial_loss:.3e}")
+    print("Running the bounded least-squares fit (fully deterministic)...")
     print(f"  {result.evaluations} model evaluations "
           f"({result.iterations} trial points, the rest finite-difference "
           f"Jacobian points), "

@@ -41,22 +41,19 @@ fund's initial level), makes only full runs. A point whose values cannot be
 built into parameters (bounds that cross a curve's invariant) scores as a
 failed run does.
 
-The runs are made in rounds, each shared between the calling process and
-forked worker processes, each process claiming the next run left. A round
-holds a trial point's runs together with those of the finite-difference
-Jacobian there (:func:`_difference_points`), which the solver asks for
-next if it takes the step, so a step taken costs one round, not two. After
-a refused trial, the next trial point's round holds that point alone, so a
-streak of refusals makes at most one set of Jacobian runs the solver never
-reads. This only makes runs earlier: the solver's path, its evaluations and
-every number stay as they are without it. There is one process per usable
-CPU in all, but no more than the runs of one Jacobian (the scenarios the
-targets name times the free parameters); the workers live for one
-``calibrate`` call. Forked from it, they share its run
-function as it is: only the list of runs to make and the metrics made cross
-a pipe. Without fork, on one usable CPU, for a single run, or while the
-calling process runs other threads (a fork would copy locks those threads
-may hold), the calling process makes the runs alone.
+The runs are made in the solver's rounds (:func:`least_squares`): a trial
+point's round holds the points of the finite-difference Jacobian there
+too, unless a trial since the last Jacobian was refused, so a step taken
+costs one round and a streak of refusals makes at most one set of Jacobian
+runs never read. A round's runs are shared between the calling process and
+forked worker processes, each process claiming the next run left. There
+is one process per usable CPU in all, but no more than the runs of one
+Jacobian (the scenarios the targets name times the free parameters); the
+workers live for one ``calibrate`` call. Forked from it, they share its
+run function as it is: only the list of runs to make and the metrics made
+cross a pipe. Without fork, on one usable CPU, for a single run, or while
+the calling process runs other threads (a fork would copy locks those
+threads may hold), the calling process makes the runs alone.
 
 The search is fully deterministic: same spec, same starting parameters,
 same result, however many processes made the runs.
@@ -69,7 +66,7 @@ import os
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -196,6 +193,7 @@ class CalibrationResult:
     params: ModelParams
     loss: float
     initial_loss: float
+    # points scored, the start's and the Jacobians' included
     evaluations: int
     # scenario integrations made: one per scenario and distinct point it
     # sees, the Jacobian points made with a trial point the solver then
@@ -374,21 +372,22 @@ class Solution(NamedTuple):
     fun: np.ndarray
     # the forward-difference Jacobian of ``fun`` at ``x``
     jac: np.ndarray
-    # residual vectors scored at trial points; a Jacobian's are not counted
+    # residual vectors scored at the start and at trial points
     nfev: int
+    # Jacobians made, one at the start and one at each trial point taken
+    njev: int
     # 1, 2 or 3: the gradient, cost or step test was met; 0: max_nfev was reached
     status: int
 
 
 def least_squares(
-    fun: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[list[np.ndarray]], list[np.ndarray]],
     x0: np.ndarray,
     bounds: tuple[np.ndarray, np.ndarray],
     max_nfev: int,
-    workers: Callable[..., Iterable[np.ndarray]] = map,
 ) -> Solution:
-    """Minimize ``sum(fun(x) ** 2)`` over the box ``bounds`` from ``x0`` by
-    Levenberg-Marquardt.
+    """Minimize the sum of squares of the residuals ``fun`` scores over the
+    box ``bounds`` from ``x0`` by Levenberg-Marquardt.
 
     Each step solves ``(J'J + mu D) p = -J'f``, with ``D`` the running
     maximum of the diagonal of ``J'J`` (Marquardt's scaling; 1 for a column
@@ -404,39 +403,46 @@ def least_squares(
     tolerance (status 1), when a step taken lowers the cost by less than the
     tolerance relative to it (2), when a step taken or refused is shorter
     than the tolerance relative to ``x`` (3), or after ``max_nfev`` trial
-    points (0). As in MINPACK, the step test weighs each coordinate by the
-    square root of ``D``: a Jacobian point past a wall of failed runs makes
-    its column huge, so the search ends at the wall.
+    points, the start counted (0). As in MINPACK, the step test weighs each
+    coordinate by the square root of ``D``: a Jacobian point past a wall of
+    failed runs makes its column huge, so the search ends at the wall.
 
     The Jacobian is made at every point taken, by forward differences
-    (:func:`_difference_points`). Its points are scored by
-    ``workers(fun, points)``, which returns their residual vectors in order.
+    (:func:`_difference_points`). Each call ``fun(points)`` is one round,
+    returning the points' residual vectors in order. A round holds the start
+    or a trial point with the Jacobian points there, which the search needs
+    next if it takes the step; once a trial since the last Jacobian was
+    refused, a trial point alone, and then the Jacobian at one taken gets a
+    round of its own.
     """
     lower, upper = bounds
     x = np.asarray(x0, dtype=float)
-    f = fun(x)
+    points = _difference_points(x, upper)
+    f, *columns = fun([x, *points])
     cost = f @ f
-    nfev, status, mu, nu, scaling = 1, 0, 1e-3, 2.0, np.zeros(x.size)
+    nfev, njev, status, mu, nu, scaling = 1, 0, 0, 1e-3, 2.0, np.zeros(x.size)
     while True:
-        points = _difference_points(x, upper)
-        jac = (np.array(list(workers(fun, points))) - f).T / np.diag(points - x)
+        jac = (np.array(columns) - f).T / np.diag(points - x)
+        njev += 1
         g = jac.T @ f
         if np.max(np.abs(x - np.clip(x - g, lower, upper))) < _TOLERANCE:
             status = 1
         if status or nfev >= max_nfev:
-            return Solution(x, f, jac, nfev, status)
+            return Solution(x, f, jac, nfev, njev, status)
         a = jac.T @ jac
         scaling = np.maximum(scaling, np.diag(a))
         damping = np.where(scaling > 0.0, scaling, 1.0)
         x_norm = math.sqrt(damping @ x ** 2)
         # a coordinate on a bound that the gradient pushes out of stays there
         free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        alone = False
         while True:
             step = np.zeros(x.size)
             step[free] = np.linalg.solve((a + mu * np.diag(damping))[np.ix_(free, free)],
                                          -g[free])
             new = np.clip(x + step, lower, upper)
-            trial = fun(new)
+            points = _difference_points(new, upper)
+            trial, *columns = fun([new] if alone else [new, *points])
             nfev += 1
             actual = cost - trial @ trial
             predicted = cost - np.sum((f + jac @ (new - x)) ** 2)
@@ -449,9 +455,12 @@ def least_squares(
                 nu = 2.0
                 break
             if short or nfev >= max_nfev:
-                return Solution(x, f, jac, nfev, 3 if short else 0)
+                return Solution(x, f, jac, nfev, njev, 3 if short else 0)
+            alone = True
             mu *= nu
             nu *= 2.0
+        if alone:
+            columns = fun(list(points))
 
 
 def calibrate(
@@ -469,10 +478,9 @@ def calibrate(
     the step and takes shorter ones away from pathological corners.
 
     Each scenario run is made once per distinct point it can see, restarts
-    from its scenario's prefix where it has one, and the runs of a trial
-    point and of the Jacobian there are made in one round spread over worker
-    processes (see the module docstring); the result is the same as from
-    full runs in one process.
+    from its scenario's prefix where it has one, and the runs of each of
+    the solver's rounds are spread over worker processes (see the module
+    docstring); the result is the same as from full runs in one process.
     A prefix that goes non-finite raises its
     :class:`rentdyn.engine.SimulationError` before the search starts. If the
     fit ends on values that cannot be built into parameters (bounds that
@@ -527,7 +535,6 @@ def calibrate(
     # metrics of every scenario run made, keyed by the scenario and the bytes
     # of the free values it sees
     runs: dict[tuple[str, bytes], MetricSet | None] = {}
-    evaluations = 0
 
     def values_at(z: np.ndarray) -> tuple[float, ...]:
         return tuple(np.clip(z * scale, lower, upper).tolist())
@@ -535,8 +542,18 @@ def calibrate(
     def keys(values: tuple[float, ...]) -> list[tuple[str, bytes]]:
         return [(name, np.array(values)[seen[name]].tobytes()) for name in needed]
 
-    def ensure(points) -> None:
-        """Make the scenario runs the points need that are not made yet."""
+    def achieved_at(z: np.ndarray) -> dict[str, float] | None:
+        metric_sets = {name: runs[name, key] for name, key in keys(values_at(z))}
+        if any(m is None for m in metric_sets.values()):
+            return None
+        return _achieved(metric_sets, spec, clock)
+
+    def score(z: np.ndarray) -> np.ndarray:
+        achieved = achieved_at(z)
+        return failure if achieved is None else _residuals(achieved, spec)
+
+    def evaluate(points: list[np.ndarray]) -> list[np.ndarray]:
+        """One round of the solver: make the runs its points need, then score them."""
         tasks = {}
         for z in points:
             values = values_at(z)
@@ -559,48 +576,14 @@ def calibrate(
                     raise reply
                 made.update(reply)
         runs.update((key, made[index]) for index, key in enumerate(tasks))
-
-    def achieved_at(z: np.ndarray) -> dict[str, float] | None:
-        ensure([z])
-        metric_sets = {name: runs[name, key] for name, key in keys(values_at(z))}
-        if any(m is None for m in metric_sets.values()):
-            return None
-        return _achieved(metric_sets, spec, clock)
-
-    def score(z: np.ndarray) -> np.ndarray:
-        achieved = achieved_at(z)
-        return failure if achieved is None else _residuals(achieved, spec)
-
-    upper_z = upper / scale
-    # whether the next trial point's Jacobian points are made with it: not
-    # after a refused trial, so a streak of refusals makes at most one set
-    look_ahead = True
-
-    def residuals(z: np.ndarray) -> np.ndarray:
-        nonlocal evaluations, look_ahead
-        evaluations += 1
-        if look_ahead:
-            # a trial point the solver takes is followed by the Jacobian
-            # there, so its points' runs are made in the trial's round
-            ensure([z, *_difference_points(z, upper_z)])
-            look_ahead = False
-        return score(z)
-
-    def jacobian_map(fun, points):
-        # the solver hands the finite-difference points of a Jacobian over at
-        # once, after it took the trial point there
-        nonlocal look_ahead
-        points = list(points)
-        ensure(points)
-        scored = list(map(fun, points))
-        look_ahead = True
-        return scored
+        return [score(z) for z in points]
 
     # (process, pipe end) of each worker; the calling process sends each its
     # runs itself, so no thread of this process stands between them. Each
     # worker inherits the prefixes when it forks
     workers = []
     z0 = x0 / scale
+    upper_z = upper / scale
     # a Jacobian needs at most one run per scenario and free parameter
     processes = _process_count(len(needed) * len(paths))
     if processes > 1:
@@ -616,19 +599,19 @@ def calibrate(
             worker.start()
             worker_conn.close()
             workers.append((worker, conn))
-        result = least_squares(residuals, z0, bounds=(lower / scale, upper_z),
-                               max_nfev=spec.max_iterations, workers=jacobian_map)
-        x = result.x
-        achieved = achieved_at(x)
-        # a Jacobian column across a wall of failed runs measures the wall
-        wall = any(achieved_at(point) is None for point in _difference_points(x, upper_z))
+        result = least_squares(evaluate, z0, bounds=(lower / scale, upper_z),
+                               max_nfev=spec.max_iterations)
     finally:
         for worker, conn in workers:
             worker.terminate()
             worker.join()
             conn.close()
+    # the solver scored the start, the fit and the Jacobian points there
+    x = result.x
+    achieved = achieved_at(x)
+    # a Jacobian column across a wall of failed runs measures the wall
+    wall = any(achieved_at(point) is None for point in _difference_points(x, upper_z))
     loss = float(np.sum(result.fun ** 2))
-    # the solver's first evaluation made the start's runs
     initial_loss = float(np.sum(score(z0) ** 2))
     try:
         fitted_params = with_values(params, dict(zip(paths, values_at(x))))
@@ -642,7 +625,7 @@ def calibrate(
         params=fitted_params,
         loss=loss,
         initial_loss=initial_loss,
-        evaluations=evaluations,
+        evaluations=result.nfev + len(paths) * result.njev,
         scenario_runs=len(runs),
         iterations=int(result.nfev),
         converged=bool(result.status > 0) and loss < _FAILURE_LOSS,

@@ -9,7 +9,8 @@ Six subcommands cover the library's workflows:
 * ``validate``  reference-mode fit statistics plus the extreme-input battery
 * ``calibrate`` fit spec'd parameters and write an updated parameter file
 
-Input problems (unknown scenario, malformed file, bad clock) exit with
+Input problems (unknown scenario, malformed file, bad clock, an ``--out``
+a file is in the way of, a malformed ``SOURCE_DATE_EPOCH``) exit with
 status 1 before any output file is created; writes themselves are atomic,
 so an interrupted run never leaves partial artifacts.
 
@@ -28,7 +29,7 @@ from typing import Callable
 
 from rentdyn import __version__
 from rentdyn.engine import SimClock, SimulationError
-from rentdyn.output import write_csv, write_json, write_manifest
+from rentdyn.output import manifest_timestamp, write_csv, write_json, write_manifest
 from rentdyn.params import ModelParams, ParamError, ParamFileError, default_params, \
     load_params, save_params
 from rentdyn.scenarios import BUILTIN_SCENARIOS, RunResult, Scenario, compare, \
@@ -129,6 +130,15 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
         clock = SimClock(dt=args.dt)
     except ValueError as err:
         raise CliError(f"bad clock: {err}") from err
+    if args.out:
+        out = Path(args.out)
+        # the nearest path on the way to --out that exists must be a directory
+        if not next(path for path in (out, *out.parents) if path.exists()).is_dir():
+            raise CliError(f"--out {out}: a file is in the way of that directory")
+        try:
+            manifest_timestamp()
+        except ValueError as err:
+            raise CliError(str(err)) from err
     return params, scenarios, clock, params_file
 
 

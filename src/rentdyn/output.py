@@ -102,7 +102,11 @@ def manifest_timestamp() -> str:
     """UTC ISO-8601 creation time; pinned by SOURCE_DATE_EPOCH when set."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        try:
+            moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError):
+            raise ValueError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970 "
+                             f"that a date can hold, not {epoch!r}") from None
     else:
         moment = datetime.now(tz=timezone.utc)
     return moment.replace(microsecond=0).isoformat()

@@ -231,7 +231,8 @@ def _rosenbrock(x):
 
 def test_solver_finds_the_rosenbrock_minimum():
     unbounded = (np.full(2, -np.inf), np.full(2, np.inf))
-    result = least_squares(_rosenbrock, np.array([-1.2, 1.0]), bounds=unbounded, max_nfev=200)
+    result = least_squares(lambda points: [_rosenbrock(x) for x in points],
+                           np.array([-1.2, 1.0]), bounds=unbounded, max_nfev=200)
     assert result.status > 0
     assert np.max(np.abs(result.x - 1.0)) < 1e-8
 
@@ -241,8 +242,8 @@ def test_solver_ends_on_the_bound_the_optimum_lies_beyond():
     point is (1.5, 1), where the gradient points out through x0's bound."""
     a, b = np.array([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]]), np.array([3.0, 1.0, 4.0])
     lower, upper = np.array([0.0, 0.0]), np.array([1.5, 3.0])
-    result = least_squares(lambda x: a @ x - b, np.array([0.5, 2.5]), bounds=(lower, upper),
-                           max_nfev=100)
+    result = least_squares(lambda points: [a @ x - b for x in points], np.array([0.5, 2.5]),
+                           bounds=(lower, upper), max_nfev=100)
     assert result.status > 0
     assert result.x[0] == 1.5
     assert result.x[1] == pytest.approx(1.0, abs=1e-8)
@@ -261,7 +262,11 @@ def test_solver_scores_only_points_in_the_box_and_within_its_budget(data, n, ext
     """Every point scored, trial or Jacobian, lies in the box (each at least
     0.01 wide, far wider than a difference step); trial points never exceed
     max_nfev, and a search cut off there reports status 0 on the path the
-    uncut search takes."""
+    uncut search takes. A round's first point is a trial point (the start
+    counted), unless the round is the Jacobian at the lone trial point just
+    before it. After a refused trial the next round holds one point, so the
+    points scored and never read, the Jacobian points scored with a refused
+    trial, number at most n per streak of refusals."""
     def draw(size, low, high):
         return np.array(data.draw(st.lists(st.floats(low, high), min_size=size,
                                            max_size=size)))
@@ -273,27 +278,38 @@ def test_solver_scores_only_points_in_the_box_and_within_its_budget(data, n, ext
     x0 = lower + draw(n, 0.0, 1.0) * (upper - lower)
 
     def searched(budget):
-        trials, scored = [], []
+        rounds = []
 
-        def fun(x):
-            scored.append(x.copy())
-            return a @ x + 0.5 * np.sin(3.0 * x).sum() - b
+        def fun(points):
+            rounds.append([x.copy() for x in points])
+            return [a @ x + 0.5 * np.sin(3.0 * x).sum() - b for x in points]
 
-        def workers(_, points):
-            return map(fun, points)
+        return least_squares(fun, x0.copy(), bounds=(lower, upper), max_nfev=budget), rounds
 
-        def trial(x):
-            trials.append(x.copy())
-            return fun(x)
-
-        result = least_squares(trial, x0.copy(), bounds=(lower, upper), max_nfev=budget,
-                               workers=workers)
-        return result, trials, scored
-
-    result, trials, scored = searched(max_nfev)
-    assert all(np.all(lower <= x) and np.all(x <= upper) for x in scored)
+    result, rounds = searched(max_nfev)
+    assert all(np.all(lower <= x) and np.all(x <= upper) for points in rounds for x in points)
+    # the round of each trial point
+    trials = [i for i, (before, now) in enumerate(zip([[]] + rounds, rounds))
+              if not (len(before) == 1 and np.array_equal(
+                  now, calibration._difference_points(before[0], upper)))]
     assert result.nfev == len(trials) <= max_nfev
-    full, _, _ = searched(1000)
+    # a search cut off after k trial points stops where the search stood
+    # then, so a trial was refused if it left that point where it was
+    path = [searched(k)[0].x.tobytes() for k in range(1, result.nfev + 1)]
+    refused = [False] + [now == before for before, now in zip(path, path[1:])]
+    assert result.njev == refused.count(False)
+    unread = 0
+    for trial, was_refused in zip(trials, refused):
+        if not was_refused:
+            unread = 0
+            continue
+        if trial + 1 < len(rounds):
+            assert len(rounds[trial + 1]) == 1
+        unread += len(rounds[trial]) - 1
+        assert unread <= n
+    assert sum(map(len, rounds)) == result.nfev + n * result.njev + sum(
+        len(rounds[trial]) - 1 for trial, was_refused in zip(trials, refused) if was_refused)
+    full, _ = searched(1000)
     if full.nfev > max_nfev:
         assert result.status == 0 and result.nfev == max_nfev
     else:
@@ -311,8 +327,8 @@ def test_solver_refuses_a_step_to_a_failed_point():
         trials.append(float(x[0]))
         return failure if x[0] > 1.5 else np.array([x[0] - 2.0, 0.1 * (x[0] - 2.0)])
 
-    result = least_squares(fun, np.array([0.0]), bounds=(np.array([-10.0]), np.array([10.0])),
-                           max_nfev=100)
+    result = least_squares(lambda points: [fun(x) for x in points], np.array([0.0]),
+                           bounds=(np.array([-10.0]), np.array([10.0])), max_nfev=100)
     assert any(t > 1.5 for t in trials)
     assert result.status > 0
     assert 1.4 < result.x[0] <= 1.5
@@ -499,8 +515,8 @@ def test_worker_pool_is_bounded_and_closed_when_the_solver_raises(monkeypatch):
     cpus = os.sched_getaffinity(0)
     seen = []
 
-    def broken(fun, x0, workers, **kwargs):
-        workers(fun, [x0 * 1.01, x0 * 1.02, x0 * 1.03])
+    def broken(fun, x0, **kwargs):
+        fun([x0 * 1.01, x0 * 1.02, x0 * 1.03])
         seen.append((len(multiprocessing.active_children()), os.sched_getaffinity(0)))
         raise RuntimeError("solver failed")
 

@@ -345,6 +345,11 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
     (["calibrate", "--spec"], "spec.yaml", "parameters: [{path: covid.magnitude}]\n"
      "targets: [{scenario: run2, metric: evictions_total, vaule: 7.0e6}]\n"),
     (["sweep", "--top", "-3"], None, None),
+    (["SOURCE_DATE_EPOCH=abc", "simulate"], None, None),
+    (["SOURCE_DATE_EPOCH=", "simulate"], None, None),
+    (["SOURCE_DATE_EPOCH=99999999999999999", "simulate"], None, None),
+    (["simulate", "--out", "{}"], "taken", "kept\n"),
+    (["simulate", "--out", "{}/sub"], "taken", "kept\n"),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -354,18 +359,32 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "spec-value-nan", "max-iterations-not-a-number", "max-iterations-inf",
         "integer-scenario-name", "integer-params-key", "list-target-scenario",
         "params-entry-unknown-key", "overrides-not-mapping", "spec-target-missing-and-unknown",
-        "sweep-top-negative"])
-def test_malformed_input_fails_with_one_line(tmp_path, capsys, argv, name, text):
+        "sweep-top-negative", "epoch-not-a-number", "epoch-empty", "epoch-past-any-date",
+        "out-is-a-file", "out-under-a-file"])
+def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
+    """A leading ``NAME=value`` sets an environment variable, as in a shell.
+    A case's file is written to ``name``; its path takes the place of ``{}``
+    in the arguments, or follows them when none holds ``{}``. Nothing is
+    written, and the case's file is left as it was."""
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     if name is not None:
-        (tmp_path / name).write_text(text)
-        argv = argv + [str(tmp_path / name)]
+        path = tmp_path / name
+        path.write_text(text)
+        argv = [arg.replace("{}", str(path)) for arg in argv] \
+            if any("{}" in arg for arg in argv) else argv + [str(path)]
     out = tmp_path / "nothing"
-    rc = main(argv + ["--out", str(out)])
+    # a case's own --out comes later, and wins
+    rc = main(argv[:1] + ["--out", str(out)] + argv[1:])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ([] if name is None else [name])
+    if name is not None:
+        assert path.read_text() == text
 
 
 # ---------------------------------------------------------------- fuzzed inputs
