@@ -26,9 +26,9 @@ def main():
     spec = load_calibration_spec(SPEC_FILE, BUILTIN_SCENARIOS)
     start = with_values(default_params(), PERTURB)
 
+    print("Running the bounded least-squares fit (fully deterministic)...")
     result = calibrate(start, spec, scenarios=BUILTIN_SCENARIOS)
     print(f"Perturbed {len(PERTURB)} parameters; starting loss {result.initial_loss:.3e}")
-    print("Running the bounded least-squares fit (fully deterministic)...")
     print(f"  {result.evaluations} model evaluations "
           f"({result.iterations} trial points, the rest finite-difference "
           f"Jacobian points), "

@@ -17,9 +17,9 @@ values it can see (:meth:`rentdyn.scenarios.Scenario.reads_from`), which
 leaves out a free parameter of a policy block the scenario switches off (the
 model never reads it there) and one the scenario overrides (its override
 puts the value back). A run is one edit of the scenario's applied
-parameters, setting the free values it does not override; they lie within
-bounds :class:`CalibrationParameter` checked against the registry, so the
-run is neither re-applied nor re-validated.
+parameters, setting exactly the free values it sees, within bounds
+:class:`CalibrationParameter` checked against the registry, so it is neither
+re-applied nor re-validated; its metrics, or the error it raised, are kept.
 
 Most runs start part way through. Every free value is read from some time
 on (:func:`rentdyn.model.read_from`): a parameter of a policy block from
@@ -39,7 +39,8 @@ meet it. A scenario that sees a value read from the start, such as a
 parameter outside the policy blocks or ``assistance.total_funds`` (the
 fund's initial level), makes only full runs. A point whose values cannot be
 built into parameters (bounds that cross a curve's invariant) scores as a
-failed run does.
+failed run does. A fit that ends on a failed run raises the error that run
+kept (the first failed scenario's, by name) and integrates nothing again.
 
 The runs are made in the solver's rounds (:func:`least_squares`): a trial
 point's round holds the points of the finite-difference Jacobian there
@@ -290,18 +291,6 @@ def _achieved(
     return out
 
 
-def _achieved_metrics(
-    params: ModelParams,
-    spec: CalibrationSpec,
-    clock: SimClock,
-    scenarios: Mapping[str, Scenario],
-) -> dict[str, float]:
-    """Metric values for every target, running each scenario once."""
-    metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
-                   for name in sorted({t.scenario for t in spec.targets})}
-    return _achieved(metric_sets, spec, clock)
-
-
 def _residuals(achieved: dict[str, float], spec: CalibrationSpec) -> np.ndarray:
     """One weighted relative miss per target, in spec order."""
     out = np.empty(len(spec.targets))
@@ -318,8 +307,9 @@ def calibration_loss(
     scenarios: Mapping[str, Scenario] = BUILTIN_SCENARIOS,
 ) -> float:
     """Weighted sum of squared relative target misses (lower is better)."""
-    achieved = _achieved_metrics(params, spec, clock, scenarios)
-    return float(np.sum(_residuals(achieved, spec) ** 2))
+    metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
+                   for name in sorted({t.scenario for t in spec.targets})}
+    return float(np.sum(_residuals(_achieved(metric_sets, spec, clock), spec) ** 2))
 
 
 def _process_count(most: int) -> int:
@@ -333,8 +323,8 @@ def _process_count(most: int) -> int:
     return min(len(os.sched_getaffinity(0)), most)
 
 
-def _make_runs(run: Callable[..., MetricSet | None], counter: Any,
-               todo: list[tuple[str, tuple[float, ...]]]) -> dict[int, MetricSet | None]:
+def _make_runs(run: Callable[..., MetricSet | Exception], counter: Any,
+               todo: list[tuple[str, tuple[float, ...]]]) -> dict[int, MetricSet | Exception]:
     """Claim and make runs of ``todo`` until none is left; return them by index."""
     made = {}
     while True:
@@ -346,7 +336,7 @@ def _make_runs(run: Callable[..., MetricSet | None], counter: Any,
         made[index] = run(*todo[index])
 
 
-def _serve(run: Callable[..., MetricSet | None], counter: Any, conn: Any) -> None:
+def _serve(run: Callable[..., MetricSet | Exception], counter: Any, conn: Any) -> None:
     """A worker process of a fit: make runs of each list it is sent, until
     stopped. Forked, it is handed ``run`` as it is, without pickling."""
     while True:
@@ -482,9 +472,11 @@ def calibrate(
     the solver's rounds are spread over worker processes (see the module
     docstring); the result is the same as from full runs in one process.
     A prefix that goes non-finite raises its
-    :class:`rentdyn.engine.SimulationError` before the search starts. If the
-    fit ends on values that cannot be built into parameters (bounds that
-    cross a curve's invariant), :class:`CalibrationError` is raised.
+    :class:`rentdyn.engine.SimulationError` before the search starts. A fit
+    ending on values that cannot be built into parameters (bounds that cross
+    a curve's invariant, alone or with a scenario's overrides) raises
+    :class:`CalibrationError`, and one ending on another failed run the error
+    that run kept (the first failed scenario's, by name); nothing runs again.
     """
     paths = [p.path for p in spec.parameters]
     x0 = np.array([float(get_value(params, path)) for path in paths])
@@ -503,7 +495,7 @@ def calibrate(
     # the free values each scenario can see: the model never reads one in a
     # policy block the scenario switches off, and the scenario's override
     # puts back one it overrides
-    seen = {name: r < math.inf for name, r in reads.items()}
+    seen = {name: np.flatnonzero(r < math.inf) for name, r in reads.items()}
     # each scenario whose runs restart does so from its prefix: the start's
     # run up to the first sample k at or after the earliest time it reads a
     # free value (the last sample for an onset past the horizon)
@@ -515,38 +507,36 @@ def calibrate(
             prefixes[name] = (k, run_model(applied[name], SimClock(
                 clock.dt, horizon=float(times[k]), burn_in=0.0)))
 
-    def run(name: str, values: tuple[float, ...]) -> MetricSet | None:
-        """One scenario at one point of the fit, restarted from its prefix
-        where it has one, keeping only the series its metrics read; ``None``
-        when the point's parameters cannot be built or the run fails."""
-        # the applied parameters hold the scenario's overrides: keep them
-        overrides = scenarios[name].overrides
+    def run(name: str, values: tuple[float, ...]) -> MetricSet | Exception:
+        """One scenario at the free values it sees, restarted from its prefix
+        where it has one, keeping only the series its metrics read; the
+        error, without its traceback, when the values cannot be built into
+        parameters or the run fails."""
         try:
-            candidate = with_values(applied[name], {path: value for path, value
-                                                    in zip(paths, values)
-                                                    if path not in overrides})
+            candidate = with_values(applied[name],
+                                    dict(zip([paths[i] for i in seen[name]], values)))
             return compute_metrics(run_model(candidate, clock, record=METRIC_SERIES,
                                              restart=prefixes.get(name)), candidate)
         # ValueError: the values break an invariant, such as a curve's
         except (ValueError, SimulationError, FloatingPointError, OverflowError,
-                ZeroDivisionError):
-            return None
+                ZeroDivisionError) as error:
+            return error.with_traceback(None)
 
-    # metrics of every scenario run made, keyed by the scenario and the bytes
-    # of the free values it sees
-    runs: dict[tuple[str, bytes], MetricSet | None] = {}
+    # the outcome of every scenario run made, keyed by the scenario and the
+    # bytes of the free values it sees
+    runs: dict[tuple[str, bytes], MetricSet | Exception] = {}
 
-    def values_at(z: np.ndarray) -> tuple[float, ...]:
-        return tuple(np.clip(z * scale, lower, upper).tolist())
-
-    def keys(values: tuple[float, ...]) -> list[tuple[str, bytes]]:
-        return [(name, np.array(values)[seen[name]].tobytes()) for name in needed]
+    def tasks(z: np.ndarray) -> list[tuple[tuple[str, bytes], tuple[str, tuple[float, ...]]]]:
+        """Each scenario's run at ``z``: its key, and ``run``'s arguments."""
+        values = np.clip(z * scale, lower, upper)
+        return [((name, values[i].tobytes()), (name, tuple(values[i].tolist())))
+                for name, i in seen.items()]
 
     def achieved_at(z: np.ndarray) -> dict[str, float] | None:
-        metric_sets = {name: runs[name, key] for name, key in keys(values_at(z))}
-        if any(m is None for m in metric_sets.values()):
+        outcomes = {key[0]: runs[key] for key, _ in tasks(z)}
+        if any(isinstance(o, Exception) for o in outcomes.values()):
             return None
-        return _achieved(metric_sets, spec, clock)
+        return _achieved(outcomes, spec, clock)
 
     def score(z: np.ndarray) -> np.ndarray:
         achieved = achieved_at(z)
@@ -554,13 +544,8 @@ def calibrate(
 
     def evaluate(points: list[np.ndarray]) -> list[np.ndarray]:
         """One round of the solver: make the runs its points need, then score them."""
-        tasks = {}
-        for z in points:
-            values = values_at(z)
-            for key in keys(values):
-                if key not in runs:
-                    tasks.setdefault(key, (key[0], values))
-        todo = list(tasks.values())
+        needs = dict(task for z in points for task in tasks(z) if task[0] not in runs)
+        todo = list(needs.values())
         if not workers or len(todo) < 2:
             made = {index: run(*task) for index, task in enumerate(todo)}
         else:
@@ -575,7 +560,7 @@ def calibrate(
                 if isinstance(reply, Exception):
                     raise reply
                 made.update(reply)
-        runs.update((key, made[index]) for index, key in enumerate(tasks))
+        runs.update((key, made[index]) for index, key in enumerate(needs))
         return [score(z) for z in points]
 
     # (process, pipe end) of each worker; the calling process sends each its
@@ -614,13 +599,14 @@ def calibrate(
     loss = float(np.sum(result.fun ** 2))
     initial_loss = float(np.sum(score(z0) ** 2))
     try:
-        fitted_params = with_values(params, dict(zip(paths, values_at(x))))
+        values = np.clip(x * scale, lower, upper).tolist()
+        fitted_params = with_values(params, dict(zip(paths, values)))
+        if achieved is None:
+            # the fit ends on a failed run: raise the error the first one kept
+            raise next(runs[key] for key, _ in tasks(x) if isinstance(runs[key], Exception))
     except ValueError as error:
         raise CalibrationError(f"the fit ends on parameters that cannot be built: "
                                f"{error}") from error
-    if achieved is None:
-        # the fit ends on a failed run: make it here to raise its error
-        achieved = _achieved_metrics(fitted_params, spec, clock, scenarios)
     return CalibrationResult(
         params=fitted_params,
         loss=loss,

@@ -9,10 +9,10 @@ Six subcommands cover the library's workflows:
 * ``validate``  reference-mode fit statistics plus the extreme-input battery
 * ``calibrate`` fit spec'd parameters and write an updated parameter file
 
-Input problems (unknown scenario, malformed file, bad clock, an ``--out``
-a file is in the way of, a malformed ``SOURCE_DATE_EPOCH``) exit with
-status 1 before any output file is created; writes themselves are atomic,
-so an interrupted run never leaves partial artifacts.
+Input problems (unknown scenario, malformed file, empty path, bad clock, an
+``--out`` a file is in the way of, a malformed ``SOURCE_DATE_EPOCH``) exit
+with status 1 before any output file is created; writes themselves are
+atomic, so an interrupted run never leaves partial artifacts.
 
 Only ``calibrate`` loads ``rentdyn.calibration``, which fits by a bounded
 Levenberg-Marquardt method of its own (More, "The Levenberg-Marquardt
@@ -105,6 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str | None]:
     """Resolve parameters, scenario set, and clock; fail before any output."""
+    # an empty path would otherwise read as not given, or as the working directory
+    for option in ("params", "scenarios", "out", "references", "spec"):
+        if getattr(args, option, None) == "":
+            raise CliError(f"--{option} names no path: it is empty")
     params_file = None
     if args.params:
         try:

@@ -14,6 +14,7 @@ parameters by dotted path. The five standard runs:
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -88,13 +89,21 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     ``description``, the policy switches ``covid``, ``moratorium`` and
     ``assistance`` (YAML booleans), and an ``overrides`` mapping of dotted
     parameter paths to values. Unknown keys, non-boolean switches, override
-    paths that are not registry fields, and non-numeric values are errors.
+    paths that are not registry fields, non-numeric values, a file naming no
+    scenario, and a name other than 1 to 64 letters, digits, ``_``, ``-`` and
+    ``.``, not starting with ``.``, are errors.
     """
     path = Path(path)
     raw = read_mapping(load_yaml(path, ValueError), ValueError, str(path))
+    if not raw:
+        raise ValueError(f"{path}: names no scenario")
     paths = {f.path for f in FIELDS}
     out: dict[str, Scenario] = {}
     for name, spec in raw.items():
+        # output file names begin with it
+        if not (isinstance(name, str) and re.fullmatch(r"[\w-][\w.-]{0,63}", name, re.ASCII)):
+            raise ValueError(f"{path}: scenario name {name!r} is not 1 to 64 letters, "
+                             "digits, '_', '-' or '.', not starting with '.'")
         where = f"{path}: scenario '{name}'"
         spec = read_mapping(spec or {}, ValueError, where,
                             keys=("description", "overrides", *POLICY_BLOCKS))

@@ -322,9 +322,9 @@ def sensitivity_sweep(
     not run: it reports the baseline metrics, which is what its run gives.
 
     Elasticities are normalized: (relative metric change) / (relative
-    parameter change), using the applied value. Zero-valued baselines get
-    an absolute-step fallback and an elasticity of 0 when no step was
-    possible at all.
+    parameter change), using the applied value. A parameter whose baseline
+    value is zero has no relative step: both its entries request 0, repeat
+    the baseline metrics and report elasticities of 0.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")

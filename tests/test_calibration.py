@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rentdyn import calibration, model
+from rentdyn import calibration, model, scenarios
 from rentdyn.calibration import (
     CalibrationError,
     CalibrationParameter,
@@ -25,7 +25,7 @@ from rentdyn.calibration import (
 )
 from rentdyn.engine import SimClock, SimulationError
 from rentdyn.params import bounds_for, default_params, get_value, with_value
-from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
+from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, Scenario, run_scenario
 
 
 def _recovery_spec():
@@ -714,6 +714,38 @@ def test_fit_restarts_every_run_after_the_start(monkeypatch):
     assert 201 not in calls
 
 
+def _run_model_calls(monkeypatch) -> list[tuple[SimClock, tuple | None]]:
+    """(clock, recorded series) of every scenario integration from now on,
+    whichever module calls ``run_model``, in this process only."""
+    calls = []
+    run_model_ = model.run_model
+
+    def counted(params, clock=SimClock(), record=None, restart=None):
+        calls.append((clock, None if record is None else tuple(record)))
+        return run_model_(params, clock, record=record, restart=restart)
+
+    monkeypatch.setattr(calibration, "run_model", counted)
+    monkeypatch.setattr(scenarios, "run_model", counted)
+    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
+    return calls
+
+
+def test_fit_integrates_only_its_prefixes_and_the_solver_rounds_runs(monkeypatch):
+    """A fit integrates each scenario's prefix and then only the runs its
+    rounds ask for, even when it ends on a failed run: from 1e307 every run
+    blows up, and the error raised is the one run2's run kept."""
+    calls = _run_model_calls(monkeypatch)
+    result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), _SHIPPED)
+    assert len(calls) == 3 + result.scenario_runs == 3 + 84
+    calls.clear()
+    with pytest.raises(SimulationError, match="'households_insecure' at t=28.25: inf"):
+        calibrate(with_value(default_params(), "rate_new_insecurity", 1e307), _SHIPPED)
+    prefixes = [clock for clock, record in calls if record is None]
+    assert len(prefixes) == 3
+    assert all(clock.horizon < SimClock().horizon for clock in prefixes)
+    assert {record for _, record in calls} == {None, tuple(METRIC_SERIES)}
+
+
 @pytest.mark.parametrize("free", [CalibrationParameter("rent_delay_curve.steepness", 1.0, 3.0),
                                   CalibrationParameter("assistance.total_funds", 30e9, 60e9)])
 def test_fit_freeing_a_value_read_from_the_start_makes_full_runs(monkeypatch, free):
@@ -762,6 +794,19 @@ def test_points_across_a_curve_invariant_score_the_failure_residual(monkeypatch)
 def test_fit_ending_on_parameters_that_cannot_be_built_is_refused():
     with pytest.raises(CalibrationError, match="cannot be built: y_max .* below y_min"):
         calibrate(default_params(), _crowding_spec(0.5, 0.9))
+
+
+def test_fit_ending_where_a_scenario_cannot_be_built_is_refused():
+    """The fitted values build, but not with the scenario's override of
+    y_min: the start's runs fail there, and the fit ends at its start."""
+    raised = Scenario("raised", covid=True, overrides={"crowding_curve.y_min": 1.5})
+    spec = CalibrationSpec(
+        parameters=(CalibrationParameter("crowding_curve.y_max", 1.1, 1.4),),
+        targets=(CalibrationTarget("raised", "crowding_mean", 1.2),),
+        max_iterations=5,
+    )
+    with pytest.raises(CalibrationError, match="cannot be built: y_max 1.4 below y_min 1.5"):
+        calibrate(default_params(), spec, scenarios={"raised": raised})
 
 
 @pytest.mark.parametrize("path, value, may_fork", [("avg_monthly_rent", 1e305, False),

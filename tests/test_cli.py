@@ -1,8 +1,10 @@
 """Command-line interface: artifacts, manifests, determinism, failure modes."""
 
 import argparse
+import contextlib
 import copy
 import functools
+import io
 import json
 import re
 import subprocess
@@ -350,6 +352,15 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
     (["SOURCE_DATE_EPOCH=99999999999999999", "simulate"], None, None),
     (["simulate", "--out", "{}"], "taken", "kept\n"),
     (["simulate", "--out", "{}/sub"], "taken", "kept\n"),
+    (["suite", "--scenarios"], "scen.yaml", "{}\n"),
+    (["sweep", "--scenarios"], "scen.yaml", "{}\n"),
+    (["validate", "--scenarios"], "scen.yaml", "{}\n"),
+    (["suite", "--scenarios"], "scen.yaml", "../escaped:\n  covid: true\n"),
+    (["suite", "--scenarios"], "scen.yaml", "sub/dir:\n  covid: true\n"),
+    (["suite", "--params", ""], None, None),
+    (["suite", "--scenarios", ""], None, None),
+    (["suite", "--out", ""], None, None),
+    (["validate", "--references", ""], None, None),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -360,12 +371,16 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "integer-scenario-name", "integer-params-key", "list-target-scenario",
         "params-entry-unknown-key", "overrides-not-mapping", "spec-target-missing-and-unknown",
         "sweep-top-negative", "epoch-not-a-number", "epoch-empty", "epoch-past-any-date",
-        "out-is-a-file", "out-under-a-file"])
+        "out-is-a-file", "out-under-a-file", "suite-no-scenario", "sweep-no-scenario",
+        "validate-no-scenario", "scenario-name-leaves-out", "scenario-name-has-directory",
+        "params-empty", "scenarios-empty", "out-empty", "references-empty"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``
-    in the arguments, or follows them when none holds ``{}``. Nothing is
-    written, and the case's file is left as it was."""
+    in the arguments, or follows them when none holds ``{}``. The case runs
+    in ``tmp_path``; nothing is written anywhere under it, and the case's
+    file is left as it was."""
+    monkeypatch.chdir(tmp_path)
     while "=" in argv[0]:
         monkeypatch.setenv(*argv[0].split("=", 1))
         argv = argv[1:]
@@ -381,8 +396,8 @@ def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
-    assert not out.exists()
-    assert [p.name for p in tmp_path.iterdir()] == ([] if name is None else [name])
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == \
+        ([] if name is None else [Path(name)])
     if name is not None:
         assert path.read_text() == text
 
@@ -463,6 +478,35 @@ def test_fuzzed_scenario_file_loads_or_fails_with_one_line(tmp_path_factory, edi
         _load_inputs(_build_parser().parse_args(["suite", "--scenarios", str(path)]))
     except CliError:
         pass
+
+
+_NAMES = st.one_of(st.text(st.characters(codec="utf-8"), max_size=70),
+                   st.from_regex(r"[A-Za-z0-9_.-]{1,70}", fullmatch=True),
+                   st.sampled_from(["run2", "..", ".", ".hidden", "../escaped", "sub/dir",
+                                    "a" * 64, "a" * 65, "-", "1", "x y", ""]))
+
+
+@_FUZZ
+@given(name=_NAMES)
+def test_a_scenario_name_names_its_files_or_fails_with_one_line(tmp_path_factory, name):
+    """A scenario name loads, and ``suite --out`` writes only that
+    scenario's two artifacts and the manifest, into ``--out``; or it fails
+    with one line, and nothing is written."""
+    root = tmp_path_factory.mktemp("name")
+    path = root / "scen.yaml"
+    path.write_text(yaml.safe_dump({name: {"covid": True}}))
+    assert yaml.safe_load(path.read_text()) == {name: {"covid": True}}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["suite", "--scenarios", str(path), "--out", str(root / "out")])
+    written = sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+    if rc == 0:
+        assert written == sorted(["scen.yaml", "out", "out/manifest.json",
+                                  f"out/{name}_metrics.json", f"out/{name}_timeseries.csv"])
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert written == ["scen.yaml"]
 
 
 @_FUZZ
