@@ -23,12 +23,13 @@ Likewise only ``sweep`` and ``validate`` load ``rentdyn.validation``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable
 
 from rentdyn import __version__
-from rentdyn.engine import SimClock, SimulationError
+from rentdyn.engine import MAX_STEPS, SimClock, SimulationError
 from rentdyn.output import manifest_timestamp, write_csv, write_json, write_manifest
 from rentdyn.params import ModelParams, ParamError, ParamFileError, default_params, \
     load_params, save_params
@@ -48,7 +49,9 @@ def _add_common(parser: argparse.ArgumentParser, with_format: bool = False) -> N
     parser.add_argument("--scenarios", metavar="FILE",
                         help="scenario file (default: built-in scenario set)")
     parser.add_argument("--dt", type=float, default=SimClock.dt, metavar="MONTHS",
-                        help=f"integration step in months (default {SimClock.dt:g})")
+                        help=f"integration step in months (default {SimClock.dt:g}); the "
+                             f"{SimClock.horizon:g}-month horizon must be 1 to {MAX_STEPS} "
+                             f"whole steps, the {SimClock.burn_in:g}-month burn-in whole steps")
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="run seed, recorded in the manifest (the model is "
                              "deterministic; the seed only labels outputs)")
@@ -377,7 +380,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # as the SIGPIPE note of the Python docs does: the flush at exit then
+        # writes what is left to the null device, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
     except CliError as err:
         # messages from the loaders may span lines (YAML marks, bound lists)
         print(f"error: {' '.join(str(err).split())}", file=sys.stderr)

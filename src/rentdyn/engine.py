@@ -31,11 +31,16 @@ import numpy as np
 EPS = 1e-9
 # calendar month of t=0; the policy onsets (26.75: late March 2020) count from it
 START_YEAR, START_MONTH = 2018, 1
+# a scalar run keeps each sample's 48 stocks and auxiliaries as Python floats
+# in one list, about 32 bytes apiece: 10**5 steps hold some 150 MB, and 10**6
+# would hold 1.5 GB
+MAX_STEPS = 100_000
 
 __all__ = [
     "EPS",
     "START_YEAR",
     "START_MONTH",
+    "MAX_STEPS",
     "SimClock",
     "LogisticCurve",
     "GompertzCurve",
@@ -57,7 +62,8 @@ class SimClock:
 
     ``t`` counts months since January 2018 (``START_YEAR``/``START_MONTH``,
     so ``t=24`` opens January 2020). ``horizon`` and ``burn_in`` lie on the
-    grid; samples with ``t >= burn_in`` are the reporting (analysis) window.
+    grid, and the horizon is 1 to :data:`MAX_STEPS` steps; samples with
+    ``t >= burn_in`` are the reporting (analysis) window.
     """
 
     dt: float = 0.25
@@ -69,6 +75,10 @@ class SimClock:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        steps = self.horizon / self.dt
+        if not (1.0 - 1e-9 <= steps <= MAX_STEPS):
+            raise ValueError(f"horizon {self.horizon} must be 1 to {MAX_STEPS} steps of dt "
+                             f"{self.dt}, not {steps:g}")
         if not (0.0 <= self.burn_in < self.horizon):
             raise ValueError(
                 f"burn_in must lie in [0, horizon), got {self.burn_in}"

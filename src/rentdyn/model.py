@@ -167,47 +167,6 @@ def initial_state(params) -> list:
     ]
 
 
-def rent_burden(params, covid_effect, ops=SCALAR):
-    """Monthly rent over shock-adjusted income (inf when income is zero)."""
-    income = params.avg_household_income * (1.0 - covid_effect)
-    rent = params.avg_monthly_rent
-    return ops.where(income <= EPS, ops.where(rent > 0.0, math.inf, 0.0),
-                     rent / ops.maximum(income, EPS))
-
-
-def rent_delay_effect(params, burden, ops=SCALAR):
-    """Payment-delay multiplier: neutral at or below the burden threshold."""
-    excess = ops.maximum(0.0, burden - params.rent_burden_threshold)
-    return ops.curve(params.rent_delay_curve, excess / params.rent_burden_threshold)
-
-
-def stress_effect(params, rent_owed, households_insecure, ops=SCALAR):
-    """Economic-stress multiplier from arrears per household, in months of rent.
-
-    Spreading a fixed debt over more households (doubling up) dilutes the
-    per-household load, so the input falls as the insecure pool grows.
-    """
-    denom = households_insecure * params.avg_monthly_rent
-    return ops.where(denom <= EPS, params.stress_curve.floor,
-                     ops.curve(params.stress_curve, rent_owed / ops.maximum(denom, EPS)))
-
-
-def crowding_ratio(households_insecure, tenanted_units, reference, ops=SCALAR):
-    """Households per unit relative to the uncrowded reference (0 if no units)."""
-    return ops.where(tenanted_units <= EPS, 0.0,
-                     (households_insecure / ops.maximum(tenanted_units, EPS)) / reference)
-
-
-def crowding_effect(params, ratio, ops=SCALAR):
-    """Conflict multiplier; crowding at or below the reference has no effect."""
-    return ops.where(ratio <= 1.0, 1.0, ops.curve(params.crowding_curve, ratio))
-
-
-def overdue_pressure(params, arrears_per_unit, ops=SCALAR):
-    """Landlord filing pressure once per-unit arrears exceed tolerance."""
-    return ops.maximum(1.0, arrears_per_unit / params.landlord_tolerance)
-
-
 def policy_onset(params, block: str, ops=SCALAR):
     """Onset of a policy block: the earliest time at which the model reads any
     of its parameters, and infinite when ``params`` switches the block off.
@@ -253,35 +212,6 @@ def read_from(params: ModelParams, path: str) -> float:
     return onset
 
 
-def covid_effect_at(params, t: float, recovery_level, onset, ops=SCALAR):
-    """Net shock: a step at the block's ``onset`` (:func:`policy_onset`)
-    minus its own first-order recovery.
-
-    With the shock off there is no step, and the recovery level stays at 0.
-    """
-    step = ops.where(t >= onset, params.covid.magnitude, 0.0)
-    return ops.maximum(0.0, step - recovery_level)
-
-
-def processing_factor_at(params, t: float, onset, ops=SCALAR):
-    """Court throughput multiplier under the moratorium (1 outside it);
-    ``onset`` is the block's :func:`policy_onset`."""
-    m = params.moratorium
-    in_window = (t >= onset) & (t >= m.start_time) & (t < m.start_time + m.duration)
-    return ops.where(in_window, 1.0 - m.processing_reduction, 1.0)
-
-
-def filing_factor_at(params, t: float, recovery_level, onset, ops=SCALAR):
-    """Filing multiplier: drops ahead of the moratorium, recovers slowly after.
-
-    ``onset`` is the block's :func:`policy_onset`. With the moratorium off
-    there is no drop, and the recovery level stays at 0.
-    """
-    m = params.moratorium
-    drop = ops.where((t >= onset) & (t >= m.start_time - 0.5), m.filing_reduction, 0.0)
-    return ops.maximum(0.0, 1.0 - drop + recovery_level)
-
-
 def build_derivative(params, dt: float):
     """Derivative function for :func:`rentdyn.engine.simulate`.
 
@@ -303,7 +233,11 @@ def build_derivative(params, dt: float):
     # per-run constants, hoisted out of the flows with their operation order kept
     covid_onset, moratorium_onset, assistance_onset = (
         policy_onset(p, block, ops) for block in POLICY_BLOCKS)
-    rebound_time = m.start_time + m.duration + m.filing_rebound_lag
+    window_end = m.start_time + m.duration
+    rebound_time = window_end + m.filing_rebound_lag
+    throttled = 1.0 - m.processing_reduction
+    # rent over no income is an infinite burden, and no rent none at all
+    no_income_burden = where(p.avg_monthly_rent > 0.0, math.inf, 0.0)
     eviction_hazard = p.eviction_proportion / p.processing_time
     pace = era.rate_multiplier * era.total_funds / era.disbursement_time
 
@@ -311,27 +245,45 @@ def build_derivative(params, dt: float):
         (rent_owed, mortgage_owed, occupied, pending, vacant, foreclosed, insecure,
          homeless, funds, _, recovery, filing_recovery) = state
 
-        # exogenous drivers
-        covid = covid_effect_at(p, t, recovery, covid_onset, ops)
-        proc_factor = processing_factor_at(p, t, moratorium_onset, ops)
-        fil_factor = filing_factor_at(p, t, filing_recovery, moratorium_onset, ops)
+        # exogenous drivers. The shock is a step at its onset net of its own
+        # first-order recovery. The court's throughput drops inside the
+        # moratorium's window; filings drop from its onset, half a month
+        # ahead of the window, and recover slowly after it. With a block off
+        # no gate opens, and its recovery level stays at 0.
+        shock = where(t >= covid_onset, cv.magnitude, 0.0)
+        covid = maximum(0.0, shock - recovery)
+        proc_factor = where((t >= moratorium_onset) & (t >= m.start_time) & (t < window_end),
+                            throttled, 1.0)
+        fil_factor = maximum(
+            0.0, 1.0 - where(t >= moratorium_onset, m.filing_reduction, 0.0) + filing_recovery)
 
-        # rent accrual and payment
+        # rent accrual and payment: the burden is monthly rent over
+        # shock-adjusted income, and delays payment above its threshold
         tenanted = occupied + pending
         rent_due = p.avg_monthly_rent * tenanted
         hpu = insecure / maximum(tenanted, EPS)
-        burden = rent_burden(p, covid, ops)
-        delay = rent_delay_effect(p, burden, ops)
+        income = p.avg_household_income * (1.0 - covid)
+        burden = where(income <= EPS, no_income_burden,
+                       p.avg_monthly_rent / maximum(income, EPS))
+        delay = curve(p.rent_delay_curve,
+                      maximum(0.0, burden - p.rent_burden_threshold) / p.rent_burden_threshold)
         at_rent = p.at_rent_base * delay
         rent_paid = rent_owed / at_rent
 
-        # behavioral multipliers
-        stress = stress_effect(p, rent_owed, insecure, ops)
-        c_ratio = crowding_ratio(insecure, tenanted, p.crowding_reference, ops)
-        crowding = crowding_effect(p, c_ratio, ops)
+        # behavioral multipliers. Stress reads arrears per insecure household
+        # in months of rent: doubling up spreads a fixed debt over more
+        # households, so stress falls as the insecure pool grows. Crowding is
+        # households per unit over the uncrowded reference (0 with no units),
+        # and raises conflict only above the reference. Landlords press
+        # filings once arrears per unit pass their tolerance.
+        pool_rent = insecure * p.avg_monthly_rent
+        stress = where(pool_rent <= EPS, p.stress_curve.floor,
+                       curve(p.stress_curve, rent_owed / maximum(pool_rent, EPS)))
+        c_ratio = where(tenanted <= EPS, 0.0, hpu / p.crowding_reference)
+        crowding = where(c_ratio <= 1.0, 1.0, curve(p.crowding_curve, c_ratio))
         conflict = crowding * stress
         arrears_per_unit = rent_owed / maximum(tenanted, EPS)
-        overdue = overdue_pressure(p, arrears_per_unit, ops)
+        overdue = maximum(1.0, arrears_per_unit / p.landlord_tolerance)
 
         # court pipeline and turnover (before the dollar flows that need them).
         # A moratorium stays every filed case, so it throttles resolutions as
@@ -409,7 +361,7 @@ def build_derivative(params, dt: float):
             - homeless_exits - homeless_doubling - homeless_stabilizing,
             -payment,
             payment,
-            (where(t >= covid_onset, cv.magnitude, 0.0) - recovery) / cv.recovery_time,
+            (shock - recovery) / cv.recovery_time,
             (where((t >= moratorium_onset) & (t >= rebound_time), m.filing_reduction, 0.0)
              - filing_recovery) / m.filing_recovery_delay,
         ]

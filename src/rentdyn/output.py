@@ -121,7 +121,6 @@ def write_manifest(
     scenario_names: list[str],
     params_file: str | None = None,
     seed: int | None = None,
-    extra: dict | None = None,
 ) -> Path:
     """Write ``manifest.json`` describing every artifact in ``directory``."""
     directory = Path(directory)
@@ -145,6 +144,4 @@ def write_manifest(
             path.name: file_sha256(path) for path in sorted(artifacts)
         },
     }
-    if extra:
-        payload.update(extra)
     return write_json(directory / "manifest.json", payload)

@@ -88,7 +88,8 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     Each top-level key names a scenario, a mapping of at most a
     ``description``, the policy switches ``covid``, ``moratorium`` and
     ``assistance`` (YAML booleans), and an ``overrides`` mapping of dotted
-    parameter paths to values. Unknown keys, non-boolean switches, override
+    parameter paths to values. A description left empty is ``""``. Unknown
+    keys, a description that is not text, non-boolean switches, override
     paths that are not registry fields, non-numeric values, a file naming no
     scenario, and a name other than 1 to 64 letters, digits, ``_``, ``-`` and
     ``.``, not starting with ``.``, are errors.
@@ -113,9 +114,13 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
             if not isinstance(spec.get(key, False), bool):
                 raise ValueError(f"{where} field '{key}' is not a boolean "
                                  f"(true or false): {spec[key]!r}")
+        # YAML reads a description left empty as None
+        description = "" if spec.get("description") is None else spec["description"]
+        if not isinstance(description, str):
+            raise ValueError(f"{where} description is not text: {description!r}")
         out[name] = Scenario(
             name=name,
-            description=str(spec.get("description", "")),
+            description=description,
             covid=spec.get("covid", False),
             moratorium=spec.get("moratorium", False),
             assistance=spec.get("assistance", False),

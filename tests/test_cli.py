@@ -6,6 +6,7 @@ import copy
 import functools
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -38,6 +39,37 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "evictions (window total)" in proc.stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, written", [
+    (["simulate"], {"run1_timeseries.csv", "run1_metrics.json"}),
+    (["calibrate", "--spec", "params/calibration.yaml"], {"params.yaml"}),
+], ids=["simulate", "calibrate"])
+def test_closed_stdout_fails_with_one_line(tmp_path, monkeypatch, argv, written, buffered):
+    """Output to a pipe nobody reads: a buffered stdout fails at the last
+    flush, after every file and the manifest are written, and an unbuffered
+    one at the first line, before any file is."""
+    if buffered:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    out = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rentdyn.cli", *argv, "--out", str(out)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output was closed\n"
+    if buffered:
+        assert {p.name for p in out.iterdir()} == written | {"manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == written
+    else:
+        assert not out.exists()
 
 
 def test_import_leaves_the_validation_module_to_its_commands():
@@ -361,6 +393,12 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
     (["suite", "--scenarios", ""], None, None),
     (["suite", "--out", ""], None, None),
     (["validate", "--references", ""], None, None),
+    (["suite", "--dt", "1e11"], None, None),
+    (["sweep", "--dt", "1e300"], None, None),
+    (["validate", "--dt", "1e300"], None, None),
+    (["calibrate", "--dt", "1e300", "--spec"], "spec.yaml", _SPEC % ("", "run2", "7.0e6", "")),
+    (["suite", "--dt", "1e-300"], None, None),
+    (["simulate", "--scenario", "x", "--scenarios"], "scen.yaml", "x:\n  description: [a]\n"),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -373,7 +411,9 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "sweep-top-negative", "epoch-not-a-number", "epoch-empty", "epoch-past-any-date",
         "out-is-a-file", "out-under-a-file", "suite-no-scenario", "sweep-no-scenario",
         "validate-no-scenario", "scenario-name-leaves-out", "scenario-name-has-directory",
-        "params-empty", "scenarios-empty", "out-empty", "references-empty"])
+        "params-empty", "scenarios-empty", "out-empty", "references-empty",
+        "suite-dt-no-step", "sweep-dt-no-step", "validate-dt-no-step", "calibrate-dt-no-step",
+        "suite-dt-too-many-steps", "description-not-text"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``

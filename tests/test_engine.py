@@ -70,6 +70,12 @@ def test_clock_rejects_bad_grid():
         SimClock(burn_in=60.0)
     with pytest.raises(ValueError):
         SimClock(dt=2.5)  # burn_in 24 is not a whole number of steps
+    for dt in (1e11, 1e300):  # 50/dt rounds to 0 steps within 1e-9
+        with pytest.raises(ValueError, match="must be 1 to 100000 steps"):
+            SimClock(dt=dt)
+    for dt in (0.0004, 1e-300, 5e-324):  # 125000 steps, 5e301, inf
+        with pytest.raises(ValueError, match="must be 1 to 100000 steps"):
+            SimClock(dt=dt)
 
 
 # ---------------------------------------------------------------- logistic curve

@@ -1,7 +1,9 @@
 """Flow-level oracles and structural invariants of the housing model.
 
 Expected values are frozen literals computed by hand from the closed-form
-curve definitions, not by calling the code under test.
+curve definitions, not by calling the code under test. The oracles read each
+effect from the derivative's auxiliaries, at a state and time built to give
+the effect its input.
 """
 
 import dataclasses
@@ -19,164 +21,216 @@ from rentdyn.model import (
     STOCKS,
     _limit,
     build_derivative,
-    covid_effect_at,
-    crowding_effect,
-    crowding_ratio,
-    filing_factor_at,
     initial_state,
-    overdue_pressure,
     policy_onset,
-    processing_factor_at,
     read_from,
-    rent_burden,
-    rent_delay_effect,
     run_model,
-    stress_effect,
 )
 from rentdyn.params import FIELDS, POLICY_BLOCKS, clamp_to_bounds, default_params, \
     get_value, with_value
 from rentdyn.scenarios import BUILTIN_SCENARIOS
 
 
+def _deriv_at(params, state, t=0.0, dt=0.25):
+    """Rates by stock name, and auxiliaries, at a state in ``STOCKS`` order."""
+    rates, aux = build_derivative(params, dt)(state, t)
+    return dict(zip(STOCKS, rates, strict=True)), aux
+
+
+def _aux(params, t=0.0, **stocks):
+    """Auxiliaries at time ``t``, at the initial state with ``stocks`` set."""
+    state = initial_state(params)
+    for name, value in stocks.items():
+        state[STOCKS.index(name)] = value
+    return _deriv_at(params, state, t)[1]
+
+
+def _shocked(params, magnitude):
+    """``params`` with the shock on at ``magnitude``."""
+    params = with_value(params, "covid.magnitude", magnitude)
+    return dataclasses.replace(params, covid=dataclasses.replace(params.covid, enabled=True))
+
+
+def _shocked_aux(params, covid_effect):
+    """Auxiliaries at the shock's start, before any recovery: the net shock
+    is then its magnitude."""
+    shocked = _shocked(params, covid_effect)
+    aux = _aux(shocked, shocked.covid.start_time)
+    assert aux["covid_effect"] == covid_effect
+    return aux
+
+
 # ---------------------------------------------------------------- burden
 
 def test_rent_burden_baseline_sits_on_threshold():
     p = default_params()
-    assert rent_burden(p, covid_effect=0.0) == pytest.approx(0.30)
+    assert _aux(p)["burden_ratio"] == pytest.approx(0.30)
 
 
 def test_rent_burden_rises_with_income_loss():
     p = default_params()
     # 1050 / (3500 * 0.6)
-    assert rent_burden(p, covid_effect=0.4) == pytest.approx(0.5)
+    assert _shocked_aux(p, 0.4)["burden_ratio"] == pytest.approx(0.5)
 
 
 def test_rent_burden_zero_income_edge():
     p = default_params()
-    assert rent_burden(p, covid_effect=1.0) == math.inf
+    # an infinite burden, reported at its cap, saturates the payment delay
+    aux = _shocked_aux(p, 1.0)
+    assert aux["burden_ratio"] == 1e12
+    assert aux["rent_delay_effect"] == p.rent_delay_curve.y_final
     zero_rent = with_value(p, "avg_monthly_rent", 0.0)
-    assert rent_burden(zero_rent, covid_effect=1.0) == 0.0
+    assert _shocked_aux(zero_rent, 1.0)["burden_ratio"] == 0.0
 
 
 def test_rent_delay_neutral_at_or_below_threshold():
     p = default_params()
-    assert rent_delay_effect(p, 0.30) == 1.0
-    assert rent_delay_effect(p, 0.10) == 1.0
+    assert _aux(p)["rent_delay_effect"] == 1.0  # burden 0.30
+    cheap = _aux(with_value(p, "avg_monthly_rent", 350.0))
+    assert cheap["burden_ratio"] == pytest.approx(0.10)
+    assert cheap["rent_delay_effect"] == 1.0
 
 
 def test_rent_delay_oracle_at_half_income_burden():
     # Gompertz(3, 1, steepness 2) at excess ratio (0.5-0.3)/0.3:
     # 3 - 2*exp(-e^2 * 2/3) = 2.9854896083210765
     p = default_params()
-    assert rent_delay_effect(p, 0.50) == pytest.approx(2.9854896083210765, rel=1e-12)
+    assert _shocked_aux(p, 0.4)["rent_delay_effect"] == pytest.approx(
+        2.9854896083210765, rel=1e-12)
 
 
 # ---------------------------------------------------------------- stress
 
+def _stress(params, rent_owed, households_insecure):
+    return _aux(params, rent_owed=rent_owed,
+                households_insecure=households_insecure)["stress_effect"]
+
+
 def test_stress_floor_when_arrears_light():
     p = default_params()
     # 0.1 months of rent per household: raw Gompertz is far below 1, floored
-    assert stress_effect(p, 0.1 * 1050.0 * 14e6, 14e6) == 1.0
+    assert _stress(p, 0.1 * 1050.0 * 14e6, 14e6) == 1.0
 
 
 def test_stress_oracle_at_one_and_two_months_of_rent():
     # Gompertz(3, -8.3, steepness 0.8) at x: 3 - 11.3*exp(-e^0.8 * x)
     p = default_params()
     one_month = 14e6 * p.avg_monthly_rent
-    assert stress_effect(p, one_month, 14e6) == pytest.approx(
-        1.7794985520285154, rel=1e-12)
-    assert stress_effect(p, 2 * one_month, 14e6) == pytest.approx(
-        2.8681748863273904, rel=1e-12)
+    assert _stress(p, one_month, 14e6) == pytest.approx(1.7794985520285154, rel=1e-12)
+    assert _stress(p, 2 * one_month, 14e6) == pytest.approx(2.8681748863273904, rel=1e-12)
 
 
 def test_stress_dilutes_with_doubling_up():
     """A fixed debt spread over more households stresses each one less."""
     p = default_params()
     debt = 2 * 14e6 * p.avg_monthly_rent
-    concentrated = stress_effect(p, debt, 14e6)
-    diluted = stress_effect(p, debt, 20e6)
+    concentrated = _stress(p, debt, 14e6)
+    diluted = _stress(p, debt, 20e6)
     assert diluted < concentrated
 
 
 def test_stress_empty_pool_returns_floor():
     p = default_params()
-    assert stress_effect(p, 1e9, 0.0) == p.stress_curve.floor
+    assert _stress(p, 1e9, 0.0) == p.stress_curve.floor
 
 
 # ---------------------------------------------------------------- crowding
 
+def _market(params, households_insecure, tenanted, rent_owed=0.0):
+    """Auxiliaries with ``tenanted`` units, all occupied."""
+    return _aux(params, households_insecure=households_insecure, units_occupied=tenanted,
+                units_pending_eviction=0.0, rent_owed=rent_owed)
+
+
 def test_crowding_ratio_and_empty_market():
-    assert crowding_ratio(14e6, 12e6, 1.0) == pytest.approx(14.0 / 12.0)
-    assert crowding_ratio(14e6, 0.0, 1.0) == 0.0
+    p = default_params()
+    assert p.crowding_reference == 1.0
+    assert _market(p, 14e6, 12e6)["crowding_ratio"] == pytest.approx(14.0 / 12.0)
+    assert _market(p, 14e6, 0.0)["crowding_ratio"] == 0.0
+
+
+def _crowding(params, ratio):
+    aux = _market(params, ratio * 1e6, 1e6)
+    assert aux["crowding_ratio"] == ratio
+    return aux["crowding_effect"]
 
 
 def test_crowding_effect_neutral_below_reference():
     p = default_params()
-    assert crowding_effect(p, 0.8) == 1.0
-    assert crowding_effect(p, 1.0) == 1.0
+    assert _crowding(p, 0.8) == 1.0
+    assert _crowding(p, 1.0) == 1.0
 
 
 def test_crowding_effect_oracles():
     # Logistic(2, 1, inflection 1.5, slope 5): midpoint at the inflection,
     # 2 - 1/(1 + (1.8/1.5)^5) = 1.7133290523805156 further up
     p = default_params()
-    assert crowding_effect(p, 1.5) == pytest.approx(1.5, rel=1e-12)
-    assert crowding_effect(p, 1.8) == pytest.approx(1.7133290523805156, rel=1e-12)
+    assert _crowding(p, 1.5) == pytest.approx(1.5, rel=1e-12)
+    assert _crowding(p, 1.8) == pytest.approx(1.7133290523805156, rel=1e-12)
 
 
 def test_overdue_pressure_kicks_in_past_tolerance():
     p = default_params()
-    assert overdue_pressure(p, 1000.0) == 1.0
-    assert overdue_pressure(p, p.landlord_tolerance) == 1.0
-    assert overdue_pressure(p, 2 * p.landlord_tolerance) == pytest.approx(2.0)
+
+    def overdue(arrears_per_unit):  # on one unit, its arrears are the stock
+        return _market(p, 14e6, 1.0, rent_owed=arrears_per_unit)["overdue_pressure"]
+
+    assert overdue(1000.0) == 1.0
+    assert overdue(p.landlord_tolerance) == 1.0
+    assert overdue(2 * p.landlord_tolerance) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------- drivers
 
 def test_covid_effect_step_and_recovery():
-    shocked = with_value(default_params(), "covid.magnitude", 0.6)
-    shocked = dataclasses.replace(
-        shocked, covid=dataclasses.replace(shocked.covid, enabled=True))
+    shocked = _shocked(default_params(), 0.6)
     t0 = shocked.covid.start_time
-    onset = policy_onset(shocked, "covid")
-    assert covid_effect_at(shocked, t0 - 1.0, 0.0, onset) == 0.0
-    assert covid_effect_at(shocked, t0, 0.0, onset) == pytest.approx(0.6)
-    assert covid_effect_at(shocked, t0 + 5.0, 0.25, onset) == pytest.approx(0.35)
-    assert covid_effect_at(shocked, t0 + 5.0, 0.9, onset) == 0.0  # floored, never negative
-    off = default_params()
-    assert covid_effect_at(off, t0 + 5.0, 0.0, policy_onset(off, "covid")) == 0.0  # disabled
+
+    def covid(p, t, recovery):
+        return _aux(p, t, shock_recovery_level=recovery)["covid_effect"]
+
+    assert covid(shocked, t0 - 1.0, 0.0) == 0.0
+    assert covid(shocked, t0, 0.0) == pytest.approx(0.6)
+    assert covid(shocked, t0 + 5.0, 0.25) == pytest.approx(0.35)
+    assert covid(shocked, t0 + 5.0, 0.9) == 0.0  # floored, never negative
+    assert covid(default_params(), t0 + 5.0, 0.0) == 0.0  # disabled
+
+
+def _with_moratorium(params):
+    return dataclasses.replace(
+        params, moratorium=dataclasses.replace(params.moratorium, enabled=True))
 
 
 def test_processing_factor_window():
-    p = default_params()
-    m = dataclasses.replace(p.moratorium, enabled=True)
-    p = dataclasses.replace(p, moratorium=m)
+    p = _with_moratorium(default_params())
+    m = p.moratorium
     start, dur = m.start_time, m.duration
-    onset = policy_onset(p, "moratorium")
-    assert processing_factor_at(p, start - 0.25, onset) == 1.0
-    assert processing_factor_at(p, start, onset) == pytest.approx(1.0 - m.processing_reduction)
-    assert processing_factor_at(p, start + dur - 0.25, onset) == pytest.approx(
-        1.0 - m.processing_reduction)
-    assert processing_factor_at(p, start + dur, onset) == 1.0
-    off = default_params()
-    assert processing_factor_at(off, start, policy_onset(off, "moratorium")) == 1.0  # disabled
+
+    def processing(p, t):
+        return _aux(p, t)["processing_factor"]
+
+    assert processing(p, start - 0.25) == 1.0
+    assert processing(p, start) == pytest.approx(1.0 - m.processing_reduction)
+    assert processing(p, start + dur - 0.25) == pytest.approx(1.0 - m.processing_reduction)
+    assert processing(p, start + dur) == 1.0
+    assert processing(default_params(), start) == 1.0  # disabled
 
 
 def test_filing_factor_drop_and_rebound():
-    p = default_params()
-    m = dataclasses.replace(p.moratorium, enabled=True)
-    p = dataclasses.replace(p, moratorium=m)
-    onset = policy_onset(p, "moratorium")
-    assert filing_factor_at(p, m.start_time - 1.0, 0.0, onset) == 1.0
+    p = _with_moratorium(default_params())
+    m = p.moratorium
+
+    def filing(p, t, recovery):
+        return _aux(p, t, filing_recovery_level=recovery)["filing_factor"]
+
+    assert filing(p, m.start_time - 1.0, 0.0) == 1.0
     # announcement effect arrives half a month early
-    assert filing_factor_at(p, m.start_time - 0.5, 0.0, onset) == pytest.approx(
-        1.0 - m.filing_reduction)
+    assert filing(p, m.start_time - 0.5, 0.0) == pytest.approx(1.0 - m.filing_reduction)
     # post-expiry recovery climbs back toward one
-    assert filing_factor_at(p, m.start_time + m.duration + 10.0,
-                            m.filing_reduction, onset) == pytest.approx(1.0)
-    assert filing_factor_at(p, m.start_time, 0.0, onset) >= 0.0
-    off = default_params()
-    assert filing_factor_at(off, m.start_time, 0.0, policy_onset(off, "moratorium")) == 1.0
+    assert filing(p, m.start_time + m.duration + 10.0, m.filing_reduction) == \
+        pytest.approx(1.0)
+    assert filing(p, m.start_time, 0.0) >= 0.0
+    assert filing(default_params(), m.start_time, 0.0) == 1.0  # disabled
 
 
 def test_each_parameter_is_read_from_its_block_onset():
@@ -262,12 +316,6 @@ def test_nonneg_stocks_exclude_signal_levels():
 
 
 # ---------------------------------------------------------------- ledgers
-
-def _deriv_at(params, state, t=0.0, dt=0.25):
-    """Rates by stock name, and auxiliaries, at a state in ``STOCKS`` order."""
-    rates, aux = build_derivative(params, dt)(state, t)
-    return dict(zip(STOCKS, rates, strict=True)), aux
-
 
 def test_unit_ledger_closes():
     """Units only leave the system through stock decline."""

@@ -254,6 +254,22 @@ def test_load_scenarios_rejects_non_boolean_switch(tmp_path, value):
         load_scenarios(bad)
 
 
+def test_load_scenarios_reads_an_empty_description_as_empty_text(tmp_path):
+    path = tmp_path / "custom.yaml"
+    path.write_text("quiet:\n  description:\n  covid: true\nbare:\n  covid: true\n")
+    scenarios = load_scenarios(path)
+    assert scenarios["quiet"].description == scenarios["bare"].description == ""
+
+
+@pytest.mark.parametrize("value", ["[a, b]", "3", "true", "{a: b}"],
+                         ids=["list", "number", "boolean", "mapping"])
+def test_load_scenarios_rejects_a_description_that_is_not_text(tmp_path, value):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"custom:\n  description: {value}\n  covid: true\n")
+    with pytest.raises(ValueError, match="scenario 'custom' description is not text"):
+        load_scenarios(bad)
+
+
 def test_load_scenarios_rejects_non_mapping(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("- run1\n- run2\n")
