@@ -54,22 +54,16 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        # repr round-trips exactly and never depends on locale
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> Path:
     """Write a simple comma-separated table atomically.
 
-    Cells are formatted with ``repr`` for floats (exact round-trip) and
-    ``str`` otherwise; none of the emitted values contain commas or quotes,
-    so no quoting layer is needed.
+    Cells are written with ``str``, which for a float is its ``repr``: the
+    shortest text that round-trips exactly, never depending on locale. None
+    of the emitted values contain commas or quotes, so no quoting layer is
+    needed.
     """
     lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 

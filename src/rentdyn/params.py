@@ -453,17 +453,37 @@ def validate_params(params: ModelParams) -> None:
 # about 8x faster; both loaders share SafeConstructor and the resolver, so
 # they build the same objects
 class _SafeLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
-    """The safe loader, refusing mapping keys that are not strings: every key
+    """The safe loader, refusing a mapping key that is not a string (every key
     of the input files names something, and code that reports unknown keys
-    sorts and joins them."""
+    sorts and joins them) and a key written twice in one mapping, which YAML
+    would read as its last value. A key brought in by a ``<<`` merge may
+    still be overridden."""
 
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep)  # merges "<<" keys in node
-        for key, _ in node.value:
-            if key.tag != "tag:yaml.org,2002:str":
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"mapping key {key.value} is not a string", key.start_mark)
-        return mapping
+    # "<<" merges, and "=" reads as the text "="
+    _KEY_TAGS = ("tag:yaml.org,2002:str", "tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._flattened = set()
+
+    def flatten_mapping(self, node):
+        # a mapping merged into another is flattened in place, perhaps before
+        # its own turn: only the first call sees just the keys written in it
+        if node not in self._flattened:
+            self._flattened.add(node)
+            written = {}
+            for key, _ in node.value:
+                if not isinstance(key, yaml.ScalarNode):
+                    continue  # the constructor refuses it as unhashable
+                if key.tag not in self._KEY_TAGS:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"mapping key {key.value} is not a string", key.start_mark)
+                first = written.setdefault(key.value, key)
+                if first is not key:
+                    raise yaml.constructor.ConstructorError(
+                        f"mapping key {key.value!r} first written", first.start_mark,
+                        "and written again", key.start_mark)
+        super().flatten_mapping(node)
 
 
 def load_yaml(path: str | Path, error: type[Exception]) -> Any:

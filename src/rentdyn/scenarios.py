@@ -277,7 +277,8 @@ def emit_timeseries(
 
     Returns ``(header, rows)``; the first two columns are the month index and
     the calendar month containing each sample. ``columns=None`` selects every
-    recorded series; an explicit empty selection is an error.
+    recorded series; an explicit empty selection, or one naming a series
+    twice, is an error.
     """
     traj = result.trajectory
     if columns is None:
@@ -286,6 +287,9 @@ def emit_timeseries(
         raise ValueError(
             "empty series selection; available columns: " + ", ".join(traj.series)
         )
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        raise ValueError(f"series named more than once: {', '.join(repeated)}")
     missing = [c for c in columns if c not in traj.series]
     if missing:
         raise KeyError(

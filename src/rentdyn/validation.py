@@ -324,13 +324,15 @@ def sensitivity_sweep(
     Elasticities are normalized: (relative metric change) / (relative
     parameter change), using the applied value. A parameter whose baseline
     value is zero has no relative step: both its entries request 0, repeat
-    the baseline metrics and report elasticities of 0.
+    the baseline metrics and report elasticities of 0. A moved value that
+    breaks a curve's invariant raises one ``ValueError`` naming the step.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     baseline = scenario.apply(params)
 
     steps = []  # (path, direction, base, requested, applied, clamped, run) per entry
+    sets = [baseline]
     for path in sweepable_parameters():
         base = float(get_value(params, path))
         for direction, sign in (("down", -1.0), ("up", +1.0)):
@@ -342,8 +344,11 @@ def sensitivity_sweep(
             run = applied != base and scenario.reads_from(baseline, path) < math.inf
             steps.append((path, direction, base, requested, applied,
                           applied != requested, run))
-    sets = [baseline, *(with_value(baseline, path, applied)
-                        for path, _, _, _, applied, _, run in steps if run)]
+            if run:
+                try:
+                    sets.append(with_value(baseline, path, applied))
+                except ValueError as err:  # a curve's invariant
+                    raise ValueError(f"{path} moved {direction} to {applied!r}: {err}") from err
     runs = (compute_metrics(traj, p) for p, traj
             in zip(sets, run_model(sets, clock, record=METRIC_SERIES)))
     base_metrics = _metric_values(next(runs))

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import gc
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from rentdyn.calibration import CalibrationError, load_calibration_spec
 from rentdyn.cli import CliError, _build_parser, _load_inputs, main
-from rentdyn.output import file_sha256
+from rentdyn.output import file_sha256, write_csv
 from rentdyn.params import default_params, save_params
 
 
@@ -39,6 +41,27 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "evictions (window total)" in proc.stdout
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys):
+    before = gc.get_freeze_count()
+    assert main(["simulate", "--scenario", "run1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_main_as_the_process_command_freezes_the_import_heap():
+    """``main()`` with no arguments reads ``sys.argv``, as the console script
+    and ``python -m rentdyn.cli`` call it; it freezes what the imports built."""
+    code = ("import gc, sys\n"
+            "from rentdyn.cli import main\n"
+            "sys.argv = ['rentdyn', 'simulate', '--scenario', 'run1']\n"
+            "status = main()\n"
+            "print(status, gc.get_freeze_count(), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "evictions (window total)" in proc.stdout
+    status, frozen = map(int, proc.stderr.split())
+    assert status == 0 and frozen > 0
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -145,6 +168,29 @@ def test_json_format_and_series_selection(tmp_path):
     doc = json.loads((out / "run1_timeseries.json").read_text())
     assert doc["header"] == ["t_months", "calendar", "rent_owed", "households_homeless"]
     assert len(doc["rows"]) == 201
+
+
+_CELLS = st.one_of(
+    st.floats(), st.integers(), st.booleans(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 1e-4, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.text(st.characters(codec="utf-8", exclude_characters=",\r\n"), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=6))
+def test_csv_cells_are_written_as_repr_for_floats_and_str_otherwise(tmp_path_factory, rows):
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["a", "b"], rows)
+    old_rule = [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+                for row in rows]
+    assert path.read_bytes() == "\n".join(["a,b", *old_rule, ""]).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 1e-4])))
+def test_a_numpy_float_cell_is_written_as_its_python_float(tmp_path_factory, value):
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["x"], [[np.float64(value)]])
+    assert path.read_text() == f"x\n{float(value)!r}\n"
 
 
 def test_compare_artifact(tmp_path):
@@ -399,6 +445,13 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
     (["calibrate", "--dt", "1e300", "--spec"], "spec.yaml", _SPEC % ("", "run2", "7.0e6", "")),
     (["suite", "--dt", "1e-300"], None, None),
     (["simulate", "--scenario", "x", "--scenarios"], "scen.yaml", "x:\n  description: [a]\n"),
+    (["simulate", "--params"], "params.yaml", _PARAMS.replace(
+        "  avg_monthly_rent:\n",
+        "  avg_monthly_rent: {value: 11050.0, provenance: assumption}\n  avg_monthly_rent:\n", 1)),
+    (["suite", "--scenarios"], "scen.yaml", "run1:\n  covid: false\nrun1:\n  covid: true\n"),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run2", "7.0e6", ", value: 8.0e6")),
+    (["sweep", "--fraction", "0.6"], None, None),
+    (["simulate", "--series", "rent_owed,rent_owed"], None, None),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -413,7 +466,9 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "validate-no-scenario", "scenario-name-leaves-out", "scenario-name-has-directory",
         "params-empty", "scenarios-empty", "out-empty", "references-empty",
         "suite-dt-no-step", "sweep-dt-no-step", "validate-dt-no-step", "calibrate-dt-no-step",
-        "suite-dt-too-many-steps", "description-not-text"])
+        "suite-dt-too-many-steps", "description-not-text", "params-duplicate-entry",
+        "scenarios-duplicate-name", "spec-duplicate-key", "sweep-fraction-breaks-a-curve",
+        "series-named-twice"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``

@@ -8,6 +8,9 @@ numbers fails here, in the tier-1 tests.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,20 @@ def test_suite_artifacts_match_the_reference_digests(tmp_path, monkeypatch):
     assert main(["suite", "--params", "params/default.yaml",
                  "--scenarios", "scenarios/runs.yaml",
                  "--out", str(out), "--format", "csv"]) == 0
+    expected = REFERENCES["cli_suite"]["artifacts"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "manifest.json"])
+    assert {name: file_sha256(out / name) for name in expected} == expected
+
+
+def test_suite_run_as_its_own_process_writes_the_reference_digests(tmp_path):
+    """The process entry the benchmark times, which freezes the import heap."""
+    out = tmp_path / "suite"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "rentdyn.cli", "suite",
+                    "--params", "params/default.yaml", "--scenarios", "scenarios/runs.yaml",
+                    "--out", str(out), "--format", "csv"],
+                   cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
     expected = REFERENCES["cli_suite"]["artifacts"]
     assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "manifest.json"])
     assert {name: file_sha256(out / name) for name in expected} == expected

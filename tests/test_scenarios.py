@@ -201,6 +201,8 @@ def test_emit_timeseries_rejects_bad_selections(suite):
         emit_timeseries(suite["run1"], columns=["no_such_series"])
     with pytest.raises(ValueError):
         emit_timeseries(suite["run1"], columns=[])
+    with pytest.raises(ValueError, match="named more than once: rent_owed"):
+        emit_timeseries(suite["run1"], columns=["rent_owed", "households_homeless", "rent_owed"])
 
 
 # ---------------------------------------------------------------- compare
