@@ -73,7 +73,7 @@ import numpy as np
 
 from rentdyn.engine import SimClock, SimulationError
 from rentdyn.model import GATE_TIMES, run_model
-from rentdyn.params import ModelParams, bounds_for, get_value, load_yaml, \
+from rentdyn.params import ModelParams, bounds_for, brief, get_value, load_yaml, \
     read_mapping, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
     compute_metrics, run_scenario
@@ -113,7 +113,7 @@ class CalibrationTarget:
 
     def __post_init__(self) -> None:
         if self.metric not in _METRIC_NAMES:
-            raise CalibrationError(f"target names unknown metric {self.metric!r}")
+            raise CalibrationError(f"target names unknown metric {brief(self.metric)}")
         if not 0.0 < self.weight < math.inf:
             raise CalibrationError(f"{self.key}: target weight must be positive and "
                                    f"finite: {self.weight}")
@@ -128,7 +128,7 @@ def _registry_bounds(path: str) -> tuple[float, float]:
     try:
         lower, upper = bounds_for(path)
     except KeyError:
-        raise CalibrationError(f"unknown parameter path {path!r}") from None
+        raise CalibrationError(f"unknown parameter path {brief(path)}") from None
     return lower, math.inf if upper is None else upper
 
 
@@ -167,11 +167,12 @@ class CalibrationSpec:
     max_iterations: int = 400
 
     def __post_init__(self) -> None:
-        seen = set()
-        for p in self.parameters:
-            if p.path in seen:
-                raise CalibrationError(f"duplicate parameter {p.path!r}")
-            seen.add(p.path)
+        # a target listed twice would count twice toward a unique fit
+        for kind, keys in (("parameter", [p.path for p in self.parameters]),
+                           ("target", [t.key for t in self.targets])):
+            for key in keys:
+                if keys.count(key) > 1:
+                    raise CalibrationError(f"duplicate {kind} {key!r}")
         if len(self.parameters) > len(self.targets):
             raise CalibrationError(
                 f"{len(self.parameters)} free parameters but only "
@@ -212,23 +213,25 @@ class CalibrationResult:
 
 
 def _check_target(entry: Any, scenarios: Mapping[str, Scenario]) -> CalibrationTarget:
-    entry = read_mapping(entry, CalibrationError, f"target {entry}",
+    entry = read_mapping(entry, CalibrationError, f"target {brief(entry)}",
                          keys=("scenario", "metric", "value", "weight"),
                          required=("scenario", "metric", "value"))
     if not isinstance(entry["scenario"], str) or entry["scenario"] not in scenarios:
-        raise CalibrationError(f"target names unknown scenario {entry['scenario']!r}")
+        raise CalibrationError(f"target names unknown scenario {brief(entry['scenario'])}")
     return CalibrationTarget(
         scenario=entry["scenario"],
-        metric=str(entry["metric"]),
+        metric=entry["metric"],
         value=read_number(entry["value"], CalibrationError, "target value"),
         weight=read_number(entry.get("weight", 1.0), CalibrationError, "target weight"),
     )
 
 
 def _check_parameter(entry: Any) -> CalibrationParameter:
-    entry = read_mapping(entry, CalibrationError, f"parameter {entry}",
+    entry = read_mapping(entry, CalibrationError, f"parameter {brief(entry)}",
                          keys=("path", "lower", "upper"), required=("path",))
-    path = str(entry["path"])
+    path = entry["path"]
+    if not isinstance(path, str):
+        raise CalibrationError(f"parameter path is not text: {brief(path)}")
     reg_lo, reg_hi = _registry_bounds(path)
     lower = read_number(entry.get("lower", reg_lo), CalibrationError, f"{path}: lower")
     upper = read_number(entry["upper"], CalibrationError, f"{path}: upper") \

@@ -18,8 +18,11 @@ Only ``calibrate`` loads ``rentdyn.calibration``, which fits by a bounded
 Levenberg-Marquardt method of its own (More, "The Levenberg-Marquardt
 algorithm: implementation and theory", 1978) and imports no scipy.
 Likewise only ``sweep`` and ``validate`` load ``rentdyn.validation``.
+numpy is loaded only by ``sweep``, ``validate`` and ``calibrate``:
+``simulate``, ``suite`` and ``compare`` make single runs, which keep their
+samples as Python floats from the Euler loop to the written row.
 
-Run as its own process, ``main`` freezes the ~23,000 objects its imports
+Run as its own process, ``main`` freezes the ~15,000 objects its imports
 built (``gc.freeze``), so the collections at exit no longer walk them.
 """
 
@@ -99,8 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("validate", help="reference-mode fits and extreme-input checks")
-    p.add_argument("--references", default="reference_modes", metavar="DIR",
-                   help="directory of reference CSVs (default ./reference_modes)")
+    p.add_argument("--references", metavar="DIR",
+                   help="directory of reference CSVs (default ./reference_modes, "
+                        "skipped when missing)")
     _add_common(p)
 
     p = sub.add_parser("calibrate", help="fit parameters against scenario targets")
@@ -311,7 +315,10 @@ def _cmd_validate(args) -> int:
     from rentdyn.validation import extreme_conditions, reference_report
 
     params, scenarios, clock, params_file = _load_inputs(args)
-    results = reference_report(args.references, params, clock, scenarios)
+    if args.references is not None and not Path(args.references).is_dir():
+        raise CliError(f"--references {args.references}: not a directory")
+    results = reference_report(args.references or "reference_modes", params, clock,
+                               scenarios)
     print("reference modes:")
     for r in results:
         if r.status == "scored":

@@ -11,7 +11,9 @@ One derivative call and one Euler step per grid point serve the whole
 batch, each column keeps its own clamp events, and a batch can keep only
 the series a caller needs, so it records a fraction of what B single runs
 would. Each effect curve has a scalar form for one run and an array form
-for a batch, equal bit for bit.
+for a batch, equal bit for bit. numpy is imported by the first batch: one
+run never imports it, keeps every sample as a Python float, and makes
+numpy arrays only when a caller asks its trajectory for them.
 
 The integrator is deliberately fixed-step (no adaptive error control): model
 results must be reproducible bit-for-bit for a given grid, and time-step
@@ -22,11 +24,16 @@ a solver.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS = 1e-9
 # calendar month of t=0; the policy onsets (26.75: late March 2020) count from it
@@ -47,6 +54,7 @@ __all__ = [
     "ClampEvent",
     "euler_step",
     "Trajectory",
+    "pairwise_sum",
     "simulate",
     "SimulationError",
 ]
@@ -92,13 +100,22 @@ class SimClock:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
-    def times(self) -> np.ndarray:
-        """Sample times 0, dt, 2*dt, ..., horizon (n_steps + 1 values)."""
-        return np.arange(self.n_steps + 1) * self.dt
+    @cached_property
+    def grid(self) -> tuple[float, ...]:
+        """Sample times 0, dt, 2*dt, ..., horizon (n_steps + 1 floats): ``k * dt``,
+        the bits of ``np.arange(n_steps + 1) * dt``. Made once per clock."""
+        dt = self.dt
+        return tuple(k * dt for k in range(self.n_steps + 1))
 
-    def window_mask(self) -> np.ndarray:
-        """Boolean mask selecting samples inside the analysis window."""
-        return self.times() >= self.burn_in - 1e-9
+    def times(self) -> np.ndarray:
+        """:attr:`grid` as a numpy array."""
+        import numpy as np
+
+        return np.array(self.grid)
+
+    def window_start(self) -> int:
+        """Index of the first sample inside the analysis window (``t >= burn_in``)."""
+        return bisect_left(self.grid, self.burn_in - 1e-9)
 
     def calendar_label(self, t: float) -> str:
         """Calendar month containing time ``t``, as ``YYYY-MM``."""
@@ -112,6 +129,8 @@ class SimClock:
 def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """``fn`` on every entry of a 1-D array, as on a Python float: numpy's
     own ``exp``/``log`` kernels can differ from ``math``'s in the last bit."""
+    import numpy as np
+
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
@@ -160,6 +179,8 @@ class LogisticCurve:
         (:func:`rentdyn.params.stack_params`). Each branch is a mask, and
         only the entries a branch leaves reach ``math.log`` and ``math.exp``.
         """
+        import numpy as np
+
         low = ratio <= 0.0
         top = np.isinf(ratio)
         z = c.slope * (_each(math.log, np.where(low | top, 1.0, ratio)) - c._log_inflection)
@@ -208,6 +229,8 @@ class GompertzCurve:
         """:meth:`__call__` on a ``(B,)`` array, bit for bit; ``c`` as in
         :meth:`LogisticCurve.array`. An entry whose ``math.exp`` overflows
         raises :class:`OverflowError`, as the scalar form does."""
+        import numpy as np
+
         arg = c._rate * x
         gone = (arg >= 745.0) | np.isinf(arg)
         decay = np.where(gone, 0.0, _each(math.exp, np.where(gone, 0.0, -arg)))
@@ -261,6 +284,8 @@ def _euler_step_batch(
     events: list[list[ClampEvent]],
 ) -> np.ndarray:
     """:func:`euler_step` on a ``(stocks, B)`` array, with one event list per column."""
+    import numpy as np
+
     out = state + dt * rates
     if (out[list(nonneg)] < 0.0).any():
         for i, name in nonneg.items():
@@ -277,21 +302,74 @@ def _euler_step_batch(
 DerivFn = Callable[[Sequence, float], "tuple[Sequence, Mapping]"]
 
 
-@dataclass
 class Trajectory:
-    """Simulation output: sample times plus one array per recorded stock/auxiliary."""
+    """Simulation output: the kept series of one run, sampled on its clock's grid.
 
-    clock: SimClock
-    times: np.ndarray
-    series: dict[str, np.ndarray]
-    clamp_events: list[ClampEvent]
+    ``data`` maps each kept series to its samples as the run holds them: a
+    list of Python floats for one run, a numpy array (a view into the
+    batch's block) for a column of a batch. ``times`` and ``series`` are
+    the grid and every series as numpy arrays, made on first access.
+    """
+
+    def __init__(self, clock: SimClock, data: dict[str, list[float] | np.ndarray],
+                 clamp_events: list[ClampEvent]) -> None:
+        self.clock = clock
+        self.data = data
+        self.clamp_events = clamp_events
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self.clock.times()
+
+    @cached_property
+    def series(self) -> dict[str, np.ndarray]:
+        import numpy as np
+
+        return {name: np.asarray(values, dtype=float) for name, values in self.data.items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.series[name]
 
     def at(self, name: str, t: float) -> float:
-        """Value of a series at time ``t`` (linear interpolation between samples)."""
-        return float(np.interp(t, self.times, self.series[name]))
+        """Value of a series at time ``t``, as ``np.interp`` gives it: linear
+        interpolation between samples, held flat past either end."""
+        if math.isnan(t):
+            return t
+        grid = self.clock.grid
+        values = self.data[name]
+        j = bisect_right(grid, t) - 1  # grid[j] <= t < grid[j + 1]
+        if j < 0:
+            return float(values[0])
+        if j == len(grid) - 1 or grid[j] == t:
+            return float(values[j])
+        slope = (values[j + 1] - values[j]) / (grid[j + 1] - grid[j])
+        return float(slope * (t - grid[j]) + values[j])
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of a list of floats with the bits ``np.sum`` gives it.
+
+    Added left to right, the floats round differently than in numpy's
+    pairwise summation, and the metrics summed from one run's lists would
+    move in their last bits from those summed by numpy. numpy adds a run of
+    8 to 128 values into 8 interleaved accumulators, adds those in pairs and
+    then the tail past the last multiple of 8, adds a shorter run in order,
+    and splits a longer one at half its length, rounded down to a multiple
+    of 8. Its reduction starts from 0.0, so a sum of -0.0s is +0.0.
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        return reduce(add, values[lo:lo + n], 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[lo + j + 8:lo + m:8], values[lo + j]) for j in range(8)]
+        return reduce(add, values[lo + m:lo + n],
+                      ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
 
 
 def _nonfinite(name: str, t: float, value) -> str:
@@ -328,10 +406,10 @@ def simulate(
     restart : (k, earlier), optional
         Start the loop at sample ``k`` of one run: the rows before ``k``,
         the stock levels at ``k`` and the clamp events of the steps before
-        ``k`` are taken from ``earlier``, a trajectory with every series.
-        Only the kept series' rows are copied from it, so a restart with a
-        short ``record`` copies little. The result is the full run's, bit
-        for bit, in every kept series, when ``earlier`` is a run from the
+        ``k`` are taken from ``earlier``, one run's trajectory with every
+        series. Only the kept series' rows are copied from it, so a restart
+        with a short ``record`` copies little. The result is the full run's,
+        bit for bit, in every kept series, when ``earlier`` is a run from the
         same initial levels of a derivative that agrees with ``deriv`` at
         every sample before ``k``. A non-finite value at or after ``k`` is
         reported as the full run reports it.
@@ -352,22 +430,24 @@ def simulate(
     names = list(initial)
     clamped = {i: name for i, name in enumerate(names) if name in nonneg}
     state = list(initial.values())
-    if any(isinstance(v, np.ndarray) for v in state):
+    numpy = sys.modules.get("numpy")  # no value is an array unless numpy is loaded
+    if numpy is not None and any(isinstance(v, numpy.ndarray) for v in state):
         if restart is not None:
             raise ValueError("a batch cannot restart")
         return _simulate_batch(deriv, clock, names, state, clamped, record)
-    times = clock.times()
-    n = len(times)
+    grid = clock.grid
+    n = len(grid)
     first, earlier = (0, None) if restart is None else restart
     if not 0 <= first < n:
         raise ValueError(f"restart sample {first} is not on the grid of {n} samples")
     events: list[ClampEvent] = []
     if first:
-        state = [float(earlier.series[name][first]) for name in names]
-        events = [e for e in earlier.clamp_events if e.time < times[first]]
+        state = [earlier.data[name][first] for name in names]
+        events = [e for e in earlier.clamp_events if e.time < grid[first]]
+    state = [float(v) for v in state]  # an integer level is recorded as a float
     samples: list[float] = []  # row-major: every stock, then every auxiliary, per time
 
-    for k, t in enumerate(times[first:].tolist(), first):
+    for k, t in enumerate(grid[first:], first):
         rates, aux = deriv(state, t)
         samples += state
         samples += aux.values()
@@ -375,23 +455,20 @@ def simulate(
             state = euler_step(state, rates, clock.dt, clamped, time=t, events=events)
 
     names += aux
-    data = np.fromiter(samples, float, (n - first) * len(names)).reshape(n - first, -1)
-    # the rows taken from ``earlier`` passed this check when it was made
-    bad = np.argwhere(~np.isfinite(data))
-    if len(bad):
-        k, j = bad[0]  # row-major: earliest time first, then series order
-        raise SimulationError(_nonfinite(names[j], times[first + k], data[k, j]))
-    if record is None:
-        kept, rows = names, data.T.copy()
-    else:
-        column = {name: j for j, name in enumerate(names)}
-        kept = list(record)
-        rows = data.T[[column[name] for name in kept]]
+    width = len(names)
+    # one pass in C: the sum is finite when every sample is (a sum of finite
+    # samples that overflows is scanned, and passes). The rows taken from
+    # ``earlier`` passed this check when it was made.
+    if not math.isfinite(sum(samples)):
+        for i, value in enumerate(samples):  # earliest time first, then series order
+            if not math.isfinite(value):
+                k, j = divmod(i, width)
+                raise SimulationError(_nonfinite(names[j], grid[first + k], value))
+    column = {name: j for j, name in enumerate(names)}
+    data = {name: samples[column[name]::width] for name in (names if record is None else record)}
     if first:
-        rows = np.hstack([np.reshape([earlier.series[name][:first] for name in kept],
-                                     (-1, first)), rows])
-    return Trajectory(clock=clock, times=times, series=dict(zip(kept, rows)),
-                      clamp_events=events)
+        data = {name: [*earlier.data[name][:first], *values] for name, values in data.items()}
+    return Trajectory(clock, data, events)
 
 
 def _simulate_batch(
@@ -403,14 +480,16 @@ def _simulate_batch(
     record: Sequence[str] | None,
 ) -> list[Trajectory]:
     """:func:`simulate` for a batch: the state is one ``(stocks, B)`` array."""
-    times = clock.times()
-    n = len(times)
+    import numpy as np
+
+    grid = clock.grid
+    n = len(grid)
     size = max(np.size(v) for v in initial)
     state = np.array([np.broadcast_to(np.asarray(v, dtype=float), (size,)) for v in initial])
     events: list[list[ClampEvent]] = [[] for _ in range(size)]
     block = keep = None  # block is time-major: (samples, kept series, B)
 
-    for k, t in enumerate(times.tolist()):
+    for k, t in enumerate(grid):
         rates, aux = deriv(state, t)
         sample = np.array([*state, *aux.values()])
         if block is None:
@@ -426,7 +505,5 @@ def _simulate_batch(
             state = _euler_step_batch(state, np.array(rates), clock.dt, clamped, t, events)
 
     kept = [names[j] for j in keep]
-    return [Trajectory(clock=clock, times=times,
-                       series={name: block[:, i, b] for i, name in enumerate(kept)},
-                       clamp_events=events[b])
+    return [Trajectory(clock, {name: block[:, i, b] for i, name in enumerate(kept)}, events[b])
             for b in range(size)]

@@ -35,7 +35,9 @@ calibration and the extreme battery use; a batch from
 :func:`rentdyn.params.stack_params` takes the numpy backend, where every
 value is a ``(B,)`` array, one entry per parameter set, which the
 sensitivity sweep uses. The state is a sequence in :data:`STOCKS` order
-either way: a list of floats, or one ``(stocks, B)`` array.
+either way: a list of floats, or one ``(stocks, B)`` array. numpy is
+imported by the first batch: the scalar backend never imports it, so a
+process that makes only single runs never loads it.
 
 The numpy backend reproduces the scalar one bit for bit. It uses only
 operations that numpy rounds exactly as Python does (``+ - * /``,
@@ -57,8 +59,6 @@ import math
 from types import SimpleNamespace
 from typing import Sequence
 
-import numpy as np
-
 from rentdyn.engine import EPS, SimClock, SimulationError, Trajectory, simulate
 from rentdyn.params import POLICY_BLOCKS, ModelParams, stack_params
 
@@ -66,7 +66,6 @@ __all__ = [
     "STOCKS",
     "NONNEG_STOCKS",
     "SCALAR",
-    "NUMPY",
     "initial_state",
     "policy_onset",
     "GATE_TIMES",
@@ -122,26 +121,32 @@ def _curve(curve, x: float) -> float:
     return curve(x)
 
 
-def _limit_batch(dt: float, stock: np.ndarray, *flows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_limit` without branches, and exact: where the cap does not bind,
-    ``cap / total`` rounds to at least 1, and ``f * 1.0 == f``."""
-    scale = np.minimum(1.0, (stock / dt) / np.maximum(sum(flows), 5e-324))
-    return tuple(f * scale for f in flows)
-
-
-def _curve_batch(node, x: np.ndarray) -> np.ndarray:
+def _curve_batch(node, x):
     """Each column's own curve at its own input (see the module docstring)."""
     return node.kind.array(node, x)
 
 
 SCALAR = SimpleNamespace(where=_where, maximum=_maximum, minimum=_minimum, limit=_limit,
                          curve=_curve)
-NUMPY = SimpleNamespace(where=np.where, maximum=np.maximum, minimum=np.minimum,
-                        limit=_limit_batch, curve=_curve_batch)
+
+
+def _numpy_ops() -> SimpleNamespace:
+    """The numpy backend, made for each batch: numpy is imported here, so a
+    scalar run never loads it."""
+    import numpy as np
+
+    def limit(dt: float, stock, *flows):
+        """:func:`_limit` without branches, and exact: where the cap does not
+        bind, ``cap / total`` rounds to at least 1, and ``f * 1.0 == f``."""
+        scale = np.minimum(1.0, (stock / dt) / np.maximum(sum(flows), 5e-324))
+        return tuple(f * scale for f in flows)
+
+    return SimpleNamespace(where=np.where, maximum=np.maximum, minimum=np.minimum,
+                           limit=limit, curve=_curve_batch)
 
 
 def _ops(params) -> SimpleNamespace:
-    return SCALAR if isinstance(params, ModelParams) else NUMPY
+    return SCALAR if isinstance(params, ModelParams) else _numpy_ops()
 
 
 def initial_state(params) -> list:
@@ -447,6 +452,8 @@ def run_model(
     if not params:
         return []
     try:
+        import numpy as np
+
         # numpy warns where the scalar backend's Python floats overflow to inf
         # silently, in the constants the derivative hoists as in its steps
         with np.errstate(all="ignore"):

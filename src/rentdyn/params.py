@@ -11,13 +11,13 @@ any number of dotted paths at once.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
-import numpy as np
 import yaml
 
 from rentdyn.engine import GompertzCurve, LogisticCurve
@@ -393,6 +393,8 @@ def stack_params(columns: Sequence[ModelParams]) -> SimpleNamespace:
     (``_span``, ...) as ``(B,)`` arrays, so ``kind.array(node, x)``
     evaluates every column's curve at once.
     """
+    import numpy as np
+
     batch = SimpleNamespace()
     paths = [f.path for f in FIELDS] + [f"{block}.enabled" for block in POLICY_BLOCKS]
     for path in paths:
@@ -487,15 +489,32 @@ class _SafeLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def load_yaml(path: str | Path, error: type[Exception]) -> Any:
-    """Parse a YAML file with the safe loader; bad syntax raises ``error``."""
+    """Parse a YAML file with the safe loader; bad syntax, or a scalar that
+    cannot be built (an integer of more digits than Python converts),
+    raises ``error``."""
     try:
-        return yaml.load(Path(path).read_bytes(), Loader=_SafeLoader)
-    except yaml.YAMLError as exc:
+        # a file object, not its bytes: the error marks then name the file
+        with open(path, "rb") as stream:
+            return yaml.load(stream, Loader=_SafeLoader)
+    except (yaml.YAMLError, ValueError) as exc:
         raise error(f"{path}: not valid YAML: {exc}") from exc
 
 
+# the text of an input value in an error: a few levels and items of it,
+# since a value nested thousands deep, or an alias chain of millions of
+# leaves, has a repr that recurses too deep or runs to megabytes
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 2
+
+
+def brief(value: Any) -> str:
+    """A bounded ``repr`` of an input value, for an error message."""
+    return _BRIEF.repr(value)
+
+
 def read_number(value: Any, error: type[Exception], where: str) -> float:
-    """``value`` of an input file as a finite float; else ``error`` names ``where``.
+    """``value`` of an input file as a finite float; else ``error`` names ``where``,
+    the value's type and a bounded text of the value.
 
     A YAML boolean is refused, though Python counts it an integer, and so is
     an integer too large for a float.
@@ -508,7 +527,7 @@ def read_number(value: Any, error: type[Exception], where: str) -> float:
         else:
             if math.isfinite(number):
                 return number
-    raise error(f"{where} is not a finite number: {value!r}")
+    raise error(f"{where} is not a finite number: {type(value).__name__} {brief(value)}")
 
 
 def read_mapping(value: Any, error: type[Exception], where: str,
@@ -554,7 +573,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
                              keys=("value", "units", "provenance", "note"),
                              required=("value", "provenance"))
         if entry["provenance"] not in PROVENANCE_TAGS:
-            raise ParamFileError(f"{where} has provenance {entry['provenance']!r}, "
+            raise ParamFileError(f"{where} has provenance {brief(entry['provenance'])}, "
                                  f"expected one of {PROVENANCE_TAGS}")
         values[f.path] = read_number(entry["value"], ParamFileError, f"{where} value")
     try:

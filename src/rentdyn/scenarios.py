@@ -18,15 +18,13 @@ import re
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping
 
-import numpy as np
-
-from rentdyn.engine import SimClock, Trajectory
+from rentdyn.engine import SimClock, Trajectory, pairwise_sum
 from rentdyn.model import read_from, run_model
-from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, load_yaml, read_mapping, \
-    read_number, validate_params, with_values
+from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, brief, load_yaml, \
+    read_mapping, read_number, validate_params, with_values
 
 __all__ = [
     "Scenario",
@@ -103,7 +101,7 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     for name, spec in raw.items():
         # output file names begin with it
         if not (isinstance(name, str) and re.fullmatch(r"[\w-][\w.-]{0,63}", name, re.ASCII)):
-            raise ValueError(f"{path}: scenario name {name!r} is not 1 to 64 letters, "
+            raise ValueError(f"{path}: scenario name {brief(name)} is not 1 to 64 letters, "
                              "digits, '_', '-' or '.', not starting with '.'")
         where = f"{path}: scenario '{name}'"
         spec = read_mapping(spec or {}, ValueError, where,
@@ -113,11 +111,11 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
         for key in POLICY_BLOCKS:
             if not isinstance(spec.get(key, False), bool):
                 raise ValueError(f"{where} field '{key}' is not a boolean "
-                                 f"(true or false): {spec[key]!r}")
+                                 f"(true or false): {brief(spec[key])}")
         # YAML reads a description left empty as None
         description = "" if spec.get("description") is None else spec["description"]
         if not isinstance(description, str):
-            raise ValueError(f"{where} description is not text: {description!r}")
+            raise ValueError(f"{where} description is not text: {brief(description)}")
         out[name] = Scenario(
             name=name,
             description=description,
@@ -166,6 +164,13 @@ METRIC_SERIES: tuple[str, ...] = (
 )
 
 
+# the reductions of compute_metrics, by how a trajectory holds its series:
+# one run's lists of Python floats are summed with numpy's bits, and a batch
+# column, a numpy array, keeps numpy's own reductions, faster on it
+_LIST_OPS = SimpleNamespace(sum=pairwise_sum, max=max)
+_ARRAY_OPS = SimpleNamespace(sum=lambda values: values.sum(), max=lambda values: values.max())
+
+
 def compute_metrics(traj: Trajectory, params: ModelParams) -> MetricSet:
     """Reduce a trajectory to the reported headline metrics.
 
@@ -176,37 +181,40 @@ def compute_metrics(traj: Trajectory, params: ModelParams) -> MetricSet:
     ending at the horizon.
     """
     clock = traj.clock
-    mask = clock.window_mask()
+    first = clock.window_start()
     end = clock.horizon
-    window_start = clock.burn_in
+    data = traj.data
+    arrears = data["rent_owed"]
+    ops = _LIST_OPS if isinstance(arrears, list) else _ARRAY_OPS
 
-    arrears = traj["rent_owed"]
     arrears_end = float(arrears[-1])
-    arrears_at_window = traj.at("rent_owed", window_start)
+    arrears_at_window = traj.at("rent_owed", clock.burn_in)
     arrears_at_36 = traj.at("rent_owed", max(0.0, end - 36.0))
-    growth = arrears[mask] - arrears_at_window
 
     total = params.assistance.total_funds
-    disbursed = float(traj["assistance_disbursed"][-1])
+    disbursed = float(data["assistance_disbursed"][-1])
     exhausted_at = None
     if params.assistance.enabled and total > 0.0:
-        funds = traj["assistance_funds"]
-        hit = np.nonzero(funds <= 1e-4 * total)[0]
-        if hit.size:
-            exhausted_at = float(traj.times[hit[0]])
+        level = 1e-4 * total
+        hit = next((k for k, funds in enumerate(data["assistance_funds"]) if funds <= level),
+                   None)
+        if hit is not None:
+            exhausted_at = clock.grid[hit]
 
+    crowding = data["crowding_ratio"][first:]
     return MetricSet(
-        evictions_total=float(np.sum(traj["evictions_processed"][mask][:-1]) * clock.dt),
-        filings_total=float(np.sum(traj["eviction_filings"][mask][:-1]) * clock.dt),
+        evictions_total=float(ops.sum(data["evictions_processed"][first:-1]) * clock.dt),
+        filings_total=float(ops.sum(data["eviction_filings"][first:-1]) * clock.dt),
         arrears_end=arrears_end,
         arrears_growth_window=arrears_end - arrears_at_window,
         arrears_growth_36mo=arrears_end - arrears_at_36,
-        arrears_peak_growth=float(growth.max()),
-        crowding_mean=float(np.mean(traj["crowding_ratio"][mask])),
-        crowding_end=float(traj["crowding_ratio"][-1]),
-        homeless_end=float(traj["households_homeless"][-1]),
-        homeless_peak=float(traj["households_homeless"][mask].max()),
-        insecure_end=float(traj["households_insecure"][-1]),
+        # subtracting one number keeps the order, so this is the peak of the growth
+        arrears_peak_growth=float(ops.max(arrears[first:]) - arrears_at_window),
+        crowding_mean=float(ops.sum(crowding) / len(crowding)),
+        crowding_end=float(data["crowding_ratio"][-1]),
+        homeless_end=float(data["households_homeless"][-1]),
+        homeless_peak=float(ops.max(data["households_homeless"][first:])),
+        insecure_end=float(data["households_insecure"][-1]),
         assistance_disbursed_end=disbursed,
         assistance_disbursed_fraction=disbursed / total if total > 0.0 else 0.0,
         assistance_exhausted_at=exhausted_at,
@@ -281,24 +289,23 @@ def emit_timeseries(
     twice, is an error.
     """
     traj = result.trajectory
+    data = traj.data
     if columns is None:
-        columns = list(traj.series)
+        columns = list(data)
     if not columns:
         raise ValueError(
-            "empty series selection; available columns: " + ", ".join(traj.series)
+            "empty series selection; available columns: " + ", ".join(data)
         )
     repeated = sorted({c for c in columns if columns.count(c) > 1})
     if repeated:
         raise ValueError(f"series named more than once: {', '.join(repeated)}")
-    missing = [c for c in columns if c not in traj.series]
+    missing = [c for c in columns if c not in data]
     if missing:
         raise KeyError(
-            f"unknown series {', '.join(missing)}; available: " + ", ".join(traj.series)
+            f"unknown series {', '.join(missing)}; available: " + ", ".join(data)
         )
     header = ["t_months", "calendar"] + list(columns)
     label = traj.clock.calendar_label
-    # one conversion of the whole table: tolist() gives the same Python floats
-    # as float() on each element, at a fraction of the cost
-    values = np.column_stack([traj.series[c] for c in columns]).tolist()
-    rows = [[t, label(t), *row] for t, row in zip(traj.times.tolist(), values)]
+    rows = [[t, label(t), *row]
+            for t, row in zip(traj.clock.grid, zip(*(data[c] for c in columns)))]
     return header, rows

@@ -178,6 +178,9 @@ _EVICTIONS = CalibrationTarget("run2", "evictions_total", 7.0e6)
 @pytest.mark.parametrize("build, match", [
     (lambda: CalibrationSpec(parameters=(_MAGNITUDE, _MAGNITUDE), targets=(_EVICTIONS,)),
      "duplicate parameter"),
+    (lambda: CalibrationSpec(parameters=(_MAGNITUDE, CalibrationParameter(
+        "covid.recovery_time", 6.0, 24.0)), targets=(_EVICTIONS, _EVICTIONS)),
+     "duplicate target 'run2.evictions_total'"),
     (lambda: CalibrationTarget("run2", "evictions_total", 7.0e6, weight=-1.0),
      "weight must be positive"),
     (lambda: CalibrationTarget("run2", "evictions_total", 7.0e6, weight=0.0),
@@ -189,7 +192,7 @@ _EVICTIONS = CalibrationTarget("run2", "evictions_total", 7.0e6)
                              max_iterations=0), "max_iterations"),
     (lambda: CalibrationSpec(parameters=(_MAGNITUDE,), targets=(_EVICTIONS,),
                              max_iterations=2.5), "max_iterations"),
-], ids=["duplicate-parameter", "negative-weight", "zero-weight", "nan-weight",
+], ids=["duplicate-parameter", "duplicate-target", "negative-weight", "zero-weight", "nan-weight",
         "unknown-metric", "no-iterations", "fractional-iterations"])
 def test_spec_built_in_code_is_checked(build, match):
     """A spec built in code is refused as its file would be, when it is built,

@@ -225,10 +225,13 @@ def test_validate_writes_report_and_passes(tmp_path):
     assert all(c["passed"] for c in doc["extreme_conditions"])
 
 
-def test_validate_missing_references_is_not_fatal(tmp_path, capsys):
-    rc = main(["validate", "--references", str(tmp_path / "nope")])
+def test_validate_missing_references_is_not_fatal(tmp_path, monkeypatch, capsys):
+    """The default directory is skipped when it is missing; a directory given
+    with ``--references`` must exist (a case of the malformed inputs)."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["validate"])
     assert rc == 0
-    assert "skipped" in capsys.readouterr().out.lower()
+    assert "[SKIPPED] reference_modes: reference directory not found" in capsys.readouterr().out
 
 
 def test_calibrate_writes_retagged_params(tmp_path, capsys):
@@ -377,6 +380,11 @@ _HUGE = "9" * 400
 _PARAMS = Path("params/default.yaml").read_text()
 _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "metric: evictions_total, value: %s%s}]\n"
+# a mapping nested 3,000 deep: its repr recurses past Python's limit
+_DEEP = "{a: " * 3000 + "1" + "}" * 3000
+# seven anchored lists of nine, each the one before it nine times: 9**7 leaves
+_ALIAS_CHAIN = "chain:\n" + "".join(
+    f"  - &a{i} [{', '.join([f'*a{i - 1}' if i else '1'] * 9)}]\n" for i in range(7))
 
 
 @pytest.mark.parametrize("argv, name, text", [
@@ -452,6 +460,29 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
     (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run2", "7.0e6", ", value: 8.0e6")),
     (["sweep", "--fraction", "0.6"], None, None),
     (["simulate", "--series", "rent_owed,rent_owed"], None, None),
+    (["simulate", "--params"], "params.yaml",
+     _PARAMS.replace("value: 1050.0", "value: " + _DEEP, 1)),
+    (["simulate", "--params"], "params.yaml",
+     _ALIAS_CHAIN + _PARAMS.replace("value: 1050.0", "value: *a6", 1)),
+    (["simulate", "--params"], "params.yaml",
+     _PARAMS.replace("value: 1050.0", "value: " + "9" * 5000, 1)),
+    (["calibrate", "--spec"], "spec.yaml",
+     "parameters: [{path: covid.magnitude}, {path: covid.recovery_time}]\n"
+     "targets:\n"
+     "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"
+     "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"),
+    (["validate", "--references", "nope"], None, None),
+    (["simulate", "--params"], "params.yaml",
+     _PARAMS.replace("provenance: cited-source", "provenance: " + _DEEP, 1)),
+    (["simulate", "--params"], "params.yaml",
+     _ALIAS_CHAIN + _PARAMS.replace("provenance: cited-source", "provenance: *a6", 1)),
+    (["suite", "--scenarios"], "scen.yaml", f"x:\n  covid: {_DEEP}\n"),
+    (["suite", "--scenarios"], "scen.yaml", f"x:\n  description: {_DEEP}\n"),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run2", _DEEP, "")),
+    (["calibrate", "--spec"], "spec.yaml",
+     _SPEC.replace("evictions_total", _DEEP) % ("", "run2", "7.0e6", "")),
+    (["calibrate", "--spec"], "spec.yaml",
+     _SPEC.replace("covid.magnitude%s", _DEEP) % ("run2", "7.0e6", "")),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -468,7 +499,11 @@ _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "suite-dt-no-step", "sweep-dt-no-step", "validate-dt-no-step", "calibrate-dt-no-step",
         "suite-dt-too-many-steps", "description-not-text", "params-duplicate-entry",
         "scenarios-duplicate-name", "spec-duplicate-key", "sweep-fraction-breaks-a-curve",
-        "series-named-twice"])
+        "series-named-twice", "params-value-nested-deep", "params-value-alias-chain",
+        "params-integer-too-long", "spec-repeated-target", "references-missing",
+        "params-provenance-nested-deep", "params-provenance-alias-chain",
+        "switch-nested-deep", "description-nested-deep", "spec-value-nested-deep",
+        "spec-metric-nested-deep", "spec-path-nested-deep"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``
@@ -491,6 +526,7 @@ def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+    assert len(err) < 2_000
     assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == \
         ([] if name is None else [Path(name)])
     if name is not None:

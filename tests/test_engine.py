@@ -5,6 +5,7 @@ definitions (not by calling the code under test).
 """
 
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from rentdyn.engine import (
     SimulationError,
     Trajectory,
     euler_step,
+    pairwise_sum,
     simulate,
 )
 from rentdyn.params import bounds_for
@@ -42,10 +44,10 @@ def test_clock_defaults_and_grid():
 def test_clock_analysis_window():
     clock = SimClock()
     assert (clock.burn_in, clock.horizon) == (24.0, 50.0)
-    mask = clock.window_mask()
+    first = clock.window_start()
     times = clock.times()
-    assert times[mask][0] == 24.0
-    assert times[mask][-1] == 50.0
+    assert times[first] == 24.0 and times[first - 1] < 24.0
+    assert times[first:][-1] == 50.0
 
 
 def test_clock_calendar_labels():
@@ -455,3 +457,55 @@ def test_restart_keeping_some_series_reports_a_non_finite_value_as_the_full_run(
                      restart=(k, earlier))
         assert str(restarted.value) == str(full.value)
     assert str(full.value).startswith("non-finite value for 'x' at t=")
+
+
+# ---------------------------------------------------------------- numpy's bits without numpy
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.5, 0.125, 1 / 64])
+def test_grid_has_the_bits_of_arange_times_dt(dt):
+    clock = SimClock(dt=dt)
+    expected = np.arange(clock.n_steps + 1) * dt
+    assert list(map(_bits, clock.grid)) == list(map(_bits, expected.tolist()))
+    assert clock.times().tobytes() == expected.tobytes()
+
+
+# drawn floats up to 300 long; longer lists from a drawn seed and scale, which
+# hypothesis makes far faster than 2,000 drawn floats
+_SUMMANDS = st.one_of(
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=300),
+    st.builds(lambda n, seed, scale: (np.random.default_rng(seed).standard_normal(n)
+                                      * scale).tolist(),
+              st.integers(1, 2000), st.integers(0, 2**32 - 1), st.floats(1e-300, 1e300)),
+    st.integers(1, 2000).map(lambda n: [-0.0] * n),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SUMMANDS)
+def test_pairwise_sum_has_the_bits_of_np_sum(values):
+    """numpy starts its reduction from 0.0, so a sum of -0.0s is +0.0."""
+    assert _bits(pairwise_sum(values)) == _bits(float(np.sum(np.array(values))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t=st.one_of(st.floats(-5.0, 15.0), st.integers(0, 40).map(lambda k: k * 0.25)))
+def test_at_has_the_bits_of_np_interp(t):
+    clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
+    traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}))
+    for name in ("r", "outflow"):
+        assert _bits(traj.at(name, t)) == _bits(float(np.interp(t, traj.times, traj[name])))
+
+
+def test_one_run_keeps_python_floats_and_makes_arrays_on_first_access():
+    clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
+    traj = simulate(_drain_deriv(2.0), clock, {"r": 100}, nonneg=frozenset({"r"}))
+    assert list(traj.data) == ["r", "outflow"]
+    assert all(type(v) is float for values in traj.data.values() for v in values)
+    assert "series" not in vars(traj)
+    for name, values in traj.data.items():
+        assert traj[name].tobytes() == np.array(values).tobytes()
+    assert traj.times.tobytes() == np.array(clock.grid).tobytes()

@@ -23,6 +23,7 @@ from rentdyn.params import (
     get_value,
     load_params,
     load_yaml,
+    read_number,
     save_params,
     sweepable_parameters,
     validate_params,
@@ -322,6 +323,28 @@ def test_load_rejects_non_yaml(tmp_path):
     path.write_bytes(b"name: caf\xe9\n")  # Latin-1, not UTF-8
     with pytest.raises(ParamFileError, match="not valid YAML"):
         load_params(path)
+
+
+@pytest.mark.parametrize("text", [b"params: [unclosed", b"name: caf\xe9\n",
+                                  b"params: {}\nparams: {}\n"],
+                         ids=["syntax", "not-utf-8", "duplicate-key"])
+def test_yaml_error_marks_name_the_file(tmp_path, text):
+    path = tmp_path / "broken.yaml"
+    path.write_bytes(text)
+    with pytest.raises(ParamFileError, match="not valid YAML") as err:
+        load_params(path)
+    assert f'in "{path}"' in str(err.value)
+
+
+@pytest.mark.parametrize("value, shown", [
+    ({"a": {"a": {"a": 1}}}, "dict {'a': {'a': {...}}}"),
+    ("x" * 100, "str 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (None, "NoneType None"),
+], ids=["nested-mapping", "long-text", "none"])
+def test_read_number_names_the_type_and_bounds_the_text(value, shown):
+    with pytest.raises(ValueError) as err:
+        read_number(value, ValueError, "here")
+    assert str(err.value) == f"here is not a finite number: {shown}"
 
 
 @pytest.mark.parametrize("path", ["params/default.yaml", "scenarios/runs.yaml",

@@ -47,6 +47,20 @@ def test_import_loads_neither_calibration_nor_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", ["simulate", "suite", "compare"])
+def test_single_run_commands_never_import_numpy(command, tmp_path):
+    import rentdyn
+    env = dict(os.environ, PYTHONPATH=str(Path(rentdyn.__file__).parents[1]))
+    code = ("import sys\n"
+            "from rentdyn.cli import main\n"
+            f"status = main([{command!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------- Theil U
 
 def test_theils_u_frozen_oracle():
