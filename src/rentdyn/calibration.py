@@ -65,6 +65,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
@@ -75,8 +76,8 @@ from rentdyn.engine import SimClock, SimulationError
 from rentdyn.model import GATE_TIMES, run_model
 from rentdyn.params import ModelParams, bounds_for, brief, get_value, load_yaml, \
     read_mapping, read_number, with_values
-from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
-    compute_metrics, run_scenario
+from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_BLOCKS, METRIC_SERIES, MetricSet, \
+    Scenario, compute_metrics, run_scenario
 
 __all__ = [
     "CalibrationError",
@@ -124,12 +125,11 @@ class CalibrationTarget:
 
 
 def _registry_bounds(path: str) -> tuple[float, float]:
-    """The documented bounds of ``path``; no upper bound reads as infinity."""
+    """The documented bounds of ``path``."""
     try:
-        lower, upper = bounds_for(path)
+        return bounds_for(path)
     except KeyError:
         raise CalibrationError(f"unknown parameter path {brief(path)}") from None
-    return lower, math.inf if upper is None else upper
 
 
 @dataclass(frozen=True)
@@ -480,7 +480,16 @@ def calibrate(
     a curve's invariant, alone or with a scenario's overrides) raises
     :class:`CalibrationError`, and one ending on another failed run the error
     that run kept (the first failed scenario's, by name); nothing runs again.
+    A target whose metric reads a policy block its scenario switches off
+    (:data:`rentdyn.scenarios.METRIC_BLOCKS`), and a free parameter that no
+    target's scenario reads, raise :class:`CalibrationError` before any run:
+    no step of the fit could move either.
     """
+    for target in spec.targets:
+        block = METRIC_BLOCKS.get(target.metric)
+        if block is not None and not getattr(scenarios[target.scenario], block):
+            raise CalibrationError(f"{target.key} cannot move: {target.scenario} switches "
+                                   f"the {block} block off")
     paths = [p.path for p in spec.parameters]
     x0 = np.array([float(get_value(params, path)) for path in paths])
     lower = np.array([p.lower for p in spec.parameters])
@@ -499,16 +508,20 @@ def calibrate(
     # policy block the scenario switches off, and the scenario's override
     # puts back one it overrides
     seen = {name: np.flatnonzero(r < math.inf) for name, r in reads.items()}
+    for i, path in enumerate(paths):
+        if not any(i in s for s in seen.values()):
+            raise CalibrationError(f"{path} cannot be fitted: no target's scenario "
+                                   f"({', '.join(needed)}) reads it")
     # each scenario whose runs restart does so from its prefix: the start's
     # run up to the first sample k at or after the earliest time it reads a
     # free value (the last sample for an onset past the horizon)
-    times = clock.times()
+    grid = clock.grid
     prefixes = {}
     for name, r in reads.items():
         if 0.0 < r.min() < math.inf:
-            k = min(int(np.searchsorted(times, r.min())), len(times) - 1)
+            k = min(bisect_left(grid, r.min()), len(grid) - 1)
             prefixes[name] = (k, run_model(applied[name], SimClock(
-                clock.dt, horizon=float(times[k]), burn_in=0.0)))
+                clock.dt, horizon=grid[k], burn_in=0.0)))
 
     def run(name: str, values: tuple[float, ...]) -> MetricSet | Exception:
         """One scenario at the free values it sees, restarted from its prefix

@@ -107,12 +107,6 @@ class SimClock:
         dt = self.dt
         return tuple(k * dt for k in range(self.n_steps + 1))
 
-    def times(self) -> np.ndarray:
-        """:attr:`grid` as a numpy array."""
-        import numpy as np
-
-        return np.array(self.grid)
-
     def window_start(self) -> int:
         """Index of the first sample inside the analysis window (``t >= burn_in``)."""
         return bisect_left(self.grid, self.burn_in - 1e-9)
@@ -319,7 +313,9 @@ class Trajectory:
 
     @cached_property
     def times(self) -> np.ndarray:
-        return self.clock.times()
+        import numpy as np
+
+        return np.array(self.clock.grid)
 
     @cached_property
     def series(self) -> dict[str, np.ndarray]:

@@ -1,6 +1,8 @@
 """Model parameters: typed containers, file I/O, and the field registry.
 
-Every tunable constant lives in one registry (``FIELDS``) that drives YAML
+Every tunable constant is declared once, as a dataclass field that carries
+its registry row (units, provenance tag, note, bounds). The registry
+``FIELDS``, read off :class:`ModelParams` in declaration order, drives YAML
 load/save, validation bounds, provenance tags, and sensitivity-sweep
 enumeration. The parameter file must contain exactly the registry's entries;
 missing or unknown keys are load errors, so no value can default silently.
@@ -12,11 +14,11 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
@@ -58,15 +60,48 @@ class ParamFileError(ValueError):
 
 
 @dataclass(frozen=True)
+class ParamField:
+    """Registry row: dotted path, units, provenance tag, a note, and bounds."""
+
+    path: str
+    units: str
+    provenance: str
+    note: str
+    lo: float
+    hi: float
+
+
+PROVENANCE_TAGS = ("literature", "cited-source", "assumption", "calibrated")
+
+_POS = 1e-12  # lower bound for strictly positive quantities
+
+
+def _param(default: float, units: str, provenance: str, note: str,
+           lo: float = 0.0, hi: float = math.inf) -> Any:
+    """A dataclass field of ``default`` carrying the rest of its registry row."""
+    return field(default=default, metadata={"row": (units, provenance, note, lo, hi)})
+
+
+def _curve(kind: type, **params: Any) -> Any:
+    """A dataclass field holding the effect curve ``kind`` made of ``params``,
+    each of its parameters declared by :func:`_param`."""
+    return field(default=kind(**{name: p.default for name, p in params.items()}),
+                 metadata={"rows": {name: p.metadata["row"] for name, p in params.items()}})
+
+
+@dataclass(frozen=True)
 class CovidShock:
     """Pandemic income shock: a step at ``start_time`` minus its own first-order
     smooth, so the net effect jumps to ``magnitude`` and decays with time
     constant ``recovery_time``."""
 
     enabled: bool = False
-    magnitude: float = 0.60
-    start_time: float = 26.75
-    recovery_time: float = 75.0
+    magnitude: float = _param(0.60, "dimensionless", "calibrated",
+                              "peak fractional income loss for the modeled population", hi=1.0)
+    start_time: float = _param(26.75, "months", "cited-source", "shock onset (late March 2020)")
+    recovery_time: float = _param(
+        75.0, "months", "calibrated", "time constant of hardship recovery for low-income renters",
+        lo=_POS)
 
 
 @dataclass(frozen=True)
@@ -76,12 +111,19 @@ class Moratorium:
     landlords anticipate) then rebound gradually after it lapses."""
 
     enabled: bool = False
-    processing_reduction: float = 0.9
-    start_time: float = 26.75
-    duration: float = 18.0
-    filing_reduction: float = 0.50
-    filing_rebound_lag: float = 3.0
-    filing_recovery_delay: float = 36.0
+    processing_reduction: float = _param(0.9, "dimensionless", "literature",
+                                         "fraction of court eviction processing suspended", hi=1.0)
+    start_time: float = _param(
+        26.75, "months", "cited-source", "moratorium onset (late March 2020)")
+    duration: float = _param(
+        18.0, "months", "literature", "months the processing suspension stays in force", lo=_POS)
+    filing_reduction: float = _param(
+        0.50, "dimensionless", "calibrated",
+        "peak fractional drop in filings around the moratorium", hi=1.0)
+    filing_rebound_lag: float = _param(
+        3.0, "months", "literature", "lag after expiry before filings start recovering")
+    filing_recovery_delay: float = _param(
+        36.0, "months", "literature", "time constant of the filing recovery", lo=_POS)
 
 
 @dataclass(frozen=True)
@@ -90,10 +132,14 @@ class RentalAssistance:
     program-limited pace directly against outstanding rent arrears."""
 
     enabled: bool = False
-    total_funds: float = 46.5e9
-    start_time: float = 36.0
-    disbursement_time: float = 35.0
-    rate_multiplier: float = 1.0
+    total_funds: float = _param(
+        46.5e9, "dollars", "cited-source", "total emergency rental assistance appropriation")
+    start_time: float = _param(36.0, "months", "assumption", "disbursement start (January 2021)")
+    disbursement_time: float = _param(
+        35.0, "months", "calibrated",
+        "time to disburse the full appropriation at the program-limited pace", lo=_POS)
+    rate_multiplier: float = _param(1.0, "dimensionless", "assumption",
+                                    "scenario lever scaling the disbursement pace", lo=_POS)
 
 
 @dataclass(frozen=True)
@@ -101,66 +147,153 @@ class ModelParams:
     """All model constants, initial stock levels, and policy settings."""
 
     # initial stocks
-    units_occupied_initial: float = 11_443_000.0
-    units_pending_initial: float = 557_000.0
-    units_vacant_initial: float = 500_000.0
-    units_foreclosed_initial: float = 234_000.94750064102
-    households_insecure_initial: float = 14_000_000.0
-    households_homeless_initial: float = 568_000.0
-    rent_owed_initial: float = 12_267_921_222.344692
-    mortgage_owed_initial: float = 5_000_021_932.885209
+    units_occupied_initial: float = _param(
+        11_443_000.0, "units", "calibrated",
+        "occupied low-cost rental units at the start of the run")
+    units_pending_initial: float = _param(
+        557_000.0, "units", "calibrated",
+        "units with an eviction case pending at the start of the run")
+    units_vacant_initial: float = _param(
+        500_000.0, "units", "calibrated", "vacant rentable low-cost units (~4% vacancy)")
+    units_foreclosed_initial: float = _param(
+        234_000.94750064102, "units", "calibrated",
+        "units in the foreclosure pipeline; set for a stationary pipeline")
+    households_insecure_initial: float = _param(
+        14_000_000.0, "households", "calibrated",
+        "low-income renter households paying over the burden threshold")
+    households_homeless_initial: float = _param(
+        568_000.0, "households", "cited-source", "point-in-time national homeless count, Jan 2019")
+    rent_owed_initial: float = _param(12_267_921_222.344692, "dollars", "calibrated",
+                                      "outstanding rent receivable; one average month at baseline")
+    mortgage_owed_initial: float = _param(5_000_021_932.885209, "dollars", "calibrated",
+                                          "outstanding landlord mortgage payable at baseline")
 
     # rent and income
-    avg_monthly_rent: float = 1050.0
-    avg_household_income: float = 3500.0
-    rent_burden_threshold: float = 0.30
-    at_rent_base: float = 1.0
-    rent_delay_curve: GompertzCurve = field(
-        default_factory=lambda: GompertzCurve(y_final=3.0, y_initial=1.0, steepness=2.0)
-    )
-    stress_curve: GompertzCurve = field(
-        default_factory=lambda: GompertzCurve(y_final=3.0, y_initial=-8.3, steepness=0.8)
-    )
+    avg_monthly_rent: float = _param(
+        1050.0, "dollars/unit/month", "cited-source", "average contract rent for low-cost units")
+    avg_household_income: float = _param(
+        3500.0, "dollars/household/month", "calibrated",
+        "average income of the modeled population; puts baseline burden at 30%")
+    rent_burden_threshold: float = _param(
+        0.30, "dimensionless", "literature",
+        "rent-to-income share above which payment delays begin", lo=_POS, hi=1.0)
+    at_rent_base: float = _param(
+        1.0, "months", "literature", "baseline rent collection delay", lo=_POS)
+    rent_delay_curve: GompertzCurve = _curve(
+        GompertzCurve,
+        y_final=_param(3.0, "dimensionless", "assumption",
+                       "ceiling of the burden-driven payment-delay multiplier", lo=1.0),
+        y_initial=_param(1.0, "dimensionless", "assumption",
+                         "payment-delay multiplier at threshold burden", lo=-1e6),
+        steepness=_param(
+            2.0, "dimensionless", "assumption",
+            "how fast delay grows as burden exceeds the threshold", lo=-10.0, hi=10.0),
+        floor=_param(
+            1.0, "dimensionless", "assumption", "neutral multiplier below threshold", lo=_POS))
+    stress_curve: GompertzCurve = _curve(
+        GompertzCurve,
+        y_final=_param(3.0, "dimensionless", "literature",
+                       "ceiling of the arrears-driven stress multiplier", lo=1.0),
+        y_initial=_param(-8.3, "dimensionless", "literature",
+                         "raw stress intercept; strongly negative so stress stays neutral until "
+                         "arrears near one month of rent", lo=-1e6),
+        steepness=_param(
+            0.8, "dimensionless", "literature", "stress curve growth rate", lo=-10.0, hi=10.0),
+        floor=_param(
+            1.0, "dimensionless", "literature", "neutral multiplier at low arrears", lo=_POS))
 
     # mortgage side
-    avg_monthly_mortgage: float = 400.0
-    at_mortgage_base: float = 1.0
-    landlord_income_per_unit: float = 981.4336977875754
-    mortgage_delay_curve: LogisticCurve = field(
-        default_factory=lambda: LogisticCurve(y_max=3.0, y_min=1.0, inflection=1.5, slope=10.0)
-    )
+    avg_monthly_mortgage: float = _param(400.0, "dollars/unit/month", "assumption",
+                                         "average landlord debt service per low-cost unit")
+    at_mortgage_base: float = _param(
+        1.0, "months", "assumption", "baseline mortgage payment delay", lo=_POS)
+    landlord_income_per_unit: float = _param(981.4336977875754, "dollars/unit/month", "calibrated",
+                                             "reference rental income per unit at equilibrium")
+    mortgage_delay_curve: LogisticCurve = _curve(
+        LogisticCurve,
+        y_max=_param(3.0, "dimensionless", "literature",
+                     "ceiling of the mortgage-delay multiplier", lo=_POS),
+        y_min=_param(
+            1.0, "dimensionless", "literature", "floor of the mortgage-delay multiplier", lo=_POS),
+        inflection=_param(1.5, "months", "literature",
+                          "months of mortgage owed at which delay reaches mid-range", lo=_POS),
+        slope=_param(10.0, "dimensionless", "literature",
+                     "sharpness of the mortgage-delay transition", lo=_POS))
 
     # crowding
-    crowding_curve: LogisticCurve = field(
-        default_factory=lambda: LogisticCurve(y_max=2.0, y_min=1.0, inflection=1.5, slope=5.0)
-    )
-    crowding_reference: float = 1.0
+    crowding_curve: LogisticCurve = _curve(
+        LogisticCurve,
+        y_max=_param(2.0, "dimensionless", "literature",
+                     "ceiling of the crowding conflict multiplier", lo=_POS),
+        y_min=_param(1.0, "dimensionless", "literature",
+                     "floor of the crowding conflict multiplier", lo=_POS),
+        inflection=_param(
+            1.5, "dimensionless", "literature",
+            "households-per-unit ratio at which conflict reaches mid-range", lo=_POS),
+        slope=_param(
+            5.0, "dimensionless", "literature", "sharpness of the crowding transition", lo=_POS))
+    crowding_reference: float = _param(
+        1.0, "households/unit", "literature", "occupancy ratio regarded as uncrowded", lo=_POS)
 
     # eviction pipeline
-    landlord_tolerance: float = 3500.0
-    baseline_filing_fraction: float = 0.05834516479246364
-    filing_resolution_time: float = 0.7
-    eviction_proportion: float = 0.38
-    processing_time: float = 1.0
+    landlord_tolerance: float = _param(
+        3500.0, "dollars/unit", "calibrated",
+        "per-unit arrears landlords absorb before filing pressure grows", lo=_POS)
+    baseline_filing_fraction: float = _param(
+        0.05834516479246364, "1/month", "calibrated",
+        "monthly filing hazard on occupied units with all multipliers neutral")
+    filing_resolution_time: float = _param(
+        0.7, "months", "assumption", "average time for a pending case to resolve back to tenancy",
+        lo=_POS)
+    eviction_proportion: float = _param(
+        0.38, "dimensionless", "literature",
+        "share of pending cases ending in eviction under normal courts", hi=1.0)
+    processing_time: float = _param(
+        1.0, "months", "literature", "average court processing time per pending case", lo=_POS)
 
     # unit turnover and foreclosure
-    baseline_turnover_fraction: float = 0.008
-    move_in_time: float = 1.458463549118109
-    foreclosure_fraction_occupied: float = 0.0015
-    foreclosure_fraction_vacant: float = 0.003
-    foreclosure_sale_time: float = 12.0
-    stock_decline_fraction: float = 0.0005
+    baseline_turnover_fraction: float = _param(
+        0.008, "1/month", "calibrated", "normal monthly move-out hazard for occupied units")
+    move_in_time: float = _param(
+        1.458463549118109, "months", "calibrated", "average time to fill a vacant unit", lo=_POS)
+    foreclosure_fraction_occupied: float = _param(
+        0.0015, "1/month", "assumption",
+        "monthly foreclosure hazard on occupied/pending units at neutral delay")
+    foreclosure_fraction_vacant: float = _param(
+        0.003, "1/month", "assumption", "monthly foreclosure hazard on vacant units")
+    foreclosure_sale_time: float = _param(
+        12.0, "months", "cited-source",
+        "average time to clear a foreclosed unit back to the market", lo=_POS)
+    stock_decline_fraction: float = _param(
+        0.0005, "1/month", "assumption",
+        "monthly loss of vacant low-cost units to demolition/conversion")
 
     # household dynamics
-    rate_new_insecurity: float = 555_749.2489934134
-    rate_new_homelessness: float = 38_330.751006586615
-    fr_stabilize_insecure: float = 0.04
-    fr_stabilize_homeless: float = 0.06
-    fr_exit_homeless: float = 0.06
-    fr_double_up_homeless: float = 0.04
-    homeless_entry_fraction: float = 0.17
-    doubling_up_fraction: float = 0.60
-    fr_direct_homeless: float = 0.0005
+    rate_new_insecurity: float = _param(555_749.2489934134, "households/month", "calibrated",
+                                        "households newly becoming housing insecure")
+    rate_new_homelessness: float = _param(
+        38_330.751006586615, "households/month", "calibrated",
+        "households entering homelessness from outside the insecure pool")
+    fr_stabilize_insecure: float = _param(
+        0.04, "1/month", "calibrated",
+        "monthly share of insecure households regaining stable housing")
+    fr_stabilize_homeless: float = _param(
+        0.06, "1/month", "calibrated",
+        "monthly share of homeless households regaining stable housing")
+    fr_exit_homeless: float = _param(
+        0.06, "1/month", "calibrated",
+        "monthly share of homeless households moving back into insecure tenancy")
+    fr_double_up_homeless: float = _param(
+        0.04, "1/month", "calibrated",
+        "monthly share of homeless households doubling up with others")
+    homeless_entry_fraction: float = _param(
+        0.17, "dimensionless", "calibrated", "share of displaced households that become homeless",
+        hi=1.0)
+    doubling_up_fraction: float = _param(0.60, "dimensionless", "calibrated",
+                                         "share of displaced households that double up "
+                                         "(reported, stays in the insecure pool)", hi=1.0)
+    fr_direct_homeless: float = _param(
+        0.0005, "1/month", "assumption", "informal displacement straight into homelessness")
 
     # policy blocks
     covid: CovidShock = field(default_factory=CovidShock)
@@ -168,157 +301,20 @@ class ModelParams:
     assistance: RentalAssistance = field(default_factory=RentalAssistance)
 
 
-@dataclass(frozen=True)
-class ParamField:
-    """Registry row: dotted path, units, provenance tag, bounds, and a note."""
+def _registry(obj: Any, prefix: str = "") -> Iterator[ParamField]:
+    """The registry row of every parameter declared on ``obj``, in order."""
+    for f in fields(obj):
+        path, value = prefix + f.name, getattr(obj, f.name)
+        if "row" in f.metadata:
+            yield ParamField(path, *f.metadata["row"])
+        elif "rows" in f.metadata:  # an effect curve, its rows in its own field order
+            for leaf in fields(value):
+                yield ParamField(f"{path}.{leaf.name}", *f.metadata["rows"][leaf.name])
+        elif is_dataclass(value):  # a policy block
+            yield from _registry(value, path + ".")
 
-    path: str
-    units: str
-    provenance: str
-    note: str = ""
-    lo: float = 0.0
-    hi: float | None = None
 
-
-PROVENANCE_TAGS = ("literature", "cited-source", "assumption", "calibrated")
-
-_POS = 1e-12  # lower bound for strictly positive quantities
-
-FIELDS: tuple[ParamField, ...] = (
-    ParamField("units_occupied_initial", "units", "calibrated",
-               "occupied low-cost rental units at the start of the run"),
-    ParamField("units_pending_initial", "units", "calibrated",
-               "units with an eviction case pending at the start of the run"),
-    ParamField("units_vacant_initial", "units", "calibrated",
-               "vacant rentable low-cost units (~4% vacancy)"),
-    ParamField("units_foreclosed_initial", "units", "calibrated",
-               "units in the foreclosure pipeline; set for a stationary pipeline"),
-    ParamField("households_insecure_initial", "households", "calibrated",
-               "low-income renter households paying over the burden threshold"),
-    ParamField("households_homeless_initial", "households", "cited-source",
-               "point-in-time national homeless count, Jan 2019"),
-    ParamField("rent_owed_initial", "dollars", "calibrated",
-               "outstanding rent receivable; one average month at baseline"),
-    ParamField("mortgage_owed_initial", "dollars", "calibrated",
-               "outstanding landlord mortgage payable at baseline"),
-    ParamField("avg_monthly_rent", "dollars/unit/month", "cited-source",
-               "average contract rent for low-cost units"),
-    ParamField("avg_household_income", "dollars/household/month", "calibrated",
-               "average income of the modeled population; puts baseline burden at 30%"),
-    ParamField("rent_burden_threshold", "dimensionless", "literature",
-               "rent-to-income share above which payment delays begin", lo=_POS, hi=1.0),
-    ParamField("at_rent_base", "months", "literature",
-               "baseline rent collection delay", lo=_POS),
-    ParamField("rent_delay_curve.y_final", "dimensionless", "assumption",
-               "ceiling of the burden-driven payment-delay multiplier", lo=1.0),
-    ParamField("rent_delay_curve.y_initial", "dimensionless", "assumption",
-               "payment-delay multiplier at threshold burden", hi=None, lo=-1e6),
-    ParamField("rent_delay_curve.steepness", "dimensionless", "assumption",
-               "how fast delay grows as burden exceeds the threshold", lo=-10.0, hi=10.0),
-    ParamField("rent_delay_curve.floor", "dimensionless", "assumption",
-               "neutral multiplier below threshold", lo=_POS),
-    ParamField("stress_curve.y_final", "dimensionless", "literature",
-               "ceiling of the arrears-driven stress multiplier", lo=1.0),
-    ParamField("stress_curve.y_initial", "dimensionless", "literature",
-               "raw stress intercept; strongly negative so stress stays neutral "
-               "until arrears near one month of rent", lo=-1e6),
-    ParamField("stress_curve.steepness", "dimensionless", "literature",
-               "stress curve growth rate", lo=-10.0, hi=10.0),
-    ParamField("stress_curve.floor", "dimensionless", "literature",
-               "neutral multiplier at low arrears", lo=_POS),
-    ParamField("avg_monthly_mortgage", "dollars/unit/month", "assumption",
-               "average landlord debt service per low-cost unit"),
-    ParamField("at_mortgage_base", "months", "assumption",
-               "baseline mortgage payment delay", lo=_POS),
-    ParamField("landlord_income_per_unit", "dollars/unit/month", "calibrated",
-               "reference rental income per unit at equilibrium"),
-    ParamField("mortgage_delay_curve.y_max", "dimensionless", "literature",
-               "ceiling of the mortgage-delay multiplier", lo=_POS),
-    ParamField("mortgage_delay_curve.y_min", "dimensionless", "literature",
-               "floor of the mortgage-delay multiplier", lo=_POS),
-    ParamField("mortgage_delay_curve.inflection", "months", "literature",
-               "months of mortgage owed at which delay reaches mid-range", lo=_POS),
-    ParamField("mortgage_delay_curve.slope", "dimensionless", "literature",
-               "sharpness of the mortgage-delay transition", lo=_POS),
-    ParamField("crowding_curve.y_max", "dimensionless", "literature",
-               "ceiling of the crowding conflict multiplier", lo=_POS),
-    ParamField("crowding_curve.y_min", "dimensionless", "literature",
-               "floor of the crowding conflict multiplier", lo=_POS),
-    ParamField("crowding_curve.inflection", "dimensionless", "literature",
-               "households-per-unit ratio at which conflict reaches mid-range", lo=_POS),
-    ParamField("crowding_curve.slope", "dimensionless", "literature",
-               "sharpness of the crowding transition", lo=_POS),
-    ParamField("crowding_reference", "households/unit", "literature",
-               "occupancy ratio regarded as uncrowded", lo=_POS),
-    ParamField("landlord_tolerance", "dollars/unit", "calibrated",
-               "per-unit arrears landlords absorb before filing pressure grows", lo=_POS),
-    ParamField("baseline_filing_fraction", "1/month", "calibrated",
-               "monthly filing hazard on occupied units with all multipliers neutral"),
-    ParamField("filing_resolution_time", "months", "assumption",
-               "average time for a pending case to resolve back to tenancy", lo=_POS),
-    ParamField("eviction_proportion", "dimensionless", "literature",
-               "share of pending cases ending in eviction under normal courts", hi=1.0),
-    ParamField("processing_time", "months", "literature",
-               "average court processing time per pending case", lo=_POS),
-    ParamField("baseline_turnover_fraction", "1/month", "calibrated",
-               "normal monthly move-out hazard for occupied units"),
-    ParamField("move_in_time", "months", "calibrated",
-               "average time to fill a vacant unit", lo=_POS),
-    ParamField("foreclosure_fraction_occupied", "1/month", "assumption",
-               "monthly foreclosure hazard on occupied/pending units at neutral delay"),
-    ParamField("foreclosure_fraction_vacant", "1/month", "assumption",
-               "monthly foreclosure hazard on vacant units"),
-    ParamField("foreclosure_sale_time", "months", "cited-source",
-               "average time to clear a foreclosed unit back to the market", lo=_POS),
-    ParamField("stock_decline_fraction", "1/month", "assumption",
-               "monthly loss of vacant low-cost units to demolition/conversion"),
-    ParamField("rate_new_insecurity", "households/month", "calibrated",
-               "households newly becoming housing insecure"),
-    ParamField("rate_new_homelessness", "households/month", "calibrated",
-               "households entering homelessness from outside the insecure pool"),
-    ParamField("fr_stabilize_insecure", "1/month", "calibrated",
-               "monthly share of insecure households regaining stable housing"),
-    ParamField("fr_stabilize_homeless", "1/month", "calibrated",
-               "monthly share of homeless households regaining stable housing"),
-    ParamField("fr_exit_homeless", "1/month", "calibrated",
-               "monthly share of homeless households moving back into insecure tenancy"),
-    ParamField("fr_double_up_homeless", "1/month", "calibrated",
-               "monthly share of homeless households doubling up with others"),
-    ParamField("homeless_entry_fraction", "dimensionless", "calibrated",
-               "share of displaced households that become homeless", hi=1.0),
-    ParamField("doubling_up_fraction", "dimensionless", "calibrated",
-               "share of displaced households that double up (reported, stays in "
-               "the insecure pool)", hi=1.0),
-    ParamField("fr_direct_homeless", "1/month", "assumption",
-               "informal displacement straight into homelessness"),
-    ParamField("covid.magnitude", "dimensionless", "calibrated",
-               "peak fractional income loss for the modeled population", hi=1.0),
-    ParamField("covid.start_time", "months", "cited-source",
-               "shock onset (late March 2020)"),
-    ParamField("covid.recovery_time", "months", "calibrated",
-               "time constant of hardship recovery for low-income renters", lo=_POS),
-    ParamField("moratorium.processing_reduction", "dimensionless", "literature",
-               "fraction of court eviction processing suspended", hi=1.0),
-    ParamField("moratorium.start_time", "months", "cited-source",
-               "moratorium onset (late March 2020)"),
-    ParamField("moratorium.duration", "months", "literature",
-               "months the processing suspension stays in force", lo=_POS),
-    ParamField("moratorium.filing_reduction", "dimensionless", "calibrated",
-               "peak fractional drop in filings around the moratorium", hi=1.0),
-    ParamField("moratorium.filing_rebound_lag", "months", "literature",
-               "lag after expiry before filings start recovering"),
-    ParamField("moratorium.filing_recovery_delay", "months", "literature",
-               "time constant of the filing recovery", lo=_POS),
-    ParamField("assistance.total_funds", "dollars", "cited-source",
-               "total emergency rental assistance appropriation"),
-    ParamField("assistance.start_time", "months", "assumption",
-               "disbursement start (January 2021)"),
-    ParamField("assistance.disbursement_time", "months", "calibrated",
-               "time to disburse the full appropriation at the program-limited pace",
-               lo=_POS),
-    ParamField("assistance.rate_multiplier", "dimensionless", "assumption",
-               "scenario lever scaling the disbursement pace", lo=_POS),
-)
+FIELDS: tuple[ParamField, ...] = tuple(_registry(ModelParams()))
 
 _FIELD_BY_PATH = {f.path: f for f in FIELDS}
 # the groups of FIELDS that a scenario switches on and off
@@ -360,7 +356,7 @@ def with_value(params: ModelParams, path: str, value: float) -> ModelParams:
 def _replaced(obj: Any, changes: list[tuple[list[str], str, Any]]) -> Any:
     # module level: a recursive nested closure is a reference cycle that only
     # the cyclic collector frees, left behind by every call
-    fields: dict[str, Any] = {}
+    values: dict[str, Any] = {}
     inner: dict[str, list] = {}
     for names, path, value in changes:
         if not hasattr(obj, names[0]):
@@ -368,15 +364,15 @@ def _replaced(obj: Any, changes: list[tuple[list[str], str, Any]]) -> Any:
         if len(names) > 1:
             inner.setdefault(names[0], []).append((names[1:], path, value))
         else:
-            fields[names[0]] = value
+            values[names[0]] = value
     for name, group in inner.items():
-        if name in fields:
+        if name in values:
             raise KeyError(f"parameter path {group[0][1]} overlaps another one set")
         try:
-            fields[name] = _replaced(getattr(obj, name), group)
+            values[name] = _replaced(getattr(obj, name), group)
         except ValueError as exc:  # a curve's invariant: name the curve
             raise ValueError(f"{exc} (in {name})") from exc
-    return replace(obj, **fields)
+    return replace(obj, **values)
 
 
 def sweepable_parameters() -> list[str]:
@@ -416,7 +412,8 @@ def stack_params(columns: Sequence[ModelParams]) -> SimpleNamespace:
     return batch
 
 
-def bounds_for(path: str) -> tuple[float, float | None]:
+def bounds_for(path: str) -> tuple[float, float]:
+    """The documented bounds of ``path``; an unbounded side is infinite."""
     f = _FIELD_BY_PATH.get(path)
     if f is None:
         raise KeyError(f"unknown parameter path: {path}")
@@ -428,7 +425,7 @@ def clamp_to_bounds(path: str, value: float) -> float:
     lo, hi = bounds_for(path)
     if value < lo:
         return lo
-    if hi is not None and value > hi:
+    if value > hi:
         return hi
     return value
 
@@ -443,7 +440,7 @@ def validate_params(params: ModelParams) -> None:
             continue
         if value < f.lo:
             problems.append(f"{f.path}: {value} below lower bound {f.lo}")
-        if f.hi is not None and value > f.hi:
+        if value > f.hi:
             problems.append(f"{f.path}: {value} above upper bound {f.hi}")
     if problems:
         raise ParamError("invalid parameters:\n  " + "\n  ".join(problems))

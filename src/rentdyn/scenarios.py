@@ -31,6 +31,7 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "load_scenarios",
     "MetricSet",
+    "METRIC_BLOCKS",
     "METRIC_SERIES",
     "compute_metrics",
     "RunResult",
@@ -149,6 +150,15 @@ class MetricSet:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+# the policy block each metric measures alone: in a scenario that switches
+# the block off, no parameter moves the metric
+METRIC_BLOCKS: Mapping[str, str] = MappingProxyType({
+    "assistance_disbursed_end": "assistance",
+    "assistance_disbursed_fraction": "assistance",
+    "assistance_exhausted_at": "assistance",
+})
 
 
 # the series compute_metrics reads: all that the sweep's batch records

@@ -148,7 +148,7 @@ class ReferenceResult:
     covariance_share: float | None = None
 
 
-def _parse_month(label: str, clock: SimClock) -> float:
+def _month_time(label: str) -> float:
     """Model time at the start of a 'YYYY-MM' calendar month."""
     try:
         year_s, month_s = label.strip().split("-")
@@ -157,7 +157,12 @@ def _parse_month(label: str, clock: SimClock) -> float:
             raise ValueError
     except ValueError:
         raise ReferenceError(f"bad calendar month {label!r} (expected YYYY-MM)") from None
-    t = (year - START_YEAR) * 12.0 + (month - START_MONTH)
+    return (year - START_YEAR) * 12.0 + (month - START_MONTH)
+
+
+def _parse_month(label: str, clock: SimClock) -> float:
+    """:func:`_month_time` of a month inside the simulated horizon."""
+    t = _month_time(label)
     if t < 0.0 or t > clock.horizon:
         raise ReferenceError(
             f"calendar month {label} falls outside the simulated horizon "
@@ -171,7 +176,9 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
 
     Expected columns: calendar_month, value, scenario, series, units, source.
     The scenario/series/units/source fields must be identical on every row;
-    they make the file self-describing (no code-side lookup table).
+    they make the file self-describing (no code-side lookup table). A mode
+    needs at least two rows, each of its own month: Theil's statistics of
+    one point, or of a month counted twice, measure nothing or weigh it twice.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -182,8 +189,18 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
         if missing:
             raise ReferenceError(f"{path.name}: missing columns {missing}")
         rows = list(reader)
-    if not rows:
-        raise ReferenceError(f"{path.name}: no data rows")
+    if len(rows) < 2:
+        raise ReferenceError(f"{path.name}: needs at least 2 data rows, has {len(rows)}")
+    # DictReader keys a field past the header by None, and fills one missing with None
+    if any(None in row or None in row.values() for row in rows):
+        raise ReferenceError(f"{path.name}: a row has more or fewer fields than the header")
+    months = [row["calendar_month"].strip() for row in rows]
+    first: dict[float, str] = {}
+    for month in months:
+        t = _month_time(month)
+        if t in first:
+            raise ReferenceError(f"{path.name}: calendar month {first[t]} listed more than once")
+        first[t] = month
     constant: dict[str, str] = {}
     for col in ("scenario", "series", "units", "source"):
         values = {row[col].strip() for row in rows}
@@ -196,7 +213,7 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
         series=constant["series"],
         units=constant["units"],
         source=constant["source"],
-        months=tuple(row["calendar_month"].strip() for row in rows),
+        months=tuple(months),
         values=tuple(read_number(row["value"], ReferenceError,
                                  f"{path.name}: value for {row['calendar_month']}")
                      for row in rows),

@@ -655,7 +655,7 @@ def test_restarted_run_is_the_full_run(start, values):
     paths = [p.path for p in _SHIPPED.parameters]
     # the shock at 26.75 months; the filing drop ahead of the moratorium at 26.25
     for clock, samples in ((SimClock(), (107, 105)), (SimClock(dt=0.5), (54, 53))):
-        times = clock.times()
+        times = clock.grid
         for name in ("run2", "run3", "run4", "run4a"):
             scenario = BUILTIN_SCENARIOS[name]
             earlier = scenario.apply(_moved(start))

@@ -483,6 +483,9 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
      _SPEC.replace("evictions_total", _DEEP) % ("", "run2", "7.0e6", "")),
     (["calibrate", "--spec"], "spec.yaml",
      _SPEC.replace("covid.magnitude%s", _DEEP) % ("run2", "7.0e6", "")),
+    (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run1", "7.0e6", "")),
+    (["calibrate", "--spec"], "spec.yaml",
+     _SPEC.replace("evictions_total", "assistance_exhausted_at") % ("", "run2", "40", "")),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -503,7 +506,8 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
         "params-integer-too-long", "spec-repeated-target", "references-missing",
         "params-provenance-nested-deep", "params-provenance-alias-chain",
         "switch-nested-deep", "description-nested-deep", "spec-value-nested-deep",
-        "spec-metric-nested-deep", "spec-path-nested-deep"])
+        "spec-metric-nested-deep", "spec-path-nested-deep", "spec-parameter-never-read",
+        "spec-target-block-off"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``

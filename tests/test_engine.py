@@ -34,7 +34,7 @@ def test_clock_defaults_and_grid():
     assert clock.dt == 0.25
     assert clock.horizon == 50.0
     assert clock.burn_in == 24.0
-    times = clock.times()
+    times = clock.grid
     assert len(times) == 201
     assert times[0] == 0.0
     assert times[-1] == 50.0
@@ -45,7 +45,7 @@ def test_clock_analysis_window():
     clock = SimClock()
     assert (clock.burn_in, clock.horizon) == (24.0, 50.0)
     first = clock.window_start()
-    times = clock.times()
+    times = clock.grid
     assert times[first] == 24.0 and times[first - 1] < 24.0
     assert times[first:][-1] == 50.0
 
@@ -470,7 +470,6 @@ def test_grid_has_the_bits_of_arange_times_dt(dt):
     clock = SimClock(dt=dt)
     expected = np.arange(clock.n_steps + 1) * dt
     assert list(map(_bits, clock.grid)) == list(map(_bits, expected.tolist()))
-    assert clock.times().tobytes() == expected.tobytes()
 
 
 # drawn floats up to 300 long; longer lists from a drawn seed and scale, which

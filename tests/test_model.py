@@ -259,7 +259,7 @@ def test_no_policy_parameter_moves_a_row_before_its_block_onset(path):
     level there, which it sets."""
     params = BUILTIN_SCENARIOS["run4"].apply(default_params())
     block = path.partition(".")[0]
-    times = SimClock().times()
+    times = SimClock().grid
     base = run_model(params)
     for factor in (0.9, 1.1):
         value = clamp_to_bounds(path, get_value(params, path) * factor)
@@ -484,7 +484,7 @@ def _moved_params(draw):
     p = default_params()
     for f in draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3,
                            unique_by=lambda f: f.path)):
-        if f.hi is not None:
+        if f.hi < math.inf:
             value = st.floats(f.lo, f.hi)
         else:
             near = st.floats(f.lo, 4.0 * max(abs(get_value(p, f.path)), 1.0))

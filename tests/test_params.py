@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,9 +68,7 @@ def test_registry_tags_and_bounds_sane():
         assert f.provenance in PROVENANCE_TAGS, f.path
         assert f.units, f.path
         value = get_value(params, f.path)
-        assert value >= f.lo, f.path
-        if f.hi is not None:
-            assert value <= f.hi, f.path
+        assert f.lo <= value <= f.hi, f.path
 
 
 def test_sweepable_matches_registry():
@@ -256,6 +255,13 @@ def test_shipped_default_file_matches_code_defaults():
     loaded, meta = load_params("params/default.yaml")
     assert loaded == default_params()
     assert meta["name"] == "default"
+
+
+def test_shipped_default_file_is_what_save_params_writes(tmp_path):
+    """Units, provenance tags and notes too, not only the values, are the
+    ones declared on the parameters' fields."""
+    written = save_params(default_params(), tmp_path / "default.yaml", name="default")
+    assert written.read_bytes() == Path("params/default.yaml").read_bytes()
 
 
 def test_provenance_override_round_trips(tmp_path):

@@ -176,7 +176,7 @@ def test_outflow_limiter_never_binds_in_the_shipped_scenarios(monkeypatch):
 def test_emit_timeseries_shape_and_calendar(suite):
     header, rows = emit_timeseries(suite["run1"])
     assert header[:2] == ["t_months", "calendar"]
-    assert len(rows) == len(SimClock().times())
+    assert len(rows) == len(SimClock().grid)
     assert rows[0][0] == 0.0 and rows[0][1] == "2018-01"
     two_years_in = next(r for r in rows if r[0] == 24.0)
     assert two_years_in[1] == "2020-01"

@@ -173,6 +173,22 @@ def test_report_skips_a_non_finite_value(tmp_path, value):
     assert "is not a finite number" in result.detail
 
 
+@pytest.mark.parametrize("text, reason", [
+    (GOOD_CSV.replace("2022-01", "2021-01"), "calendar month 2021-01 listed more than once"),
+    (GOOD_CSV.replace("2021-01", "2020-1"), "calendar month 2020-01 listed more than once"),
+    ("\n".join(GOOD_CSV.splitlines()[:2]) + "\n", "needs at least 2 data rows, has 1"),
+    (GOOD_CSV + "2023-01,610000\n", "a row has more or fewer fields than the header"),
+    (GOOD_CSV.replace("fixture\n", "fixture,extra\n", 1),
+     "a row has more or fewer fields than the header"),
+], ids=["repeated-month", "repeated-month-spelled-two-ways", "one-row", "short-row",
+        "long-row"])
+def test_report_skips_a_mode_that_scores_nothing(tmp_path, text, reason):
+    (tmp_path / "bad.csv").write_text(text)
+    [result] = reference_report(tmp_path)
+    assert result.status == "skipped"
+    assert result.detail == f"bad.csv: {reason}"
+
+
 def test_score_perfect_match_gives_zero_u(tmp_path):
     result = run_scenario(default_params(), BUILTIN_SCENARIOS["run1"])
     t_values = [0.0, 12.0, 24.0]
