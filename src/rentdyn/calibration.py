@@ -65,7 +65,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
@@ -515,13 +514,12 @@ def calibrate(
     # each scenario whose runs restart does so from its prefix: the start's
     # run up to the first sample k at or after the earliest time it reads a
     # free value (the last sample for an onset past the horizon)
-    grid = clock.grid
     prefixes = {}
     for name, r in reads.items():
         if 0.0 < r.min() < math.inf:
-            k = min(bisect_left(grid, r.min()), len(grid) - 1)
+            k = clock.sample_at_or_after(r.min())
             prefixes[name] = (k, run_model(applied[name], SimClock(
-                clock.dt, horizon=grid[k], burn_in=0.0)))
+                clock.dt, horizon=clock.grid[k], burn_in=0.0)))
 
     def run(name: str, values: tuple[float, ...]) -> MetricSet | Exception:
         """One scenario at the free values it sees, restarted from its prefix

@@ -37,7 +37,8 @@ from typing import Callable
 
 from rentdyn import __version__
 from rentdyn.engine import MAX_STEPS, SimClock, SimulationError
-from rentdyn.output import manifest_timestamp, write_csv, write_json, write_manifest
+from rentdyn.output import csv_lines, manifest_timestamp, write_csv, write_json, \
+    write_manifest
 from rentdyn.params import ModelParams, ParamError, ParamFileError, default_params, \
     load_params, save_params
 from rentdyn.scenarios import BUILTIN_SCENARIOS, RunResult, Scenario, compare, \
@@ -194,13 +195,20 @@ def _write_outputs(args, command: str, params: ModelParams, clock: SimClock,
     print(f"wrote {len(artifacts)} artifact(s) + manifest to {out}")
 
 
-def _write_run_artifacts(result: RunResult, out: Path, fmt: str,
-                         columns: list[str] | None) -> list[Path]:
+def _write_run_artifacts(result: RunResult, out: Path, fmt: str, columns: list[str] | None,
+                         rendered: dict) -> list[Path]:
+    """Write a run's time series and metrics. ``rendered`` holds the CSV
+    lines of the tables written before, by trajectory: a run restarted from
+    one of them copies the lines of the rows it copied, the same floats."""
     header, rows = emit_timeseries(result, columns)
     name = result.scenario.name
     artifacts = []
     if fmt == "csv":
-        artifacts.append(write_csv(out / f"{name}_timeseries.csv", header, rows))
+        k, earlier = result.trajectory.restart or (0, None)
+        lines = rendered.get(earlier, [])[:k]
+        lines += csv_lines(rows[len(lines):])
+        rendered[result.trajectory] = lines
+        artifacts.append(write_csv(out / f"{name}_timeseries.csv", header, lines))
     else:
         artifacts.append(write_json(out / f"{name}_timeseries.json",
                                     {"header": header, "rows": rows}))
@@ -225,7 +233,7 @@ def _cmd_simulate(args) -> int:
         print("  " + line)
     _write_outputs(args, f"simulate --scenario {scenario.name}", params, clock,
                    params_file, [scenario.name],
-                   lambda out: _write_run_artifacts(result, out, args.format, columns))
+                   lambda out: _write_run_artifacts(result, out, args.format, columns, {}))
     return 0
 
 
@@ -240,18 +248,19 @@ def _cmd_suite(args) -> int:
         print(f"{name:<{name_w}}  {m.evictions_total:>12,.0f}  "
               f"${m.arrears_end/1e9:>10.2f}B  {m.homeless_end:>10,.0f}  "
               f"{m.crowding_mean:>8.3f}  {m.assistance_disbursed_fraction*100:>9.1f}%")
+    rendered = {}
     _write_outputs(args, "suite", params, clock, params_file, list(results),
                    lambda out: [path for result in results.values() for path in
-                                _write_run_artifacts(result, out, args.format, None)])
+                                _write_run_artifacts(result, out, args.format, None,
+                                                     rendered)])
     return 0
 
 
 def _cmd_compare(args) -> int:
     params, scenarios, clock, params_file = _load_inputs(args)
-    baseline = _pick_scenario(scenarios, args.baseline)
-    variant = _pick_scenario(scenarios, args.variant)
-    table = compare(run_scenario(params, baseline, clock=clock),
-                    run_scenario(params, variant, clock=clock))
+    pair = {name: _pick_scenario(scenarios, name) for name in (args.baseline, args.variant)}
+    results = run_many(params, pair, clock=clock)
+    table = compare(results[args.baseline], results[args.variant])
     print(f"{args.variant} vs {args.baseline}")
     key_w = max(len(k) for k in table["metrics"])
     for key, row in table["metrics"].items():
@@ -306,7 +315,7 @@ def _cmd_sweep(args) -> int:
         rows.append(row)
     _write_outputs(args, f"sweep --scenario {scenario.name} --fraction {args.fraction}",
                    params, clock, params_file, [scenario.name],
-                   lambda out: [write_csv(out / "sweep.csv", header, rows),
+                   lambda out: [write_csv(out / "sweep.csv", header, csv_lines(rows)),
                                 write_json(out / "sweep_baseline.json", base_metrics)])
     return 0
 

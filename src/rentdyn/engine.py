@@ -111,6 +111,12 @@ class SimClock:
         """Index of the first sample inside the analysis window (``t >= burn_in``)."""
         return bisect_left(self.grid, self.burn_in - 1e-9)
 
+    def sample_at_or_after(self, t: float) -> int:
+        """Index of the first sample at or after time ``t``, and the last
+        sample for a time past the horizon: where a run restarts
+        (:func:`simulate`) to integrate every sample from ``t`` on."""
+        return min(bisect_left(self.grid, t), self.n_steps)
+
     def calendar_label(self, t: float) -> str:
         """Calendar month containing time ``t``, as ``YYYY-MM``."""
         months = int(math.floor(t + 1e-9))
@@ -303,13 +309,18 @@ class Trajectory:
     list of Python floats for one run, a numpy array (a view into the
     batch's block) for a column of a batch. ``times`` and ``series`` are
     the grid and every series as numpy arrays, made on first access.
+    ``restart`` is ``(k, earlier)`` for a run that took its rows before
+    sample ``k`` from the trajectory ``earlier`` and integrated the rest,
+    and None for a full run.
     """
 
     def __init__(self, clock: SimClock, data: dict[str, list[float] | np.ndarray],
-                 clamp_events: list[ClampEvent]) -> None:
+                 clamp_events: list[ClampEvent],
+                 restart: tuple[int, Trajectory] | None = None) -> None:
         self.clock = clock
         self.data = data
         self.clamp_events = clamp_events
+        self.restart = restart
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -408,7 +419,8 @@ def simulate(
         bit for bit, in every kept series, when ``earlier`` is a run from the
         same initial levels of a derivative that agrees with ``deriv`` at
         every sample before ``k``. A non-finite value at or after ``k`` is
-        reported as the full run reports it.
+        reported as the full run reports it. The trajectory keeps
+        ``restart`` as :attr:`Trajectory.restart` when ``k > 0``.
 
     Returns
     -------
@@ -464,7 +476,7 @@ def simulate(
     data = {name: samples[column[name]::width] for name in (names if record is None else record)}
     if first:
         data = {name: [*earlier.data[name][:first], *values] for name, values in data.items()}
-    return Trajectory(clock, data, events)
+    return Trajectory(clock, data, events, restart if first else None)
 
 
 def _simulate_batch(

@@ -204,12 +204,16 @@ def read_from(params: ModelParams, path: str) -> float:
     never in a block ``params`` switches off. Two of them are read from the
     start while their block is on: its ``start_time``, which moves the
     onset itself, and ``assistance.total_funds``, the fund's initial level.
-    Every parameter outside the policy blocks is read from the start.
-    Runs whose parameters differ only in what is first read at or after a
-    time give the same numbers before it.
+    A block's ``enabled`` switch reads like the rest of the block, so runs
+    that differ in it part at the onset of the one that switches the block
+    on, the earlier of their two times; but ``assistance.enabled`` is read
+    from the start, where it opens the fund (:func:`initial_state`). Every
+    parameter outside the policy blocks is read from the start. Runs whose
+    parameters differ only in what is first read at or after a time give
+    the same numbers before it.
     """
     block, _, name = path.partition(".")
-    if block not in POLICY_BLOCKS:
+    if block not in POLICY_BLOCKS or path == "assistance.enabled":
         return 0.0
     onset = policy_onset(params, block)
     if onset < math.inf and (name == "start_time" or path == "assistance.total_funds"):

@@ -19,6 +19,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from rentdyn import __version__
 from rentdyn.engine import START_MONTH, START_YEAR, SimClock
@@ -26,6 +27,7 @@ from rentdyn.params import FIELDS, ModelParams, get_value
 
 __all__ = [
     "atomic_write_text",
+    "csv_lines",
     "write_csv",
     "write_json",
     "file_sha256",
@@ -54,17 +56,21 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> Path:
-    """Write a simple comma-separated table atomically.
+def csv_lines(rows: Iterable[Sequence]) -> list[str]:
+    """Each row as one comma-separated line, without its newline.
 
     Cells are written with ``str``, which for a float is its ``repr``: the
     shortest text that round-trips exactly, never depending on locale. None
     of the emitted values contain commas or quotes, so no quoting layer is
     needed.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return [",".join(map(str, row)) for row in rows]
+
+
+def write_csv(path: str | Path, header: list[str], lines: list[str]) -> Path:
+    """Write a simple comma-separated table atomically: the header, then
+    ``lines``, the rows as :func:`csv_lines` renders them."""
+    return atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def write_json(path: str | Path, payload) -> Path:

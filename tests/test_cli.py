@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from rentdyn.calibration import CalibrationError, load_calibration_spec
 from rentdyn.cli import CliError, _build_parser, _load_inputs, main
-from rentdyn.output import file_sha256, write_csv
+from rentdyn.output import csv_lines, file_sha256, write_csv
 from rentdyn.params import default_params, save_params
 
 
@@ -160,6 +160,29 @@ def test_suite_writes_every_scenario(tmp_path):
     assert "manifest.json" in names
 
 
+@pytest.mark.parametrize("dt", ["0.25", "0.5"])
+@pytest.mark.parametrize("scenarios", [
+    "scenarios/runs.yaml",
+    # two runs that differ only in the sign of a zero
+    "zero: {overrides: {avg_monthly_rent: 0.0}}\n"
+    "zero_negative: {overrides: {avg_monthly_rent: -0.0}}\n",
+], ids=["ladder", "signed-zero"])
+def test_suite_writes_what_simulate_writes_for_each_scenario(tmp_path, dt, scenarios):
+    """suite restarts each run from an earlier one and copies the CSV lines
+    of the rows it copied; simulate runs each scenario in full."""
+    if not scenarios.endswith(".yaml"):
+        (tmp_path / "runs.yaml").write_text(scenarios)
+        scenarios = str(tmp_path / "runs.yaml")
+    common = ["--scenarios", scenarios, "--dt", dt]
+    assert main(["suite", *common, "--out", str(tmp_path / "suite")]) == 0
+    for name in yaml.safe_load(Path(scenarios).read_text()):
+        assert main(["simulate", "--scenario", name, *common,
+                     "--out", str(tmp_path / name)]) == 0
+        for artifact in (f"{name}_timeseries.csv", f"{name}_metrics.json"):
+            assert (tmp_path / name / artifact).read_bytes() == \
+                (tmp_path / "suite" / artifact).read_bytes(), artifact
+
+
 def test_json_format_and_series_selection(tmp_path):
     out = tmp_path / "json_run"
     rc = main(["simulate", "--scenario", "run1", "--format", "json",
@@ -180,7 +203,7 @@ _CELLS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=6))
 def test_csv_cells_are_written_as_repr_for_floats_and_str_otherwise(tmp_path_factory, rows):
-    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["a", "b"], rows)
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["a", "b"], csv_lines(rows))
     old_rule = [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
                 for row in rows]
     assert path.read_bytes() == "\n".join(["a,b", *old_rule, ""]).encode("utf-8")
@@ -189,7 +212,8 @@ def test_csv_cells_are_written_as_repr_for_floats_and_str_otherwise(tmp_path_fac
 @settings(max_examples=200, deadline=None)
 @given(value=st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 1e-4])))
 def test_a_numpy_float_cell_is_written_as_its_python_float(tmp_path_factory, value):
-    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["x"], [[np.float64(value)]])
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["x"],
+                     csv_lines([[np.float64(value)]]))
     assert path.read_text() == f"x\n{float(value)!r}\n"
 
 

@@ -50,6 +50,14 @@ def test_clock_analysis_window():
     assert times[first:][-1] == 50.0
 
 
+def test_clock_sample_at_or_after():
+    clock = SimClock()
+    at = clock.sample_at_or_after
+    assert [at(t) for t in (-1.0, 0.0, 0.1, 26.25, 26.75, 26.8)] == [0, 0, 1, 105, 107, 108]
+    # past the horizon: the last sample
+    assert [at(t) for t in (50.0, 50.1, math.inf)] == [200] * 3
+
+
 def test_clock_calendar_labels():
     clock = SimClock()
     assert clock.calendar_label(0.0) == "2018-01"
@@ -400,6 +408,9 @@ def test_restarted_run_is_the_full_run():
     # clamp events on both sides of the restart, and the runs part after it
     assert {e.time < 5.0 for e in full.clamp_events} == {True, False}
     assert earlier["r"].tobytes() != full["r"].tobytes()
+    # the restart is recorded: where, and from which run
+    assert restarted.restart == (20, earlier)
+    assert earlier.restart is full.restart is None
 
 
 def test_restart_must_be_on_the_grid_of_one_run():

@@ -233,6 +233,9 @@ def test_filing_factor_drop_and_rebound():
     assert filing(default_params(), m.start_time, 0.0) == 1.0  # disabled
 
 
+SWITCHES = [f"{block}.enabled" for block in POLICY_BLOCKS]
+
+
 def test_each_parameter_is_read_from_its_block_onset():
     off = default_params()  # every policy block switched off
     on = BUILTIN_SCENARIOS["run4"].apply(off)  # every one switched on
@@ -247,35 +250,44 @@ def test_each_parameter_is_read_from_its_block_onset():
             from_start = name == "start_time" or f.path == "assistance.total_funds"
             assert read_from(on, f.path) == (0.0 if from_start
                                              else policy_onset(on, block)), f.path
+    # a switch is read from its block's onset, except that assistance's
+    # opens the fund at the start
+    assert [read_from(off, path) for path in SWITCHES] == [math.inf, math.inf, 0.0]
+    assert [read_from(on, path) for path in SWITCHES] == [26.75, 26.25, 0.0]
 
 
 @pytest.mark.parametrize("path", [f.path for f in FIELDS
-                                  if f.path.partition(".")[0] in POLICY_BLOCKS])
+                                  if f.path.partition(".")[0] in POLICY_BLOCKS] + SWITCHES)
 def test_no_policy_parameter_moves_a_row_before_its_block_onset(path):
     """Moved in a scenario that switches its block on, a parameter of a
     policy block leaves every row before the block's onset sample bit for bit
     as it was: calibrate's restarts copy those rows from a prefix made at
     the start's values. Only assistance.total_funds moves the fund's own
-    level there, which it sets."""
+    level there, which it sets. A switch turned off leaves every row before
+    the time it is read from: run_many's restarts copy those rows from a
+    run that has the block on."""
     params = BUILTIN_SCENARIOS["run4"].apply(default_params())
     block = path.partition(".")[0]
     times = SimClock().grid
     base = run_model(params)
-    for factor in (0.9, 1.1):
-        value = clamp_to_bounds(path, get_value(params, path) * factor)
+    values = [False] if path in SWITCHES else \
+        [clamp_to_bounds(path, get_value(params, path) * factor) for factor in (0.9, 1.1)]
+    for value in values:
         moved = with_value(params, path, value)
-        # a start time moves the onset itself: rows before the earlier one
-        onset = min(policy_onset(params, block), policy_onset(moved, block))
+        # a start time moves the onset itself: rows before the earlier one;
+        # a switch parts the runs where it is read
+        onset = min(read_from(params, path), read_from(moved, path)) if path in SWITCHES \
+            else min(policy_onset(params, block), policy_onset(moved, block))
         k = int(np.searchsorted(times, onset))
-        assert 90 < k < len(times)
+        assert 90 < k < len(times) or path == "assistance.enabled" and k == 0
         other = run_model(moved)
         for name, series in base.series.items():
             if path == "assistance.total_funds" and name == "assistance_funds":
                 assert np.all(other[name][:k] == value)
             else:
-                assert other[name][:k].tobytes() == series[:k].tobytes(), (name, factor)
+                assert other[name][:k].tobytes() == series[:k].tobytes(), (name, value)
         assert any(other[name].tobytes() != series.tobytes()
-                   for name, series in base.series.items()), factor
+                   for name, series in base.series.items()), value
 
 
 # ---------------------------------------------------------------- limiter

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rentdyn import model
 from rentdyn.engine import SimClock
 from rentdyn.model import run_model
-from rentdyn.params import default_params, with_value
+from rentdyn.params import FIELDS, POLICY_BLOCKS, default_params, get_value, with_value
 from rentdyn.scenarios import (
     BUILTIN_SCENARIOS,
     METRIC_SERIES,
@@ -101,6 +103,104 @@ def test_run_many_returns_name_ordered_results(suite):
     for name, result in suite.items():
         assert result.scenario.name == name
         assert result.elapsed_seconds > 0.0
+
+
+def test_the_ladder_restarts_each_run_where_it_departs(monkeypatch):
+    """run2 departs from run1 at the shock, run3 from run2 at the filing
+    drop, run4 at the start (its switch opens the fund), and run4a from run4
+    at the first payment: 649 derivative calls where five full runs make
+    1,005. compare's default pair makes 201 + 94, not 402."""
+    calls = []
+    factory = model.build_derivative
+
+    def counting(params, dt):
+        deriv = factory(params, dt)
+
+        def counted(state, t):
+            calls.append(t)
+            return deriv(state, t)
+        return counted
+
+    monkeypatch.setattr(model, "build_derivative", counting)
+    results = run_many(default_params(), BUILTIN_SCENARIOS)
+    assert len(calls) == 649
+    traj = {name: result.trajectory for name, result in results.items()}
+    assert {name: t.restart for name, t in traj.items()} == {
+        "run1": None, "run2": (107, traj["run1"]), "run3": (105, traj["run2"]),
+        "run4": None, "run4a": (144, traj["run4"])}
+    calls.clear()
+    run_many(default_params(), {name: BUILTIN_SCENARIOS[name] for name in ("run1", "run2")})
+    assert len(calls) == 295
+
+
+_OVERRIDE_FIELDS = [f for f in FIELDS if f.path.partition(".")[0] in POLICY_BLOCKS
+                    or f.path in ("avg_monthly_rent", "eviction_proportion",
+                                  "stress_curve.y_max")]
+
+
+@st.composite
+def _value(draw, f):
+    """A value within ``f``'s bounds: its lower bound (-0.0 too when that is
+    0), its default, or one between them and a few times the default."""
+    default = get_value(default_params(), f.path)
+    top = min(f.hi, 4.0 * max(abs(default), 1.0))
+    low = [f.lo, -0.0] if f.lo == 0.0 else [f.lo]
+    return draw(st.one_of(st.sampled_from([*low, default]), st.floats(f.lo, top)))
+
+
+@st.composite
+def _scenario_sets(draw):
+    """2-5 scenarios off the defaults, with random switches and 0-2
+    overrides: each sets each of two registry fields, read from the start
+    or in a policy block, to one of two values or leaves it. So scenarios
+    share overrides or differ in one, by as little as 0.0 and -0.0."""
+    fields = draw(st.lists(st.sampled_from(_OVERRIDE_FIELDS), min_size=2, max_size=2,
+                           unique_by=lambda f: f.path))
+    choices = [[None, *draw(st.lists(_value(f), min_size=2, max_size=2))] for f in fields]
+    out = {}
+    for i in range(draw(st.integers(2, 5))):
+        switches = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        picked = [draw(st.sampled_from(values)) for values in choices]
+        overrides = {f.path: v for f, v in zip(fields, picked) if v is not None}
+        out[f"s{i}"] = Scenario(f"s{i}", "", *switches, overrides=overrides)
+    return out
+
+
+def _outcomes(scenarios, clock):
+    """Each scenario's separate run, in name order, up to the first that fails."""
+    try:
+        return {name: run_scenario(default_params(), scenarios[name], clock)
+                for name in sorted(scenarios)}
+    except Exception as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios=_scenario_sets(), dt=st.sampled_from([0.125, 0.25, 0.5]))
+# 0.0 == -0.0, but the two runs' rows differ in sign
+@example(scenarios={name: Scenario(name, overrides={"avg_monthly_rent": value})
+                    for name, value in (("zero", 0.0), ("negative_zero", -0.0))}, dt=0.25)
+def test_run_many_is_each_scenario_run_alone(scenarios, dt):
+    """Restarted from the runs they depart from, run_many's runs are the
+    full runs bit for bit: series, clamp events and metrics; or run_many
+    raises the error of the first scenario whose run fails alone."""
+    clock = SimClock(dt=dt)
+    alone = _outcomes(scenarios, clock)
+    try:
+        together = run_many(default_params(), scenarios, clock)
+    except Exception as error:
+        assert (type(error), str(error)) == alone
+        return
+    assert list(together) == list(alone)
+    for name, result in together.items():
+        single = alone[name]
+        assert list(result.trajectory.series) == list(single.trajectory.series)
+        for series, values in single.trajectory.series.items():
+            assert result.trajectory[series].tobytes() == values.tobytes(), (name, series)
+        assert result.trajectory.clamp_events == single.trajectory.clamp_events
+        assert repr(result.metrics) == repr(single.metrics), name
+        assert result.params == single.params
 
 
 def test_policy_ladder_orders_evictions(suite):
