@@ -201,9 +201,12 @@ class CalibrationResult:
     # refused included
     scenario_runs: int
     iterations: int
+    # the solver met a tolerance, the fit scores no failed run, and the
+    # targets identify every free parameter (see singular_values)
     converged: bool
     fitted: dict[str, float]
-    achieved: dict[str, float]
+    # None for a time-of-event metric whose event never happened
+    achieved: dict[str, float | None]
     # of the relative-coordinate Jacobian at the fit; a value near zero
     # marks a direction the targets barely constrain. Empty when a
     # finite-difference point at the fit failed: its column measures the
@@ -277,28 +280,25 @@ def load_calibration_spec(
                                    CalibrationError, "max_iterations"))
 
 
-def _achieved(
-    metric_sets: dict[str, MetricSet],
-    spec: CalibrationSpec,
-    clock: SimClock,
-) -> dict[str, float]:
-    """Metric values for every target, read from its scenario's metrics."""
-    out = {}
-    for target in spec.targets:
-        value = getattr(metric_sets[target.scenario], target.metric)
-        if value is None:
-            # "never happened" sentinel for time-of-event metrics
-            value = clock.horizon + 1.0
-        out[target.key] = float(value)
-    return out
+def _achieved(metric_sets: dict[str, MetricSet],
+              spec: CalibrationSpec) -> dict[str, float | None]:
+    """Metric values for every target, read from its scenario's metrics;
+    None for a time-of-event metric whose event never happened."""
+    return {target.key: getattr(metric_sets[target.scenario], target.metric)
+            for target in spec.targets}
 
 
-def _residuals(achieved: dict[str, float], spec: CalibrationSpec) -> np.ndarray:
-    """One weighted relative miss per target, in spec order."""
+def _residuals(achieved: dict[str, float | None], spec: CalibrationSpec,
+               clock: SimClock) -> np.ndarray:
+    """One weighted relative miss per target, in spec order; an event that
+    never happened scores as happening a month past the horizon."""
     out = np.empty(len(spec.targets))
     for i, target in enumerate(spec.targets):
+        value = achieved[target.key]
+        if value is None:
+            value = clock.horizon + 1.0
         scale = abs(target.value) if target.value != 0.0 else 1.0
-        out[i] = math.sqrt(target.weight) * (achieved[target.key] - target.value) / scale
+        out[i] = math.sqrt(target.weight) * (value - target.value) / scale
     return out
 
 
@@ -311,7 +311,7 @@ def calibration_loss(
     """Weighted sum of squared relative target misses (lower is better)."""
     metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
                    for name in sorted({t.scenario for t in spec.targets})}
-    return float(np.sum(_residuals(_achieved(metric_sets, spec, clock), spec) ** 2))
+    return float(np.sum(_residuals(_achieved(metric_sets, spec), spec, clock) ** 2))
 
 
 def _process_count(most: int) -> int:
@@ -550,11 +550,11 @@ def calibrate(
         outcomes = {key[0]: runs[key] for key, _ in tasks(z)}
         if any(isinstance(o, Exception) for o in outcomes.values()):
             return None
-        return _achieved(outcomes, spec, clock)
+        return _achieved(outcomes, spec)
 
     def score(z: np.ndarray) -> np.ndarray:
         achieved = achieved_at(z)
-        return failure if achieved is None else _residuals(achieved, spec)
+        return failure if achieved is None else _residuals(achieved, spec, clock)
 
     def evaluate(points: list[np.ndarray]) -> list[np.ndarray]:
         """One round of the solver: make the runs its points need, then score them."""
@@ -621,6 +621,11 @@ def calibrate(
     except ValueError as error:
         raise CalibrationError(f"the fit ends on parameters that cannot be built: "
                                f"{error}") from error
+    singular_values = () if wall else tuple(
+        float(v) for v in np.linalg.svd(result.jac, compute_uv=False))
+    # a forward difference of step _DIFF_STEP resolves no singular value below
+    # _DIFF_STEP times the largest: the targets leave that direction free
+    identified = not singular_values or singular_values[-1] > _DIFF_STEP * singular_values[0]
     return CalibrationResult(
         params=fitted_params,
         loss=loss,
@@ -628,9 +633,8 @@ def calibrate(
         evaluations=result.nfev + len(paths) * result.njev,
         scenario_runs=len(runs),
         iterations=int(result.nfev),
-        converged=bool(result.status > 0) and loss < _FAILURE_LOSS,
+        converged=bool(result.status > 0) and loss < _FAILURE_LOSS and identified,
         fitted={path: float(get_value(fitted_params, path)) for path in paths},
         achieved=achieved,
-        singular_values=() if wall else tuple(
-            float(v) for v in np.linalg.svd(result.jac, compute_uv=False)),
+        singular_values=singular_values,
     )

@@ -9,10 +9,11 @@ Six subcommands cover the library's workflows:
 * ``validate``  reference-mode fit statistics plus the extreme-input battery
 * ``calibrate`` fit spec'd parameters and write an updated parameter file
 
-Input problems (unknown scenario, malformed file, empty path, bad clock, an
-``--out`` a file is in the way of, a malformed ``SOURCE_DATE_EPOCH``) exit
-with status 1 before any output file is created; writes themselves are
-atomic, so an interrupted run never leaves partial artifacts.
+Input problems (unknown scenario, malformed file, empty path, bad clock, a
+step on which an outflow cap binds at t=0, an ``--out`` a file is in the
+way of, a malformed ``SOURCE_DATE_EPOCH``) exit with status 1 before any
+output file is created; writes themselves are atomic, so an interrupted run
+never leaves partial artifacts.
 
 Only ``calibrate`` loads ``rentdyn.calibration``, which fits by a bounded
 Levenberg-Marquardt method of its own (More, "The Levenberg-Marquardt
@@ -37,6 +38,7 @@ from typing import Callable
 
 from rentdyn import __version__
 from rentdyn.engine import MAX_STEPS, SimClock, SimulationError
+from rentdyn.model import drain_cap_bound
 from rentdyn.output import csv_lines, manifest_timestamp, write_csv, write_json, \
     write_manifest
 from rentdyn.params import ModelParams, ParamError, ParamFileError, default_params, \
@@ -59,7 +61,9 @@ def _add_common(parser: argparse.ArgumentParser, with_format: bool = False) -> N
     parser.add_argument("--dt", type=float, default=SimClock.dt, metavar="MONTHS",
                         help=f"integration step in months (default {SimClock.dt:g}); the "
                              f"{SimClock.horizon:g}-month horizon must be 1 to {MAX_STEPS} "
-                             f"whole steps, the {SimClock.burn_in:g}-month burn-in whole steps")
+                             f"whole steps, the {SimClock.burn_in:g}-month burn-in whole "
+                             "steps, and no outflow cap may bind at t=0 (one step draining "
+                             "a stock below zero)")
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="run seed, recorded in the manifest (the model is "
                              "deterministic; the seed only labels outputs)")
@@ -137,15 +141,23 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
             raise CliError(f"cannot load scenarios: {err}") from err
     else:
         scenarios = dict(BUILTIN_SCENARIOS)
+    applied = []
     for scenario in scenarios.values():
         try:
-            scenario.apply(params)
+            applied.append((scenario.name, scenario.apply(params)))
         except ValueError as err:  # out of bounds, or a curve's own invariant
             raise CliError(f"scenario {scenario.name!r}: {err.args[0]}") from err
     try:
         clock = SimClock(dt=args.dt)
     except ValueError as err:
         raise CliError(f"bad clock: {err}") from err
+    for name, scenario_params in applied:
+        bound = drain_cap_bound(scenario_params, clock.dt)
+        if bound is not None:
+            # shown rounded down, so the step it names still passes
+            raise CliError(f"scenario {name!r}: --dt {clock.dt:g} lets an outflow cap bind at "
+                           "t=0 (one Euler step would drain a stock below zero); the largest "
+                           f"step on which none binds is {bound * 0.9995:.4g}")
     if args.out:
         out = Path(args.out)
         # the nearest path on the way to --out that exists must be a directory
@@ -273,7 +285,7 @@ def _cmd_compare(args) -> int:
         print(f"  {key:<{key_w}}  {row['baseline']:>14,.4g} -> "
               f"{row['variant']:>14,.4g}{pct}")
     _write_outputs(args, f"compare --baseline {args.baseline} --variant {args.variant}",
-                   params, clock, params_file, [args.baseline, args.variant],
+                   params, clock, params_file, list(pair),
                    lambda out: [write_json(
                        out / f"compare_{args.baseline}_vs_{args.variant}.json", table)])
     return 0
@@ -378,6 +390,9 @@ def _cmd_calibrate(args) -> int:
     print("achieved targets:")
     for target in spec.targets:
         got = result.achieved[target.key]
+        if got is None:  # an event that never happened
+            print(f"  {target.key:<40} never vs {target.value:.6g}")
+            continue
         off = abs(got - target.value) / abs(target.value) * 100 if target.value else 0.0
         print(f"  {target.key:<40} {got:.6g} vs {target.value:.6g} ({off:.2f}% off)")
     retag = {path: "calibrated" for path in result.fitted}

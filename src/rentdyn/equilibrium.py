@@ -15,10 +15,8 @@ carries explicit values; nothing is re-solved behind a loaded file's back.
 
 from __future__ import annotations
 
-import sys
-
 from rentdyn.engine import EPS
-from rentdyn.model import STOCKS, build_derivative, initial_state
+from rentdyn.model import STOCKS, UNCAPPED_DT, build_derivative, initial_state
 from rentdyn.params import ModelParams, with_value, with_values
 
 __all__ = ["EquilibriumError", "equilibrate", "DERIVED_FIELDS"]
@@ -35,8 +33,6 @@ DERIVED_FIELDS: tuple[str, ...] = (
     "landlord_income_per_unit",
 )
 
-# stock/dt overflows for any positive stock, so no one-step drain cap can bind
-_UNCAPPED_DT = sys.float_info.min
 _TOLERANCE = 1e-14
 _MAX_ITERATIONS = 200
 _RENT, _MORTGAGE, _OCCUPIED, _PENDING, _VACANT, _FORECLOSED, _INSECURE, _HOMELESS = map(
@@ -68,7 +64,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
     state[_RENT] = state[_MORTGAGE] = state[_FORECLOSED] = 1.0
 
     # dollar stocks drain nonlinearly in their own level: iterate to the fixed point
-    deriv = build_derivative(base, _UNCAPPED_DT)
+    deriv = build_derivative(base, UNCAPPED_DT)
     for _ in range(_MAX_ITERATIONS):
         _, aux = deriv(state, 0.0)
         balanced = {
@@ -105,7 +101,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
 
     # vacancy refill pace that keeps occupancy level under those filings
     base = with_value(base, "baseline_filing_fraction", filing_fraction)
-    rates, aux = build_derivative(base, _UNCAPPED_DT)(state, 0.0)
+    rates, aux = build_derivative(base, UNCAPPED_DT)(state, 0.0)
     supply = aux["tenant_moveins"]
     moveins = supply - rates[_OCCUPIED]
     if moveins <= EPS:

@@ -56,6 +56,7 @@ the sets of a batch that goes non-finite on the scalar backend.
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -71,6 +72,8 @@ __all__ = [
     "GATE_TIMES",
     "read_from",
     "build_derivative",
+    "UNCAPPED_DT",
+    "drain_cap_bound",
     "run_model",
 ]
 
@@ -416,6 +419,36 @@ def build_derivative(params, dt: float):
         return rates, aux
 
     return deriv
+
+
+# stock/dt overflows for any positive stock, so no one-step drain cap can bind
+UNCAPPED_DT = sys.float_info.min
+
+
+def drain_cap_bound(params: ModelParams, dt: float) -> float | None:
+    """None when no one-step drain cap of the outflow limiter binds at t=0
+    on a step of ``dt``, else the largest step on which none does.
+
+    A cap binds where one forward-Euler step would drain a stock below zero
+    (Sterman, *Business Dynamics*, 2000, ch. 8): the limiter then stands in
+    for the model's flows, and the run answers for the step, not the model.
+    The check compares the rates at ``dt`` with those at an uncapped step,
+    two derivative calls; the bound is found by bisecting the step's
+    exponent, since a cap that binds at one step binds at every longer one.
+    """
+    state = initial_state(params)
+    uncapped = build_derivative(params, UNCAPPED_DT)(state, 0.0)[0]
+
+    def binds(step: float) -> bool:
+        return build_derivative(params, step)(state, 0.0)[0] != uncapped
+
+    if not binds(dt):
+        return None
+    lo, hi = -1074.0, math.log2(dt)  # 2**-1074 is the least positive float
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if binds(2.0 ** mid) else (mid, hi)
+    return 2.0 ** lo
 
 
 def _integrate(source, clock: SimClock, record: Sequence[str] | None,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
@@ -38,7 +37,6 @@ __all__ = [
     "get_value",
     "with_value",
     "with_values",
-    "sweepable_parameters",
     "stack_params",
     "bounds_for",
     "clamp_to_bounds",
@@ -375,40 +373,25 @@ def _replaced(obj: Any, changes: list[tuple[list[str], str, Any]]) -> Any:
     return replace(obj, **values)
 
 
-def sweepable_parameters() -> list[str]:
-    """Dotted paths of every numeric parameter, initial stocks included."""
-    return [f.path for f in FIELDS]
-
-
-def stack_params(columns: Sequence[ModelParams]) -> SimpleNamespace:
+def stack_params(columns: Sequence[Any]) -> Any:
     """B parameter sets as one batch, laid out like :class:`ModelParams`.
 
-    Every registry field becomes a ``(B,)`` float array at its dotted path,
-    and each policy block's ``enabled`` switch a boolean array. Each effect
-    curve also carries its class as ``kind`` and its derived constants
-    (``_span``, ...) as ``(B,)`` arrays, so ``kind.array(node, x)``
-    evaluates every column's curve at once.
+    Each dataclass becomes a namespace of its attributes, and each float or
+    bool in it a ``(B,)`` array of that dtype: every registry field, each
+    policy block's ``enabled`` switch, and each effect curve's derived
+    constants (``_span``, ...). A curve's namespace also carries its class
+    as ``kind``, so ``kind.array(node, x)`` evaluates every column's curve
+    at once. Each attribute is stacked by a call on its B values.
     """
     import numpy as np
 
-    batch = SimpleNamespace()
-    paths = [f.path for f in FIELDS] + [f"{block}.enabled" for block in POLICY_BLOCKS]
-    for path in paths:
-        *groups, leaf = path.split(".")
-        node = batch
-        for group in groups:
-            if not hasattr(node, group):
-                setattr(node, group, SimpleNamespace())
-            node = getattr(node, group)
-        dtype = bool if leaf == "enabled" else float
-        setattr(node, leaf, np.array(list(map(attrgetter(path), columns)), dtype=dtype))
-    for name, node in vars(batch).items():
-        curve = getattr(columns[0], name)
-        if isinstance(curve, (GompertzCurve, LogisticCurve)):
-            node.kind = type(curve)
-            for const in (key for key in vars(curve) if key.startswith("_")):
-                setattr(node, const, np.array(list(map(attrgetter(f"{name}.{const}"),
-                                                       columns))))
+    first = columns[0]
+    if not is_dataclass(first):
+        return np.array(columns, dtype=bool if isinstance(first, bool) else float)
+    batch = SimpleNamespace(**{name: stack_params([getattr(column, name) for column in columns])
+                               for name in vars(first)})
+    if isinstance(first, (GompertzCurve, LogisticCurve)):
+        batch.kind = type(first)
     return batch
 
 

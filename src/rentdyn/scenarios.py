@@ -120,9 +120,7 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
         out[name] = Scenario(
             name=name,
             description=description,
-            covid=spec.get("covid", False),
-            moratorium=spec.get("moratorium", False),
-            assistance=spec.get("assistance", False),
+            **{block: spec.get(block, False) for block in POLICY_BLOCKS},
             overrides={k: read_number(v, ValueError, f"{where} override '{k}'")
                        for k, v in overrides.items()},
         )

@@ -29,8 +29,8 @@ import numpy as np
 from rentdyn.engine import START_MONTH, START_YEAR, ClampEvent, SimClock, SimulationError, \
     Trajectory
 from rentdyn.model import run_model
-from rentdyn.params import ModelParams, clamp_to_bounds, default_params, get_value, \
-    read_number, sweepable_parameters, with_value, with_values
+from rentdyn.params import FIELDS, ModelParams, clamp_to_bounds, default_params, get_value, \
+    read_number, with_value, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
     compute_metrics, run_scenario
 
@@ -129,6 +129,8 @@ class ReferenceMode:
     units: str
     source: str
     months: tuple[str, ...]
+    # model time at the start of each month
+    times: tuple[float, ...]
     values: tuple[float, ...]
 
 
@@ -158,17 +160,6 @@ def _month_time(label: str) -> float:
     except ValueError:
         raise ReferenceError(f"bad calendar month {label!r} (expected YYYY-MM)") from None
     return (year - START_YEAR) * 12.0 + (month - START_MONTH)
-
-
-def _parse_month(label: str, clock: SimClock) -> float:
-    """:func:`_month_time` of a month inside the simulated horizon."""
-    t = _month_time(label)
-    if t < 0.0 or t > clock.horizon:
-        raise ReferenceError(
-            f"calendar month {label} falls outside the simulated horizon "
-            f"[{clock.calendar_label(0.0)}, {clock.calendar_label(clock.horizon)}]"
-        )
-    return t
 
 
 def load_reference_mode(path: str | Path) -> ReferenceMode:
@@ -214,6 +205,7 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
         units=constant["units"],
         source=constant["source"],
         months=tuple(months),
+        times=tuple(first),
         values=tuple(read_number(row["value"], ReferenceError,
                                  f"{path.name}: value for {row['calendar_month']}")
                      for row in rows),
@@ -222,11 +214,15 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
 
 def score_reference_mode(mode: ReferenceMode, trajectory: Trajectory) -> ReferenceResult:
     """Theil-score one reference mode against a simulated trajectory."""
-    if mode.series not in trajectory.series:
+    if mode.series not in trajectory.data:
         raise ReferenceError(f"{mode.name}: unknown model series {mode.series!r}")
     clock = trajectory.clock
-    times = [_parse_month(label, clock) for label in mode.months]
-    sim = np.array([trajectory.at(mode.series, t) for t in times])
+    for label, t in zip(mode.months, mode.times):
+        if not 0.0 <= t <= clock.horizon:
+            raise ReferenceError(
+                f"calendar month {label} falls outside the simulated horizon "
+                f"[{clock.calendar_label(0.0)}, {clock.calendar_label(clock.horizon)}]")
+    sim = np.array([trajectory.at(mode.series, t) for t in mode.times])
     obs = np.array(mode.values, dtype=float)
     u = theils_u(sim, obs)
     bias, variance, covariance = theil_decomposition(sim, obs)
@@ -350,7 +346,7 @@ def sensitivity_sweep(
 
     steps = []  # (path, direction, base, requested, applied, clamped, run) per entry
     sets = [baseline]
-    for path in sweepable_parameters():
+    for path in (f.path for f in FIELDS):
         base = float(get_value(params, path))
         for direction, sign in (("down", -1.0), ("up", +1.0)):
             requested = base * (1.0 + sign * fraction)

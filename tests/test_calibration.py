@@ -873,3 +873,48 @@ def test_fit_of_a_value_first_read_after_the_horizon(monkeypatch):
     assert {c[0] for c in counts} == {1, 201}
     _full_runs(monkeypatch)
     assert _outcome(calibrate(start, spec)) == _outcome(restarted)
+
+
+def test_fit_the_targets_cannot_identify_is_not_converged(tmp_path, capsys):
+    """Two targets that read disbursement time and pace only through their
+    ratio fix one direction: the fit meets its targets, but its second
+    singular value, below the forward difference's resolution, marks a
+    direction they leave free."""
+    from rentdyn.cli import main
+
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(
+        "parameters:\n"
+        "  - {path: assistance.disbursement_time, lower: 20, upper: 60}\n"
+        "  - {path: assistance.rate_multiplier, lower: 0.5, upper: 2}\n"
+        "targets:\n"
+        "  - {scenario: run4, metric: assistance_disbursed_end, value: 2.0e10}\n"
+        "  - {scenario: run4, metric: assistance_disbursed_fraction, value: 0.43}\n")
+    result = calibrate(default_params(), load_calibration_spec(spec))
+    assert result.loss < 1e-7
+    large, small = result.singular_values
+    assert small < calibration._DIFF_STEP * large
+    assert not result.converged
+    assert main(["calibrate", "--spec", str(spec)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("(not converged)")
+
+
+def test_fit_of_an_event_that_never_happens_reports_never(tmp_path, capsys):
+    """run4 never exhausts its fund at any disbursement time near the
+    default: the metric stays None, which the residual scores as a month past
+    the horizon, the Jacobian is zero, and the command prints ``never``."""
+    from rentdyn.cli import main
+
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(
+        "parameters: [{path: assistance.disbursement_time}]\n"
+        "targets: [{scenario: run4, metric: assistance_exhausted_at, value: 45}]\n")
+    result = calibrate(default_params(), load_calibration_spec(spec))
+    assert result.achieved == {"run4.assistance_exhausted_at": None}
+    assert result.loss == result.initial_loss == pytest.approx(((50.0 + 1.0 - 45.0) / 45.0) ** 2)
+    assert result.singular_values == (0.0,)
+    assert not result.converged
+    assert main(["calibrate", "--spec", str(spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(not converged)")
+    assert lines[-1] == f"  {'run4.assistance_exhausted_at':<40} never vs 45"

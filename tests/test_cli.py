@@ -240,6 +240,31 @@ def test_sweep_artifacts(tmp_path):
     assert "evictions_total" in baseline
 
 
+def test_compare_of_a_scenario_with_itself_lists_it_once(tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--baseline", "run2", "--variant", "run2", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["scenarios"] == ["run2"]
+
+
+@pytest.mark.parametrize("dt", ["0.125", "0.25", "0.5", "1", "2"])
+def test_a_step_on_which_an_outflow_cap_binds_at_the_start_is_refused(tmp_path, capsys, dt):
+    """Every shipped scenario passes at 0.5 and binds above about 0.5525, where
+    one Euler step would drain the pending-case stock (its outflows total
+    about 1.81 a month): the error names the first scenario and a step that
+    passes."""
+    out = tmp_path / "out"
+    rc = main(["suite", "--dt", dt, "--out", str(out)])
+    err = capsys.readouterr().err
+    if float(dt) <= 0.5:
+        assert (rc, err) == (0, "")
+        return
+    assert rc == 1
+    assert err == (f"error: scenario 'run1': --dt {dt} lets an outflow cap bind at t=0 (one "
+                   "Euler step would drain a stock below zero); the largest step on which "
+                   "none binds is 0.5522\n")
+    assert not out.exists()
+
+
 def test_validate_writes_report_and_passes(tmp_path):
     out = tmp_path / "val"
     rc = main(["validate", "--references", "reference_modes", "--out", str(out)])
@@ -510,6 +535,9 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
     (["calibrate", "--spec"], "spec.yaml", _SPEC % ("", "run1", "7.0e6", "")),
     (["calibrate", "--spec"], "spec.yaml",
      _SPEC.replace("evictions_total", "assistance_exhausted_at") % ("", "run2", "40", "")),
+    (["suite", "--dt", "0.125", "--params"], "params.yaml",
+     _PARAMS.replace("filing_resolution_time:\n    value: 0.7",
+                     "filing_resolution_time:\n    value: 0.1", 1)),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -531,7 +559,7 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
         "params-provenance-nested-deep", "params-provenance-alias-chain",
         "switch-nested-deep", "description-nested-deep", "spec-value-nested-deep",
         "spec-metric-nested-deep", "spec-path-nested-deep", "spec-parameter-never-read",
-        "spec-target-block-off"])
+        "spec-target-block-off", "params-caps-bind-at-0.125"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``

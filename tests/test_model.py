@@ -21,6 +21,7 @@ from rentdyn.model import (
     STOCKS,
     _limit,
     build_derivative,
+    drain_cap_bound,
     initial_state,
     policy_onset,
     read_from,
@@ -380,6 +381,27 @@ def test_derivative_is_step_size_independent_away_from_caps():
     fine, _ = _deriv_at(p, state, dt=0.03125)
     for name in STOCKS:
         assert coarse[name] == pytest.approx(fine[name], rel=1e-12), name
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+@pytest.mark.parametrize("resolution_time, bound", [(0.7, 0.5524643837697021),
+                                                     (0.1, 0.09632519379340107)])
+def test_drain_cap_bound_is_the_largest_step_on_which_no_cap_binds(name, resolution_time,
+                                                                  bound):
+    """The pending-case stock drains fastest at t=0: evictions, resolutions
+    and foreclosures take 0.38 + 1/0.7 + 0.0015 a month of it at the shipped
+    parameters, and 0.38 + 1/0.1 + 0.0015 with cases resolved in 0.1 months.
+    At the bound no cap binds, a step one part in 10**12 longer binds one,
+    and the run at that step limits a flow at its first sample."""
+    p = BUILTIN_SCENARIOS[name].apply(
+        with_value(default_params(), "filing_resolution_time", resolution_time))
+    assert drain_cap_bound(p, 1e-3) is None
+    assert drain_cap_bound(p, bound) is None
+    assert drain_cap_bound(p, 2.0) == drain_cap_bound(p, bound * (1.0 + 1e-12)) == bound
+    state = initial_state(p)
+    _, capped = _deriv_at(p, state, dt=bound * (1.0 + 1e-12))
+    _, free = _deriv_at(p, state, dt=bound)
+    assert capped["evictions_processed"] < free["evictions_processed"]
 
 
 # ---------------------------------------------------------------- trajectories

@@ -2,18 +2,21 @@
 
 import dataclasses
 import gc
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rentdyn.engine import GompertzCurve, LogisticCurve
 from rentdyn.equilibrium import DERIVED_FIELDS, EquilibriumError, equilibrate
 from rentdyn.model import STOCKS, build_derivative, initial_state
 from rentdyn.params import (
     FIELDS,
+    POLICY_BLOCKS,
     PROVENANCE_TAGS,
     ModelParams,
     ParamError,
@@ -26,7 +29,7 @@ from rentdyn.params import (
     load_yaml,
     read_number,
     save_params,
-    sweepable_parameters,
+    stack_params,
     validate_params,
     with_value,
     with_values,
@@ -71,8 +74,43 @@ def test_registry_tags_and_bounds_sane():
         assert f.lo <= value <= f.hi, f.path
 
 
-def test_sweepable_matches_registry():
-    assert sweepable_parameters() == [f.path for f in FIELDS]
+@st.composite
+def _columns(draw):
+    """1-5 parameter sets, each with random switches and 0-3 registry fields
+    moved inside their bounds (an unbounded field up to 4x its default)."""
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        changes = {f"{block}.enabled": draw(st.booleans()) for block in POLICY_BLOCKS}
+        for f in draw(st.lists(st.sampled_from(FIELDS), max_size=3, unique_by=lambda f: f.path)):
+            hi = f.hi if f.hi < math.inf \
+                else 4.0 * max(abs(get_value(default_params(), f.path)), 1.0)
+            changes[f.path] = draw(st.floats(f.lo, hi))
+        try:
+            columns.append(with_values(default_params(), changes))
+        except ValueError:  # a curve's own invariant (y_final >= floor, ...)
+            assume(False)
+    return columns
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_columns())
+def test_stack_params_holds_each_column_at_its_own_path(columns):
+    """Every registry field, switch and curve constant is a (B,) array of
+    its own dtype whose column b is column b's value, and each curve's
+    namespace carries its class."""
+    batch = stack_params(columns)
+    curves = [f.name for f in dataclasses.fields(ModelParams)
+              if isinstance(getattr(columns[0], f.name), (GompertzCurve, LogisticCurve))]
+    paths = [f.path for f in FIELDS] + [f"{block}.enabled" for block in POLICY_BLOCKS]
+    paths += [f"{curve}.{name}" for curve in curves for name in vars(getattr(columns[0], curve))]
+    assert any(name.startswith("_") for name in vars(default_params().crowding_curve))
+    for path in paths:
+        stacked = get_value(batch, path)
+        assert stacked.shape == (len(columns),), path
+        assert stacked.dtype == (bool if path.endswith(".enabled") else float), path
+        assert stacked.tolist() == [get_value(column, path) for column in columns], path
+    for curve in curves:
+        assert get_value(batch, curve).kind is type(getattr(columns[0], curve))
 
 
 def test_bounds_lookup_and_clamp():
