@@ -42,7 +42,7 @@ from rentdyn.model import drain_cap_bound
 from rentdyn.output import csv_lines, manifest_timestamp, write_csv, write_json, \
     write_manifest
 from rentdyn.params import ModelParams, ParamError, ParamFileError, default_params, \
-    load_params, save_params
+    get_value, load_params, save_params
 from rentdyn.scenarios import BUILTIN_SCENARIOS, RunResult, Scenario, compare, \
     emit_timeseries, load_scenarios, run_many, run_scenario
 
@@ -378,6 +378,11 @@ def _cmd_calibrate(args) -> int:
         result = calibrate(params, spec, clock=clock, scenarios=scenarios)
     except CalibrationError as err:
         raise CliError(f"calibration failed: {err}") from err
+    for free in spec.parameters:  # the fit starts from each value clipped into its box
+        start = get_value(params, free.path)
+        if not free.lower <= start <= free.upper:
+            side, bound = ("lower", free.lower) if start < free.lower else ("upper", free.upper)
+            print(f"start {free.path} {start:.6g} moved to its {side} bound {bound:.6g}")
     print(f"loss {result.initial_loss:.6g} -> {result.loss:.6g} "
           f"after {result.evaluations} evaluations, {result.scenario_runs} scenario runs "
           f"({'converged' if result.converged else 'not converged'})")

@@ -6,14 +6,12 @@ forward-Euler integration with non-negativity clamping on declared stocks.
 A first-order smooth is integrated as one more stock of the model.
 
 The state is a sequence of stock levels in a fixed order: floats for one
-run, or one ``(stocks, B)`` array for a batch of B runs stepped together.
-One derivative call and one Euler step per grid point serve the whole
-batch, each column keeps its own clamp events, and a batch can keep only
-the series a caller needs, so it records a fraction of what B single runs
-would. Each effect curve has a scalar form for one run and an array form
-for a batch, equal bit for bit. numpy is imported by the first batch: one
-run never imports it, keeps every sample as a Python float, and makes
-numpy arrays only when a caller asks its trajectory for them.
+run (:func:`simulate`), or one ``(stocks, B)`` array for a batch of B runs
+stepped together (:func:`simulate_batch`). Each effect curve has a scalar
+form for one run and an array form for a batch, equal bit for bit. numpy
+is imported by the first batch: one run never imports it, keeps every
+sample as a Python float, and makes numpy arrays only when a caller asks
+its trajectory for them.
 
 The integrator is deliberately fixed-step (no adaptive error control): model
 results must be reproducible bit-for-bit for a given grid, and time-step
@@ -24,7 +22,6 @@ a solver.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -56,6 +53,7 @@ __all__ = [
     "Trajectory",
     "pairwise_sum",
     "simulate",
+    "simulate_batch",
     "SimulationError",
 ]
 
@@ -386,12 +384,12 @@ def _nonfinite(name: str, t: float, value) -> str:
 def simulate(
     deriv: DerivFn,
     clock: SimClock,
-    initial: Mapping[str, float | np.ndarray],
+    initial: Mapping[str, float],
     nonneg: frozenset[str] = frozenset(),
     record: Sequence[str] | None = None,
     restart: tuple[int, Trajectory] | None = None,
-) -> Trajectory | list[Trajectory]:
-    """Integrate ``deriv`` over the clock grid with forward Euler.
+) -> Trajectory:
+    """Integrate one run of ``deriv`` over the clock grid with forward Euler.
 
     Parameters
     ----------
@@ -403,51 +401,40 @@ def simulate(
     clock : SimClock
         Integration grid.
     initial : mapping
-        Initial stock levels; its keys name the state entries, in order.
-        Floats make one run. ``(B,)`` arrays make a batch of B runs stepped
-        together (floats among them are broadcast across the batch).
+        Initial stock levels, as floats; its keys name the state entries, in
+        order.
     nonneg : frozenset
         Stock names clamped at zero after each step.
     record : sequence of str, optional
         The series to keep (default: every stock and auxiliary).
     restart : (k, earlier), optional
-        Start the loop at sample ``k`` of one run: the rows before ``k``,
-        the stock levels at ``k`` and the clamp events of the steps before
-        ``k`` are taken from ``earlier``, one run's trajectory with every
-        series. Only the kept series' rows are copied from it, so a restart
-        with a short ``record`` copies little. The result is the full run's,
-        bit for bit, in every kept series, when ``earlier`` is a run from the
-        same initial levels of a derivative that agrees with ``deriv`` at
-        every sample before ``k``. A non-finite value at or after ``k`` is
+        Start the loop at sample ``k``: the rows before ``k``, the stock
+        levels at ``k`` and the clamp events of the steps before ``k`` are
+        taken from ``earlier``, one run's trajectory with every series. Only
+        the kept series' rows are copied from it, so a restart with a short
+        ``record`` copies little. The result is the full run's, bit for bit,
+        in every kept series, when ``earlier`` is a run from the same
+        initial levels of a derivative that agrees with ``deriv`` at every
+        sample before ``k``. A non-finite value at or after ``k`` is
         reported as the full run reports it. The trajectory keeps
         ``restart`` as :attr:`Trajectory.restart` when ``k > 0``.
 
     Returns
     -------
-    Trajectory or list of Trajectory
+    Trajectory
         The kept series sampled at every grid point, including both
-        endpoints: one trajectory for one run, one per column for a batch,
-        each column with its own clamp events and views into one shared
-        block. Every stock and auxiliary is checked at every sample, kept or
-        not, and a non-finite value raises :class:`SimulationError` naming
-        the first bad series at the earliest bad time. A batch raises at its
-        first non-finite sample, naming the lowest bad column there; which
-        parameter set's error a caller reports is the caller's to decide
-        (:func:`rentdyn.model.run_model` reruns the sets alone).
+        endpoints. Every stock and auxiliary is checked at every sample,
+        kept or not, and a non-finite value raises :class:`SimulationError`
+        naming the first bad series at the earliest bad time.
     """
     names = list(initial)
     clamped = {i: name for i, name in enumerate(names) if name in nonneg}
-    state = list(initial.values())
-    numpy = sys.modules.get("numpy")  # no value is an array unless numpy is loaded
-    if numpy is not None and any(isinstance(v, numpy.ndarray) for v in state):
-        if restart is not None:
-            raise ValueError("a batch cannot restart")
-        return _simulate_batch(deriv, clock, names, state, clamped, record)
     grid = clock.grid
     n = len(grid)
     first, earlier = (0, None) if restart is None else restart
     if not 0 <= first < n:
         raise ValueError(f"restart sample {first} is not on the grid of {n} samples")
+    state = list(initial.values())
     events: list[ClampEvent] = []
     if first:
         state = [earlier.data[name][first] for name in names]
@@ -479,21 +466,33 @@ def simulate(
     return Trajectory(clock, data, events, restart if first else None)
 
 
-def _simulate_batch(
+def simulate_batch(
     deriv: DerivFn,
     clock: SimClock,
-    names: list[str],
-    initial: list,
-    clamped: Mapping[int, str],
-    record: Sequence[str] | None,
+    initial: Mapping[str, float | np.ndarray],
+    nonneg: frozenset[str] = frozenset(),
+    record: Sequence[str] | None = None,
 ) -> list[Trajectory]:
-    """:func:`simulate` for a batch: the state is one ``(stocks, B)`` array."""
+    """:func:`simulate` for B runs stepped together from the first sample,
+    one derivative call and one Euler step per grid point for all of them:
+    the state is one ``(stocks, B)`` array, and ``initial`` maps each stock
+    to a ``(B,)`` array or a float broadcast across the batch.
+
+    Returns one trajectory per column, each with its own clamp events and
+    views into one shared block. A batch raises :class:`SimulationError` at
+    its first non-finite sample, naming the lowest bad column there; which
+    parameter set's error a caller reports is the caller's to decide
+    (:func:`rentdyn.model.run_model` reruns the sets alone).
+    """
     import numpy as np
 
+    names = list(initial)
+    clamped = {i: name for i, name in enumerate(names) if name in nonneg}
     grid = clock.grid
     n = len(grid)
-    size = max(np.size(v) for v in initial)
-    state = np.array([np.broadcast_to(np.asarray(v, dtype=float), (size,)) for v in initial])
+    size = max(np.size(v) for v in initial.values())
+    state = np.array([np.broadcast_to(np.asarray(v, dtype=float), (size,))
+                      for v in initial.values()])
     events: list[list[ClampEvent]] = [[] for _ in range(size)]
     block = keep = None  # block is time-major: (samples, kept series, B)
 

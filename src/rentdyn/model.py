@@ -57,10 +57,11 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import fields, is_dataclass
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from rentdyn.engine import EPS, SimClock, SimulationError, Trajectory, simulate
+from rentdyn.engine import EPS, SimClock, SimulationError, Trajectory, simulate, simulate_batch
 from rentdyn.params import POLICY_BLOCKS, ModelParams, stack_params
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
     "policy_onset",
     "GATE_TIMES",
     "read_from",
+    "departure",
     "build_derivative",
     "UNCAPPED_DT",
     "drain_cap_bound",
@@ -224,8 +226,31 @@ def read_from(params: ModelParams, path: str) -> float:
     return onset
 
 
+def departure(a: ModelParams, b: ModelParams) -> float:
+    """When runs of the parameter sets ``a`` and ``b`` part, as they agree bit
+    for bit before it: the earliest time either reads (:func:`read_from`) a
+    field, ``enabled`` switches included, on which they differ (``-0.0`` and
+    ``0.0`` print differently in a row), and ``inf`` when none does."""
+    return min((min(read_from(a, path), read_from(b, path)) for path in _differing(a, b)),
+               default=math.inf)
+
+
+def _differing(x, y, prefix: str = "") -> Iterator[str]:
+    # with_values rebuilds only the dataclasses on the path of its changes, so
+    # two sets share most of their tree, and a shared part is skipped
+    for f in fields(x):
+        u, v = getattr(x, f.name), getattr(y, f.name)
+        if u is v:
+            continue
+        path = prefix + f.name
+        if is_dataclass(u):
+            yield from _differing(u, v, path + ".")
+        elif u != v or math.copysign(1.0, u) != math.copysign(1.0, v):
+            yield path
+
+
 def build_derivative(params, dt: float):
-    """Derivative function for :func:`rentdyn.engine.simulate`.
+    """Derivative function for :mod:`rentdyn.engine`'s integrators.
 
     ``params`` is one :class:`ModelParams` (scalar backend) or a batch from
     :func:`rentdyn.params.stack_params` (numpy backend). The derivative takes
@@ -451,14 +476,6 @@ def drain_cap_bound(params: ModelParams, dt: float) -> float | None:
     return 2.0 ** lo
 
 
-def _integrate(source, clock: SimClock, record: Sequence[str] | None,
-               restart: tuple[int, Trajectory] | None = None) -> Trajectory | list[Trajectory]:
-    """Integrate one parameter set, or a batch laid out by ``stack_params``."""
-    deriv = build_derivative(source, clock.dt)
-    initial = dict(zip(STOCKS, initial_state(source)))
-    return simulate(deriv, clock, initial, NONNEG_STOCKS, record, restart)
-
-
 def run_model(
     params: ModelParams | Sequence[ModelParams],
     clock: SimClock = SimClock(),
@@ -467,14 +484,16 @@ def run_model(
 ) -> Trajectory | list[Trajectory]:
     """Simulate the model on the given grid.
 
-    One :class:`ModelParams` runs on the scalar backend and returns one
+    The one place that picks a backend. One :class:`ModelParams` runs on
+    the scalar backend (:func:`rentdyn.engine.simulate`) and returns one
     trajectory. A sequence of B parameter sets runs as one batch on the
-    numpy backend and returns B trajectories (none for an empty sequence).
-    Either way a trajectory holds the ``record`` series (every stock and
-    auxiliary if None). If a batch goes non-finite, its sets are rerun
-    alone on the scalar backend, in order, and the first that fails raises
-    its own error, as one-by-one runs would; if none fails alone, the
-    batch's own :class:`rentdyn.engine.SimulationError` is raised.
+    numpy backend (:func:`rentdyn.engine.simulate_batch`) and returns B
+    trajectories (none for an empty sequence). Either way a trajectory
+    holds the ``record`` series (every stock and auxiliary if None). If a
+    batch goes non-finite, its sets are rerun alone on the scalar backend,
+    in order, and the first that fails raises its own error, as one-by-one
+    runs would; if none fails alone, the batch's own
+    :class:`rentdyn.engine.SimulationError` is raised.
 
     ``restart=(k, earlier)`` starts one run at sample ``k`` (a batch runs
     in full), taking what comes before from ``earlier`` (see
@@ -485,7 +504,8 @@ def run_model(
     is sample ``k``'s time will do.
     """
     if isinstance(params, ModelParams):
-        return _integrate(params, clock, record, restart)
+        return simulate(build_derivative(params, clock.dt), clock,
+                        dict(zip(STOCKS, initial_state(params))), NONNEG_STOCKS, record, restart)
     if not params:
         return []
     try:
@@ -494,7 +514,9 @@ def run_model(
         # numpy warns where the scalar backend's Python floats overflow to inf
         # silently, in the constants the derivative hoists as in its steps
         with np.errstate(all="ignore"):
-            return _integrate(stack_params(params), clock, record)
+            batch = stack_params(params)
+            return simulate_batch(build_derivative(batch, clock.dt), clock,
+                                  dict(zip(STOCKS, initial_state(batch))), NONNEG_STOCKS, record)
     except SimulationError:
         for one in params:
             run_model(one, clock)

@@ -22,9 +22,9 @@ from types import MappingProxyType, SimpleNamespace
 from typing import Mapping
 
 from rentdyn.engine import SimClock, Trajectory, pairwise_sum
-from rentdyn.model import read_from, run_model
-from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, brief, get_value, \
-    load_yaml, read_mapping, read_number, validate_params, with_values
+from rentdyn.model import departure, read_from, run_model
+from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, brief, load_yaml, \
+    read_mapping, read_number, validate_params, with_values
 
 __all__ = [
     "Scenario",
@@ -245,37 +245,13 @@ class RunResult:
     elapsed_seconds: float
 
 
-def _run(scenario: Scenario, applied: ModelParams, clock: SimClock,
-         restart: tuple[int, Trajectory] | None = None) -> RunResult:
-    t0 = time.perf_counter()
-    traj = run_model(applied, clock, restart=restart)
-    elapsed = time.perf_counter() - t0
-    return RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
-
-
 def run_scenario(
     params: ModelParams,
     scenario: Scenario,
     clock: SimClock = SimClock(),
 ) -> RunResult:
     """Apply a scenario to the base parameters and simulate it."""
-    return _run(scenario, scenario.apply(params), clock)
-
-
-def _departure(a: RunResult, scenario: Scenario, applied: ModelParams) -> float:
-    """When a run of ``scenario`` first parts from ``a``, a run off the same
-    base: the earliest time either reads a switch or override on which
-    their applied parameters differ (``inf`` when none does)."""
-    paths = {f"{block}.enabled" for block in POLICY_BLOCKS}
-    paths |= a.scenario.overrides.keys() | scenario.overrides.keys()
-    times = [min(read_from(a.params, path), read_from(applied, path)) for path in paths
-             if _differs(get_value(a.params, path), get_value(applied, path))]
-    return min(times, default=math.inf)
-
-
-def _differs(x: float, y: float) -> bool:
-    # -0.0 == 0.0, but the two can print differently in a row
-    return x != y or math.copysign(1.0, x) != math.copysign(1.0, y)
+    return run_many(params, {scenario.name: scenario}, clock)[scenario.name]
 
 
 def run_many(
@@ -285,18 +261,16 @@ def run_many(
 ) -> dict[str, RunResult]:
     """Run several scenarios off one base parameter set, in name order.
 
-    Runs of two scenarios on one base agree bit for bit until they depart:
-    at the earliest time either reads (:func:`rentdyn.model.read_from`) a
-    switch or override on which their applied parameters differ. Each run
-    restarts from the earlier run it departs from last (the later by name
-    on a tie), at the first sample at or after the departure
+    Runs of two scenarios agree bit for bit until their applied parameters
+    depart (:func:`rentdyn.model.departure`). Each run restarts from the
+    earlier run it departs from last (the later by name on a tie), at the
+    first sample at or after the departure
     (:meth:`SimClock.sample_at_or_after`), and copies the rows before it
     (:func:`rentdyn.engine.simulate`); a departure at the start makes a full
     run. On the shipped ladder run2 restarts from run1 at sample 107 (the
     shock), run3 from run2 at 105 (the filing drop), and run4a from run4 at
     144 (the first payment); run4's assistance switch opens the fund at the
-    start, so it runs in full. Each result is :func:`run_scenario`'s, bit
-    for bit.
+    start, so it runs in full. Each result is the full run's, bit for bit.
     """
     results: dict[str, RunResult] = {}
     for name in sorted(scenarios):
@@ -304,10 +278,13 @@ def run_many(
         applied = scenario.apply(params)
         latest, restart = 0, None
         for earlier in results.values():
-            k = clock.sample_at_or_after(_departure(earlier, scenario, applied))
+            k = clock.sample_at_or_after(departure(earlier.params, applied))
             if k and k >= latest:
                 latest, restart = k, (k, earlier.trajectory)
-        results[name] = _run(scenario, applied, clock, restart)
+        t0 = time.perf_counter()
+        traj = run_model(applied, clock, restart=restart)
+        elapsed = time.perf_counter() - t0
+        results[name] = RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
     return results
 
 

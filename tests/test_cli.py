@@ -357,6 +357,24 @@ def test_calibrate_refuses_a_free_start_time(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box, moved", [("0.7, upper: 0.8", "lower bound 0.7"),
+                                        ("0.3, upper: 0.5", "upper bound 0.5")])
+def test_calibrate_says_which_start_it_moved_into_the_box(tmp_path, capsys, box, moved):
+    """The default covid.magnitude 0.6 lies outside the spec's box: the fit
+    starts from the nearer bound, and the command says so before its loss."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(
+        "parameters:\n"
+        f"  - {{path: covid.magnitude, lower: {box}}}\n"
+        "targets:\n"
+        "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"
+    )
+    assert main(["calibrate", "--spec", str(spec), "--out", str(tmp_path / "fit")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"start covid.magnitude 0.6 moved to its {moved}"
+    assert lines[1].startswith("loss ")
+
+
 # ---------------------------------------------------------------- inputs
 
 def test_params_and_dt_flags(tmp_path):

@@ -23,6 +23,7 @@ from rentdyn.engine import (
     euler_step,
     pairwise_sum,
     simulate,
+    simulate_batch,
 )
 from rentdyn.params import bounds_for
 
@@ -343,7 +344,8 @@ def test_batch_matches_single_runs_column_by_column():
 
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
     levels = [100.0, 5.0, 0.5]
-    batch = simulate(deriv, clock, {"r": np.array(levels), "out": 0.0}, nonneg=frozenset({"r"}))
+    batch = simulate_batch(deriv, clock, {"r": np.array(levels), "out": 0.0},
+                           nonneg=frozenset({"r"}))
     assert len(batch) == len(levels)
     for level, column in zip(levels, batch):
         single = simulate(deriv, clock, {"r": level, "out": 0.0}, nonneg=frozenset({"r"}))
@@ -356,8 +358,8 @@ def test_batch_matches_single_runs_column_by_column():
 
 def test_simulate_records_only_the_requested_series():
     clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
-    batch = simulate(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
-                     record=("outflow",))
+    batch = simulate_batch(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
+                           record=("outflow",))
     assert [list(t.series) for t in batch] == [["outflow"], ["outflow"]]
     assert batch[1]["outflow"][0] == 25.0
     single = simulate(_drain_deriv(2.0), clock, {"r": 50.0}, record=("outflow",))
@@ -376,7 +378,7 @@ def test_batch_raises_at_its_first_non_finite_sample():
         simulate(deriv, clock, {"x": 20.0})
     with pytest.raises(SimulationError) as batch:
         with np.errstate(over="ignore", invalid="ignore"):
-            simulate(deriv, clock, {"x": np.array([0.0, 10.0, 20.0])})
+            simulate_batch(deriv, clock, {"x": np.array([0.0, 10.0, 20.0])})
     assert str(batch.value) == str(single.value) == \
         "non-finite value for 'x' at t=2.25: inf"
 
@@ -419,9 +421,6 @@ def test_restart_must_be_on_the_grid_of_one_run():
     for k in (-1, 21):
         with pytest.raises(ValueError, match="restart sample"):
             simulate(_drain_deriv(2.0), clock, {"r": 100.0}, restart=(k, earlier))
-    with pytest.raises(ValueError, match="batch"):
-        simulate(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
-                 restart=(4, earlier))
 
 
 def _overflowing_deriv(opens):
