@@ -208,9 +208,9 @@ class CalibrationResult:
     # None for a time-of-event metric whose event never happened
     achieved: dict[str, float | None]
     # of the relative-coordinate Jacobian at the fit; a value near zero
-    # marks a direction the targets barely constrain. Empty when a
-    # finite-difference point at the fit failed: its column measures the
-    # failure, not the targets
+    # marks a direction the targets barely constrain. Empty when the fit
+    # ends at a wall of failed runs: a run failed at a finite-difference
+    # point at the fit or at the last trial point the search refused
     singular_values: tuple[float, ...]
 
 
@@ -370,6 +370,9 @@ class Solution(NamedTuple):
     njev: int
     # 1, 2 or 3: the gradient, cost or step test was met; 0: max_nfev was reached
     status: int
+    # the trial point refused last; none once a step is taken with no
+    # refusal before it
+    refused: tuple[np.ndarray, ...]
 
 
 def least_squares(
@@ -386,11 +389,10 @@ def least_squares(
     that has been zero so far) and ``mu`` starting at 1e-3, for every
     coordinate but those on a bound the gradient pushes out of, and
     projects ``x + p`` into the box. A step that lowers the cost is taken,
-    and ``mu`` shrinks with the ratio of the actual to the predicted
-    reduction; one that does not, a failed run's residual among them, is
-    refused, and ``mu`` grows by a factor that doubles with each refusal in
-    a row (Nielsen, "Damping parameter in Marquardt's method",
-    IMM-REP-1999-05).
+    and ``mu`` falls by 3; one that does not, a failed run's residual among
+    them, is refused, and ``mu`` rises by 10: fixed factors, raised faster
+    than lowered (Marquardt, "An algorithm for least-squares estimation of
+    nonlinear parameters", J. SIAM 11(2), 1963).
     The search stops when the gradient projected on the box is below the
     tolerance (status 1), when a step taken lowers the cost by less than the
     tolerance relative to it (2), when a step taken or refused is shorter
@@ -412,7 +414,7 @@ def least_squares(
     points = _difference_points(x, upper)
     f, *columns = fun([x, *points])
     cost = f @ f
-    nfev, njev, status, mu, nu, scaling = 1, 0, 0, 1e-3, 2.0, np.zeros(x.size)
+    nfev, njev, status, mu, scaling, refused = 1, 0, 0, 1e-3, np.zeros(x.size), ()
     while True:
         jac = (np.array(columns) - f).T / np.diag(points - x)
         njev += 1
@@ -420,7 +422,7 @@ def least_squares(
         if np.max(np.abs(x - np.clip(x - g, lower, upper))) < _TOLERANCE:
             status = 1
         if status or nfev >= max_nfev:
-            return Solution(x, f, jac, nfev, njev, status)
+            return Solution(x, f, jac, nfev, njev, status, refused)
         a = jac.T @ jac
         scaling = np.maximum(scaling, np.diag(a))
         damping = np.where(scaling > 0.0, scaling, 1.0)
@@ -443,14 +445,14 @@ def least_squares(
             if gain > 0.0:
                 status = 2 if actual < _TOLERANCE * cost and gain > 0.25 else 3 if short else 0
                 x, f, cost = new, trial, trial @ trial
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                nu = 2.0
+                mu /= 3.0
+                refused = refused if alone else ()
                 break
+            refused = (new,)
             if short or nfev >= max_nfev:
-                return Solution(x, f, jac, nfev, njev, 3 if short else 0)
+                return Solution(x, f, jac, nfev, njev, 3 if short else 0, refused)
             alone = True
-            mu *= nu
-            nu *= 2.0
+            mu *= 10.0
         if alone:
             columns = fun(list(points))
 
@@ -608,8 +610,11 @@ def calibrate(
     # the solver scored the start, the fit and the Jacobian points there
     x = result.x
     achieved = achieved_at(x)
-    # a Jacobian column across a wall of failed runs measures the wall
-    wall = any(achieved_at(point) is None for point in _difference_points(x, upper_z))
+    # the fit ends at a wall of failed runs when a run failed at a Jacobian
+    # point there or at the last trial point the search refused: the step
+    # test may stop the search before a forward difference reaches the wall
+    near = [*_difference_points(x, upper_z), *result.refused]
+    wall = any(achieved_at(z) is None for z in near)
     loss = float(np.sum(result.fun ** 2))
     initial_loss = float(np.sum(score(z0) ** 2))
     try:

@@ -388,10 +388,14 @@ def _cmd_calibrate(args) -> int:
           f"({'converged' if result.converged else 'not converged'})")
     print("singular values of the scaled Jacobian: "
           + (" ".join(f"{v:.3g}" for v in result.singular_values)
-             or "none, a finite-difference point at the fit failed"))
+             or "none, the fit ends at a wall of failed runs"))
     print("fitted parameters:")
     for path, value in result.fitted.items():
         print(f"  {path:<40} {value:.6g}")
+    for free in spec.parameters:
+        for bound, side in ((free.lower, "lower"), (free.upper, "upper")):
+            if result.fitted[free.path] == bound:
+                print(f"fitted {free.path} ends on its {side} bound {bound:.6g}")
     print("achieved targets:")
     for target in spec.targets:
         got = result.achieved[target.key]

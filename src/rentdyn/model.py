@@ -495,17 +495,19 @@ def run_model(
     runs would; if none fails alone, the batch's own
     :class:`rentdyn.engine.SimulationError` is raised.
 
-    ``restart=(k, earlier)`` starts one run at sample ``k`` (a batch runs
-    in full), taking what comes before from ``earlier`` (see
-    :func:`rentdyn.engine.simulate`): a trajectory with every series of
-    parameters that differ from ``params`` only in what the model first
-    reads (:func:`read_from`) at or after sample ``k``. It needs only the
-    samples through ``k``: a run on a clock of the same step whose horizon
-    is sample ``k``'s time will do.
+    ``restart=(k, earlier)`` starts one run at sample ``k`` (a batch
+    refuses it with ``ValueError``), taking what comes before from
+    ``earlier`` (see :func:`rentdyn.engine.simulate`): a trajectory with
+    every series of parameters that differ from ``params`` only in what the
+    model first reads (:func:`read_from`) at or after sample ``k``. It
+    needs only the samples through ``k``: a run on a clock of the same step
+    whose horizon is sample ``k``'s time will do.
     """
     if isinstance(params, ModelParams):
         return simulate(build_derivative(params, clock.dt), clock,
                         dict(zip(STOCKS, initial_state(params))), NONNEG_STOCKS, record, restart)
+    if restart is not None:
+        raise ValueError("a batch cannot restart: run its parameter sets one by one")
     if not params:
         return []
     try:

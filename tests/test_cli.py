@@ -375,6 +375,26 @@ def test_calibrate_says_which_start_it_moved_into_the_box(tmp_path, capsys, box,
     assert lines[1].startswith("loss ")
 
 
+@pytest.mark.parametrize("box, ends", [("0.7, upper: 0.8", "lower bound 0.7"),
+                                       ("0.4, upper: 0.55", "upper bound 0.55"),
+                                       ("0.5, upper: 0.7", None)])
+def test_calibrate_says_which_fitted_value_ends_on_its_box(tmp_path, capsys, box, ends):
+    """Run2's evictions call for a covid.magnitude of about 0.6: a box that
+    leaves it out holds the fit on the nearer bound, and the command says
+    so; a fit inside its box says nothing of the bounds."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(
+        "parameters:\n"
+        f"  - {{path: covid.magnitude, lower: {box}}}\n"
+        "targets:\n"
+        "  - {scenario: run2, metric: evictions_total, value: 7.023e6}\n"
+    )
+    assert main(["calibrate", "--spec", str(spec), "--out", str(tmp_path / "fit")]) == 0
+    ended = [line for line in capsys.readouterr().out.splitlines()
+             if " ends on its " in line]
+    assert ended == ([f"fitted covid.magnitude ends on its {ends}"] if ends else [])
+
+
 # ---------------------------------------------------------------- inputs
 
 def test_params_and_dt_flags(tmp_path):

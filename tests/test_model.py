@@ -637,6 +637,16 @@ def test_batch_with_a_failing_column_raises_that_columns_own_error():
     assert str(batch.value) == str(single.value)
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_batch_refuses_a_restart(count):
+    """A restart is one run's: a batch, even an empty one, refuses it rather
+    than run in full where it was asked to restart."""
+    run1, run2, run3 = (BUILTIN_SCENARIOS[name].apply(default_params())
+                        for name in ("run1", "run2", "run3"))
+    with pytest.raises(ValueError, match="a batch cannot restart"):
+        run_model([run2, run3][:count], restart=(107, run_model(run1)))
+
+
 @st.composite
 def _moved_params(draw):
     """A shipped scenario applied to defaults with 1-3 fields moved in bounds;
