@@ -46,15 +46,16 @@ The runs are made in the solver's rounds (:func:`least_squares`): a trial
 point's round holds the points of the finite-difference Jacobian there
 too, unless a trial since the last Jacobian was refused, so a step taken
 costs one round and a streak of refusals makes at most one set of Jacobian
-runs never read. A round's runs are shared between the calling process and
-forked worker processes, each process claiming the next run left. There
-is one process per usable CPU in all, but no more than the runs of one
-Jacobian (the scenarios the targets name times the free parameters); the
-workers live for one ``calibrate`` call. Forked from it, they share its
-run function as it is: only the list of runs to make and the metrics made
-cross a pipe. Without fork, on one usable CPU, for a single run, or while
-the calling process runs other threads (a fork would copy locks those
-threads may hold), the calling process makes the runs alone.
+runs never read. Every round's runs, a round of one run too, are shared
+between the calling process and forked worker processes, each process
+claiming the next run left. There is one process per usable CPU in all,
+but no more than the runs of one Jacobian (the scenarios the targets name
+times the free parameters); the workers live for one ``calibrate`` call.
+Forked from it, they share its run function as it is: only the list of
+runs to make and the metrics made cross a pipe. Without fork, on one
+usable CPU, or while the calling process runs other threads (a fork would
+copy locks those threads may hold), there are no workers, and the calling
+process claims every run.
 
 The search is fully deterministic: same spec, same starting parameters,
 same result, however many processes made the runs.
@@ -562,20 +563,17 @@ def calibrate(
         """One round of the solver: make the runs its points need, then score them."""
         needs = dict(task for z in points for task in tasks(z) if task[0] not in runs)
         todo = list(needs.values())
-        if not workers or len(todo) < 2:
-            made = {index: run(*task) for index, task in enumerate(todo)}
-        else:
-            # this process and the workers each claim the next run left, so
-            # a process slowed by other load makes fewer of them
-            counter.value = 0
-            for _, conn in workers:
-                conn.send(todo)
-            made = _make_runs(run, counter, todo)
-            for _, conn in workers:
-                reply = conn.recv()
-                if isinstance(reply, Exception):
-                    raise reply
-                made.update(reply)
+        # this process and the workers each claim the next run left, so a
+        # process slowed by other load makes fewer of them
+        counter.value = 0
+        for _, conn in workers:
+            conn.send(todo)
+        made = _make_runs(run, counter, todo)
+        for _, conn in workers:
+            reply = conn.recv()
+            if isinstance(reply, Exception):
+                raise reply
+            made.update(reply)
         runs.update((key, made[index]) for index, key in enumerate(needs))
         return [score(z) for z in points]
 
@@ -587,11 +585,10 @@ def calibrate(
     upper_z = upper / scale
     # a Jacobian needs at most one run per scenario and free parameter
     processes = _process_count(len(needed) * len(paths))
-    if processes > 1:
-        import multiprocessing
+    import multiprocessing
 
-        context = multiprocessing.get_context("fork")
-        counter = context.Value("i", 0)
+    context = multiprocessing.get_context("fork" if processes > 1 else None)
+    counter = context.Value("i", 0)
     try:
         for _ in range(processes - 1):
             conn, worker_conn = context.Pipe()

@@ -128,7 +128,7 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
     params_file = None
     if args.params:
         try:
-            params, _meta = load_params(args.params)
+            params = load_params(args.params)
         except (OSError, ParamError, ParamFileError) as err:
             raise CliError(f"cannot load parameters: {err}") from err
         params_file = str(args.params)

@@ -26,7 +26,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -249,9 +248,9 @@ def euler_step(
     state: Sequence[float],
     rates: Sequence[float],
     dt: float,
-    nonneg: Mapping[int, str] = MappingProxyType({}),
-    time: float = 0.0,
-    events: list[ClampEvent] | None = None,
+    nonneg: Mapping[int, str],
+    time: float,
+    events: list[ClampEvent],
 ) -> list[float]:
     """Advance every state entry by ``dt * rate``.
 
@@ -267,7 +266,7 @@ def euler_step(
         for i in nonneg:
             new = out[i]
             if new < 0.0:
-                if events is not None and new < -EPS * max(1.0, abs(state[i])):
+                if new < -EPS * max(1.0, abs(state[i])):
                     events.append(ClampEvent(time=time, name=nonneg[i], value=new))
                 out[i] = 0.0
     return out

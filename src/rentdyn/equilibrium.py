@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from rentdyn.engine import EPS
 from rentdyn.model import STOCKS, UNCAPPED_DT, build_derivative, initial_state
-from rentdyn.params import ModelParams, with_value, with_values
+from rentdyn.params import ModelParams, with_values
 
 __all__ = ["EquilibriumError", "equilibrate", "DERIVED_FIELDS"]
 
@@ -100,7 +100,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
             "homeless returns exceed insecure-pool outflows: no stationary inflow exists")
 
     # vacancy refill pace that keeps occupancy level under those filings
-    base = with_value(base, "baseline_filing_fraction", filing_fraction)
+    base = with_values(base, {"baseline_filing_fraction": filing_fraction})
     rates, aux = build_derivative(base, UNCAPPED_DT)(state, 0.0)
     supply = aux["tenant_moveins"]
     moveins = supply - rates[_OCCUPIED]

@@ -28,10 +28,10 @@ one step, so integration can clamp only as a last resort.
 Backends
 --------
 The flows are written once, against a small ops namespace in the style of
-the Array API (``where``, ``maximum``, ``minimum``, ``limit``, ``curve``).
-The namespace follows the type of the parameters: a :class:`ModelParams`
-takes the scalar backend (Python floats and ``math``), which single runs,
-calibration and the extreme battery use; a batch from
+the Array API (``where``, ``maximum``, ``minimum``, ``limit``), and call each
+effect curve on its input. The namespace follows the type of the parameters:
+a :class:`ModelParams` takes the scalar backend (Python floats and ``math``),
+which single runs, calibration and the extreme battery use; a batch from
 :func:`rentdyn.params.stack_params` takes the numpy backend, where every
 value is a ``(B,)`` array, one entry per parameter set, which the
 sensitivity sweep uses. The state is a sequence in :data:`STOCKS` order
@@ -44,10 +44,10 @@ operations that numpy rounds exactly as Python does (``+ - * /``,
 comparisons, ``where``, ``maximum``, ``minimum``), and never ``np.exp`` or
 ``np.log``: their SIMD kernels differ from ``math.exp``/``math.log`` in the
 last bit on some inputs. Each effect curve keeps its scalar form
-(``__call__``) and its array form (``array``) side by side in
-:mod:`rentdyn.engine`, tested against each other: the array form takes
-every branch of the scalar one as a mask, and maps ``math.exp`` and
-``math.log`` over the entries, so the transcendentals stay the scalar
+(``__call__``) and its array form (``array``, which a batch's curve calls)
+side by side in :mod:`rentdyn.engine`, tested against each other: the array
+form takes every branch of the scalar one as a mask, and maps ``math.exp``
+and ``math.log`` over the entries, so the transcendentals stay the scalar
 ones. The backends part only on NaN, which numpy's ``maximum``/``minimum``
 propagate and Python's ``max``/``min`` may drop; :func:`run_model` reruns
 the sets of a batch that goes non-finite on the scalar backend.
@@ -122,17 +122,7 @@ def _limit(dt: float, stock: float, *flows: float) -> tuple[float, ...]:
     return flows
 
 
-def _curve(curve, x: float) -> float:
-    return curve(x)
-
-
-def _curve_batch(node, x):
-    """Each column's own curve at its own input (see the module docstring)."""
-    return node.kind.array(node, x)
-
-
-SCALAR = SimpleNamespace(where=_where, maximum=_maximum, minimum=_minimum, limit=_limit,
-                         curve=_curve)
+SCALAR = SimpleNamespace(where=_where, maximum=_maximum, minimum=_minimum, limit=_limit)
 
 
 def _numpy_ops() -> SimpleNamespace:
@@ -146,8 +136,7 @@ def _numpy_ops() -> SimpleNamespace:
         scale = np.minimum(1.0, (stock / dt) / np.maximum(sum(flows), 5e-324))
         return tuple(f * scale for f in flows)
 
-    return SimpleNamespace(where=np.where, maximum=np.maximum, minimum=np.minimum,
-                           limit=limit, curve=_curve_batch)
+    return SimpleNamespace(where=np.where, maximum=np.maximum, minimum=np.minimum, limit=limit)
 
 
 def _ops(params) -> SimpleNamespace:
@@ -177,7 +166,7 @@ def initial_state(params) -> list:
     ]
 
 
-def policy_onset(params, block: str, ops=SCALAR):
+def policy_onset(params, block: str):
     """Onset of a policy block: the earliest time at which the model reads any
     of its parameters, and infinite when ``params`` switches the block off.
 
@@ -188,7 +177,7 @@ def policy_onset(params, block: str, ops=SCALAR):
     """
     b = getattr(params, block)
     first = b.start_time - 0.5 if block == "moratorium" else b.start_time
-    return ops.where(b.enabled, first, math.inf)
+    return _ops(params).where(b.enabled, first, math.inf)
 
 
 # the parameters the model only compares against grid times: a change smaller
@@ -261,15 +250,14 @@ def build_derivative(params, dt: float):
     """
     p = params
     ops = _ops(p)
-    where, maximum, minimum, limit, curve = (
-        ops.where, ops.maximum, ops.minimum, ops.limit, ops.curve)
+    where, maximum, minimum, limit = ops.where, ops.maximum, ops.minimum, ops.limit
     cv = p.covid
     m = p.moratorium
     era = p.assistance
 
     # per-run constants, hoisted out of the flows with their operation order kept
     covid_onset, moratorium_onset, assistance_onset = (
-        policy_onset(p, block, ops) for block in POLICY_BLOCKS)
+        policy_onset(p, block) for block in POLICY_BLOCKS)
     window_end = m.start_time + m.duration
     rebound_time = window_end + m.filing_rebound_lag
     throttled = 1.0 - m.processing_reduction
@@ -302,8 +290,8 @@ def build_derivative(params, dt: float):
         income = p.avg_household_income * (1.0 - covid)
         burden = where(income <= EPS, no_income_burden,
                        p.avg_monthly_rent / maximum(income, EPS))
-        delay = curve(p.rent_delay_curve,
-                      maximum(0.0, burden - p.rent_burden_threshold) / p.rent_burden_threshold)
+        delay = p.rent_delay_curve(
+            maximum(0.0, burden - p.rent_burden_threshold) / p.rent_burden_threshold)
         at_rent = p.at_rent_base * delay
         rent_paid = rent_owed / at_rent
 
@@ -315,9 +303,9 @@ def build_derivative(params, dt: float):
         # filings once arrears per unit pass their tolerance.
         pool_rent = insecure * p.avg_monthly_rent
         stress = where(pool_rent <= EPS, p.stress_curve.floor,
-                       curve(p.stress_curve, rent_owed / maximum(pool_rent, EPS)))
+                       p.stress_curve(rent_owed / maximum(pool_rent, EPS)))
         c_ratio = where(tenanted <= EPS, 0.0, hpu / p.crowding_reference)
-        crowding = where(c_ratio <= 1.0, 1.0, curve(p.crowding_curve, c_ratio))
+        crowding = where(c_ratio <= 1.0, 1.0, p.crowding_curve(c_ratio))
         conflict = crowding * stress
         arrears_per_unit = rent_owed / maximum(tenanted, EPS)
         overdue = maximum(1.0, arrears_per_unit / p.landlord_tolerance)
@@ -344,7 +332,7 @@ def build_derivative(params, dt: float):
         landlord_income = rent_paid + payment
         mortgage_due = p.avg_monthly_mortgage * mortgaged
         m_ratio = mortgage_owed / maximum(landlord_income, EPS)
-        mortgage_delay = curve(p.mortgage_delay_curve, m_ratio)
+        mortgage_delay = p.mortgage_delay_curve(m_ratio)
         (mortgage_paid,) = limit(
             dt, mortgage_owed, mortgage_owed / (p.at_mortgage_base * mortgage_delay)
         )

@@ -373,6 +373,13 @@ def _replaced(obj: Any, changes: list[tuple[list[str], str, Any]]) -> Any:
     return replace(obj, **values)
 
 
+class _CurveBatch(SimpleNamespace):
+    """B effect curves of one ``kind``, called like one curve."""
+
+    def __call__(self, x: Any) -> Any:
+        return self.kind.array(self, x)
+
+
 def stack_params(columns: Sequence[Any]) -> Any:
     """B parameter sets as one batch, laid out like :class:`ModelParams`.
 
@@ -380,19 +387,20 @@ def stack_params(columns: Sequence[Any]) -> Any:
     bool in it a ``(B,)`` array of that dtype: every registry field, each
     policy block's ``enabled`` switch, and each effect curve's derived
     constants (``_span``, ...). A curve's namespace also carries its class
-    as ``kind``, so ``kind.array(node, x)`` evaluates every column's curve
-    at once. Each attribute is stacked by a call on its B values.
+    as ``kind``, and is called like a curve, every column's at once:
+    ``node(x)`` is ``kind.array(node, x)``. Each attribute is stacked by a
+    call on its B values.
     """
     import numpy as np
 
     first = columns[0]
     if not is_dataclass(first):
         return np.array(columns, dtype=bool if isinstance(first, bool) else float)
-    batch = SimpleNamespace(**{name: stack_params([getattr(column, name) for column in columns])
-                               for name in vars(first)})
+    stacked = {name: stack_params([getattr(column, name) for column in columns])
+               for name in vars(first)}
     if isinstance(first, (GompertzCurve, LogisticCurve)):
-        batch.kind = type(first)
-    return batch
+        return _CurveBatch(kind=type(first), **stacked)
+    return SimpleNamespace(**stacked)
 
 
 def bounds_for(path: str) -> tuple[float, float]:
@@ -529,16 +537,15 @@ def read_mapping(value: Any, error: type[Exception], where: str,
     return value
 
 
-def load_params(path: str | Path) -> tuple[ModelParams, dict]:
-    """Load a parameter file.
+def load_params(path: str | Path) -> ModelParams:
+    """Load a parameter file, and return its validated :class:`ModelParams`.
 
     The file must contain a ``params`` mapping with exactly one entry per
     registry field. Each entry is a mapping with a ``value`` and a
-    ``provenance`` tag, and may carry ``units`` and a ``note``; any other
-    key is an error. All values are set in one :func:`with_values` edit, so
-    a curve's invariants are checked on the file's values alone. Returns
-    the validated :class:`ModelParams` and the raw metadata mapping (name,
-    provenance tags, notes) for manifests and re-export.
+    ``provenance`` tag, one of :data:`PROVENANCE_TAGS`, and may carry
+    ``units`` and a ``note``; any other key is an error. All values are set
+    in one :func:`with_values` edit, so a curve's invariants are checked on
+    the file's values alone.
     """
     path = Path(path)
     raw = read_mapping(load_yaml(path, ParamFileError), ParamFileError, str(path),
@@ -562,12 +569,7 @@ def load_params(path: str | Path) -> tuple[ModelParams, dict]:
         raise ParamFileError(f"{path}: {exc}") from exc
 
     validate_params(params)
-    meta = {k: v for k, v in raw.items() if k != "params"}
-    meta["provenance"] = {f.path: entries[f.path]["provenance"] for f in FIELDS}
-    meta["notes"] = {
-        f.path: entries[f.path].get("note", "") for f in FIELDS if entries[f.path].get("note")
-    }
-    return params, meta
+    return params
 
 
 def save_params(

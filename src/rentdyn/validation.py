@@ -30,7 +30,7 @@ from rentdyn.engine import START_MONTH, START_YEAR, ClampEvent, SimClock, Simula
     Trajectory
 from rentdyn.model import run_model
 from rentdyn.params import FIELDS, ModelParams, clamp_to_bounds, default_params, get_value, \
-    read_number, with_value, with_values
+    read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
     compute_metrics, run_scenario
 
@@ -170,16 +170,20 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
     they make the file self-describing (no code-side lookup table). A mode
     needs at least two rows, each of its own month: Theil's statistics of
     one point, or of a month counted twice, measure nothing or weigh it twice.
+    A file that cannot be read as UTF-8 CSV raises :class:`ReferenceError` too.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ReferenceError(f"{path.name}: empty file")
-        missing = [c for c in _REFERENCE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ReferenceError(f"{path.name}: missing columns {missing}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ReferenceError(f"{path.name}: cannot be read: {exc}") from exc
+    if header is None:
+        raise ReferenceError(f"{path.name}: empty file")
+    missing = [c for c in _REFERENCE_COLUMNS if c not in header]
+    if missing:
+        raise ReferenceError(f"{path.name}: missing columns {missing}")
     if len(rows) < 2:
         raise ReferenceError(f"{path.name}: needs at least 2 data rows, has {len(rows)}")
     # DictReader keys a field past the header by None, and fills one missing with None
@@ -359,7 +363,7 @@ def sensitivity_sweep(
                           applied != requested, run))
             if run:
                 try:
-                    sets.append(with_value(baseline, path, applied))
+                    sets.append(with_values(baseline, {path: applied}))
                 except ValueError as err:  # a curve's invariant
                     raise ValueError(f"{path} moved {direction} to {applied!r}: {err}") from err
     runs = (compute_metrics(traj, p) for p, traj

@@ -456,6 +456,35 @@ def test_parallel_fit_equals_serial_fit(monkeypatch, magnitude):
     assert _outcome(parallel) == _outcome(serial)
 
 
+def test_pooled_round_of_one_run_equals_the_serial_fit(monkeypatch):
+    """Two free values of run2 against two run2 targets: every round holds
+    runs of run2 alone, so the trial point after a refused one is a round
+    of a single run, which the pool's processes claim like any other."""
+    shock = run_scenario(default_params(), BUILTIN_SCENARIOS["run2"]).metrics
+    spec = CalibrationSpec(
+        parameters=(CalibrationParameter("covid.magnitude", 0.40, 0.80),
+                    CalibrationParameter("covid.recovery_time", 30.0, 150.0)),
+        targets=(CalibrationTarget("run2", "evictions_total", shock.evictions_total),
+                 CalibrationTarget("run2", "arrears_growth_36mo", shock.arrears_growth_36mo)))
+    start = with_values(default_params(), {"covid.magnitude": 0.6, "covid.recovery_time": 140.0})
+    make_runs = calibration._make_runs
+    rounds = []
+
+    def recording(run, counter, todo):
+        rounds.append(len(todo))
+        return make_runs(run, counter, todo)
+
+    monkeypatch.setattr(calibration, "_make_runs", recording)
+    outcomes = []
+    for processes in (2, 1):
+        monkeypatch.setattr(calibration, "_process_count", lambda most: processes)
+        rounds.clear()
+        result = calibrate(start, spec)
+        assert 1 in rounds, processes
+        outcomes.append((result.fitted, result.evaluations, result.scenario_runs))
+    assert outcomes[0] == outcomes[1]
+
+
 def _fail_run3_above(monkeypatch, magnitude, failures) -> None:
     """Make the fit's runs of run3 raise above ``magnitude``, recorded in ``failures``."""
     run_model_ = calibration.run_model

@@ -283,6 +283,25 @@ def test_validate_missing_references_is_not_fatal(tmp_path, monkeypatch, capsys)
     assert "[SKIPPED] reference_modes: reference directory not found" in capsys.readouterr().out
 
 
+def test_validate_skips_a_reference_file_it_cannot_read(tmp_path, capsys):
+    """A byte that is not UTF-8, a directory named like a CSV and a field past
+    csv's size limit each skip their own mode, and the other mode still scores."""
+    good = Path("reference_modes", "homeless_population.csv").read_text()
+    (tmp_path / "good.csv").write_text(good)
+    (tmp_path / "binary.csv").write_bytes(good.encode().replace(b"2019-01", b"2019-\xff1"))
+    (tmp_path / "folder.csv").mkdir()
+    (tmp_path / "huge.csv").write_text(good.replace("stylized", "x" * 200_000, 1))
+    out = tmp_path / "report"
+    rc = main(["validate", "--references", str(tmp_path), "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    for name in ("binary", "folder", "huge"):
+        assert f"[SKIPPED] {name}: {name}.csv: cannot be read: " in printed
+    doc = json.loads((out / "validation.json").read_text())
+    assert {r["mode"]: r["status"] for r in doc["references"]} == {
+        "binary": "skipped", "folder": "skipped", "good": "scored", "huge": "skipped"}
+
+
 def test_calibrate_writes_retagged_params(tmp_path, capsys):
     spec = tmp_path / "spec.yaml"
     spec.write_text(
@@ -300,9 +319,10 @@ def test_calibrate_writes_retagged_params(tmp_path, capsys):
     assert re.search(r"after (\d+) evaluations, \1 scenario runs \(converged\)$", lines[0])
     assert lines[1].startswith("singular values")
     from rentdyn.params import load_params
-    fitted, meta = load_params(out / "params.yaml")
+    fitted = load_params(out / "params.yaml")
     assert 0.5 <= fitted.covid.magnitude <= 0.7
-    assert meta["provenance"]["covid.magnitude"] == "calibrated"
+    written = yaml.safe_load((out / "params.yaml").read_text())
+    assert written["params"]["covid.magnitude"]["provenance"] == "calibrated"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == {"params.yaml": file_sha256(out / "params.yaml")}
     assert manifest["seed"] == 5

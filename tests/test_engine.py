@@ -237,8 +237,11 @@ def test_array_form_is_the_scalar_curve_bit_for_bit(drawn):
 # ---------------------------------------------------------------- euler_step
 
 def test_euler_step_applies_rates():
-    out = euler_step([10.0, 5.0], [4.0, -4.0], dt=0.25, nonneg={0: "a", 1: "b"})
+    events = []
+    out = euler_step([10.0, 5.0], [4.0, -4.0], dt=0.25, nonneg={0: "a", 1: "b"}, time=0.0,
+                     events=events)
     assert out == [11.0, 4.0]
+    assert events == []
 
 
 def test_euler_step_clamps_and_reports():
@@ -251,8 +254,10 @@ def test_euler_step_clamps_and_reports():
 
 
 def test_euler_step_leaves_unconstrained_state_negative():
-    out = euler_step([0.1], [-8.0], dt=0.25, nonneg={})
+    events = []
+    out = euler_step([0.1], [-8.0], dt=0.25, nonneg={}, time=0.0, events=events)
     assert out[0] == pytest.approx(-1.9)
+    assert events == []
 
 
 # ---------------------------------------------------------------- simulate

@@ -243,10 +243,10 @@ def test_save_load_round_trip_exact(tmp_path):
     path = tmp_path / "sub" / "params.yaml"
     original = with_value(default_params(), "covid.magnitude", 0.4321)
     save_params(original, path, name="round-trip")
-    loaded, meta = load_params(path)
-    assert loaded == original
-    assert meta["name"] == "round-trip"
-    assert set(meta["provenance"]) == set(f.path for f in FIELDS)
+    assert load_params(path) == original
+    doc = yaml.safe_load(path.read_text())
+    assert doc["name"] == "round-trip"
+    assert list(doc["params"]) == [f.path for f in FIELDS]
 
 
 def test_a_curve_below_its_shipped_y_min_round_trips(tmp_path):
@@ -254,8 +254,7 @@ def test_a_curve_below_its_shipped_y_min_round_trips(tmp_path):
     y_min 1.0: the entries are applied together, never one at a time."""
     original = with_values(default_params(), {"mortgage_delay_curve.y_max": 0.9,
                                               "mortgage_delay_curve.y_min": 0.5})
-    loaded, _ = load_params(save_params(original, tmp_path / "params.yaml"))
-    assert loaded == original
+    assert load_params(save_params(original, tmp_path / "params.yaml")) == original
 
 
 def test_load_names_the_curve_whose_invariant_breaks(tmp_path):
@@ -285,14 +284,12 @@ def test_every_valid_curve_pair_round_trips_and_applies(tmp_path_factory, upper,
     pair = {upper: high, lower: low}
     moved = with_values(default_params(), pair)
     path = save_params(moved, tmp_path_factory.mktemp("pair") / "params.yaml")
-    assert load_params(path)[0] == moved
+    assert load_params(path) == moved
     assert Scenario("pair", overrides=pair).apply(default_params()) == moved
 
 
 def test_shipped_default_file_matches_code_defaults():
-    loaded, meta = load_params("params/default.yaml")
-    assert loaded == default_params()
-    assert meta["name"] == "default"
+    assert load_params("params/default.yaml") == default_params()
 
 
 def test_shipped_default_file_is_what_save_params_writes(tmp_path):
@@ -306,8 +303,9 @@ def test_provenance_override_round_trips(tmp_path):
     path = tmp_path / "fitted.yaml"
     save_params(default_params(), path,
                 provenance_overrides={"covid.magnitude": "calibrated"})
-    _, meta = load_params(path)
-    assert meta["provenance"]["covid.magnitude"] == "calibrated"
+    assert load_params(path) == default_params()
+    assert yaml.safe_load(path.read_text())["params"]["covid.magnitude"]["provenance"] \
+        == "calibrated"
 
 
 def test_save_rejects_unknown_provenance_tag(tmp_path):
