@@ -3,8 +3,8 @@
 Loads the shipped calibration spec, perturbs the free parameters toward
 the edges of their bounds, and runs the bounded Levenberg-Marquardt fit. A
 healthy setup recovers every target to well under a percent,
-deterministically, in 18 trial points (78 model evaluations with the
-finite-difference Jacobians' points).
+deterministically, in 78 model evaluations: 18 trial points and the
+finite-difference Jacobians' points around them.
 """
 
 from rentdyn.calibration import calibrate, load_calibration_spec
@@ -29,9 +29,8 @@ def main():
     print("Running the bounded least-squares fit (fully deterministic)...")
     result = calibrate(start, spec, scenarios=BUILTIN_SCENARIOS)
     print(f"Perturbed {len(PERTURB)} parameters; starting loss {result.initial_loss:.3e}")
-    print(f"  {result.evaluations} model evaluations "
-          f"({result.iterations} trial points, the rest finite-difference "
-          f"Jacobian points), "
+    print(f"  {result.evaluations} model evaluations (trial points and their "
+          f"finite-difference Jacobian points, {result.scenario_runs} scenario runs), "
           f"loss {result.initial_loss:.3e} -> {result.loss:.3e}")
 
     print()

@@ -201,7 +201,6 @@ class CalibrationResult:
     # sees, the Jacobian points made with a trial point the solver then
     # refused included
     scenario_runs: int
-    iterations: int
     # the solver met a tolerance, the fit scores no failed run, and the
     # targets identify every free parameter (see singular_values)
     converged: bool
@@ -634,7 +633,6 @@ def calibrate(
         initial_loss=initial_loss,
         evaluations=result.nfev + len(paths) * result.njev,
         scenario_runs=len(runs),
-        iterations=int(result.nfev),
         converged=bool(result.status > 0) and loss < _FAILURE_LOSS and identified,
         fitted={path: float(get_value(fitted_params, path)) for path in paths},
         achieved=achieved,

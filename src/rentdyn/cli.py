@@ -19,9 +19,10 @@ Only ``calibrate`` loads ``rentdyn.calibration``, which fits by a bounded
 Levenberg-Marquardt method of its own (More, "The Levenberg-Marquardt
 algorithm: implementation and theory", 1978) and imports no scipy.
 Likewise only ``sweep`` and ``validate`` load ``rentdyn.validation``.
-numpy is loaded only by ``sweep``, ``validate`` and ``calibrate``:
-``simulate``, ``suite`` and ``compare`` make single runs, which keep their
-samples as Python floats from the Euler loop to the written row.
+numpy enters a process only through a batch (``model.run_model`` of a list
+of parameter sets, which ``sweep`` makes) or through the fit
+(``rentdyn.calibration``). The other commands make single runs, which keep
+their samples as Python floats from the Euler loop to the written row.
 
 Run as its own process, ``main`` freezes the ~15,000 objects its imports
 built (``gc.freeze``), so the collections at exit no longer walk them.
@@ -238,8 +239,8 @@ def _cmd_simulate(args) -> int:
     if columns is not None:
         try:
             emit_timeseries(result, columns)
-        except (KeyError, ValueError) as err:
-            raise CliError(str(err)) from err
+        except (KeyError, ValueError) as err:  # str() of a KeyError quotes it
+            raise CliError(err.args[0]) from err
     print(f"{scenario.name}: {scenario.description}")
     for line in _metric_lines(result):
         print("  " + line)
@@ -307,7 +308,7 @@ def _cmd_sweep(args) -> int:
         raise CliError(f"sweep failed: {err}") from err
     metric_names = list(base_metrics)
     ranked = sorted(entries, key=lambda e: -max(abs(v) for v in e.elasticities.values()))
-    print(f"sweep of {len(entries)} runs (±{args.fraction*100:.0f}% on every parameter, "
+    print(f"sweep of {len(entries)} entries (±{args.fraction*100:.0f}% on every parameter, "
           f"scenario {scenario.name}); top {min(args.top, len(ranked))} by elasticity:")
     for entry in ranked[: args.top]:
         name, value = max(entry.elasticities.items(), key=lambda kv: abs(kv[1]))

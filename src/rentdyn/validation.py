@@ -14,6 +14,8 @@ Four independent facilities:
 * An extreme-conditions battery that pushes inputs to implausible corners
   (no shock, total income loss, no housing stock, hair-trigger landlords,
   airtight moratorium) and checks the model degrades sensibly.
+
+Nothing here imports numpy; the sweep's batch loads it in ``run_model``.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
 from rentdyn.engine import START_MONTH, START_YEAR, ClampEvent, SimClock, SimulationError, \
-    Trajectory
+    Trajectory, pairwise_sum
 from rentdyn.model import run_model
 from rentdyn.params import FIELDS, ModelParams, clamp_to_bounds, default_params, get_value, \
     read_number, with_values
@@ -54,18 +54,43 @@ __all__ = [
 # Theil inequality statistics
 
 
-def _as_pair(simulated, observed) -> tuple[np.ndarray, np.ndarray]:
-    sim = np.asarray(simulated, dtype=float)
-    obs = np.asarray(observed, dtype=float)
-    if sim.ndim != 1 or obs.ndim != 1:
-        raise ValueError("Theil statistics need one-dimensional series")
-    if sim.shape != obs.shape:
-        raise ValueError(f"series lengths differ: {sim.size} vs {obs.size}")
-    if sim.size == 0:
+def _as_pair(simulated, observed) -> tuple[list[float], list[float]]:
+    try:
+        if getattr(simulated, "ndim", 1) != 1 or getattr(observed, "ndim", 1) != 1:
+            raise TypeError
+        sim, obs = [float(v) for v in simulated], [float(v) for v in observed]
+    except TypeError:  # an array of another shape, a scalar, or a series of series
+        raise ValueError("Theil statistics need one-dimensional series") from None
+    if len(sim) != len(obs):
+        raise ValueError(f"series lengths differ: {len(sim)} vs {len(obs)}")
+    if not sim:
         raise ValueError("Theil statistics need at least one point")
-    if not (np.all(np.isfinite(sim)) and np.all(np.isfinite(obs))):
+    if not all(map(math.isfinite, sim + obs)):
         raise ValueError("Theil statistics need finite inputs")
     return sim, obs
+
+
+def _mean(values: list[float]) -> float:
+    return pairwise_sum(values) / len(values)
+
+
+def _theil(simulated, observed) -> tuple[float, float, float, float]:
+    """Theil's U with its bias, variance and covariance shares, in one pass
+    over Python floats, with the bits of numpy's ``mean`` and ``std``."""
+    sim, obs = _as_pair(simulated, observed)
+    mse = _mean([(s - o) * (s - o) for s, o in zip(sim, obs)])
+    denom = math.sqrt(_mean([s * s for s in sim])) + math.sqrt(_mean([o * o for o in obs]))
+    u = math.sqrt(mse) / denom if denom != 0.0 else 0.0
+    if mse == 0.0:
+        return (u, 0.0, 0.0, 0.0)
+    mean_s, mean_o = _mean(sim), _mean(obs)
+    dev_s, dev_o = [s - mean_s for s in sim], [o - mean_o for o in obs]
+    sd_s = math.sqrt(_mean([d * d for d in dev_s]))
+    sd_o = math.sqrt(_mean([d * d for d in dev_o]))
+    r = (_mean([a * b for a, b in zip(dev_s, dev_o)]) / (sd_s * sd_o)
+         if sd_s > 0.0 and sd_o > 0.0 else 0.0)
+    return (u, (mean_s - mean_o) ** 2 / mse, (sd_s - sd_o) ** 2 / mse,
+            2.0 * (1.0 - r) * sd_s * sd_o / mse)
 
 
 def theils_u(simulated, observed) -> float:
@@ -74,12 +99,7 @@ def theils_u(simulated, observed) -> float:
     U = RMSE / (RMS(simulated) + RMS(observed)); 0 is a perfect fit, 1 is
     maximal disagreement. Two identically-zero series agree perfectly.
     """
-    sim, obs = _as_pair(simulated, observed)
-    rmse = math.sqrt(float(np.mean((sim - obs) ** 2)))
-    denom = math.sqrt(float(np.mean(sim**2))) + math.sqrt(float(np.mean(obs**2)))
-    if denom == 0.0:
-        return 0.0
-    return rmse / denom
+    return _theil(simulated, observed)[0]
 
 
 def theil_decomposition(simulated, observed) -> tuple[float, float, float]:
@@ -91,21 +111,7 @@ def theil_decomposition(simulated, observed) -> tuple[float, float, float]:
     concentrates its error in the covariance share.  Uses population
     standard deviations. A zero-error pair returns (0, 0, 0).
     """
-    sim, obs = _as_pair(simulated, observed)
-    mse = float(np.mean((sim - obs) ** 2))
-    if mse == 0.0:
-        return (0.0, 0.0, 0.0)
-    mean_s, mean_o = float(np.mean(sim)), float(np.mean(obs))
-    sd_s = float(np.std(sim))
-    sd_o = float(np.std(obs))
-    bias = (mean_s - mean_o) ** 2 / mse
-    variance = (sd_s - sd_o) ** 2 / mse
-    if sd_s > 0.0 and sd_o > 0.0:
-        r = float(np.mean((sim - mean_s) * (obs - mean_o))) / (sd_s * sd_o)
-    else:
-        r = 0.0
-    covariance = 2.0 * (1.0 - r) * sd_s * sd_o / mse
-    return (bias, variance, covariance)
+    return _theil(simulated, observed)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +132,6 @@ class ReferenceMode:
     name: str
     scenario: str
     series: str
-    units: str
-    source: str
     months: tuple[str, ...]
     # model time at the start of each month
     times: tuple[float, ...]
@@ -206,8 +210,6 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
         name=path.stem,
         scenario=constant["scenario"],
         series=constant["series"],
-        units=constant["units"],
-        source=constant["source"],
         months=tuple(months),
         times=tuple(first),
         values=tuple(read_number(row["value"], ReferenceError,
@@ -226,16 +228,14 @@ def score_reference_mode(mode: ReferenceMode, trajectory: Trajectory) -> Referen
             raise ReferenceError(
                 f"calendar month {label} falls outside the simulated horizon "
                 f"[{clock.calendar_label(0.0)}, {clock.calendar_label(clock.horizon)}]")
-    sim = np.array([trajectory.at(mode.series, t) for t in mode.times])
-    obs = np.array(mode.values, dtype=float)
-    u = theils_u(sim, obs)
-    bias, variance, covariance = theil_decomposition(sim, obs)
+    u, bias, variance, covariance = _theil(
+        [trajectory.at(mode.series, t) for t in mode.times], mode.values)
     return ReferenceResult(
         mode=mode.name,
         status="scored",
         scenario=mode.scenario,
         series=mode.series,
-        n_points=len(obs),
+        n_points=len(mode.values),
         u=u,
         bias_share=bias,
         variance_share=variance,
@@ -433,9 +433,10 @@ def extreme_conditions(
         base = run({}, run1)
         shocked = run({"covid.magnitude": 0.0}, run2)
         worst = 0.0
-        for name, series in base.series.items():
-            scale = max(float(np.max(np.abs(series))), 1.0)
-            worst = max(worst, float(np.max(np.abs(shocked.series[name] - series))) / scale)
+        for name, series in base.data.items():
+            scale = max(max(map(abs, series)), 1.0)
+            moved = max(abs(a - b) for a, b in zip(shocked.data[name], series))
+            worst = max(worst, moved / scale)
         return worst <= 1e-12, f"max relative deviation {worst:.2e}"
 
     def total_income_loss() -> tuple[bool, str]:
@@ -453,7 +454,7 @@ def extreme_conditions(
         traj = run(dict.fromkeys(("units_occupied_initial", "units_pending_initial",
                                   "units_vacant_initial", "units_foreclosed_initial",
                                   "rent_owed_initial", "mortgage_owed_initial"), 0.0), run2)
-        peak = max(float(np.max(np.abs(traj.series[name])))
+        peak = max(max(map(abs, traj.data[name]))
                    for name in ("units_occupied", "units_pending_eviction", "units_vacant",
                                 "units_foreclosed", "evictions_processed", "eviction_filings"))
         return peak <= 1e-9, f"peak unit-side magnitudes {peak:.2e}"
@@ -469,12 +470,10 @@ def extreme_conditions(
         and resumes processing after it lapses."""
         traj = run({"moratorium.processing_reduction": 1.0}, run3)
         m = params.moratorium
-        times = traj.times
-        inside = (times >= m.start_time) & (times < m.start_time + m.duration)
-        after = times >= m.start_time + m.duration
-        ev = traj.series["evictions_processed"]
-        peak_inside = float(np.max(np.abs(ev[inside])))
-        resumed = float(np.max(ev[after]))
+        end = m.start_time + m.duration
+        samples = list(zip(traj.clock.grid, traj.data["evictions_processed"]))
+        peak_inside = max(abs(ev) for t, ev in samples if m.start_time <= t < end)
+        resumed = max(ev for t, ev in samples if t >= end)
         return (peak_inside == 0.0 and resumed > 0.0,
                 f"peak in-window rate {peak_inside:.2e}, post-window peak {resumed:.3g}")
 

@@ -2,7 +2,7 @@
 
 Each mutant of ``MUTANTS`` changes one operation of the derivative and once
 passed the acceptance bands and the ledger identities, moving a metric by
-0.04% to 25%. The script applies each, alone, to a temporary copy of
+up to 25%. The script applies each, alone, to a temporary copy of
 ``src/``, runs the contract tests against that copy, and exits 1 if any
 mutant survives them, or if the unmutated copy fails them.
 
@@ -15,18 +15,33 @@ mutant needs a test, or a new reason. Run it from anywhere:
 
     python tests/mutants.py
 
+With ``--scan`` it makes every single mutant of ``deriv``'s body instead,
+117 at present: one operation's ``+``/``-`` or ``*``/``/`` swapped, or one
+comparison moved across its boundary (``>=`` to ``>``, ``>`` to ``>=``,
+``<`` to ``<=``, ``<=`` to ``<``). It runs the five scenarios on each, and
+the contract tests on each that moves a metric, two mutants at a time
+(about 3 minutes on two cores). It exits 1, naming the mutant, if one moves
+a metric and survives the tests, or moves no series and is not in
+``EQUIVALENT``:
+
+    python tests/mutants.py --scan
+
 pytest does not collect it: its name does not start with ``test_``.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from queue import Queue
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = Path("src", "rentdyn", "model.py")
@@ -55,6 +70,8 @@ MUTANTS = [
      "+ filing_recovery) / m.filing_recovery_delay"),
     ("filing recovery opens a step after the rebound",
      "(t >= rebound_time)", "(t > rebound_time)"),
+    ("filings divide by the mortgage delay",
+     "* overdue * mortgage_delay", "* overdue / mortgage_delay"),
 ]
 
 _HEADROOM = "the payment stays under 5% of the headroom: the pace and the funds left bind first"
@@ -86,17 +103,33 @@ EQUIVALENT = [
     ("assistance pays from an empty fund",
      "(funds > 0.0)", "(funds >= 0.0)",
      "with no funds left, funds / dt caps the payment at 0 either way"),
+    ("crowding leaves neutral at its reference itself",
+     "c_ratio <= 1.0", "c_ratio < 1.0",
+     "the crowding ratio stays above 1.16 in every run, never at the reference"),
+    ("filings divide by the overdue pressure",
+     "occupied * overdue", "occupied / overdue",
+     "overdue_pressure is 1.0 throughout: arrears per unit stay under the tolerance"),
 ]
 
-# a digest of every series of the five built-in scenarios, each run in full
+# a digest of every series of the five built-in scenarios, each run in
+# full, and one of their metrics
 _DIGEST = """
 import hashlib
 from rentdyn.model import run_model
 from rentdyn.params import default_params
-from rentdyn.scenarios import BUILTIN_SCENARIOS
-runs = [run_model(s.apply(default_params())).data for s in BUILTIN_SCENARIOS.values()]
-print(hashlib.sha256(repr(runs).encode()).hexdigest())
+from rentdyn.scenarios import BUILTIN_SCENARIOS, compute_metrics
+sets = [s.apply(default_params()) for s in BUILTIN_SCENARIOS.values()]
+runs = [run_model(p) for p in sets]
+metrics = [compute_metrics(run, p).as_dict() for run, p in zip(runs, sets)]
+for value in ([run.data for run in runs], metrics):
+    print(hashlib.sha256(repr(value).encode()).hexdigest())
 """
+
+# each operator a scanned mutant swaps, with what it puts in its place
+_SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
+          ast.GtE: (">=", ">"), ast.Gt: (">", ">="), ast.Lt: ("<", "<="), ast.LtE: ("<=", "<")}
+# mutants the scan checks at once, each in its own copy of src/
+_SCAN_COPIES = 2
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -120,30 +153,112 @@ def _passes(src: Path) -> bool:
     return run.returncode == 0
 
 
-def _digest(src: Path) -> str:
-    """:data:`_DIGEST` of the package under ``src``; a run that fails digests
-    as its error."""
+def _digest(src: Path) -> tuple[str, str]:
+    """:data:`_DIGEST` of the package under ``src``: the series' digest and
+    the metrics'. A run that fails gives its error for both."""
     run = subprocess.run([sys.executable, "-c", _DIGEST], env=_env(src), cwd=ROOT,
                          capture_output=True, text=True)
-    return run.stdout.strip() if run.returncode == 0 else run.stderr
+    if run.returncode != 0:
+        return run.stderr, run.stderr
+    series, metrics = run.stdout.split()
+    return series, metrics
 
 
-def main() -> int:
+def _single_mutants(source: str) -> list[tuple[str, str]]:
+    """Every mutant of ``deriv``'s body that swaps one operator of
+    :data:`_SWAPS`, in source order: (where and what, the mutated source)."""
+    code = source.encode()  # ast's columns count bytes
+    starts = [0]
+    for line in code.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    deriv = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "deriv")
+    mutants = []
+    for node in ast.walk(deriv):
+        if isinstance(node, ast.BinOp):
+            operations = [(node.left, node.op, node.right)]
+        elif isinstance(node, ast.Compare):
+            operations = zip([node.left, *node.comparators], node.ops, node.comparators)
+        else:
+            continue
+        for left, op, right in operations:
+            if type(op) not in _SWAPS:
+                continue
+            old, new = _SWAPS[type(op)]
+            # between its operands the operator stands alone, apart from
+            # parentheses and line breaks
+            lo = starts[left.end_lineno - 1] + left.end_col_offset
+            gap = code[lo:starts[right.lineno - 1] + right.col_offset]
+            if gap.replace(old.encode(), b"", 1).strip(b"()\\ \n"):
+                raise SystemExit(f"{MODEL}: no lone {old!r} in {gap!r}")
+            at = lo + gap.index(old.encode())
+            line = code.count(b"\n", 0, at) + 1
+            label = (f"line {line}:{at - starts[line - 1] + 1}, {old} -> {new}: "
+                     f"{code.splitlines()[line - 1].decode().strip()}")
+            mutants.append((at, label, (code[:at] + new.encode() + code[at + len(old):]).decode()))
+    return [(label, mutated) for _, label, mutated in sorted(mutants)]
+
+
+def _scan(source: str, unmutated: tuple[str, str], copies: Queue) -> int:
+    """Check every mutant of :func:`_single_mutants`, one per copy of src/ in
+    ``copies`` at a time; 1 if any ends in a failing outcome."""
+    equivalent = {source.replace(old, new) for _, old, new, _ in EQUIVALENT}
+    mutants = _single_mutants(source)
+    if not equivalent <= {mutated for _, mutated in mutants}:
+        print("an EQUIVALENT mutant is not a single operator swap of the scan")
+        return 1
+
+    def outcome(mutated: str) -> str:
+        src = copies.get()
+        try:
+            (src.parent / MODEL).write_text(mutated)
+            series, metrics = _digest(src)
+            if series == unmutated[0]:
+                return "equivalent" if mutated in equivalent else "UNLISTED"
+            if mutated in equivalent:
+                return "MOVED"
+            if metrics == unmutated[1]:
+                return "series only"
+            return "SURVIVED" if _passes(src) else "killed"
+        finally:
+            copies.put(src)
+
+    tally: Counter[str] = Counter()
+    with ThreadPoolExecutor(copies.qsize()) as pool:
+        for (label, _), result in zip(mutants, pool.map(outcome, [m for _, m in mutants])):
+            print(f"{result:<11} {label}", flush=True)
+            tally[result] += 1
+    print(f"{len(mutants)} mutants: "
+          + ", ".join(f"{count} {result}" for result, count in sorted(tally.items())))
+    # a metric moved and no contract test saw it; no series moved and no
+    # reason is listed; a listed equivalent mutant moved a series
+    return 1 if {"SURVIVED", "UNLISTED", "MOVED"} & tally.keys() else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--scan"]):
+        print("usage: python tests/mutants.py [--scan]")
+        return 2
     source = (ROOT / MODEL).read_text()
     for label, old, *_ in MUTANTS + EQUIVALENT:
         if source.count(old) != 1:
             print(f"mutant '{label}': {old!r} occurs {source.count(old)} times in {MODEL}")
             return 1
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp, "src")
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        copies: Queue = Queue()
+        for k in range(_SCAN_COPIES if argv else 1):
+            src = Path(tmp, str(k), "src")
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            copies.put(src)
         if not _passes(src):
             print(f"the unmutated copy fails {' '.join(TESTS)}")
             return 1
         unmutated = _digest(src)
+        if argv:
+            return _scan(source, unmutated, copies)
         moved = []
         for label, old, new, reason in EQUIVALENT:
-            Path(tmp, MODEL).write_text(source.replace(old, new))
+            (src.parent / MODEL).write_text(source.replace(old, new))
             if _digest(src) == unmutated:
                 print(f"unmoved  {label}: {reason}", flush=True)
             else:
@@ -152,7 +267,7 @@ def main() -> int:
         survivors = []
         for label, old, new in MUTANTS:
             t0 = time.perf_counter()
-            Path(tmp, MODEL).write_text(source.replace(old, new))
+            (src.parent / MODEL).write_text(source.replace(old, new))
             survived = _passes(src)
             print(f"{'SURVIVED' if survived else 'killed  '} {label} "
                   f"({time.perf_counter() - t0:.1f} s)", flush=True)
@@ -164,4 +279,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

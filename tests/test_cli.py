@@ -227,10 +227,15 @@ def test_compare_artifact(tmp_path):
     assert doc["metrics"]["evictions_total"]["abs_change"] < 0
 
 
-def test_sweep_artifacts(tmp_path):
+def test_sweep_artifacts(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--fraction", "0.15", "--top", "5", "--out", str(out)])
     assert rc == 0
+    # 130 entries, two per parameter; run2 switches off the moratorium and
+    # assistance blocks, whose 20 entries repeat the baseline without a run
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "sweep of 130 entries (±15% on every parameter, scenario run2); "
+        "top 5 by elasticity:")
     lines = (out / "sweep.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header[:6] == ["parameter", "direction", "baseline_value",
@@ -474,6 +479,8 @@ def test_bad_series_selection_fails_cleanly(tmp_path, capsys):
                "--series", "no_such_series", "--out", str(out)])
     assert rc == 1
     assert not out.exists()
+    # the message itself, not the repr str() gives a KeyError
+    assert capsys.readouterr().err.startswith("error: unknown series no_such_series")
 
 
 def test_bad_sweep_fraction_fails_cleanly(capsys):

@@ -357,7 +357,7 @@ def test_runs_agree_bit_for_bit_until_they_depart(a, b):
 
 
 # ---------------------------------------------------------------- run-long oracles
-# The four equations below move no metric past the acceptance bands when
+# The five equations below move no metric past the acceptance bands when
 # one of their operations is mutated (tests/mutants.py): each is pinned at
 # every sample of a shipped run instead.
 
@@ -400,6 +400,20 @@ def test_uncapped_mortgage_payment_is_owed_over_its_delay(name):
             assert paid == payment
             uncapped += 1
     assert uncapped > 0
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_filings_are_the_baseline_fraction_times_every_pressure(name):
+    """Filings against occupied units scale the baseline fraction by the
+    overdue, mortgage delay, conflict and filing factor multipliers; the
+    shock lifts the mortgage delay off neutral, and no shipped run drains
+    the occupied units fast enough for their cap to bind."""
+    p, d = _shipped_run(name)
+    for occupied, overdue, delay, conflict, factor, filings in zip(
+            d["units_occupied"], d["overdue_pressure"], d["mortgage_delay_effect"],
+            d["conflict_effect"], d["filing_factor"], d["eviction_filings"], strict=True):
+        assert filings == (p.baseline_filing_fraction * occupied * overdue * delay
+                           * conflict * factor)
 
 
 def test_filing_recovery_level_steps_toward_its_target():

@@ -5,12 +5,15 @@ Theil oracles are frozen literals computed by hand from the definitions.
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rentdyn import model, validation
 from rentdyn.engine import ClampEvent, SimulationError
@@ -47,7 +50,7 @@ def test_import_loads_neither_calibration_nor_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["simulate", "suite", "compare"])
+@pytest.mark.parametrize("command", ["simulate", "suite", "compare", "validate"])
 def test_single_run_commands_never_import_numpy(command, tmp_path):
     import rentdyn
     env = dict(os.environ, PYTHONPATH=str(Path(rentdyn.__file__).parents[1]))
@@ -127,6 +130,65 @@ def test_decomposition_shares_sum_to_one_on_random_pairs():
         shares = theil_decomposition(sim, obs)
         assert sum(shares) == pytest.approx(1.0, rel=1e-9)
         assert all(s >= -1e-12 for s in shares)
+
+
+# ---------------------------------------------------------------- numpy's bits without numpy
+
+def _numpy_theil(sim, obs):
+    """Theil's U and its shares by numpy's ``mean`` and ``std``, the formulas
+    the module computed before it left numpy out."""
+    sim, obs = np.asarray(sim, dtype=float), np.asarray(obs, dtype=float)
+    mse = float(np.mean((sim - obs) ** 2))
+    denom = math.sqrt(float(np.mean(sim**2))) + math.sqrt(float(np.mean(obs**2)))
+    u = 0.0 if denom == 0.0 else math.sqrt(mse) / denom
+    if mse == 0.0:
+        return u, (0.0, 0.0, 0.0)
+    mean_s, mean_o = float(np.mean(sim)), float(np.mean(obs))
+    sd_s, sd_o = float(np.std(sim)), float(np.std(obs))
+    if sd_s > 0.0 and sd_o > 0.0:
+        r = float(np.mean((sim - mean_s) * (obs - mean_o))) / (sd_s * sd_o)
+    else:
+        r = 0.0
+    return u, ((mean_s - mean_o) ** 2 / mse, (sd_s - sd_o) ** 2 / mse,
+               2.0 * (1.0 - r) * sd_s * sd_o / mse)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+# lengths on both sides of numpy's blocks of 8; a pair may share points, so
+# that equal series, constant ones and zero errors turn up
+_FINITE = st.floats(-1e100, 1e100)
+_PAIRS = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(_FINITE, min_size=n, max_size=n),
+    st.lists(st.one_of(_FINITE, st.sampled_from([0.0, 1.0])), min_size=n, max_size=n)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_PAIRS, st.booleans())
+def test_theil_statistics_have_the_bits_of_numpy(pair, same):
+    sim, obs = pair
+    if same:
+        obs = list(sim)
+    u, shares = _numpy_theil(sim, obs)
+    assert _bits([theils_u(sim, obs)]) == _bits([u])
+    assert _bits(theil_decomposition(sim, obs)) == _bits(shares)
+
+
+@pytest.mark.parametrize("sim, obs, reason", [
+    ([[1.0, 2.0]], [[1.0, 2.0]], "one-dimensional"),
+    (np.ones((3, 1)), np.ones((3, 1)), "one-dimensional"),
+    (1.0, 1.0, "one-dimensional"),
+    ([1.0, 2.0], [1.0], "lengths differ: 2 vs 1"),
+    ([], [], "at least one point"),
+    ([1.0, math.nan], [1.0, 2.0], "finite inputs"),
+    ([1.0, 2.0], [math.inf, 2.0], "finite inputs"),
+])
+def test_theil_statistics_refuse_what_they_cannot_score(sim, obs, reason):
+    for statistic in (theils_u, theil_decomposition):
+        with pytest.raises(ValueError, match=reason):
+            statistic(sim, obs)
 
 
 # ---------------------------------------------------------------- reference I/O
