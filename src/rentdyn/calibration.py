@@ -58,21 +58,26 @@ copy locks those threads may hold), there are no workers, and the calling
 process claims every run.
 
 The search is fully deterministic: same spec, same starting parameters,
-same result, however many processes made the runs.
+same result, however many processes made the runs, and on every CPU: the
+solver sums Python floats by :func:`rentdyn.engine.pairwise_sum`, not by a
+BLAS kernel the CPU picks, and takes singular values by one-sided Jacobi
+rotations (Hestenes, J. SIAM 6(1), 1958). It imports no NumPy, which enters
+a process only through a batch (``model.run_model`` of a list).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import struct
+import sys
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from rentdyn.engine import SimClock, SimulationError
+from rentdyn.engine import SimClock, SimulationError, pairwise_sum
 from rentdyn.model import GATE_TIMES, run_model
 from rentdyn.params import ModelParams, bounds_for, brief, get_value, load_yaml, \
     read_mapping, read_number, with_values
@@ -96,7 +101,7 @@ _FAILURE_LOSS = 1e12
 # the ftol, xtol and gtol of the solver's stopping tests (MINPACK's, at
 # scipy's defaults), and its forward-difference step relative to max(1, |x|)
 _TOLERANCE = 1e-8
-_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+_DIFF_STEP = math.sqrt(sys.float_info.epsilon)
 
 
 class CalibrationError(ValueError):
@@ -289,16 +294,14 @@ def _achieved(metric_sets: dict[str, MetricSet],
 
 
 def _residuals(achieved: dict[str, float | None], spec: CalibrationSpec,
-               clock: SimClock) -> np.ndarray:
+               clock: SimClock) -> list[float]:
     """One weighted relative miss per target, in spec order; an event that
     never happened scores as happening a month past the horizon."""
-    out = np.empty(len(spec.targets))
-    for i, target in enumerate(spec.targets):
+    out = []
+    for target in spec.targets:
         value = achieved[target.key]
-        if value is None:
-            value = clock.horizon + 1.0
-        scale = abs(target.value) if target.value != 0.0 else 1.0
-        out[i] = math.sqrt(target.weight) * (value - target.value) / scale
+        value = clock.horizon + 1.0 if value is None else value
+        out.append(math.sqrt(target.weight) * (value - target.value) / (abs(target.value) or 1.0))
     return out
 
 
@@ -311,7 +314,7 @@ def calibration_loss(
     """Weighted sum of squared relative target misses (lower is better)."""
     metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
                    for name in sorted({t.scenario for t in spec.targets})}
-    return float(np.sum(_residuals(_achieved(metric_sets, spec), spec, clock) ** 2))
+    return pairwise_sum([r * r for r in _residuals(_achieved(metric_sets, spec), spec, clock)])
 
 
 def _process_count(most: int) -> int:
@@ -349,21 +352,66 @@ def _serve(run: Callable[..., MetricSet | Exception], counter: Any, conn: Any) -
             conn.send(error)
 
 
-def _difference_points(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The points of a forward-difference Jacobian at ``x``, one per row: a
-    step of ``sqrt(eps) * max(1, |x|)`` in one coordinate, turned backward
-    where it would cross the upper bound."""
-    h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
-    return x + np.diag(np.where(x + h > upper, -h, h))
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """The dot product of ``u`` and ``v``, summed in pairwise order."""
+    return pairwise_sum([a * b for a, b in zip(u, v)])
+
+
+def _clip(values: Sequence[float], lower: Sequence[float], upper: Sequence[float]) -> list[float]:
+    """``values`` moved into the box ``[lower, upper]``, one coordinate at a time."""
+    return [min(max(v, lo), hi) for v, lo, hi in zip(values, lower, upper)]
+
+
+def _difference_points(x: Sequence[float], upper: Sequence[float]) -> list[list[float]]:
+    """The forward-difference points at ``x``, one per coordinate: a step of
+    ``sqrt(eps) * max(1, |x|)`` there, backward where it would cross ``upper``."""
+    h = [_DIFF_STEP * max(1.0, abs(v)) for v in x]
+    h = [-s if v + s > hi else s for v, s, hi in zip(x, h, upper)]
+    return [[v + (h[i] if j == i else 0.0) for j, v in enumerate(x)] for i in range(len(x))]
+
+
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """``x`` with ``a x = b``, by Gaussian elimination with partial pivoting:
+    a stable sort brings up the first row with the largest entry in column k."""
+    rows = [[*row, v] for row, v in zip(a, b)]
+    for k in range(len(rows)):
+        rows[k:] = sorted(rows[k:], key=lambda row: abs(row[k]), reverse=True)
+        for row in rows[k + 1:]:
+            m = row[k] / rows[k][k]
+            row[k:] = [u - m * v for u, v in zip(row[k:], rows[k][k:])]
+    x = [0.0] * len(rows)
+    for i in reversed(range(len(rows))):
+        x[i] = (rows[i][-1] - _dot(rows[i][i + 1:-1], x[i + 1:])) / rows[i][i]
+    return x
+
+
+def _singular_values(rows: list[list[float]]) -> list[float]:
+    """Singular values, largest first, of a matrix with no more columns than rows: its
+    column norms once rotations leave each pair orthogonal (Demmel and Veselic, 1992)."""
+    cols = [list(col) for col in zip(*rows)]
+    for _ in range(30):
+        rotated = False
+        for i, k in itertools.combinations(range(len(cols)), 2):
+            u, v = cols[i], cols[k]
+            alpha, beta, gamma = _dot(u, u), _dot(v, v), _dot(u, v)
+            if abs(gamma) > sys.float_info.epsilon * math.sqrt(alpha * beta):
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c, rotated = 1.0 / math.hypot(1.0, t), True
+                cols[i] = [c * (p - t * q) for p, q in zip(u, v)]
+                cols[k] = [c * (t * p + q) for p, q in zip(u, v)]
+        if not rotated:
+            break
+    return sorted((math.sqrt(_dot(col, col)) for col in cols), reverse=True)
 
 
 class Solution(NamedTuple):
     """Where :func:`least_squares` stopped, and why."""
 
-    x: np.ndarray
-    fun: np.ndarray
-    # the forward-difference Jacobian of ``fun`` at ``x``
-    jac: np.ndarray
+    x: list[float]
+    fun: list[float]
+    # the forward-difference Jacobian of ``fun`` at ``x``, one row per residual
+    jac: list[list[float]]
     # residual vectors scored at the start and at trial points
     nfev: int
     # Jacobians made, one at the start and one at each trial point taken
@@ -372,13 +420,13 @@ class Solution(NamedTuple):
     status: int
     # the trial point refused last; none once a step is taken with no
     # refusal before it
-    refused: tuple[np.ndarray, ...]
+    refused: tuple[list[float], ...]
 
 
 def least_squares(
-    fun: Callable[[list[np.ndarray]], list[np.ndarray]],
-    x0: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
+    fun: Callable[[list[list[float]]], Sequence[Sequence[float]]],
+    x0: Sequence[float],
+    bounds: tuple[Sequence[float], Sequence[float]],
     max_nfev: int,
 ) -> Solution:
     """Minimize the sum of squares of the residuals ``fun`` scores over the
@@ -407,44 +455,49 @@ def least_squares(
     or a trial point with the Jacobian points there, which the search needs
     next if it takes the step; once a trial since the last Jacobian was
     refused, a trial point alone, and then the Jacobian at one taken gets a
-    round of its own.
+    round of its own. Points are lists of floats, and so are the results.
     """
     lower, upper = bounds
-    x = np.asarray(x0, dtype=float)
+    x = list(x0)
     points = _difference_points(x, upper)
-    f, *columns = fun([x, *points])
-    cost = f @ f
-    nfev, njev, status, mu, scaling, refused = 1, 0, 0, 1e-3, np.zeros(x.size), ()
+    f, *columns = map(list, fun([x, *points]))
+    cost = _dot(f, f)
+    nfev, njev, status, mu, scaling, refused = 1, 0, 0, 1e-3, [0.0] * len(x), ()
     while True:
-        jac = (np.array(columns) - f).T / np.diag(points - x)
+        jac_columns = [[(c - fr) / (point[i] - x[i]) for c, fr in zip(column, f)]
+                       for i, (column, point) in enumerate(zip(columns, points))]
+        jac = [list(row) for row in zip(*jac_columns)]
         njev += 1
-        g = jac.T @ f
-        if np.max(np.abs(x - np.clip(x - g, lower, upper))) < _TOLERANCE:
+        g = [_dot(column, f) for column in jac_columns]
+        if max(abs(v - w) for v, w in zip(x, _clip([v - gi for v, gi in zip(x, g)],
+                                                   lower, upper))) < _TOLERANCE:
             status = 1
         if status or nfev >= max_nfev:
             return Solution(x, f, jac, nfev, njev, status, refused)
-        a = jac.T @ jac
-        scaling = np.maximum(scaling, np.diag(a))
-        damping = np.where(scaling > 0.0, scaling, 1.0)
-        x_norm = math.sqrt(damping @ x ** 2)
+        a = [[_dot(ci, ck) for ck in jac_columns] for ci in jac_columns]
+        scaling = [max(s, a[i][i]) for i, s in enumerate(scaling)]
+        damping = [s if s > 0.0 else 1.0 for s in scaling]
+        step_tolerance = _TOLERANCE * (_TOLERANCE + math.sqrt(_dot(damping, [v * v for v in x])))
         # a coordinate on a bound that the gradient pushes out of stays there
-        free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        free = [i for i, (v, gi) in enumerate(zip(x, g))
+                if not (v <= lower[i] and gi > 0.0 or v >= upper[i] and gi < 0.0)]
         alone = False
         while True:
-            step = np.zeros(x.size)
-            step[free] = np.linalg.solve((a + mu * np.diag(damping))[np.ix_(free, free)],
-                                         -g[free])
-            new = np.clip(x + step, lower, upper)
+            step = dict(zip(free, _solve([[a[i][k] + (mu * damping[i] if i == k else 0.0)
+                                           for k in free] for i in free], [-g[i] for i in free])))
+            new = _clip([v + step.get(i, 0.0) for i, v in enumerate(x)], lower, upper)
             points = _difference_points(new, upper)
-            trial, *columns = fun([new] if alone else [new, *points])
+            trial, *columns = map(list, fun([new] if alone else [new, *points]))
             nfev += 1
-            actual = cost - trial @ trial
-            predicted = cost - np.sum((f + jac @ (new - x)) ** 2)
+            actual = cost - _dot(trial, trial)
+            dx = [v - w for v, w in zip(new, x)]
+            model_f = [fr + _dot(row, dx) for fr, row in zip(f, jac)]
+            predicted = cost - _dot(model_f, model_f)
             gain = actual / predicted if actual > 0.0 and predicted > 0.0 else 0.0
-            short = math.sqrt(damping @ (new - x) ** 2) < _TOLERANCE * (_TOLERANCE + x_norm)
+            short = math.sqrt(_dot(damping, [v * v for v in dx])) < step_tolerance
             if gain > 0.0:
                 status = 2 if actual < _TOLERANCE * cost and gain > 0.25 else 3 if short else 0
-                x, f, cost = new, trial, trial @ trial
+                x, f, cost = new, trial, _dot(trial, trial)
                 mu /= 3.0
                 refused = refused if alone else ()
                 break
@@ -454,7 +507,7 @@ def least_squares(
             alone = True
             mu *= 10.0
         if alone:
-            columns = fun(list(points))
+            columns = list(map(list, fun(points)))
 
 
 def calibrate(
@@ -492,23 +545,21 @@ def calibrate(
             raise CalibrationError(f"{target.key} cannot move: {target.scenario} switches "
                                    f"the {block} block off")
     paths = [p.path for p in spec.parameters]
-    x0 = np.array([float(get_value(params, path)) for path in paths])
-    lower = np.array([p.lower for p in spec.parameters])
-    upper = np.array([p.upper for p in spec.parameters])
-    x0 = np.clip(x0, lower, upper)
+    lower, upper = zip(*[(p.lower, p.upper) for p in spec.parameters])
+    x0 = _clip([float(get_value(params, path)) for path in paths], lower, upper)
     # relative coordinates: unit step = the starting magnitude (or 1 if zero)
-    scale = np.where(np.abs(x0) > 0.0, np.abs(x0), 1.0)
-    failure = np.full(len(spec.targets), math.sqrt(_FAILURE_LOSS / len(spec.targets)))
+    scale = [abs(v) if abs(v) > 0.0 else 1.0 for v in x0]
+    failure = [math.sqrt(_FAILURE_LOSS / len(spec.targets))] * len(spec.targets)
 
     needed = sorted({t.scenario for t in spec.targets})
     # when the model first reads each free value in each scenario
     applied = {name: scenarios[name].apply(params) for name in needed}
-    reads = {name: np.array([scenarios[name].reads_from(applied[name], path) for path in paths])
+    reads = {name: [scenarios[name].reads_from(applied[name], path) for path in paths]
              for name in needed}
     # the free values each scenario can see: the model never reads one in a
     # policy block the scenario switches off, and the scenario's override
     # puts back one it overrides
-    seen = {name: np.flatnonzero(r < math.inf) for name, r in reads.items()}
+    seen = {name: [i for i, t in enumerate(r) if t < math.inf] for name, r in reads.items()}
     for i, path in enumerate(paths):
         if not any(i in s for s in seen.values()):
             raise CalibrationError(f"{path} cannot be fitted: no target's scenario "
@@ -518,8 +569,8 @@ def calibrate(
     # free value (the last sample for an onset past the horizon)
     prefixes = {}
     for name, r in reads.items():
-        if 0.0 < r.min() < math.inf:
-            k = clock.sample_at_or_after(r.min())
+        if 0.0 < min(r) < math.inf:
+            k = clock.sample_at_or_after(min(r))
             prefixes[name] = (k, run_model(applied[name], SimClock(
                 clock.dt, horizon=clock.grid[k], burn_in=0.0)))
 
@@ -539,26 +590,26 @@ def calibrate(
             return error.with_traceback(None)
 
     # the outcome of every scenario run made, keyed by the scenario and the
-    # bytes of the free values it sees
+    # bytes of the free values it sees, which tell -0.0 from 0.0
     runs: dict[tuple[str, bytes], MetricSet | Exception] = {}
 
-    def tasks(z: np.ndarray) -> list[tuple[tuple[str, bytes], tuple[str, tuple[float, ...]]]]:
+    def tasks(z: list[float]) -> list[tuple[tuple[str, bytes], tuple[str, tuple[float, ...]]]]:
         """Each scenario's run at ``z``: its key, and ``run``'s arguments."""
-        values = np.clip(z * scale, lower, upper)
-        return [((name, values[i].tobytes()), (name, tuple(values[i].tolist())))
-                for name, i in seen.items()]
+        values = _clip([v * s for v, s in zip(z, scale)], lower, upper)
+        picked = {name: tuple(values[i] for i in free) for name, free in seen.items()}
+        return [((name, struct.pack(f"{len(v)}d", *v)), (name, v)) for name, v in picked.items()]
 
-    def achieved_at(z: np.ndarray) -> dict[str, float] | None:
+    def achieved_at(z: list[float]) -> dict[str, float] | None:
         outcomes = {key[0]: runs[key] for key, _ in tasks(z)}
         if any(isinstance(o, Exception) for o in outcomes.values()):
             return None
         return _achieved(outcomes, spec)
 
-    def score(z: np.ndarray) -> np.ndarray:
+    def score(z: list[float]) -> list[float]:
         achieved = achieved_at(z)
         return failure if achieved is None else _residuals(achieved, spec, clock)
 
-    def evaluate(points: list[np.ndarray]) -> list[np.ndarray]:
+    def evaluate(points: list[list[float]]) -> list[list[float]]:
         """One round of the solver: make the runs its points need, then score them."""
         needs = dict(task for z in points for task in tasks(z) if task[0] not in runs)
         todo = list(needs.values())
@@ -580,8 +631,7 @@ def calibrate(
     # runs itself, so no thread of this process stands between them. Each
     # worker inherits the prefixes when it forks
     workers = []
-    z0 = x0 / scale
-    upper_z = upper / scale
+    z0, lower_z, upper_z = ([v / s for v, s in zip(b, scale)] for b in (x0, lower, upper))
     # a Jacobian needs at most one run per scenario and free parameter
     processes = _process_count(len(needed) * len(paths))
     import multiprocessing
@@ -596,7 +646,7 @@ def calibrate(
             worker.start()
             worker_conn.close()
             workers.append((worker, conn))
-        result = least_squares(evaluate, z0, bounds=(lower / scale, upper_z),
+        result = least_squares(evaluate, z0, bounds=(lower_z, upper_z),
                                max_nfev=spec.max_iterations)
     finally:
         for worker, conn in workers:
@@ -611,10 +661,9 @@ def calibrate(
     # test may stop the search before a forward difference reaches the wall
     near = [*_difference_points(x, upper_z), *result.refused]
     wall = any(achieved_at(z) is None for z in near)
-    loss = float(np.sum(result.fun ** 2))
-    initial_loss = float(np.sum(score(z0) ** 2))
+    loss = pairwise_sum([r * r for r in result.fun])
     try:
-        values = np.clip(x * scale, lower, upper).tolist()
+        values = _clip([v * s for v, s in zip(x, scale)], lower, upper)
         fitted_params = with_values(params, dict(zip(paths, values)))
         if achieved is None:
             # the fit ends on a failed run: raise the error the first one kept
@@ -622,15 +671,14 @@ def calibrate(
     except ValueError as error:
         raise CalibrationError(f"the fit ends on parameters that cannot be built: "
                                f"{error}") from error
-    singular_values = () if wall else tuple(
-        float(v) for v in np.linalg.svd(result.jac, compute_uv=False))
+    singular_values = () if wall else tuple(_singular_values(result.jac))
     # a forward difference of step _DIFF_STEP resolves no singular value below
     # _DIFF_STEP times the largest: the targets leave that direction free
     identified = not singular_values or singular_values[-1] > _DIFF_STEP * singular_values[0]
     return CalibrationResult(
         params=fitted_params,
         loss=loss,
-        initial_loss=initial_loss,
+        initial_loss=pairwise_sum([r * r for r in score(z0)]),
         evaluations=result.nfev + len(paths) * result.njev,
         scenario_runs=len(runs),
         converged=bool(result.status > 0) and loss < _FAILURE_LOSS and identified,

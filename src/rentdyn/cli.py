@@ -15,14 +15,11 @@ way of, a malformed ``SOURCE_DATE_EPOCH``) exit with status 1 before any
 output file is created; writes themselves are atomic, so an interrupted run
 never leaves partial artifacts.
 
-Only ``calibrate`` loads ``rentdyn.calibration``, which fits by a bounded
-Levenberg-Marquardt method of its own (More, "The Levenberg-Marquardt
-algorithm: implementation and theory", 1978) and imports no scipy.
-Likewise only ``sweep`` and ``validate`` load ``rentdyn.validation``.
-numpy enters a process only through a batch (``model.run_model`` of a list
-of parameter sets, which ``sweep`` makes) or through the fit
-(``rentdyn.calibration``). The other commands make single runs, which keep
-their samples as Python floats from the Euler loop to the written row.
+Only ``calibrate`` loads ``rentdyn.calibration``, a bounded Levenberg-Marquardt
+fit of its own (More, 1978) that imports no scipy, and only ``sweep`` and
+``validate`` load ``rentdyn.validation``. numpy enters a process only through
+a batch (``model.run_model`` of a list, which ``sweep`` makes): single runs,
+the fit's among them, keep their samples as Python floats.
 
 Run as its own process, ``main`` freezes the ~15,000 objects its imports
 built (``gc.freeze``), so the collections at exit no longer walk them.

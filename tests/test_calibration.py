@@ -239,7 +239,7 @@ def test_solver_finds_the_rosenbrock_minimum():
     result = least_squares(lambda points: [_rosenbrock(x) for x in points],
                            np.array([-1.2, 1.0]), bounds=unbounded, max_nfev=200)
     assert result.status > 0
-    assert np.max(np.abs(result.x - 1.0)) < 1e-8
+    assert np.max(np.abs(np.array(result.x) - 1.0)) < 1e-8
 
 
 def test_solver_ends_on_the_bound_the_optimum_lies_beyond():
@@ -254,9 +254,10 @@ def test_solver_ends_on_the_bound_the_optimum_lies_beyond():
     assert result.x[1] == pytest.approx(1.0, abs=1e-8)
     # the gradient projected on the box: exactly zero through the bound, and
     # zero to the difference Jacobian's accuracy in x1
-    g = result.jac.T @ result.fun
+    g = np.array(result.jac).T @ np.array(result.fun)
     assert g[0] == pytest.approx(-3.0)
-    projected = result.x - np.clip(result.x - g, lower, upper)
+    x = np.array(result.x)
+    projected = x - np.clip(x - g, lower, upper)
     assert projected[0] == 0.0 and abs(projected[1]) < 1e-7
 
 
@@ -287,7 +288,7 @@ def test_solver_scores_only_points_in_the_box_and_within_its_budget(data, n, ext
 
         def fun(points):
             rounds.append([x.copy() for x in points])
-            return [a @ x + 0.5 * np.sin(3.0 * x).sum() - b for x in points]
+            return [a @ x + 0.5 * np.sin(3.0 * x).sum() - b for x in map(np.array, points)]
 
         return least_squares(fun, x0.copy(), bounds=(lower, upper), max_nfev=budget), rounds
 
@@ -300,7 +301,7 @@ def test_solver_scores_only_points_in_the_box_and_within_its_budget(data, n, ext
     assert result.nfev == len(trials) <= max_nfev
     # a search cut off after k trial points stops where the search stood
     # then, so a trial was refused if it left that point where it was
-    path = [searched(k)[0].x.tobytes() for k in range(1, result.nfev + 1)]
+    path = [np.array(searched(k)[0].x).tobytes() for k in range(1, result.nfev + 1)]
     refused = [False] + [now == before for before, now in zip(path, path[1:])]
     assert result.njev == refused.count(False)
     unread = 0
@@ -319,7 +320,29 @@ def test_solver_scores_only_points_in_the_box_and_within_its_budget(data, n, ext
         assert result.status == 0 and result.nfev == max_nfev
     else:
         assert result.status == full.status > 0
-        assert result.x.tobytes() == full.x.tobytes()
+        assert np.array(result.x).tobytes() == np.array(full.x).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), extra=st.integers(0, 2))
+def test_solver_linear_algebra_agrees_with_lapack(data, n, extra):
+    """On a Jacobian of m >= n rows whose columns differ in scale by up to
+    1e21, as a wall column does, the Jacobi singular values are LAPACK's to
+    roundoff of the largest, and the elimination solves J'J plus a positive
+    diagonal, a damped step's system, to roundoff of its terms."""
+    m = n + extra
+    entries = st.integers(-10**6, 10**6).map(lambda k: k / 10**6)
+    scales = np.array(data.draw(st.lists(st.integers(-8, 13), min_size=n, max_size=n)))
+    jac = np.array(data.draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+    jac *= 10.0 ** scales
+    expected = np.linalg.svd(jac, compute_uv=False)
+    values = calibration._singular_values(jac.tolist())
+    assert values == sorted(values, reverse=True)
+    assert np.max(np.abs(np.array(values) - expected)) <= 1e-13 * expected[0]
+    a = jac.T @ jac + np.diag(1e-3 * np.maximum(np.diag(jac.T @ jac), 1.0))
+    b = np.array(data.draw(st.lists(entries, min_size=n, max_size=n))) * 10.0 ** scales
+    x = np.array(calibration._solve(a.tolist(), b.tolist()))
+    assert np.max(np.abs(a @ x - b)) <= 1e-12 * (np.max(np.abs(a) @ np.abs(x)) + np.max(np.abs(b)))
 
 
 def test_solver_refuses_a_step_to_a_failed_point():
@@ -337,7 +360,7 @@ def test_solver_refuses_a_step_to_a_failed_point():
     assert any(t > 1.5 for t in trials)
     assert result.status > 0
     assert 1.4 < result.x[0] <= 1.5
-    assert result.fun.tobytes() != failure.tobytes()
+    assert np.array(result.fun).tobytes() != failure.tobytes()
 
 
 # ---------------------------------------------------------------- recovery
@@ -418,11 +441,33 @@ def test_fit_from_the_benchmark_start_is_unchanged():
     spec = load_calibration_spec("params/calibration.yaml")
     result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), spec)
     assert result.fitted == {
-        "covid.magnitude": 0.6007270959657109,
-        "covid.recovery_time": 74.460113204255,
-        "moratorium.filing_reduction": 0.5000313623540792,
+        "covid.magnitude": 0.6007270960257441,
+        "covid.recovery_time": 74.46011315864186,
+        "moratorium.filing_reduction": 0.5000313623630324,
         "assistance.disbursement_time": 34.999999999999986,
     }
+
+
+def test_fit_does_not_depend_on_the_blas_kernel():
+    """The fit's arithmetic is Python's: a process that loads numpy first,
+    with OpenBLAS told to take another CPU's kernels, fits the same bits."""
+    import rentdyn
+    env = dict(os.environ, PYTHONPATH=str(Path(rentdyn.__file__).parents[1]),
+               OPENBLAS_CORETYPE="Sandybridge")
+    code = ("import sys\n"
+            "import numpy\n"
+            "sys.path.insert(0, 'tests')\n"
+            "from test_calibration import _outcome\n"
+            "from rentdyn.calibration import calibrate, load_calibration_spec\n"
+            "from rentdyn.params import default_params, with_value\n"
+            "spec = load_calibration_spec('params/calibration.yaml')\n"
+            "print(repr(_outcome(calibrate(with_value(default_params(), 'covid.magnitude', 0.5),"
+            " spec))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), _SHIPPED)
+    assert (result.evaluations, result.scenario_runs) == (30, 72)
+    assert proc.stdout.splitlines()[-1] == repr(_outcome(result))
 
 
 @pytest.mark.parametrize("magnitude, evaluations, runs",
@@ -556,7 +601,7 @@ def test_worker_pool_is_bounded_and_closed_when_the_solver_raises(monkeypatch):
     seen = []
 
     def broken(fun, x0, **kwargs):
-        fun([x0 * 1.01, x0 * 1.02, x0 * 1.03])
+        fun([[v * factor for v in x0] for factor in (1.01, 1.02, 1.03)])
         seen.append((len(multiprocessing.active_children()), os.sched_getaffinity(0)))
         raise RuntimeError("solver failed")
 

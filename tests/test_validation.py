@@ -50,18 +50,37 @@ def test_import_loads_neither_calibration_nor_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["simulate", "suite", "compare", "validate"])
-def test_single_run_commands_never_import_numpy(command, tmp_path):
+def test_calibration_import_loads_no_numpy():
     import rentdyn
     env = dict(os.environ, PYTHONPATH=str(Path(rentdyn.__file__).parents[1]))
+    code = ("import sys, rentdyn.calibration\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "suite", "compare", "validate", "calibrate"])
+def test_single_run_commands_never_import_numpy(command, tmp_path):
+    """The fit makes single runs too: ``calibrate`` of a one-parameter spec
+    whose box leaves out the target's value, as in CI."""
+    import rentdyn
+    env = dict(os.environ, PYTHONPATH=str(Path(rentdyn.__file__).parents[1]))
+    args = []
+    if command == "calibrate":
+        spec = tmp_path / "bound.yaml"
+        spec.write_text("parameters:\n  - {path: covid.magnitude, lower: 0.7, upper: 0.8}\n"
+                        "targets:\n  - {scenario: run2, metric: evictions_total, value: 7.023e6}\n")
+        args = ["--spec", str(spec)]
+    out = tmp_path / "out"
     code = ("import sys\n"
             "from rentdyn.cli import main\n"
-            f"status = main([{command!r}, '--out', {str(tmp_path)!r}])\n"
+            f"status = main({[command, *args, '--out', str(out)]!r})\n"
             "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 []"
-    assert (tmp_path / "manifest.json").exists()
+    assert (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------- Theil U
