@@ -304,8 +304,9 @@ class Trajectory:
 
     ``data`` maps each kept series to its samples as the run holds them: a
     list of Python floats for one run, a numpy array (a view into the
-    batch's block) for a column of a batch. ``times`` and ``series`` are
-    the grid and every series as numpy arrays, made on first access.
+    batch's block) for a column of a batch. ``times`` is the grid as a
+    numpy array, made on first access, and ``traj[name]`` is one series as
+    a numpy array, made on each access.
     ``restart`` is ``(k, earlier)`` for a run that took its rows before
     sample ``k`` from the trajectory ``earlier`` and integrated the rest,
     and None for a full run.
@@ -325,14 +326,10 @@ class Trajectory:
 
         return np.array(self.clock.grid)
 
-    @cached_property
-    def series(self) -> dict[str, np.ndarray]:
+    def __getitem__(self, name: str) -> np.ndarray:
         import numpy as np
 
-        return {name: np.asarray(values, dtype=float) for name, values in self.data.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.series[name]
+        return np.asarray(self.data[name], dtype=float)
 
     def at(self, name: str, t: float) -> float:
         """Value of a series at time ``t``, as ``np.interp`` gives it: linear

@@ -35,7 +35,6 @@ from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scena
     compute_metrics, run_scenario
 
 __all__ = [
-    "theils_u",
     "theil_decomposition",
     "ReferenceError",
     "ReferenceMode",
@@ -91,15 +90,6 @@ def _theil(simulated, observed) -> tuple[float, float, float, float]:
          if sd_s > 0.0 and sd_o > 0.0 else 0.0)
     return (u, (mean_s - mean_o) ** 2 / mse, (sd_s - sd_o) ** 2 / mse,
             2.0 * (1.0 - r) * sd_s * sd_o / mse)
-
-
-def theils_u(simulated, observed) -> float:
-    """Theil's inequality coefficient, bounded to [0, 1].
-
-    U = RMSE / (RMS(simulated) + RMS(observed)); 0 is a perfect fit, 1 is
-    maximal disagreement. Two identically-zero series agree perfectly.
-    """
-    return _theil(simulated, observed)[0]
 
 
 def theil_decomposition(simulated, observed) -> tuple[float, float, float]:

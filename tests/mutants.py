@@ -1,10 +1,13 @@
-"""Mutation check of the model's one flow definition, ``build_derivative``.
+"""Mutation check of the model's one flow definition, ``build_derivative``,
+and of the reduction of a run to its metrics, ``compute_metrics``.
 
-Each mutant of ``MUTANTS`` changes one operation of the derivative and once
-passed the acceptance bands and the ledger identities, moving a metric by
-up to 25%. The script applies each, alone, to a temporary copy of
-``src/``, runs the contract tests against that copy, and exits 1 if any
-mutant survives them, or if the unmutated copy fails them.
+Each mutant of ``MUTANTS`` changes one operation of the derivative, or of
+``compute_metrics``, and once passed the acceptance bands and the ledger
+identities, moving a metric by up to 25% (the derivative's), or by as much
+as 16 times (the metrics'). The script applies each, alone, to a temporary
+copy of ``src/``, runs the contract tests and the metric oracles against
+that copy, and exits 1 if any mutant survives them, or if the unmutated
+copy fails them.
 
 Each mutant of ``EQUIVALENT`` changes one operation too, but moves no
 series at the shipped inputs, for the reason it gives; no test can kill it.
@@ -45,12 +48,15 @@ from queue import Queue
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = Path("src", "rentdyn", "model.py")
-# the acceptance bands, and the flow oracles and identities of test_model,
-# whose run-long oracles pin the equations below
-TESTS = ["tests/test_acceptance.py", "tests/test_model.py"]
+SCENARIOS = Path("src", "rentdyn", "scenarios.py")
+# the metric oracles, which kill a metric mutant in about a second; the
+# acceptance bands; and the flow oracles and identities of test_model, whose
+# run-long oracles pin the equations of the derivative below
+TESTS = ["tests/test_metrics.py", "tests/test_acceptance.py", "tests/test_model.py"]
 
-# (what the mutant does, the source it replaces, its replacement)
-MUTANTS = [
+# by the file it mutates: (what the mutant does, the source it replaces, its
+# replacement)
+MUTANTS = {MODEL: [
     ("landlord income nets the assistance payment out",
      "landlord_income = rent_paid + payment", "landlord_income = rent_paid - payment"),
     ("displacement subtracts tenanted foreclosures",
@@ -72,7 +78,36 @@ MUTANTS = [
      "(t >= rebound_time)", "(t > rebound_time)"),
     ("filings divide by the mortgage delay",
      "* overdue * mortgage_delay", "* overdue / mortgage_delay"),
-]
+], SCENARIOS: [
+    # before the oracles of test_metrics, only the digests of test_references
+    # caught these
+    ("filings total divides by the step",
+     'data["eviction_filings"][first:-1]) * clock.dt',
+     'data["eviction_filings"][first:-1]) / clock.dt'),
+    ("filings total stops a step short",
+     'data["eviction_filings"][first:-1]', 'data["eviction_filings"][first:-2]'),
+    ("arrears growth over the window adds the arrears at burn-in",
+     "arrears_growth_window=arrears_end - arrears_at_window",
+     "arrears_growth_window=arrears_end + arrears_at_window"),
+    ("arrears peak growth adds the arrears at burn-in",
+     "ops.max(arrears[first:]) - arrears_at_window",
+     "ops.max(arrears[first:]) + arrears_at_window"),
+    ("crowding at the horizon reads a step early",
+     'crowding_end=float(data["crowding_ratio"][-1])',
+     'crowding_end=float(data["crowding_ratio"][-2])'),
+    ("crowding at the horizon reads the start",
+     'crowding_end=float(data["crowding_ratio"][-1])',
+     'crowding_end=float(data["crowding_ratio"][0])'),
+    ("homelessness at the horizon reads a step early",
+     'homeless_end=float(data["households_homeless"][-1])',
+     'homeless_end=float(data["households_homeless"][-2])'),
+    ("insecurity at the horizon reads a step early",
+     'insecure_end=float(data["households_insecure"][-1])',
+     'insecure_end=float(data["households_insecure"][-2])'),
+    ("insecurity at the horizon reads the start",
+     'insecure_end=float(data["households_insecure"][-1])',
+     'insecure_end=float(data["households_insecure"][0])'),
+]}
 
 _HEADROOM = "the payment stays under 5% of the headroom: the pace and the funds left bind first"
 _EPS_GUARD = "no run meets the guarded quantity at exactly EPS"
@@ -239,10 +274,12 @@ def main(argv: list[str]) -> int:
     if argv not in ([], ["--scan"]):
         print("usage: python tests/mutants.py [--scan]")
         return 2
-    source = (ROOT / MODEL).read_text()
-    for label, old, *_ in MUTANTS + EQUIVALENT:
-        if source.count(old) != 1:
-            print(f"mutant '{label}': {old!r} occurs {source.count(old)} times in {MODEL}")
+    sources = {path: (ROOT / path).read_text() for path in MUTANTS}
+    source = sources[MODEL]
+    listed = [(path, label, old) for path, mutants in MUTANTS.items() for label, old, _ in mutants]
+    for path, label, old in listed + [(MODEL, label, old) for label, old, *_ in EQUIVALENT]:
+        if sources[path].count(old) != 1:
+            print(f"mutant '{label}': {old!r} occurs {sources[path].count(old)} times in {path}")
             return 1
     with tempfile.TemporaryDirectory() as tmp:
         copies: Queue = Queue()
@@ -264,16 +301,20 @@ def main(argv: list[str]) -> int:
             else:
                 print(f"MOVED    {label}: a series differs from the unmutated copy's", flush=True)
                 moved.append(label)
+        (src.parent / MODEL).write_text(source)
         survivors = []
-        for label, old, new in MUTANTS:
-            t0 = time.perf_counter()
-            (src.parent / MODEL).write_text(source.replace(old, new))
-            survived = _passes(src)
-            print(f"{'SURVIVED' if survived else 'killed  '} {label} "
-                  f"({time.perf_counter() - t0:.1f} s)", flush=True)
-            if survived:
-                survivors.append(label)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed; "
+        for path, mutants in MUTANTS.items():
+            for label, old, new in mutants:
+                t0 = time.perf_counter()
+                (src.parent / path).write_text(sources[path].replace(old, new))
+                survived = _passes(src)
+                print(f"{'SURVIVED' if survived else 'killed  '} {label} "
+                      f"({time.perf_counter() - t0:.1f} s)", flush=True)
+                if survived:
+                    survivors.append(label)
+            (src.parent / path).write_text(sources[path])
+    total = sum(map(len, MUTANTS.values()))
+    print(f"{total - len(survivors)} of {total} mutants killed; "
           f"{len(EQUIVALENT) - len(moved)} of {len(EQUIVALENT)} equivalent mutants move no series")
     return 1 if survivors or moved else 0
 

@@ -749,9 +749,9 @@ def test_restarted_run_is_the_full_run(start, values):
             moved = scenario.apply(_moved(values))
             full = model.run_model(moved, clock)
             restarted = model.run_model(moved, clock, restart=(k, prefix))
-            assert list(restarted.series) == list(full.series)
-            for series, expected in full.series.items():
-                assert restarted[series].tobytes() == expected.tobytes(), (name, series)
+            assert list(restarted.data) == list(full.data)
+            for series in full.data:
+                assert restarted[series].tobytes() == full[series].tobytes(), (name, series)
             assert restarted.clamp_events == full.clamp_events
 
 

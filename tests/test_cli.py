@@ -160,7 +160,7 @@ def test_suite_writes_every_scenario(tmp_path):
     assert "manifest.json" in names
 
 
-@pytest.mark.parametrize("dt", ["0.25", "0.5"])
+@pytest.mark.parametrize("dt", ["0.25", "0.5", "0.125"])
 @pytest.mark.parametrize("scenarios", [
     "scenarios/runs.yaml",
     # two runs that differ only in the sign of a zero

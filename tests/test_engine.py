@@ -305,7 +305,7 @@ def test_simulate_step_through_smooth_reaches_63pct_after_one_delay():
 def test_simulate_records_auxiliaries_at_every_sample():
     clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
     traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}))
-    assert "outflow" in traj.series
+    assert "outflow" in traj.data
     assert len(traj["outflow"]) == len(traj.times)
     assert traj["outflow"][0] == pytest.approx(50.0)
 
@@ -354,9 +354,9 @@ def test_batch_matches_single_runs_column_by_column():
     assert len(batch) == len(levels)
     for level, column in zip(levels, batch):
         single = simulate(deriv, clock, {"r": level, "out": 0.0}, nonneg=frozenset({"r"}))
-        assert list(column.series) == list(single.series)
-        for name, series in single.series.items():
-            assert np.array_equal(column[name], series), name
+        assert list(column.data) == list(single.data)
+        for name in single.data:
+            assert np.array_equal(column[name], single[name]), name
         assert column.clamp_events == single.clamp_events
     assert batch[2].clamp_events  # the limiter-free drain does overshoot zero
 
@@ -365,10 +365,10 @@ def test_simulate_records_only_the_requested_series():
     clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
     batch = simulate_batch(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
                            record=("outflow",))
-    assert [list(t.series) for t in batch] == [["outflow"], ["outflow"]]
+    assert [list(t.data) for t in batch] == [["outflow"], ["outflow"]]
     assert batch[1]["outflow"][0] == 25.0
     single = simulate(_drain_deriv(2.0), clock, {"r": 50.0}, record=("outflow",))
-    assert list(single.series) == ["outflow"]
+    assert list(single.data) == ["outflow"]
     assert np.array_equal(single["outflow"], batch[1]["outflow"])
 
 
@@ -408,9 +408,9 @@ def test_restarted_run_is_the_full_run():
     full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg)
     restarted = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg,
                          restart=(20, earlier))  # t = 5.0
-    assert list(restarted.series) == list(full.series)
-    for name, series in full.series.items():
-        assert restarted[name].tobytes() == series.tobytes(), name
+    assert list(restarted.data) == list(full.data)
+    for name in full.data:
+        assert restarted[name].tobytes() == full[name].tobytes(), name
     assert restarted.clamp_events == full.clamp_events
     # clamp events on both sides of the restart, and the runs part after it
     assert {e.time < 5.0 for e in full.clamp_events} == {True, False}
@@ -452,7 +452,7 @@ def test_restart_keeping_some_series_is_the_full_run(k, record):
     full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg)
     restarted = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg,
                          record=record, restart=(k, earlier))  # k <= 20: t <= 5.0
-    assert list(restarted.series) == record
+    assert list(restarted.data) == record
     for name in record:
         assert restarted[name].tobytes() == full[name].tobytes(), name
     assert restarted.clamp_events == full.clamp_events

@@ -29,7 +29,7 @@ from rentdyn.model import (
     run_model,
 )
 from rentdyn.params import FIELDS, POLICY_BLOCKS, clamp_to_bounds, default_params, \
-    get_value, with_value
+    get_value, with_value, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS
 
 
@@ -283,13 +283,13 @@ def test_no_policy_parameter_moves_a_row_before_its_block_onset(path):
         k = int(np.searchsorted(times, onset))
         assert 90 < k < len(times) or path == "assistance.enabled" and k == 0
         other = run_model(moved)
-        for name, series in base.series.items():
+        for name in base.data:
             if path == "assistance.total_funds" and name == "assistance_funds":
                 assert np.all(other[name][:k] == value)
             else:
-                assert other[name][:k].tobytes() == series[:k].tobytes(), (name, value)
-        assert any(other[name].tobytes() != series.tobytes()
-                   for name, series in base.series.items()), value
+                assert other[name][:k].tobytes() == base[name][:k].tobytes(), (name, value)
+        assert any(other[name].tobytes() != base[name].tobytes()
+                   for name in base.data), value
 
 
 # ---------------------------------------------------------------- departures
@@ -352,8 +352,31 @@ def test_runs_agree_bit_for_bit_until_they_depart(a, b):
         ta, tb = run_model(a, clock), run_model(b, clock)
     except SimulationError:
         assume(False)
-    for name, series in ta.series.items():
-        assert series[:k].tobytes() == tb[name][:k].tobytes(), (name, k)
+    for name in ta.data:
+        assert ta[name][:k].tobytes() == tb[name][:k].tobytes(), (name, k)
+
+
+def test_every_field_moved_alone_agrees_bit_for_bit_until_it_departs():
+    """Off each shipped scenario's applied set, each ``FIELDS`` path moved
+    15% either way within its bounds, and each policy switch flipped: the
+    moved run equals the unmoved one in every series at every sample before
+    the first sample at or after their departure. A scenario's moved sets
+    run as one batch, whose columns are their scalar runs bit for bit
+    (:func:`test_batch_column_is_its_scalar_run`)."""
+    clock = SimClock()
+    for scenario in BUILTIN_SCENARIOS.values():
+        applied = scenario.apply(default_params())
+        changes = [{f"{block}.enabled": not getattr(applied, block).enabled}
+                   for block in POLICY_BLOCKS]
+        changes += [{f.path: clamp_to_bounds(f.path, get_value(applied, f.path) * factor)}
+                    for f in FIELDS for factor in (0.85, 1.15)]
+        moved = [with_values(applied, change) for change in changes]
+        base = run_model(applied, clock)
+        for change, params, run in zip(changes, moved, run_model(moved, clock)):
+            k = clock.sample_at_or_after(departure(applied, params))
+            for name in base.data:
+                assert run[name][:k].tobytes() == base[name][:k].tobytes(), \
+                    (scenario.name, change, name, k)
 
 
 # ---------------------------------------------------------------- run-long oracles
@@ -551,7 +574,7 @@ def test_baseline_run_is_near_stationary():
     traj = run_model(default_params())
     for name in ("units_occupied", "units_vacant", "households_insecure",
                  "households_homeless", "rent_owed", "mortgage_owed"):
-        series = traj.series[name]
+        series = traj[name]
         drift = np.max(np.abs(series - series[0])) / abs(series[0])
         assert drift < 0.02, f"{name} drifted {drift:.3%}"
 
@@ -559,8 +582,7 @@ def test_baseline_run_is_near_stationary():
 def test_effect_multipliers_stay_in_their_ranges():
     p = default_params()
     p = dataclasses.replace(p, covid=dataclasses.replace(p.covid, enabled=True))
-    traj = run_model(p)
-    s = traj.series
+    s = run_model(p)
     assert np.all(s["rent_delay_effect"] >= 1.0 - 1e-12)
     assert np.all(s["rent_delay_effect"] <= 3.0 + 1e-12)
     assert np.all(s["stress_effect"] >= 1.0 - 1e-12)
@@ -582,7 +604,7 @@ def test_stocks_never_go_negative_under_heavy_shock():
     )
     traj = run_model(p)
     for name in NONNEG_STOCKS:
-        assert np.min(traj.series[name]) >= -1e-9, name
+        assert np.min(traj[name]) >= -1e-9, name
 
 
 def test_tiny_market_stays_finite():
@@ -593,7 +615,7 @@ def test_tiny_market_stays_finite():
     p = with_value(p, "households_insecure_initial", 1.0)
     traj = run_model(p, SimClock())
     for name in STOCKS:
-        assert np.all(np.isfinite(traj.series[name])), name
+        assert np.all(np.isfinite(traj[name])), name
 
 
 # ---------------------------------------------------------------- backends
@@ -627,9 +649,9 @@ def test_numpy_backend_matches_scalar_on_extreme_inputs():
         batch = run_model(inputs)
     for params, column in zip(inputs, batch):
         single = run_model(params)
-        assert list(column.series) == list(single.series)
-        for name, series in single.series.items():
-            assert np.array_equal(column[name], series), name
+        assert list(column.data) == list(single.data)
+        for name in single.data:
+            assert np.array_equal(column[name], single[name]), name
         assert column.clamp_events == single.clamp_events
 
 
@@ -703,7 +725,7 @@ def test_batch_column_is_its_scalar_run(drawn):
         return
     assert isinstance(batch, list) and len(batch) == len(sets)
     for column, single in zip(batch, singles):
-        assert list(column.series) == list(single.series)
-        for name, series in single.series.items():
-            assert np.array_equal(column[name], series), name
+        assert list(column.data) == list(single.data)
+        for name in single.data:
+            assert np.array_equal(column[name], single[name]), name
         assert column.clamp_events == single.clamp_events

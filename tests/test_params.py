@@ -155,8 +155,8 @@ def test_with_value_stores_a_float_at_registry_paths():
     float_run = run_scenario(with_value(base, "covid.magnitude", 0.5),
                              BUILTIN_SCENARIOS["run2"])
     assert run.metrics == float_run.metrics
-    assert all(np.array_equal(run.trajectory[name], series)
-               for name, series in float_run.trajectory.series.items())
+    assert all(np.array_equal(run.trajectory[name], float_run.trajectory[name])
+               for name in float_run.trajectory.data)
 
 
 def test_with_value_unknown_path_raises():

@@ -81,8 +81,8 @@ def test_run_is_deterministic():
     a = run_scenario(default_params(), BUILTIN_SCENARIOS["run2"])
     b = run_scenario(default_params(), BUILTIN_SCENARIOS["run2"])
     assert a.metrics == b.metrics
-    for name, series in a.trajectory.series.items():
-        assert np.array_equal(series, b.trajectory.series[name]), name
+    for name in a.trajectory.data:
+        assert np.array_equal(a.trajectory[name], b.trajectory[name]), name
 
 
 def test_batch_of_the_five_scenarios_equals_their_single_runs(suite):
@@ -91,7 +91,7 @@ def test_batch_of_the_five_scenarios_equals_their_single_runs(suite):
     batch = run_model(applied, record=METRIC_SERIES)
     for name, params, traj in zip(suite, applied, batch):
         single = suite[name]
-        assert list(traj.series) == list(METRIC_SERIES)
+        assert list(traj.data) == list(METRIC_SERIES)
         for series in METRIC_SERIES:
             assert np.array_equal(traj[series], single.trajectory[series]), (name, series)
         assert compute_metrics(traj, params) == single.metrics, name
@@ -195,9 +195,10 @@ def test_run_many_is_each_scenario_run_alone(scenarios, dt):
     assert list(together) == list(alone)
     for name, result in together.items():
         single = alone[name]
-        assert list(result.trajectory.series) == list(single.trajectory.series)
-        for series, values in single.trajectory.series.items():
-            assert result.trajectory[series].tobytes() == values.tobytes(), (name, series)
+        assert list(result.trajectory.data) == list(single.trajectory.data)
+        for series in single.trajectory.data:
+            assert (result.trajectory[series].tobytes()
+                    == single.trajectory[series].tobytes()), (name, series)
         assert result.trajectory.clamp_events == single.trajectory.clamp_events
         assert repr(result.metrics) == repr(single.metrics), name
         assert result.params == single.params
@@ -285,7 +286,7 @@ def test_emit_timeseries_shape_and_calendar(suite):
     # floats (the CSV writer formats them with repr)
     traj = suite["run1"].trajectory
     assert rows == [[float(t), traj.clock.calendar_label(float(t)),
-                     *(float(traj.series[c][k]) for c in header[2:])]
+                     *(float(traj[c][k]) for c in header[2:])]
                     for k, t in enumerate(traj.times)]
     assert all(type(v) is float for row in rows for v in [row[0], *row[2:]])
 

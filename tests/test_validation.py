@@ -25,8 +25,8 @@ from rentdyn.validation import (
     reference_report,
     score_reference_mode,
     sensitivity_sweep,
+    _theil,
     theil_decomposition,
-    theils_u,
 )
 from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
 
@@ -85,37 +85,37 @@ def test_single_run_commands_never_import_numpy(command, tmp_path):
 
 # ---------------------------------------------------------------- Theil U
 
-def test_theils_u_frozen_oracle():
+def test_theil_u_frozen_oracle():
     # RMSE = sqrt(2/4), RMS(sim) = RMS(obs) = sqrt(30/4):
     # U = sqrt(0.5) / (2*sqrt(7.5)) = 0.12909944487358058
-    u = theils_u([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])
+    u = _theil([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])[0]
     assert u == pytest.approx(0.12909944487358058, rel=1e-14)
 
 
-def test_theils_u_perfect_and_worst_case():
-    assert theils_u([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert theils_u([0.0, 0.0], [0.0, 0.0]) == 0.0
+def test_theil_u_perfect_and_worst_case():
+    assert _theil([1.0, 2.0], [1.0, 2.0])[0] == 0.0
+    assert _theil([0.0, 0.0], [0.0, 0.0])[0] == 0.0
     # all-zero forecast of a nonzero series is maximally wrong
-    assert theils_u([0.0, 0.0], [5.0, -3.0]) == pytest.approx(1.0)
+    assert _theil([0.0, 0.0], [5.0, -3.0])[0] == pytest.approx(1.0)
     # opposite signs everywhere is also maximally wrong
-    assert theils_u([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(1.0)
+    assert _theil([1.0, 2.0], [-1.0, -2.0])[0] == pytest.approx(1.0)
 
 
-def test_theils_u_bounded_and_symmetric_on_random_pairs():
+def test_theil_u_bounded_and_symmetric_on_random_pairs():
     rng = np.random.default_rng(1234)
     for _ in range(200):
         sim = rng.normal(scale=rng.uniform(0.1, 100.0), size=rng.integers(2, 40))
         obs = rng.normal(scale=rng.uniform(0.1, 100.0), size=sim.size)
-        u = theils_u(sim, obs)
+        u = _theil(sim, obs)[0]
         assert 0.0 <= u <= 1.0 + 1e-12
-        assert u == pytest.approx(theils_u(obs, sim), rel=1e-12)
+        assert u == pytest.approx(_theil(obs, sim)[0], rel=1e-12)
 
 
-def test_theils_u_rejects_mismatched_or_empty():
+def test_theil_u_rejects_mismatched_or_empty():
     with pytest.raises(ValueError):
-        theils_u([1.0, 2.0], [1.0])
+        _theil([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
-        theils_u([], [])
+        _theil([], [])
 
 
 # ---------------------------------------------------------------- decomposition
@@ -191,7 +191,7 @@ def test_theil_statistics_have_the_bits_of_numpy(pair, same):
     if same:
         obs = list(sim)
     u, shares = _numpy_theil(sim, obs)
-    assert _bits([theils_u(sim, obs)]) == _bits([u])
+    assert _bits([_theil(sim, obs)[0]]) == _bits([u])
     assert _bits(theil_decomposition(sim, obs)) == _bits(shares)
 
 
@@ -205,7 +205,7 @@ def test_theil_statistics_have_the_bits_of_numpy(pair, same):
     ([1.0, 2.0], [math.inf, 2.0], "finite inputs"),
 ])
 def test_theil_statistics_refuse_what_they_cannot_score(sim, obs, reason):
-    for statistic in (theils_u, theil_decomposition):
+    for statistic in (_theil, theil_decomposition):
         with pytest.raises(ValueError, match=reason):
             statistic(sim, obs)
 
