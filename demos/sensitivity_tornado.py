@@ -8,6 +8,7 @@ disagree wildly (a sign of strong nonlinearity worth a closer look).
 import math
 
 from rentdyn.params import default_params
+from rentdyn.scenarios import BUILTIN_SCENARIOS
 from rentdyn.validation import sensitivity_sweep
 
 TOP_N = 12
@@ -23,7 +24,7 @@ def bar(e):
 def main():
     params = default_params()
     print("Sweeping every parameter +/-15% under the shock scenario...")
-    base, entries = sensitivity_sweep(params, fraction=0.15)
+    base, entries = sensitivity_sweep(params, BUILTIN_SCENARIOS["run2"], fraction=0.15)
     print(f"  {len(entries)} perturbed runs, baseline evictions "
           f"{base['evictions_total'] / 1e6:.3f}M")
 

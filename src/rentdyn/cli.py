@@ -10,10 +10,11 @@ Six subcommands cover the library's workflows:
 * ``calibrate`` fit spec'd parameters and write an updated parameter file
 
 Input problems (unknown scenario, malformed file, empty path, bad clock, a
-step on which an outflow cap binds at t=0, an ``--out`` a file is in the
-way of, a malformed ``SOURCE_DATE_EPOCH``) exit with status 1 before any
-output file is created; writes themselves are atomic, so an interrupted run
-never leaves partial artifacts.
+step on which an outflow cap binds at t=0, an ``--out`` a file is in the way
+of or with a name too long, a malformed ``SOURCE_DATE_EPOCH``) exit with
+status 1 and one ``error:`` line before any output file is created. A write
+refused later exits the same way, naming the file, and writes no manifest;
+each write is atomic, so no artifact is ever left half written.
 
 Only ``calibrate`` loads ``rentdyn.calibration``, a bounded Levenberg-Marquardt
 fit of its own (More, 1978) that imports no scipy, and only ``sweep`` and
@@ -31,8 +32,9 @@ import argparse
 import gc
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from rentdyn import __version__
 from rentdyn.engine import MAX_STEPS, SimClock, SimulationError
@@ -158,13 +160,20 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
                            f"step on which none binds is {bound * 0.9995:.4g}")
     if args.out:
         out = Path(args.out)
-        # the nearest path on the way to --out that exists must be a directory
-        if not next(path for path in (out, *out.parents) if path.exists()).is_dir():
-            raise CliError(f"--out {out}: a file is in the way of that directory")
         try:
+            # the nearest path on the way to --out that exists must be a directory
+            ancestor = next(path for path in (out, *out.parents) if path.exists())
+            name_max = os.pathconf(ancestor, "PC_NAME_MAX")
             manifest_timestamp()
-        except ValueError as err:
+        except OSError as err:  # a name too long to look up, a directory it may not search
+            raise CliError(f"--out {out}: {err.strerror}") from err
+        except ValueError as err:  # of SOURCE_DATE_EPOCH
             raise CliError(str(err)) from err
+        if not ancestor.is_dir():
+            raise CliError(f"--out {out}: a file is in the way of that directory")
+        # the directories still to make, checked without making them
+        if any(len(os.fsencode(part)) > name_max for part in out.parts[len(ancestor.parts):]):
+            raise CliError(f"--out {out}: a name is longer than its file system's {name_max} bytes")
     return params, scenarios, clock, params_file
 
 
@@ -193,15 +202,19 @@ def _metric_lines(result: RunResult) -> list[str]:
 
 
 def _write_outputs(args, command: str, params: ModelParams, clock: SimClock,
-                   params_file: str | None, scenario_names: list[str],
+                   params_file: str | None, scenario_names: Iterable[str],
                    write_artifacts: Callable[[Path], list[Path]]) -> None:
     """With ``--out``, write the artifacts, then the manifest that digests them."""
     if not args.out:
         return
     out = Path(args.out)
-    artifacts = write_artifacts(out)
-    write_manifest(out, command, params, clock, artifacts, scenario_names,
-                   params_file, args.seed)
+    try:
+        artifacts = write_artifacts(out)
+        write_manifest(out, command, params, clock, artifacts, scenario_names,
+                       params_file, args.seed)
+    except OSError as err:  # with no manifest, the directory reads as interrupted
+        raise CliError(f"cannot write {err.filename2 or err.filename or out}: "
+                       f"{err.strerror}") from err
     print(f"wrote {len(artifacts)} artifact(s) + manifest to {out}")
 
 
@@ -222,7 +235,7 @@ def _write_run_artifacts(result: RunResult, out: Path, fmt: str, columns: list[s
     else:
         artifacts.append(write_json(out / f"{name}_timeseries.json",
                                     {"header": header, "rows": rows}))
-    artifacts.append(write_json(out / f"{name}_metrics.json", result.metrics.as_dict()))
+    artifacts.append(write_json(out / f"{name}_metrics.json", asdict(result.metrics)))
     return artifacts
 
 
@@ -274,14 +287,10 @@ def _cmd_compare(args) -> int:
     print(f"{args.variant} vs {args.baseline}")
     key_w = max(len(k) for k in table["metrics"])
     for key, row in table["metrics"].items():
-        if row["baseline"] is None or row["variant"] is None:
-            base = "never" if row["baseline"] is None else f"{row['baseline']:,.4g}"
-            var = "never" if row["variant"] is None else f"{row['variant']:,.4g}"
-            print(f"  {key:<{key_w}}  {base:>14} -> {var:>14}")
-            continue
+        base, var = ("never" if row[side] is None else f"{row[side]:,.4g}"
+                     for side in ("baseline", "variant"))
         pct = "" if row["pct_change"] is None else f"  ({row['pct_change']:+.1f}%)"
-        print(f"  {key:<{key_w}}  {row['baseline']:>14,.4g} -> "
-              f"{row['variant']:>14,.4g}{pct}")
+        print(f"  {key:<{key_w}}  {base:>14} -> {var:>14}{pct}")
     _write_outputs(args, f"compare --baseline {args.baseline} --variant {args.variant}",
                    params, clock, params_file, list(pair),
                    lambda out: [write_json(
@@ -359,7 +368,7 @@ def _cmd_validate(args) -> int:
         "extreme_conditions": [vars(c) for c in checks],
     }
     _write_outputs(args, "validate", params, clock, params_file,
-                   sorted({r.scenario for r in results if r.scenario}),
+                   {r.scenario for r in results if r.scenario},
                    lambda out: [write_json(out / "validation.json", payload)])
     return 1 if failed else 0
 
@@ -404,7 +413,7 @@ def _cmd_calibrate(args) -> int:
         print(f"  {target.key:<40} {got:.6g} vs {target.value:.6g} ({off:.2f}% off)")
     retag = {path: "calibrated" for path in result.fitted}
     _write_outputs(args, f"calibrate --spec {args.spec}", params, clock, params_file,
-                   sorted({target.scenario for target in spec.targets}),
+                   {target.scenario for target in spec.targets},
                    lambda out: [save_params(result.params, out / "params.yaml",
                                             name="calibrated",
                                             provenance_overrides=retag)])

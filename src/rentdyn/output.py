@@ -80,11 +80,8 @@ def write_json(path: str | Path, payload) -> Path:
 
 
 def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def params_digest(params: ModelParams) -> str:
@@ -118,7 +115,7 @@ def write_manifest(
     params: ModelParams,
     clock: SimClock,
     artifacts: list[Path],
-    scenario_names: list[str],
+    scenario_names: Iterable[str],
     params_file: str | None = None,
     seed: int | None = None,
 ) -> Path:

@@ -146,9 +146,6 @@ class MetricSet:
     assistance_disbursed_fraction: float
     assistance_exhausted_at: float | None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 # the policy block each metric measures alone: in a scenario that switches
 # the block off, no parameter moves the metric
@@ -290,19 +287,14 @@ def run_many(
 
 def compare(baseline: RunResult, variant: RunResult) -> dict:
     """Per-metric comparison table: values, absolute and percent change."""
-    base = baseline.metrics.as_dict()
-    var = variant.metrics.as_dict()
     rows = {}
-    for key, base_value in base.items():
-        var_value = var[key]
-        if base_value is None or var_value is None:
-            rows[key] = {"baseline": base_value, "variant": var_value,
-                         "abs_change": None, "pct_change": None}
-            continue
-        delta = var_value - base_value
-        pct = delta / base_value * 100.0 if abs(base_value) > 0.0 else None
-        rows[key] = {"baseline": base_value, "variant": var_value,
-                     "abs_change": delta, "pct_change": pct}
+    for key, base_value in asdict(baseline.metrics).items():
+        var_value = getattr(variant.metrics, key)
+        # an event that never happened (None) has no change
+        delta = None if base_value is None or var_value is None else var_value - base_value
+        rows[key] = {"baseline": base_value, "variant": var_value, "abs_change": delta,
+                     "pct_change": delta / base_value * 100.0
+                     if delta is not None and base_value else None}
     return {
         "baseline": baseline.scenario.name,
         "variant": variant.scenario.name,

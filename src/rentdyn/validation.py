@@ -308,12 +308,8 @@ def _metric_values(metrics: MetricSet) -> dict[str, float]:
     return {name: float(getattr(metrics, name)) for name in _SWEEP_METRICS}
 
 
-def sensitivity_sweep(
-    params: ModelParams = default_params(),
-    scenario: Scenario = BUILTIN_SCENARIOS["run2"],
-    clock: SimClock = SimClock(),
-    fraction: float = 0.15,
-) -> tuple[dict[str, float], list[SweepEntry]]:
+def sensitivity_sweep(params: ModelParams, scenario: Scenario, clock: SimClock = SimClock(), *,
+                      fraction: float) -> tuple[dict[str, float], list[SweepEntry]]:
     """Perturb every registered numeric parameter one at a time by ±fraction.
 
     Each perturbation moves a single constant around the shipped baseline

@@ -10,22 +10,24 @@ that copy, and exits 1 if any mutant survives them, or if the unmutated
 copy fails them.
 
 Each mutant of ``EQUIVALENT`` changes one operation too, but moves no
-series at the shipped inputs, for the reason it gives; no test can kill it.
-The script applies each, alone, runs the five built-in scenarios in full
-against the copy, and exits 1, naming the mutant, if any series is not bit
+series (the derivative's) or no metric (``compute_metrics``'s) at the
+shipped inputs, for the reason it gives; no test can kill it. The script
+applies each, alone, runs the five built-in scenarios in full against the
+copy, and exits 1, naming the mutant, if any series or metric is not bit
 for bit the unmutated copy's: the branch it touches has woken up, and the
 mutant needs a test, or a new reason. Run it from anywhere:
 
     python tests/mutants.py
 
-With ``--scan`` it makes every single mutant of ``deriv``'s body instead,
-117 at present: one operation's ``+``/``-`` or ``*``/``/`` swapped, or one
+With ``--scan`` it makes every single mutant of the bodies of
+``SCAN_TARGETS`` instead, ``deriv``'s and ``compute_metrics``'s, 129 at
+present: one operation's ``+``/``-`` or ``*``/``/`` swapped, or one
 comparison moved across its boundary (``>=`` to ``>``, ``>`` to ``>=``,
 ``<`` to ``<=``, ``<=`` to ``<``). It runs the five scenarios on each, and
 the contract tests on each that moves a metric, two mutants at a time
 (about 3 minutes on two cores). It exits 1, naming the mutant, if one moves
-a metric and survives the tests, or moves no series and is not in
-``EQUIVALENT``:
+a metric and survives the tests, or moves no series and no metric and is
+not in ``EQUIVALENT``:
 
     python tests/mutants.py --scan
 
@@ -111,9 +113,12 @@ MUTANTS = {MODEL: [
 
 _HEADROOM = "the payment stays under 5% of the headroom: the pace and the funds left bind first"
 _EPS_GUARD = "no run meets the guarded quantity at exactly EPS"
-# (what the mutant does, the source it replaces, its replacement, why it
-# moves no series at the shipped inputs)
-EQUIVALENT = [
+_FUNDED = "every shipped run's appropriation is 46.5e9, never 0"
+_EMPTIED = ("run4a's fund drops from 6.6e8 to exactly 0 in one step, and run4's stays "
+            "above 2.7e10: no fund holds an amount between 0 and 6.6e8")
+# by the file it mutates: (what the mutant does, the source it replaces, its
+# replacement, why it moves no series, or no metric, at the shipped inputs)
+EQUIVALENT = {MODEL: [
     ("assistance headroom adds the rent paid",
      "rent_owed / dt - rent_paid - writeoff", "rent_owed / dt + rent_paid - writeoff", _HEADROOM),
     ("assistance headroom adds the arrears written off",
@@ -144,18 +149,30 @@ EQUIVALENT = [
     ("filings divide by the overdue pressure",
      "occupied * overdue", "occupied / overdue",
      "overdue_pressure is 1.0 throughout: arrears per unit stay under the tolerance"),
-]
+], SCENARIOS: [
+    ("exhaustion is looked for in an empty appropriation",
+     "enabled and total > 0.0", "enabled and total >= 0.0", _FUNDED),
+    ("the exhaustion level divides by the appropriation",
+     "level = 1e-4 * total", "level = 1e-4 / total", _EMPTIED),
+    ("exhaustion leaves out the level itself", "funds <= level", "funds < level", _EMPTIED),
+    ("the disbursed fraction divides by an empty appropriation",
+     "if total > 0.0 else 0.0", "if total >= 0.0 else 0.0", _FUNDED),
+]}
+
+# the functions --scan mutates, by file
+SCAN_TARGETS = [(MODEL, "deriv"), (SCENARIOS, "compute_metrics")]
 
 # a digest of every series of the five built-in scenarios, each run in
 # full, and one of their metrics
 _DIGEST = """
 import hashlib
+from dataclasses import asdict
 from rentdyn.model import run_model
 from rentdyn.params import default_params
 from rentdyn.scenarios import BUILTIN_SCENARIOS, compute_metrics
 sets = [s.apply(default_params()) for s in BUILTIN_SCENARIOS.values()]
 runs = [run_model(p) for p in sets]
-metrics = [compute_metrics(run, p).as_dict() for run, p in zip(runs, sets)]
+metrics = [asdict(compute_metrics(run, p)) for run, p in zip(runs, sets)]
 for value in ([run.data for run in runs], metrics):
     print(hashlib.sha256(repr(value).encode()).hexdigest())
 """
@@ -199,17 +216,18 @@ def _digest(src: Path) -> tuple[str, str]:
     return series, metrics
 
 
-def _single_mutants(source: str) -> list[tuple[str, str]]:
-    """Every mutant of ``deriv``'s body that swaps one operator of
-    :data:`_SWAPS`, in source order: (where and what, the mutated source)."""
+def _single_mutants(path: Path, source: str, function: str) -> list[tuple[str, str]]:
+    """Every mutant of ``function``'s body in ``source``, the text of
+    ``path``, that swaps one operator of :data:`_SWAPS`, in source order:
+    (where and what, the mutated source)."""
     code = source.encode()  # ast's columns count bytes
     starts = [0]
     for line in code.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
-    deriv = next(node for node in ast.walk(ast.parse(source))
-                 if isinstance(node, ast.FunctionDef) and node.name == "deriv")
+    target = next(node for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef) and node.name == function)
     mutants = []
-    for node in ast.walk(deriv):
+    for node in ast.walk(target):
         if isinstance(node, ast.BinOp):
             operations = [(node.left, node.op, node.right)]
         elif isinstance(node, ast.Compare):
@@ -225,48 +243,54 @@ def _single_mutants(source: str) -> list[tuple[str, str]]:
             lo = starts[left.end_lineno - 1] + left.end_col_offset
             gap = code[lo:starts[right.lineno - 1] + right.col_offset]
             if gap.replace(old.encode(), b"", 1).strip(b"()\\ \n"):
-                raise SystemExit(f"{MODEL}: no lone {old!r} in {gap!r}")
+                raise SystemExit(f"{path}: no lone {old!r} in {gap!r}")
             at = lo + gap.index(old.encode())
             line = code.count(b"\n", 0, at) + 1
-            label = (f"line {line}:{at - starts[line - 1] + 1}, {old} -> {new}: "
+            label = (f"{path.name}:{line}:{at - starts[line - 1] + 1}, {old} -> {new}: "
                      f"{code.splitlines()[line - 1].decode().strip()}")
             mutants.append((at, label, (code[:at] + new.encode() + code[at + len(old):]).decode()))
     return [(label, mutated) for _, label, mutated in sorted(mutants)]
 
 
-def _scan(source: str, unmutated: tuple[str, str], copies: Queue) -> int:
-    """Check every mutant of :func:`_single_mutants`, one per copy of src/ in
-    ``copies`` at a time; 1 if any ends in a failing outcome."""
-    equivalent = {source.replace(old, new) for _, old, new, _ in EQUIVALENT}
-    mutants = _single_mutants(source)
-    if not equivalent <= {mutated for _, mutated in mutants}:
+def _scan(sources: dict[Path, str], unmutated: tuple[str, str], copies: Queue) -> int:
+    """Check every mutant of :func:`_single_mutants` of the functions of
+    :data:`SCAN_TARGETS`, one per copy of src/ in ``copies`` at a time; 1 if
+    any ends in a failing outcome."""
+    equivalent = {(path, sources[path].replace(old, new))
+                  for path, mutants in EQUIVALENT.items() for _, old, new, _ in mutants}
+    mutants = [(path, label, mutated) for path, function in SCAN_TARGETS
+               for label, mutated in _single_mutants(path, sources[path], function)]
+    if not equivalent <= {(path, mutated) for path, _, mutated in mutants}:
         print("an EQUIVALENT mutant is not a single operator swap of the scan")
         return 1
 
-    def outcome(mutated: str) -> str:
+    def outcome(mutant: tuple[Path, str, str]) -> str:
+        path, _, mutated = mutant
         src = copies.get()
         try:
-            (src.parent / MODEL).write_text(mutated)
-            series, metrics = _digest(src)
-            if series == unmutated[0]:
-                return "equivalent" if mutated in equivalent else "UNLISTED"
-            if mutated in equivalent:
+            (src.parent / path).write_text(mutated)
+            # a mutant of compute_metrics moves no series: its metrics decide
+            digest = _digest(src)
+            if digest == unmutated:
+                return "equivalent" if (path, mutated) in equivalent else "UNLISTED"
+            if (path, mutated) in equivalent:
                 return "MOVED"
-            if metrics == unmutated[1]:
+            if digest[1] == unmutated[1]:
                 return "series only"
             return "SURVIVED" if _passes(src) else "killed"
         finally:
+            (src.parent / path).write_text(sources[path])
             copies.put(src)
 
     tally: Counter[str] = Counter()
     with ThreadPoolExecutor(copies.qsize()) as pool:
-        for (label, _), result in zip(mutants, pool.map(outcome, [m for _, m in mutants])):
+        for (_, label, _), result in zip(mutants, pool.map(outcome, mutants)):
             print(f"{result:<11} {label}", flush=True)
             tally[result] += 1
     print(f"{len(mutants)} mutants: "
           + ", ".join(f"{count} {result}" for result, count in sorted(tally.items())))
-    # a metric moved and no contract test saw it; no series moved and no
-    # reason is listed; a listed equivalent mutant moved a series
+    # a metric moved and no contract test saw it; nothing digested moved and
+    # no reason is listed; a listed equivalent mutant moved a series or metric
     return 1 if {"SURVIVED", "UNLISTED", "MOVED"} & tally.keys() else 0
 
 
@@ -275,9 +299,9 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/mutants.py [--scan]")
         return 2
     sources = {path: (ROOT / path).read_text() for path in MUTANTS}
-    source = sources[MODEL]
-    listed = [(path, label, old) for path, mutants in MUTANTS.items() for label, old, _ in mutants]
-    for path, label, old in listed + [(MODEL, label, old) for label, old, *_ in EQUIVALENT]:
+    listed = [(path, label, old) for table in (MUTANTS, EQUIVALENT)
+              for path, mutants in table.items() for label, old, *_ in mutants]
+    for path, label, old in listed:
         if sources[path].count(old) != 1:
             print(f"mutant '{label}': {old!r} occurs {sources[path].count(old)} times in {path}")
             return 1
@@ -292,16 +316,18 @@ def main(argv: list[str]) -> int:
             return 1
         unmutated = _digest(src)
         if argv:
-            return _scan(source, unmutated, copies)
+            return _scan(sources, unmutated, copies)
         moved = []
-        for label, old, new, reason in EQUIVALENT:
-            (src.parent / MODEL).write_text(source.replace(old, new))
-            if _digest(src) == unmutated:
-                print(f"unmoved  {label}: {reason}", flush=True)
-            else:
-                print(f"MOVED    {label}: a series differs from the unmutated copy's", flush=True)
-                moved.append(label)
-        (src.parent / MODEL).write_text(source)
+        for path, mutants in EQUIVALENT.items():
+            for label, old, new, reason in mutants:
+                (src.parent / path).write_text(sources[path].replace(old, new))
+                if _digest(src) == unmutated:
+                    print(f"unmoved  {label}: {reason}", flush=True)
+                else:
+                    print(f"MOVED    {label}: a series or metric differs from the unmutated "
+                          "copy's", flush=True)
+                    moved.append(label)
+            (src.parent / path).write_text(sources[path])
         survivors = []
         for path, mutants in MUTANTS.items():
             for label, old, new in mutants:
@@ -314,8 +340,9 @@ def main(argv: list[str]) -> int:
                     survivors.append(label)
             (src.parent / path).write_text(sources[path])
     total = sum(map(len, MUTANTS.values()))
+    unmoved = sum(map(len, EQUIVALENT.values())) - len(moved)
     print(f"{total - len(survivors)} of {total} mutants killed; "
-          f"{len(EQUIVALENT) - len(moved)} of {len(EQUIVALENT)} equivalent mutants move no series")
+          f"{unmoved} of {unmoved + len(moved)} equivalent mutants move nothing digested")
     return 1 if survivors or moved else 0
 
 

@@ -245,6 +245,22 @@ def test_sweep_artifacts(tmp_path, capsys):
     assert "evictions_total" in baseline
 
 
+@pytest.mark.parametrize("baseline, variant, row", [
+    ("run4", "run4a", "assistance_exhausted_at                 never ->          47.75"),
+    ("run1", "run2", "assistance_exhausted_at                 never ->          never"),
+], ids=["fund-runs-dry", "no-fund"])
+def test_compare_rows_of_an_event_that_never_happened(tmp_path, capsys, baseline, variant, row):
+    """run4's fund lasts the horizon and run4a's runs dry at 47.75; with
+    assistance off neither run has a fund. A row with a None has no change."""
+    out = tmp_path / "cmp"
+    assert main(["compare", "--baseline", baseline, "--variant", variant,
+                 "--out", str(out)]) == 0
+    assert f"  {row}\n" in capsys.readouterr().out
+    doc = json.loads((out / f"compare_{baseline}_vs_{variant}.json").read_text())
+    exhausted = doc["metrics"]["assistance_exhausted_at"]
+    assert exhausted["abs_change"] is None and exhausted["pct_change"] is None
+
+
 def test_compare_of_a_scenario_with_itself_lists_it_once(tmp_path):
     out = tmp_path / "cmp"
     assert main(["compare", "--baseline", "run2", "--variant", "run2", "--out", str(out)]) == 0
@@ -465,6 +481,17 @@ def test_unknown_scenario_fails_cleanly(tmp_path, capsys):
     assert not out.exists()  # no partial artifacts
 
 
+def test_a_write_refused_midway_fails_with_one_line_and_no_manifest(tmp_path, capsys):
+    """A directory where run3's table goes lets run1's and run2's artifacts
+    be written; the directory is then an interrupted one, with no manifest."""
+    out = tmp_path / "out"
+    (out / "run3_timeseries.csv").mkdir(parents=True)
+    assert main(["suite", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / 'run3_timeseries.csv'}: Is a directory\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_params_file_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("params: {}\n")
@@ -560,6 +587,8 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
     (["suite", "--params", ""], None, None),
     (["suite", "--scenarios", ""], None, None),
     (["suite", "--out", ""], None, None),
+    (["suite", "--out", "a" * 300], None, None),
+    (["suite", "--out", f"missing/{'a' * 300}/x"], None, None),
     (["validate", "--references", ""], None, None),
     (["suite", "--dt", "1e11"], None, None),
     (["sweep", "--dt", "1e300"], None, None),
@@ -615,7 +644,8 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
         "sweep-top-negative", "epoch-not-a-number", "epoch-empty", "epoch-past-any-date",
         "out-is-a-file", "out-under-a-file", "suite-no-scenario", "sweep-no-scenario",
         "validate-no-scenario", "scenario-name-leaves-out", "scenario-name-has-directory",
-        "params-empty", "scenarios-empty", "out-empty", "references-empty",
+        "params-empty", "scenarios-empty", "out-empty", "out-name-too-long",
+        "out-name-too-long-below-missing", "references-empty",
         "suite-dt-no-step", "sweep-dt-no-step", "validate-dt-no-step", "calibrate-dt-no-step",
         "suite-dt-too-many-steps", "description-not-text", "params-duplicate-entry",
         "scenarios-duplicate-name", "spec-duplicate-key", "sweep-fraction-breaks-a-curve",

@@ -349,7 +349,7 @@ def test_shipped_reference_modes_all_score():
 
 @pytest.fixture(scope="module")
 def sweep():
-    return sensitivity_sweep(default_params(), fraction=0.15)
+    return sensitivity_sweep(default_params(), BUILTIN_SCENARIOS["run2"], fraction=0.15)
 
 
 def test_sweep_covers_every_parameter_both_directions(sweep):
@@ -434,7 +434,7 @@ def test_sweep_integrates_the_baseline_and_one_batch(monkeypatch):
     monkeypatch.setattr(validation, "run_scenario", counted_run)
     monkeypatch.setattr(validation, "run_model", counted_batch)
     monkeypatch.setattr(model, "build_derivative", counted_build)
-    sensitivity_sweep(default_params(), fraction=0.15)
+    sensitivity_sweep(default_params(), BUILTIN_SCENARIOS["run2"], fraction=0.15)
     assert runs == []
     # the baseline, then 130 moved perturbations less the 20 of the
     # moratorium and assistance blocks that run2 switches off
@@ -468,7 +468,7 @@ def test_disabled_block_perturbations_repeat_the_baseline(name):
 
 def test_sweep_fully_clamped_step_has_zero_elasticity():
     params = with_value(default_params(), "moratorium.processing_reduction", 1.0)
-    _, entries = sensitivity_sweep(params, fraction=0.15)
+    _, entries = sensitivity_sweep(params, BUILTIN_SCENARIOS["run2"], fraction=0.15)
     entry = next(e for e in entries
                  if e.parameter == "moratorium.processing_reduction"
                  and e.direction == "up")
