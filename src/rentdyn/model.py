@@ -43,7 +43,9 @@ The numpy backend reproduces the scalar one bit for bit. It uses only
 operations that numpy rounds exactly as Python does (``+ - * /``,
 comparisons, ``where``, ``maximum``, ``minimum``), and never ``np.exp`` or
 ``np.log``: their SIMD kernels differ from ``math.exp``/``math.log`` in the
-last bit on some inputs. Each effect curve keeps its scalar form
+last bit on some inputs. Both limiters add a stock's outflows left to right,
+as ``sum`` adds arrays: :func:`_limit` loops, since ``sum`` compensates
+floats from Python 3.12 on. Each effect curve keeps its scalar form
 (``__call__``) and its array form (``array``, which a batch's curve calls)
 side by side in :mod:`rentdyn.engine`, tested against each other: the array
 form takes every branch of the scalar one as a mask, and maps ``math.exp``
@@ -114,7 +116,9 @@ def _minimum(a, b):
 
 def _limit(dt: float, stock: float, *flows: float) -> tuple[float, ...]:
     """Scale a stock's outflows so one Euler step cannot drive it negative."""
-    total = sum(flows)
+    total = 0.0
+    for flow in flows:
+        total += flow
     cap = stock / dt
     if total > cap:
         scale = cap / total if total > 0.0 else 0.0
@@ -195,24 +199,20 @@ def read_from(params: ModelParams, path: str) -> float:
     """Earliest time at which the model reads the parameter at ``path``.
 
     A parameter of a policy block is read from the block's onset on, so
-    never in a block ``params`` switches off. Two of them are read from the
-    start while their block is on: its ``start_time``, which moves the
-    onset itself, and ``assistance.total_funds``, the fund's initial level.
-    A block's ``enabled`` switch reads like the rest of the block, so runs
-    that differ in it part at the onset of the one that switches the block
-    on, the earlier of their two times; but ``assistance.enabled`` is read
-    from the start, where it opens the fund (:func:`initial_state`). Every
-    parameter outside the policy blocks is read from the start. Runs whose
-    parameters differ only in what is first read at or after a time give
-    the same numbers before it.
+    never in a block ``params`` switches off; only ``assistance.total_funds``,
+    the fund's initial level, is read from the start while its block is on.
+    A block's ``start_time`` and ``enabled`` switch read like the rest of
+    the block, so runs that differ in one part at the earlier of their two
+    onsets; but ``assistance.enabled`` is read from the start, where it
+    opens the fund (:func:`initial_state`). Every parameter outside the
+    policy blocks is read from the start. Runs whose parameters differ only
+    in what is first read at or after a time give the same numbers before it.
     """
-    block, _, name = path.partition(".")
+    block = path.partition(".")[0]
     if block not in POLICY_BLOCKS or path == "assistance.enabled":
         return 0.0
     onset = policy_onset(params, block)
-    if onset < math.inf and (name == "start_time" or path == "assistance.total_funds"):
-        return 0.0
-    return onset
+    return 0.0 if path == "assistance.total_funds" and onset < math.inf else onset
 
 
 def departure(a: ModelParams, b: ModelParams) -> float:

@@ -6,6 +6,7 @@ effect from the derivative's auxiliaries, at a state and time built to give
 the effect its input.
 """
 
+import builtins
 import dataclasses
 import math
 import warnings
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from rentdyn import model
 from rentdyn.engine import EPS, SimClock, SimulationError
 from rentdyn.model import (
     NONNEG_STOCKS,
@@ -246,11 +248,11 @@ def test_each_parameter_is_read_from_its_block_onset():
     assert [policy_onset(on, block) for block in POLICY_BLOCKS] == [26.75, 26.25, 36.0]
     assert read_from(off, "avg_monthly_rent") == read_from(on, "avg_monthly_rent") == 0.0
     for f in FIELDS:
-        block, _, name = f.path.partition(".")
+        block = f.path.partition(".")[0]
         if block in POLICY_BLOCKS:
             assert read_from(off, f.path) == math.inf, f.path
-            from_start = name == "start_time" or f.path == "assistance.total_funds"
-            assert read_from(on, f.path) == (0.0 if from_start
+            # a start time too: it moves the onset, and runs part at the earlier
+            assert read_from(on, f.path) == (0.0 if f.path == "assistance.total_funds"
                                              else policy_onset(on, block)), f.path
     # a switch is read from its block's onset, except that assistance's
     # opens the fund at the start
@@ -314,6 +316,15 @@ def test_departure_tells_negative_zero_from_zero():
     run2 = BUILTIN_SCENARIOS["run2"].apply(default_params())
     assert departure(with_value(run2, "covid.magnitude", 0.0),
                      with_value(run2, "covid.magnitude", -0.0)) == 26.75
+
+
+@pytest.mark.parametrize("name, path, value, parts", [
+    ("run4", "assistance.start_time", 30.0, 30.0),  # the earlier first payment
+    ("run3", "moratorium.start_time", 29.0, 26.25),  # the filing drop at 26.75 - 0.5
+    ("run2", "covid.start_time", 30.0, 26.75)])
+def test_a_moved_start_time_departs_at_the_earlier_onset(name, path, value, parts):
+    applied = BUILTIN_SCENARIOS[name].apply(default_params())
+    assert departure(applied, with_value(applied, path, value)) == parts
 
 
 # the policy blocks' fields, read from their onsets, and one read from the start
@@ -459,6 +470,43 @@ def test_filing_recovery_level_steps_toward_its_target():
 
 def test_limit_scales_proportionally():
     assert _limit(0.25, 10.0, 30.0, 30.0) == pytest.approx((20.0, 20.0))
+
+
+def _compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 and later add floats: Neumaier's compensated
+    sum (*ZAMM* 54, 1974). Anything else, numpy arrays included, goes to the
+    builtin."""
+    values = list(values)
+    if not all(type(v) is float for v in values):
+        return builtins.sum(values, start)
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("path", ["filing_resolution_time", "move_in_time"])
+def test_batch_column_is_its_scalar_run_whatever_sum_does(monkeypatch, path):
+    """At a resolution time of 0.2 the pending units' three-flow cap binds,
+    at a move-in time of 0.2 the vacant units'. Both limiters add a stock's
+    outflows left to right, so a run keeps its bits where ``sum``
+    compensates its rounding, as it does from Python 3.12 on."""
+    monkeypatch.setattr(model, "sum", _compensated_sum, raising=False)
+    params = with_value(BUILTIN_SCENARIOS["run2"].apply(default_params()), path, 0.2)
+    single, (column,) = run_model(params), run_model([params])
+    assert single.clamp_events == column.clamp_events
+    for name in single.data:
+        assert single[name].tobytes() == column[name].tobytes(), name
+
+
+def test_limit_adds_its_flows_left_to_right():
+    """0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 left to right, and to
+    0.6 compensated; the cap of 0.4 binds either way."""
+    assert (0.1 + 0.2) + 0.3 != 0.6
+    scale = 0.4 / ((0.1 + 0.2) + 0.3)
+    assert _limit(0.25, 0.1, 0.1, 0.2, 0.3) == (0.1 * scale, 0.2 * scale, 0.3 * scale)
 
 
 def test_limit_passes_safe_flows_through():

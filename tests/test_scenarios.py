@@ -1,5 +1,7 @@
 """Scenario application, runners, metrics, comparisons, and the shipped YAML."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -109,7 +111,8 @@ def test_the_ladder_restarts_each_run_where_it_departs(monkeypatch):
     """run2 departs from run1 at the shock, run3 from run2 at the filing
     drop, run4 at the start (its switch opens the fund), and run4a from run4
     at the first payment: 649 derivative calls where five full runs make
-    1,005. compare's default pair makes 201 + 94, not 402."""
+    1,005. compare's default pair makes 201 + 94, not 402. A ladder of start
+    dates restarts each moved run too, and every series is the full run's."""
     calls = []
     factory = model.build_derivative
 
@@ -131,6 +134,25 @@ def test_the_ladder_restarts_each_run_where_it_departs(monkeypatch):
     calls.clear()
     run_many(default_params(), {name: BUILTIN_SCENARIOS[name] for name in ("run1", "run2")})
     assert len(calls) == 295
+    # a start date moved later parts at the earlier onset, and one moved
+    # earlier at its own: run3_late from run3 at the filing drop (105),
+    # run4_early from run4 at its first payment, month 30 (120)
+    ladder = {name: BUILTIN_SCENARIOS[name] for name in ("run3", "run4")}
+    ladder["run3_late"] = dataclasses.replace(
+        ladder["run3"], name="run3_late", overrides={"moratorium.start_time": 29.0})
+    ladder["run4_early"] = dataclasses.replace(
+        ladder["run4"], name="run4_early", overrides={"assistance.start_time": 30.0})
+    calls.clear()
+    results = run_many(default_params(), ladder)
+    assert len(calls) == 201 + 96 + 201 + 81
+    traj = {name: result.trajectory for name, result in results.items()}
+    assert {name: t.restart for name, t in traj.items()} == {
+        "run3": None, "run3_late": (105, traj["run3"]),
+        "run4": None, "run4_early": (120, traj["run4"])}
+    for name, result in results.items():
+        full = run_model(result.params)
+        for series in full.data:
+            assert traj[name][series].tobytes() == full[series].tobytes(), (name, series)
 
 
 _OVERRIDE_FIELDS = [f for f in FIELDS if f.path.partition(".")[0] in POLICY_BLOCKS
