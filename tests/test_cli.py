@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from rentdyn.calibration import CalibrationError, load_calibration_spec
 from rentdyn.cli import CliError, _build_parser, _load_inputs, main
 from rentdyn.output import csv_lines, file_sha256, write_csv
-from rentdyn.params import default_params, save_params
+from rentdyn.params import default_params, save_params, with_values
 
 
 # ---------------------------------------------------------------- basics
@@ -469,6 +469,35 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert files1 == sorted(p.name for p in out2.iterdir())
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, name, digest", [
+    (["sweep"], "sweep.csv",
+     "31daacc241515a96d8c02a26569114c112d3da5265aedee831e2973f4d88ca76"),
+    (["sweep"], "sweep_baseline.json",
+     "cc63e6b460380a1878d314034eb257686d289841f8d7a1d4add5c1712ac82288"),
+    (["validate", "--references", "reference_modes"], "validation.json",
+     "ab3e3839bbb3bbef4d23a78ffc7d25158aae93f8130bbe54ce698039c251b68f"),
+    (["compare"], "compare_run1_vs_run2.json",
+     "4b0543a0162818a1c87a80275ce0bc0e6e6341de4bc5eaea4ba891554114eb58"),
+    (["calibrate", "--spec", "params/calibration.yaml"], "params.yaml",
+     "d3e78add1511cebfd79e1fc42978b11c5d6ca22ef0327248e6c73ee7f6e0795a"),
+    (["calibrate", "--spec", "params/calibration.yaml", "--params", "{start}"], "params.yaml",
+     "c3dcda45c49290400e00ae33f393701482d6c1b2de97bf1c142b22dbd1989922"),
+], ids=["sweep-csv", "sweep-baseline", "validation", "compare", "calibrate-from-defaults",
+        "calibrate-from-0.5"])
+def test_analysis_outputs_keep_their_bytes(tmp_path, monkeypatch, argv, name, digest):
+    """The files of the fit, the sweep, the reference report and compare,
+    pinned by SHA-256 as ``perfbench/references.json`` pins the suite's. A
+    ``{start}`` is a parameter file of the defaults with ``covid.magnitude``
+    0.5, the start from which the fit takes 30 evaluations."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    start = tmp_path / "start.yaml"
+    save_params(with_values(default_params(), {"covid.magnitude": 0.5}), start)
+    out = tmp_path / "out"
+    argv = [arg.replace("{start}", str(start)) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert file_sha256(out / name) == digest
 
 
 # ---------------------------------------------------------------- failures
