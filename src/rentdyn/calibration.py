@@ -79,7 +79,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from rentdyn.engine import SimClock, SimulationError, pairwise_sum
 from rentdyn.model import GATE_TIMES, run_model
-from rentdyn.params import ModelParams, bounds_for, brief, get_value, load_yaml, \
+from rentdyn.params import ModelParams, bounds_for, brief, clamp, get_value, load_yaml, \
     read_mapping, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_BLOCKS, METRIC_SERIES, MetricSet, \
     Scenario, compute_metrics, run_scenario
@@ -120,6 +120,8 @@ class CalibrationTarget:
     def __post_init__(self) -> None:
         if self.metric not in _METRIC_NAMES:
             raise CalibrationError(f"target names unknown metric {brief(self.metric)}")
+        if not math.isfinite(self.value):
+            raise CalibrationError(f"{self.key}: target value must be finite: {self.value}")
         if not 0.0 < self.weight < math.inf:
             raise CalibrationError(f"{self.key}: target weight must be positive and "
                                    f"finite: {self.weight}")
@@ -229,7 +231,8 @@ def _check_target(entry: Any, scenarios: Mapping[str, Scenario]) -> CalibrationT
         scenario=entry["scenario"],
         metric=entry["metric"],
         value=read_number(entry["value"], CalibrationError, "target value"),
-        weight=read_number(entry.get("weight", 1.0), CalibrationError, "target weight"),
+        weight=read_number(entry.get("weight", CalibrationTarget.weight), CalibrationError,
+                           "target weight"),
     )
 
 
@@ -314,7 +317,8 @@ def calibration_loss(
     """Weighted sum of squared relative target misses (lower is better)."""
     metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
                    for name in sorted({t.scenario for t in spec.targets})}
-    return pairwise_sum([r * r for r in _residuals(_achieved(metric_sets, spec), spec, clock)])
+    residuals = _residuals(_achieved(metric_sets, spec), spec, clock)
+    return _dot(residuals, residuals)
 
 
 def _process_count(most: int) -> int:
@@ -359,7 +363,7 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
 
 def _clip(values: Sequence[float], lower: Sequence[float], upper: Sequence[float]) -> list[float]:
     """``values`` moved into the box ``[lower, upper]``, one coordinate at a time."""
-    return [min(max(v, lo), hi) for v, lo, hi in zip(values, lower, upper)]
+    return [clamp(v, lo, hi) for v, lo, hi in zip(values, lower, upper)]
 
 
 def _difference_points(x: Sequence[float], upper: Sequence[float]) -> list[list[float]]:
@@ -385,10 +389,10 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
     return x
 
 
-def _singular_values(rows: list[list[float]]) -> list[float]:
-    """Singular values, largest first, of a matrix with no more columns than rows: its
-    column norms once rotations leave each pair orthogonal (Demmel and Veselic, 1992)."""
-    cols = [list(col) for col in zip(*rows)]
+def _singular_values(columns: list[list[float]]) -> list[float]:
+    """Singular values, largest first, of a matrix given by its columns, no more than its
+    rows: their norms once rotations leave each pair orthogonal (Demmel and Veselic, 1992)."""
+    cols = list(columns)
     for _ in range(30):
         rotated = False
         for i, k in itertools.combinations(range(len(cols)), 2):
@@ -410,7 +414,7 @@ class Solution(NamedTuple):
 
     x: list[float]
     fun: list[float]
-    # the forward-difference Jacobian of ``fun`` at ``x``, one row per residual
+    # the forward-difference Jacobian of ``fun`` at ``x``, one column per coordinate
     jac: list[list[float]]
     # residual vectors scored at the start and at trial points
     nfev: int
@@ -464,17 +468,16 @@ def least_squares(
     cost = _dot(f, f)
     nfev, njev, status, mu, scaling, refused = 1, 0, 0, 1e-3, [0.0] * len(x), ()
     while True:
-        jac_columns = [[(c - fr) / (point[i] - x[i]) for c, fr in zip(column, f)]
-                       for i, (column, point) in enumerate(zip(columns, points))]
-        jac = [list(row) for row in zip(*jac_columns)]
+        jac = [[(c - fr) / (point[i] - x[i]) for c, fr in zip(column, f)]
+               for i, (column, point) in enumerate(zip(columns, points))]
         njev += 1
-        g = [_dot(column, f) for column in jac_columns]
+        g = [_dot(column, f) for column in jac]
         if max(abs(v - w) for v, w in zip(x, _clip([v - gi for v, gi in zip(x, g)],
                                                    lower, upper))) < _TOLERANCE:
             status = 1
         if status or nfev >= max_nfev:
             return Solution(x, f, jac, nfev, njev, status, refused)
-        a = [[_dot(ci, ck) for ck in jac_columns] for ci in jac_columns]
+        a = [[_dot(ci, ck) for ck in jac] for ci in jac]
         scaling = [max(s, a[i][i]) for i, s in enumerate(scaling)]
         damping = [s if s > 0.0 else 1.0 for s in scaling]
         step_tolerance = _TOLERANCE * (_TOLERANCE + math.sqrt(_dot(damping, [v * v for v in x])))
@@ -491,7 +494,7 @@ def least_squares(
             nfev += 1
             actual = cost - _dot(trial, trial)
             dx = [v - w for v, w in zip(new, x)]
-            model_f = [fr + _dot(row, dx) for fr, row in zip(f, jac)]
+            model_f = [fr + _dot(row, dx) for fr, row in zip(f, zip(*jac))]
             predicted = cost - _dot(model_f, model_f)
             gain = actual / predicted if actual > 0.0 and predicted > 0.0 else 0.0
             short = math.sqrt(_dot(damping, [v * v for v in dx])) < step_tolerance
@@ -593,9 +596,12 @@ def calibrate(
     # bytes of the free values it sees, which tell -0.0 from 0.0
     runs: dict[tuple[str, bytes], MetricSet | Exception] = {}
 
+    def values_at(z: list[float]) -> list[float]:
+        return _clip([v * s for v, s in zip(z, scale)], lower, upper)
+
     def tasks(z: list[float]) -> list[tuple[tuple[str, bytes], tuple[str, tuple[float, ...]]]]:
         """Each scenario's run at ``z``: its key, and ``run``'s arguments."""
-        values = _clip([v * s for v, s in zip(z, scale)], lower, upper)
+        values = values_at(z)
         picked = {name: tuple(values[i] for i in free) for name, free in seen.items()}
         return [((name, struct.pack(f"{len(v)}d", *v)), (name, v)) for name, v in picked.items()]
 
@@ -661,10 +667,9 @@ def calibrate(
     # test may stop the search before a forward difference reaches the wall
     near = [*_difference_points(x, upper_z), *result.refused]
     wall = any(achieved_at(z) is None for z in near)
-    loss = pairwise_sum([r * r for r in result.fun])
+    loss = _dot(result.fun, result.fun)
     try:
-        values = _clip([v * s for v, s in zip(x, scale)], lower, upper)
-        fitted_params = with_values(params, dict(zip(paths, values)))
+        fitted_params = with_values(params, dict(zip(paths, values_at(x))))
         if achieved is None:
             # the fit ends on a failed run: raise the error the first one kept
             raise next(runs[key] for key, _ in tasks(x) if isinstance(runs[key], Exception))
@@ -675,10 +680,11 @@ def calibrate(
     # a forward difference of step _DIFF_STEP resolves no singular value below
     # _DIFF_STEP times the largest: the targets leave that direction free
     identified = not singular_values or singular_values[-1] > _DIFF_STEP * singular_values[0]
+    start = score(z0)
     return CalibrationResult(
         params=fitted_params,
         loss=loss,
-        initial_loss=pairwise_sum([r * r for r in score(z0)]),
+        initial_loss=_dot(start, start),
         evaluations=result.nfev + len(paths) * result.njev,
         scenario_runs=len(runs),
         converged=bool(result.status > 0) and loss < _FAILURE_LOSS and identified,

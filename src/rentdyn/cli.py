@@ -9,10 +9,11 @@ Six subcommands cover the library's workflows:
 * ``validate``  reference-mode fit statistics plus the extreme-input battery
 * ``calibrate`` fit spec'd parameters and write an updated parameter file
 
-Input problems (unknown scenario, malformed file, empty path, bad clock, a
-step on which an outflow cap binds at t=0, an ``--out`` a file is in the way
-of or with a name too long, a malformed ``SOURCE_DATE_EPOCH``) exit with
-status 1 and one ``error:`` line before any output file is created. A write
+Input problems (a malformed command line, unknown scenario, malformed file,
+empty path, bad clock, a step on which an outflow cap binds at t=0, an
+``--out`` a file is in the way of or with a name too long, a malformed
+``SOURCE_DATE_EPOCH``) exit with status 1 and one ``error:`` line before any
+output file is created; ``--help`` and ``--version`` exit 0. A write
 refused later exits the same way, naming the file, and writes no manifest;
 each write is atomic, so no artifact is ever left half written.
 
@@ -32,9 +33,9 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from rentdyn import __version__
 from rentdyn.engine import MAX_STEPS, SimClock, SimulationError
@@ -51,6 +52,13 @@ __all__ = ["main"]
 
 class CliError(Exception):
     """A user-input problem that should exit with status 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input problem like any other."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_format: bool = False) -> None:
@@ -75,7 +83,7 @@ def _add_common(parser: argparse.ArgumentParser, with_format: bool = False) -> N
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rentdyn",
         description="Rental-market dynamics: shocks, evictions, and policy runs.",
     )
@@ -299,7 +307,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from rentdyn.validation import sensitivity_sweep
+    from rentdyn.validation import SweepEntry, sensitivity_sweep
 
     params, scenarios, clock, params_file = _load_inputs(args)
     scenario = _pick_scenario(scenarios, args.scenario)
@@ -312,7 +320,6 @@ def _cmd_sweep(args) -> int:
                                                   fraction=args.fraction)
     except ValueError as err:  # a moved value breaks a curve's invariant
         raise CliError(f"sweep failed: {err}") from err
-    metric_names = list(base_metrics)
     ranked = sorted(entries, key=lambda e: -max(abs(v) for v in e.elasticities.values()))
     print(f"sweep of {len(entries)} entries (±{args.fraction*100:.0f}% on every parameter, "
           f"scenario {scenario.name}); top {min(args.top, len(ranked))} by elasticity:")
@@ -321,17 +328,10 @@ def _cmd_sweep(args) -> int:
         flag = " (clamped)" if entry.clamped else ""
         print(f"  {entry.parameter:<40} {entry.direction:<4} "
               f"{name} {value:+.3f}{flag}")
-    header = ["parameter", "direction", "baseline_value", "requested_value",
-              "applied_value", "clamped"]
-    header += [f"metric_{m}" for m in metric_names]
-    header += [f"elasticity_{m}" for m in metric_names]
-    rows = []
-    for e in entries:
-        row: list = [e.parameter, e.direction, e.baseline_value,
-                     e.requested_value, e.applied_value, e.clamped]
-        row += [e.metrics[m] for m in metric_names]
-        row += [e.elasticities[m] for m in metric_names]
-        rows.append(row)
+    # an entry's scalar fields, then its metrics and elasticities, each in base_metrics' order
+    header = [f.name for f in fields(SweepEntry)[:-2]]
+    header += [f"{kind}_{m}" for kind in ("metric", "elasticity") for m in base_metrics]
+    rows = [[*astuple(e)[:-2], *e.metrics.values(), *e.elasticities.values()] for e in entries]
     _write_outputs(args, f"sweep --scenario {scenario.name} --fraction {args.fraction}",
                    params, clock, params_file, [scenario.name],
                    lambda out: [write_csv(out / "sweep.csv", header, csv_lines(rows)),
@@ -433,9 +433,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:  # the process's own command, not a caller in process
         gc.freeze()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return status

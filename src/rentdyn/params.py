@@ -39,6 +39,7 @@ __all__ = [
     "with_values",
     "stack_params",
     "bounds_for",
+    "clamp",
     "clamp_to_bounds",
     "validate_params",
     "load_yaml",
@@ -411,14 +412,14 @@ def bounds_for(path: str) -> tuple[float, float]:
     return (f.lo, f.hi)
 
 
+def clamp(value: float, lo: float, hi: float) -> float:
+    """``value`` moved into ``[lo, hi]``; a NaN, or a -0.0 on a bound of 0.0, is kept."""
+    return min(max(value, lo), hi)
+
+
 def clamp_to_bounds(path: str, value: float) -> float:
     """``value`` limited to the documented bounds of ``path``."""
-    lo, hi = bounds_for(path)
-    if value < lo:
-        return lo
-    if value > hi:
-        return hi
-    return value
+    return clamp(value, *bounds_for(path))
 
 
 def validate_params(params: ModelParams) -> None:

@@ -258,21 +258,14 @@ def reference_report(
     for path in paths:
         try:
             mode = load_reference_mode(path)
-        except ReferenceError as err:
-            results.append(ReferenceResult(mode=path.stem, status="skipped", detail=str(err)))
-            continue
-        if mode.scenario not in scenarios:
-            results.append(ReferenceResult(
-                mode=mode.name, status="skipped",
-                detail=f"unknown scenario {mode.scenario!r}"))
-            continue
-        if mode.scenario not in cache:
-            cache[mode.scenario] = run_scenario(params, scenarios[mode.scenario],
-                                                clock=clock).trajectory
-        try:
+            if mode.scenario not in scenarios:
+                raise ReferenceError(f"unknown scenario {mode.scenario!r}")
+            if mode.scenario not in cache:
+                cache[mode.scenario] = run_scenario(params, scenarios[mode.scenario],
+                                                    clock=clock).trajectory
             results.append(score_reference_mode(mode, cache[mode.scenario]))
-        except ReferenceError as err:
-            results.append(ReferenceResult(mode=mode.name, status="skipped", detail=str(err)))
+        except ReferenceError as err:  # a mode's name is its file's stem
+            results.append(ReferenceResult(mode=path.stem, status="skipped", detail=str(err)))
     return results
 
 
@@ -358,21 +351,12 @@ def sensitivity_sweep(params: ModelParams, scenario: Scenario, clock: SimClock =
 
     entries: list[SweepEntry] = []
     for path, direction, base, requested, applied, clamped, run in steps:
-        if applied == base:
-            values = dict(base_metrics)
-            elasticities = {name: 0.0 for name in _SWEEP_METRICS}
-        else:
-            # a skipped run still goes through the formula, which gives -0.0
-            # for a downward step where a literal 0.0 would lose the sign
-            values = _metric_values(next(runs)) if run else dict(base_metrics)
-            rel_dp = (applied - base) / base if base != 0.0 else math.inf
-            elasticities = {}
-            for name in _SWEEP_METRICS:
-                m0 = base_metrics[name]
-                if m0 == 0.0 or not math.isfinite(rel_dp):
-                    elasticities[name] = 0.0
-                else:
-                    elasticities[name] = ((values[name] - m0) / m0) / rel_dp
+        values = _metric_values(next(runs)) if run else dict(base_metrics)
+        # a moved value has a non-zero base; a skipped run still goes through the
+        # formula, which gives -0.0 for a downward step where 0.0 would lose the sign
+        rel_dp = (applied - base) / base if applied != base else 0.0
+        elasticities = {name: ((values[name] - m0) / m0) / rel_dp if rel_dp and m0 else 0.0
+                        for name, m0 in base_metrics.items()}
         entries.append(SweepEntry(
             parameter=path, direction=direction, baseline_value=base,
             requested_value=requested, applied_value=applied, clamped=clamped,

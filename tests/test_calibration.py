@@ -190,12 +190,14 @@ _EVICTIONS = CalibrationTarget("run2", "evictions_total", 7.0e6)
     (lambda: CalibrationTarget("run2", "evictions_total", 7.0e6, weight=float("nan")),
      "weight must be positive"),
     (lambda: CalibrationTarget("run2", "vibes_total", 7.0e6), "unknown metric"),
+    (lambda: CalibrationTarget("run2", "evictions_total", float("nan")), "value must be finite"),
+    (lambda: CalibrationTarget("run2", "evictions_total", -float("inf")), "value must be finite"),
     (lambda: CalibrationSpec(parameters=(_MAGNITUDE,), targets=(_EVICTIONS,),
                              max_iterations=0), "max_iterations"),
     (lambda: CalibrationSpec(parameters=(_MAGNITUDE,), targets=(_EVICTIONS,),
                              max_iterations=2.5), "max_iterations"),
 ], ids=["duplicate-parameter", "duplicate-target", "negative-weight", "zero-weight", "nan-weight",
-        "unknown-metric", "no-iterations", "fractional-iterations"])
+        "unknown-metric", "nan-value", "inf-value", "no-iterations", "fractional-iterations"])
 def test_spec_built_in_code_is_checked(build, match):
     """A spec built in code is refused as its file would be, when it is built,
     not deep inside the fit."""
@@ -254,7 +256,7 @@ def test_solver_ends_on_the_bound_the_optimum_lies_beyond():
     assert result.x[1] == pytest.approx(1.0, abs=1e-8)
     # the gradient projected on the box: exactly zero through the bound, and
     # zero to the difference Jacobian's accuracy in x1
-    g = np.array(result.jac).T @ np.array(result.fun)
+    g = np.array(result.jac) @ np.array(result.fun)
     assert g[0] == pytest.approx(-3.0)
     x = np.array(result.x)
     projected = x - np.clip(x - g, lower, upper)
@@ -336,7 +338,7 @@ def test_solver_linear_algebra_agrees_with_lapack(data, n, extra):
     jac = np.array(data.draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n)
     jac *= 10.0 ** scales
     expected = np.linalg.svd(jac, compute_uv=False)
-    values = calibration._singular_values(jac.tolist())
+    values = calibration._singular_values(jac.T.tolist())
     assert values == sorted(values, reverse=True)
     assert np.max(np.abs(np.array(values) - expected)) <= 1e-13 * expected[0]
     a = jac.T @ jac + np.diag(1e-3 * np.maximum(np.diag(jac.T @ jac), 1.0))

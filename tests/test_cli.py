@@ -347,9 +347,10 @@ def test_calibrate_writes_retagged_params(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == {"params.yaml": file_sha256(out / "params.yaml")}
     assert manifest["seed"] == 5
-    with pytest.raises(SystemExit) as exc:
-        main(["calibrate", "--spec", str(spec), "--out-params", str(tmp_path / "f.yaml")])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["calibrate", "--spec", str(spec), "--out-params", str(tmp_path / "f.yaml")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: --out-params {tmp_path / 'f.yaml'}\n")
 
 
 @pytest.mark.parametrize("upper, rc", [(3.0, 0), (0.9, 1)])
@@ -661,6 +662,11 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
     (["suite", "--dt", "0.125", "--params"], "params.yaml",
      _PARAMS.replace("filing_resolution_time:\n    value: 0.7",
                      "filing_resolution_time:\n    value: 0.1", 1)),
+    (["suite", "--dt", "abc"], None, None),
+    (["suite", "--format", "xml"], None, None),
+    (["sweep", "--top", "x"], None, None),
+    (["calibrate"], None, None),
+    (["simulate", "--bogus"], None, None),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -683,7 +689,8 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
         "params-provenance-nested-deep", "params-provenance-alias-chain",
         "switch-nested-deep", "description-nested-deep", "spec-value-nested-deep",
         "spec-metric-nested-deep", "spec-path-nested-deep", "spec-parameter-never-read",
-        "spec-target-block-off", "params-caps-bind-at-0.125"])
+        "spec-target-block-off", "params-caps-bind-at-0.125", "dt-not-a-number",
+        "format-unknown", "top-not-a-number", "calibrate-no-spec", "unknown-flag"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from rentdyn.params import (
     ParamError,
     ParamFileError,
     bounds_for,
+    clamp,
     clamp_to_bounds,
     default_params,
     get_value,
@@ -121,6 +123,17 @@ def test_bounds_lookup_and_clamp():
     assert clamp_to_bounds("moratorium.processing_reduction", 0.5) == 0.5
     with pytest.raises(KeyError):
         bounds_for("no.such.parameter")
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.one_of(st.floats(), st.sampled_from([-0.0, 0.0])),
+       bounds=st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)).map(sorted))
+def test_clamp_gives_the_bits_of_an_if_chain(value, bounds):
+    """The one clamp, of the registry's bounds and of the fit's box: a NaN,
+    and a -0.0 on a bound of 0.0, come back as they went in."""
+    lo, hi = bounds
+    expected = lo if value < lo else hi if value > hi else value
+    assert struct.pack("d", clamp(value, lo, hi)) == struct.pack("d", expected)
 
 
 # ---------------------------------------------------------------- access

@@ -474,7 +474,21 @@ def test_sweep_fully_clamped_step_has_zero_elasticity():
                  and e.direction == "up")
     assert entry.clamped
     assert entry.applied_value == entry.baseline_value
-    assert all(v == 0.0 for v in entry.elasticities.values())
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in entry.elasticities.values())
+
+
+def test_sweep_of_a_zero_baseline_value_repeats_the_baseline():
+    """A parameter at 0.0 has no relative step: both its entries request and
+    apply 0.0, repeat the baseline metrics, and report elasticities of +0.0."""
+    params = with_value(default_params(), "fr_direct_homeless", 0.0)
+    base, entries = sensitivity_sweep(params, BUILTIN_SCENARIOS["run2"], fraction=0.15)
+    zero = [e for e in entries if e.parameter == "fr_direct_homeless"]
+    assert [e.direction for e in zero] == ["down", "up"]
+    for e in zero:
+        assert e.baseline_value == e.requested_value == e.applied_value == 0.0
+        assert not e.clamped
+        assert e.metrics == base
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in e.elasticities.values())
 
 
 # ---------------------------------------------------------------- extremes
