@@ -82,7 +82,7 @@ from rentdyn.model import GATE_TIMES, run_model
 from rentdyn.params import ModelParams, bounds_for, brief, clamp, get_value, load_yaml, \
     read_mapping, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_BLOCKS, METRIC_SERIES, MetricSet, \
-    Scenario, compute_metrics, run_scenario
+    Scenario, compute_metrics, run_many
 
 __all__ = [
     "CalibrationError",
@@ -315,8 +315,8 @@ def calibration_loss(
     scenarios: Mapping[str, Scenario] = BUILTIN_SCENARIOS,
 ) -> float:
     """Weighted sum of squared relative target misses (lower is better)."""
-    metric_sets = {name: run_scenario(params, scenarios[name], clock=clock).metrics
-                   for name in sorted({t.scenario for t in spec.targets})}
+    runs = run_many(params, {t.scenario: scenarios[t.scenario] for t in spec.targets}, clock)
+    metric_sets = {name: result.metrics for name, result in runs.items()}
     residuals = _residuals(_achieved(metric_sets, spec), spec, clock)
     return _dot(residuals, residuals)
 
@@ -586,7 +586,7 @@ def calibrate(
             candidate = with_values(applied[name],
                                     dict(zip([paths[i] for i in seen[name]], values)))
             return compute_metrics(run_model(candidate, clock, record=METRIC_SERIES,
-                                             restart=prefixes.get(name)), candidate)
+                                             restart=prefixes.get(name)))
         # ValueError: the values break an invariant, such as a curve's
         except (ValueError, SimulationError, FloatingPointError, OverflowError,
                 ZeroDivisionError) as error:

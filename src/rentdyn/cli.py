@@ -149,18 +149,15 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
             raise CliError(f"cannot load scenarios: {err}") from err
     else:
         scenarios = dict(BUILTIN_SCENARIOS)
-    applied = []
-    for scenario in scenarios.values():
-        try:
-            applied.append((scenario.name, scenario.apply(params)))
-        except ValueError as err:  # out of bounds, or a curve's own invariant
-            raise CliError(f"scenario {scenario.name!r}: {err.args[0]}") from err
     try:
         clock = SimClock(dt=args.dt)
     except ValueError as err:
         raise CliError(f"bad clock: {err}") from err
-    for name, scenario_params in applied:
-        bound = drain_cap_bound(scenario_params, clock.dt)
+    for name, scenario in scenarios.items():
+        try:
+            bound = drain_cap_bound(scenario.apply(params), clock.dt)
+        except ValueError as err:  # out of bounds, or a curve's own invariant
+            raise CliError(f"scenario {name!r}: {err.args[0]}") from err
         if bound is not None:
             # shown rounded down, so the step it names still passes
             raise CliError(f"scenario {name!r}: --dt {clock.dt:g} lets an outflow cap bind at "
@@ -271,7 +268,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_suite(args) -> int:
     params, scenarios, clock, params_file = _load_inputs(args)
     results = run_many(params, scenarios, clock=clock)
-    name_w = max(len(n) for n in results)
+    name_w = max(len("scenario"), *map(len, results))
     print(f"{'scenario':<{name_w}}  {'evictions':>12}  {'arrears_end':>12}  "
           f"{'homeless':>10}  {'crowding':>8}  {'disbursed':>10}")
     for name, result in results.items():
@@ -411,12 +408,10 @@ def _cmd_calibrate(args) -> int:
             continue
         off = abs(got - target.value) / abs(target.value) * 100 if target.value else 0.0
         print(f"  {target.key:<40} {got:.6g} vs {target.value:.6g} ({off:.2f}% off)")
-    retag = {path: "calibrated" for path in result.fitted}
     _write_outputs(args, f"calibrate --spec {args.spec}", params, clock, params_file,
                    {target.scenario for target in spec.targets},
                    lambda out: [save_params(result.params, out / "params.yaml",
-                                            name="calibrated",
-                                            provenance_overrides=retag)])
+                                            name="calibrated", calibrated=result.fitted)])
     return 0
 
 

@@ -577,25 +577,21 @@ def save_params(
     params: ModelParams,
     path: str | Path,
     name: str = "custom",
-    provenance_overrides: dict[str, str] | None = None,
+    calibrated: Collection[str] = (),
 ) -> Path:
     """Write a parameter file in registry order, atomically; return its path.
 
-    ``provenance_overrides`` re-tags entries (the calibrator marks the fields
-    it moved as ``calibrated``).
+    The entries at the paths in ``calibrated`` (the fields a fit moved) are
+    tagged ``calibrated``; every other entry keeps its registry tag.
     """
     from rentdyn.output import atomic_write_text  # output imports this module
 
-    overrides = provenance_overrides or {}
-    for tag in overrides.values():
-        if tag not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {tag!r}")
     entries = {}
     for f in FIELDS:
         entry = {
             "value": float(get_value(params, f.path)),
             "units": f.units,
-            "provenance": overrides.get(f.path, f.provenance),
+            "provenance": "calibrated" if f.path in calibrated else f.provenance,
         }
         if f.note:
             entry["note"] = f.note

@@ -176,14 +176,15 @@ _LIST_OPS = SimpleNamespace(sum=pairwise_sum, max=max)
 _ARRAY_OPS = SimpleNamespace(sum=lambda values: values.sum(), max=lambda values: values.max())
 
 
-def compute_metrics(traj: Trajectory, params: ModelParams) -> MetricSet:
+def compute_metrics(traj: Trajectory) -> MetricSet:
     """Reduce a trajectory to the reported headline metrics.
 
     Flow totals are left-Riemann integrals over the analysis window (each
     sample's rate applies over the step it opens, so the sample at the
     horizon carries no weight); stock readings are taken at the horizon; the
     36-month arrears growth measures the stock change over the 36 months
-    ending at the horizon.
+    ending at the horizon. The assistance fund's size is its level at the
+    start of the run: the appropriation, or 0 with assistance off.
     """
     clock = traj.clock
     first = clock.window_start()
@@ -196,10 +197,10 @@ def compute_metrics(traj: Trajectory, params: ModelParams) -> MetricSet:
     arrears_at_window = traj.at("rent_owed", clock.burn_in)
     arrears_at_36 = traj.at("rent_owed", max(0.0, end - 36.0))
 
-    total = params.assistance.total_funds
+    total = float(data["assistance_funds"][0])
     disbursed = float(data["assistance_disbursed"][-1])
     exhausted_at = None
-    if params.assistance.enabled and total > 0.0:
+    if total > 0.0:
         level = 1e-4 * total
         hit = next((k for k, funds in enumerate(data["assistance_funds"]) if funds <= level),
                    None)
@@ -281,7 +282,7 @@ def run_many(
         t0 = time.perf_counter()
         traj = run_model(applied, clock, restart=restart)
         elapsed = time.perf_counter() - t0
-        results[name] = RunResult(scenario, applied, traj, compute_metrics(traj, applied), elapsed)
+        results[name] = RunResult(scenario, applied, traj, compute_metrics(traj), elapsed)
     return results
 
 

@@ -122,7 +122,6 @@ class ReferenceMode:
     name: str
     scenario: str
     series: str
-    months: tuple[str, ...]
     # model time at the start of each month
     times: tuple[float, ...]
     values: tuple[float, ...]
@@ -200,7 +199,6 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
         name=path.stem,
         scenario=constant["scenario"],
         series=constant["series"],
-        months=tuple(months),
         times=tuple(first),
         values=tuple(read_number(row["value"], ReferenceError,
                                  f"{path.name}: value for {row['calendar_month']}")
@@ -213,10 +211,10 @@ def score_reference_mode(mode: ReferenceMode, trajectory: Trajectory) -> Referen
     if mode.series not in trajectory.data:
         raise ReferenceError(f"{mode.name}: unknown model series {mode.series!r}")
     clock = trajectory.clock
-    for label, t in zip(mode.months, mode.times):
+    for t in mode.times:
         if not 0.0 <= t <= clock.horizon:
             raise ReferenceError(
-                f"calendar month {label} falls outside the simulated horizon "
+                f"calendar month {clock.calendar_label(t)} falls outside the simulated horizon "
                 f"[{clock.calendar_label(0.0)}, {clock.calendar_label(clock.horizon)}]")
     u, bias, variance, covariance = _theil(
         [trajectory.at(mode.series, t) for t in mode.times], mode.values)
@@ -345,8 +343,7 @@ def sensitivity_sweep(params: ModelParams, scenario: Scenario, clock: SimClock =
                     sets.append(with_values(baseline, {path: applied}))
                 except ValueError as err:  # a curve's invariant
                     raise ValueError(f"{path} moved {direction} to {applied!r}: {err}") from err
-    runs = (compute_metrics(traj, p) for p, traj
-            in zip(sets, run_model(sets, clock, record=METRIC_SERIES)))
+    runs = map(compute_metrics, run_model(sets, clock, record=METRIC_SERIES))
     base_metrics = _metric_values(next(runs))
 
     entries: list[SweepEntry] = []
@@ -442,8 +439,11 @@ def extreme_conditions(
         m = params.moratorium
         end = m.start_time + m.duration
         samples = list(zip(traj.clock.grid, traj.data["evictions_processed"]))
-        peak_inside = max(abs(ev) for t, ev in samples if m.start_time <= t < end)
-        resumed = max(ev for t, ev in samples if t >= end)
+        peak_inside = max((abs(ev) for t, ev in samples if m.start_time <= t < end), default=0.0)
+        resumed = max((ev for t, ev in samples if t >= end), default=None)
+        if resumed is None:  # nothing resumes inside the horizon, so only the window is judged
+            return peak_inside == 0.0, (f"peak in-window rate {peak_inside:.2e}, window end "
+                                        f"t={end:g} past the horizon")
         return (peak_inside == 0.0 and resumed > 0.0,
                 f"peak in-window rate {peak_inside:.2e}, post-window peak {resumed:.3g}")
 

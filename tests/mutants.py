@@ -4,10 +4,11 @@ and of the reduction of a run to its metrics, ``compute_metrics``.
 Each mutant of ``MUTANTS`` changes one operation of the derivative, or of
 ``compute_metrics``, and once passed the acceptance bands and the ledger
 identities, moving a metric by up to 25% (the derivative's), or by as much
-as 16 times (the metrics'). The script applies each, alone, to a temporary
-copy of ``src/``, runs the contract tests and the metric oracles against
-that copy, and exits 1 if any mutant survives them, or if the unmutated
-copy fails them.
+as 16 times (the metrics'), or moved nothing (the last two of the metrics',
+while ``compute_metrics`` read the fund's size from the parameters). The
+script applies each, alone, to a temporary copy of ``src/``, runs the
+contract tests and the metric oracles against that copy, and exits 1 if any
+mutant survives them, or if the unmutated copy fails them.
 
 Each mutant of ``EQUIVALENT`` changes one operation too, but moves no
 series (the derivative's) or no metric (``compute_metrics``'s) at the
@@ -109,11 +110,16 @@ MUTANTS = {MODEL: [
     ("insecurity at the horizon reads the start",
      'insecure_end=float(data["households_insecure"][-1])',
      'insecure_end=float(data["households_insecure"][0])'),
+    # the parameters hold a fund of 46.5e9 in every shipped run, but a run
+    # with assistance off starts its fund at 0
+    ("exhaustion is looked for in an empty appropriation",
+     "if total > 0.0:", "if total >= 0.0:"),
+    ("the disbursed fraction divides by an empty appropriation",
+     "if total > 0.0 else 0.0", "if total >= 0.0 else 0.0"),
 ]}
 
 _HEADROOM = "the payment stays under 5% of the headroom: the pace and the funds left bind first"
 _EPS_GUARD = "no run meets the guarded quantity at exactly EPS"
-_FUNDED = "every shipped run's appropriation is 46.5e9, never 0"
 _EMPTIED = ("run4a's fund drops from 6.6e8 to exactly 0 in one step, and run4's stays "
             "above 2.7e10: no fund holds an amount between 0 and 6.6e8")
 # by the file it mutates: (what the mutant does, the source it replaces, its
@@ -150,13 +156,9 @@ EQUIVALENT = {MODEL: [
      "occupied * overdue", "occupied / overdue",
      "overdue_pressure is 1.0 throughout: arrears per unit stay under the tolerance"),
 ], SCENARIOS: [
-    ("exhaustion is looked for in an empty appropriation",
-     "enabled and total > 0.0", "enabled and total >= 0.0", _FUNDED),
     ("the exhaustion level divides by the appropriation",
      "level = 1e-4 * total", "level = 1e-4 / total", _EMPTIED),
     ("exhaustion leaves out the level itself", "funds <= level", "funds < level", _EMPTIED),
-    ("the disbursed fraction divides by an empty appropriation",
-     "if total > 0.0 else 0.0", "if total >= 0.0 else 0.0", _FUNDED),
 ]}
 
 # the functions --scan mutates, by file
@@ -172,7 +174,7 @@ from rentdyn.params import default_params
 from rentdyn.scenarios import BUILTIN_SCENARIOS, compute_metrics
 sets = [s.apply(default_params()) for s in BUILTIN_SCENARIOS.values()]
 runs = [run_model(p) for p in sets]
-metrics = [asdict(compute_metrics(run, p)) for run, p in zip(runs, sets)]
+metrics = [asdict(compute_metrics(run)) for run in runs]
 for value in ([run.data for run in runs], metrics):
     print(hashlib.sha256(repr(value).encode()).hexdigest())
 """

@@ -160,6 +160,15 @@ def test_suite_writes_every_scenario(tmp_path):
     assert "manifest.json" in names
 
 
+def test_suite_table_lines_up(capsys):
+    """The name column is at least as wide as its header, "scenario", which
+    is longer than every shipped name: each row is as long as the header."""
+    assert main(["suite"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 5
+    assert [len(row) for row in rows] == [len(header)] * 5
+
+
 @pytest.mark.parametrize("dt", ["0.25", "0.5", "0.125"])
 @pytest.mark.parametrize("scenarios", [
     "scenarios/runs.yaml",
@@ -321,6 +330,20 @@ def test_validate_skips_a_reference_file_it_cannot_read(tmp_path, capsys):
     doc = json.loads((out / "validation.json").read_text())
     assert {r["mode"]: r["status"] for r in doc["references"]} == {
         "binary": "skipped", "folder": "skipped", "good": "scored", "huge": "skipped"}
+
+
+@pytest.mark.parametrize("path, value", [("moratorium.duration", 30.0),
+                                         ("moratorium.start_time", 60.0)])
+def test_validate_judges_a_moratorium_window_past_the_horizon(tmp_path, capsys, path, value):
+    """A window that ends, or starts, past the horizon leaves no sample to
+    resume in: the battery still prints its six lines and an exit status."""
+    params_file = tmp_path / "params.yaml"
+    save_params(with_values(default_params(), {path: value}), params_file)
+    assert main(["validate", "--params", str(params_file)]) in (0, 1)
+    battery = capsys.readouterr().out.split("extreme conditions:\n")[1].splitlines()
+    assert len(battery) == 6
+    assert "airtight_moratorium_blocks_processing" in battery[4]
+    assert battery[4].endswith("past the horizon")
 
 
 def test_calibrate_writes_retagged_params(tmp_path, capsys):

@@ -112,7 +112,7 @@ def runs(request) -> list:
     results = run_many(default_params(), BUILTIN_SCENARIOS, clock)
     runs = [(name, r.params, r.trajectory, r.metrics) for name, r in results.items()]
     batch = run_model([r.params for r in results.values()], clock, record=METRIC_SERIES)
-    runs += [(f"{name} (batch)", p, column, compute_metrics(column, p))
+    runs += [(f"{name} (batch)", p, column, compute_metrics(column))
              for (name, p, _, _), column in zip(runs, batch)]
     return runs
 

@@ -314,17 +314,10 @@ def test_shipped_default_file_is_what_save_params_writes(tmp_path):
 
 def test_provenance_override_round_trips(tmp_path):
     path = tmp_path / "fitted.yaml"
-    save_params(default_params(), path,
-                provenance_overrides={"covid.magnitude": "calibrated"})
+    save_params(default_params(), path, calibrated={"covid.magnitude"})
     assert load_params(path) == default_params()
     assert yaml.safe_load(path.read_text())["params"]["covid.magnitude"]["provenance"] \
         == "calibrated"
-
-
-def test_save_rejects_unknown_provenance_tag(tmp_path):
-    with pytest.raises(ValueError):
-        save_params(default_params(), tmp_path / "x.yaml",
-                    provenance_overrides={"covid.magnitude": "guessed"})
 
 
 def test_load_rejects_missing_and_unknown_fields(tmp_path):

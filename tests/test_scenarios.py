@@ -89,14 +89,13 @@ def test_run_is_deterministic():
 
 def test_batch_of_the_five_scenarios_equals_their_single_runs(suite):
     """One numpy batch of mixed policy settings, bit for bit the scalar runs."""
-    applied = [suite[name].params for name in suite]
-    batch = run_model(applied, record=METRIC_SERIES)
-    for name, params, traj in zip(suite, applied, batch):
+    batch = run_model([result.params for result in suite.values()], record=METRIC_SERIES)
+    for name, traj in zip(suite, batch):
         single = suite[name]
         assert list(traj.data) == list(METRIC_SERIES)
         for series in METRIC_SERIES:
             assert np.array_equal(traj[series], single.trajectory[series]), (name, series)
-        assert compute_metrics(traj, params) == single.metrics, name
+        assert compute_metrics(traj) == single.metrics, name
         assert traj.clamp_events == single.trajectory.clamp_events == []
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rentdyn import model, validation
 from rentdyn.engine import ClampEvent, SimulationError
-from rentdyn.params import FIELDS, default_params, with_value
+from rentdyn.params import FIELDS, default_params, with_value, with_values
 from rentdyn.validation import (
     ReferenceError,
     extreme_conditions,
@@ -219,7 +219,7 @@ def test_load_reference_mode_good_file(tmp_path):
     assert mode.name == "homeless"
     assert mode.scenario == "run1"
     assert mode.series == "households_homeless"
-    assert mode.months == ("2020-01", "2021-01", "2022-01")
+    assert mode.times == (24.0, 36.0, 48.0)
     assert mode.values == (580000.0, 590000.0, 600000.0)
 
 
@@ -545,3 +545,14 @@ def test_a_run_that_blows_up_fails_its_check_only(monkeypatch):
     assert [c.name for c in checks] == _BATTERY
     assert [c.name for c in checks if not c.passed] == ["hair_trigger_landlords_bounded"]
     assert checks[3].detail == "non-finite value for 'rent_owed' at t=30: nan"
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=st.floats(0.0, 100.0), duration=st.floats(1e-12, 100.0))
+def test_battery_judges_a_moratorium_window_anywhere_in_its_bounds(start, duration):
+    """A window that starts or ends past the horizon leaves no sample inside
+    it, or none to resume in: the airtight check judges the samples the run
+    holds, and the battery still reports its six checks."""
+    params = with_values(default_params(),
+                         {"moratorium.start_time": start, "moratorium.duration": duration})
+    assert [c.name for c in extreme_conditions(params)] == _BATTERY
