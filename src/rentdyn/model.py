@@ -174,10 +174,10 @@ def policy_onset(params, block: str):
     """Onset of a policy block: the earliest time at which the model reads any
     of its parameters, and infinite when ``params`` switches the block off.
 
-    Every time gate of the block compares ``t`` against the onset, and a
-    gate that opens later against its own opening time too, so a block
-    switched off never opens one. The moratorium's first gate is the filing
-    drop, half a month ahead of its processing window.
+    Each time gate of the block compares ``t`` with one opening time, never
+    earlier than the onset, so a block switched off never opens one. The
+    moratorium's first gate is the filing drop, half a month ahead of its
+    processing window.
     """
     b = getattr(params, block)
     first = b.start_time - 0.5 if block == "moratorium" else b.start_time
@@ -259,7 +259,8 @@ def build_derivative(params, dt: float):
     covid_onset, moratorium_onset, assistance_onset = (
         policy_onset(p, block) for block in POLICY_BLOCKS)
     window_end = m.start_time + m.duration
-    rebound_time = window_end + m.filing_rebound_lag
+    throttle_start = maximum(moratorium_onset, m.start_time)
+    rebound_start = maximum(moratorium_onset, window_end + m.filing_rebound_lag)
     throttled = 1.0 - m.processing_reduction
     # rent over no income is an infinite burden, and no rent none at all
     no_income_burden = where(p.avg_monthly_rent > 0.0, math.inf, 0.0)
@@ -277,8 +278,7 @@ def build_derivative(params, dt: float):
         # no gate opens, and its recovery level stays at 0.
         shock = where(t >= covid_onset, cv.magnitude, 0.0)
         covid = maximum(0.0, shock - recovery)
-        proc_factor = where((t >= moratorium_onset) & (t >= m.start_time) & (t < window_end),
-                            throttled, 1.0)
+        proc_factor = where((t >= throttle_start) & (t < window_end), throttled, 1.0)
         fil_factor = maximum(
             0.0, 1.0 - where(t >= moratorium_onset, m.filing_reduction, 0.0) + filing_recovery)
 
@@ -387,7 +387,7 @@ def build_derivative(params, dt: float):
             -payment,
             payment,
             (shock - recovery) / cv.recovery_time,
-            (where((t >= moratorium_onset) & (t >= rebound_time), m.filing_reduction, 0.0)
+            (where(t >= rebound_start, m.filing_reduction, 0.0)
              - filing_recovery) / m.filing_recovery_delay,
         ]
 

@@ -410,6 +410,8 @@ def extreme_conditions(
         """Total income loss: collections fall to the delay-ceiling floor."""
         traj = run({"covid.magnitude": 1.0, "covid.recovery_time": 1e9}, run2)
         t_probe = params.covid.start_time + 1.0
+        if t_probe > traj.clock.horizon:  # at() would read the last sample in its place
+            return True, f"probe t={t_probe:g} past the horizon t={traj.clock.horizon:g}"
         expected = traj.at("rent_owed", t_probe) / (
             params.at_rent_base * params.rent_delay_curve.y_final)
         got = traj.at("rent_paid", t_probe)

@@ -346,6 +346,17 @@ def test_validate_judges_a_moratorium_window_past_the_horizon(tmp_path, capsys, 
     assert battery[4].endswith("past the horizon")
 
 
+def test_validate_passes_a_shock_that_starts_past_the_horizon(tmp_path, capsys):
+    """A shock at t=60 leaves no sample a month into it, so the total income
+    loss check judges nothing, says why, and validate exits 0."""
+    params_file = tmp_path / "params.yaml"
+    save_params(with_values(default_params(), {"covid.start_time": 60.0}), params_file)
+    assert main(["validate", "--params", str(params_file)]) == 0
+    battery = capsys.readouterr().out.split("extreme conditions:\n")[1].splitlines()
+    assert battery[1] == ("  [PASS] total_income_loss_bounded: probe t=61 past the horizon "
+                          "t=50")
+
+
 def test_calibrate_writes_retagged_params(tmp_path, capsys):
     spec = tmp_path / "spec.yaml"
     spec.write_text(

@@ -391,12 +391,13 @@ def test_every_field_moved_alone_agrees_bit_for_bit_until_it_departs():
 
 
 # ---------------------------------------------------------------- run-long oracles
-# The five equations below move no metric past the acceptance bands when
-# one of their operations is mutated (tests/mutants.py): each is pinned at
-# every sample of a shipped run instead.
+# The equations below move no metric past the acceptance bands when one of
+# their operations is mutated (tests/mutants.py): each is pinned at every
+# sample of a shipped run instead, or of one with a parameter moved in
+# bounds where the shipped runs leave the operation nothing to move.
 
-def _shipped_run(name):
-    params = BUILTIN_SCENARIOS[name].apply(default_params())
+def _shipped_run(name, changes={}):
+    params = with_values(BUILTIN_SCENARIOS[name].apply(default_params()), changes)
     return params, run_model(params).data
 
 
@@ -436,18 +437,60 @@ def test_uncapped_mortgage_payment_is_owed_over_its_delay(name):
     assert uncapped > 0
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-def test_filings_are_the_baseline_fraction_times_every_pressure(name):
+@pytest.mark.parametrize("name, changes", [
+    *(pytest.param(name, {}, id=name) for name in sorted(BUILTIN_SCENARIOS)),
+    *(pytest.param(name, {"landlord_tolerance": 2000.0}, id=f"{name}-tolerance-2000")
+      for name in ("run2", "run3", "run4"))])
+def test_filings_are_the_baseline_fraction_times_every_pressure(name, changes):
     """Filings against occupied units scale the baseline fraction by the
     overdue, mortgage delay, conflict and filing factor multipliers; the
     shock lifts the mortgage delay off neutral, and no shipped run drains
-    the occupied units fast enough for their cap to bind."""
-    p, d = _shipped_run(name)
+    the occupied units fast enough for their cap to bind. Arrears per unit
+    stay under the shipped tolerance, so at a tolerance of $2,000 alone
+    does the overdue pressure leave 1."""
+    p, d = _shipped_run(name, changes)
+    assert not changes or max(d["overdue_pressure"]) > 1.0
     for occupied, overdue, delay, conflict, factor, filings in zip(
             d["units_occupied"], d["overdue_pressure"], d["mortgage_delay_effect"],
             d["conflict_effect"], d["filing_factor"], d["eviction_filings"], strict=True):
         assert filings == (p.baseline_filing_fraction * occupied * overdue * delay
                            * conflict * factor)
+
+
+def test_assistance_pays_the_least_of_pace_funds_and_headroom():
+    """From its start, while the fund holds money, assistance pays the pace,
+    the fund left over one step, or the arrears a step leaves after rent
+    paid and written off, whichever is least. At 100 times the pace the
+    headroom binds at some samples."""
+    p, d = _shipped_run("run4", {"assistance.rate_multiplier": 100.0})
+    era, dt = p.assistance, SimClock().dt
+    pace = era.rate_multiplier * era.total_funds / era.disbursement_time
+    headroom_binds = 0
+    for t, funds, owed, paid, writeoff, payment in zip(
+            SimClock().grid, d["assistance_funds"], d["rent_owed"], d["rent_paid"],
+            d["arrears_writeoff"], d["assistance_payment"], strict=True):
+        headroom = max(0.0, owed / dt - paid - writeoff)
+        if t >= era.start_time and funds > 0.0:
+            assert payment == min(min(pace, funds / dt), headroom)
+            headroom_binds += headroom < min(pace, funds / dt)
+        else:
+            assert payment == 0.0
+    assert headroom_binds > 0
+
+
+def test_an_empty_fund_pays_positive_zero():
+    """A fund of -0.0 is in bounds and holds nothing, so run4 pays +0.0 at
+    every sample, and no CSV row prints -0.0."""
+    _, d = _shipped_run("run4", {"assistance.total_funds": -0.0})
+    assert all(math.copysign(1.0, payment) == 1.0 for payment in d["assistance_payment"])
+    assert max(d["assistance_payment"]) == 0.0
+
+
+def test_crowding_ratio_is_households_per_unit_over_the_reference():
+    """At a reference other than the shipped 1.0, where ``x / 1.0 == x * 1.0``."""
+    p, d = _shipped_run("run2", {"crowding_reference": 1.2})
+    for hpu, ratio in zip(d["households_per_unit"], d["crowding_ratio"], strict=True):
+        assert ratio == hpu / p.crowding_reference
 
 
 def test_filing_recovery_level_steps_toward_its_target():

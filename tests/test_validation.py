@@ -556,3 +556,15 @@ def test_battery_judges_a_moratorium_window_anywhere_in_its_bounds(start, durati
     params = with_values(default_params(),
                          {"moratorium.start_time": start, "moratorium.duration": duration})
     assert [c.name for c in extreme_conditions(params)] == _BATTERY
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=st.floats(0.0, 100.0))
+def test_battery_judges_a_shock_anywhere_in_its_bounds(start):
+    """A shock that starts less than a month before the horizon, or past
+    it, leaves no sample a month into it: the total income loss check then
+    judges nothing and names the horizon, and passes wherever the shock
+    starts."""
+    check = extreme_conditions(with_value(default_params(), "covid.start_time", start))[1]
+    assert check.name == "total_income_loss_bounded"
+    assert check.passed, check.detail
