@@ -54,8 +54,8 @@ times the free parameters); the workers live for one ``calibrate`` call.
 Forked from it, they share its run function as it is: only the list of
 runs to make and the metrics made cross a pipe. Without fork, on one
 usable CPU, or while the calling process runs other threads (a fork would
-copy locks those threads may hold), there are no workers, and the calling
-process claims every run.
+copy locks those threads may hold), or in a daemonic process, there are no
+workers, and the calling process claims every run.
 
 The search is fully deterministic: same spec, same starting parameters,
 same result, however many processes made the runs, and on every CPU: the
@@ -131,28 +131,26 @@ class CalibrationTarget:
         return f"{self.scenario}.{self.metric}"
 
 
-def _registry_bounds(path: str) -> tuple[float, float]:
-    """The documented bounds of ``path``."""
-    try:
-        return bounds_for(path)
-    except KeyError:
-        raise CalibrationError(f"unknown parameter path {brief(path)}") from None
-
-
 @dataclass(frozen=True)
 class CalibrationParameter:
-    """One free parameter, with bounds inside the registry's documented ones.
+    """One free parameter, with bounds inside the registry's documented ones;
+    a bound left out is the registry's.
 
     The fit's runs are not validated one by one, so a free value is only
     ever set within bounds checked here.
     """
 
     path: str
-    lower: float
-    upper: float
+    lower: float | None = None
+    upper: float | None = None
 
     def __post_init__(self) -> None:
-        reg_lo, reg_hi = _registry_bounds(self.path)
+        try:
+            reg_lo, reg_hi = bounds_for(self.path)
+        except KeyError:
+            raise CalibrationError(f"unknown parameter path {brief(self.path)}") from None
+        object.__setattr__(self, "lower", reg_lo if self.lower is None else self.lower)
+        object.__setattr__(self, "upper", reg_hi if self.upper is None else self.upper)
         if self.lower < reg_lo or self.upper > reg_hi:
             raise CalibrationError(
                 f"{self.path}: requested bounds [{self.lower}, {self.upper}] exceed the "
@@ -242,11 +240,9 @@ def _check_parameter(entry: Any) -> CalibrationParameter:
     path = entry["path"]
     if not isinstance(path, str):
         raise CalibrationError(f"parameter path is not text: {brief(path)}")
-    reg_lo, reg_hi = _registry_bounds(path)
-    lower = read_number(entry.get("lower", reg_lo), CalibrationError, f"{path}: lower")
-    upper = read_number(entry["upper"], CalibrationError, f"{path}: upper") \
-        if "upper" in entry else reg_hi
-    return CalibrationParameter(path=path, lower=lower, upper=upper)
+    return CalibrationParameter(path, **{side: read_number(entry[side], CalibrationError,
+                                                           f"{path}: {side}")
+                                         for side in ("lower", "upper") if side in entry})
 
 
 def load_calibration_spec(
@@ -322,12 +318,12 @@ def calibration_loss(
 
 
 def _process_count(most: int) -> int:
-    """Processes a fit runs scenarios in: one per usable CPU, at most ``most``,
-    where it can fork and no other thread runs."""
+    """Processes a fit runs scenarios in: one per usable CPU, at most ``most``, where it
+    can fork, no other thread runs, and it is not daemonic (a daemon may start no child)."""
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods() \
-            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1 \
+            or not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
         return 1
     return min(len(os.sched_getaffinity(0)), most)
 

@@ -49,6 +49,8 @@ from rentdyn.scenarios import BUILTIN_SCENARIOS, RunResult, Scenario, compare, \
 
 __all__ = ["main"]
 
+_REFERENCE_DIR = "reference_modes"  # validate's --references when not given
+
 
 class CliError(Exception):
     """A user-input problem that should exit with status 1."""
@@ -79,7 +81,7 @@ def _add_common(parser: argparse.ArgumentParser, with_format: bool = False) -> N
                         help="directory for output artifacts (created if needed)")
     if with_format:
         parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                            help="time-series artifact format (default csv)")
+                            help="time-series artifact format (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario")
     p.add_argument("--scenario", default="run1", metavar="NAME",
-                   help="scenario name (default run1)")
+                   help="scenario name (default %(default)s)")
     p.add_argument("--series", metavar="A,B,C",
                    help="comma-separated series selection for the time-series file")
     _add_common(p, with_format=True)
@@ -107,16 +109,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="one-at-a-time parameter sensitivity sweep")
     p.add_argument("--scenario", default="run2", metavar="NAME",
-                   help="scenario the sweep perturbs (default run2)")
+                   help="scenario the sweep perturbs (default %(default)s)")
     p.add_argument("--fraction", type=float, default=0.15, metavar="F",
-                   help="relative perturbation per direction (default 0.15)")
+                   help="relative perturbation per direction (default %(default)s)")
     p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="rows to print, ranked by elasticity magnitude (default 10)")
+                   help="rows to print, ranked by elasticity magnitude (default %(default)s)")
     _add_common(p)
 
     p = sub.add_parser("validate", help="reference-mode fits and extreme-input checks")
     p.add_argument("--references", metavar="DIR",
-                   help="directory of reference CSVs (default ./reference_modes, "
+                   help=f"directory of reference CSVs (default ./{_REFERENCE_DIR}, "
                         "skipped when missing)")
     _add_common(p)
 
@@ -342,8 +344,7 @@ def _cmd_validate(args) -> int:
     params, scenarios, clock, params_file = _load_inputs(args)
     if args.references is not None and not Path(args.references).is_dir():
         raise CliError(f"--references {args.references}: not a directory")
-    results = reference_report(args.references or "reference_modes", params, clock,
-                               scenarios)
+    results = reference_report(args.references or _REFERENCE_DIR, params, clock, scenarios)
     print("reference modes:")
     for r in results:
         if r.status == "scored":

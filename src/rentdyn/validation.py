@@ -163,11 +163,12 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
     they make the file self-describing (no code-side lookup table). A mode
     needs at least two rows, each of its own month: Theil's statistics of
     one point, or of a month counted twice, measure nothing or weigh it twice.
-    A file that cannot be read as UTF-8 CSV raises :class:`ReferenceError` too.
+    A leading byte-order mark, as spreadsheet programs write, is skipped; a file
+    that cannot be read as UTF-8 CSV raises :class:`ReferenceError` too.
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             header, rows = reader.fieldnames, list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

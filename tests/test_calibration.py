@@ -659,6 +659,47 @@ def test_fit_never_forks_while_another_thread_runs(monkeypatch):
     assert _outcome(alone) == _outcome(pooled)
 
 
+def test_fit_in_a_daemonic_process_makes_every_run_itself(monkeypatch):
+    """multiprocessing lets no daemonic process start children: a fit there
+    makes its runs in that process, with the same result."""
+    start = with_value(default_params(), "covid.magnitude", 0.5)
+    pooled = calibrate(start, _SHIPPED)
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert calibration._process_count(3 * 4) == 1
+    alone = calibrate(start, _SHIPPED)
+    assert (alone.evaluations, alone.scenario_runs) == (30, 72)
+    assert _outcome(alone) == _outcome(pooled)
+
+
+def _fitted_from(magnitude: float) -> dict[str, float]:
+    return calibrate(with_value(default_params(), "covid.magnitude", magnitude), _SHIPPED).fitted
+
+
+def test_fit_in_a_pool_worker_is_the_fit_here():
+    """A multiprocessing.Pool's workers are daemonic."""
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_fitted_from, (0.5,)).get(timeout=60) == _fitted_from(0.5)
+
+
+def test_an_error_raised_in_a_worker_reaches_the_caller(monkeypatch):
+    """An exception other than a failed run's leaves a worker by its pipe:
+    the fit raises it and closes the pool."""
+    if calibration._process_count(3 * 4) == 1:
+        pytest.skip("the fit starts no worker process here")
+    caller = os.getpid()
+    compute_metrics = calibration.compute_metrics
+
+    def failing_in_a_worker(trajectory):
+        if os.getpid() != caller:
+            raise RuntimeError("failed in a worker")
+        return compute_metrics(trajectory)
+
+    monkeypatch.setattr(calibration, "compute_metrics", failing_in_a_worker)
+    with pytest.raises(RuntimeError, match="failed in a worker"):
+        calibrate(with_value(default_params(), "covid.magnitude", 0.5), _SHIPPED)
+    assert multiprocessing.active_children() == []
+
+
 def test_fit_makes_one_run_per_point_a_scenario_sees(monkeypatch):
     """run4a overrides assistance.rate_multiplier, which its runs therefore
     never see: a fit freeing it runs run4a once per covid.magnitude."""

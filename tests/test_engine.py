@@ -89,6 +89,12 @@ def test_clock_rejects_bad_grid():
             SimClock(dt=dt)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_clock_rejects_a_horizon_that_is_not_positive(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        SimClock(horizon=horizon)
+
+
 # ---------------------------------------------------------------- logistic curve
 
 def test_logistic_midpoint_and_saturation():
@@ -506,7 +512,8 @@ def test_pairwise_sum_has_the_bits_of_np_sum(values):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(t=st.one_of(st.floats(-5.0, 15.0), st.integers(0, 40).map(lambda k: k * 0.25)))
+@given(t=st.one_of(st.floats(-5.0, 15.0), st.integers(0, 40).map(lambda k: k * 0.25),
+                  st.just(math.nan)))
 def test_at_has_the_bits_of_np_interp(t):
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
     traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}))

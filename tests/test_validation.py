@@ -3,11 +3,13 @@
 Theil oracles are frozen literals computed by hand from the definitions.
 """
 
+import codecs
 import math
 import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +270,31 @@ def test_report_skips_a_mode_that_scores_nothing(tmp_path, text, reason):
     [result] = reference_report(tmp_path)
     assert result.status == "skipped"
     assert result.detail == f"bad.csv: {reason}"
+
+
+@pytest.mark.parametrize("text, reason", [
+    *[(GOOD_CSV.replace("2021-01", label), f"bad calendar month {label!r} (expected YYYY-MM)")
+      for label in ("2021-13", "2021/01", "abc")],
+    ("", "bad.csv: empty file"),
+], ids=["month-13", "slash", "no-month", "empty-file"])
+def test_a_malformed_file_is_refused_and_skipped_with_its_reason(tmp_path, text, reason):
+    (tmp_path / "bad.csv").write_text(text)
+    with pytest.raises(ReferenceError) as err:
+        load_reference_mode(tmp_path / "bad.csv")
+    assert str(err.value) == reason
+    [result] = reference_report(tmp_path)
+    assert (result.status, result.detail) == ("skipped", reason)
+
+
+def test_a_byte_order_mark_leaves_the_score_unchanged(tmp_path):
+    """Spreadsheet programs write "CSV UTF-8" with a byte-order mark."""
+    text = Path("reference_modes/rent_arrears.csv").read_bytes()
+    (tmp_path / "plain.csv").write_bytes(text)
+    (tmp_path / "marked.csv").write_bytes(codecs.BOM_UTF8 + text)
+    marked, plain = reference_report(tmp_path)
+    assert replace(marked, mode="plain") == plain
+    assert (plain.status, round(plain.u, 5), round(plain.bias_share, 4)) == \
+        ("scored", 0.23185, 0.9299)
 
 
 def test_score_perfect_match_gives_zero_u(tmp_path):
