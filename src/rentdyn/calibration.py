@@ -79,13 +79,12 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from rentdyn.engine import SimClock, SimulationError, pairwise_sum
 from rentdyn.model import GATE_TIMES, run_model
-from rentdyn.params import ModelParams, bounds_for, brief, clamp, get_value, load_yaml, \
-    read_mapping, read_number, with_values
+from rentdyn.params import InputError, ModelParams, bounds_for, brief, clamp, get_value, \
+    load_yaml, read_mapping, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_BLOCKS, METRIC_SERIES, MetricSet, \
     Scenario, compute_metrics, run_many
 
 __all__ = [
-    "CalibrationError",
     "CalibrationTarget",
     "CalibrationParameter",
     "CalibrationSpec",
@@ -104,10 +103,6 @@ _TOLERANCE = 1e-8
 _DIFF_STEP = math.sqrt(sys.float_info.epsilon)
 
 
-class CalibrationError(ValueError):
-    """A calibration spec is invalid or the search cannot be set up."""
-
-
 @dataclass(frozen=True)
 class CalibrationTarget:
     """One fitted quantity: a metric of a named scenario and its target."""
@@ -119,12 +114,12 @@ class CalibrationTarget:
 
     def __post_init__(self) -> None:
         if self.metric not in _METRIC_NAMES:
-            raise CalibrationError(f"target names unknown metric {brief(self.metric)}")
+            raise InputError(f"target names unknown metric {brief(self.metric)}")
         if not math.isfinite(self.value):
-            raise CalibrationError(f"{self.key}: target value must be finite: {self.value}")
+            raise InputError(f"{self.key}: target value must be finite: {self.value}")
         if not 0.0 < self.weight < math.inf:
-            raise CalibrationError(f"{self.key}: target weight must be positive and "
-                                   f"finite: {self.weight}")
+            raise InputError(f"{self.key}: target weight must be positive and "
+                             f"finite: {self.weight}")
 
     @property
     def key(self) -> str:
@@ -148,15 +143,15 @@ class CalibrationParameter:
         try:
             reg_lo, reg_hi = bounds_for(self.path)
         except KeyError:
-            raise CalibrationError(f"unknown parameter path {brief(self.path)}") from None
+            raise InputError(f"unknown parameter path {brief(self.path)}") from None
         object.__setattr__(self, "lower", reg_lo if self.lower is None else self.lower)
         object.__setattr__(self, "upper", reg_hi if self.upper is None else self.upper)
         if self.lower < reg_lo or self.upper > reg_hi:
-            raise CalibrationError(
+            raise InputError(
                 f"{self.path}: requested bounds [{self.lower}, {self.upper}] exceed the "
                 f"documented bounds [{reg_lo}, {reg_hi}]")
         if not self.lower < self.upper:
-            raise CalibrationError(f"{self.path}: lower bound must be below upper bound")
+            raise InputError(f"{self.path}: lower bound must be below upper bound")
 
 
 @dataclass(frozen=True)
@@ -177,19 +172,19 @@ class CalibrationSpec:
                            ("target", [t.key for t in self.targets])):
             for key in keys:
                 if keys.count(key) > 1:
-                    raise CalibrationError(f"duplicate {kind} {key!r}")
+                    raise InputError(f"duplicate {kind} {key!r}")
         if len(self.parameters) > len(self.targets):
-            raise CalibrationError(
+            raise InputError(
                 f"{len(self.parameters)} free parameters but only "
                 f"{len(self.targets)} targets: the fit would not be unique")
         for p in self.parameters:
             if p.path in GATE_TIMES:
-                raise CalibrationError(
+                raise InputError(
                     f"{p.path} cannot be fitted: the model only compares it against "
                     f"the grid times, so no finite-difference step moves a result")
         if not (self.max_iterations >= 1 and float(self.max_iterations).is_integer()):
-            raise CalibrationError(f"max_iterations must be a whole number, at least 1: "
-                                   f"{self.max_iterations}")
+            raise InputError(f"max_iterations must be a whole number, at least 1: "
+                             f"{self.max_iterations}")
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
 
@@ -220,28 +215,26 @@ class CalibrationResult:
 
 
 def _check_target(entry: Any, scenarios: Mapping[str, Scenario]) -> CalibrationTarget:
-    entry = read_mapping(entry, CalibrationError, f"target {brief(entry)}",
+    entry = read_mapping(entry, f"target {brief(entry)}",
                          keys=("scenario", "metric", "value", "weight"),
                          required=("scenario", "metric", "value"))
     if not isinstance(entry["scenario"], str) or entry["scenario"] not in scenarios:
-        raise CalibrationError(f"target names unknown scenario {brief(entry['scenario'])}")
+        raise InputError(f"target names unknown scenario {brief(entry['scenario'])}")
     return CalibrationTarget(
         scenario=entry["scenario"],
         metric=entry["metric"],
-        value=read_number(entry["value"], CalibrationError, "target value"),
-        weight=read_number(entry.get("weight", CalibrationTarget.weight), CalibrationError,
-                           "target weight"),
+        value=read_number(entry["value"], "target value"),
+        weight=read_number(entry.get("weight", CalibrationTarget.weight), "target weight"),
     )
 
 
 def _check_parameter(entry: Any) -> CalibrationParameter:
-    entry = read_mapping(entry, CalibrationError, f"parameter {brief(entry)}",
-                         keys=("path", "lower", "upper"), required=("path",))
+    entry = read_mapping(entry, f"parameter {brief(entry)}", keys=("path", "lower", "upper"),
+                         required=("path",))
     path = entry["path"]
     if not isinstance(path, str):
-        raise CalibrationError(f"parameter path is not text: {brief(path)}")
-    return CalibrationParameter(path, **{side: read_number(entry[side], CalibrationError,
-                                                           f"{path}: {side}")
+        raise InputError(f"parameter path is not text: {brief(path)}")
+    return CalibrationParameter(path, **{side: read_number(entry[side], f"{path}: {side}")
                                          for side in ("lower", "upper") if side in entry})
 
 
@@ -266,22 +259,22 @@ def load_calibration_spec(
           max_iterations: 400   # optional
 
     A key not shown here is an error, and so is a target or parameter entry
-    that lacks a key not marked optional.
+    that lacks a key not marked optional. Every fault, those the spec's
+    classes find included, raises an :class:`InputError` naming the file.
     """
-    raw = read_mapping(load_yaml(path, CalibrationError), CalibrationError,
-                       "calibration spec", keys=("parameters", "targets", "options"))
-    for key in ("parameters", "targets"):
-        if not raw.get(key):
-            raise CalibrationError(f"calibration spec lists no {key}")
-        if not isinstance(raw[key], list):
-            raise CalibrationError(f"calibration spec {key!r} must be a list of mappings")
-    options = read_mapping(raw.get("options") or {}, CalibrationError,
-                           "calibration spec 'options'", keys=("max_iterations",))
-    return CalibrationSpec(
-        parameters=tuple(_check_parameter(e) for e in raw["parameters"]),
-        targets=tuple(_check_target(e, scenarios) for e in raw["targets"]),
-        max_iterations=read_number(options.get("max_iterations", CalibrationSpec.max_iterations),
-                                   CalibrationError, "max_iterations"))
+    with load_yaml(path) as raw:
+        raw = read_mapping(raw, "top level", keys=("parameters", "targets", "options"))
+        for key in ("parameters", "targets"):
+            if not raw.get(key):
+                raise InputError(f"lists no {key}")
+            if not isinstance(raw[key], list):
+                raise InputError(f"{key!r} must be a list of mappings")
+        options = read_mapping(raw.get("options") or {}, "'options'", keys=("max_iterations",))
+        return CalibrationSpec(
+            parameters=tuple(_check_parameter(e) for e in raw["parameters"]),
+            targets=tuple(_check_target(e, scenarios) for e in raw["targets"]),
+            max_iterations=read_number(
+                options.get("max_iterations", CalibrationSpec.max_iterations), "max_iterations"))
 
 
 def _achieved(metric_sets: dict[str, MetricSet],
@@ -531,18 +524,18 @@ def calibrate(
     :class:`rentdyn.engine.SimulationError` before the search starts. A fit
     ending on values that cannot be built into parameters (bounds that cross
     a curve's invariant, alone or with a scenario's overrides) raises
-    :class:`CalibrationError`, and one ending on another failed run the error
+    :class:`InputError`, and one ending on another failed run the error
     that run kept (the first failed scenario's, by name); nothing runs again.
     A target whose metric reads a policy block its scenario switches off
     (:data:`rentdyn.scenarios.METRIC_BLOCKS`), and a free parameter that no
-    target's scenario reads, raise :class:`CalibrationError` before any run:
+    target's scenario reads, raise :class:`InputError` before any run:
     no step of the fit could move either.
     """
     for target in spec.targets:
         block = METRIC_BLOCKS.get(target.metric)
         if block is not None and not getattr(scenarios[target.scenario], block):
-            raise CalibrationError(f"{target.key} cannot move: {target.scenario} switches "
-                                   f"the {block} block off")
+            raise InputError(f"{target.key} cannot move: {target.scenario} switches "
+                             f"the {block} block off")
     paths = [p.path for p in spec.parameters]
     lower, upper = zip(*[(p.lower, p.upper) for p in spec.parameters])
     x0 = _clip([float(get_value(params, path)) for path in paths], lower, upper)
@@ -561,8 +554,8 @@ def calibrate(
     seen = {name: [i for i, t in enumerate(r) if t < math.inf] for name, r in reads.items()}
     for i, path in enumerate(paths):
         if not any(i in s for s in seen.values()):
-            raise CalibrationError(f"{path} cannot be fitted: no target's scenario "
-                                   f"({', '.join(needed)}) reads it")
+            raise InputError(f"{path} cannot be fitted: no target's scenario "
+                             f"({', '.join(needed)}) reads it")
     # each scenario whose runs restart does so from its prefix: the start's
     # run up to the first sample k at or after the earliest time it reads a
     # free value (the last sample for an onset past the horizon)
@@ -670,8 +663,8 @@ def calibrate(
             # the fit ends on a failed run: raise the error the first one kept
             raise next(runs[key] for key, _ in tasks(x) if isinstance(runs[key], Exception))
     except ValueError as error:
-        raise CalibrationError(f"the fit ends on parameters that cannot be built: "
-                               f"{error}") from error
+        raise InputError(f"the fit ends on parameters that cannot be built: "
+                         f"{error}") from error
     singular_values = () if wall else tuple(_singular_values(result.jac))
     # a forward difference of step _DIFF_STEP resolves no singular value below
     # _DIFF_STEP times the largest: the targets leave that direction free

@@ -13,9 +13,10 @@ Input problems (a malformed command line, unknown scenario, malformed file,
 empty path, bad clock, a step on which an outflow cap binds at t=0, an
 ``--out`` a file is in the way of or with a name too long, a malformed
 ``SOURCE_DATE_EPOCH``) exit with status 1 and one ``error:`` line before any
-output file is created; ``--help`` and ``--version`` exit 0. A write
-refused later exits the same way, naming the file, and writes no manifest;
-each write is atomic, so no artifact is ever left half written.
+output file is created; a fault in a file, one that cannot be opened too,
+reads ``error: FILE: WHERE: what``. ``--help`` and ``--version`` exit 0. A
+write refused later exits the same way, naming the file, and writes no
+manifest; each write is atomic, so no artifact is ever left half written.
 
 Only ``calibrate`` loads ``rentdyn.calibration``, a bounded Levenberg-Marquardt
 fit of its own (More, 1978) that imports no scipy, and only ``sweep`` and
@@ -42,8 +43,8 @@ from rentdyn.engine import MAX_STEPS, SimClock, SimulationError
 from rentdyn.model import drain_cap_bound
 from rentdyn.output import csv_lines, manifest_timestamp, write_csv, write_json, \
     write_manifest
-from rentdyn.params import ModelParams, ParamError, ParamFileError, default_params, \
-    get_value, load_params, save_params
+from rentdyn.params import InputError, ModelParams, default_params, get_value, load_params, \
+    save_params
 from rentdyn.scenarios import BUILTIN_SCENARIOS, RunResult, Scenario, compare, \
     emit_timeseries, load_scenarios, run_many, run_scenario
 
@@ -52,15 +53,11 @@ __all__ = ["main"]
 _REFERENCE_DIR = "reference_modes"  # validate's --references when not given
 
 
-class CliError(Exception):
-    """A user-input problem that should exit with status 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     """A malformed command line is an input problem like any other."""
 
     def error(self, message: str) -> NoReturn:
-        raise CliError(message)
+        raise InputError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_format: bool = False) -> None:
@@ -129,42 +126,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str | None]:
+def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock]:
     """Resolve parameters, scenario set, and clock; fail before any output."""
     # an empty path would otherwise read as not given, or as the working directory
     for option in ("params", "scenarios", "out", "references", "spec"):
         if getattr(args, option, None) == "":
-            raise CliError(f"--{option} names no path: it is empty")
-    params_file = None
-    if args.params:
-        try:
-            params = load_params(args.params)
-        except (OSError, ParamError, ParamFileError) as err:
-            raise CliError(f"cannot load parameters: {err}") from err
-        params_file = str(args.params)
-    else:
-        params = default_params()
-    if args.scenarios:
-        try:
-            scenarios = load_scenarios(args.scenarios)
-        except (OSError, ValueError) as err:
-            raise CliError(f"cannot load scenarios: {err}") from err
-    else:
-        scenarios = dict(BUILTIN_SCENARIOS)
+            raise InputError(f"--{option} names no path: it is empty")
+    params = load_params(args.params) if args.params else default_params()
+    scenarios = load_scenarios(args.scenarios) if args.scenarios else dict(BUILTIN_SCENARIOS)
     try:
         clock = SimClock(dt=args.dt)
     except ValueError as err:
-        raise CliError(f"bad clock: {err}") from err
+        raise InputError(f"bad clock: {err}") from err
     for name, scenario in scenarios.items():
         try:
             bound = drain_cap_bound(scenario.apply(params), clock.dt)
-        except ValueError as err:  # out of bounds, or a curve's own invariant
-            raise CliError(f"scenario {name!r}: {err.args[0]}") from err
+        except ValueError as err:  # only a file's override can be out of bounds or break a curve
+            raise InputError(f"{args.scenarios}: scenario {name!r}: {err.args[0]}") from err
         if bound is not None:
             # shown rounded down, so the step it names still passes
-            raise CliError(f"scenario {name!r}: --dt {clock.dt:g} lets an outflow cap bind at "
-                           "t=0 (one Euler step would drain a stock below zero); the largest "
-                           f"step on which none binds is {bound * 0.9995:.4g}")
+            raise InputError(f"scenario {name!r}: --dt {clock.dt:g} lets an outflow cap bind "
+                             "at t=0 (one Euler step would drain a stock below zero); the "
+                             f"largest step on which none binds is {bound * 0.9995:.4g}")
     if args.out:
         out = Path(args.out)
         try:
@@ -173,21 +156,22 @@ def _load_inputs(args) -> tuple[ModelParams, dict[str, Scenario], SimClock, str 
             name_max = os.pathconf(ancestor, "PC_NAME_MAX")
             manifest_timestamp()
         except OSError as err:  # a name too long to look up, a directory it may not search
-            raise CliError(f"--out {out}: {err.strerror}") from err
+            raise InputError(f"--out {out}: {err.strerror}") from err
         except ValueError as err:  # of SOURCE_DATE_EPOCH
-            raise CliError(str(err)) from err
+            raise InputError(str(err)) from err
         if not ancestor.is_dir():
-            raise CliError(f"--out {out}: a file is in the way of that directory")
+            raise InputError(f"--out {out}: a file is in the way of that directory")
         # the directories still to make, checked without making them
         if any(len(os.fsencode(part)) > name_max for part in out.parts[len(ancestor.parts):]):
-            raise CliError(f"--out {out}: a name is longer than its file system's {name_max} bytes")
-    return params, scenarios, clock, params_file
+            raise InputError(f"--out {out}: a name is longer than its file system's "
+                             f"{name_max} bytes")
+    return params, scenarios, clock
 
 
 def _pick_scenario(scenarios: dict[str, Scenario], name: str) -> Scenario:
     if name not in scenarios:
         known = ", ".join(sorted(scenarios))
-        raise CliError(f"unknown scenario {name!r}; available: {known}")
+        raise InputError(f"unknown scenario {name!r}; available: {known}")
     return scenarios[name]
 
 
@@ -209,7 +193,7 @@ def _metric_lines(result: RunResult) -> list[str]:
 
 
 def _write_outputs(args, command: str, params: ModelParams, clock: SimClock,
-                   params_file: str | None, scenario_names: Iterable[str],
+                   scenario_names: Iterable[str],
                    write_artifacts: Callable[[Path], list[Path]]) -> None:
     """With ``--out``, write the artifacts, then the manifest that digests them."""
     if not args.out:
@@ -218,10 +202,10 @@ def _write_outputs(args, command: str, params: ModelParams, clock: SimClock,
     try:
         artifacts = write_artifacts(out)
         write_manifest(out, command, params, clock, artifacts, scenario_names,
-                       params_file, args.seed)
+                       args.params, args.seed)
     except OSError as err:  # with no manifest, the directory reads as interrupted
-        raise CliError(f"cannot write {err.filename2 or err.filename or out}: "
-                       f"{err.strerror}") from err
+        raise InputError(f"cannot write {err.filename2 or err.filename or out}: "
+                         f"{err.strerror}") from err
     print(f"wrote {len(artifacts)} artifact(s) + manifest to {out}")
 
 
@@ -247,7 +231,7 @@ def _write_run_artifacts(result: RunResult, out: Path, fmt: str, columns: list[s
 
 
 def _cmd_simulate(args) -> int:
-    params, scenarios, clock, params_file = _load_inputs(args)
+    params, scenarios, clock = _load_inputs(args)
     scenario = _pick_scenario(scenarios, args.scenario)
     columns = None
     if args.series is not None:
@@ -257,18 +241,17 @@ def _cmd_simulate(args) -> int:
         try:
             emit_timeseries(result, columns)
         except (KeyError, ValueError) as err:  # str() of a KeyError quotes it
-            raise CliError(err.args[0]) from err
+            raise InputError(err.args[0]) from err
     print(f"{scenario.name}: {scenario.description}")
     for line in _metric_lines(result):
         print("  " + line)
-    _write_outputs(args, f"simulate --scenario {scenario.name}", params, clock,
-                   params_file, [scenario.name],
+    _write_outputs(args, f"simulate --scenario {scenario.name}", params, clock, [scenario.name],
                    lambda out: _write_run_artifacts(result, out, args.format, columns, {}))
     return 0
 
 
 def _cmd_suite(args) -> int:
-    params, scenarios, clock, params_file = _load_inputs(args)
+    params, scenarios, clock = _load_inputs(args)
     results = run_many(params, scenarios, clock=clock)
     name_w = max(len("scenario"), *map(len, results))
     print(f"{'scenario':<{name_w}}  {'evictions':>12}  {'arrears_end':>12}  "
@@ -279,7 +262,7 @@ def _cmd_suite(args) -> int:
               f"${m.arrears_end/1e9:>10.2f}B  {m.homeless_end:>10,.0f}  "
               f"{m.crowding_mean:>8.3f}  {m.assistance_disbursed_fraction*100:>9.1f}%")
     rendered = {}
-    _write_outputs(args, "suite", params, clock, params_file, list(results),
+    _write_outputs(args, "suite", params, clock, list(results),
                    lambda out: [path for result in results.values() for path in
                                 _write_run_artifacts(result, out, args.format, None,
                                                      rendered)])
@@ -287,7 +270,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    params, scenarios, clock, params_file = _load_inputs(args)
+    params, scenarios, clock = _load_inputs(args)
     pair = {name: _pick_scenario(scenarios, name) for name in (args.baseline, args.variant)}
     results = run_many(params, pair, clock=clock)
     table = compare(results[args.baseline], results[args.variant])
@@ -299,7 +282,7 @@ def _cmd_compare(args) -> int:
         pct = "" if row["pct_change"] is None else f"  ({row['pct_change']:+.1f}%)"
         print(f"  {key:<{key_w}}  {base:>14} -> {var:>14}{pct}")
     _write_outputs(args, f"compare --baseline {args.baseline} --variant {args.variant}",
-                   params, clock, params_file, list(pair),
+                   params, clock, list(pair),
                    lambda out: [write_json(
                        out / f"compare_{args.baseline}_vs_{args.variant}.json", table)])
     return 0
@@ -308,17 +291,17 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     from rentdyn.validation import SweepEntry, sensitivity_sweep
 
-    params, scenarios, clock, params_file = _load_inputs(args)
+    params, scenarios, clock = _load_inputs(args)
     scenario = _pick_scenario(scenarios, args.scenario)
     if not 0.0 < args.fraction < 1.0:
-        raise CliError("--fraction must be between 0 and 1")
+        raise InputError("--fraction must be between 0 and 1")
     if args.top < 0:
-        raise CliError(f"--top must not be negative, got {args.top}")
+        raise InputError(f"--top must not be negative, got {args.top}")
     try:
         base_metrics, entries = sensitivity_sweep(params, scenario, clock=clock,
                                                   fraction=args.fraction)
     except ValueError as err:  # a moved value breaks a curve's invariant
-        raise CliError(f"sweep failed: {err}") from err
+        raise InputError(f"sweep failed: {err}") from err
     ranked = sorted(entries, key=lambda e: -max(abs(v) for v in e.elasticities.values()))
     print(f"sweep of {len(entries)} entries (±{args.fraction*100:.0f}% on every parameter, "
           f"scenario {scenario.name}); top {min(args.top, len(ranked))} by elasticity:")
@@ -332,7 +315,7 @@ def _cmd_sweep(args) -> int:
     header += [f"{kind}_{m}" for kind in ("metric", "elasticity") for m in base_metrics]
     rows = [[*astuple(e)[:-2], *e.metrics.values(), *e.elasticities.values()] for e in entries]
     _write_outputs(args, f"sweep --scenario {scenario.name} --fraction {args.fraction}",
-                   params, clock, params_file, [scenario.name],
+                   params, clock, [scenario.name],
                    lambda out: [write_csv(out / "sweep.csv", header, csv_lines(rows)),
                                 write_json(out / "sweep_baseline.json", base_metrics)])
     return 0
@@ -341,9 +324,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from rentdyn.validation import extreme_conditions, reference_report
 
-    params, scenarios, clock, params_file = _load_inputs(args)
+    params, scenarios, clock = _load_inputs(args)
     if args.references is not None and not Path(args.references).is_dir():
-        raise CliError(f"--references {args.references}: not a directory")
+        raise InputError(f"--references {args.references}: not a directory")
     results = reference_report(args.references or _REFERENCE_DIR, params, clock, scenarios)
     print("reference modes:")
     for r in results:
@@ -365,24 +348,20 @@ def _cmd_validate(args) -> int:
         "references": [vars(r) for r in results],
         "extreme_conditions": [vars(c) for c in checks],
     }
-    _write_outputs(args, "validate", params, clock, params_file,
-                   {r.scenario for r in results if r.scenario},
+    _write_outputs(args, "validate", params, clock, {r.scenario for r in results if r.scenario},
                    lambda out: [write_json(out / "validation.json", payload)])
     return 1 if failed else 0
 
 
 def _cmd_calibrate(args) -> int:
-    from rentdyn.calibration import CalibrationError, calibrate, load_calibration_spec
+    from rentdyn.calibration import calibrate, load_calibration_spec
 
-    params, scenarios, clock, params_file = _load_inputs(args)
-    try:
-        spec = load_calibration_spec(args.spec, scenarios)
-    except (OSError, CalibrationError) as err:
-        raise CliError(f"cannot load calibration spec: {err}") from err
+    params, scenarios, clock = _load_inputs(args)
+    spec = load_calibration_spec(args.spec, scenarios)
     try:
         result = calibrate(params, spec, clock=clock, scenarios=scenarios)
-    except CalibrationError as err:
-        raise CliError(f"calibration failed: {err}") from err
+    except InputError as err:
+        raise InputError(f"calibration failed: {err}") from err
     for free in spec.parameters:  # the fit starts from each value clipped into its box
         start = get_value(params, free.path)
         if not free.lower <= start <= free.upper:
@@ -409,7 +388,7 @@ def _cmd_calibrate(args) -> int:
             continue
         off = abs(got - target.value) / abs(target.value) * 100 if target.value else 0.0
         print(f"  {target.key:<40} {got:.6g} vs {target.value:.6g} ({off:.2f}% off)")
-    _write_outputs(args, f"calibrate --spec {args.spec}", params, clock, params_file,
+    _write_outputs(args, f"calibrate --spec {args.spec}", params, clock,
                    {target.scenario for target in spec.targets},
                    lambda out: [save_params(result.params, out / "params.yaml",
                                             name="calibrated", calibrated=result.fitted)])
@@ -440,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed", file=sys.stderr)
         return 1
-    except CliError as err:
+    except InputError as err:
         # messages from the loaders may span lines (YAML marks, bound lists)
         print(f"error: {' '.join(str(err).split())}", file=sys.stderr)
         return 1

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from rentdyn.engine import EPS
 from rentdyn.model import STOCKS, UNCAPPED_DT, build_derivative, initial_state
-from rentdyn.params import ModelParams, with_values
+from rentdyn.params import InputError, ModelParams, with_values
 
-__all__ = ["EquilibriumError", "equilibrate", "DERIVED_FIELDS"]
+__all__ = ["equilibrate", "DERIVED_FIELDS"]
 
 # fields equilibrate() overwrites; the shipped defaults are its own output
 DERIVED_FIELDS: tuple[str, ...] = (
@@ -41,20 +41,16 @@ _RENT, _MORTGAGE, _OCCUPIED, _PENDING, _VACANT, _FORECLOSED, _INSECURE, _HOMELES
                    "households_homeless"))
 
 
-class EquilibriumError(ValueError):
-    """The anchor parameters admit no stationary baseline (a derived flow
-    constant would be non-positive, or the dollar stocks do not settle)."""
-
-
 def _balance(stock: float, inflow: float, outflow: float) -> float:
     """Level at which a stock's first-order outflow would match its inflow."""
     return stock * inflow / outflow if inflow > 0.0 else 0.0
 
 
 def equilibrate(params: ModelParams) -> ModelParams:
-    """Return ``params`` with the derived balancing fields recomputed."""
+    """Return ``params`` with the derived balancing fields recomputed; anchors
+    that admit no stationary baseline raise an :class:`InputError`."""
     if params.units_occupied_initial + params.units_pending_initial <= EPS:
-        raise EquilibriumError("no tenanted units: cannot anchor a rental market baseline")
+        raise InputError("no tenanted units: cannot anchor a rental market baseline")
     # policies off; linear constants and stocks at probe values whose flows are read back
     base = with_values(params, {"covid.enabled": False, "moratorium.enabled": False,
                                 "assistance.enabled": False, "baseline_filing_fraction": 1.0,
@@ -78,7 +74,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
         if settled:
             break
     else:
-        raise EquilibriumError(f"arrears did not settle within {_MAX_ITERATIONS} iterations")
+        raise InputError(f"arrears did not settle within {_MAX_ITERATIONS} iterations")
 
     # foreclosure pipeline sized so sales balance intake (sales are linear in the stock)
     rates, aux = deriv(state, 0.0)
@@ -87,16 +83,16 @@ def equilibrate(params: ModelParams) -> ModelParams:
 
     # filing rate that keeps the pending pool level; inflows that hold both household pools
     if aux["eviction_filings"] <= EPS:
-        raise EquilibriumError("filing pressure base is zero: cannot balance the court pipeline")
+        raise InputError("filing pressure base is zero: cannot balance the court pipeline")
     filing_fraction = 1.0 - rates[_PENDING] / aux["eviction_filings"]
     new_homeless = -rates[_HOMELESS]
     if new_homeless < 0.0:
-        raise EquilibriumError(
+        raise InputError(
             "displacement alone exceeds homeless outflows: reduce homeless_entry_fraction "
             "or raise exit/stabilization rates")
     new_insecure = -rates[_INSECURE]
     if new_insecure < 0.0:
-        raise EquilibriumError(
+        raise InputError(
             "homeless returns exceed insecure-pool outflows: no stationary inflow exists")
 
     # vacancy refill pace that keeps occupancy level under those filings
@@ -105,11 +101,11 @@ def equilibrate(params: ModelParams) -> ModelParams:
     supply = aux["tenant_moveins"]
     moveins = supply - rates[_OCCUPIED]
     if moveins <= EPS:
-        raise EquilibriumError(
+        raise InputError(
             "occupied-unit outflows do not exceed case resolutions: "
             "no positive move-in rate can hold occupancy level")
     if supply <= EPS:
-        raise EquilibriumError("no vacant units or insecure households to supply move-ins")
+        raise InputError("no vacant units or insecure households to supply move-ins")
 
     mortgaged = state[_OCCUPIED] + state[_PENDING] + state[_VACANT]
     return with_values(params, dict(zip(DERIVED_FIELDS, (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,8 +32,7 @@ __all__ = [
     "ParamField",
     "FIELDS",
     "POLICY_BLOCKS",
-    "ParamError",
-    "ParamFileError",
+    "InputError",
     "default_params",
     "get_value",
     "with_value",
@@ -42,6 +42,7 @@ __all__ = [
     "clamp",
     "clamp_to_bounds",
     "validate_params",
+    "naming",
     "load_yaml",
     "read_number",
     "read_mapping",
@@ -50,12 +51,8 @@ __all__ = [
 ]
 
 
-class ParamError(ValueError):
-    """A parameter value violates its documented bounds."""
-
-
-class ParamFileError(ValueError):
-    """A parameter file is structurally invalid (missing/unknown/bad entries)."""
+class InputError(ValueError):
+    """A malformed or out-of-bounds input: a file's entry, a flag, or a parameter set."""
 
 
 @dataclass(frozen=True)
@@ -435,7 +432,7 @@ def validate_params(params: ModelParams) -> None:
         if value > f.hi:
             problems.append(f"{f.path}: {value} above upper bound {f.hi}")
     if problems:
-        raise ParamError("invalid parameters:\n  " + "\n  ".join(problems))
+        raise InputError("invalid parameters:\n  " + "\n  ".join(problems))
 
 
 # ---------------------------------------------------------------- file I/O
@@ -477,16 +474,31 @@ class _SafeLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
         super().flatten_mapping(node)
 
 
-def load_yaml(path: str | Path, error: type[Exception]) -> Any:
-    """Parse a YAML file with the safe loader; bad syntax, or a scalar that
-    cannot be built (an integer of more digits than Python converts),
-    raises ``error``."""
+@contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Name ``path`` first in an :class:`InputError` raised inside: the one
+    place a file's name enters an input fault, ``FILE: WHERE: what``."""
     try:
-        # a file object, not its bytes: the error marks then name the file
-        with open(path, "rb") as stream:
-            return yaml.load(stream, Loader=_SafeLoader)
-    except (yaml.YAMLError, ValueError) as exc:
-        raise error(f"{path}: not valid YAML: {exc}") from exc
+        yield
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def load_yaml(path: str | Path) -> Iterator[Any]:
+    """The document of a YAML file, parsed with the safe loader, for a ``with``
+    block. A file that cannot be opened or parsed, or an :class:`InputError`
+    raised in the block, raises an :class:`InputError` naming ``path`` once."""
+    with naming(path):
+        try:
+            # a file object, not its bytes: the error marks then name the file
+            with open(path, "rb") as stream:
+                doc = yaml.load(stream, Loader=_SafeLoader)
+        except OSError as exc:
+            raise InputError(f"cannot be read: {exc.strerror}") from exc
+        except (yaml.YAMLError, ValueError) as exc:  # or an integer too long to convert
+            raise InputError(f"not valid YAML: {exc}") from exc
+        yield doc
 
 
 # the text of an input value in an error: a few levels and items of it,
@@ -501,9 +513,9 @@ def brief(value: Any) -> str:
     return _BRIEF.repr(value)
 
 
-def read_number(value: Any, error: type[Exception], where: str) -> float:
-    """``value`` of an input file as a finite float; else ``error`` names ``where``,
-    the value's type and a bounded text of the value.
+def read_number(value: Any, where: str) -> float:
+    """``value`` of an input file as a finite float; else an :class:`InputError`
+    names ``where``, the value's type and a bounded text of the value.
 
     A YAML boolean is refused, though Python counts it an integer, and so is
     an integer too large for a float.
@@ -516,25 +528,29 @@ def read_number(value: Any, error: type[Exception], where: str) -> float:
         else:
             if math.isfinite(number):
                 return number
-    raise error(f"{where} is not a finite number: {type(value).__name__} {brief(value)}")
+    raise InputError(f"{where} is not a finite number: {type(value).__name__} {brief(value)}")
 
 
-def read_mapping(value: Any, error: type[Exception], where: str,
-                 keys: Collection[str] | None = None, required: Iterable[str] = ()) -> dict:
-    """``value`` of an input file as a mapping; else ``error`` names ``where``.
+def read_mapping(value: Any, where: str, keys: Collection[str] | None = None,
+                 required: Iterable[str] = ()) -> dict:
+    """``value`` of an input file as a mapping; else an :class:`InputError`
+    names ``where``.
 
     Every key of ``required`` must be present and, unless ``keys`` is
-    ``None``, no key outside ``keys``. One error names every missing key and
-    every unknown one.
+    ``None``, no key outside ``keys``. One error names the first missing
+    keys and the first unknown ones, ten of each and each by its first 64
+    characters, and counts the rest.
     """
     if not isinstance(value, dict):
-        raise error(f"{where} must be a mapping, not {type(value).__name__}")
+        raise InputError(f"{where} must be a mapping, not {type(value).__name__}")
     missing = [key for key in required if key not in value]
-    unknown = [] if keys is None else sorted(str(key) for key in value if key not in keys)
+    unknown = [] if keys is None else sorted(
+        str(key)[:64] + ("..." if len(str(key)) > 64 else "") for key in value if key not in keys)
     if missing or unknown:
-        problems = [f"{label}: {', '.join(names)}"
+        problems = [f"{label}: {', '.join(names[:10])}"
+                    + (f" and {len(names) - 10} more" if len(names) > 10 else "")
                     for label, names in (("missing", missing), ("unknown", unknown)) if names]
-        raise error(f"{where}: " + "; ".join(problems))
+        raise InputError(f"{where}: " + "; ".join(problems))
     return value
 
 
@@ -546,30 +562,28 @@ def load_params(path: str | Path) -> ModelParams:
     ``provenance`` tag, one of :data:`PROVENANCE_TAGS`, and may carry
     ``units`` and a ``note``; any other key is an error. All values are set
     in one :func:`with_values` edit, so a curve's invariants are checked on
-    the file's values alone.
+    the file's values alone. A fault raises an :class:`InputError` naming the file.
     """
-    path = Path(path)
-    raw = read_mapping(load_yaml(path, ParamFileError), ParamFileError, str(path),
-                       required=("params",))
-    entries = read_mapping(raw["params"], ParamFileError, f"{path}: 'params'",
-                           keys=_FIELD_BY_PATH, required=_FIELD_BY_PATH)
+    with load_yaml(path) as raw:
+        raw = read_mapping(raw, "top level", required=("params",))
+        entries = read_mapping(raw["params"], "'params'", keys=_FIELD_BY_PATH,
+                               required=_FIELD_BY_PATH)
 
-    values = {}
-    for f in FIELDS:
-        where = f"{path}: entry '{f.path}'"
-        entry = read_mapping(entries[f.path], ParamFileError, where,
-                             keys=("value", "units", "provenance", "note"),
-                             required=("value", "provenance"))
-        if entry["provenance"] not in PROVENANCE_TAGS:
-            raise ParamFileError(f"{where} has provenance {brief(entry['provenance'])}, "
+        values = {}
+        for f in FIELDS:
+            where = f"entry '{f.path}'"
+            entry = read_mapping(entries[f.path], where,
+                                 keys=("value", "units", "provenance", "note"),
+                                 required=("value", "provenance"))
+            if entry["provenance"] not in PROVENANCE_TAGS:
+                raise InputError(f"{where} has provenance {brief(entry['provenance'])}, "
                                  f"expected one of {PROVENANCE_TAGS}")
-        values[f.path] = read_number(entry["value"], ParamFileError, f"{where} value")
-    try:
-        params = with_values(default_params(), values)
-    except ValueError as exc:  # a curve's invariant, on the file's final values
-        raise ParamFileError(f"{path}: {exc}") from exc
-
-    validate_params(params)
+            values[f.path] = read_number(entry["value"], f"{where} value")
+        try:
+            params = with_values(default_params(), values)
+        except ValueError as exc:  # a curve's invariant, on the file's final values
+            raise InputError(str(exc)) from exc
+        validate_params(params)
     return params
 
 

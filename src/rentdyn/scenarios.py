@@ -23,8 +23,8 @@ from typing import Mapping
 
 from rentdyn.engine import SimClock, Trajectory, pairwise_sum
 from rentdyn.model import departure, read_from, run_model
-from rentdyn.params import FIELDS, POLICY_BLOCKS, ModelParams, brief, load_yaml, \
-    read_mapping, read_number, validate_params, with_values
+from rentdyn.params import FIELDS, POLICY_BLOCKS, InputError, ModelParams, brief, \
+    load_yaml, read_mapping, read_number, validate_params, with_values
 
 __all__ = [
     "Scenario",
@@ -91,39 +91,38 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
     keys, a description that is not text, non-boolean switches, override
     paths that are not registry fields, non-numeric values, a file naming no
     scenario, and a name other than 1 to 64 letters, digits, ``_``, ``-`` and
-    ``.``, not starting with ``.``, are errors.
+    ``.``, not starting with ``.``, are input errors naming the file.
     """
-    path = Path(path)
-    raw = read_mapping(load_yaml(path, ValueError), ValueError, str(path))
-    if not raw:
-        raise ValueError(f"{path}: names no scenario")
     paths = {f.path for f in FIELDS}
     out: dict[str, Scenario] = {}
-    for name, spec in raw.items():
-        # output file names begin with it
-        if not (isinstance(name, str) and re.fullmatch(r"[\w-][\w.-]{0,63}", name, re.ASCII)):
-            raise ValueError(f"{path}: scenario name {brief(name)} is not 1 to 64 letters, "
-                             "digits, '_', '-' or '.', not starting with '.'")
-        where = f"{path}: scenario '{name}'"
-        spec = read_mapping(spec or {}, ValueError, where,
-                            keys=("description", "overrides", *POLICY_BLOCKS))
-        overrides = read_mapping(spec.get("overrides") or {}, ValueError,
-                                 f"{where} overrides", keys=paths)
-        for key in POLICY_BLOCKS:
-            if not isinstance(spec.get(key, False), bool):
-                raise ValueError(f"{where} field '{key}' is not a boolean "
-                                 f"(true or false): {brief(spec[key])}")
-        # YAML reads a description left empty as None
-        description = "" if spec.get("description") is None else spec["description"]
-        if not isinstance(description, str):
-            raise ValueError(f"{where} description is not text: {brief(description)}")
-        out[name] = Scenario(
-            name=name,
-            description=description,
-            **{block: spec.get(block, False) for block in POLICY_BLOCKS},
-            overrides={k: read_number(v, ValueError, f"{where} override '{k}'")
-                       for k, v in overrides.items()},
-        )
+    with load_yaml(path) as raw:
+        raw = read_mapping(raw, "top level")
+        if not raw:
+            raise InputError("names no scenario")
+        for name, spec in raw.items():
+            # output file names begin with it
+            if not (isinstance(name, str) and re.fullmatch(r"[\w-][\w.-]{0,63}", name, re.ASCII)):
+                raise InputError(f"scenario name {brief(name)} is not 1 to 64 letters, "
+                                 "digits, '_', '-' or '.', not starting with '.'")
+            where = f"scenario '{name}'"
+            spec = read_mapping(spec or {}, where,
+                                keys=("description", "overrides", *POLICY_BLOCKS))
+            overrides = read_mapping(spec.get("overrides") or {}, f"{where} overrides", keys=paths)
+            for key in POLICY_BLOCKS:
+                if not isinstance(spec.get(key, False), bool):
+                    raise InputError(f"{where} field '{key}' is not a boolean "
+                                     f"(true or false): {brief(spec[key])}")
+            # YAML reads a description left empty as None
+            description = "" if spec.get("description") is None else spec["description"]
+            if not isinstance(description, str):
+                raise InputError(f"{where} description is not text: {brief(description)}")
+            out[name] = Scenario(
+                name=name,
+                description=description,
+                **{block: spec.get(block, False) for block in POLICY_BLOCKS},
+                overrides={k: read_number(v, f"{where} override '{k}'")
+                           for k, v in overrides.items()},
+            )
     return out
 
 

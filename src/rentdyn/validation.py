@@ -29,14 +29,13 @@ from typing import Mapping
 from rentdyn.engine import START_MONTH, START_YEAR, ClampEvent, SimClock, SimulationError, \
     Trajectory, pairwise_sum
 from rentdyn.model import run_model
-from rentdyn.params import FIELDS, ModelParams, clamp_to_bounds, default_params, get_value, \
-    read_number, with_values
+from rentdyn.params import FIELDS, InputError, ModelParams, clamp_to_bounds, default_params, \
+    get_value, naming, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, MetricSet, Scenario, \
     compute_metrics, run_scenario
 
 __all__ = [
     "theil_decomposition",
-    "ReferenceError",
     "ReferenceMode",
     "ReferenceResult",
     "load_reference_mode",
@@ -108,10 +107,6 @@ def theil_decomposition(simulated, observed) -> tuple[float, float, float]:
 # Reference modes
 
 
-class ReferenceError(ValueError):
-    """A reference-mode CSV is structurally invalid."""
-
-
 _REFERENCE_COLUMNS = ("calendar_month", "value", "scenario", "series", "units", "source")
 
 
@@ -151,7 +146,7 @@ def _month_time(label: str) -> float:
         if not 1 <= month <= 12:
             raise ValueError
     except ValueError:
-        raise ReferenceError(f"bad calendar month {label!r} (expected YYYY-MM)") from None
+        raise InputError(f"bad calendar month {label!r} (expected YYYY-MM)") from None
     return (year - START_YEAR) * 12.0 + (month - START_MONTH)
 
 
@@ -164,57 +159,59 @@ def load_reference_mode(path: str | Path) -> ReferenceMode:
     needs at least two rows, each of its own month: Theil's statistics of
     one point, or of a month counted twice, measure nothing or weigh it twice.
     A leading byte-order mark, as spreadsheet programs write, is skipped; a file
-    that cannot be read as UTF-8 CSV raises :class:`ReferenceError` too.
+    that cannot be read as UTF-8 CSV is an :class:`InputError` naming the file,
+    as is every fault.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            header, rows = reader.fieldnames, list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ReferenceError(f"{path.name}: cannot be read: {exc}") from exc
-    if header is None:
-        raise ReferenceError(f"{path.name}: empty file")
-    missing = [c for c in _REFERENCE_COLUMNS if c not in header]
-    if missing:
-        raise ReferenceError(f"{path.name}: missing columns {missing}")
-    if len(rows) < 2:
-        raise ReferenceError(f"{path.name}: needs at least 2 data rows, has {len(rows)}")
-    # DictReader keys a field past the header by None, and fills one missing with None
-    if any(None in row or None in row.values() for row in rows):
-        raise ReferenceError(f"{path.name}: a row has more or fewer fields than the header")
-    months = [row["calendar_month"].strip() for row in rows]
-    first: dict[float, str] = {}
-    for month in months:
-        t = _month_time(month)
-        if t in first:
-            raise ReferenceError(f"{path.name}: calendar month {first[t]} listed more than once")
-        first[t] = month
-    constant: dict[str, str] = {}
-    for col in ("scenario", "series", "units", "source"):
-        values = {row[col].strip() for row in rows}
-        if len(values) != 1:
-            raise ReferenceError(f"{path.name}: column {col!r} must be constant, got {sorted(values)}")
-        constant[col] = values.pop()
-    return ReferenceMode(
-        name=path.stem,
-        scenario=constant["scenario"],
-        series=constant["series"],
-        times=tuple(first),
-        values=tuple(read_number(row["value"], ReferenceError,
-                                 f"{path.name}: value for {row['calendar_month']}")
-                     for row in rows),
-    )
+    with naming(path.name):
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.DictReader(fh)
+                header, rows = reader.fieldnames, list(reader)
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise InputError(f"cannot be read: {getattr(exc, 'strerror', None) or exc}") from exc
+        if header is None:
+            raise InputError("empty file")
+        missing = [c for c in _REFERENCE_COLUMNS if c not in header]
+        if missing:
+            raise InputError(f"missing columns {missing}")
+        if len(rows) < 2:
+            raise InputError(f"needs at least 2 data rows, has {len(rows)}")
+        # DictReader keys a field past the header by None, and fills one missing with None
+        if any(None in row or None in row.values() for row in rows):
+            raise InputError("a row has more or fewer fields than the header")
+        months = [row["calendar_month"].strip() for row in rows]
+        first: dict[float, str] = {}
+        for month in months:
+            t = _month_time(month)
+            if t in first:
+                raise InputError(f"calendar month {first[t]} listed more than once")
+            first[t] = month
+        constant: dict[str, str] = {}
+        for col in ("scenario", "series", "units", "source"):
+            values = {row[col].strip() for row in rows}
+            if len(values) != 1:
+                raise InputError(f"column {col!r} must be constant, got {sorted(values)}")
+            constant[col] = values.pop()
+        return ReferenceMode(
+            name=path.stem,
+            scenario=constant["scenario"],
+            series=constant["series"],
+            times=tuple(first),
+            values=tuple(read_number(row["value"], f"value for {row['calendar_month']}")
+                         for row in rows),
+        )
 
 
 def score_reference_mode(mode: ReferenceMode, trajectory: Trajectory) -> ReferenceResult:
-    """Theil-score one reference mode against a simulated trajectory."""
+    """Theil-score one reference mode against a simulated trajectory; a series
+    it does not record, or a month past its horizon, is an :class:`InputError`."""
     if mode.series not in trajectory.data:
-        raise ReferenceError(f"{mode.name}: unknown model series {mode.series!r}")
+        raise InputError(f"unknown model series {mode.series!r}")
     clock = trajectory.clock
     for t in mode.times:
         if not 0.0 <= t <= clock.horizon:
-            raise ReferenceError(
+            raise InputError(
                 f"calendar month {clock.calendar_label(t)} falls outside the simulated horizon "
                 f"[{clock.calendar_label(0.0)}, {clock.calendar_label(clock.horizon)}]")
     u, bias, variance, covariance = _theil(
@@ -241,8 +238,10 @@ def reference_report(
     """Score every reference-mode CSV in ``directory``.
 
     Modes that cannot be used (missing directory, no CSVs, malformed file,
-    unknown scenario) come back with status "skipped" and a reason, so a
-    degraded data directory weakens the report instead of crashing it.
+    unknown scenario, series or month) come back with status "skipped" and
+    a reason that names the file, so a degraded data directory weakens the
+    report instead of crashing it. A scenario that ``params`` cannot be
+    applied to is no fault of a mode: its error leaves the report.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -257,13 +256,19 @@ def reference_report(
     for path in paths:
         try:
             mode = load_reference_mode(path)
-            if mode.scenario not in scenarios:
-                raise ReferenceError(f"unknown scenario {mode.scenario!r}")
-            if mode.scenario not in cache:
-                cache[mode.scenario] = run_scenario(params, scenarios[mode.scenario],
-                                                    clock=clock).trajectory
-            results.append(score_reference_mode(mode, cache[mode.scenario]))
-        except ReferenceError as err:  # a mode's name is its file's stem
+            with naming(path.name):
+                if mode.scenario not in scenarios:
+                    raise InputError(f"unknown scenario {mode.scenario!r}")
+        except InputError as err:  # a mode's name is its file's stem
+            results.append(ReferenceResult(mode=path.stem, status="skipped", detail=str(err)))
+            continue
+        if mode.scenario not in cache:
+            cache[mode.scenario] = run_scenario(params, scenarios[mode.scenario],
+                                                clock=clock).trajectory
+        try:
+            with naming(path.name):
+                results.append(score_reference_mode(mode, cache[mode.scenario]))
+        except InputError as err:
             results.append(ReferenceResult(mode=path.stem, status="skipped", detail=str(err)))
     return results
 

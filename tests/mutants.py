@@ -4,9 +4,10 @@ and of the reduction of a run to its metrics, ``compute_metrics``.
 Each mutant of ``MUTANTS`` changes one operation of the derivative, or of
 ``compute_metrics``, and once passed the acceptance bands and the ledger
 identities: it moves a metric by up to 25% (the derivative's) or by as
-much as 16 times (the metrics'), or it moves nothing at the shipped inputs
-but moves a series at a parameter moved in bounds, which a run-long oracle
-of test_model pins. The script applies each, alone, to a temporary copy of
+much as 16 times (the metrics'), or it moves a written series and no
+metric, or it moves nothing at the shipped inputs but moves a series at a
+parameter moved in bounds; a run-long oracle of test_model pins each of
+the last two kinds. The script applies each, alone, to a temporary copy of
 ``src/``, runs the contract tests and the metric oracles against that copy,
 and exits 1 if any mutant survives them, or if the unmutated copy fails
 them.
@@ -95,6 +96,11 @@ MUTANTS = {MODEL: [
     ("crowding ratio multiplies by its reference",
      "hpu / p.crowding_reference", "hpu * p.crowding_reference"),
     ("filings divide by the overdue pressure", "occupied * overdue", "occupied / overdue"),
+    # moves the foreclosures_tenanted series that suite writes, and no
+    # metric; the displacement oracle of test_model reads it
+    ("tenanted foreclosures subtract those of pending units",
+     '"foreclosures_tenanted": fore_occ + fore_pend',
+     '"foreclosures_tenanted": fore_occ - fore_pend'),
 ], SCENARIOS: [
     # before the oracles of test_metrics, only the digests of test_references
     # caught these

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from rentdyn import calibration, model, scenarios
 from rentdyn.calibration import (
-    CalibrationError,
     CalibrationParameter,
     CalibrationSpec,
     CalibrationTarget,
@@ -26,7 +26,8 @@ from rentdyn.calibration import (
     load_calibration_spec,
 )
 from rentdyn.engine import SimClock, SimulationError
-from rentdyn.params import bounds_for, default_params, get_value, with_value, with_values
+from rentdyn.params import InputError, bounds_for, default_params, get_value, with_value, \
+    with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_SERIES, Scenario, run_scenario
 
 
@@ -72,7 +73,7 @@ def test_spec_rejects_unknown_parameter_path(tmp_path):
         "parameters:\n  - path: no.such.knob\n"
         "targets:\n  - {scenario: run2, metric: evictions_total, value: 1.0}\n"
     ))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="unknown parameter path 'no.such.knob'"):
         load_calibration_spec(path)
 
 
@@ -81,9 +82,8 @@ def test_spec_rejects_bounds_outside_registry(tmp_path):
         "parameters:\n  - {path: covid.magnitude, lower: -0.5, upper: 2.0}\n"
         "targets:\n  - {scenario: run2, metric: evictions_total, value: 1.0}\n"
     ))
-    with pytest.raises(CalibrationError) as err:
+    with pytest.raises(InputError, match="documented"):
         load_calibration_spec(path)
-    assert "documented" in str(err.value)
 
 
 def test_spec_rejects_unknown_metric_and_scenario(tmp_path):
@@ -91,26 +91,26 @@ def test_spec_rejects_unknown_metric_and_scenario(tmp_path):
         "parameters:\n  - path: covid.magnitude\n"
         "targets:\n  - {scenario: run2, metric: vibes_total, value: 1.0}\n"
     ))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="unknown metric 'vibes_total'"):
         load_calibration_spec(path)
     path = _write_spec(tmp_path, (
         "parameters:\n  - path: covid.magnitude\n"
         "targets:\n  - {scenario: run99, metric: evictions_total, value: 1.0}\n"
     ))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="unknown scenario 'run99'"):
         load_calibration_spec(path)
 
 
 def test_spec_rejects_empty_sections_and_unknown_keys(tmp_path):
     path = _write_spec(tmp_path, "parameters: []\ntargets: []\n")
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="lists no parameters"):
         load_calibration_spec(path)
     path = _write_spec(tmp_path, (
         "parameters:\n  - path: covid.magnitude\n"
         "targets:\n  - {scenario: run2, metric: evictions_total, value: 1.0}\n"
         "extra_stuff: true\n"
     ))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(InputError, match="unknown: extra_stuff"):
         load_calibration_spec(path)
 
 
@@ -126,7 +126,7 @@ def test_spec_refuses_more_parameters_than_targets(tmp_path):
         "  - {scenario: run3, metric: evictions_total, value: 3.4e6}\n"
         "  - {scenario: run4, metric: assistance_disbursed_fraction, value: 0.4}\n"
     ))
-    with pytest.raises(CalibrationError) as err:
+    with pytest.raises(InputError, match="5 free parameters but only 4") as err:
         load_calibration_spec(path)
     assert "5" in str(err.value) and "4" in str(err.value)
 
@@ -142,9 +142,10 @@ def test_spec_refuses_a_value_only_compared_against_grid_times(tmp_path, path):
         "  - {scenario: run2, metric: evictions_total, value: 7.0e6}\n"
         "  - {scenario: run2, metric: arrears_growth_36mo, value: 2.0e10}\n"
     ))
-    with pytest.raises(CalibrationError, match=f"^{path} cannot be fitted"):
+    # the spec loader names its file first
+    with pytest.raises(InputError, match=f"^{re.escape(str(spec))}: {path} cannot be fitted"):
         load_calibration_spec(spec)
-    with pytest.raises(CalibrationError, match=f"^{path} cannot be fitted"):
+    with pytest.raises(InputError, match=f"^{path} cannot be fitted"):
         CalibrationSpec(parameters=(CalibrationParameter(path, lower, lower + 1.0),),
                         targets=(CalibrationTarget("run4", "evictions_total", 3e6),))
 
@@ -154,9 +155,8 @@ def test_spec_rejects_duplicate_parameter(tmp_path):
         "parameters:\n  - path: covid.magnitude\n  - path: covid.magnitude\n"
         "targets:\n  - {scenario: run2, metric: evictions_total, value: 1.0}\n"
     ))
-    with pytest.raises(CalibrationError) as err:
+    with pytest.raises(InputError, match="duplicate"):
         load_calibration_spec(path)
-    assert "duplicate" in str(err.value)
 
 
 @pytest.mark.parametrize("path, lower, upper, match", [
@@ -169,7 +169,7 @@ def test_spec_rejects_duplicate_parameter(tmp_path):
 def test_parameter_built_in_code_is_checked(path, lower, upper, match):
     """The fit sets free values without validating each run, so a parameter
     is refused when it is built, not only when a spec file is loaded."""
-    with pytest.raises(CalibrationError, match=match):
+    with pytest.raises(InputError, match=match):
         CalibrationParameter(path, lower, upper)
 
 
@@ -201,7 +201,7 @@ _EVICTIONS = CalibrationTarget("run2", "evictions_total", 7.0e6)
 def test_spec_built_in_code_is_checked(build, match):
     """A spec built in code is refused as its file would be, when it is built,
     not deep inside the fit."""
-    with pytest.raises(CalibrationError, match=match):
+    with pytest.raises(InputError, match=match):
         build()
 
 
@@ -920,7 +920,7 @@ def test_points_across_a_curve_invariant_score_the_failure_residual(monkeypatch)
 
 
 def test_fit_ending_on_parameters_that_cannot_be_built_is_refused():
-    with pytest.raises(CalibrationError, match="cannot be built: y_max .* below y_min"):
+    with pytest.raises(InputError, match="cannot be built: y_max .* below y_min"):
         calibrate(default_params(), _crowding_spec(0.5, 0.9))
 
 
@@ -933,7 +933,7 @@ def test_fit_ending_where_a_scenario_cannot_be_built_is_refused():
         targets=(CalibrationTarget("raised", "crowding_mean", 1.2),),
         max_iterations=5,
     )
-    with pytest.raises(CalibrationError, match="cannot be built: y_max 1.4 below y_min 1.5"):
+    with pytest.raises(InputError, match="cannot be built: y_max 1.4 below y_min 1.5"):
         calibrate(default_params(), spec, scenarios={"raised": raised})
 
 

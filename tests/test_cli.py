@@ -19,10 +19,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rentdyn.calibration import CalibrationError, load_calibration_spec
-from rentdyn.cli import CliError, _build_parser, _load_inputs, main
+from rentdyn.calibration import load_calibration_spec
+from rentdyn.cli import _build_parser, _load_inputs, main
 from rentdyn.output import csv_lines, file_sha256, write_csv
-from rentdyn.params import default_params, save_params, with_values
+from rentdyn.params import InputError, default_params, save_params, with_values
 
 
 # ---------------------------------------------------------------- basics
@@ -428,7 +428,7 @@ def test_calibrate_refuses_a_free_start_time(tmp_path, capsys):
     out = tmp_path / "fit"
     assert main(["calibrate", "--spec", str(spec), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot load calibration spec: covid.start_time cannot be fitted")
+    assert err.startswith(f"error: {spec}: covid.start_time cannot be fitted")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -585,6 +585,10 @@ _HUGE = "9" * 400
 _PARAMS = Path("params/default.yaml").read_text()
 _SPEC = "parameters: [{path: covid.magnitude%s}]\ntargets: [{scenario: %s, " \
         "metric: evictions_total, value: %s%s}]\n"
+# an overrides mapping of 3,000 unknown keys
+_MANY_KEYS = "x:\n  overrides: {" + ", ".join(f"k{i}: 1" for i in range(3000)) + "}\n"
+# twelve unknown override keys of a thousand characters each
+_LONG_KEYS = "x:\n  overrides: {" + ", ".join(f"{'k' * 1000}{i}: 1" for i in range(12)) + "}\n"
 # a mapping nested 3,000 deep: its repr recurses past Python's limit
 _DEEP = "{a: " * 3000 + "1" + "}" * 3000
 # seven anchored lists of nine, each the one before it nine times: 9**7 leaves
@@ -701,6 +705,8 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
     (["sweep", "--top", "x"], None, None),
     (["calibrate"], None, None),
     (["simulate", "--bogus"], None, None),
+    (["suite", "--scenarios"], "scen.yaml", _MANY_KEYS),
+    (["suite", "--scenarios"], "scen.yaml", _LONG_KEYS),
 ], ids=["scenarios-yaml", "spec-yaml", "params-not-mapping", "unknown-override",
         "override-out-of-bounds", "dt-inf", "override-names-group", "quoted-false-switch",
         "non-scalar-override", "spec-parameters-not-list", "spec-target-not-mapping",
@@ -724,7 +730,8 @@ _ALIAS_CHAIN = "chain:\n" + "".join(
         "switch-nested-deep", "description-nested-deep", "spec-value-nested-deep",
         "spec-metric-nested-deep", "spec-path-nested-deep", "spec-parameter-never-read",
         "spec-target-block-off", "params-caps-bind-at-0.125", "dt-not-a-number",
-        "format-unknown", "top-not-a-number", "calibrate-no-spec", "unknown-flag"])
+        "format-unknown", "top-not-a-number", "calibrate-no-spec", "unknown-flag",
+        "overrides-many-unknown-keys", "overrides-long-unknown-keys"])
 def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv, name, text):
     """A leading ``NAME=value`` sets an environment variable, as in a shell.
     A case's file is written to ``name``; its path takes the place of ``{}``
@@ -752,6 +759,32 @@ def test_malformed_input_fails_with_one_line(tmp_path, monkeypatch, capsys, argv
         ([] if name is None else [Path(name)])
     if name is not None:
         assert path.read_text() == text
+
+
+@pytest.mark.parametrize("option, text, fault", [
+    ("--params", None, "cannot be read: No such file or directory"),
+    ("--scenarios", None, "cannot be read: No such file or directory"),
+    ("--spec", None, "cannot be read: No such file or directory"),
+    ("--params", _PARAMS.replace("provenance: cited-source", "provenance: vibes", 1),
+     "entry 'households_homeless_initial' has provenance 'vibes'"),
+    ("--scenarios", "x:\n  covid: 1\n", "scenario 'x' field 'covid' is not a boolean"),
+    ("--spec", _SPEC % ("", "run2", "7.0e6", ", weight: -1.0"),
+     "run2.evictions_total: target weight must be positive"),
+    ("--scenarios", "x:\n  overrides: {covid.magnitude: 9.0}\n",
+     "scenario 'x': invalid parameters: covid.magnitude: 9.0 above upper bound 1.0"),
+], ids=["params-missing", "scenarios-missing", "spec-missing", "params-bad-entry",
+        "scenarios-bad-entry", "spec-bad-entry", "override-out-of-bounds"])
+def test_each_loader_names_its_file_once(tmp_path, capsys, option, text, fault):
+    """A file that cannot be opened, or holds one fault, fails with one line
+    that names it first, and once: ``error: FILE: WHERE: what``."""
+    path = tmp_path / "input.yaml"
+    if text is not None:
+        path.write_text(text)
+    assert main(["calibrate" if option == "--spec" else "suite", option, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {fault}")
+    assert err.count("\n") == 1
+    assert err.count(str(path)) == 1
 
 
 # ---------------------------------------------------------------- fuzzed inputs
@@ -818,7 +851,7 @@ def test_fuzzed_params_file_loads_or_fails_with_one_line(tmp_path_factory, edit)
     path = _edited(tmp_path_factory, "params/default.yaml", edit)
     try:
         _load_inputs(_build_parser().parse_args(["suite", "--params", str(path)]))
-    except CliError:
+    except InputError:
         pass
 
 
@@ -828,7 +861,7 @@ def test_fuzzed_scenario_file_loads_or_fails_with_one_line(tmp_path_factory, edi
     path = _edited(tmp_path_factory, "scenarios/runs.yaml", edit)
     try:
         _load_inputs(_build_parser().parse_args(["suite", "--scenarios", str(path)]))
-    except CliError:
+    except InputError:
         pass
 
 
@@ -867,5 +900,5 @@ def test_fuzzed_calibration_spec_loads_or_fails_with_one_line(tmp_path_factory, 
     path = _edited(tmp_path_factory, "params/calibration.yaml", edit)
     try:
         load_calibration_spec(path)
-    except CalibrationError:  # what the calibrate command reports in one line
+    except InputError:  # what the calibrate command reports in one line
         pass

@@ -13,15 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rentdyn.engine import GompertzCurve, LogisticCurve
-from rentdyn.equilibrium import DERIVED_FIELDS, EquilibriumError, equilibrate
+from rentdyn.equilibrium import DERIVED_FIELDS, equilibrate
 from rentdyn.model import STOCKS, build_derivative, initial_state
 from rentdyn.params import (
     FIELDS,
     POLICY_BLOCKS,
     PROVENANCE_TAGS,
+    InputError,
     ModelParams,
-    ParamError,
-    ParamFileError,
     bounds_for,
     clamp,
     clamp_to_bounds,
@@ -237,7 +236,7 @@ def test_validate_accepts_defaults():
 def test_validate_reports_every_violation():
     bad = with_value(default_params(), "avg_monthly_rent", -5.0)
     bad = with_value(bad, "eviction_proportion", 2.0)
-    with pytest.raises(ParamError) as err:
+    with pytest.raises(InputError, match="above upper bound") as err:
         validate_params(bad)
     message = str(err.value)
     assert "avg_monthly_rent" in message
@@ -246,7 +245,7 @@ def test_validate_reports_every_violation():
 
 def test_validate_rejects_non_finite():
     bad = with_value(default_params(), "processing_time", float("nan"))
-    with pytest.raises(ParamError):
+    with pytest.raises(InputError, match="processing_time: non-finite value nan"):
         validate_params(bad)
 
 
@@ -276,7 +275,7 @@ def test_load_names_the_curve_whose_invariant_breaks(tmp_path):
     doc = yaml.safe_load(path.read_text())
     doc["params"]["mortgage_delay_curve.y_max"]["value"] = 0.5
     path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ParamFileError,
+    with pytest.raises(InputError,
                        match=r"y_max 0.5 below y_min 1.0 \(in mortgage_delay_curve\)"):
         load_params(path)
 
@@ -327,7 +326,7 @@ def test_load_rejects_missing_and_unknown_fields(tmp_path):
     del doc["params"]["avg_monthly_rent"]
     doc["params"]["mystery_knob"] = {"value": 1.0, "units": "x", "provenance": "assumption"}
     path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ParamFileError) as err:
+    with pytest.raises(InputError, match="missing: .*; unknown: ") as err:
         load_params(path)
     assert "avg_monthly_rent" in str(err.value)
     assert "mystery_knob" in str(err.value)
@@ -339,14 +338,14 @@ def test_load_rejects_bad_value_and_bad_tag(tmp_path):
     doc = yaml.safe_load(path.read_text())
     doc["params"]["avg_monthly_rent"]["value"] = "plenty"
     path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ParamFileError):
+    with pytest.raises(InputError, match="'avg_monthly_rent' value is not a finite number"):
         load_params(path)
 
     save_params(default_params(), path)
     doc = yaml.safe_load(path.read_text())
     doc["params"]["avg_monthly_rent"]["provenance"] = "vibes"
     path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ParamFileError):
+    with pytest.raises(InputError, match="'avg_monthly_rent' has provenance 'vibes'"):
         load_params(path)
 
 
@@ -356,20 +355,20 @@ def test_load_rejects_out_of_bounds_value(tmp_path):
     doc = yaml.safe_load(path.read_text())
     doc["params"]["eviction_proportion"]["value"] = 3.0
     path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ParamError):
+    with pytest.raises(InputError, match="eviction_proportion: 3.0 above upper bound"):
         load_params(path)
 
 
 def test_load_rejects_non_yaml(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("params: [unclosed")
-    with pytest.raises(ParamFileError):
+    with pytest.raises(InputError, match="not valid YAML"):
         load_params(path)
     path.write_text("just a string\n")
-    with pytest.raises(ParamFileError):
+    with pytest.raises(InputError, match="top level must be a mapping, not str"):
         load_params(path)
     path.write_bytes(b"name: caf\xe9\n")  # Latin-1, not UTF-8
-    with pytest.raises(ParamFileError, match="not valid YAML"):
+    with pytest.raises(InputError, match="not valid YAML"):
         load_params(path)
 
 
@@ -379,7 +378,7 @@ def test_load_rejects_non_yaml(tmp_path):
 def test_yaml_error_marks_name_the_file(tmp_path, text):
     path = tmp_path / "broken.yaml"
     path.write_bytes(text)
-    with pytest.raises(ParamFileError, match="not valid YAML") as err:
+    with pytest.raises(InputError, match="not valid YAML") as err:
         load_params(path)
     assert f'in "{path}"' in str(err.value)
 
@@ -391,7 +390,7 @@ def test_yaml_error_marks_name_the_file(tmp_path, text):
 ], ids=["nested-mapping", "long-text", "none"])
 def test_read_number_names_the_type_and_bounds_the_text(value, shown):
     with pytest.raises(ValueError) as err:
-        read_number(value, ValueError, "here")
+        read_number(value, "here")
     assert str(err.value) == f"here is not a finite number: {shown}"
 
 
@@ -400,7 +399,8 @@ def test_read_number_names_the_type_and_bounds_the_text(value, shown):
 def test_load_yaml_matches_the_pure_python_loader(path):
     with open(path, encoding="utf-8") as fh:
         expected = yaml.load(fh, Loader=yaml.SafeLoader)
-    assert load_yaml(path, ValueError) == expected
+    with load_yaml(path) as doc:
+        assert doc == expected
 
 
 # ---------------------------------------------------------------- equilibrium
@@ -440,16 +440,16 @@ def test_equilibrated_baseline_is_stationary(overrides):
             assert abs(rate) <= 1e-12 * abs(level), name
 
 
-@pytest.mark.parametrize("overrides", [
-    {"units_occupied_initial": 0.0, "units_pending_initial": 0.0},
-    {"units_occupied_initial": 0.0},
-    {"units_vacant_initial": 0.0},
-    {"households_insecure_initial": 4e5},
-    {"households_insecure_initial": 0.0},
-    {"fr_direct_homeless": 0.01},
+@pytest.mark.parametrize("overrides, match", [
+    ({"units_occupied_initial": 0.0, "units_pending_initial": 0.0}, "no tenanted units"),
+    ({"units_occupied_initial": 0.0}, "filing pressure base is zero"),
+    ({"units_vacant_initial": 0.0}, "no vacant units or insecure households"),
+    ({"households_insecure_initial": 4e5}, "homeless returns exceed insecure-pool outflows"),
+    ({"households_insecure_initial": 0.0}, "homeless returns exceed insecure-pool outflows"),
+    ({"fr_direct_homeless": 0.01}, "displacement alone exceeds homeless outflows"),
 ], ids=["no-tenanted", "no-occupied", "no-vacant", "few-insecure", "no-insecure",
         "direct-homeless-too-high"])
-def test_equilibrate_refuses_anchors_without_a_baseline(overrides):
+def test_equilibrate_refuses_anchors_without_a_baseline(overrides, match):
     params = dataclasses.replace(default_params(), **overrides)
-    with pytest.raises(EquilibriumError):
+    with pytest.raises(InputError, match=match):
         equilibrate(params)

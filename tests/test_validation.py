@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 from rentdyn import model, validation
 from rentdyn.engine import ClampEvent, SimulationError
-from rentdyn.params import FIELDS, default_params, with_value, with_values
+from rentdyn.params import FIELDS, InputError, default_params, with_value, with_values
 from rentdyn.validation import (
-    ReferenceError,
     extreme_conditions,
     load_reference_mode,
     reference_report,
@@ -30,7 +29,7 @@ from rentdyn.validation import (
     _theil,
     theil_decomposition,
 )
-from rentdyn.scenarios import BUILTIN_SCENARIOS, run_scenario
+from rentdyn.scenarios import BUILTIN_SCENARIOS, Scenario, run_scenario
 
 
 GOOD_CSV = """calendar_month,value,scenario,series,units,source
@@ -229,22 +228,21 @@ def test_load_reference_mode_rejects_varying_constants(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(GOOD_CSV.replace("run1,households_homeless,households,test fixture\n"
                                      "2022", "run2,households_homeless,households,test fixture\n2022", 1))
-    with pytest.raises(ReferenceError) as err:
+    with pytest.raises(InputError, match="column 'scenario' must be constant"):
         load_reference_mode(path)
-    assert "constant" in str(err.value)
 
 
 def test_load_reference_mode_rejects_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("calendar_month,value\n2020-01,5\n")
-    with pytest.raises(ReferenceError):
+    with pytest.raises(InputError, match="missing columns"):
         load_reference_mode(path)
 
 
 def test_load_reference_mode_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(GOOD_CSV.replace("590000", "many"))
-    with pytest.raises(ReferenceError):
+    with pytest.raises(InputError, match="value for 2021-01 is not a finite number"):
         load_reference_mode(path)
 
 
@@ -273,13 +271,14 @@ def test_report_skips_a_mode_that_scores_nothing(tmp_path, text, reason):
 
 
 @pytest.mark.parametrize("text, reason", [
-    *[(GOOD_CSV.replace("2021-01", label), f"bad calendar month {label!r} (expected YYYY-MM)")
+    *[(GOOD_CSV.replace("2021-01", label),
+       f"bad.csv: bad calendar month {label!r} (expected YYYY-MM)")
       for label in ("2021-13", "2021/01", "abc")],
     ("", "bad.csv: empty file"),
 ], ids=["month-13", "slash", "no-month", "empty-file"])
 def test_a_malformed_file_is_refused_and_skipped_with_its_reason(tmp_path, text, reason):
     (tmp_path / "bad.csv").write_text(text)
-    with pytest.raises(ReferenceError) as err:
+    with pytest.raises(InputError) as err:
         load_reference_mode(tmp_path / "bad.csv")
     assert str(err.value) == reason
     [result] = reference_report(tmp_path)
@@ -319,7 +318,7 @@ def test_score_rejects_unknown_series(tmp_path):
     path.write_text(GOOD_CSV.replace("households_homeless", "no_such_series"))
     mode = load_reference_mode(path)
     result = run_scenario(default_params(), BUILTIN_SCENARIOS["run1"])
-    with pytest.raises(ReferenceError):
+    with pytest.raises(InputError, match="unknown model series 'no_such_series'"):
         score_reference_mode(mode, result.trajectory)
 
 
@@ -328,11 +327,47 @@ def test_score_rejects_out_of_horizon_month(tmp_path):
     path.write_text(GOOD_CSV.replace("2022-01", "2031-01"))
     mode = load_reference_mode(path)
     result = run_scenario(default_params(), BUILTIN_SCENARIOS["run1"])
-    with pytest.raises(ReferenceError):
+    with pytest.raises(InputError, match="calendar month 2031-01 falls outside"):
         score_reference_mode(mode, result.trajectory)
 
 
 # ---------------------------------------------------------------- report
+
+@pytest.mark.parametrize("text, reason", [
+    (GOOD_CSV.replace("2021-01", "2021-13"), "bad calendar month '2021-13' (expected YYYY-MM)"),
+    (GOOD_CSV.replace("run1", "run99"), "unknown scenario 'run99'"),
+    (GOOD_CSV.replace("households_homeless", "nope"), "unknown model series 'nope'"),
+    (GOOD_CSV.replace("2022-01", "2031-01"),
+     "calendar month 2031-01 falls outside the simulated horizon [2018-01, 2022-03]"),
+], ids=["bad-month", "unknown-scenario", "unknown-series", "month-past-horizon"])
+def test_a_skipped_mode_names_its_file_once(tmp_path, text, reason):
+    """A fault found in loading the file and one found in scoring it read alike."""
+    (tmp_path / "bad.csv").write_text(text)
+    [result] = reference_report(tmp_path)
+    assert (result.mode, result.status, result.detail) == ("bad", "skipped", f"bad.csv: {reason}")
+    assert result.detail.count("bad.csv") == 1
+
+
+def test_a_mode_of_a_scenario_the_caller_defines_is_loaded_and_scored(tmp_path):
+    """The loader reads any scenario name; only the report checks it
+    against the scenarios it is given."""
+    (tmp_path / "mine").mkdir()
+    (tmp_path / "mine" / "homeless.csv").write_text(GOOD_CSV.replace("run1", "mine"))
+    assert load_reference_mode(tmp_path / "mine" / "homeless.csv").scenario == "mine"
+    [result] = reference_report(tmp_path / "mine", scenarios={"mine": BUILTIN_SCENARIOS["run1"]})
+    (tmp_path / "homeless.csv").write_text(GOOD_CSV)
+    [expected] = reference_report(tmp_path)
+    assert (result.status, result.scenario) == ("scored", "mine")
+    assert (result.u, result.bias_share) == (expected.u, expected.bias_share)
+
+
+def test_a_scenario_the_parameters_cannot_take_leaves_the_report():
+    """Only a mode's own faults skip it: a scenario that cannot be applied
+    to the parameters is the caller's, and its error leaves the report."""
+    bad = Scenario("run4", covid=True, overrides={"covid.magnitude": 9.0})
+    with pytest.raises(ValueError, match="above upper bound"):
+        reference_report("reference_modes", scenarios={"run4": bad})
+
 
 def test_report_missing_directory_is_skipped_not_fatal(tmp_path):
     results = reference_report(tmp_path / "nowhere")
