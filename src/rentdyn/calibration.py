@@ -78,7 +78,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from rentdyn.engine import SimClock, SimulationError, pairwise_sum
-from rentdyn.model import GATE_TIMES, run_model
+from rentdyn.model import GATE_TIMES, run_model, scalar_kernel
 from rentdyn.params import InputError, ModelParams, bounds_for, brief, clamp, get_value, \
     load_yaml, read_mapping, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_BLOCKS, METRIC_SERIES, MetricSet, \
@@ -624,7 +624,9 @@ def calibrate(
 
     # (process, pipe end) of each worker; the calling process sends each its
     # runs itself, so no thread of this process stands between them. Each
-    # worker inherits the prefixes when it forks
+    # worker inherits the prefixes when it forks, and the scalar kernel,
+    # traced here if no prefix traced it
+    scalar_kernel()
     workers = []
     z0, lower_z, upper_z = ([v / s for v, s in zip(b, scale)] for b in (x0, lower, upper))
     # a Jacobian needs at most one run per scenario and free parameter

@@ -296,7 +296,10 @@ def _euler_step_batch(
     return out
 
 
-DerivFn = Callable[[Sequence, float], "tuple[Sequence, Mapping]"]
+# deriv(state, t) -> (rates, aux): simulate takes the auxiliaries as a
+# sequence, in the order of its ``auxiliaries``; simulate_batch as a mapping
+DerivFn = Callable[[Sequence, float], "tuple[Sequence, Sequence]"]
+BatchDerivFn = Callable[[Sequence, float], "tuple[Sequence, Mapping]"]
 
 
 class Trajectory:
@@ -384,6 +387,8 @@ def simulate(
     nonneg: frozenset[str] = frozenset(),
     record: Sequence[str] | None = None,
     restart: tuple[int, Trajectory] | None = None,
+    *,
+    auxiliaries: Sequence[str],
 ) -> Trajectory:
     """Integrate one run of ``deriv`` over the clock grid with forward Euler.
 
@@ -391,9 +396,9 @@ def simulate(
     ----------
     deriv : callable
         ``deriv(state, t) -> (rates, aux)``. ``state`` and ``rates`` are
-        sequences in the order of ``initial``; ``aux`` maps auxiliary names
-        (flows, effects) to their instantaneous values, recorded alongside
-        the stocks.
+        sequences in the order of ``initial``; ``aux`` is a sequence of the
+        auxiliaries' instantaneous values (flows, effects) in the order of
+        ``auxiliaries``, recorded alongside the stocks.
     clock : SimClock
         Integration grid.
     initial : mapping
@@ -414,6 +419,9 @@ def simulate(
         sample before ``k``. A non-finite value at or after ``k`` is
         reported as the full run reports it. The trajectory keeps
         ``restart`` as :attr:`Trajectory.restart` when ``k > 0``.
+    auxiliaries : sequence of str
+        The names of the auxiliaries, one for each value of ``aux``; any
+        other count raises ``ValueError``.
 
     Returns
     -------
@@ -441,11 +449,13 @@ def simulate(
     for k, t in enumerate(grid[first:], first):
         rates, aux = deriv(state, t)
         samples += state
-        samples += aux.values()
+        samples += aux
         if k < n - 1:
             state = euler_step(state, rates, clock.dt, clamped, time=t, events=events)
 
-    names += aux
+    if len(aux) != len(auxiliaries):  # or every row would be cut at the wrong width
+        raise ValueError(f"deriv returned {len(aux)} auxiliaries for {len(auxiliaries)} names")
+    names += auxiliaries
     width = len(names)
     # one pass in C: the sum is finite when every sample is (a sum of finite
     # samples that overflows is scanned, and passes). The rows taken from
@@ -463,7 +473,7 @@ def simulate(
 
 
 def simulate_batch(
-    deriv: DerivFn,
+    deriv: BatchDerivFn,
     clock: SimClock,
     initial: Mapping[str, float | np.ndarray],
     nonneg: frozenset[str] = frozenset(),

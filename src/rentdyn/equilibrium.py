@@ -16,7 +16,7 @@ carries explicit values; nothing is re-solved behind a loaded file's back.
 from __future__ import annotations
 
 from rentdyn.engine import EPS
-from rentdyn.model import STOCKS, UNCAPPED_DT, build_derivative, initial_state
+from rentdyn.model import STOCKS, UNCAPPED_DT, build_derivative, initial_state, scalar_kernel
 from rentdyn.params import InputError, ModelParams, with_values
 
 __all__ = ["equilibrate", "DERIVED_FIELDS"]
@@ -46,6 +46,12 @@ def _balance(stock: float, inflow: float, outflow: float) -> float:
     return stock * inflow / outflow if inflow > 0.0 else 0.0
 
 
+def _at(deriv, state: list[float]) -> tuple[list[float], dict[str, float]]:
+    """Rates, and auxiliaries by name, at ``state`` and t=0."""
+    rates, aux = deriv(state, 0.0)
+    return rates, dict(zip(scalar_kernel().auxiliaries, aux))
+
+
 def equilibrate(params: ModelParams) -> ModelParams:
     """Return ``params`` with the derived balancing fields recomputed; anchors
     that admit no stationary baseline raise an :class:`InputError`."""
@@ -62,7 +68,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
     # dollar stocks drain nonlinearly in their own level: iterate to the fixed point
     deriv = build_derivative(base, UNCAPPED_DT)
     for _ in range(_MAX_ITERATIONS):
-        _, aux = deriv(state, 0.0)
+        _, aux = _at(deriv, state)
         balanced = {
             _RENT: _balance(state[_RENT], aux["rent_due"],
                             aux["rent_paid"] + aux["arrears_writeoff"]),
@@ -77,7 +83,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
         raise InputError(f"arrears did not settle within {_MAX_ITERATIONS} iterations")
 
     # foreclosure pipeline sized so sales balance intake (sales are linear in the stock)
-    rates, aux = deriv(state, 0.0)
+    rates, aux = _at(deriv, state)
     intake = aux["foreclosures_tenanted"] + aux["foreclosures_vacant"]
     foreclosed = _balance(state[_FORECLOSED], intake, aux["foreclosure_sales"])
 
@@ -97,7 +103,7 @@ def equilibrate(params: ModelParams) -> ModelParams:
 
     # vacancy refill pace that keeps occupancy level under those filings
     base = with_values(base, {"baseline_filing_fraction": filing_fraction})
-    rates, aux = build_derivative(base, UNCAPPED_DT)(state, 0.0)
+    rates, aux = _at(build_derivative(base, UNCAPPED_DT), state)
     supply = aux["tenant_moveins"]
     moveins = supply - rates[_OCCUPIED]
     if moveins <= EPS:

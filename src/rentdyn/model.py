@@ -27,11 +27,14 @@ one step, so integration can clamp only as a last resort.
 
 Backends
 --------
-The flows are written once, against a small ops namespace in the style of
-the Array API (``where``, ``maximum``, ``minimum``, ``limit``), and call each
-effect curve on its input. The namespace follows the type of the parameters:
-a :class:`ModelParams` takes the scalar backend (Python floats and ``math``),
-which single runs, calibration and the extreme battery use; a batch from
+The flows are written once, in :func:`_definition`, against a small ops
+namespace in the style of the Array API (``where``, ``maximum``,
+``minimum``, ``limit``), and call each effect curve on its input. The
+namespace follows the type of the parameters: a :class:`ModelParams` takes
+the scalar backend, which single runs, calibration and the extreme battery
+use: the definition traced once per process and compiled into straight-line
+Python on floats and ``math`` (:func:`scalar_kernel`), so it may not branch
+on a flow value in Python (``ops.where`` writes the choice). A batch from
 :func:`rentdyn.params.stack_params` takes the numpy backend, where every
 value is a ``(B,)`` array, one entry per parameter set, which the
 sensitivity sweep uses. The state is a sequence in :data:`STOCKS` order
@@ -44,8 +47,8 @@ operations that numpy rounds exactly as Python does (``+ - * /``,
 comparisons, ``where``, ``maximum``, ``minimum``), and never ``np.exp`` or
 ``np.log``: their SIMD kernels differ from ``math.exp``/``math.log`` in the
 last bit on some inputs. Both limiters add a stock's outflows left to right,
-as ``sum`` adds arrays: :func:`_limit` loops, since ``sum`` compensates
-floats from Python 3.12 on. Each effect curve keeps its scalar form
+as ``sum`` adds arrays: the kernel writes its additions out, since ``sum``
+compensates floats from Python 3.12 on. Each effect curve keeps its scalar form
 (``__call__``) and its array form (``array``, which a batch's curve calls)
 side by side in :mod:`rentdyn.engine`, tested against each other: the array
 form takes every branch of the scalar one as a mask, and maps ``math.exp``
@@ -57,6 +60,8 @@ the sets of a batch that goes non-finite on the scalar backend.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import sys
 from dataclasses import fields, is_dataclass
@@ -70,6 +75,7 @@ __all__ = [
     "STOCKS",
     "NONNEG_STOCKS",
     "SCALAR",
+    "scalar_kernel",
     "initial_state",
     "policy_onset",
     "GATE_TIMES",
@@ -104,29 +110,8 @@ def _where(cond, a, b):
     return a if cond else b
 
 
-# builtin max(a, b) and min(a, b), exactly (the first argument on ties and
-# NaN), at a third of the call cost of the builtins' generic argument parsing
-def _maximum(a, b):
-    return b if b > a else a
-
-
-def _minimum(a, b):
-    return b if b < a else a
-
-
-def _limit(dt: float, stock: float, *flows: float) -> tuple[float, ...]:
-    """Scale a stock's outflows so one Euler step cannot drive it negative."""
-    total = 0.0
-    for flow in flows:
-        total += flow
-    cap = stock / dt
-    if total > cap:
-        scale = cap / total if total > 0.0 else 0.0
-        return tuple(f * scale for f in flows)
-    return flows
-
-
-SCALAR = SimpleNamespace(where=_where, maximum=_maximum, minimum=_minimum, limit=_limit)
+# the untraced scalar helpers' namespace: initial_state and policy_onset
+SCALAR = SimpleNamespace(where=_where)
 
 
 def _numpy_ops() -> SimpleNamespace:
@@ -135,16 +120,19 @@ def _numpy_ops() -> SimpleNamespace:
     import numpy as np
 
     def limit(dt: float, stock, *flows):
-        """:func:`_limit` without branches, and exact: where the cap does not
-        bind, ``cap / total`` rounds to at least 1, and ``f * 1.0 == f``."""
+        """The scalar limiter (:meth:`_Tape.limit`) without branches, and
+        exact: where the cap does not bind, ``cap / total`` rounds to at
+        least 1, and ``f * 1.0 == f``."""
         scale = np.minimum(1.0, (stock / dt) / np.maximum(sum(flows), 5e-324))
         return tuple(f * scale for f in flows)
 
     return SimpleNamespace(where=np.where, maximum=np.maximum, minimum=np.minimum, limit=limit)
 
 
-def _ops(params) -> SimpleNamespace:
-    return SCALAR if isinstance(params, ModelParams) else _numpy_ops()
+def _ops(params):
+    if isinstance(params, ModelParams):
+        return SCALAR
+    return params._tape if isinstance(params, _Traced) else _numpy_ops()
 
 
 def initial_state(params) -> list:
@@ -244,11 +232,20 @@ def build_derivative(params, dt: float):
     ``params`` is one :class:`ModelParams` (scalar backend) or a batch from
     :func:`rentdyn.params.stack_params` (numpy backend). The derivative takes
     the state as a sequence in :data:`STOCKS` order and returns the rates in
-    the same order plus a mapping of auxiliaries. ``dt`` is needed by the
-    outflow limiter (one-step drain caps are stated as stock/dt); the flow
-    formulas themselves are step-size independent.
+    the same order plus the auxiliaries: a tuple from the scalar kernel
+    (:func:`scalar_kernel`), in the order of its ``auxiliaries``, and a
+    mapping from the numpy backend. ``dt`` is needed by the outflow limiter
+    (one-step drain caps are stated as stock/dt); the flow formulas
+    themselves are step-size independent.
     """
-    p = params
+    if isinstance(params, ModelParams):
+        return scalar_kernel().make(params, dt)
+    return _definition(params, dt)
+
+
+def _definition(p, dt):
+    """The flows, written once: on a batch for the numpy backend, and on
+    symbolic values for :func:`scalar_kernel` to trace."""
     ops = _ops(p)
     where, maximum, minimum, limit = ops.where, ops.maximum, ops.minimum, ops.limit
     cv = p.covid
@@ -434,6 +431,123 @@ def build_derivative(params, dt: float):
     return deriv
 
 
+class _Traced:
+    """A value of a trace: the operation that makes it, a format string over its operands."""
+
+    __slots__ = ("_tape", "_code", "_args", "_varying", "_raises", "_name", "_uses")
+
+    def __init__(self, tape, code, *args, raises=False, name=None, varying=False):
+        self._tape, self._code, self._args = tape, code, args
+        self._raises, self._name, self._uses = raises, name, 0
+        # whether it reads the state or the time: the factory computes the rest once
+        self._varying = varying
+        for i, arg in enumerate(args):
+            if isinstance(arg, _Traced):
+                arg._uses += code.count(f"{{{i}}}")
+                self._varying |= arg._varying
+        tape.append(self)
+
+    def __getattr__(self, attr):  # a parameter, a curve or a field of one
+        if attr.startswith("_"):
+            raise AttributeError(attr)
+        return _Traced(self._tape, "{0}." + attr, self)
+
+    def __call__(self, x):  # a curve, called as the object it is
+        return _Traced(self._tape, "{0}({1})", self, x, raises=True)
+
+    def __neg__(self):
+        return _Traced(self._tape, "(-{0})", self)
+
+    def __bool__(self):
+        raise TypeError("the flows cannot branch in Python (if, and, or, not, bool()) on a "
+                        "value of the state, the time or the parameters: use ops.where")
+
+
+def _operator(symbol: str, reflected: bool):
+    def record(self, other):
+        a, b = (other, self) if reflected else (self, other)
+        return _Traced(self._tape, f"({{0}} {symbol} {{1}})", a, b, raises=symbol == "/")
+    return record
+
+
+for _name, _symbol in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("and", "&")):
+    setattr(_Traced, f"__{_name}__", _operator(_symbol, False))
+    setattr(_Traced, f"__r{_name}__", _operator(_symbol, True))
+for _name, _symbol in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="),
+                       ("ne", "!=")):
+    setattr(_Traced, f"__{_name}__", _operator(_symbol, False))
+
+
+class _Tape(list):
+    """The ops namespace of a trace, and the list of what it records: each
+    operation with the scalar semantics."""
+
+    def where(self, cond, a, b):
+        return _Traced(self, "({1} if {0} else {2})", cond, a, b)
+
+    # builtin max(a, b) and min(a, b), exactly: the first argument on ties and NaN
+    def maximum(self, a, b):
+        return _Traced(self, "({1} if {1} > {0} else {0})", a, b)
+
+    def minimum(self, a, b):
+        return _Traced(self, "({1} if {1} < {0} else {0})", a, b)
+
+    def limit(self, dt, stock, *flows):
+        """Scale a stock's outflows so one Euler step cannot drive it
+        negative; their total adds them left to right, as ``sum`` did before
+        Python 3.12 began to compensate floats."""
+        total = _Traced(self, "(" * len(flows) + "0.0" + "".join(
+            f" + {{{i}}})" for i in range(len(flows))), *flows)
+        cap = stock / dt
+        scaled = "({0} * ({2} / {1} if {1} > 0.0 else 0.0) if {1} > {2} else {0})"
+        return tuple(_Traced(self, scaled, flow, total, cap) for flow in flows)
+
+
+_KERNEL_FILE = "<rentdyn.model scalar kernel>"
+
+
+@functools.cache
+def scalar_kernel() -> SimpleNamespace:
+    """The scalar backend: the flow definition (:func:`_definition`), traced
+    on symbolic values at the first call in a process and written out as
+    ``source``, a factory ``make(params, dt) -> deriv`` of straight-line
+    Python whose ``deriv`` returns the auxiliaries as a tuple, named by
+    ``auxiliaries``. Each operation is the definition's, on its operands,
+    in its order where it can raise; a value used once that cannot raise is
+    written into its use, and what reads no state or time into the factory.
+    """
+    tape = _Tape()
+    p, dt, t, *state = (_Traced(tape, None, name=name, varying=name[0] in "st")
+                        for name in ("p", "dt", "t", *(f"s{i}" for i in range(len(STOCKS)))))
+    rates, aux = _definition(p, dt)(state, t)
+    for value in [*rates, *aux.values()]:
+        if isinstance(value, _Traced):
+            value._uses += 1
+
+    def text(value) -> str:
+        if not isinstance(value, _Traced):  # inf and nan are names bound below
+            return repr(value) if math.isfinite(value) else f"({value!r})"
+        return value._name or value._code.format(*map(text, value._args))
+
+    factory, body = [], []
+    for i, node in enumerate(tape):
+        if node._name is None and (node._raises or node._uses > 1
+                                   or node._uses == 1 and not node._varying):
+            line = f"v{i} = {text(node)}"
+            node._name = f"v{i}"
+            (body if node._varying else factory).append(line)
+    source = "\n".join([
+        "def make(p, dt):", *(f"    {line}" for line in factory),
+        "    def deriv(state, t):", f"        {', '.join(s._name for s in state)} = state",
+        *(f"        {line}" for line in body),
+        f"        return [{', '.join(map(text, rates))}], ({', '.join(map(text, aux.values()))},)",
+        "    return deriv", ""])
+    linecache.cache[_KERNEL_FILE] = (len(source), None, source.splitlines(True), _KERNEL_FILE)
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(compile(source, _KERNEL_FILE, "exec"), namespace)
+    return SimpleNamespace(make=namespace["make"], auxiliaries=tuple(aux), source=source)
+
+
 # stock/dt overflows for any positive stock, so no one-step drain cap can bind
 UNCAPPED_DT = sys.float_info.min
 
@@ -493,7 +607,8 @@ def run_model(
     """
     if isinstance(params, ModelParams):
         return simulate(build_derivative(params, clock.dt), clock,
-                        dict(zip(STOCKS, initial_state(params))), NONNEG_STOCKS, record, restart)
+                        dict(zip(STOCKS, initial_state(params))), NONNEG_STOCKS, record, restart,
+                        auxiliaries=scalar_kernel().auxiliaries)
     if restart is not None:
         raise ValueError("a batch cannot restart: run its parameter sets one by one")
     if not params:

@@ -497,7 +497,8 @@ def load_yaml(path: str | Path) -> Iterator[Any]:
         except OSError as exc:
             raise InputError(f"cannot be read: {exc.strerror}") from exc
         except (yaml.YAMLError, ValueError) as exc:  # or an integer too long to convert
-            raise InputError(f"not valid YAML: {exc}") from exc
+            # a mark reads 'in "PATH", line 2, column 1': the path is named first
+            raise InputError("not valid YAML: " + str(exc).replace(f'in "{path}",', "at")) from exc
         yield doc
 
 

@@ -1,5 +1,7 @@
-"""Mutation check of the model's one flow definition, ``build_derivative``,
-and of the reduction of a run to its metrics, ``compute_metrics``.
+"""Mutation check of the model's one flow definition, ``model._definition``
+(which ``build_derivative`` runs for a batch, and ``scalar_kernel`` traces
+for every scalar run), and of the reduction of a run to its metrics,
+``compute_metrics``.
 
 Each mutant of ``MUTANTS`` changes one operation of the derivative, or of
 ``compute_metrics``, and once passed the acceptance bands and the ledger

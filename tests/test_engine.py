@@ -271,14 +271,27 @@ def test_euler_step_leaves_unconstrained_state_negative():
 def _drain_deriv(at):
     def deriv(state, t):
         rate = state[0] / at
-        return [-rate], {"outflow": rate}
+        return [-rate], (rate,)
     return deriv
+
+
+# the name of the auxiliary of _drain_deriv and _opening_deriv
+_OUTFLOW = ("outflow",)
+
+
+def _named(deriv, auxiliaries):
+    """``deriv`` with its auxiliaries as a mapping, as simulate_batch takes them."""
+    def named(state, t):
+        rates, aux = deriv(state, t)
+        return rates, dict(zip(auxiliaries, aux))
+    return named
 
 
 def test_simulate_exponential_drain_matches_closed_form():
     # Euler with dt=0.25, AT=2 compounds as (1 - dt/AT)^k; frozen spot checks
     clock = SimClock(dt=0.25, horizon=50.0, burn_in=24.0)
-    traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}))
+    traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}),
+                    auxiliaries=_OUTFLOW)
     expected = 100.0 * (1.0 - 0.125) ** np.arange(201)
     assert np.allclose(traj["r"], expected, rtol=1e-12, atol=0.0)
     assert traj["r"][1] == pytest.approx(87.5, rel=1e-12)
@@ -288,9 +301,9 @@ def test_simulate_exponential_drain_matches_closed_form():
 
 def test_simulate_constant_state_stays_constant():
     def deriv(state, t):
-        return [0.0], {}
+        return [0.0], ()
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
-    traj = simulate(deriv, clock, {"x": 42.0})
+    traj = simulate(deriv, clock, {"x": 42.0}, auxiliaries=())
     assert np.all(traj["x"] == 42.0)
 
 
@@ -300,17 +313,18 @@ def test_simulate_step_through_smooth_reaches_63pct_after_one_delay():
 
     def deriv(state, t):
         step = magnitude if t >= start else 0.0
-        return [(step - state[0]) / delay], {}
+        return [(step - state[0]) / delay], ()
 
     clock = SimClock(dt=0.25, horizon=20.0, burn_in=0.0)
-    traj = simulate(deriv, clock, {"level": 0.0})
+    traj = simulate(deriv, clock, {"level": 0.0}, auxiliaries=())
     at_one_delay = traj.at("level", start + delay)
     assert at_one_delay / magnitude == pytest.approx(0.6563910841941833, rel=1e-9)
 
 
 def test_simulate_records_auxiliaries_at_every_sample():
     clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
-    traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}))
+    traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}),
+                    auxiliaries=_OUTFLOW)
     assert "outflow" in traj.data
     assert len(traj["outflow"]) == len(traj.times)
     assert traj["outflow"][0] == pytest.approx(50.0)
@@ -318,19 +332,28 @@ def test_simulate_records_auxiliaries_at_every_sample():
 
 def test_simulate_raises_on_nonfinite_state():
     def deriv(state, t):
-        return [state[0] * state[0]], {}
+        return [state[0] * state[0]], ()
     clock = SimClock(dt=0.25, horizon=50.0, burn_in=0.0)
     with pytest.raises(SimulationError, match=r"'x' at t=2\.5"):
-        simulate(deriv, clock, {"x": 10.0})
+        simulate(deriv, clock, {"x": 10.0}, auxiliaries=())
+
+
+def test_simulate_refuses_auxiliaries_it_cannot_name():
+    """One name for each auxiliary: any other count would cut every row of
+    samples at the wrong width."""
+    clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
+    for names in ((), ("outflow", "spare")):
+        with pytest.raises(ValueError, match=f"returned 1 auxiliaries for {len(names)} names"):
+            simulate(_drain_deriv(2.0), clock, {"r": 100.0}, auxiliaries=names)
 
 
 def test_trajectory_interpolation_and_lookup():
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
 
     def deriv(state, t):
-        return [4.0], {}
+        return [4.0], ()
 
-    traj = simulate(deriv, clock, {"x": 0.0})
+    traj = simulate(deriv, clock, {"x": 0.0}, auxiliaries=())
     assert traj.at("x", 2.5) == pytest.approx(10.0)
     assert traj.at("x", 2.625) == pytest.approx(10.5)  # linear between samples
     with pytest.raises(KeyError):
@@ -339,8 +362,10 @@ def test_trajectory_interpolation_and_lookup():
 
 def test_simulate_is_deterministic():
     clock = SimClock(dt=0.25, horizon=30.0, burn_in=0.0)
-    a = simulate(_drain_deriv(3.0), clock, {"r": 250.0}, nonneg=frozenset({"r"}))
-    b = simulate(_drain_deriv(3.0), clock, {"r": 250.0}, nonneg=frozenset({"r"}))
+    a = simulate(_drain_deriv(3.0), clock, {"r": 250.0}, nonneg=frozenset({"r"}),
+                 auxiliaries=_OUTFLOW)
+    b = simulate(_drain_deriv(3.0), clock, {"r": 250.0}, nonneg=frozenset({"r"}),
+                 auxiliaries=_OUTFLOW)
     assert np.array_equal(a["r"], b["r"])
     assert np.array_equal(a["outflow"], b["outflow"])
 
@@ -351,15 +376,16 @@ def test_batch_matches_single_runs_column_by_column():
     """Each column of a batch is its single run: series, and clamp events."""
     def deriv(state, t):
         rate = state[0] / 2.0 + 3.0
-        return [-rate, rate], {"outflow": rate}
+        return [-rate, rate], (rate,)
 
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
     levels = [100.0, 5.0, 0.5]
-    batch = simulate_batch(deriv, clock, {"r": np.array(levels), "out": 0.0},
-                           nonneg=frozenset({"r"}))
+    batch = simulate_batch(_named(deriv, _OUTFLOW), clock,
+                           {"r": np.array(levels), "out": 0.0}, nonneg=frozenset({"r"}))
     assert len(batch) == len(levels)
     for level, column in zip(levels, batch):
-        single = simulate(deriv, clock, {"r": level, "out": 0.0}, nonneg=frozenset({"r"}))
+        single = simulate(deriv, clock, {"r": level, "out": 0.0}, nonneg=frozenset({"r"}),
+                          auxiliaries=_OUTFLOW)
         assert list(column.data) == list(single.data)
         for name in single.data:
             assert np.array_equal(column[name], single[name]), name
@@ -369,11 +395,13 @@ def test_batch_matches_single_runs_column_by_column():
 
 def test_simulate_records_only_the_requested_series():
     clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
-    batch = simulate_batch(_drain_deriv(2.0), clock, {"r": np.array([100.0, 50.0])},
+    batch = simulate_batch(_named(_drain_deriv(2.0), _OUTFLOW), clock,
+                           {"r": np.array([100.0, 50.0])},
                            record=("outflow",))
     assert [list(t.data) for t in batch] == [["outflow"], ["outflow"]]
     assert batch[1]["outflow"][0] == 25.0
-    single = simulate(_drain_deriv(2.0), clock, {"r": 50.0}, record=("outflow",))
+    single = simulate(_drain_deriv(2.0), clock, {"r": 50.0}, record=("outflow",),
+                      auxiliaries=_OUTFLOW)
     assert list(single.data) == ["outflow"]
     assert np.array_equal(single["outflow"], batch[1]["outflow"])
 
@@ -382,14 +410,14 @@ def test_batch_raises_at_its_first_non_finite_sample():
     """Column 2 blows up first in time; the batch stops there and names it.
     Which set's error a caller reports is run_model's to decide."""
     def deriv(state, t):
-        return [state[0] * state[0]], {}
+        return [state[0] * state[0]], ()
 
     clock = SimClock(dt=0.25, horizon=50.0, burn_in=0.0)
     with pytest.raises(SimulationError) as single:
-        simulate(deriv, clock, {"x": 20.0})
+        simulate(deriv, clock, {"x": 20.0}, auxiliaries=())
     with pytest.raises(SimulationError) as batch:
         with np.errstate(over="ignore", invalid="ignore"):
-            simulate_batch(deriv, clock, {"x": np.array([0.0, 10.0, 20.0])})
+            simulate_batch(_named(deriv, ()), clock, {"x": np.array([0.0, 10.0, 20.0])})
     assert str(batch.value) == str(single.value) == \
         "non-finite value for 'x' at t=2.25: inf"
 
@@ -402,7 +430,7 @@ def _opening_deriv(inflow, opens):
     def deriv(state, t):
         rate = state[0] / 2.0 + 3.0
         gain = inflow if t >= opens else 0.0
-        return [gain - rate, rate], {"outflow": rate}
+        return [gain - rate, rate], (rate,)
     return deriv
 
 
@@ -410,10 +438,10 @@ def test_restarted_run_is_the_full_run():
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
     initial = {"r": 5.0, "out": 0.0}
     nonneg = frozenset({"r"})
-    earlier = simulate(_opening_deriv(4.0, 5.0), clock, initial, nonneg)
-    full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg)
+    earlier = simulate(_opening_deriv(4.0, 5.0), clock, initial, nonneg, auxiliaries=_OUTFLOW)
+    full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg, auxiliaries=_OUTFLOW)
     restarted = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg,
-                         restart=(20, earlier))  # t = 5.0
+                         restart=(20, earlier), auxiliaries=_OUTFLOW)  # t = 5.0
     assert list(restarted.data) == list(full.data)
     for name in full.data:
         assert restarted[name].tobytes() == full[name].tobytes(), name
@@ -428,17 +456,18 @@ def test_restarted_run_is_the_full_run():
 
 def test_restart_must_be_on_the_grid_of_one_run():
     clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
-    earlier = simulate(_drain_deriv(2.0), clock, {"r": 100.0})
+    earlier = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, auxiliaries=_OUTFLOW)
     for k in (-1, 21):
         with pytest.raises(ValueError, match="restart sample"):
-            simulate(_drain_deriv(2.0), clock, {"r": 100.0}, restart=(k, earlier))
+            simulate(_drain_deriv(2.0), clock, {"r": 100.0}, restart=(k, earlier),
+                     auxiliaries=_OUTFLOW)
 
 
 def _overflowing_deriv(opens):
     """``x`` squares itself from ``opens`` on and overflows soon after."""
     def deriv(state, t):
         rate = state[0] * state[0] if t >= opens else 0.0
-        return [rate], {"calm": 1.0}
+        return [rate], (1.0,)
     return deriv
 
 
@@ -454,10 +483,11 @@ def test_restart_keeping_some_series_is_the_full_run(k, record):
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
     initial = {"r": 5.0, "out": 0.0}
     nonneg = frozenset({"r"})
-    earlier = simulate(_opening_deriv(4.0, 5.0), clock, initial, nonneg)
-    full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg)
+    earlier = simulate(_opening_deriv(4.0, 5.0), clock, initial, nonneg, auxiliaries=_OUTFLOW)
+    full = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg, auxiliaries=_OUTFLOW)
     restarted = simulate(_opening_deriv(2.5, 5.0), clock, initial, nonneg,
-                         record=record, restart=(k, earlier))  # k <= 20: t <= 5.0
+                         record=record, restart=(k, earlier),
+                         auxiliaries=_OUTFLOW)  # k <= 20: t <= 5.0
     assert list(restarted.data) == record
     for name in record:
         assert restarted[name].tobytes() == full[name].tobytes(), name
@@ -469,13 +499,13 @@ def test_restart_keeping_some_series_reports_a_non_finite_value_as_the_full_run(
     """``x`` goes non-finite after the restart, kept or not: the restarted
     run names it at its own time, as the full run does."""
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
-    earlier = simulate(_overflowing_deriv(math.inf), clock, {"x": 10.0})
+    earlier = simulate(_overflowing_deriv(math.inf), clock, {"x": 10.0}, auxiliaries=("calm",))
     with pytest.raises(SimulationError) as full:
-        simulate(_overflowing_deriv(5.0), clock, {"x": 10.0})
+        simulate(_overflowing_deriv(5.0), clock, {"x": 10.0}, auxiliaries=("calm",))
     for record in (("calm",), ("x",), None):
         with pytest.raises(SimulationError) as restarted:
             simulate(_overflowing_deriv(5.0), clock, {"x": 10.0}, record=record,
-                     restart=(k, earlier))
+                     restart=(k, earlier), auxiliaries=("calm",))
         assert str(restarted.value) == str(full.value)
     assert str(full.value).startswith("non-finite value for 'x' at t=")
 
@@ -516,14 +546,16 @@ def test_pairwise_sum_has_the_bits_of_np_sum(values):
                   st.just(math.nan)))
 def test_at_has_the_bits_of_np_interp(t):
     clock = SimClock(dt=0.25, horizon=10.0, burn_in=0.0)
-    traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}))
+    traj = simulate(_drain_deriv(2.0), clock, {"r": 100.0}, nonneg=frozenset({"r"}),
+                    auxiliaries=_OUTFLOW)
     for name in ("r", "outflow"):
         assert _bits(traj.at(name, t)) == _bits(float(np.interp(t, traj.times, traj[name])))
 
 
 def test_one_run_keeps_python_floats_and_makes_arrays_on_first_access():
     clock = SimClock(dt=0.25, horizon=5.0, burn_in=0.0)
-    traj = simulate(_drain_deriv(2.0), clock, {"r": 100}, nonneg=frozenset({"r"}))
+    traj = simulate(_drain_deriv(2.0), clock, {"r": 100}, nonneg=frozenset({"r"}),
+                    auxiliaries=_OUTFLOW)
     assert list(traj.data) == ["r", "outflow"]
     assert all(type(v) is float for values in traj.data.values() for v in values)
     assert "series" not in vars(traj)

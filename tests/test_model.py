@@ -9,6 +9,8 @@ the effect its input.
 import builtins
 import dataclasses
 import math
+import os
+import traceback
 import warnings
 
 import numpy as np
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from rentdyn import model
+from rentdyn import calibration, model
+from rentdyn.calibration import CalibrationParameter, CalibrationSpec, CalibrationTarget, calibrate
 from rentdyn.engine import EPS, SimClock, SimulationError
 from rentdyn.model import (
     NONNEG_STOCKS,
     STOCKS,
-    _limit,
+    UNCAPPED_DT,
     build_derivative,
     departure,
     drain_cap_bound,
@@ -32,13 +35,14 @@ from rentdyn.model import (
 )
 from rentdyn.params import FIELDS, POLICY_BLOCKS, clamp_to_bounds, default_params, \
     get_value, with_value, with_values
-from rentdyn.scenarios import BUILTIN_SCENARIOS
+from rentdyn.scenarios import BUILTIN_SCENARIOS, run_many, run_scenario
 
 
 def _deriv_at(params, state, t=0.0, dt=0.25):
-    """Rates by stock name, and auxiliaries, at a state in ``STOCKS`` order."""
+    """Rates and auxiliaries by name, at a state in ``STOCKS`` order."""
     rates, aux = build_derivative(params, dt)(state, t)
-    return dict(zip(STOCKS, rates, strict=True)), aux
+    names = model.scalar_kernel().auxiliaries
+    return dict(zip(STOCKS, rates, strict=True)), dict(zip(names, aux, strict=True))
 
 
 def _aux(params, t=0.0, **stocks):
@@ -511,8 +515,27 @@ def test_filing_recovery_level_steps_toward_its_target():
 
 # ---------------------------------------------------------------- limiter
 
+_VACANT_OUTFLOWS = ("tenant_moveins", "foreclosures_vacant", "stock_decline")
+
+
+def _vacant_outflows(vacant, dt):
+    """The vacant units' three outflows, in the order their limiter adds
+    them, at the initial state with ``vacant`` units, on a step of ``dt``.
+    At the shipped parameters they take 0.689 of the stock a month, so
+    their cap binds on a step longer than 1/0.689 = 1.451 months."""
+    p = default_params()
+    state = initial_state(p)
+    state[STOCKS.index("units_vacant")] = vacant
+    aux = _deriv_at(p, state, dt=dt)[1]
+    return [aux[name] for name in _VACANT_OUTFLOWS]
+
+
 def test_limit_scales_proportionally():
-    assert _limit(0.25, 10.0, 30.0, 30.0) == pytest.approx((20.0, 20.0))
+    """On a step of 2 months the outflows would drain 1.38 times the stock:
+    the limiter scales them, in proportion, to the stock over the step."""
+    free = _vacant_outflows(500_000.0, UNCAPPED_DT)
+    capped = _vacant_outflows(500_000.0, 2.0)
+    assert capped == pytest.approx([f * 250_000.0 / sum(free) for f in free], rel=1e-12)
 
 
 def _compensated_sum(values, start=0):
@@ -545,20 +568,98 @@ def test_batch_column_is_its_scalar_run_whatever_sum_does(monkeypatch, path):
 
 
 def test_limit_adds_its_flows_left_to_right():
-    """0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 left to right, and to
-    0.6 compensated; the cap of 0.4 binds either way."""
-    assert (0.1 + 0.2) + 0.3 != 0.6
-    scale = 0.4 / ((0.1 + 0.2) + 0.3)
-    assert _limit(0.25, 0.1, 0.1, 0.2, 0.3) == (0.1 * scale, 0.2 * scale, 0.3 * scale)
+    """With 500,000.2 vacant units the outflows add to 344,576.6694243132
+    left to right, and to ...31 compensated; the cap of 250,000.1 on a step
+    of 2 months binds either way, and the flows scale by the first total."""
+    free = _vacant_outflows(500_000.2, UNCAPPED_DT)
+    total = ((0.0 + free[0]) + free[1]) + free[2]
+    compensated = math.fsum(free)
+    assert total != compensated
+    scaled = [f * (250_000.1 / total) for f in free]
+    assert scaled != [f * (250_000.1 / compensated) for f in free]
+    assert _vacant_outflows(500_000.2, 2.0) == scaled
 
 
 def test_limit_passes_safe_flows_through():
-    assert _limit(0.25, 10.0, 10.0, 10.0) == (10.0, 10.0)
+    """Only outflows above the cap are scaled: on a step of 1.45 months the
+    flows are the uncapped ones, bit for bit, and on one of 1.46 they are not."""
+    free = _vacant_outflows(500_000.0, UNCAPPED_DT)
+    assert _vacant_outflows(500_000.0, 0.25) == _vacant_outflows(500_000.0, 1.45) == free
+    assert all(c < f for c, f in zip(_vacant_outflows(500_000.0, 1.46), free))
 
 
 def test_limit_zero_stock_zero_flows():
-    assert _limit(0.25, 0.0, 0.0) == (0.0,)
-    assert _limit(0.25, 0.0, 5.0) == (0.0,)
+    """No vacant units: a cap of 0 and no flow. Below zero, where the clamp
+    keeps a run from going, a stock's flows are negative too; on a step
+    short enough that they total above its cap, the total is not positive,
+    and they scale by 0."""
+    assert _vacant_outflows(0.0, 2.0) == [0.0, 0.0, 0.0]
+    assert _vacant_outflows(-1.0, 2.0)[0] < 0.0
+    assert _vacant_outflows(-1.0, 1.0) == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------- the traced kernel
+
+@pytest.mark.parametrize("branch", [
+    lambda x: 1.0 if x > 0.0 else 0.0,
+    lambda x: x > 0.0 and x,
+    lambda x: float(bool(x)),
+], ids=["if", "and", "bool"])
+def test_a_flow_that_branches_in_python_fails_the_trace(monkeypatch, branch):
+    """The trace records one path through the definition: a flow value that
+    reaches a Python branch would fix it at trace time, so it raises there."""
+    def definition(params, dt):
+        def deriv(state, t):
+            return [branch(state[0])] * len(STOCKS), {"flow": state[0]}
+        return deriv
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_definition", definition)
+        model.scalar_kernel.cache_clear()
+        with pytest.raises(TypeError, match="cannot branch in Python .* ops.where"):
+            model.scalar_kernel()
+    model.scalar_kernel()  # the shipped definition's, for the tests that follow
+
+
+def test_the_definition_is_traced_once_per_process(monkeypatch, tmp_path):
+    """A pooled fit whose runs make no prefix, the five scenarios of
+    run_many and a drain_cap_bound trace the definition once in all: in
+    the calling process, before the fit's worker forks."""
+    shock = run_scenario(default_params(), BUILTIN_SCENARIOS["run2"]).metrics
+    # read from the start, so the fit's runs make no prefix
+    spec = CalibrationSpec(
+        parameters=(CalibrationParameter("rent_delay_curve.steepness", 1.0, 3.0),),
+        targets=(CalibrationTarget("run2", "evictions_total", shock.evictions_total),))
+    traces = tmp_path / "traces"
+
+    class Tape(model._Tape):
+        def __init__(self):
+            super().__init__()
+            with traces.open("a") as log:
+                log.write(f"{os.getpid()}\n")
+
+    monkeypatch.setattr(model, "_Tape", Tape)
+    monkeypatch.setattr(calibration, "_process_count", lambda most: 2)
+    model.scalar_kernel.cache_clear()
+    start = with_value(default_params(), "rent_delay_curve.steepness", 2.5)
+    assert calibrate(start, spec).converged
+    run_many(default_params(), BUILTIN_SCENARIOS)
+    assert drain_cap_bound(default_params(), 0.25) is None
+    assert traces.read_text().split() == [str(os.getpid())]
+
+
+def test_a_traceback_through_the_kernel_shows_its_line(monkeypatch):
+    p = default_params()
+
+    def failing(curve, x):
+        raise ZeroDivisionError("the curve failed")
+
+    monkeypatch.setattr(type(p.rent_delay_curve), "__call__", failing)
+    with pytest.raises(ZeroDivisionError) as info:
+        build_derivative(p, 0.25)(initial_state(p), 0.0)
+    (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == model._KERNEL_FILE]
+    assert frame.name == "deriv" and frame.line.startswith("v") and "(" in frame.line
+    assert frame.line in model.scalar_kernel().source.splitlines()[frame.lineno - 1]
 
 
 # ---------------------------------------------------------------- state

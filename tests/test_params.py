@@ -372,15 +372,20 @@ def test_load_rejects_non_yaml(tmp_path):
         load_params(path)
 
 
-@pytest.mark.parametrize("text", [b"params: [unclosed", b"name: caf\xe9\n",
-                                  b"params: {}\nparams: {}\n"],
-                         ids=["syntax", "not-utf-8", "duplicate-key"])
-def test_yaml_error_marks_name_the_file(tmp_path, text):
+@pytest.mark.parametrize("text, marks", [
+    (b"params: [unclosed", ["at line 1, column 9", "at line 2, column 1"]),
+    (b"name: caf\xe9\n", ["at position 9"]),
+    (b"params: {}\nparams: {}\n", ["at line 1, column 1", "at line 2, column 1"]),
+], ids=["syntax", "not-utf-8", "duplicate-key"])
+def test_yaml_error_marks_name_the_file(tmp_path, text, marks):
+    """The line names the file once, first, and each mark gives its place."""
     path = tmp_path / "broken.yaml"
     path.write_bytes(text)
     with pytest.raises(InputError, match="not valid YAML") as err:
         load_params(path)
-    assert f'in "{path}"' in str(err.value)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+    assert all(mark in message for mark in marks)
 
 
 @pytest.mark.parametrize("value, shown", [

@@ -266,31 +266,59 @@ def test_crowding_metrics_move_with_the_shock(suite):
         assert r.metrics.crowding_end > 0.0
 
 
+class _BindTape(model._Tape):
+    """A trace that records, for each outflow limiter, whether it binds."""
+
+    def __init__(self):
+        super().__init__()
+        self.binds = []
+
+    def limit(self, dt, stock, *flows):
+        limited = super().limit(dt, stock, *flows)
+        _, total, cap = limited[0]._args  # each limited flow is written on these
+        self.binds.append(self.where(total > cap, 1.0, 0.0))
+        return limited
+
+
 def _limiter_binds(monkeypatch, dt):
-    """Outflow-limiter binds (outflows above stock / dt) over the shipped
-    scenarios at ``dt``, and the limiter calls made."""
-    counts = {"binds": 0, "calls": 0}
+    """Samples at which an outflow limiter binds (its stock's outflows total
+    above stock / dt) in each shipped run at ``dt``, and the number of
+    limiters: the kernel is traced with :class:`_BindTape`, and returns
+    each limiter's binds as an auxiliary at every sample."""
+    definition = model._definition
 
-    def counting(step, stock, *flows):
-        counts["calls"] += 1
-        counts["binds"] += sum(flows) > stock / step
-        return model._limit(step, stock, *flows)
+    def with_binds(p, step):
+        deriv = definition(p, step)
 
-    monkeypatch.setattr(model.SCALAR, "limit", counting)
+        def traced(state, t):
+            rates, aux = deriv(state, t)
+            return rates, {**aux, **{f"binds{i}": b for i, b in enumerate(p._tape.binds)}}
+        return traced
+
     clock = SimClock(dt=dt)
-    for scenario in BUILTIN_SCENARIOS.values():
-        run_scenario(default_params(), scenario, clock=clock)
-    return counts
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_Tape", _BindTape)
+        patch.setattr(model, "_definition", with_binds)
+        model.scalar_kernel.cache_clear()
+        try:
+            limiters = [n for n in model.scalar_kernel().auxiliaries if n.startswith("binds")]
+            binds = {}
+            for name, scenario in BUILTIN_SCENARIOS.items():
+                traj = run_model(scenario.apply(default_params()), clock)
+                binds[name] = sum(sum(traj.data[limiter]) for limiter in limiters)
+        finally:
+            model.scalar_kernel.cache_clear()  # the shipped definition's, traced again
+    return binds, len(limiters)
 
 
 def test_outflow_limiter_never_binds_in_the_shipped_scenarios(monkeypatch):
-    """At the default step no stock's outflows exceed stock / dt, so the
-    limiter shapes none of the shipped results."""
-    counts = _limiter_binds(monkeypatch, 0.25)
-    assert counts["calls"] > 0
-    assert counts["binds"] == 0
-    # the count has teeth: at dt=1 the limiter binds
-    assert _limiter_binds(monkeypatch, 1.0)["binds"] > 0
+    """At the default step no stock's outflows exceed stock / dt at any
+    sample, so the limiter shapes none of the shipped results."""
+    binds, limiters = _limiter_binds(monkeypatch, 0.25)
+    assert limiters > 0
+    assert binds == dict.fromkeys(BUILTIN_SCENARIOS, 0.0)
+    # the check has teeth: at dt=1 a limiter binds in every run
+    assert all(_limiter_binds(monkeypatch, 1.0)[0].values())
 
 
 # ---------------------------------------------------------------- time series
