@@ -27,7 +27,7 @@ the block's onset, the first time any of its gates opens, such as the
 filing drop half a month ahead of the moratorium. Before the earliest such
 time among the free values a scenario sees, every run of the scenario in a
 fit is, bit for bit, the run of its applied parameters at the start. So
-before any worker forks, each such scenario's prefix is integrated once:
+before the search starts, each such scenario's prefix is integrated once:
 its applied parameters up to the first sample at or after that time. For
 the shipped spec that is sample 105 of 201 in ``run3`` and ``run4`` (the
 filing drop at 26.25 months) and 107 in ``run2`` (the shock at 26.75).
@@ -46,39 +46,31 @@ The runs are made in the solver's rounds (:func:`least_squares`): a trial
 point's round holds the points of the finite-difference Jacobian there
 too, unless a trial since the last Jacobian was refused, so a step taken
 costs one round and a streak of refusals makes at most one set of Jacobian
-runs never read. Every round's runs, a round of one run too, are shared
-between the calling process and forked worker processes, each process
-claiming the next run left. There is one process per usable CPU in all,
-but no more than the runs of one Jacobian (the scenarios the targets name
-times the free parameters); the workers live for one ``calibrate`` call.
-Forked from it, they share its run function as it is: only the list of
-runs to make and the metrics made cross a pipe. Without fork, on one
-usable CPU, or while the calling process runs other threads (a fork would
-copy locks those threads may hold), or in a daemonic process, there are no
-workers, and the calling process claims every run.
+runs never read. Each round's runs are made in order, in the calling
+process: on the compiled run loop (:func:`rentdyn.model.scalar_kernel`) a
+restarted run takes under a millisecond, and on two CPUs forked workers
+cost more to start and to feed than they saved.
 
 The search is fully deterministic: same spec, same starting parameters,
-same result, however many processes made the runs, and on every CPU: the
-solver sums Python floats by :func:`rentdyn.engine.pairwise_sum`, not by a
-BLAS kernel the CPU picks, and takes singular values by one-sided Jacobi
-rotations (Hestenes, J. SIAM 6(1), 1958). It imports no NumPy, which enters
-a process only through a batch (``model.run_model`` of a list).
+same result, on every CPU: the solver sums Python floats by
+:func:`rentdyn.engine.pairwise_sum`, not by a BLAS kernel the CPU picks,
+and takes singular values by one-sided Jacobi rotations (Hestenes, J. SIAM
+6(1), 1958). It imports no NumPy, which enters a process only through a
+batch (``model.run_model`` of a list).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import struct
 import sys
-import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from rentdyn.engine import SimClock, SimulationError, pairwise_sum
-from rentdyn.model import GATE_TIMES, run_model, scalar_kernel
+from rentdyn.model import GATE_TIMES, run_model
 from rentdyn.params import InputError, ModelParams, bounds_for, brief, clamp, get_value, \
     load_yaml, read_mapping, read_number, with_values
 from rentdyn.scenarios import BUILTIN_SCENARIOS, METRIC_BLOCKS, METRIC_SERIES, MetricSet, \
@@ -310,41 +302,6 @@ def calibration_loss(
     return _dot(residuals, residuals)
 
 
-def _process_count(most: int) -> int:
-    """Processes a fit runs scenarios in: one per usable CPU, at most ``most``, where it
-    can fork, no other thread runs, and it is not daemonic (a daemon may start no child)."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1 \
-            or not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
-        return 1
-    return min(len(os.sched_getaffinity(0)), most)
-
-
-def _make_runs(run: Callable[..., MetricSet | Exception], counter: Any,
-               todo: list[tuple[str, tuple[float, ...]]]) -> dict[int, MetricSet | Exception]:
-    """Claim and make runs of ``todo`` until none is left; return them by index."""
-    made = {}
-    while True:
-        with counter.get_lock():
-            index = counter.value
-            counter.value += 1
-        if index >= len(todo):
-            return made
-        made[index] = run(*todo[index])
-
-
-def _serve(run: Callable[..., MetricSet | Exception], counter: Any, conn: Any) -> None:
-    """A worker process of a fit: make runs of each list it is sent, until
-    stopped. Forked, it is handed ``run`` as it is, without pickling."""
-    while True:
-        todo = conn.recv()
-        try:
-            conn.send(_make_runs(run, counter, todo))
-        except Exception as error:
-            conn.send(error)
-
-
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     """The dot product of ``u`` and ``v``, summed in pairwise order."""
     return pairwise_sum([a * b for a, b in zip(u, v)])
@@ -516,10 +473,10 @@ def calibrate(
     a residual vector of effectively infinite loss, so the solver refuses
     the step and takes shorter ones away from pathological corners.
 
-    Each scenario run is made once per distinct point it can see, restarts
-    from its scenario's prefix where it has one, and the runs of each of
-    the solver's rounds are spread over worker processes (see the module
-    docstring); the result is the same as from full runs in one process.
+    Each scenario run is made once per distinct point it can see, in the
+    calling process, and restarts from its scenario's prefix where it has
+    one (see the module docstring); the result is the same as from full
+    runs.
     A prefix that goes non-finite raises its
     :class:`rentdyn.engine.SimulationError` before the search starts. A fit
     ending on values that cannot be built into parameters (bounds that cross
@@ -605,51 +562,14 @@ def calibrate(
         return failure if achieved is None else _residuals(achieved, spec, clock)
 
     def evaluate(points: list[list[float]]) -> list[list[float]]:
-        """One round of the solver: make the runs its points need, then score them."""
-        needs = dict(task for z in points for task in tasks(z) if task[0] not in runs)
-        todo = list(needs.values())
-        # this process and the workers each claim the next run left, so a
-        # process slowed by other load makes fewer of them
-        counter.value = 0
-        for _, conn in workers:
-            conn.send(todo)
-        made = _make_runs(run, counter, todo)
-        for _, conn in workers:
-            reply = conn.recv()
-            if isinstance(reply, Exception):
-                raise reply
-            made.update(reply)
-        runs.update((key, made[index]) for index, key in enumerate(needs))
+        """One round of the solver: make the runs its points need, in order, then score them."""
+        for key, args in (task for z in points for task in tasks(z)):
+            if key not in runs:
+                runs[key] = run(*args)
         return [score(z) for z in points]
 
-    # (process, pipe end) of each worker; the calling process sends each its
-    # runs itself, so no thread of this process stands between them. Each
-    # worker inherits the prefixes when it forks, and the scalar kernel,
-    # traced here if no prefix traced it
-    scalar_kernel()
-    workers = []
     z0, lower_z, upper_z = ([v / s for v, s in zip(b, scale)] for b in (x0, lower, upper))
-    # a Jacobian needs at most one run per scenario and free parameter
-    processes = _process_count(len(needed) * len(paths))
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork" if processes > 1 else None)
-    counter = context.Value("i", 0)
-    try:
-        for _ in range(processes - 1):
-            conn, worker_conn = context.Pipe()
-            worker = context.Process(target=_serve,
-                                     args=(run, counter, worker_conn), daemon=True)
-            worker.start()
-            worker_conn.close()
-            workers.append((worker, conn))
-        result = least_squares(evaluate, z0, bounds=(lower_z, upper_z),
-                               max_nfev=spec.max_iterations)
-    finally:
-        for worker, conn in workers:
-            worker.terminate()
-            worker.join()
-            conn.close()
+    result = least_squares(evaluate, z0, bounds=(lower_z, upper_z), max_nfev=spec.max_iterations)
     # the solver scored the start, the fit and the Jacobian points there
     x = result.x
     achieved = achieved_at(x)

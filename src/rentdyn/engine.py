@@ -7,11 +7,15 @@ A first-order smooth is integrated as one more stock of the model.
 
 The state is a sequence of stock levels in a fixed order: floats for one
 run (:func:`simulate`), or one ``(stocks, B)`` array for a batch of B runs
-stepped together (:func:`simulate_batch`). Each effect curve has a scalar
-form for one run and an array form for a batch, equal bit for bit. numpy
-is imported by the first batch: one run never imports it, keeps every
-sample as a Python float, and makes numpy arrays only when a caller asks
-its trajectory for them.
+stepped together (:func:`simulate_batch`). One run's loop is either the
+reference, one derivative call and one :func:`euler_step` per sample, or a
+run loop compiled from the same derivative that gives the same bits
+(:func:`rentdyn.model.scalar_kernel` writes one); ``simulate`` keeps the
+bookkeeping around either: restarts, clamp events, the finite scan and the
+kept series. Each effect curve has a scalar form for one run and an array
+form for a batch, equal bit for bit. numpy is imported by the first batch:
+one run never imports it, keeps every sample as a Python float, and makes
+numpy arrays only when a caller asks its trajectory for them.
 
 The integrator is deliberately fixed-step (no adaptive error control): model
 results must be reproducible bit-for-bit for a given grid, and time-step
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -260,15 +264,21 @@ def euler_step(
     never fires.
     """
     out = [value + dt * rate for value, rate in zip(state, rates)]
-    # one scan skips the loop when nothing is negative; min() of a list that
-    # starts with a NaN is NaN, and that fails the test too
-    if not min(out) >= 0.0:
-        for i in nonneg:
-            new = out[i]
-            if new < 0.0:
-                if new < -EPS * max(1.0, abs(state[i])):
-                    events.append(ClampEvent(time=time, name=nonneg[i], value=new))
-                out[i] = 0.0
+    # one scan skips the clamp when nothing is negative; min() of a list
+    # that starts with a NaN is NaN, and that fails the test too
+    return out if min(out) >= 0.0 else _clamp(state, out, time, nonneg, events)
+
+
+def _clamp(state: Sequence[float], out: list[float], time: float, nonneg: Mapping[int, str],
+           events: list[ClampEvent]) -> list[float]:
+    """The clamp of :func:`euler_step`: ``out``, stepped from ``state``,
+    with each entry of ``nonneg`` below zero set to zero."""
+    for i in nonneg:
+        new = out[i]
+        if new < 0.0:
+            if new < -EPS * max(1.0, abs(state[i])):
+                events.append(ClampEvent(time=time, name=nonneg[i], value=new))
+            out[i] = 0.0
     return out
 
 
@@ -300,6 +310,8 @@ def _euler_step_batch(
 # sequence, in the order of its ``auxiliaries``; simulate_batch as a mapping
 DerivFn = Callable[[Sequence, float], "tuple[Sequence, Sequence]"]
 BatchDerivFn = Callable[[Sequence, float], "tuple[Sequence, Mapping]"]
+# run(state, grid, first, last, clamp) -> samples: see simulate
+RunFn = Callable[[list, Sequence, int, int, Callable], list]
 
 
 class Trajectory:
@@ -389,6 +401,7 @@ def simulate(
     restart: tuple[int, Trajectory] | None = None,
     *,
     auxiliaries: Sequence[str],
+    run: RunFn | None = None,
 ) -> Trajectory:
     """Integrate one run of ``deriv`` over the clock grid with forward Euler.
 
@@ -422,6 +435,16 @@ def simulate(
     auxiliaries : sequence of str
         The names of the auxiliaries, one for each value of ``aux``; any
         other count raises ``ValueError``.
+    run : callable, optional
+        A run loop compiled from ``deriv`` on the clock's step, in place of
+        the reference loop (one ``deriv`` call and one :func:`euler_step`
+        per sample), whose samples and clamp events it gives bit for bit.
+        ``run(state, grid, first, last, clamp)`` steps from the levels
+        ``state`` at sample ``first`` and returns the rows of samples
+        ``first`` through ``last`` in one list, calling ``clamp(state, new,
+        t) -> new`` (:func:`euler_step`'s clamp) after a step that took a
+        stock of ``nonneg`` below zero. :func:`rentdyn.model.scalar_kernel`
+        writes one.
 
     Returns
     -------
@@ -444,19 +467,22 @@ def simulate(
         state = [earlier.data[name][first] for name in names]
         events = [e for e in earlier.clamp_events if e.time < grid[first]]
     state = [float(v) for v in state]  # an integer level is recorded as a float
-    samples: list[float] = []  # row-major: every stock, then every auxiliary, per time
+    if run is not None:
+        samples = run(state, grid, first, n - 1, partial(_clamp, nonneg=clamped, events=events))
+    else:
+        samples = []  # row-major: every stock, then every auxiliary, per time
+        for k, t in enumerate(grid[first:], first):
+            rates, aux = deriv(state, t)
+            samples += state
+            samples += aux
+            if k < n - 1:
+                state = euler_step(state, rates, clock.dt, clamped, time=t, events=events)
 
-    for k, t in enumerate(grid[first:], first):
-        rates, aux = deriv(state, t)
-        samples += state
-        samples += aux
-        if k < n - 1:
-            state = euler_step(state, rates, clock.dt, clamped, time=t, events=events)
-
-    if len(aux) != len(auxiliaries):  # or every row would be cut at the wrong width
-        raise ValueError(f"deriv returned {len(aux)} auxiliaries for {len(auxiliaries)} names")
+    width = len(names) + len(auxiliaries)
+    if len(samples) != (n - first) * width:  # or every row would be cut at the wrong width
+        raise ValueError(f"deriv returned {len(samples) // (n - first) - len(names)} "
+                         f"auxiliaries for {len(auxiliaries)} names")
     names += auxiliaries
-    width = len(names)
     # one pass in C: the sum is finite when every sample is (a sum of finite
     # samples that overflows is scanned, and passes). The rows taken from
     # ``earlier`` passed this check when it was made.

@@ -33,8 +33,9 @@ namespace in the style of the Array API (``where``, ``maximum``,
 namespace follows the type of the parameters: a :class:`ModelParams` takes
 the scalar backend, which single runs, calibration and the extreme battery
 use: the definition traced once per process and compiled into straight-line
-Python on floats and ``math`` (:func:`scalar_kernel`), so it may not branch
-on a flow value in Python (``ops.where`` writes the choice). A batch from
+Python on floats and ``math`` (:func:`scalar_kernel`), a derivative and a
+run loop that takes each Euler step inline, so it may not branch on a flow
+value in Python (``ops.where`` writes the choice). A batch from
 :func:`rentdyn.params.stack_params` takes the numpy backend, where every
 value is a ``(B,)`` array, one entry per parameter set, which the
 sensitivity sweep uses. The state is a sequence in :data:`STOCKS` order
@@ -239,7 +240,7 @@ def build_derivative(params, dt: float):
     themselves are step-size independent.
     """
     if isinstance(params, ModelParams):
-        return scalar_kernel().make(params, dt)
+        return scalar_kernel().make(params, dt)[0]
     return _definition(params, dt)
 
 
@@ -510,11 +511,17 @@ _KERNEL_FILE = "<rentdyn.model scalar kernel>"
 def scalar_kernel() -> SimpleNamespace:
     """The scalar backend: the flow definition (:func:`_definition`), traced
     on symbolic values at the first call in a process and written out as
-    ``source``, a factory ``make(params, dt) -> deriv`` of straight-line
-    Python whose ``deriv`` returns the auxiliaries as a tuple, named by
-    ``auxiliaries``. Each operation is the definition's, on its operands,
-    in its order where it can raise; a value used once that cannot raise is
-    written into its use, and what reads no state or time into the factory.
+    ``source``, a factory ``make(params, dt) -> (deriv, run)`` of
+    straight-line Python. ``deriv`` returns the auxiliaries as a tuple,
+    named by ``auxiliaries``. ``run(state, grid, first, last, clamp)`` is
+    :func:`rentdyn.engine.simulate`'s reference loop over ``deriv``, written
+    out: from ``state`` at sample ``first`` it records each sample through
+    ``last`` as one row of stocks and auxiliaries, in one flat list, and
+    takes each Euler step inline, calling ``clamp(state, new, t)`` only when
+    a stock of :data:`NONNEG_STOCKS` went below zero. Each operation is the
+    definition's, on its operands, in its order where it can raise; a value
+    used once that cannot raise is written into its use, and what reads no
+    state or time into the factory.
     """
     tape = _Tape()
     p, dt, t, *state = (_Traced(tape, None, name=name, varying=name[0] in "st")
@@ -536,12 +543,30 @@ def scalar_kernel() -> SimpleNamespace:
             line = f"v{i} = {text(node)}"
             node._name = f"v{i}"
             (body if node._varying else factory).append(line)
+    stocks = ", ".join(s._name for s in state)
+    new = ", ".join(f"n{i}" for i in range(len(state)))
+    row = [*(s._name for s in state), *map(text, aux.values())]
+    negative = " or ".join(f"n{i} < 0.0" for i, name in enumerate(STOCKS) if name in NONNEG_STOCKS)
     source = "\n".join([
         "def make(p, dt):", *(f"    {line}" for line in factory),
-        "    def deriv(state, t):", f"        {', '.join(s._name for s in state)} = state",
+        "    def deriv(state, t):", f"        {stocks} = state",
         *(f"        {line}" for line in body),
-        f"        return [{', '.join(map(text, rates))}], ({', '.join(map(text, aux.values()))},)",
-        "    return deriv", ""])
+        f"        return [{', '.join(map(text, rates))}], ({', '.join(row[len(state):])},)",
+        "    def run(state, grid, first, last, clamp):", f"        {stocks} = state",
+        "        samples = []",
+        "        for k in range(first, last + 1):",
+        "            t = grid[k]",
+        *(f"            {line}" for line in body),
+        # a display of more than 30 values is built through a list
+        *(f"            samples += ({', '.join(row[i:i + 24])},)" for i in range(0, len(row), 24)),
+        "            if k == last:",
+        "                return samples",
+        *(f"            n{i} = {s._name} + dt * ({text(rate)})"
+          for i, (s, rate) in enumerate(zip(state, rates))),
+        f"            if {negative}:",
+        f"                {new} = clamp([{stocks}], [{new}], t)",
+        *(f"            {s._name} = n{i}" for i, s in enumerate(state)),
+        "    return deriv, run", ""])
     linecache.cache[_KERNEL_FILE] = (len(source), None, source.splitlines(True), _KERNEL_FILE)
     namespace = {"inf": math.inf, "nan": math.nan}
     exec(compile(source, _KERNEL_FILE, "exec"), namespace)
@@ -587,8 +612,8 @@ def run_model(
     """Simulate the model on the given grid.
 
     The one place that picks a backend. One :class:`ModelParams` runs on
-    the scalar backend (:func:`rentdyn.engine.simulate`) and returns one
-    trajectory. A sequence of B parameter sets runs as one batch on the
+    the scalar backend, the kernel's run loop inside
+    :func:`rentdyn.engine.simulate`, and returns one trajectory. A sequence of B parameter sets runs as one batch on the
     numpy backend (:func:`rentdyn.engine.simulate_batch`) and returns B
     trajectories (none for an empty sequence). Either way a trajectory
     holds the ``record`` series (every stock and auxiliary if None). If a
@@ -606,9 +631,10 @@ def run_model(
     whose horizon is sample ``k``'s time will do.
     """
     if isinstance(params, ModelParams):
-        return simulate(build_derivative(params, clock.dt), clock,
-                        dict(zip(STOCKS, initial_state(params))), NONNEG_STOCKS, record, restart,
-                        auxiliaries=scalar_kernel().auxiliaries)
+        kernel = scalar_kernel()
+        deriv, run = kernel.make(params, clock.dt)
+        return simulate(deriv, clock, dict(zip(STOCKS, initial_state(params))), NONNEG_STOCKS,
+                        record, restart, auxiliaries=kernel.auxiliaries, run=run)
     if restart is not None:
         raise ValueError("a batch cannot restart: run its parameter sets one by one")
     if not params:

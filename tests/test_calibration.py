@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -474,16 +475,12 @@ def test_fit_does_not_depend_on_the_blas_kernel():
 
 @pytest.mark.parametrize("magnitude, evaluations, runs",
                          [(0.475, 40, 96), (0.525, 30, 72), (0.54, 25, 60)])
-def test_fit_from_the_other_benchmark_starts_keeps_its_work(monkeypatch, magnitude,
-                                                            evaluations, runs):
+def test_fit_from_the_other_benchmark_starts_keeps_its_work(magnitude, evaluations, runs):
     """No trial point is refused from these starts, so every Jacobian run
-    made with a trial point is read; pooled or not, the path is the same."""
+    made with a trial point is read."""
     spec = load_calibration_spec("params/calibration.yaml")
-    start = with_value(default_params(), "covid.magnitude", magnitude)
-    pooled = calibrate(start, spec)
-    assert (pooled.evaluations, pooled.scenario_runs) == (evaluations, runs)
-    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
-    assert _outcome(calibrate(start, spec)) == _outcome(pooled)
+    result = calibrate(with_value(default_params(), "covid.magnitude", magnitude), spec)
+    assert (result.evaluations, result.scenario_runs) == (evaluations, runs)
 
 
 def _outcome(result):
@@ -493,42 +490,15 @@ def _outcome(result):
 
 
 @pytest.mark.parametrize("magnitude", [0.475, 0.54])
-def test_parallel_fit_equals_serial_fit(monkeypatch, magnitude):
+def test_parallel_fit_equals_serial_fit(magnitude):
+    """Fits share only the traced kernel: two made at once, in two threads
+    of one process, each give the fit made alone."""
     spec = load_calibration_spec("params/calibration.yaml")
     start = with_value(default_params(), "covid.magnitude", magnitude)
-    parallel = calibrate(start, spec)
-    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     serial = calibrate(start, spec)
-    assert _outcome(parallel) == _outcome(serial)
-
-
-def test_pooled_round_of_one_run_equals_the_serial_fit(monkeypatch):
-    """Two free values of run2 against two run2 targets: every round holds
-    runs of run2 alone, so the trial point after a refused one is a round
-    of a single run, which the pool's processes claim like any other."""
-    shock = run_scenario(default_params(), BUILTIN_SCENARIOS["run2"]).metrics
-    spec = CalibrationSpec(
-        parameters=(CalibrationParameter("covid.magnitude", 0.40, 0.80),
-                    CalibrationParameter("covid.recovery_time", 30.0, 150.0)),
-        targets=(CalibrationTarget("run2", "evictions_total", shock.evictions_total),
-                 CalibrationTarget("run2", "arrears_growth_36mo", shock.arrears_growth_36mo)))
-    start = with_values(default_params(), {"covid.magnitude": 0.6, "covid.recovery_time": 140.0})
-    make_runs = calibration._make_runs
-    rounds = []
-
-    def recording(run, counter, todo):
-        rounds.append(len(todo))
-        return make_runs(run, counter, todo)
-
-    monkeypatch.setattr(calibration, "_make_runs", recording)
-    outcomes = []
-    for processes in (2, 1):
-        monkeypatch.setattr(calibration, "_process_count", lambda most: processes)
-        rounds.clear()
-        result = calibrate(start, spec)
-        assert 1 in rounds, processes
-        outcomes.append((result.fitted, result.evaluations, result.scenario_runs))
-    assert outcomes[0] == outcomes[1]
+    with ThreadPoolExecutor(2) as pool:
+        parallel = list(pool.map(lambda _: calibrate(start, spec), range(2)))
+    assert [_outcome(result) for result in parallel] == [_outcome(serial)] * 2
 
 
 def _fail_run3_above(monkeypatch, magnitude, failures) -> None:
@@ -546,19 +516,16 @@ def _fail_run3_above(monkeypatch, magnitude, failures) -> None:
 
 
 def test_run_failing_in_a_worker_scores_like_a_serial_failure(monkeypatch):
-    """A run that raises SimulationError scores the failure residual wherever
-    it runs: run3 fails above magnitude 0.58, so the fit stops short there."""
+    """A run that raises SimulationError scores the failure residual: run3
+    fails above magnitude 0.58, so the fit stops short there."""
     spec = load_calibration_spec("params/calibration.yaml")
     start = with_value(default_params(), "covid.magnitude", 0.5)
     failures = []
     _fail_run3_above(monkeypatch, 0.58, failures)
-    parallel = calibrate(start, spec)
-    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     serial = calibrate(start, spec)
-    assert failures  # the serial fit met failing runs in this process
+    assert failures  # the fit met failing runs in this process
     assert serial.converged
     assert serial.fitted["covid.magnitude"] <= 0.58
-    assert _outcome(parallel) == _outcome(serial)
 
 
 def test_fit_ending_at_a_wall_of_failed_runs_reports_no_singular_values(
@@ -596,79 +563,38 @@ def test_fit_ending_at_a_wall_of_failed_runs_reports_no_singular_values(
                         "none, the fit ends at a wall of failed runs")
 
 
-def test_worker_pool_is_bounded_and_closed_when_the_solver_raises(monkeypatch):
-    spec = load_calibration_spec("params/calibration.yaml")
-    start = with_value(default_params(), "covid.magnitude", 0.5)
-    cpus = os.sched_getaffinity(0)
-    seen = []
-
-    def broken(fun, x0, **kwargs):
-        fun([[v * factor for v in x0] for factor in (1.01, 1.02, 1.03)])
-        seen.append((len(multiprocessing.active_children()), os.sched_getaffinity(0)))
-        raise RuntimeError("solver failed")
-
-    monkeypatch.setattr(calibration, "least_squares", broken)
-    # the held traceback keeps calibrate's frame, and with it the pool, alive
-    with pytest.raises(RuntimeError, match="solver failed") as raised:
-        calibrate(start, spec)
-    # this process is one of the processes that make the runs: at most one
-    # per CPU and per run of a Jacobian (3 scenarios x 4 free parameters)
-    processes = calibration._process_count(3 * 4)
-    assert processes <= len(cpus)
-    # the fit leaves the CPUs this process may use alone
-    assert seen == [(processes - 1, cpus)]
-    assert os.sched_getaffinity(0) == cpus
-    assert multiprocessing.active_children() == []
-    assert raised.traceback
-
-
-def test_pool_is_sized_from_the_work_not_the_machine(monkeypatch):
-    """On 64 CPUs a fit whose Jacobian needs 12 runs starts 12 processes."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert calibration._process_count(3 * 4) == 12
-    assert calibration._process_count(100) == 64
-    assert calibration._process_count(1) == 1
-
-
 def test_fit_never_forks_while_another_thread_runs(monkeypatch):
-    """A fork copies locks other threads may hold: with a second thread
-    alive, the fit makes its runs in this process, with the same result."""
-    spec = load_calibration_spec("params/calibration.yaml")
+    """A fit makes every run in the calling process: with or without a
+    second thread alive, it never forks and leaves no child process."""
+    def forbidden():
+        raise AssertionError("the fit forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
     start = with_value(default_params(), "covid.magnitude", 0.5)
-    children = []
-    solver = calibration.least_squares
-
-    def counting(fun, x0, **options):
-        children.append(len(multiprocessing.active_children()))
-        return solver(fun, x0, **options)
-
-    monkeypatch.setattr(calibration, "least_squares", counting)
-    pooled = calibrate(start, spec)
-    assert children == [calibration._process_count(3 * 4) - 1]
+    alone = calibrate(start, _SHIPPED)
+    assert multiprocessing.active_children() == []
     stop = threading.Event()
     waiting = threading.Thread(target=stop.wait, daemon=True)
     waiting.start()
     try:
-        assert calibration._process_count(3 * 4) == 1
-        alone = calibrate(start, spec)
+        beside = calibrate(start, _SHIPPED)
     finally:
         stop.set()
         waiting.join(timeout=10)
     assert not waiting.is_alive()
-    assert children[1:] == [0]
-    assert _outcome(alone) == _outcome(pooled)
+    assert multiprocessing.active_children() == []
+    assert _outcome(beside) == _outcome(alone)
 
 
 def test_fit_in_a_daemonic_process_makes_every_run_itself(monkeypatch):
     """multiprocessing lets no daemonic process start children: a fit there
     makes its runs in that process, with the same result."""
     start = with_value(default_params(), "covid.magnitude", 0.5)
-    pooled = calibrate(start, _SHIPPED)
+    usual = calibrate(start, _SHIPPED)
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-    assert calibration._process_count(3 * 4) == 1
     alone = calibrate(start, _SHIPPED)
     assert (alone.evaluations, alone.scenario_runs) == (30, 72)
-    assert _outcome(alone) == _outcome(pooled)
+    assert _outcome(alone) == _outcome(usual)
 
 
 def _fitted_from(magnitude: float) -> dict[str, float]:
@@ -682,21 +608,21 @@ def test_fit_in_a_pool_worker_is_the_fit_here():
 
 
 def test_an_error_raised_in_a_worker_reaches_the_caller(monkeypatch):
-    """An exception other than a failed run's leaves a worker by its pipe:
-    the fit raises it and closes the pool."""
-    if calibration._process_count(3 * 4) == 1:
-        pytest.skip("the fit starts no worker process here")
-    caller = os.getpid()
+    """An exception other than a failed run's is not scored: raised where a
+    run is made, the tenth, it leaves the fit as it was raised."""
+    made = []
     compute_metrics = calibration.compute_metrics
 
-    def failing_in_a_worker(trajectory):
-        if os.getpid() != caller:
-            raise RuntimeError("failed in a worker")
+    def failing(trajectory):
+        made.append(trajectory)
+        if len(made) == 10:
+            raise RuntimeError("failed in a run")
         return compute_metrics(trajectory)
 
-    monkeypatch.setattr(calibration, "compute_metrics", failing_in_a_worker)
-    with pytest.raises(RuntimeError, match="failed in a worker"):
+    monkeypatch.setattr(calibration, "compute_metrics", failing)
+    with pytest.raises(RuntimeError, match="failed in a run"):
         calibrate(with_value(default_params(), "covid.magnitude", 0.5), _SHIPPED)
+    assert len(made) == 10
     assert multiprocessing.active_children() == []
 
 
@@ -715,7 +641,6 @@ def test_fit_makes_one_run_per_point_a_scenario_sees(monkeypatch):
         return run_model_(params, clock, **kwargs)
 
     monkeypatch.setattr(calibration, "run_model", recording)
-    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     spec = CalibrationSpec(
         parameters=(CalibrationParameter("covid.magnitude", 0.4, 0.8),
                     CalibrationParameter("assistance.rate_multiplier", 0.5, 2.0)),
@@ -798,24 +723,20 @@ def test_restarted_run_is_the_full_run(start, values):
             assert restarted.clamp_events == full.clamp_events
 
 
-def _derivative_calls(monkeypatch) -> list[list[int]]:
-    """One counter per derivative built from now on, in this process only."""
+def _samples_integrated(monkeypatch) -> list[int]:
+    """The samples each scalar run integrates from now on, one count per
+    call of its compiled run loop: ``last - first + 1``."""
     counts = []
-    build = model.build_derivative
+    simulate = model.simulate
 
-    def counted(*args, **kwargs):
-        deriv = build(*args, **kwargs)
-        calls = [0]
-        counts.append(calls)
+    def counted(*args, run, **kwargs):
+        def counted_run(state, grid, first, last, clamp):
+            counts.append(last - first + 1)
+            return run(state, grid, first, last, clamp)
 
-        def wrapped(state, t):
-            calls[0] += 1
-            return deriv(state, t)
+        return simulate(*args, run=counted_run, **kwargs)
 
-        return wrapped
-
-    monkeypatch.setattr(model, "build_derivative", counted)
-    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
+    monkeypatch.setattr(model, "simulate", counted)
     return counts
 
 
@@ -830,10 +751,10 @@ def _full_runs(monkeypatch) -> None:
 
 
 def test_fit_restarts_every_run_after_the_start(monkeypatch):
-    counts = _derivative_calls(monkeypatch)
+    counts = _samples_integrated(monkeypatch)
     result = calibrate(with_value(default_params(), "covid.magnitude", 0.5), _SHIPPED)
     assert result.scenario_runs == 72
-    calls = sorted(c[0] for c in counts)
+    calls = sorted(counts)
     # one prefix per scenario, through sample 107 of 201 in run2 and 105 in
     # run3 and run4; then every run, the start's included, restarts there
     assert len(calls) == 3 + 72
@@ -854,7 +775,6 @@ def _run_model_calls(monkeypatch) -> list[tuple[SimClock, tuple | None]]:
 
     monkeypatch.setattr(calibration, "run_model", counted)
     monkeypatch.setattr(scenarios, "run_model", counted)
-    monkeypatch.setattr(calibration, "_process_count", lambda most: 1)
     return calls
 
 
@@ -883,10 +803,10 @@ def test_fit_freeing_a_value_read_from_the_start_makes_full_runs(monkeypatch, fr
     targets = tuple(CalibrationTarget(scenario, t.metric, t.value) for t in spec.targets)
     spec = CalibrationSpec(parameters=(spec.parameters[0], free), targets=targets,
                            max_iterations=3)
-    counts = _derivative_calls(monkeypatch)
+    counts = _samples_integrated(monkeypatch)
     result = calibrate(default_params(), spec)
     assert result.scenario_runs == len(counts) > 1
-    assert {c[0] for c in counts} == {201}
+    assert set(counts) == {201}
 
 
 def _crowding_spec(lower, upper):
@@ -942,7 +862,7 @@ def test_fit_ending_where_a_scenario_cannot_be_built_is_refused():
 def test_start_whose_runs_blow_up_raises_the_run_error(monkeypatch, tmp_path, capsys,
                                                        path, value, may_fork):
     """A rent of 1e305 makes ``rent_due`` infinite at t=0, inside every
-    prefix: the fit raises run2's error before any worker forks. An inflow of
+    prefix: the fit raises run2's error before its search starts. An inflow of
     1e307 blows up at t=28.25, after the onset: every run fails, and the fit
     ends at its start and raises the same error there. Either way the
     command exits 1 with one line and writes nothing."""
@@ -975,9 +895,9 @@ def test_restarted_fit_on_a_coarser_grid_is_the_fit_from_full_runs(monkeypatch):
     from prefixes of 55 and 54 samples."""
     clock = SimClock(dt=0.5)
     start = with_value(default_params(), "covid.magnitude", 0.5)
-    counts = _derivative_calls(monkeypatch)
+    counts = _samples_integrated(monkeypatch)
     restarted = calibrate(start, _SHIPPED, clock=clock)
-    assert {c[0] for c in counts} == {101 - 54, 101 - 53, 54, 55}
+    assert set(counts) == {101 - 54, 101 - 53, 54, 55}
     _full_runs(monkeypatch)
     full = calibrate(start, _SHIPPED, clock=clock)
     assert restarted.converged
@@ -993,9 +913,9 @@ def test_fit_of_a_value_first_read_after_the_horizon(monkeypatch):
         targets=(CalibrationTarget("run4", "assistance_disbursed_fraction", 0.4),),
         max_iterations=5,
     )
-    counts = _derivative_calls(monkeypatch)
+    counts = _samples_integrated(monkeypatch)
     restarted = calibrate(start, spec)
-    assert {c[0] for c in counts} == {1, 201}
+    assert set(counts) == {1, 201}
     _full_runs(monkeypatch)
     assert _outcome(calibrate(start, spec)) == _outcome(restarted)
 

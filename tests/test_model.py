@@ -18,9 +18,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from rentdyn import calibration, model
+from rentdyn import model
 from rentdyn.calibration import CalibrationParameter, CalibrationSpec, CalibrationTarget, calibrate
-from rentdyn.engine import EPS, SimClock, SimulationError
+from rentdyn.engine import EPS, SimClock, SimulationError, simulate
 from rentdyn.model import (
     NONNEG_STOCKS,
     STOCKS,
@@ -622,9 +622,9 @@ def test_a_flow_that_branches_in_python_fails_the_trace(monkeypatch, branch):
 
 
 def test_the_definition_is_traced_once_per_process(monkeypatch, tmp_path):
-    """A pooled fit whose runs make no prefix, the five scenarios of
-    run_many and a drain_cap_bound trace the definition once in all: in
-    the calling process, before the fit's worker forks."""
+    """A fit whose runs make no prefix, the five scenarios of run_many and
+    a drain_cap_bound trace the definition once in all, in this process:
+    one trace writes both the derivative and the run loop."""
     shock = run_scenario(default_params(), BUILTIN_SCENARIOS["run2"]).metrics
     # read from the start, so the fit's runs make no prefix
     spec = CalibrationSpec(
@@ -639,13 +639,58 @@ def test_the_definition_is_traced_once_per_process(monkeypatch, tmp_path):
                 log.write(f"{os.getpid()}\n")
 
     monkeypatch.setattr(model, "_Tape", Tape)
-    monkeypatch.setattr(calibration, "_process_count", lambda most: 2)
     model.scalar_kernel.cache_clear()
     start = with_value(default_params(), "rent_delay_curve.steepness", 2.5)
     assert calibrate(start, spec).converged
     run_many(default_params(), BUILTIN_SCENARIOS)
     assert drain_cap_bound(default_params(), 0.25) is None
     assert traces.read_text().split() == [str(os.getpid())]
+
+
+def _loop_cases():
+    """Every shipped scenario's parameters, the extreme battery's hair-trigger
+    landlords on run2, and run2 with a negative inflow no limiter can stop,
+    so the clamp acts at nearly every step."""
+    base = default_params()
+    cases = {name: scenario.apply(base) for name, scenario in BUILTIN_SCENARIOS.items()}
+    run2 = BUILTIN_SCENARIOS["run2"]
+    cases["hair_trigger_landlords_bounded"] = run2.apply(
+        with_value(base, "landlord_tolerance", 1.0))
+    cases["negative_inflow"] = with_value(cases["run2"], "rate_new_homelessness", -1e6)
+    return cases
+
+
+def _reference_run(params, clock, restart=None):
+    """``params``'s run on the reference loop: the scalar kernel's own
+    ``deriv``, one :func:`rentdyn.engine.euler_step` per sample."""
+    kernel = model.scalar_kernel()
+    deriv, _ = kernel.make(params, clock.dt)
+    return simulate(deriv, clock, dict(zip(STOCKS, initial_state(params))), NONNEG_STOCKS,
+                    restart=restart, auxiliaries=kernel.auxiliaries)
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.5, 0.125])
+def test_the_compiled_run_loop_is_the_reference_loop(dt):
+    """The kernel's run loop gives the trajectory of the engine's reference
+    loop over the kernel's ``deriv``, bit for bit, clamp events included:
+    run in full, and restarted from run1 at the first sample at or after
+    the time it departs from run1 (the last sample for run1 itself)."""
+    clock = SimClock(dt=dt)
+    cases = _loop_cases()
+    run1 = _reference_run(cases["run1"], clock)
+    clamped = 0
+    for name, params in cases.items():
+        k = clock.sample_at_or_after(departure(cases["run1"], params))
+        for restart in (None, (k, run1)):
+            loop = run_model(params, clock, restart=restart)
+            reference = _reference_run(params, clock, restart)
+            assert list(loop.data) == list(reference.data)
+            for series, values in reference.data.items():
+                assert np.asarray(loop.data[series]).tobytes() == \
+                    np.asarray(values).tobytes(), (name, restart and k, series)
+            assert repr(loop.clamp_events) == repr(reference.clamp_events), name
+            clamped += len(loop.clamp_events)
+    assert clamped > 0
 
 
 def test_a_traceback_through_the_kernel_shows_its_line(monkeypatch):

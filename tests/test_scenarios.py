@@ -109,30 +109,29 @@ def test_run_many_returns_name_ordered_results(suite):
 def test_the_ladder_restarts_each_run_where_it_departs(monkeypatch):
     """run2 departs from run1 at the shock, run3 from run2 at the filing
     drop, run4 at the start (its switch opens the fund), and run4a from run4
-    at the first payment: 649 derivative calls where five full runs make
-    1,005. compare's default pair makes 201 + 94, not 402. A ladder of start
-    dates restarts each moved run too, and every series is the full run's."""
-    calls = []
-    factory = model.build_derivative
+    at the first payment: 649 samples integrated where five full runs
+    integrate 1,005. compare's default pair integrates 201 + 94, not 402. A
+    ladder of start dates restarts each moved run too, and every series is
+    the full run's."""
+    samples = []
+    simulate = model.simulate
 
-    def counting(params, dt):
-        deriv = factory(params, dt)
+    def counting(*args, run, **kwargs):
+        def counted(state, grid, first, last, clamp):
+            samples.append(last - first + 1)
+            return run(state, grid, first, last, clamp)
+        return simulate(*args, run=counted, **kwargs)
 
-        def counted(state, t):
-            calls.append(t)
-            return deriv(state, t)
-        return counted
-
-    monkeypatch.setattr(model, "build_derivative", counting)
+    monkeypatch.setattr(model, "simulate", counting)
     results = run_many(default_params(), BUILTIN_SCENARIOS)
-    assert len(calls) == 649
+    assert sum(samples) == 649
     traj = {name: result.trajectory for name, result in results.items()}
     assert {name: t.restart for name, t in traj.items()} == {
         "run1": None, "run2": (107, traj["run1"]), "run3": (105, traj["run2"]),
         "run4": None, "run4a": (144, traj["run4"])}
-    calls.clear()
+    samples.clear()
     run_many(default_params(), {name: BUILTIN_SCENARIOS[name] for name in ("run1", "run2")})
-    assert len(calls) == 295
+    assert sum(samples) == 295
     # a start date moved later parts at the earlier onset, and one moved
     # earlier at its own: run3_late from run3 at the filing drop (105),
     # run4_early from run4 at its first payment, month 30 (120)
@@ -141,9 +140,9 @@ def test_the_ladder_restarts_each_run_where_it_departs(monkeypatch):
         ladder["run3"], name="run3_late", overrides={"moratorium.start_time": 29.0})
     ladder["run4_early"] = dataclasses.replace(
         ladder["run4"], name="run4_early", overrides={"assistance.start_time": 30.0})
-    calls.clear()
+    samples.clear()
     results = run_many(default_params(), ladder)
-    assert len(calls) == 201 + 96 + 201 + 81
+    assert sum(samples) == 201 + 96 + 201 + 81
     traj = {name: result.trajectory for name, result in results.items()}
     assert {name: t.restart for name, t in traj.items()} == {
         "run3": None, "run3_late": (105, traj["run3"]),
