@@ -43,13 +43,12 @@ failed run does. A fit that ends on a failed run raises the error that run
 kept (the first failed scenario's, by name) and integrates nothing again.
 
 The runs are made in the solver's rounds (:func:`least_squares`): a trial
-point's round holds the points of the finite-difference Jacobian there
-too, unless a trial since the last Jacobian was refused, so a step taken
-costs one round and a streak of refusals makes at most one set of Jacobian
-runs never read. Each round's runs are made in order, in the calling
-process: on the compiled run loop (:func:`rentdyn.model.scalar_kernel`) a
-restarted run takes under a millisecond, and on two CPUs forked workers
-cost more to start and to feed than they saved.
+point is scored alone, and the points of the finite-difference Jacobian at
+it only once the step to it is taken, so every run made is read. Each
+round's runs are made in order, in the calling process: on the compiled run
+loop (:func:`rentdyn.model.scalar_kernel`) a restarted run takes under a
+millisecond, and on two CPUs forked workers cost more to start and to feed
+than they saved.
 
 The search is fully deterministic: same spec, same starting parameters,
 same result, on every CPU: the solver sums Python floats by
@@ -190,8 +189,7 @@ class CalibrationResult:
     # points scored, the start's and the Jacobians' included
     evaluations: int
     # scenario integrations made: one per scenario and distinct point it
-    # sees, the Jacobian points made with a trial point the solver then
-    # refused included
+    # sees
     scenario_runs: int
     # the solver met a tolerance, the fit scores no failed run, and the
     # targets identify every free parameter (see singular_values)
@@ -368,8 +366,8 @@ class Solution(NamedTuple):
     njev: int
     # 1, 2 or 3: the gradient, cost or step test was met; 0: max_nfev was reached
     status: int
-    # the trial point refused last; none once a step is taken with no
-    # refusal before it
+    # the trial point refused last since the Jacobian at ``x`` was made;
+    # none if no trial point was
     refused: tuple[list[float], ...]
 
 
@@ -402,10 +400,9 @@ def least_squares(
     The Jacobian is made at every point taken, by forward differences
     (:func:`_difference_points`). Each call ``fun(points)`` is one round,
     returning the points' residual vectors in order. A round holds the start
-    or a trial point with the Jacobian points there, which the search needs
-    next if it takes the step; once a trial since the last Jacobian was
-    refused, a trial point alone, and then the Jacobian at one taken gets a
-    round of its own. Points are lists of floats, and so are the results.
+    with the Jacobian points there, or a trial point alone, or the Jacobian
+    points at a trial point once the step to it is taken: the search reads
+    every point it scores. Points are lists of floats, and so are the results.
     """
     lower, upper = bounds
     x = list(x0)
@@ -430,13 +427,12 @@ def least_squares(
         # a coordinate on a bound that the gradient pushes out of stays there
         free = [i for i, (v, gi) in enumerate(zip(x, g))
                 if not (v <= lower[i] and gi > 0.0 or v >= upper[i] and gi < 0.0)]
-        alone = False
+        refused = ()
         while True:
             step = dict(zip(free, _solve([[a[i][k] + (mu * damping[i] if i == k else 0.0)
                                            for k in free] for i in free], [-g[i] for i in free])))
             new = _clip([v + step.get(i, 0.0) for i, v in enumerate(x)], lower, upper)
-            points = _difference_points(new, upper)
-            trial, *columns = map(list, fun([new] if alone else [new, *points]))
+            (trial,) = map(list, fun([new]))
             nfev += 1
             actual = cost - _dot(trial, trial)
             dx = [v - w for v, w in zip(new, x)]
@@ -448,15 +444,13 @@ def least_squares(
                 status = 2 if actual < _TOLERANCE * cost and gain > 0.25 else 3 if short else 0
                 x, f, cost = new, trial, _dot(trial, trial)
                 mu /= 3.0
-                refused = refused if alone else ()
                 break
             refused = (new,)
             if short or nfev >= max_nfev:
                 return Solution(x, f, jac, nfev, njev, 3 if short else 0, refused)
-            alone = True
             mu *= 10.0
-        if alone:
-            columns = list(map(list, fun(points)))
+        points = _difference_points(x, upper)
+        columns = list(map(list, fun(points)))
 
 
 def calibrate(

@@ -12,10 +12,10 @@ reference, one derivative call and one :func:`euler_step` per sample, or a
 run loop compiled from the same derivative that gives the same bits
 (:func:`rentdyn.model.scalar_kernel` writes one); ``simulate`` keeps the
 bookkeeping around either: restarts, clamp events, the finite scan and the
-kept series. Each effect curve has a scalar form for one run and an array
-form for a batch, equal bit for bit. numpy is imported by the first batch:
-one run never imports it, keeps every sample as a Python float, and makes
-numpy arrays only when a caller asks its trajectory for them.
+kept series. Each effect curve is one ``value`` over an ops namespace, on
+floats, on ``(B,)`` arrays or on a kernel's trace. numpy is imported by the
+first batch: one run never imports it, keeps every sample as a Python
+float, and makes numpy arrays only when a caller asks its trajectory for them.
 
 The integrator is deliberately fixed-step (no adaptive error control): model
 results must be reproducible bit-for-bit for a given grid, and time-step
@@ -30,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import add
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -135,6 +136,10 @@ def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
+# the ops on floats: a curve's call, and the untraced helpers of rentdyn.model
+SCALAR = SimpleNamespace(where=lambda cond, a, b: a if cond else b, exp=math.exp, log=math.log)
+
+
 @dataclass(frozen=True)
 class LogisticCurve:
     """Saturating multiplier ``y_max + (y_min - y_max) / (1 + (ratio/inflection)^slope)``.
@@ -156,41 +161,27 @@ class LogisticCurve:
             raise ValueError(f"inflection must be positive, got {self.inflection}")
         if not (self.slope > 0.0):
             raise ValueError(f"slope must be positive, got {self.slope}")
-        # constants of __call__, computed once; not fields, so replace() renews them
+        # constants of value, computed once; not fields, so replace() renews them
         object.__setattr__(self, "_log_inflection", math.log(self.inflection))
         object.__setattr__(self, "_span", self.y_min - self.y_max)
 
     def __call__(self, ratio: float) -> float:
-        if ratio <= 0.0:
-            return self.y_min
-        if math.isinf(ratio):
-            return self.y_max
-        z = self.slope * (math.log(ratio) - self._log_inflection)
-        if z >= 700.0:
-            return self.y_max
-        if z <= -700.0:
-            return self.y_min
-        return self.y_max + self._span / (1.0 + math.exp(z))
+        return self.value(self, ratio, SCALAR)
 
     @staticmethod
-    def array(c, ratio: np.ndarray) -> np.ndarray:
-        """:meth:`__call__` on a ``(B,)`` array, bit for bit.
-
-        ``c`` holds the fields and constants of B curves as ``(B,)`` arrays
-        (:func:`rentdyn.params.stack_params`). Each branch is a mask, and
-        only the entries a branch leaves reach ``math.log`` and ``math.exp``.
-        """
-        import numpy as np
-
+    def value(c, ratio, ops):
+        """The curve ``c`` at ``ratio``, on the ops ``where``, ``exp`` and
+        ``log``. Each branch is a mask, and only the inputs a branch leaves
+        reach ``log`` and ``exp``: 1 in place of a ratio at or below 0 or
+        infinite, and 0 in place of a ``z`` past +-700."""
+        where = ops.where
         low = ratio <= 0.0
-        top = np.isinf(ratio)
-        z = c.slope * (_each(math.log, np.where(low | top, 1.0, ratio)) - c._log_inflection)
+        top = ratio == math.inf  # -inf is low
+        z = c.slope * (ops.log(where(low | top, 1.0, ratio)) - c._log_inflection)
         high = z >= 700.0
         under = z <= -700.0
-        value = c.y_max + c._span / (1.0 + _each(math.exp, np.where(high | under, 0.0, z)))
-        out = np.where(under, c.y_min, value)
-        out = np.where(top | high, c.y_max, out)
-        return np.where(low, c.y_min, out)
+        value = c.y_max + c._span / (1.0 + ops.exp(where(high | under, 0.0, z)))
+        return where(low, c.y_min, where(top | high, c.y_max, where(under, c.y_min, value)))
 
 
 @dataclass(frozen=True)
@@ -212,31 +203,25 @@ class GompertzCurve:
             raise ValueError(
                 f"y_final {self.y_final} below floor {self.floor}: curve could not saturate"
             )
-        # constants of __call__, computed once; not fields, so replace() renews them
+        # constants of value, computed once; not fields, so replace() renews them
         object.__setattr__(self, "_rate", math.exp(min(self.steepness, 700.0)))
         object.__setattr__(self, "_span", self.y_initial - self.y_final)
 
     def __call__(self, x: float) -> float:
-        arg = self._rate * x
-        if arg >= 745.0 or math.isinf(arg):
-            decay = 0.0
-        else:
-            decay = math.exp(-arg)
-        value = self.y_final + self._span * decay
-        return value if value > self.floor else self.floor  # max(floor, value), NaN too
+        return self.value(self, x, SCALAR)
 
     @staticmethod
-    def array(c, x: np.ndarray) -> np.ndarray:
-        """:meth:`__call__` on a ``(B,)`` array, bit for bit; ``c`` as in
-        :meth:`LogisticCurve.array`. An entry whose ``math.exp`` overflows
-        raises :class:`OverflowError`, as the scalar form does."""
-        import numpy as np
-
+    def value(c, x, ops):
+        """The curve ``c`` at ``x``, on ops as in :meth:`LogisticCurve.value`.
+        The decay is 0 for an infinite exponent or one of 745 or more, and
+        an ``exp`` that overflows (``x`` below about -709.78 / ``_rate``)
+        raises :class:`OverflowError`. A NaN value gives the floor."""
+        where = ops.where
         arg = c._rate * x
-        gone = (arg >= 745.0) | np.isinf(arg)
-        decay = np.where(gone, 0.0, _each(math.exp, np.where(gone, 0.0, -arg)))
+        gone = (arg >= 745.0) | (arg == -math.inf)
+        decay = where(gone, 0.0, ops.exp(where(gone, 0.0, -arg)))
         value = c.y_final + c._span * decay
-        return np.where(value > c.floor, value, c.floor)
+        return where(value > c.floor, value, c.floor)
 
 
 @dataclass(frozen=True)

@@ -49,14 +49,14 @@ comparisons, ``where``, ``maximum``, ``minimum``), and never ``np.exp`` or
 ``np.log``: their SIMD kernels differ from ``math.exp``/``math.log`` in the
 last bit on some inputs. Both limiters add a stock's outflows left to right,
 as ``sum`` adds arrays: the kernel writes its additions out, since ``sum``
-compensates floats from Python 3.12 on. Each effect curve keeps its scalar form
-(``__call__``) and its array form (``array``, which a batch's curve calls)
-side by side in :mod:`rentdyn.engine`, tested against each other: the array
-form takes every branch of the scalar one as a mask, and maps ``math.exp``
-and ``math.log`` over the entries, so the transcendentals stay the scalar
-ones. The backends part only on NaN, which numpy's ``maximum``/``minimum``
-propagate and Python's ``max``/``min`` may drop; :func:`run_model` reruns
-the sets of a batch that goes non-finite on the scalar backend.
+compensates floats from Python 3.12 on. Each effect curve is one definition
+in :mod:`rentdyn.engine`, its ``value`` over ``where``, ``exp`` and ``log``
+with every branch a mask: a batch's curve maps ``math.exp`` and ``math.log``
+over the entries, and the trace writes the curve's operations into the
+kernel, with ``exp`` and ``log`` bound to ``math``'s. The backends part
+only on NaN, which numpy's ``maximum``/``minimum`` propagate and Python's
+``max``/``min`` may drop; :func:`run_model` reruns the sets of a batch that
+goes non-finite on the scalar backend.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ from dataclasses import fields, is_dataclass
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
-from rentdyn.engine import EPS, SimClock, SimulationError, Trajectory, simulate, simulate_batch
+from rentdyn.engine import (EPS, SCALAR, SimClock, SimulationError, Trajectory, simulate,
+                            simulate_batch)
 from rentdyn.params import POLICY_BLOCKS, ModelParams, stack_params
 
 __all__ = [
@@ -105,14 +106,6 @@ STOCKS: tuple[str, ...] = (
 
 # smoothing levels are signal states, not conserved quantities
 NONNEG_STOCKS: frozenset[str] = frozenset(STOCKS[:-2])
-
-
-def _where(cond, a, b):
-    return a if cond else b
-
-
-# the untraced scalar helpers' namespace: initial_state and policy_onset
-SCALAR = SimpleNamespace(where=_where)
 
 
 def _numpy_ops() -> SimpleNamespace:
@@ -433,13 +426,16 @@ def _definition(p, dt):
 
 
 class _Traced:
-    """A value of a trace: the operation that makes it, a format string over its operands."""
+    """A value of a trace: the operation that makes it, a format string over its operands.
 
-    __slots__ = ("_tape", "_code", "_args", "_varying", "_raises", "_name", "_uses")
+    A parameter's ``_template`` is its default value: the class of a curve's
+    tells the trace the definition to write where the flows call the curve."""
 
-    def __init__(self, tape, code, *args, raises=False, name=None, varying=False):
+    __slots__ = ("_tape", "_code", "_args", "_varying", "_raises", "_name", "_uses", "_template")
+
+    def __init__(self, tape, code, *args, raises=False, name=None, varying=False, template=None):
         self._tape, self._code, self._args = tape, code, args
-        self._raises, self._name, self._uses = raises, name, 0
+        self._raises, self._name, self._uses, self._template = raises, name, 0, template
         # whether it reads the state or the time: the factory computes the rest once
         self._varying = varying
         for i, arg in enumerate(args):
@@ -448,13 +444,13 @@ class _Traced:
                 self._varying |= arg._varying
         tape.append(self)
 
-    def __getattr__(self, attr):  # a parameter, a curve or a field of one
-        if attr.startswith("_"):
+    def __getattr__(self, attr):  # a parameter, a curve, or a field or constant of one
+        if attr.startswith("__"):
             raise AttributeError(attr)
-        return _Traced(self._tape, "{0}." + attr, self)
+        return _Traced(self._tape, "{0}." + attr, self, template=getattr(self._template, attr))
 
-    def __call__(self, x):  # a curve, called as the object it is
-        return _Traced(self._tape, "{0}({1})", self, x, raises=True)
+    def __call__(self, x):  # a curve: its class's one definition, written into the trace
+        return type(self._template).value(self, x, self._tape)
 
     def __neg__(self):
         return _Traced(self._tape, "(-{0})", self)
@@ -471,7 +467,8 @@ def _operator(symbol: str, reflected: bool):
     return record
 
 
-for _name, _symbol in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("and", "&")):
+for _name, _symbol in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("and", "&"),
+                       ("or", "|")):
     setattr(_Traced, f"__{_name}__", _operator(_symbol, False))
     setattr(_Traced, f"__r{_name}__", _operator(_symbol, True))
 for _name, _symbol in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="),
@@ -492,6 +489,12 @@ class _Tape(list):
 
     def minimum(self, a, b):
         return _Traced(self, "({1} if {1} < {0} else {0})", a, b)
+
+    def exp(self, x):  # math.exp and math.log may raise, so each keeps its place in order
+        return _Traced(self, "exp({0})", x, raises=True)
+
+    def log(self, x):
+        return _Traced(self, "log({0})", x, raises=True)
 
     def limit(self, dt, stock, *flows):
         """Scale a stock's outflows so one Euler step cannot drive it
@@ -524,8 +527,9 @@ def scalar_kernel() -> SimpleNamespace:
     state or time into the factory.
     """
     tape = _Tape()
-    p, dt, t, *state = (_Traced(tape, None, name=name, varying=name[0] in "st")
-                        for name in ("p", "dt", "t", *(f"s{i}" for i in range(len(STOCKS)))))
+    p = _Traced(tape, None, name="p", template=ModelParams())
+    dt, t, *state = (_Traced(tape, None, name=name, varying=name[0] in "st")
+                     for name in ("dt", "t", *(f"s{i}" for i in range(len(STOCKS)))))
     rates, aux = _definition(p, dt)(state, t)
     for value in [*rates, *aux.values()]:
         if isinstance(value, _Traced):
@@ -568,7 +572,7 @@ def scalar_kernel() -> SimpleNamespace:
         *(f"            {s._name} = n{i}" for i, s in enumerate(state)),
         "    return deriv, run", ""])
     linecache.cache[_KERNEL_FILE] = (len(source), None, source.splitlines(True), _KERNEL_FILE)
-    namespace = {"inf": math.inf, "nan": math.nan}
+    namespace = {"inf": math.inf, "nan": math.nan, "exp": math.exp, "log": math.log}
     exec(compile(source, _KERNEL_FILE, "exec"), namespace)
     return SimpleNamespace(make=namespace["make"], auxiliaries=tuple(aux), source=source)
 

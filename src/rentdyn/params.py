@@ -16,13 +16,14 @@ import math
 import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
-from rentdyn.engine import GompertzCurve, LogisticCurve
+from rentdyn.engine import GompertzCurve, LogisticCurve, _each
 
 __all__ = [
     "CovidShock",
@@ -372,10 +373,11 @@ def _replaced(obj: Any, changes: list[tuple[list[str], str, Any]]) -> Any:
 
 
 class _CurveBatch(SimpleNamespace):
-    """B effect curves of one ``kind``, called like one curve."""
+    """B effect curves of one ``kind``, called like one curve: the curve's
+    :meth:`~rentdyn.engine.LogisticCurve.value` on the batch's ``ops``."""
 
     def __call__(self, x: Any) -> Any:
-        return self.kind.array(self, x)
+        return self.kind.value(self, x, self.ops)
 
 
 def stack_params(columns: Sequence[Any]) -> Any:
@@ -385,20 +387,27 @@ def stack_params(columns: Sequence[Any]) -> Any:
     bool in it a ``(B,)`` array of that dtype: every registry field, each
     policy block's ``enabled`` switch, and each effect curve's derived
     constants (``_span``, ...). A curve's namespace also carries its class
-    as ``kind``, and is called like a curve, every column's at once:
-    ``node(x)`` is ``kind.array(node, x)``. Each attribute is stacked by a
-    call on its B values.
+    as ``kind`` and the batch's numpy ops as ``ops``, and is called like a
+    curve, every column's at once. The ops, made once per batch, map
+    ``math.exp`` and ``math.log`` over the entries: numpy's own kernels can
+    differ from them in the last bit.
     """
     import numpy as np
 
-    first = columns[0]
-    if not is_dataclass(first):
-        return np.array(columns, dtype=bool if isinstance(first, bool) else float)
-    stacked = {name: stack_params([getattr(column, name) for column in columns])
-               for name in vars(first)}
-    if isinstance(first, (GompertzCurve, LogisticCurve)):
-        return _CurveBatch(kind=type(first), **stacked)
-    return SimpleNamespace(**stacked)
+    ops = SimpleNamespace(where=np.where, exp=partial(_each, math.exp),
+                          log=partial(_each, math.log))
+
+    def stack(columns: Sequence[Any]) -> Any:
+        first = columns[0]
+        if not is_dataclass(first):
+            return np.array(columns, dtype=bool if isinstance(first, bool) else float)
+        stacked = {name: stack([getattr(column, name) for column in columns])
+                   for name in vars(first)}
+        if isinstance(first, (GompertzCurve, LogisticCurve)):
+            return _CurveBatch(kind=type(first), ops=ops, **stacked)
+        return SimpleNamespace(**stacked)
+
+    return stack(columns)
 
 
 def bounds_for(path: str) -> tuple[float, float]:

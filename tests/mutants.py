@@ -1,10 +1,12 @@
 """Mutation check of the model's one flow definition, ``model._definition``
 (which ``build_derivative`` runs for a batch, and ``scalar_kernel`` traces
-for every scalar run), and of the reduction of a run to its metrics,
-``compute_metrics``.
+for every scalar run), of the effect curves' one definition each
+(``value`` in ``engine``, which a curve's call, a batch and the kernel
+share), and of the reduction of a run to its metrics, ``compute_metrics``.
 
-Each mutant of ``MUTANTS`` changes one operation of the derivative, or of
-``compute_metrics``, and once passed the acceptance bands and the ledger
+Each mutant of ``MUTANTS`` changes one operation of the derivative, of a
+curve, or of ``compute_metrics``. Each of the derivative's and the
+metrics' once passed the acceptance bands and the ledger
 identities: it moves a metric by up to 25% (the derivative's) or by as
 much as 16 times (the metrics'), or it moves a written series and no
 metric, or it moves nothing at the shipped inputs but moves a series at a
@@ -57,6 +59,7 @@ from queue import Queue
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = Path("src", "rentdyn", "model.py")
 SCENARIOS = Path("src", "rentdyn", "scenarios.py")
+ENGINE = Path("src", "rentdyn", "engine.py")
 # the metric oracles, which kill a metric mutant in about a second; the
 # acceptance bands; and the flow oracles and identities of test_model, whose
 # run-long oracles pin the equations of the derivative below
@@ -138,6 +141,21 @@ MUTANTS = {MODEL: [
      "if total > 0.0:", "if total >= 0.0:"),
     ("the disbursed fraction divides by an empty appropriation",
      "if total > 0.0 else 0.0", "if total >= 0.0 else 0.0"),
+], ENGINE: [
+    # the logistic curve (crowding, mortgage delay)
+    ("the logistic denominator subtracts the exponential",
+     "(1.0 + ops.exp(", "(1.0 - ops.exp("),
+    ("the logistic exponent adds the log of the inflection",
+     "ratio)) - c._log_inflection)", "ratio)) + c._log_inflection)"),
+    ("the logistic curve falls from its top instead of rising to it",
+     "value = c.y_max + c._span /", "value = c.y_max - c._span /"),
+    # the Gompertz curve (rent delay, stress)
+    ("the Gompertz curve divides its span by the decay",
+     "c._span * decay", "c._span / decay"),
+    ("the Gompertz decay grows with its input",
+     "where(gone, 0.0, -arg)", "where(gone, 0.0, arg)"),
+    ("the Gompertz floor keeps the value below it",
+     "where(value > c.floor, value, c.floor)", "where(value < c.floor, value, c.floor)"),
 ]}
 
 _EPS_GUARD = "no run meets the guarded quantity at exactly EPS"

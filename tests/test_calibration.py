@@ -271,11 +271,10 @@ def test_solver_scores_only_points_in_the_box_and_within_its_budget(data, n, ext
     """Every point scored, trial or Jacobian, lies in the box (each at least
     0.01 wide, far wider than a difference step); trial points never exceed
     max_nfev, and a search cut off there reports status 0 on the path the
-    uncut search takes. A round's first point is a trial point (the start
-    counted), unless the round is the Jacobian at the lone trial point just
-    before it. After a refused trial the next round holds one point, so the
-    points scored and never read, the Jacobian points scored with a refused
-    trial, number at most n per streak of refusals."""
+    uncut search takes. The first round holds the start and the Jacobian
+    points there; each later one a trial point alone, or the Jacobian at the
+    trial point just before it once its step is taken, so no point is scored
+    that the search does not read."""
     def draw(size, low, high):
         return np.array(data.draw(st.lists(st.floats(low, high), min_size=size,
                                            max_size=size)))
@@ -302,22 +301,16 @@ def test_solver_scores_only_points_in_the_box_and_within_its_budget(data, n, ext
               if not (len(before) == 1 and np.array_equal(
                   now, calibration._difference_points(before[0], upper)))]
     assert result.nfev == len(trials) <= max_nfev
+    assert len(rounds[0]) == 1 + n and all(len(rounds[trial]) == 1 for trial in trials[1:])
     # a search cut off after k trial points stops where the search stood
     # then, so a trial was refused if it left that point where it was
     path = [np.array(searched(k)[0].x).tobytes() for k in range(1, result.nfev + 1)]
     refused = [False] + [now == before for before, now in zip(path, path[1:])]
     assert result.njev == refused.count(False)
-    unread = 0
-    for trial, was_refused in zip(trials, refused):
-        if not was_refused:
-            unread = 0
-            continue
-        if trial + 1 < len(rounds):
-            assert len(rounds[trial + 1]) == 1
-        unread += len(rounds[trial]) - 1
-        assert unread <= n
-    assert sum(map(len, rounds)) == result.nfev + n * result.njev + sum(
-        len(rounds[trial]) - 1 for trial, was_refused in zip(trials, refused) if was_refused)
+    # a Jacobian round follows each trial point taken, and no other
+    taken = [trial for trial, was_refused in zip(trials[1:], refused[1:]) if not was_refused]
+    assert [i - 1 for i in range(1, len(rounds)) if i not in trials] == taken
+    assert sum(map(len, rounds)) == result.nfev + n * result.njev
     full, _ = searched(1000)
     if full.nfev > max_nfev:
         assert result.status == 0 and result.nfev == max_nfev
@@ -553,10 +546,10 @@ def test_fit_ending_at_a_wall_of_failed_runs_reports_no_singular_values(
     [result] = fits
     assert result.converged
     assert 0.57 < result.fitted["covid.magnitude"] <= 0.58
-    # trial points past the wall are refused; after each refused one the
-    # next is scored alone, so at most one set of Jacobian runs per streak
-    # of refusals goes unread
-    assert (result.evaluations, result.scenario_runs) == (127, 432)
+    # trial points past the wall are refused; each trial point is scored
+    # alone, and the Jacobian at it only once its step is taken, so no
+    # Jacobian runs at a refused point are made
+    assert (result.evaluations, result.scenario_runs) == (127, 315)
     assert result.singular_values == ()
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == ("singular values of the scaled Jacobian: "

@@ -4,6 +4,8 @@ Expected values are frozen literals computed independently from the closed-form
 definitions (not by calling the code under test).
 """
 
+import functools
+import linecache
 import math
 import struct
 from types import SimpleNamespace
@@ -25,7 +27,9 @@ from rentdyn.engine import (
     simulate,
     simulate_batch,
 )
-from rentdyn.params import bounds_for
+from rentdyn import model
+from rentdyn.model import STOCKS
+from rentdyn.params import bounds_for, stack_params
 
 
 # ---------------------------------------------------------------- clock
@@ -174,7 +178,7 @@ def test_gompertz_validates_parameters():
         GompertzCurve(y_final=0.5, y_initial=-108.2, steepness=1.4, floor=1.0)
 
 
-# ---------------------------------------------------------------- array forms
+# ---------------------------------------------------------------- one definition, three callers
 
 def _in_bounds(path):
     lo, hi = bounds_for(path)
@@ -227,17 +231,66 @@ def _outcome(evaluate):
         return type(error)
 
 
+def _oracle(curve, x):
+    """The curve at ``x``, written branch by branch in plain Python, apart
+    from the masked definition the curves share: an independent oracle."""
+    if isinstance(curve, LogisticCurve):
+        if x <= 0.0:
+            return curve.y_min
+        if math.isinf(x):
+            return curve.y_max
+        z = curve.slope * (math.log(x) - curve._log_inflection)
+        if z >= 700.0:
+            return curve.y_max
+        if z <= -700.0:
+            return curve.y_min
+        return curve.y_max + curve._span / (1.0 + math.exp(z))
+    arg = curve._rate * x
+    if arg >= 745.0 or math.isinf(arg):
+        decay = 0.0
+    else:
+        decay = math.exp(-arg)
+    value = curve.y_final + curve._span * decay
+    return value if value > curve.floor else curve.floor  # max(floor, value), NaN too
+
+
+# a field of ModelParams holding a curve of each kind
+_CURVE_FIELD = {LogisticCurve: "crowding_curve", GompertzCurve: "stress_curve"}
+
+
+@functools.cache
+def _curve_kernel(kind):
+    """The scalar kernel's ``make``, traced through ``model._Tape`` for the
+    curve at ``_CURVE_FIELD[kind]`` alone: its ``deriv`` returns the curve at
+    the state's first entry as its one auxiliary. The shipped kernel's
+    cache and its lines for tracebacks are left as they were."""
+    field = _CURVE_FIELD[kind]
+
+    def definition(p, dt):
+        def deriv(state, t):
+            return list(state), {"value": getattr(p, field)(state[0])}
+        return deriv
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_definition", definition)
+        patch.setitem(linecache.cache, model._KERNEL_FILE, None)
+        return model.scalar_kernel.__wrapped__().make
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(_curve_and_inputs())
 def test_array_form_is_the_scalar_curve_bit_for_bit(drawn):
-    """The batch evaluates each curve through its array form, with the curve's
-    fields and constants as (B,) arrays: bit for bit the scalar form on every
-    entry, or the error type the scalar form raises."""
+    """Each curve's one definition, called on floats, on a batch's columns
+    (stack_params) and in a traced kernel, gives the oracle's bits on every
+    entry, or the error type the oracle raises."""
     curve, xs = drawn
-    stacked = SimpleNamespace(**{k: np.full(len(xs), v) for k, v in vars(curve).items()})
-    scalar = _outcome(lambda: [curve(x) for x in xs])
-    assert _outcome(lambda: type(curve).array(stacked, np.array(xs))) == scalar
+    expected = _outcome(lambda: [_oracle(curve, x) for x in xs])
+    assert _outcome(lambda: [curve(x) for x in xs]) == expected
+    assert _outcome(lambda: stack_params([curve] * len(xs))(np.array(xs))) == expected
+    deriv, _ = _curve_kernel(type(curve))(
+        SimpleNamespace(**{_CURVE_FIELD[type(curve)]: curve}), 0.25)
+    assert _outcome(lambda: [deriv([x] * len(STOCKS), 0.0)[1][0] for x in xs]) == expected
 
 
 # ---------------------------------------------------------------- euler_step

@@ -10,6 +10,7 @@ import builtins
 import dataclasses
 import math
 import os
+import re
 import traceback
 import warnings
 
@@ -693,18 +694,23 @@ def test_the_compiled_run_loop_is_the_reference_loop(dt):
     assert clamped > 0
 
 
-def test_a_traceback_through_the_kernel_shows_its_line(monkeypatch):
-    p = default_params()
-
-    def failing(curve, x):
-        raise ZeroDivisionError("the curve failed")
-
-    monkeypatch.setattr(type(p.rent_delay_curve), "__call__", failing)
+def test_a_traceback_through_the_kernel_shows_its_line():
+    # no time to pay rent in: rent_paid divides the arrears by 0
+    p = dataclasses.replace(default_params(), at_rent_base=0.0)
     with pytest.raises(ZeroDivisionError) as info:
         build_derivative(p, 0.25)(initial_state(p), 0.0)
     (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == model._KERNEL_FILE]
     assert frame.name == "deriv" and frame.line.startswith("v") and "(" in frame.line
     assert frame.line in model.scalar_kernel().source.splitlines()[frame.lineno - 1]
+
+
+def test_the_kernel_writes_each_curve_inline():
+    """The kernel calls no value it binds, a curve object least of all: each
+    curve's definition is written into deriv and into run, with one exp for
+    every curve and one log for each of the two logistic ones."""
+    source = model.scalar_kernel().source
+    assert not re.search(r"\bv\d+\(", source)
+    assert (source.count(" = exp("), source.count(" = log(")) == (2 * 4, 2 * 2)
 
 
 # ---------------------------------------------------------------- state
